@@ -22,13 +22,37 @@ use crate::topicality::TopicSelection;
 use crate::TermId;
 use perfmodel::WorkKind;
 use spmd::{Ctx, ReduceOp};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Documents per intra-rank chunk for co-occurrence accumulation. Fixed
 /// so chunk boundaries — and the order partial matrices merge in — do
-/// not depend on the pool width.
-const ASSOC_DOC_CHUNK: usize = 64;
+/// not depend on the pool width. The partials hold integer counts, so
+/// any fixed size merges to the same bits; this one keeps the N×M
+/// partials a rank zeroes and merges few.
+const ASSOC_DOC_CHUNK: usize = 256;
+
+/// Marks a term with no position in a [`position_table`].
+pub const ABSENT: u32 = u32::MAX;
+
+/// Dense `term id → position in ids` table of vocabulary length
+/// ([`ABSENT`] elsewhere), so per-term resolution in the per-document
+/// loops is an array index. Every id must be below `vocab`.
+pub(crate) fn position_table(ids: &[TermId], vocab: usize) -> Vec<u32> {
+    let mut table = vec![ABSENT; vocab];
+    for (i, &t) in ids.iter().enumerate() {
+        table[t as usize] = i as u32;
+    }
+    table
+}
+
+/// Position of `t` in a [`position_table`]; `None` for absent terms and
+/// ids beyond the table.
+fn position(table: &[u32], t: TermId) -> Option<usize> {
+    table
+        .get(t as usize)
+        .filter(|&&at| at != ABSENT)
+        .map(|&at| at as usize)
+}
 
 /// The merged, normalized association matrix (replicated on all ranks).
 #[derive(Debug, Clone)]
@@ -39,16 +63,15 @@ pub struct AssociationMatrix {
     pub n: usize,
     /// M (columns, topics).
     pub m: usize,
-    /// Major-term id → row index.
-    pub row_of: Arc<HashMap<TermId, usize>>,
+    /// Major-term id → row index, as a [`position_table`].
+    pub row_of: Arc<Vec<u32>>,
 }
 
 impl AssociationMatrix {
     /// The M-dimensional row of major term `t`, if `t` is a major term.
     pub fn row(&self, t: TermId) -> Option<&[f64]> {
-        self.row_of
-            .get(&t)
-            .map(|&r| &self.values[r * self.m..(r + 1) * self.m])
+        let r = position(&self.row_of, t)?;
+        Some(&self.values[r * self.m..(r + 1) * self.m])
     }
 }
 
@@ -61,18 +84,8 @@ pub fn build(
 ) -> AssociationMatrix {
     let n = topics.major.len();
     let m = topics.topics.len();
-    let row_of: HashMap<TermId, usize> = topics
-        .major
-        .iter()
-        .enumerate()
-        .map(|(i, &t)| (t, i))
-        .collect();
-    let col_of: HashMap<TermId, usize> = topics
-        .topics
-        .iter()
-        .enumerate()
-        .map(|(j, &t)| (t, j))
-        .collect();
+    let row_of = position_table(&topics.major, scan.vocab_size());
+    let col_of = position_table(&topics.topics, scan.vocab_size());
 
     // Local document-level co-occurrence counts, fanned out over the
     // intra-rank pool. Entries are small integer counts, and partial
@@ -93,9 +106,9 @@ pub fn build(
                     let distinct = d.distinct_terms();
                     ops += distinct.len() as u64;
                     rows.clear();
-                    rows.extend(distinct.iter().filter_map(|(t, _)| row_of.get(t).copied()));
+                    rows.extend(distinct.iter().filter_map(|&(t, _)| position(&row_of, t)));
                     cols.clear();
-                    cols.extend(distinct.iter().filter_map(|(t, _)| col_of.get(t).copied()));
+                    cols.extend(distinct.iter().filter_map(|&(t, _)| position(&col_of, t)));
                     ops += (rows.len() * cols.len()) as u64;
                     for &i in &rows {
                         for &j in &cols {
@@ -219,6 +232,29 @@ mod tests {
                     assert!(am.values[r * am.m + j] <= self_assoc + 1e-9);
                 }
             }
+        });
+    }
+
+    #[test]
+    fn position_tables_agree_with_selection_order_for_every_term() {
+        let src = corpus();
+        let rt = Runtime::for_testing();
+        rt.run(2, |ctx| {
+            let cfg = EngineConfig::for_testing();
+            let s = scan(ctx, &src, &cfg);
+            let idx = invert(ctx, &s, &cfg);
+            let topics = select_topics(ctx, &idx, &cfg, cfg.n_major, cfg.m_dims());
+            let am = build(ctx, &s, &idx, &topics);
+            let col_of = position_table(&topics.topics, s.vocab_size());
+            assert_eq!(am.row_of.len(), s.vocab_size());
+            for t in 0..s.vocab_size() as TermId {
+                let row = topics.major.iter().position(|&x| x == t);
+                let col = topics.topics.iter().position(|&x| x == t);
+                assert_eq!(position(&am.row_of, t), row, "row of term {t}");
+                assert_eq!(position(&col_of, t), col, "column of term {t}");
+                assert_eq!(am.row(t).is_some(), row.is_some());
+            }
+            assert_eq!(position(&am.row_of, s.vocab_size() as TermId), None);
         });
     }
 

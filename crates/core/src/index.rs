@@ -121,8 +121,10 @@ fn n_loads(n_docs: usize, chunk: usize) -> usize {
 
 /// Documents per intra-rank chunk for the counting pass. Fixed (never
 /// derived from the pool width) so chunk boundaries — and therefore the
-/// merged counts — are identical at every `threads_per_rank`.
-const COUNT_DOC_CHUNK: usize = 32;
+/// merged counts — are identical at every `threads_per_rank`. The counts
+/// are integers, so any fixed size merges to the same bits; this one
+/// keeps the vocabulary-sized partials a rank zeroes and merges few.
+const COUNT_DOC_CHUNK: usize = 256;
 
 /// Partial counting-pass result for one contiguous chunk of local docs.
 struct CountPartial {
@@ -201,9 +203,9 @@ pub fn invert(ctx: &Ctx, scan: &ScanOutput, cfg: &EngineConfig) -> InvertedIndex
     if vocab_size > 0 {
         // Destination-aggregated accumulate: one message per rank whose
         // block the vocab-length contribution overlaps.
-        df_ga.acc_batch(ctx, &[(0, df_local.as_slice())]);
-        tf_ga.acc_batch(ctx, &[(0, tf_local.as_slice())]);
-        plen_ga.acc_batch(ctx, &[(0, plen_local.as_slice())]);
+        df_ga.acc_batch(ctx, [(0, df_local.as_slice())]);
+        tf_ga.acc_batch(ctx, [(0, tf_local.as_slice())]);
+        plen_ga.acc_batch(ctx, [(0, plen_local.as_slice())]);
     }
     ctx.barrier();
     let df = Arc::new(df_ga.to_vec_collective(ctx));
@@ -236,7 +238,15 @@ pub fn invert(ctx: &Ctx, scan: &ScanOutput, cfg: &EngineConfig) -> InvertedIndex
     let mut my_postings = 0u64;
     let scatter_start = ctx.now();
 
-    let mut process_load = |owner: usize, index: usize| {
+    // Buffers reused across loads, cleared per load.
+    let mut by_term: Vec<(TermId, u64)> = Vec::new();
+    let mut groups: Vec<(TermId, usize, usize)> = Vec::new(); // (term, start, len)
+    let mut reserve: Vec<(usize, i64)> = Vec::new();
+    let mut packed: Vec<u64> = Vec::new();
+
+    // `promise` forwards a lower bound on this rank's next claim clock to
+    // the mode's claim gate (a no-op where there is none).
+    let mut process_load = |owner: usize, index: usize, promise: &dyn Fn(f64)| {
         let base = doc_bases[owner] as usize;
         let count = doc_counts[owner] as usize;
         let d0 = base + index * cfg.chunk_docs;
@@ -249,11 +259,22 @@ pub fn invert(ctx: &Ctx, scan: &ScanOutput, cfg: &EngineConfig) -> InvertedIndex
         let offs = scan.fwd_offsets.get(ctx, d0..d1 + 1);
         let lo = offs[0] as usize;
         let hi = offs[d1 - d0] as usize;
+        // The load's InvertPostings charge below is still to come and
+        // every other charge is non-negative, so the next claim cannot
+        // happen before this clock: peers need not wait for the scatter.
+        promise(
+            ctx.now()
+                + ctx
+                    .model()
+                    .compute(WorkKind::InvertPostings, (hi - lo) as u64)
+                    * ctx.pressure(),
+        );
         let entries = scan.fwd_data.get(ctx, lo..hi);
         // Group by term, preserving (doc, field) structure. Entries within
         // a document are term-sorted per field; a simple sort by term
         // groups across the load.
-        let mut by_term: Vec<(TermId, u64)> = Vec::with_capacity(entries.len());
+        by_term.clear();
+        by_term.reserve(entries.len());
         let mut entry_at = lo;
         for (di, doc) in (d0..d1).enumerate() {
             let end = offs[di + 1] as usize;
@@ -280,8 +301,8 @@ pub fn invert(ctx: &Ctx, scan: &ScanOutput, cfg: &EngineConfig) -> InvertedIndex
         // one remote atomic per (term, load) pair. Then ship the packed
         // postings with the destination-aggregated put_batch: every span
         // bound for one rank travels in one message, contiguous or not.
-        let mut groups: Vec<(TermId, usize, usize)> = Vec::new(); // (term, start, len)
-        let mut reserve: Vec<(usize, i64)> = Vec::new();
+        groups.clear();
+        reserve.clear();
         let mut i = 0;
         while i < by_term.len() {
             let t = by_term[i].0;
@@ -296,15 +317,14 @@ pub fn invert(ctx: &Ctx, scan: &ScanOutput, cfg: &EngineConfig) -> InvertedIndex
         let slots = cursors.fetch_add_batch(ctx, &reserve);
         // by_term is term-sorted, so each group's payload is a contiguous
         // slice of one packed buffer — no per-group allocation.
-        let packed: Vec<u64> = by_term.iter().map(|&(_, e)| e).collect();
-        let puts: Vec<(usize, &[u64])> = groups
-            .iter()
-            .zip(&slots)
-            .map(|(&(t, at, k), &slot)| {
+        packed.clear();
+        packed.extend(by_term.iter().map(|&(_, e)| e));
+        postings.put_batch(
+            ctx,
+            groups.iter().zip(&slots).map(|(&(t, at, k), &slot)| {
                 ((offsets[t as usize] + slot) as usize, &packed[at..at + k])
-            })
-            .collect();
-        postings.put_batch(ctx, &puts);
+            }),
+        );
     };
 
     match cfg.balancing {
@@ -316,14 +336,14 @@ pub fn invert(ctx: &Ctx, scan: &ScanOutput, cfg: &EngineConfig) -> InvertedIndex
                 } else {
                     stolen_tasks += 1;
                 }
-                process_load(task.owner, task.index);
+                process_load(task.owner, task.index, &|t| q.promise(ctx, t));
             }
         }
         Balancing::Static => {
             // Owner-computes: no queue, no stealing.
             for index in 0..my_loads {
                 own_tasks += 1;
-                process_load(ctx.rank(), index);
+                process_load(ctx.rank(), index, &|_| {});
             }
         }
         Balancing::MasterWorker => {
@@ -367,7 +387,7 @@ pub fn invert(ctx: &Ctx, scan: &ScanOutput, cfg: &EngineConfig) -> InvertedIndex
                 } else {
                     stolen_tasks += 1;
                 }
-                process_load(owner, index);
+                process_load(owner, index, &|t| gate.publish_bound(ctx, t));
             }
         }
     }

@@ -30,7 +30,6 @@ use ga::{DistHashMap, GlobalArray};
 use intern::{TermInterner, TermTable};
 use perfmodel::WorkKind;
 use spmd::Ctx;
-use std::collections::HashMap;
 use std::ops::Range;
 
 /// Records per intra-rank work chunk during tokenization. Fixed (never
@@ -84,16 +83,45 @@ impl LocalDoc {
     }
 
     /// Distinct terms of the document (sorted, deduplicated across
-    /// fields), with total frequency.
+    /// fields), with total frequency. Each field's list is already
+    /// sorted by term id with no repeats, so the lists merge pairwise —
+    /// no hashing, no sort.
     pub fn distinct_terms(&self) -> Vec<(TermId, u32)> {
-        let mut m: HashMap<TermId, u32> = HashMap::new();
-        for (t, f) in self.term_freqs() {
-            *m.entry(t).or_insert(0) += f;
-        }
-        let mut v: Vec<(TermId, u32)> = m.into_iter().collect();
-        v.sort_unstable_by_key(|&(t, _)| t);
-        v
+        let mut fields = self.fields.iter();
+        let Some(first) = fields.next() else {
+            return Vec::new();
+        };
+        fields.fold(first.counts.clone(), |acc, f| {
+            merge_summing(&acc, &f.counts)
+        })
     }
+}
+
+/// Merge two term-sorted `(term, freq)` lists, summing the frequencies of
+/// terms both carry.
+fn merge_summing(a: &[(TermId, u32)], b: &[(TermId, u32)]) -> Vec<(TermId, u32)> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].0.cmp(&b[j].0) {
+            std::cmp::Ordering::Less => {
+                out.push(a[i]);
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                out.push(b[j]);
+                j += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                out.push((a[i].0, a[i].1 + b[j].1));
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
 }
 
 /// The result of the Scan & Map stage on one rank.
@@ -460,7 +488,7 @@ pub fn scan(ctx: &Ctx, sources: &SourceSet, cfg: &EngineConfig) -> ScanOutput {
             .expect("every registered term is in the canonical vocabulary");
         old_to_new[cache_ids[cid] as usize] = new as TermId;
     }
-    // Remapping is one hash lookup per posting plus a per-field sort —
+    // Remapping is one array index per posting plus a per-field sort —
     // pure per-doc work, so it fans out over the pool. Chunks return
     // each document's remapped fields in order; the serial write-back
     // below keeps `docs` in corpus order.
@@ -541,7 +569,46 @@ pub fn scan(ctx: &Ctx, sources: &SourceSet, cfg: &EngineConfig) -> ScanOutput {
 mod tests {
     use super::*;
     use corpus::CorpusSpec;
+    use proptest::prelude::*;
     use spmd::Runtime;
+    use std::collections::HashMap;
+
+    /// The hashing implementation `distinct_terms` replaced, kept as the
+    /// oracle.
+    fn distinct_terms_oracle(doc: &LocalDoc) -> Vec<(TermId, u32)> {
+        let mut m: HashMap<TermId, u32> = HashMap::new();
+        for (t, f) in doc.term_freqs() {
+            *m.entry(t).or_insert(0) += f;
+        }
+        let mut v: Vec<(TermId, u32)> = m.into_iter().collect();
+        v.sort_unstable_by_key(|&(t, _)| t);
+        v
+    }
+
+    proptest! {
+        #[test]
+        fn distinct_terms_matches_hashmap_oracle(
+            fields in prop::collection::vec(
+                // Few distinct ids, so fields overlap; freqs up to the
+                // 24-bit saturation point of the packed entries.
+                prop::collection::vec((0u32..40, 1u32..=0xFF_FFFF), 0..30),
+                1..5,
+            ),
+        ) {
+            let fields = fields
+                .into_iter()
+                .enumerate()
+                .map(|(i, mut counts)| {
+                    // A field lists each term once, sorted by id.
+                    counts.sort_unstable_by_key(|&(t, _)| t);
+                    counts.dedup_by_key(|&mut (t, _)| t);
+                    LocalField { field: i as FieldId, counts }
+                })
+                .collect();
+            let doc = LocalDoc { doc_id: 0, fields, tokens: 0 };
+            prop_assert_eq!(doc.distinct_terms(), distinct_terms_oracle(&doc));
+        }
+    }
 
     fn tiny_corpus() -> SourceSet {
         CorpusSpec {

@@ -768,11 +768,15 @@ impl EngineSnapshot {
             )?;
         }
         if m.stage >= Stage::Sig {
-            expect(
-                "major",
-                self.snap.require("major")?.as_u32s()?.len(),
-                m.n_major,
-            )?;
+            let major = self.snap.require("major")?.as_u32s()?;
+            expect("major", major.len(), m.n_major)?;
+            // Major ids index vocabulary-length tables on restore.
+            if let Some(&t) = major.iter().find(|&&t| t as usize >= m.vocab_size) {
+                return Err(bad(
+                    src,
+                    format!("section `major` names term {t} beyond the vocabulary"),
+                ));
+            }
             expect(
                 "mscore",
                 self.snap.require("mscore")?.as_f64s()?.len(),
@@ -1148,7 +1152,7 @@ impl EngineSnapshot {
             scores,
             topics: topic_ids,
         };
-        let row_of = major.iter().enumerate().map(|(i, &t)| (t, i)).collect();
+        let row_of = crate::assoc::position_table(&major, self.meta.vocab_size);
         let am = AssociationMatrix {
             values: Arc::new(assoc),
             n: self.meta.n_major,

@@ -190,49 +190,43 @@ impl<T: Copy + Default + Send + Sync + 'static> GlobalArray<T> {
     ///
     /// This is the transport for scatter passes that emit many small
     /// writes across the array (FAST-INV posting placement).
-    pub fn put_batch(&self, ctx: &Ctx, puts: &[(usize, &[T])]) {
-        self.dest_packed_charge_then(ctx, puts, |ga, start, data| {
-            ga.write_unmetered(start, data);
-        });
+    pub fn put_batch<'a>(&self, ctx: &Ctx, puts: impl IntoIterator<Item = (usize, &'a [T])>) {
+        self.dest_packed_apply(ctx, puts, |dst, src| dst.copy_from_slice(src));
     }
 
-    /// Charge at most one message per destination rank for `ops` (payload
-    /// = the sum of the rank's span-segment bytes, scalar-equivalent = the
-    /// number of span segments packed), then apply `apply` to every op
-    /// (unmetered).
-    fn dest_packed_charge_then(
+    /// Bucket `ops` into span segments per owning rank, then per
+    /// destination: charge one message (payload = the sum of the rank's
+    /// segment bytes, scalar-equivalent = the number of segments packed)
+    /// and run `apply(block_slice, payload)` over its segments in
+    /// submission order under **one** write lock of that block — the
+    /// owner applies a message atomically, as in
+    /// [`fetch_add_batch`](GlobalArray::fetch_add_batch).
+    fn dest_packed_apply<'a>(
         &self,
         ctx: &Ctx,
-        ops: &[(usize, &[T])],
-        apply: impl Fn(&Self, usize, &[T]),
+        ops: impl IntoIterator<Item = (usize, &'a [T])>,
+        apply: impl Fn(&mut [T], &[T]),
     ) {
         let p = self.storage.blocks.len();
-        // Per-destination payload bytes and span-segment counts.
+        // Per destination: payload bytes and (block-local offset, payload).
         let mut bytes = vec![0u64; p];
-        let mut segs = vec![0u64; p];
-        for &(start, data) in ops {
-            self.for_blocks(start..start + data.len(), |r, seg, _local| {
+        let mut segs: Vec<Vec<(usize, &[T])>> = vec![Vec::new(); p];
+        for (start, data) in ops {
+            self.for_blocks(start..start + data.len(), |r, seg, local| {
                 bytes[r] += (seg.len() * std::mem::size_of::<T>()) as u64;
-                segs[r] += 1;
+                segs[r].push((local, &data[seg.start - start..seg.end - start]));
             });
         }
-        for r in 0..p {
-            if segs[r] > 0 {
-                ctx.charge_one_sided_batch(bytes[r], r, segs[r]);
+        for (r, segs) in segs.iter().enumerate() {
+            if segs.is_empty() {
+                continue;
+            }
+            ctx.charge_one_sided_batch(bytes[r], r, segs.len() as u64);
+            let mut block = self.storage.blocks[r].write();
+            for &(local, src) in segs {
+                apply(&mut block[local..local + src.len()], src);
             }
         }
-        for &(start, data) in ops {
-            apply(self, start, data);
-        }
-    }
-
-    /// Store `data` at `start` without charging (transport already paid).
-    fn write_unmetered(&self, start: usize, data: &[T]) {
-        self.for_blocks(start..start + data.len(), |r, seg, local| {
-            let mut block = self.storage.blocks[r].write();
-            let src = &data[seg.start - start..seg.end - start];
-            block[local..local + seg.len()].copy_from_slice(src);
-        });
     }
 
     /// Run `f` over this rank's own block (no copy, charged as local
@@ -293,15 +287,11 @@ where
     /// destination-aggregated packing and charging discipline as
     /// [`put_batch`](GlobalArray::put_batch): at most one message per
     /// destination rank, scattered spans inside.
-    pub fn acc_batch(&self, ctx: &Ctx, accs: &[(usize, &[T])]) {
-        self.dest_packed_charge_then(ctx, accs, |ga, start, data| {
-            ga.for_blocks(start..start + data.len(), |r, seg, local| {
-                let mut block = ga.storage.blocks[r].write();
-                let src = &data[seg.start - start..seg.end - start];
-                for (dst, s) in block[local..local + seg.len()].iter_mut().zip(src) {
-                    *dst += *s;
-                }
-            });
+    pub fn acc_batch<'a>(&self, ctx: &Ctx, accs: impl IntoIterator<Item = (usize, &'a [T])>) {
+        self.dest_packed_apply(ctx, accs, |dst, src| {
+            for (d, s) in dst.iter_mut().zip(src) {
+                *d += *s;
+            }
         });
     }
 }
@@ -516,7 +506,7 @@ mod tests {
                 }
                 let refs: Vec<(usize, &[u32])> =
                     payloads.iter().map(|(s, d)| (*s, d.as_slice())).collect();
-                b.put_batch(ctx, &refs);
+                b.put_batch(ctx, refs.iter().copied());
             }
             ctx.barrier();
             assert_eq!(a.get(ctx, 0..40), b.get(ctx, 0..40));
@@ -542,7 +532,7 @@ mod tests {
 
             // The same writes batched: one destination rank, one message.
             let before = ctx.stats.snapshot();
-            a.put_batch(ctx, &refs);
+            a.put_batch(ctx, refs.iter().copied());
             let snap = ctx.stats.snapshot();
             let batch_msgs = snap.total_msgs() - before.total_msgs();
             assert_eq!(batch_msgs, 1);
@@ -573,7 +563,7 @@ mod tests {
             let refs: Vec<(usize, &[u32])> =
                 payloads.iter().map(|(s, d)| (*s, d.as_slice())).collect();
             let before = ctx.stats.snapshot();
-            a.put_batch(ctx, &refs);
+            a.put_batch(ctx, refs.iter().copied());
             let msgs = ctx.stats.snapshot().total_msgs() - before.total_msgs();
             assert_eq!(msgs, 1);
             assert_eq!(a.get(ctx, 0..3), vec![1, 2, 3]);
@@ -598,7 +588,7 @@ mod tests {
                 let refs: Vec<(usize, &[u32])> =
                     payloads.iter().map(|(s, d)| (*s, d.as_slice())).collect();
                 let before = ctx.stats.snapshot();
-                a.put_batch(ctx, &refs);
+                a.put_batch(ctx, refs.iter().copied());
                 let snap = ctx.stats.snapshot();
                 // Destinations touched: 0, 1, 2 → exactly 3 messages.
                 assert_eq!(snap.total_msgs() - before.total_msgs(), 3);
@@ -621,7 +611,7 @@ mod tests {
             let refs: Vec<(usize, &[u64])> =
                 payloads.iter().map(|(s, d)| (*s, d.as_slice())).collect();
             let before = ctx.stats.snapshot();
-            a.acc_batch(ctx, &refs);
+            a.acc_batch(ctx, refs.iter().copied());
             let msgs = ctx.stats.snapshot().total_msgs() - before.total_msgs();
             ctx.barrier();
             (a.get(ctx, 0..20), msgs)
@@ -756,8 +746,8 @@ mod tests {
             let a = GlobalArray::<i64>::create(ctx, 10);
             let before = ctx.stats.snapshot();
             assert!(a.fetch_add_batch(ctx, &[]).is_empty());
-            a.put_batch(ctx, &[]);
-            a.acc_batch(ctx, &[]);
+            a.put_batch(ctx, []);
+            a.acc_batch(ctx, []);
             assert!(a.get_batch(ctx, &[]).is_empty());
             assert_eq!(ctx.stats.snapshot(), before);
         });

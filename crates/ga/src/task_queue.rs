@@ -14,6 +14,14 @@
 //! starting after itself, paying a remote-atomic round trip per attempt,
 //! exactly the fetch-and-increment pattern the paper implements with GA
 //! atomics.
+//!
+//! Claims are serialised in (virtual clock, rank) order by a
+//! [`VirtualGate`], but *processing* overlaps: a rank that has claimed a
+//! task calls [`TaskQueue::promise`] with a lower bound on its next claim
+//! clock — its clock now plus a charge it is certain to make before it
+//! pops again — and peers below that bound claim without waiting for it
+//! to finish. Every charge is non-negative, so such a bound can only be
+//! early, never late; [`TaskQueue::pop`] asserts it in debug builds.
 
 use spmd::{Ctx, VirtualGate};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -115,6 +123,13 @@ impl TaskQueue {
         t
     }
 
+    /// Promise that this rank's next [`pop`](TaskQueue::pop) happens at
+    /// virtual clock `t` or later, so peers with earlier clocks need not
+    /// wait for the task in hand to finish (see the module docs).
+    pub fn promise(&self, ctx: &Ctx, t: f64) {
+        self.gate.publish_bound(ctx, t);
+    }
+
     fn claim(&self, ctx: &Ctx) -> Option<TaskId> {
         let p = self.inner.counts.len();
         let me = ctx.rank();
@@ -153,8 +168,84 @@ impl TaskQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use spmd::Runtime;
     use std::collections::HashSet;
+    use std::sync::Mutex;
+    use std::time::{Duration, Instant};
+
+    /// Drain a queue where rank `r` owns `counts[r]` tasks and task `g`
+    /// costs `costs[g % costs.len()]` virtual seconds, each rank promising
+    /// `fraction` of the cost of the task in hand. Returns the claim log
+    /// in claim order: (task, claiming rank, clock bits after the claim).
+    fn claim_log(counts: &[usize], costs: &[f64], fraction: f64) -> Vec<(usize, usize, u64)> {
+        let rt = Runtime::new(Arc::new(perfmodel::CostModel::pnnl_2007()));
+        let log = Mutex::new(Vec::new());
+        rt.run(counts.len(), |ctx| {
+            let q = TaskQueue::create(ctx, counts[ctx.rank()]);
+            while let Some(t) = q.pop(ctx) {
+                let g = q.global_index(t);
+                // Still inside the claim's exclusive window: no peer can
+                // claim before the promise below, so pushes land in claim
+                // order.
+                log.lock()
+                    .unwrap()
+                    .push((g, ctx.rank(), ctx.now().to_bits()));
+                let cost = costs[g % costs.len()];
+                q.promise(ctx, ctx.now() + fraction * cost);
+                ctx.advance(cost);
+            }
+            ctx.barrier();
+        });
+        log.into_inner().unwrap()
+    }
+
+    proptest! {
+        #[test]
+        fn claim_log_is_independent_of_promises(
+            p in 2usize..=6,
+            counts in prop::collection::vec(0usize..6, 6),
+            costs in prop::collection::vec(0.0f64..1.0, 1..12),
+            quantum in 1u32..=4,
+        ) {
+            // Coarse costs make equal clocks (rank-id tie breaks) common.
+            let q = quantum as f64;
+            let costs: Vec<f64> = costs.iter().map(|c| (c * q).round() / q).collect();
+            let counts = &counts[..p];
+            let exact = claim_log(counts, &costs, 1.0);
+            prop_assert_eq!(exact.len(), counts.iter().sum::<usize>());
+            prop_assert_eq!(&claim_log(counts, &costs, 0.5), &exact);
+            prop_assert_eq!(&claim_log(counts, &costs, 0.0), &exact);
+        }
+    }
+
+    #[test]
+    fn promised_tasks_overlap_in_wall_time() {
+        // Two ranks, 20 equal-cost tasks each, every task a 5 ms sleep.
+        // Claims alternate in virtual time; with promises the sleeps
+        // overlap, so the drain takes about half the summed sleep, not
+        // all of it.
+        let rt = Runtime::for_testing();
+        let start = Instant::now();
+        let res = rt.run(2, |ctx| {
+            let q = TaskQueue::create(ctx, 20);
+            let mut slept = Duration::ZERO;
+            while q.pop(ctx).is_some() {
+                q.promise(ctx, ctx.now() + 1.0);
+                let t0 = Instant::now();
+                std::thread::sleep(Duration::from_millis(5));
+                slept += t0.elapsed();
+                ctx.advance(1.0);
+            }
+            slept
+        });
+        let wall = start.elapsed();
+        let slept: Duration = res.results.iter().sum();
+        assert!(
+            wall < slept.mul_f64(0.75),
+            "drain took {wall:?} of {slept:?} summed sleep: tasks did not overlap"
+        );
+    }
 
     #[test]
     fn every_task_claimed_exactly_once() {

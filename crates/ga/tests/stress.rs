@@ -151,3 +151,67 @@ fn matrix_rows_survive_concurrent_block_writes() {
         }
     }
 }
+
+#[test]
+fn interleaved_batches_match_scalar_ops_on_shared_destinations() {
+    // Every rank alternates acc_batch and put_batch rounds whose spans
+    // land in every rank's block (and straddle block boundaries), so the
+    // per-destination locks are contended throughout. Accumulates
+    // commute; puts go to stripes of 5 elements dealt round-robin to
+    // ranks, so no two ranks write one element. The batched arrays must
+    // equal the ones built with scalar acc/put.
+    const LEN: usize = 1031;
+    const STRIPE: usize = 5;
+    let rt = Runtime::for_testing();
+    let res = rt.run(8, |ctx| {
+        let p = ctx.nprocs();
+        let acc_batched = GlobalArray::<u64>::create(ctx, LEN);
+        let acc_scalar = GlobalArray::<u64>::create(ctx, LEN);
+        let put_batched = GlobalArray::<u64>::create(ctx, LEN);
+        let put_scalar = GlobalArray::<u64>::create(ctx, LEN);
+        let mut seed = 0x51ed + ctx.rank() as u64;
+        let my_stripes: Vec<usize> = (0..LEN / STRIPE).filter(|s| s % p == ctx.rank()).collect();
+        for round in 0..40u64 {
+            let accs: Vec<(usize, Vec<u64>)> = (0..12)
+                .map(|_| {
+                    let lo = (xorshift(&mut seed) % (LEN as u64 - 300)) as usize;
+                    let len = 1 + (xorshift(&mut seed) % 300) as usize;
+                    (lo, vec![1 + xorshift(&mut seed) % 9; len])
+                })
+                .collect();
+            acc_batched.acc_batch(ctx, accs.iter().map(|(s, d)| (*s, d.as_slice())));
+            for (s, d) in &accs {
+                acc_scalar.acc(ctx, *s, d);
+            }
+            let puts: Vec<(usize, Vec<u64>)> = (0..12)
+                .map(|_| {
+                    let stripe =
+                        my_stripes[(xorshift(&mut seed) % my_stripes.len() as u64) as usize];
+                    let off = (xorshift(&mut seed) % STRIPE as u64) as usize;
+                    let len = 1 + (xorshift(&mut seed) % (STRIPE - off) as u64) as usize;
+                    (
+                        stripe * STRIPE + off,
+                        vec![round * 100 + ctx.rank() as u64; len],
+                    )
+                })
+                .collect();
+            put_batched.put_batch(ctx, puts.iter().map(|(s, d)| (*s, d.as_slice())));
+            for (s, d) in &puts {
+                put_scalar.put(ctx, *s, d);
+            }
+        }
+        ctx.barrier();
+        (
+            acc_batched.get(ctx, 0..LEN),
+            acc_scalar.get(ctx, 0..LEN),
+            put_batched.get(ctx, 0..LEN),
+            put_scalar.get(ctx, 0..LEN),
+        )
+    });
+    for (acc_batched, acc_scalar, put_batched, put_scalar) in res.results {
+        assert_eq!(acc_batched, acc_scalar);
+        assert!(acc_scalar.iter().any(|&v| v > 0));
+        assert_eq!(put_batched, put_scalar);
+        assert!(put_scalar.iter().any(|&v| v > 0));
+    }
+}

@@ -16,16 +16,24 @@
 //!
 //! Protocol: every rank passes through [`VirtualGate::pace`] before each
 //! claim attempt and calls [`VirtualGate::leave`] when it stops claiming.
-//! A rank that is busy processing keeps its last published clock as a
-//! lower bound, so peers with later clocks wait for it — preserving the
-//! exact claim order of the modeled cluster.
+//! Each rank publishes a **lower bound on the clock of its next claim**:
+//! `pace` sets it to the current clock, and a rank that knows a charge
+//! still ahead of it may raise it with [`VirtualGate::publish_bound`]
+//! (conservative-PDES lookahead). Peers wait only while another rank's
+//! bound is below their clock, so a promise frees them while the
+//! promiser is still processing. Clocks never run backwards, so a bound
+//! of "now plus charges certain to come" is sound and leaves the claim
+//! order exactly that of the modeled cluster; `pace` asserts in debug
+//! builds that the clock it publishes honours the last promise, so an
+//! unsound bound cannot pass the tests silently.
 
 use crate::ctx::Ctx;
 use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
 
 struct GateState {
-    clocks: Vec<f64>,
+    /// Per rank: lower bound on the clock of its next claim.
+    bounds: Vec<f64>,
     active: Vec<bool>,
 }
 
@@ -42,7 +50,7 @@ impl VirtualGate {
         let gate = if ctx.rank() == 0 {
             Some(Arc::new(VirtualGate {
                 state: Mutex::new(GateState {
-                    clocks: vec![f64::NEG_INFINITY; p],
+                    bounds: vec![f64::NEG_INFINITY; p],
                     active: vec![true; p],
                 }),
                 cv: Condvar::new(),
@@ -60,19 +68,36 @@ impl VirtualGate {
         let me = ctx.rank();
         let my_clock = ctx.now();
         let mut st = self.state.lock();
-        st.clocks[me] = my_clock;
+        debug_assert!(
+            my_clock >= st.bounds[me],
+            "rank {me} paces at {my_clock} after promising {}",
+            st.bounds[me]
+        );
+        st.bounds[me] = my_clock;
         self.cv.notify_all();
         while !Self::is_min(&st, me, my_clock) {
             self.cv.wait(&mut st);
         }
     }
 
+    /// Promise that this rank's next [`pace`](VirtualGate::pace) clock
+    /// will be at least `t`, releasing peers whose clocks are below it.
+    /// Monotone: a promise below the current bound is ignored.
+    pub fn publish_bound(&self, ctx: &Ctx, t: f64) {
+        let me = ctx.rank();
+        let mut st = self.state.lock();
+        if t > st.bounds[me] {
+            st.bounds[me] = t;
+            self.cv.notify_all();
+        }
+    }
+
     fn is_min(st: &GateState, me: usize, my_clock: f64) -> bool {
-        for r in 0..st.clocks.len() {
+        for r in 0..st.bounds.len() {
             if r == me || !st.active[r] {
                 continue;
             }
-            let other = (st.clocks[r], r);
+            let other = (st.bounds[r], r);
             if other < (my_clock, me) {
                 return false;
             }
@@ -144,6 +169,60 @@ mod tests {
                 gate.leave(ctx);
             }
             ctx.barrier();
+        });
+    }
+
+    #[test]
+    fn promise_releases_a_waiter_before_the_promiser_returns() {
+        // Rank 0 claims at clock 0, promises clock 10, and does not pace
+        // again until rank 1 has come through the gate at clock 5 — under
+        // a last-published-clock rule rank 1 would wait for that pace and
+        // this would deadlock.
+        let rt = Runtime::for_testing();
+        let passed = std::sync::Barrier::new(2);
+        rt.run(2, |ctx| {
+            let gate = VirtualGate::create(ctx);
+            if ctx.rank() == 0 {
+                gate.pace(ctx);
+                gate.publish_bound(ctx, 10.0);
+                passed.wait();
+                ctx.advance(10.0);
+            } else {
+                ctx.advance(5.0);
+                gate.pace(ctx);
+                passed.wait();
+            }
+            gate.leave(ctx);
+            ctx.barrier();
+        });
+    }
+
+    #[test]
+    fn lower_promise_is_ignored() {
+        let rt = Runtime::for_testing();
+        rt.run(1, |ctx| {
+            let gate = VirtualGate::create(ctx);
+            ctx.advance(3.0);
+            gate.pace(ctx);
+            gate.publish_bound(ctx, 4.0);
+            gate.publish_bound(ctx, 1.0);
+            assert_eq!(gate.state.lock().bounds[0], 4.0);
+            ctx.advance(1.0);
+            gate.pace(ctx);
+        });
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "after promising")]
+    fn over_promise_trips_the_pace_assertion() {
+        let rt = Runtime::for_testing();
+        rt.run(1, |ctx| {
+            let gate = VirtualGate::create(ctx);
+            gate.pace(ctx);
+            gate.publish_bound(ctx, ctx.now() + 10.0);
+            ctx.advance(1.0);
+            gate.pace(ctx);
         });
     }
 
