@@ -233,11 +233,11 @@ pub fn write_engine_snapshot(
     ];
     let rankio = ctx.gather_data(0, my_rankio, 32);
 
-    // ---- Replicate the global arrays (collective) ----
-    let fwdoff = scan.fwd_offsets.to_vec_collective(ctx);
-    let fwddat = scan.fwd_data.to_vec_collective(ctx);
-    let postdat = inp.index.map(|idx| idx.postings.to_vec_collective(ctx));
-    let sigdat = inp.sigs.map(|s| s.global.to_vec_collective(ctx));
+    // ---- Gather the global arrays on the writing rank (collective) ----
+    let fwdoff = scan.fwd_offsets.gather_to(ctx, 0);
+    let fwddat = scan.fwd_data.gather_to(ctx, 0);
+    let postdat = inp.index.and_then(|idx| idx.postings.gather_to(ctx, 0));
+    let sigdat = inp.sigs.and_then(|s| s.global.gather_to(ctx, 0));
 
     // ---- Final-stage gathers ----
     let assign = inp.clustering.map(|cl| {
@@ -304,8 +304,8 @@ pub fn write_engine_snapshot(
             w.add_u64s("segoff", &segoff)?;
             w.add_u32s("segfld", &segfld)?;
             w.add_u32s("seglen", &seglen)?;
-            w.add_i64s("fwdoff", &fwdoff)?;
-            w.add_u64s("fwddat", &fwddat)?;
+            w.add_i64s("fwdoff", fwdoff.as_ref().unwrap())?;
+            w.add_u64s("fwddat", fwddat.as_ref().unwrap())?;
             w.add_u64s("rankio", &rankio)?;
 
             if let Some(idx) = inp.index {

@@ -167,6 +167,14 @@ impl<T: Copy + Default + Send + Sync + 'static> GlobalArray2D<T> {
         let parts = ctx.allgather(local, bytes);
         parts.concat()
     }
+
+    /// Collective: materialize the whole matrix (row-major) on `root`
+    /// only (`None` elsewhere).
+    pub fn gather_to(&self, ctx: &Ctx, root: usize) -> Option<Vec<T>> {
+        let local: Vec<T> = self.storage.blocks[ctx.rank()].read().clone();
+        let bytes = (local.len() * std::mem::size_of::<T>()) as u64;
+        ctx.gather(root, local, bytes).map(|parts| parts.concat())
+    }
 }
 
 impl<T> GlobalArray2D<T>

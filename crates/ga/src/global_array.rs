@@ -262,6 +262,15 @@ impl<T: Copy + Default + Send + Sync + 'static> GlobalArray<T> {
         let parts = ctx.allgather(local, bytes);
         parts.concat()
     }
+
+    /// Collective: gather the full array contents on `root` only (`None`
+    /// elsewhere) — a Gather of the local blocks, for a consumer that
+    /// runs on one rank.
+    pub fn gather_to(&self, ctx: &Ctx, root: usize) -> Option<Vec<T>> {
+        let local: Vec<T> = self.storage.blocks[ctx.rank()].read().clone();
+        let bytes = (local.len() * std::mem::size_of::<T>()) as u64;
+        ctx.gather(root, local, bytes).map(|parts| parts.concat())
+    }
 }
 
 impl<T> GlobalArray<T>
@@ -465,6 +474,23 @@ mod tests {
             ctx.barrier();
             let v = a.to_vec_collective(ctx);
             assert_eq!(v, a.get(ctx, 0..17));
+        });
+    }
+
+    #[test]
+    fn gather_to_materializes_on_the_root_only() {
+        let rt = Runtime::for_testing();
+        rt.run(3, |ctx| {
+            let a = GlobalArray::<u16>::create(ctx, 17);
+            if ctx.rank() == 1 {
+                a.put(ctx, 0, &(0..17).map(|i| i * 3).collect::<Vec<u16>>());
+            }
+            ctx.barrier();
+            let v = a.gather_to(ctx, 2);
+            assert_eq!(v.is_some(), ctx.rank() == 2);
+            if let Some(v) = v {
+                assert_eq!(v, a.get(ctx, 0..17));
+            }
         });
     }
 
