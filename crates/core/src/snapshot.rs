@@ -306,6 +306,10 @@ pub fn write_engine_snapshot(
             w.add_u32s("seglen", &seglen)?;
             w.add_i64s("fwdoff", fwdoff.as_ref().unwrap())?;
             w.add_u64s("fwddat", fwddat.as_ref().unwrap())?;
+            // Each gathered copy is returned as soon as it is written, so
+            // the sections that follow reuse its pages instead of raising
+            // the writer's peak.
+            drop(fwddat);
             w.add_u64s("rankio", &rankio)?;
 
             if let Some(idx) = inp.index {
@@ -315,6 +319,7 @@ pub fn write_engine_snapshot(
                     &idx.df,
                     &idx.tf,
                 );
+                drop(postdat);
                 w.add_packed("postdir", &enc.dir)?;
                 w.add_packed("postblk", &enc.blk)?;
                 w.add_skips("postskp", &enc.skips)?;

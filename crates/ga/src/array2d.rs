@@ -169,11 +169,15 @@ impl<T: Copy + Default + Send + Sync + 'static> GlobalArray2D<T> {
     }
 
     /// Collective: materialize the whole matrix (row-major) on `root`
-    /// only (`None` elsewhere).
+    /// only (`None` elsewhere); see [`crate::GlobalArray::gather_to`].
     pub fn gather_to(&self, ctx: &Ctx, root: usize) -> Option<Vec<T>> {
-        let local: Vec<T> = self.storage.blocks[ctx.rank()].read().clone();
-        let bytes = (local.len() * std::mem::size_of::<T>()) as u64;
-        ctx.gather(root, local, bytes).map(|parts| parts.concat())
+        let mine = self.row_distribution(ctx.rank()).len() * self.storage.cols;
+        ctx.gather(root, (), (mine * std::mem::size_of::<T>()) as u64)?;
+        let mut out = Vec::with_capacity(self.storage.rows * self.storage.cols);
+        for block in &self.storage.blocks {
+            out.extend_from_slice(&block.read());
+        }
+        Some(out)
     }
 }
 

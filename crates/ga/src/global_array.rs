@@ -265,11 +265,18 @@ impl<T: Copy + Default + Send + Sync + 'static> GlobalArray<T> {
 
     /// Collective: gather the full array contents on `root` only (`None`
     /// elsewhere) — a Gather of the local blocks, for a consumer that
-    /// runs on one rank.
+    /// runs on one rank. Charged as that Gather, but no block rides the
+    /// rendezvous: once every rank has arrived the root copies each block
+    /// out of storage once, so no rank allocates a send copy. As with any
+    /// collective read, one-sided writes must not overlap the call.
     pub fn gather_to(&self, ctx: &Ctx, root: usize) -> Option<Vec<T>> {
-        let local: Vec<T> = self.storage.blocks[ctx.rank()].read().clone();
-        let bytes = (local.len() * std::mem::size_of::<T>()) as u64;
-        ctx.gather(root, local, bytes).map(|parts| parts.concat())
+        let mine = self.distribution(ctx.rank()).len();
+        ctx.gather(root, (), (mine * std::mem::size_of::<T>()) as u64)?;
+        let mut out = Vec::with_capacity(self.storage.len);
+        for block in &self.storage.blocks {
+            out.extend_from_slice(&block.read());
+        }
+        Some(out)
     }
 }
 
