@@ -389,22 +389,22 @@ impl SnapshotWriter {
 
     /// Append a `u32` section.
     pub fn add_u32s(&mut self, name: &str, data: &[u32]) -> io::Result<()> {
-        self.add_section(name, SectionKind::U32, le_bytes(data))
+        self.add_section(name, SectionKind::U32, as_bytes(data))
     }
 
     /// Append a `u64` section.
     pub fn add_u64s(&mut self, name: &str, data: &[u64]) -> io::Result<()> {
-        self.add_section(name, SectionKind::U64, le_bytes(data))
+        self.add_section(name, SectionKind::U64, as_bytes(data))
     }
 
     /// Append an `i64` section.
     pub fn add_i64s(&mut self, name: &str, data: &[i64]) -> io::Result<()> {
-        self.add_section(name, SectionKind::I64, le_bytes(data))
+        self.add_section(name, SectionKind::I64, as_bytes(data))
     }
 
     /// Append an `f64` section.
     pub fn add_f64s(&mut self, name: &str, data: &[f64]) -> io::Result<()> {
-        self.add_section(name, SectionKind::F64, le_bytes(data))
+        self.add_section(name, SectionKind::F64, as_bytes(data))
     }
 
     /// Append a block-compressed ([`codec`]) byte stream.
@@ -434,7 +434,7 @@ impl SnapshotWriter {
 
     /// Append skip-pointer entries for a `Packed` section.
     pub fn add_skips(&mut self, name: &str, data: &[u64]) -> io::Result<()> {
-        self.add_section(name, SectionKind::Skip, le_bytes(data))
+        self.add_section(name, SectionKind::Skip, as_bytes(data))
     }
 
     /// Write the section table, patch the header, and flush.
@@ -475,23 +475,6 @@ impl SnapshotWriter {
                 .collect(),
         })
     }
-}
-
-/// Element types whose memory is their file encoding on a little-endian
-/// host: fixed width, no padding.
-trait Scalar: Copy {}
-impl Scalar for u32 {}
-impl Scalar for u64 {}
-impl Scalar for i64 {}
-impl Scalar for f64 {}
-
-/// The little-endian encoding of `data`, borrowed: on the hosts this
-/// crate builds for (see the `compile_error!` above) that is its memory,
-/// so a section is written without an intermediate copy.
-fn le_bytes<T: Scalar>(data: &[T]) -> &[u8] {
-    // SAFETY: `Scalar` types have no padding and u8 has no alignment
-    // requirement; the borrow keeps `data` alive.
-    unsafe { std::slice::from_raw_parts(data.as_ptr().cast(), std::mem::size_of_val(data)) }
 }
 
 // ---------------------------------------------------------------------------
@@ -832,9 +815,21 @@ impl<'a> SectionView<'a> {
     }
 }
 
-fn as_bytes(buf: &[u64]) -> &[u8] {
-    // SAFETY: u8 has no alignment requirement and any byte is valid.
-    unsafe { std::slice::from_raw_parts(buf.as_ptr() as *const u8, buf.len() * 8) }
+/// Element types whose memory is their file encoding on a little-endian
+/// host: fixed width, no padding.
+trait Scalar: Copy {}
+impl Scalar for u32 {}
+impl Scalar for u64 {}
+impl Scalar for i64 {}
+impl Scalar for f64 {}
+
+/// `data`'s memory as bytes — on the hosts this crate builds for (see the
+/// `compile_error!` above) its little-endian encoding, so the writer
+/// emits typed sections without an intermediate copy.
+fn as_bytes<T: Scalar>(data: &[T]) -> &[u8] {
+    // SAFETY: `Scalar` types have no padding, u8 has no alignment
+    // requirement and any byte is valid.
+    unsafe { std::slice::from_raw_parts(data.as_ptr().cast(), std::mem::size_of_val(data)) }
 }
 
 fn as_bytes_mut(buf: &mut [u64]) -> &mut [u8] {
