@@ -15,7 +15,6 @@
 
 use crate::config::{ClusterMethod, EngineConfig};
 use crate::hierarchy::agglomerate;
-use crate::linalg::dist2;
 use crate::signature::Signatures;
 use perfmodel::WorkKind;
 use spmd::{Ctx, ReduceOp};
@@ -53,6 +52,88 @@ impl Clustering {
     }
 }
 
+/// Centroids per register block of the assignment kernel: 16 `f64`
+/// accumulators are four AVX2 (eight SSE2) vector registers.
+const LANES: usize = 16;
+
+/// Squared distances from `x` to all `k` centroids at once. `ct` is the
+/// dimension-major copy of the centroids (`ct[d * k + c]`, `x.len()`
+/// rows). The outer loop walks dimensions and the inner loop a block of
+/// [`LANES`] centroids, so the additions are independent across the block
+/// and vectorise; each centroid's sum still adds its terms in dimension
+/// order from `-0.0`, exactly as [`crate::linalg::dist2`]'s `Sum` does, so
+/// every `out[c]` has the bits `dist2(x, centroid c)` has.
+#[inline(always)]
+fn dist2_all_body(x: &[f64], ct: &[f64], k: usize, out: &mut [f64]) {
+    assert!(ct.len() == x.len() * k && out.len() == k);
+    let mut c0 = 0;
+    while c0 + LANES <= k {
+        let mut acc = [-0.0f64; LANES];
+        for (d, &xd) in x.iter().enumerate() {
+            let row = &ct[d * k + c0..d * k + c0 + LANES];
+            for (a, &y) in acc.iter_mut().zip(row) {
+                *a += (xd - y) * (xd - y);
+            }
+        }
+        out[c0..c0 + LANES].copy_from_slice(&acc);
+        c0 += LANES;
+    }
+    for c in c0..k {
+        let mut acc = -0.0f64;
+        for (d, &xd) in x.iter().enumerate() {
+            let y = ct[d * k + c];
+            acc += (xd - y) * (xd - y);
+        }
+        out[c] = acc;
+    }
+}
+
+/// [`dist2_all_body`] compiled with AVX2 enabled: the same source and the
+/// same IEEE operations (Rust never contracts `a * b + c`), four lanes
+/// per instruction instead of two.
+///
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn dist2_all_avx2(x: &[f64], ct: &[f64], k: usize, out: &mut [f64]) {
+    dist2_all_body(x, ct, k, out)
+}
+
+fn dist2_all(x: &[f64], ct: &[f64], k: usize, out: &mut [f64]) {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 support was detected on this CPU just above.
+        return unsafe { dist2_all_avx2(x, ct, k, out) };
+    }
+    dist2_all_body(x, ct, k, out)
+}
+
+/// Refill `ct` with the dimension-major copy of the row-major k×m
+/// `centroids` that [`dist2_all`] reads.
+fn transpose_centroids(centroids: &[f64], k: usize, m: usize, ct: &mut [f64]) {
+    for c in 0..k {
+        for d in 0..m {
+            ct[d * k + c] = centroids[c * m + d];
+        }
+    }
+}
+
+/// The assignment rule: index and value of the first strict minimum,
+/// starting from +∞ — ties break toward the lower cluster index and a
+/// NaN distance is never chosen.
+fn nearest(dists: &[f64]) -> (usize, f64) {
+    let mut best = 0usize;
+    let mut best_d = f64::INFINITY;
+    for (c, &d) in dists.iter().enumerate() {
+        if d < best_d {
+            best_d = d;
+            best = c;
+        }
+    }
+    (best, best_d)
+}
+
 /// Run distributed k-means over this rank's signatures. Collective.
 pub fn kmeans(
     ctx: &Ctx,
@@ -85,24 +166,23 @@ pub fn kmeans(
     let mut objective = f64::INFINITY;
     let mut sizes = vec![0u64; k];
 
+    // Dimension-major copy of the centroids and one document's distances,
+    // both refilled in place.
+    let mut ct = vec![0.0f64; m * k];
+    let mut dists = vec![0.0f64; k];
+
     for iter in 0..max_iters {
         iterations = iter + 1;
         // ---- Assignment + partial sums ----
+        transpose_centroids(&centroids, k, m, &mut ct);
         let mut part_sums = vec![0.0f64; k * m];
         let mut part_counts = vec![0u64; k];
         let mut part_obj = 0.0f64;
         #[allow(clippy::needless_range_loop)] // i indexes three structures
         for i in 0..n_local {
             let sig = sigs.row(i);
-            let mut best = 0usize;
-            let mut best_d = f64::INFINITY;
-            for c in 0..k {
-                let d = dist2(sig, &centroids[c * m..(c + 1) * m]);
-                if d < best_d {
-                    best_d = d;
-                    best = c;
-                }
-            }
+            dist2_all(sig, &ct, k, &mut dists);
+            let (best, best_d) = nearest(&dists);
             assignments[i] = best as u32;
             part_obj += best_d;
             part_counts[best] += 1;
@@ -258,11 +338,75 @@ mod tests {
     use crate::assoc;
     use crate::config::EngineConfig;
     use crate::index::invert;
+    use crate::linalg::dist2;
     use crate::scan::scan;
     use crate::signature::generate;
     use crate::topicality::select_topics;
     use corpus::CorpusSpec;
+    use proptest::prelude::*;
     use spmd::Runtime;
+
+    /// Component values that stress the bit-identity claim: signed zeros
+    /// (5 %), and NaN and the infinities rarely enough (0.75 %) that most
+    /// 60-dimensional distances stay finite.
+    fn component(pick: usize, v: f64) -> f64 {
+        match pick {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            3..=12 => 0.0,
+            13..=22 => -0.0,
+            _ => v,
+        }
+    }
+
+    proptest! {
+        /// The all-centroid kernel against the per-centroid `dist2` loop it
+        /// replaced: every distance bit for bit, and the same first minimum.
+        #[test]
+        fn dist2_all_matches_per_centroid_dist2(
+            raw in prop::collection::vec((0usize..400, any::<f64>()), 61 * 100),
+            dups in prop::collection::vec((0usize..100, 0usize..100), 0..8),
+        ) {
+            for k in [1, 7, 16, 17, 64, 100] {
+                for m in [0, 1, 2, 60] {
+                    let mut vals = raw.iter().map(|&(pick, v)| component(pick, v));
+                    let x: Vec<f64> = vals.by_ref().take(m).collect();
+                    let mut centroids: Vec<f64> = vals.take(k * m).collect();
+                    // Duplicated centroids: ties must pick the lower index.
+                    for &(from, to) in &dups {
+                        let (from, to) = (from % k, to % k);
+                        centroids.copy_within(from * m..(from + 1) * m, to * m);
+                    }
+                    let mut ct = vec![0.0f64; m * k];
+                    transpose_centroids(&centroids, k, m, &mut ct);
+
+                    let want: Vec<f64> = (0..k)
+                        .map(|c| dist2(&x, &centroids[c * m..(c + 1) * m]))
+                        .collect();
+                    let mut got = vec![f64::NAN; k];
+                    dist2_all(&x, &ct, k, &mut got);
+                    let mut portable = vec![f64::NAN; k];
+                    dist2_all_body(&x, &ct, k, &mut portable);
+
+                    // Bit equality, except that any NaN equals any NaN: Rust
+                    // leaves a NaN's sign and payload unspecified (they
+                    // follow operand order, which codegen may swap), and
+                    // `kmeans` never selects or sums a NaN distance.
+                    let bits = |v: &[f64]| -> Vec<u64> {
+                        v.iter()
+                            .map(|d| if d.is_nan() { u64::MAX } else { d.to_bits() })
+                            .collect()
+                    };
+                    prop_assert_eq!(bits(&got), bits(&want), "k={} m={}", k, m);
+                    // Where AVX2 was detected `got` came from that
+                    // instantiation.
+                    prop_assert_eq!(bits(&portable), bits(&want), "k={} m={}", k, m);
+                    prop_assert_eq!(nearest(&got).0, nearest(&want).0);
+                }
+            }
+        }
+    }
 
     fn corpus() -> corpus::SourceSet {
         CorpusSpec {

@@ -21,6 +21,12 @@
 //! sort the vocabulary and remap to dense, lexicographic IDs. This makes
 //! every downstream stage bit-deterministic for a given corpus regardless
 //! of the processor count or scheduling, which the test suite relies on.
+//!
+//! Term **order** is established exactly once. Tokenization yields each
+//! field's counts in first-occurrence order over chunk-local ids, Phase B
+//! only builds each chunk's local → arrival id table, and the remap after
+//! canonicalization sorts every field by canonical id — ids are distinct
+//! within a field, so nothing upstream of that sort can influence it.
 
 use crate::config::EngineConfig;
 use crate::tokenize::Tokenizer;
@@ -36,8 +42,16 @@ use std::ops::Range;
 /// derived from the pool width) so chunk boundaries — and therefore all
 /// merged results — are identical at any `threads_per_rank`. Eight
 /// multi-kilobyte records are enough work to amortize a chunk dispatch
-/// while keeping the schedule balanced on test-sized partitions.
+/// while keeping the schedule balanced on test-sized partitions. The
+/// value is frozen: a chunk's unseen terms are one vocabulary-RPC batch,
+/// so chunk composition decides message counts and virtual time.
 const SCAN_RECORD_CHUNK: usize = 8;
+
+/// Pre-sizing of a Phase A chunk interner: eight PubMed-sized records
+/// hold ≈900 distinct terms of ≈8 bytes, so the table never rehashes.
+/// Capacity only — no effect on ids, charges or output.
+const CHUNK_TERMS_HINT: usize = 1024;
+const CHUNK_TERM_BYTES_HINT: usize = 12;
 
 /// Fields that are indexed (contribute terms). Identifier-like fields
 /// (pmid, docno, url, author) are framed but not indexed, as a production
@@ -167,12 +181,12 @@ impl ScanOutput {
 }
 
 /// One indexed field of a tokenized (but not yet vocabulary-registered)
-/// record: counts keyed by the owning chunk's interner ids, sorted
-/// lexicographically by term bytes, plus the raw candidate count for work
-/// accounting.
+/// record: counts keyed by the owning chunk's interner ids, in the order
+/// the terms first occur in the field, plus the raw candidate count for
+/// work accounting.
 struct TokenizedField {
     field: FieldId,
-    /// `(chunk-local term id, count)`, sorted by term bytes.
+    /// `(chunk-local term id, count)`, in first-occurrence order.
     counts: Vec<(u32, u32)>,
     candidates: u64,
 }
@@ -195,10 +209,10 @@ struct TokenizedChunk {
 /// Parse and tokenize one record into the chunk's interner. Pure with
 /// respect to rank state, so it can run on the intra-rank pool. The
 /// tokenize→count loop does zero per-token allocations and one hash pass
-/// per token (the fold path shares the hash between the stopword probe
-/// and the intern probe): terms land in the chunk arena (distinct terms
-/// only), and per-field counting uses the reusable id-indexed
-/// `counts_scratch`/`touched` scratch pair.
+/// per token: terms land in the chunk arena (distinct terms only), and
+/// per-field counting uses the reusable id-indexed
+/// `counts_scratch`/`touched` scratch pair. Nothing is sorted here —
+/// term order is established once, by canonical id, in [`scan`]'s remap.
 fn tokenize_record(
     source: &Source,
     range: Range<usize>,
@@ -229,27 +243,13 @@ fn tokenize_record(
             counts_scratch[at] += 1;
             tokens += 1;
         });
-        if touched.is_empty() {
-            if candidates > 0 {
-                fields.push(TokenizedField {
-                    field: fid,
-                    counts: Vec::new(),
-                    candidates,
-                });
-            }
+        if candidates == 0 {
             continue;
         }
-        // Sort by term bytes so downstream registration order (and the
-        // canonical remap input) is independent of hash layout.
-        touched.sort_unstable_by(|&a, &b| terms.bytes(a).cmp(terms.bytes(b)));
         let counts: Vec<(u32, u32)> = touched
-            .iter()
-            .map(|&id| (id, counts_scratch[id as usize]))
+            .drain(..)
+            .map(|id| (id, std::mem::take(&mut counts_scratch[id as usize])))
             .collect();
-        for &id in touched.iter() {
-            counts_scratch[id as usize] = 0;
-        }
-        touched.clear();
         fields.push(TokenizedField {
             field: fid,
             counts,
@@ -261,7 +261,7 @@ fn tokenize_record(
 
 /// One indexed field of a record tokenized by [`tokenize_batch`]: term
 /// counts keyed by the caller's interner ids, sorted by term **bytes**
-/// (the same order the scan pipeline hands to vocabulary registration).
+/// (the order the segment-local canonical ids will have).
 #[derive(Debug, Clone)]
 pub struct BatchField {
     pub field: FieldId,
@@ -316,9 +316,13 @@ pub fn tokenize_batch(
                     .fields
                     .into_iter()
                     .filter(|f| !f.counts.is_empty())
-                    .map(|f| BatchField {
-                        field: f.field,
-                        counts: f.counts,
+                    .map(|mut f| {
+                        f.counts
+                            .sort_unstable_by(|a, b| terms.bytes(a.0).cmp(terms.bytes(b.0)));
+                        BatchField {
+                            field: f.field,
+                            counts: f.counts,
+                        }
                     })
                     .collect(),
                 tokens: tdoc.tokens,
@@ -345,7 +349,6 @@ pub fn scan(ctx: &Ctx, sources: &SourceSet, cfg: &EngineConfig) -> ScanOutput {
     // `cache_ids[interner id]` holds the dhashmap's global id.
     let mut cache = TermInterner::new();
     let mut cache_ids: Vec<TermId> = Vec::new();
-    let mut docs: Vec<LocalDoc> = Vec::new();
     let mut bytes_scanned = 0u64;
     let mut tokens_scanned = 0u64;
     let mut vocab_rpc_msgs = 0u64;
@@ -375,7 +378,8 @@ pub fn scan(ctx: &Ctx, sources: &SourceSet, cfg: &EngineConfig) -> ScanOutput {
     let chunks: Vec<TokenizedChunk> =
         ctx.pool()
             .map_chunks(records.len(), SCAN_RECORD_CHUNK, |chunk| {
-                let mut terms = TermInterner::new();
+                let mut terms =
+                    TermInterner::with_capacity(CHUNK_TERMS_HINT, CHUNK_TERM_BYTES_HINT);
                 let mut counts_scratch: Vec<u32> = Vec::new();
                 let mut touched: Vec<u32> = Vec::new();
                 let docs = records[chunk]
@@ -400,15 +404,17 @@ pub fn scan(ctx: &Ctx, sources: &SourceSet, cfg: &EngineConfig) -> ScanOutput {
     // still-unseen ones to the distributed vocabulary in ONE batched RPC
     // per destination shard, and charge the tokenize work. Scalar per-
     // term RPCs only ever covered cache misses; batching additionally
-    // collapses each chunk's misses into at most `nprocs` messages.
+    // collapses each chunk's misses into at most `nprocs` messages. The
+    // chunk's interner is replaced by its local → arrival id table; the
+    // field counts keep their chunk-local ids until the remap below.
+    let mut n_docs = 0usize;
+    let mut resolved: Vec<(Vec<TermId>, Vec<TokenizedDoc>)> = Vec::with_capacity(chunks.len());
     for chunk in chunks {
-        // chunk-local interner id → global (arrival-order) term id.
         let n_chunk_terms = chunk.terms.len() as u32;
         let mut chunk_to_global: Vec<TermId> = Vec::with_capacity(n_chunk_terms as usize);
         let mut pending: Vec<u32> = Vec::new();
         for local in 0..n_chunk_terms {
-            let term = chunk.terms.get(local);
-            let (cid, is_new) = cache.intern(term);
+            let (cid, is_new) = cache.intern_from(&chunk.terms, local);
             if is_new {
                 pending.push(local);
                 chunk_to_global.push(TermId::MAX); // resolved by the batch below
@@ -422,8 +428,9 @@ pub fn scan(ctx: &Ctx, sources: &SourceSet, cfg: &EngineConfig) -> ScanOutput {
             let ids = vocab.insert_or_get_batch(ctx, &refs);
             vocab_rpc_msgs += ctx.stats.snapshot().total_msgs() - before;
             vocab_rpc_scalar_equiv += pending.len() as u64;
-            // cache.intern assigned the pending terms consecutive ids in
-            // this same order, so appending keeps cache_ids aligned.
+            // cache.intern_from assigned the pending terms consecutive
+            // ids in this same order, so appending keeps cache_ids
+            // aligned.
             for (&local, &id) in pending.iter().zip(&ids) {
                 cache_ids.push(id);
                 chunk_to_global[local as usize] = id;
@@ -431,38 +438,18 @@ pub fn scan(ctx: &Ctx, sources: &SourceSet, cfg: &EngineConfig) -> ScanOutput {
         }
         debug_assert_eq!(cache.len(), cache_ids.len());
 
-        for tdoc in chunk.docs {
-            let mut fields: Vec<LocalField> = Vec::with_capacity(tdoc.fields.len());
-            for tfield in tdoc.fields {
+        for tdoc in &chunk.docs {
+            for tfield in &tdoc.fields {
                 ctx.charge(WorkKind::TokenizeTerms, tfield.candidates);
-                if tfield.counts.is_empty() {
-                    continue;
-                }
-                let mut counts: Vec<(TermId, u32)> = tfield
-                    .counts
-                    .iter()
-                    .map(|&(local, n)| (chunk_to_global[local as usize], n))
-                    .collect();
-                counts.sort_unstable_by_key(|&(t, _)| t);
-                fields.push(LocalField {
-                    field: tfield.field,
-                    counts,
-                });
             }
             tokens_scanned += tdoc.tokens as u64;
-            docs.push(LocalDoc {
-                doc_id: 0, // assigned below
-                fields,
-                tokens: tdoc.tokens,
-            });
         }
+        n_docs += chunk.docs.len();
+        resolved.push((chunk_to_global, chunk.docs));
     }
 
     // Global document numbering.
-    let (doc_base, total_docs) = ctx.exscan_u64(docs.len() as u64);
-    for (i, d) in docs.iter_mut().enumerate() {
-        d.doc_id = (doc_base as usize + i) as DocId;
-    }
+    let (doc_base, total_docs) = ctx.exscan_u64(n_docs as u64);
 
     // Vocabulary is complete once everyone finished inserting.
     ctx.barrier();
@@ -477,47 +464,65 @@ pub fn scan(ctx: &Ctx, sources: &SourceSet, cfg: &EngineConfig) -> ScanOutput {
     );
     sorted_terms.sort_unstable();
     let terms = TermTable::from_sorted(sorted_terms.iter().map(|s| s.as_str()));
-    drop(sorted_terms);
     // Old (arrival-order) id → canonical id, as a dense array: ids are
     // nearly dense (interleaved per shard), so an array lookup replaces a
-    // hash map probe per posting.
+    // hash map probe per posting. One walk of the sorted vocabulary fills
+    // it; terms this rank never saw are not in its cache and are skipped.
     let mut old_to_new: Vec<TermId> = vec![TermId::MAX; vocab.id_bound()];
-    for (cid, term) in cache.iter().enumerate() {
-        let new = terms
-            .position(term)
-            .expect("every registered term is in the canonical vocabulary");
-        old_to_new[cache_ids[cid] as usize] = new as TermId;
-    }
-    // Remapping is one array index per posting plus a per-field sort —
-    // pure per-doc work, so it fans out over the pool. Chunks return
-    // each document's remapped fields in order; the serial write-back
-    // below keeps `docs` in corpus order.
-    type RemappedFields = Vec<Vec<(TermId, u32)>>;
-    let remapped: Vec<Vec<RemappedFields>> =
-        ctx.pool()
-            .map_chunks(docs.len(), SCAN_RECORD_CHUNK, |chunk| {
-                docs[chunk]
-                    .iter()
-                    .map(|d| {
-                        d.fields
-                            .iter()
-                            .map(|f| {
-                                let mut counts: Vec<(TermId, u32)> = f
-                                    .counts
-                                    .iter()
-                                    .map(|&(t, c)| (old_to_new[t as usize], c))
-                                    .collect();
-                                counts.sort_unstable_by_key(|&(t, _)| t);
-                                counts
-                            })
-                            .collect()
-                    })
-                    .collect()
-            });
-    for (d, fields) in docs.iter_mut().zip(remapped.into_iter().flatten()) {
-        for (f, counts) in d.fields.iter_mut().zip(fields) {
-            f.counts = counts;
+    for (new, term) in sorted_terms.iter().enumerate() {
+        if let Some(cid) = cache.lookup(term) {
+            old_to_new[cache_ids[cid as usize] as usize] = new as TermId;
         }
+    }
+    drop(sorted_terms);
+    // Remap chunk-local → arrival → canonical id and sort each field by
+    // canonical id: the one place term order is established (ids are
+    // distinct within a field, so the order the counts arrive in cannot
+    // matter). Pure per-chunk work, so it fans out over the pool, one
+    // task per record chunk; chunks return their documents in corpus order.
+    let mut docs: Vec<LocalDoc> = ctx
+        .pool()
+        .map_chunks(resolved.len(), 1, |chunk| {
+            let (chunk_to_global, tdocs) = &resolved[chunk.start];
+            let to_canonical: Vec<TermId> = chunk_to_global
+                .iter()
+                .map(|&old| old_to_new[old as usize])
+                .collect();
+            debug_assert!(
+                !to_canonical.contains(&TermId::MAX),
+                "every registered term is in the canonical vocabulary"
+            );
+            tdocs
+                .iter()
+                .map(|tdoc| LocalDoc {
+                    doc_id: 0, // assigned below
+                    fields: tdoc
+                        .fields
+                        .iter()
+                        .filter(|f| !f.counts.is_empty())
+                        .map(|f| {
+                            let mut counts: Vec<(TermId, u32)> = f
+                                .counts
+                                .iter()
+                                .map(|&(local, n)| (to_canonical[local as usize], n))
+                                .collect();
+                            counts.sort_unstable_by_key(|&(t, _)| t);
+                            LocalField {
+                                field: f.field,
+                                counts,
+                            }
+                        })
+                        .collect(),
+                    tokens: tdoc.tokens,
+                })
+                .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+    drop(resolved);
+    for (i, d) in docs.iter_mut().enumerate() {
+        d.doc_id = (doc_base as usize + i) as DocId;
     }
 
     // Publish the forward index into global arrays.
@@ -616,6 +621,27 @@ mod tests {
             ..CorpusSpec::pubmed(32 * 1024, 77)
         }
         .generate()
+    }
+
+    /// The ingest sealer relies on `tokenize_batch`'s documented order.
+    #[test]
+    fn tokenize_batch_fields_strictly_ascending_by_term_bytes() {
+        let corpus = tiny_corpus();
+        let tokenizer = Tokenizer::default();
+        let mut terms = TermInterner::new();
+        let mut fields = 0;
+        for source in &corpus.sources {
+            for doc in tokenize_batch(source, &tokenizer, &mut terms) {
+                for f in &doc.fields {
+                    fields += 1;
+                    assert!(!f.counts.is_empty());
+                    for w in f.counts.windows(2) {
+                        assert!(terms.bytes(w[0].0) < terms.bytes(w[1].0));
+                    }
+                }
+            }
+        }
+        assert!(fields > 0);
     }
 
     #[test]

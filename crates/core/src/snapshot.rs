@@ -426,10 +426,10 @@ fn encode_index_sections(offsets: &[i64], postdat: &[u64], df: &[u32], tf: &[u64
 
 /// Encode arbitrary posting lists into the same compressed sections the
 /// batch pipeline writes. `fill` appends term `t`'s postings (any order —
-/// they are [`Posting`]-sorted here). Shared with the incremental-ingest
-/// sealer so segment bytes follow the exact rules of a full rebuild:
-/// saturated freqs, count+len directory varints, and skip entries only
-/// for lists longer than one block.
+/// they are sorted by (doc, field) here; a term lists each pair once).
+/// Shared with the incremental-ingest sealer so segment bytes follow the
+/// exact rules of a full rebuild: saturated freqs, count+len directory
+/// varints, and skip entries only for lists longer than one block.
 pub fn encode_posting_sections(
     vocab: usize,
     df: &[u32],
@@ -444,14 +444,32 @@ pub fn encode_posting_sections(
         tfv: Vec::with_capacity(vocab * 2),
     };
     let mut posts: Vec<Posting> = Vec::new();
+    let mut keys: Vec<u64> = Vec::new();
     let mut pairs: Vec<(u32, u32)> = Vec::new();
     let mut term_skips: Vec<u64> = Vec::new();
     for t in 0..vocab {
         posts.clear();
         fill(t, &mut posts);
-        posts.sort_unstable();
+        // Sort `doc | field | saturated freq` as one integer: the order of
+        // `Posting`'s derived `Ord`, at a third of the comparison cost.
+        // (doc, field) is unique within a term, so freq never decides.
+        keys.clear();
+        keys.extend(posts.iter().map(|p| {
+            ((p.doc as u64) << 32) | ((p.field as u64) << 24) | p.freq.min(0xFF_FFFF) as u64
+        }));
+        keys.sort_unstable();
+        debug_assert!(
+            keys.windows(2).all(|w| w[0] >> 24 < w[1] >> 24),
+            "term {t}: (doc, field) repeats"
+        );
         pairs.clear();
-        pairs.extend(posts.iter().map(|&p| posting_to_pair(p)));
+        pairs.extend(keys.iter().map(|&k| {
+            posting_to_pair(Posting {
+                doc: (k >> 32) as DocId,
+                field: (k >> 24) as crate::FieldId,
+                freq: k as u32 & 0xFF_FFFF,
+            })
+        }));
         term_skips.clear();
         let byte_len = codec::encode_list(&pairs, &mut enc.blk, &mut term_skips);
         codec::write_u32(&mut enc.dir, pairs.len() as u32);

@@ -1,10 +1,11 @@
 //! Tokenization: field text → terms.
 //!
 //! §3.2: *"terms are separated by whitespaces (or any delimiters specified
-//! during configuration)"*. The tokenizer splits on non-alphanumeric
-//! characters, case-folds, and filters by length and a stopword list (the
-//! list includes HTML structural words so GOV2-style markup does not
-//! pollute the vocabulary).
+//! during configuration)"*. The tokenizer splits on everything that is
+//! not an ASCII letter or digit, case-folds, and filters by length and a
+//! stopword list (the list includes HTML structural words so GOV2-style
+//! markup does not pollute the vocabulary). It works on bytes: a token is
+//! pure ASCII, and every byte of a non-ASCII character is a separator.
 
 use intern::{fxhash, TermInterner};
 
@@ -45,6 +46,27 @@ impl Default for TokenizerConfig {
     }
 }
 
+/// Byte classes of the scanner: everything that is not an ASCII letter
+/// or digit separates tokens. Bytes ≥ 0x80 only occur inside multi-byte
+/// UTF-8 sequences, i.e. inside non-ASCII `char`s, which are separators.
+const SEP: u8 = 0;
+const DIGIT: u8 = 1;
+const ALPHA: u8 = 2;
+
+const CLASS: [u8; 256] = {
+    let mut t = [SEP; 256];
+    let mut b = 0usize;
+    while b < 256 {
+        if (b as u8).is_ascii_digit() {
+            t[b] = DIGIT;
+        } else if (b as u8).is_ascii_alphabetic() {
+            t[b] = ALPHA;
+        }
+        b += 1;
+    }
+    t
+};
+
 /// A configured tokenizer. Construct once per scan; holds the stopword
 /// set as an interner so membership tests share the scan hot path's
 /// single-hash-pass, allocation-free lookup.
@@ -52,6 +74,9 @@ impl Default for TokenizerConfig {
 pub struct Tokenizer {
     config: TokenizerConfig,
     stopwords: TermInterner,
+    /// Longest stopword in bytes (0 with the filter off): longer tokens
+    /// skip the stopword probe.
+    max_stopword_len: usize,
 }
 
 impl Tokenizer {
@@ -62,36 +87,66 @@ impl Tokenizer {
                 stopwords.intern(w);
             }
         }
-        Tokenizer { config, stopwords }
+        let max_stopword_len = stopwords.iter().map(str::len).max().unwrap_or(0);
+        Tokenizer {
+            config,
+            stopwords,
+            max_stopword_len,
+        }
+    }
+
+    /// The one scanner behind every tokenize entry point: walk `text`
+    /// byte-wise and call `emit` with each accepted token's lower-cased
+    /// bytes and their fxhash (computed once, shared with the stopword
+    /// probe). Returns the number of raw token candidates examined.
+    #[inline(always)]
+    fn scan_tokens(&self, text: &[u8], mut emit: impl FnMut(&[u8], u64)) -> u64 {
+        let (min_len, max_len) = (self.config.min_len, self.config.max_len);
+        let mut candidates = 0u64;
+        let mut buf: Vec<u8> = Vec::with_capacity(max_len.min(64));
+        let mut at = 0usize;
+        while at < text.len() {
+            if CLASS[text[at] as usize] == SEP {
+                at += 1;
+                continue;
+            }
+            let start = at;
+            let mut classes = 0u8;
+            while at < text.len() && CLASS[text[at] as usize] != SEP {
+                classes |= CLASS[text[at] as usize];
+                at += 1;
+            }
+            candidates += 1;
+            let raw = &text[start..at];
+            if raw.len() < min_len || raw.len() > max_len {
+                continue;
+            }
+            if self.config.require_alpha && classes & ALPHA == 0 {
+                continue;
+            }
+            // `| 0x20` lowercases letters and leaves digits (0x30..=0x39,
+            // bit 5 already set) unchanged.
+            buf.clear();
+            buf.extend(raw.iter().map(|&b| b | 0x20));
+            debug_assert!(buf.is_ascii());
+            let hash = fxhash(&buf);
+            if buf.len() <= self.max_stopword_len
+                && self.stopwords.lookup_bytes_hashed(&buf, hash).is_some()
+            {
+                continue;
+            }
+            emit(&buf, hash);
+        }
+        candidates
     }
 
     /// Tokenize `text`, invoking `emit` for each accepted term
     /// (lowercased). Returns the number of raw token candidates examined
     /// (for work accounting).
     pub fn tokenize_into(&self, text: &str, mut emit: impl FnMut(&str)) -> u64 {
-        let mut candidates = 0u64;
-        let mut buf = String::with_capacity(24);
-        for raw in text.split(|c: char| !c.is_ascii_alphanumeric()) {
-            if raw.is_empty() {
-                continue;
-            }
-            candidates += 1;
-            if raw.len() < self.config.min_len || raw.len() > self.config.max_len {
-                continue;
-            }
-            if self.config.require_alpha && !raw.bytes().any(|b| b.is_ascii_alphabetic()) {
-                continue;
-            }
-            buf.clear();
-            for b in raw.bytes() {
-                buf.push(b.to_ascii_lowercase() as char);
-            }
-            if self.config.filter_stopwords && self.stopwords.lookup(buf.as_str()).is_some() {
-                continue;
-            }
-            emit(&buf);
-        }
-        candidates
+        self.scan_tokens(text.as_bytes(), |term, _hash| {
+            emit(std::str::from_utf8(term).expect("tokens are ASCII"))
+        })
     }
 
     /// Collect accepted terms into a vector (test/diagnostic helper).
@@ -101,56 +156,22 @@ impl Tokenizer {
         out
     }
 
-    /// Single-pass tokenize + intern: one traversal per token computes
-    /// the lowercased bytes and the alpha test together, then one fxhash
-    /// is shared between the stopword probe and the vocabulary probe
-    /// (where [`Tokenizer::tokenize_into`] + `TermInterner::intern`
-    /// hashes every surviving token twice). `emit` receives the id from
-    /// `terms` and whether it was newly interned. Returns the candidate
-    /// count, same as `tokenize_into`; the emitted term sequence is
-    /// pinned equal to the two-pass path by test.
+    /// Tokenize + intern in one pass: each accepted token is interned
+    /// into `terms` by its bytes with the hash the scanner already
+    /// computed (where [`Tokenizer::tokenize_into`] +
+    /// `TermInterner::intern` hashes every surviving token twice). `emit`
+    /// receives the id from `terms` and whether it was newly interned.
+    /// Returns the candidate count, same as `tokenize_into`.
     pub fn tokenize_intern_into(
         &self,
         text: &str,
         terms: &mut TermInterner,
         mut emit: impl FnMut(u32, bool),
     ) -> u64 {
-        let mut candidates = 0u64;
-        let mut buf = String::with_capacity(24);
-        for raw in text.split(|c: char| !c.is_ascii_alphanumeric()) {
-            if raw.is_empty() {
-                continue;
-            }
-            candidates += 1;
-            if raw.len() < self.config.min_len || raw.len() > self.config.max_len {
-                continue;
-            }
-            buf.clear();
-            let mut has_alpha = false;
-            for b in raw.bytes() {
-                // Tokens are ASCII alphanumeric by construction, so
-                // `| 0x20` lowercases letters and leaves digits
-                // (0x30..=0x39, bit 5 already set) unchanged.
-                let lower = b | 0x20;
-                has_alpha |= lower >= b'a';
-                buf.push(lower as char);
-            }
-            if self.config.require_alpha && !has_alpha {
-                continue;
-            }
-            let hash = fxhash(buf.as_bytes());
-            if self.config.filter_stopwords
-                && self
-                    .stopwords
-                    .lookup_bytes_hashed(buf.as_bytes(), hash)
-                    .is_some()
-            {
-                continue;
-            }
-            let (id, is_new) = terms.intern_hashed(&buf, hash);
+        self.scan_tokens(text.as_bytes(), |term, hash| {
+            let (id, is_new) = terms.intern_bytes_hashed(term, hash);
             emit(id, is_new);
-        }
-        candidates
+        })
     }
 }
 
@@ -163,6 +184,7 @@ impl Default for Tokenizer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn splits_on_punctuation_and_folds_case() {
@@ -232,10 +254,86 @@ mod tests {
         assert!(t.tokenize("... --- !!!").is_empty());
     }
 
-    /// The single-pass fold must emit exactly the same term sequence
-    /// (and candidate count) as tokenize_into + intern.
+    /// The `char`-split loop the byte-wise scanner replaced, kept as the
+    /// oracle: split on non-ASCII-alphanumeric `char`s, filter, lowercase
+    /// through `String::push`, probe the stopword set for every token.
+    fn tokenize_into_oracle(t: &Tokenizer, text: &str, mut emit: impl FnMut(&str)) -> u64 {
+        let mut candidates = 0u64;
+        let mut buf = String::new();
+        for raw in text.split(|c: char| !c.is_ascii_alphanumeric()) {
+            if raw.is_empty() {
+                continue;
+            }
+            candidates += 1;
+            if raw.len() < t.config.min_len || raw.len() > t.config.max_len {
+                continue;
+            }
+            if t.config.require_alpha && !raw.bytes().any(|b| b.is_ascii_alphabetic()) {
+                continue;
+            }
+            buf.clear();
+            for b in raw.bytes() {
+                buf.push(b.to_ascii_lowercase() as char);
+            }
+            if t.config.filter_stopwords && t.stopwords.lookup(buf.as_str()).is_some() {
+                continue;
+            }
+            emit(&buf);
+        }
+        candidates
+    }
+
+    fn configs() -> [TokenizerConfig; 3] {
+        [
+            TokenizerConfig::default(),
+            TokenizerConfig {
+                filter_stopwords: false,
+                ..Default::default()
+            },
+            TokenizerConfig {
+                require_alpha: false,
+                ..Default::default()
+            },
+        ]
+    }
+
+    /// Both entry points against the oracle + `intern`: same candidate
+    /// count, same emitted ids and `is_new` flags, same interner contents.
+    fn assert_matches_oracle(t: &Tokenizer, text: &str) {
+        let mut want_terms = Vec::new();
+        let mut want_interner = TermInterner::new();
+        let want_candidates = tokenize_into_oracle(t, text, |term| {
+            want_terms.push(want_interner.intern(term));
+        });
+
+        let mut str_terms = Vec::new();
+        let mut str_interner = TermInterner::new();
+        let str_candidates = t.tokenize_into(text, |term| {
+            str_terms.push(str_interner.intern(term));
+        });
+
+        let mut fold_terms = Vec::new();
+        let mut fold_interner = TermInterner::new();
+        let fold_candidates = t.tokenize_intern_into(text, &mut fold_interner, |id, is_new| {
+            fold_terms.push((id, is_new))
+        });
+
+        for (candidates, terms, interner) in [
+            (str_candidates, &str_terms, &str_interner),
+            (fold_candidates, &fold_terms, &fold_interner),
+        ] {
+            assert_eq!(want_candidates, candidates, "text={text:?}");
+            assert_eq!(&want_terms, terms, "text={text:?}");
+            assert_eq!(
+                want_interner.iter().collect::<Vec<_>>(),
+                interner.iter().collect::<Vec<_>>(),
+                "text={text:?}"
+            );
+        }
+    }
+
     #[test]
-    fn fold_path_matches_two_pass_path() {
+    fn scanner_matches_char_split_oracle() {
         let texts = [
             "Cardiomyopathy, HYPERTENSION; renal-failure.",
             "the cat is on a mat with it",
@@ -246,40 +344,54 @@ mod tests {
             "",
             "... --- !!!",
             "x1 y2 z3 aa0 0aa 000",
+            "٣٣٣ abc٣def ١٢٣abc",
+            "dochdr dochdrs DOCHDR theres",
         ];
-        for config in [
-            TokenizerConfig::default(),
-            TokenizerConfig {
-                filter_stopwords: false,
-                ..Default::default()
-            },
-            TokenizerConfig {
-                require_alpha: false,
-                ..Default::default()
-            },
-        ] {
+        for config in configs() {
             let t = Tokenizer::new(config);
             for text in texts {
-                let mut two_pass_terms = Vec::new();
-                let mut two_pass_interner = TermInterner::new();
-                let two_pass_candidates = t.tokenize_into(text, |term| {
-                    let (id, is_new) = two_pass_interner.intern(term);
-                    two_pass_terms.push((id, is_new));
-                });
+                assert_matches_oracle(&t, text);
+            }
+        }
+    }
 
-                let mut fold_terms = Vec::new();
-                let mut fold_interner = TermInterner::new();
-                let fold_candidates =
-                    t.tokenize_intern_into(text, &mut fold_interner, |id, is_new| {
-                        fold_terms.push((id, is_new))
-                    });
+    /// One piece of generated text: a run of `len` characters of a kind
+    /// chosen to sit on the scanner's decision boundaries.
+    fn piece(kind: usize, len: usize, out: &mut String) {
+        const STOP: &[&str] = &["the", "With", "DOCHDR", "https", "a"];
+        match kind {
+            0 => out.extend(std::iter::repeat_n('q', len)),
+            1 => out.extend((0..len).map(|i| if i % 2 == 0 { 'K' } else { 'z' })),
+            2 => out.extend((0..len).map(|i| char::from(b'0' + (i % 10) as u8))),
+            3 => out.extend((0..len).map(|i| if i % 3 == 0 { '7' } else { 'B' })),
+            4 => out.push_str(STOP[len % STOP.len()]),
+            5 => out.push('é'),
+            6 => out.push('٣'),
+            7 => out.push('😀'),
+            8 => out.push(' '),
+            _ => out.push_str(".-"),
+        }
+    }
 
-                assert_eq!(two_pass_candidates, fold_candidates, "text={text:?}");
-                assert_eq!(two_pass_terms, fold_terms, "text={text:?}");
-                assert_eq!(two_pass_interner.len(), fold_interner.len());
-                for id in 0..two_pass_interner.len() as u32 {
-                    assert_eq!(two_pass_interner.get(id), fold_interner.get(id));
-                }
+    proptest! {
+        #[test]
+        fn scanner_matches_oracle_on_boundary_text(
+            // Lengths straddle min_len−1 = 2 and max_len+1 = 41.
+            picks in prop::collection::vec((0usize..10, 0usize..44), 0..40),
+        ) {
+            let mut text = String::new();
+            for (kind, len) in picks {
+                piece(kind, len, &mut text);
+            }
+            for config in configs() {
+                assert_matches_oracle(&Tokenizer::new(config), &text);
+            }
+        }
+
+        #[test]
+        fn scanner_matches_oracle_on_arbitrary_utf8(text in "\\PC{0,200}") {
+            for config in configs() {
+                assert_matches_oracle(&Tokenizer::new(config), &text);
             }
         }
     }

@@ -99,8 +99,8 @@ impl TermInterner {
         &self.arena[s.start as usize..(s.start + s.len) as usize]
     }
 
-    /// The term `id` as `&str` (terms are interned from `&str`, so the
-    /// arena holds valid UTF-8).
+    /// The term `id` as `&str` (every entry point takes UTF-8, so the
+    /// arena holds valid UTF-8; this checks it on each call).
     #[inline]
     pub fn get(&self, id: u32) -> &str {
         std::str::from_utf8(self.bytes(id)).expect("interner arena holds UTF-8")
@@ -135,21 +135,31 @@ impl TermInterner {
     /// Intern `term`: returns `(id, newly_inserted)`. Exactly one hash
     /// pass; an existing term allocates nothing.
     pub fn intern(&mut self, term: &str) -> (u32, bool) {
-        self.intern_hashed(term, fxhash(term.as_bytes()))
+        self.intern_bytes_hashed(term.as_bytes(), fxhash(term.as_bytes()))
     }
 
-    /// [`TermInterner::intern`] with the caller supplying
-    /// `fxhash(term.as_bytes())` — for hot paths that probe several
-    /// interner-backed sets with one hash computation (the single-pass
+    /// Intern term `id` of `other`. The bytes come out of an interner
+    /// arena, so nothing is re-validated on the way — the path for moving
+    /// terms between interners ([`TermInterner::get`] checks UTF-8 on
+    /// every call).
+    pub fn intern_from(&mut self, other: &TermInterner, id: u32) -> (u32, bool) {
+        let bytes = other.bytes(id);
+        self.intern_bytes_hashed(bytes, fxhash(bytes))
+    }
+
+    /// Byte-keyed [`TermInterner::intern`] with the caller supplying
+    /// `fxhash(bytes)` — for hot paths that produce terms as bytes and
+    /// probe several interner-backed sets with one hash computation (the
     /// tokenizer shares one hash between the stopword set and the
-    /// vocabulary).
+    /// vocabulary). `bytes` must be valid UTF-8: the arena backs
+    /// [`TermInterner::get`], which panics on anything else.
     #[inline]
-    pub fn intern_hashed(&mut self, term: &str, hash: u64) -> (u32, bool) {
-        debug_assert_eq!(hash, fxhash(term.as_bytes()), "caller-supplied hash");
+    pub fn intern_bytes_hashed(&mut self, bytes: &[u8], hash: u64) -> (u32, bool) {
+        debug_assert_eq!(hash, fxhash(bytes), "caller-supplied hash");
+        debug_assert!(std::str::from_utf8(bytes).is_ok(), "terms are UTF-8");
         if self.table.is_empty() || self.spans.len() * 2 >= self.table.len() {
             self.rebuild_table(self.spans.len() + 1);
         }
-        let bytes = term.as_bytes();
         let mask = self.mask();
         let mut at = (hash as usize) & mask;
         loop {
@@ -187,7 +197,7 @@ impl TermInterner {
     }
 
     /// [`TermInterner::lookup_bytes`] with the caller supplying
-    /// `fxhash(bytes)` (see [`TermInterner::intern_hashed`]).
+    /// `fxhash(bytes)` (see [`TermInterner::intern_bytes_hashed`]).
     #[inline]
     pub fn lookup_bytes_hashed(&self, bytes: &[u8], hash: u64) -> Option<u32> {
         debug_assert_eq!(hash, fxhash(bytes), "caller-supplied hash");
@@ -404,6 +414,23 @@ mod tests {
         let mut b = TermInterner::with_capacity(100, 8);
         for w in ["alpha", "beta", "alpha", "gamma"] {
             assert_eq!(a.intern(w), b.intern(w));
+        }
+    }
+
+    #[test]
+    fn byte_keyed_paths_agree_with_intern() {
+        let mut by_str = TermInterner::new();
+        let mut by_bytes = TermInterner::new();
+        for w in ["kinase", "il6", "kinase", "p53", "il6"] {
+            let b = w.as_bytes();
+            assert_eq!(by_str.intern(w), by_bytes.intern_bytes_hashed(b, fxhash(b)));
+        }
+        // Moving terms interner to interner keeps ids, flags and bytes.
+        let mut moved = TermInterner::new();
+        for id in 0..by_bytes.len() as u32 {
+            assert_eq!(moved.intern_from(&by_bytes, id), (id, true));
+            assert_eq!(moved.intern_from(&by_bytes, id), (id, false));
+            assert_eq!(moved.get(id), by_str.get(id));
         }
     }
 
