@@ -53,7 +53,7 @@ impl Clustering {
 }
 
 /// Centroids per register block of the assignment kernel: 16 `f64`
-/// accumulators are four AVX2 (eight SSE2) vector registers.
+/// accumulators are eight SSE2 vector registers.
 const LANES: usize = 16;
 
 /// Squared distances from `x` to all `k` centroids at once. `ct` is the
@@ -63,8 +63,7 @@ const LANES: usize = 16;
 /// and vectorise; each centroid's sum still adds its terms in dimension
 /// order from `-0.0`, exactly as [`crate::linalg::dist2`]'s `Sum` does, so
 /// every `out[c]` has the bits `dist2(x, centroid c)` has.
-#[inline(always)]
-fn dist2_all_body(x: &[f64], ct: &[f64], k: usize, out: &mut [f64]) {
+fn dist2_all(x: &[f64], ct: &[f64], k: usize, out: &mut [f64]) {
     assert!(ct.len() == x.len() * k && out.len() == k);
     let mut c0 = 0;
     while c0 + LANES <= k {
@@ -86,27 +85,6 @@ fn dist2_all_body(x: &[f64], ct: &[f64], k: usize, out: &mut [f64]) {
         }
         out[c] = acc;
     }
-}
-
-/// [`dist2_all_body`] compiled with AVX2 enabled: the same source and the
-/// same IEEE operations (Rust never contracts `a * b + c`), four lanes
-/// per instruction instead of two.
-///
-/// # Safety
-/// The CPU must support AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn dist2_all_avx2(x: &[f64], ct: &[f64], k: usize, out: &mut [f64]) {
-    dist2_all_body(x, ct, k, out)
-}
-
-fn dist2_all(x: &[f64], ct: &[f64], k: usize, out: &mut [f64]) {
-    #[cfg(target_arch = "x86_64")]
-    if std::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was detected on this CPU just above.
-        return unsafe { dist2_all_avx2(x, ct, k, out) };
-    }
-    dist2_all_body(x, ct, k, out)
 }
 
 /// Refill `ct` with the dimension-major copy of the row-major k×m
@@ -386,8 +364,6 @@ mod tests {
                         .collect();
                     let mut got = vec![f64::NAN; k];
                     dist2_all(&x, &ct, k, &mut got);
-                    let mut portable = vec![f64::NAN; k];
-                    dist2_all_body(&x, &ct, k, &mut portable);
 
                     // Bit equality, except that any NaN equals any NaN: Rust
                     // leaves a NaN's sign and payload unspecified (they
@@ -399,9 +375,6 @@ mod tests {
                             .collect()
                     };
                     prop_assert_eq!(bits(&got), bits(&want), "k={} m={}", k, m);
-                    // Where AVX2 was detected `got` came from that
-                    // instantiation.
-                    prop_assert_eq!(bits(&portable), bits(&want), "k={} m={}", k, m);
                     prop_assert_eq!(nearest(&got).0, nearest(&want).0);
                 }
             }

@@ -47,11 +47,17 @@ use std::ops::Range;
 /// so chunk composition decides message counts and virtual time.
 const SCAN_RECORD_CHUNK: usize = 8;
 
-/// Pre-sizing of a Phase A chunk interner: eight PubMed-sized records
-/// hold ≈900 distinct terms of ≈8 bytes, so the table never rehashes.
-/// Capacity only — no effect on ids, charges or output.
-const CHUNK_TERMS_HINT: usize = 1024;
-const CHUNK_TERM_BYTES_HINT: usize = 12;
+/// Pre-sizing of a Phase A chunk interner from the chunk's input bytes.
+/// Every chunk interner of a rank is alive until Phase B, so the hint
+/// must follow the record size: measured on 32 MiB of each flavour, a
+/// chunk holds one distinct term per 18.6 (newswire, ≈260 terms), 25.7
+/// (trec, ≈350) and 21.6 (PubMed, ≈900) input bytes — never fewer than
+/// 14.7 — of 10.6–11.5 bytes each. The cap bounds chunks of very long
+/// records, whose vocabulary grows sublinearly; beyond it the interner
+/// grows as usual. Capacity only — no effect on ids, charges or output.
+const CHUNK_BYTES_PER_TERM: usize = 16;
+const CHUNK_TERMS_CAP: usize = 1024;
+const CHUNK_TERM_LEN_HINT: usize = 12;
 
 /// Fields that are indexed (contribute terms). Identifier-like fields
 /// (pmid, docno, url, author) are framed but not indexed, as a production
@@ -378,11 +384,15 @@ pub fn scan(ctx: &Ctx, sources: &SourceSet, cfg: &EngineConfig) -> ScanOutput {
     let chunks: Vec<TokenizedChunk> =
         ctx.pool()
             .map_chunks(records.len(), SCAN_RECORD_CHUNK, |chunk| {
-                let mut terms =
-                    TermInterner::with_capacity(CHUNK_TERMS_HINT, CHUNK_TERM_BYTES_HINT);
+                let chunk_records = &records[chunk];
+                let chunk_bytes: usize = chunk_records.iter().map(|(_, r)| r.len()).sum();
+                let mut terms = TermInterner::with_capacity(
+                    (chunk_bytes / CHUNK_BYTES_PER_TERM).min(CHUNK_TERMS_CAP),
+                    CHUNK_TERM_LEN_HINT,
+                );
                 let mut counts_scratch: Vec<u32> = Vec::new();
                 let mut touched: Vec<u32> = Vec::new();
-                let docs = records[chunk]
+                let docs = chunk_records
                     .iter()
                     .map(|(si, range)| {
                         tokenize_record(
@@ -469,11 +479,20 @@ pub fn scan(ctx: &Ctx, sources: &SourceSet, cfg: &EngineConfig) -> ScanOutput {
     // hash map probe per posting. One walk of the sorted vocabulary fills
     // it; terms this rank never saw are not in its cache and are skipped.
     let mut old_to_new: Vec<TermId> = vec![TermId::MAX; vocab.id_bound()];
+    let mut mapped = 0usize;
     for (new, term) in sorted_terms.iter().enumerate() {
         if let Some(cid) = cache.lookup(term) {
             old_to_new[cache_ids[cid as usize] as usize] = new as TermId;
+            mapped += 1;
         }
     }
+    // Vocabulary terms are distinct, so this counts distinct cache ids:
+    // no term this rank registered is left at `TermId::MAX`.
+    assert_eq!(
+        mapped,
+        cache.len(),
+        "every registered term is in the canonical vocabulary"
+    );
     drop(sorted_terms);
     // Remap chunk-local → arrival → canonical id and sort each field by
     // canonical id: the one place term order is established (ids are
@@ -488,10 +507,6 @@ pub fn scan(ctx: &Ctx, sources: &SourceSet, cfg: &EngineConfig) -> ScanOutput {
                 .iter()
                 .map(|&old| old_to_new[old as usize])
                 .collect();
-            debug_assert!(
-                !to_canonical.contains(&TermId::MAX),
-                "every registered term is in the canonical vocabulary"
-            );
             tdocs
                 .iter()
                 .map(|tdoc| LocalDoc {

@@ -169,7 +169,7 @@ impl Tokenizer {
         mut emit: impl FnMut(u32, bool),
     ) -> u64 {
         self.scan_tokens(text.as_bytes(), |term, hash| {
-            let (id, is_new) = terms.intern_bytes_hashed(term, hash);
+            let (id, is_new) = terms.intern_ascii_hashed(term, hash);
             emit(id, is_new);
         })
     }

@@ -135,7 +135,7 @@ impl TermInterner {
     /// Intern `term`: returns `(id, newly_inserted)`. Exactly one hash
     /// pass; an existing term allocates nothing.
     pub fn intern(&mut self, term: &str) -> (u32, bool) {
-        self.intern_bytes_hashed(term.as_bytes(), fxhash(term.as_bytes()))
+        self.intern_raw(term.as_bytes(), fxhash(term.as_bytes()))
     }
 
     /// Intern term `id` of `other`. The bytes come out of an interner
@@ -144,19 +144,30 @@ impl TermInterner {
     /// every call).
     pub fn intern_from(&mut self, other: &TermInterner, id: u32) -> (u32, bool) {
         let bytes = other.bytes(id);
-        self.intern_bytes_hashed(bytes, fxhash(bytes))
+        self.intern_raw(bytes, fxhash(bytes))
     }
 
-    /// Byte-keyed [`TermInterner::intern`] with the caller supplying
-    /// `fxhash(bytes)` — for hot paths that produce terms as bytes and
-    /// probe several interner-backed sets with one hash computation (the
-    /// tokenizer shares one hash between the stopword set and the
-    /// vocabulary). `bytes` must be valid UTF-8: the arena backs
-    /// [`TermInterner::get`], which panics on anything else.
+    /// Byte-keyed [`TermInterner::intern`] for ASCII terms, with the
+    /// caller supplying `fxhash(bytes)` — for hot paths that produce
+    /// terms as bytes and probe several interner-backed sets with one
+    /// hash computation (the tokenizer shares one hash between the
+    /// stopword set and the vocabulary).
+    ///
+    /// # Panics
+    /// If `bytes` is not ASCII: the arena must stay valid UTF-8 for
+    /// [`TermInterner::get`], and ASCII is the check that costs a word
+    /// compare per eight bytes.
     #[inline]
-    pub fn intern_bytes_hashed(&mut self, bytes: &[u8], hash: u64) -> (u32, bool) {
+    pub fn intern_ascii_hashed(&mut self, bytes: &[u8], hash: u64) -> (u32, bool) {
+        assert!(bytes.is_ascii(), "byte-keyed terms are ASCII");
+        self.intern_raw(bytes, hash)
+    }
+
+    /// The one insert path. `bytes` is valid UTF-8 and `hash` its
+    /// `fxhash`; every public entry point establishes both.
+    #[inline]
+    fn intern_raw(&mut self, bytes: &[u8], hash: u64) -> (u32, bool) {
         debug_assert_eq!(hash, fxhash(bytes), "caller-supplied hash");
-        debug_assert!(std::str::from_utf8(bytes).is_ok(), "terms are UTF-8");
         if self.table.is_empty() || self.spans.len() * 2 >= self.table.len() {
             self.rebuild_table(self.spans.len() + 1);
         }
@@ -197,7 +208,7 @@ impl TermInterner {
     }
 
     /// [`TermInterner::lookup_bytes`] with the caller supplying
-    /// `fxhash(bytes)` (see [`TermInterner::intern_bytes_hashed`]).
+    /// `fxhash(bytes)` (see [`TermInterner::intern_ascii_hashed`]).
     #[inline]
     pub fn lookup_bytes_hashed(&self, bytes: &[u8], hash: u64) -> Option<u32> {
         debug_assert_eq!(hash, fxhash(bytes), "caller-supplied hash");
@@ -423,7 +434,7 @@ mod tests {
         let mut by_bytes = TermInterner::new();
         for w in ["kinase", "il6", "kinase", "p53", "il6"] {
             let b = w.as_bytes();
-            assert_eq!(by_str.intern(w), by_bytes.intern_bytes_hashed(b, fxhash(b)));
+            assert_eq!(by_str.intern(w), by_bytes.intern_ascii_hashed(b, fxhash(b)));
         }
         // Moving terms interner to interner keeps ids, flags and bytes.
         let mut moved = TermInterner::new();
@@ -432,6 +443,13 @@ mod tests {
             assert_eq!(moved.intern_from(&by_bytes, id), (id, false));
             assert_eq!(moved.get(id), by_str.get(id));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "byte-keyed terms are ASCII")]
+    fn byte_keyed_intern_rejects_non_ascii() {
+        let bad = [0xFFu8, 0xFE];
+        TermInterner::new().intern_ascii_hashed(&bad, fxhash(&bad));
     }
 
     #[test]
