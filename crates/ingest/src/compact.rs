@@ -12,8 +12,10 @@
 //! segment doc ranges are disjoint and ascending, so per-term posting
 //! lists concatenate in segment order; df/tf deltas add. Tombstones
 //! aimed at documents **inside** the compacted range are resolved by
-//! dropping those documents' postings; tombstones aimed below the range
-//! (at base-snapshot documents) are carried into the merged segment.
+//! dropping those documents' postings. Every tombstone — resolved or
+//! aimed below the range, at base-snapshot documents — is carried into
+//! the merged segment: a reader must keep answering "deleted" for a
+//! document whose postings are gone.
 //! Stat deltas intentionally keep counting tombstoned documents — the
 //! read path filters postings but never rescales df/tf, so compaction
 //! preserves served answers byte for byte.
@@ -71,11 +73,6 @@ pub fn compact(dir: &Path) -> io::Result<Option<CompactReport>> {
     tombs.sort_unstable();
     tombs.dedup();
     let resolved = |d: u32| (doc_base..doc_end).contains(&d) && tombs.binary_search(&d).is_ok();
-    let carried: Vec<u32> = tombs
-        .iter()
-        .copied()
-        .filter(|&d| !(doc_base..doc_end).contains(&d))
-        .collect();
 
     // Sorted union of the segment vocabularies, remembering where each
     // merged term lives. Ties group by segment order, which is doc order.
@@ -127,7 +124,7 @@ pub fn compact(dir: &Path) -> io::Result<Option<CompactReport>> {
         lists,
         df,
         tf,
-        tombstones: carried,
+        tombstones: tombs,
     };
     let file = m.next_segment_file();
     let bytes_written = write_segment(dir, &file, &build)?;

@@ -355,3 +355,209 @@ fn tombstones_hide_deleted_docs_across_compaction() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// SplitMix64: the interleaving test's only source of randomness, so a
+/// failing seed replays exactly.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// `build_requests` plus `/similar` by document (a base document, the
+/// newest document, one in between, and every document deleted so far)
+/// and by text.
+fn interleaving_requests(state: &ServeState, deleted: &[u32]) -> Vec<ServeRequest> {
+    let mut out = build_requests(state);
+    let text = match &out[0] {
+        ServeRequest::Term { term, .. } => term.clone(),
+        other => panic!("build_requests starts with a term lookup, got {other:?}"),
+    };
+    let docs = state.total_docs();
+    let probes = [(0, 8), (docs / 2, 1), (docs - 1, 8)];
+    for (doc, nprobe) in probes.into_iter().chain(deleted.iter().map(|&d| (d, 8))) {
+        out.push(ServeRequest::Similar {
+            doc: Some(doc),
+            text: None,
+            top: 5,
+            nprobe,
+        });
+    }
+    out.push(ServeRequest::Similar {
+        doc: None,
+        text: Some(text),
+        top: 5,
+        nprobe: 8,
+    });
+    out
+}
+
+/// Bodies *or* client errors: `/similar?doc=` of a tombstoned document
+/// is a 400 that every view must report identically.
+fn answers(state: &ServeState, requests: &[ServeRequest]) -> Vec<String> {
+    requests
+        .iter()
+        .map(|r| match execute(state, r) {
+            Ok(body) => body,
+            Err(e) => format!("{} {}", e.status, e.message),
+        })
+        .collect()
+}
+
+/// Seeds that once failed, one per line, re-run before the standing ones.
+fn regression_seeds() -> Vec<u64> {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/ingest_recovery.seeds");
+    std::fs::read_to_string(path)
+        .expect("tests/ingest_recovery.seeds is checked in")
+        .lines()
+        .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
+        .map(|l| l.trim().parse().expect("one decimal seed per line"))
+        .collect()
+}
+
+/// Contract 5: compaction and crash recovery are invisible under
+/// *arbitrary* interleavings. Each seed drives two ingest directories
+/// over one base through 40 random steps: the subject takes appends,
+/// deletes, compactions and crash-reopens (half of them with a durable,
+/// unsealed WAL record to recover); its twin takes only the appends and
+/// deletes, cleanly. After every step both must answer the whole request
+/// set — `/similar` included — with the same bytes, and, until the first
+/// delete, the term/boolean/search bodies must equal a full rebuild's.
+#[test]
+fn random_interleavings_serve_identical_bodies() {
+    const STEPS: usize = 40;
+    let root = tmp_dir("interleave");
+    let set = CorpusSpec {
+        source_bytes: 2 * 1024,
+        ..CorpusSpec::pubmed(96 * 1024, 31)
+    }
+    .generate();
+    assert!(set.sources.len() >= 40, "got {}", set.sources.len());
+    let (base_sources, pool) = set.sources.split_at(16);
+    let base_path = root.join("base.isnap");
+    build_snapshot(
+        &SourceSet {
+            sources: base_sources.to_vec(),
+        },
+        &base_path,
+        1,
+    );
+
+    let mut seeds = regression_seeds();
+    seeds.extend(1..=8);
+    for seed in seeds {
+        let mut rng = Rng(seed);
+        let subject = root.join(format!("subject-{seed}"));
+        let twin = root.join(format!("twin-{seed}"));
+        let mut ing = IngestDir::create(&subject, Some(&base_path)).expect("create subject");
+        let mut clean = IngestDir::create(&twin, Some(&base_path)).expect("create twin");
+        let mut pool = pool.iter();
+        let mut corpus = base_sources.to_vec();
+        let mut deleted: Vec<u32> = Vec::new();
+        // Deletes end the rebuild comparison, so seeds start them at
+        // different points of the run.
+        let deletes_from = (seed % 4) as usize * 6;
+        for step in 0..STEPS {
+            let at = format!("seed {seed} step {step}");
+            let mut rebuilt = false;
+            let op = match rng.below(10) {
+                0..=3 => "append",
+                4..=5 if step >= deletes_from => "delete",
+                4..=5 => "append",
+                6..=7 => "compact",
+                _ => "reopen",
+            };
+            let next = if matches!(op, "append" | "reopen") {
+                pool.next()
+            } else {
+                None
+            };
+            match (op, next) {
+                ("append", Some(src)) => {
+                    ing.append(src.clone()).expect("append");
+                    clean.append(src.clone()).expect("twin append");
+                    corpus.push(src.clone());
+                    rebuilt = true;
+                }
+                ("delete", _) => {
+                    let ids: Vec<u32> = (0..1 + rng.below(2))
+                        .map(|_| rng.below(ing.total_docs() as usize) as u32)
+                        .collect();
+                    ing.delete(ids.clone()).expect("delete");
+                    clean.delete(ids.clone()).expect("twin delete");
+                    deleted.extend(ids);
+                }
+                ("reopen", next) => {
+                    // Crash: with a batch durable in the WAL but not
+                    // sealed (when the pool still has one), or idle.
+                    let pending = next.filter(|_| rng.below(2) == 0);
+                    if let Some(src) = pending {
+                        ing.append_wal(&WalRecord::AddBatch(src.clone()))
+                            .expect("durable append");
+                        clean.append(src.clone()).expect("twin append");
+                        corpus.push(src.clone());
+                        rebuilt = true;
+                    }
+                    drop(ing);
+                    ing = IngestDir::open(&subject).expect("recovery open");
+                    assert_eq!(
+                        ing.recovery.sealed_records,
+                        usize::from(pending.is_some()),
+                        "{at}"
+                    );
+                }
+                // "compact", and "append" once the pool is spent.
+                _ => {
+                    ing.compact().expect("compact");
+                }
+            }
+            assert_eq!(ing.total_docs(), clean.total_docs(), "{at}");
+
+            let state = load_live_state(&subject).expect("subject view");
+            assert!(
+                state.has_ann(),
+                "a degenerate base would 409 every /similar"
+            );
+            let requests = interleaving_requests(&state, &deleted);
+            let got = answers(&state, &requests);
+            let want = answers(&load_live_state(&twin).expect("twin view"), &requests);
+            for ((req, got), want) in requests.iter().zip(&got).zip(&want) {
+                assert_eq!(
+                    got, want,
+                    "{at}: {op} diverged from the clean twin on {req:?}"
+                );
+            }
+            if rebuilt && deleted.is_empty() {
+                let clean_path = root.join("rebuild.isnap");
+                build_snapshot(
+                    &SourceSet {
+                        sources: corpus.clone(),
+                    },
+                    &clean_path,
+                    1,
+                );
+                let rebuild = ServeState::load(&clean_path).expect("rebuild loads");
+                let index_requests = build_requests(&state);
+                assert_eq!(
+                    bodies(&state, &index_requests),
+                    bodies(&rebuild, &index_requests),
+                    "{at}: {op} diverged from the full rebuild"
+                );
+            }
+        }
+        drop((ing, clean));
+        std::fs::remove_dir_all(&subject).ok();
+        std::fs::remove_dir_all(&twin).ok();
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
