@@ -1,32 +1,18 @@
-//! Persistence of the engine's products.
+//! Persistence of the engine's final product.
 //!
-//! The paper names two outputs worth keeping (§2.1): *"Persist the
-//! knowledge signatures … These signatures comprise a valuable
-//! intermediate product of the text engine"* (step 7), and *"The 2-D
-//! document coordinates comprise the final primary product"* (step 9,
-//! written to a file by the master process). This module writes and reads
-//! both:
+//! *"The 2-D document coordinates comprise the final primary product"*
+//! (§2.1 step 9, written to a file by the master process): a CSV of
+//! `doc,x,y,cluster`, the file the ThemeView frontend consumes. (The
+//! knowledge signatures of step 7 persist in the engine snapshot's `sigs`
+//! section — see [`crate::snapshot`].)
 //!
-//! * **Coordinates** — a CSV of `doc,x,y[,z],cluster`, the file the
-//!   ThemeView frontend consumes.
-//! * **Signatures** — an [`inspire_store`] snapshot containing the
-//!   row-major matrix as two checksummed sections (`shape`, `sigs`), so
-//!   any corruption or truncation is rejected on load. The pre-store
-//!   `INSPSIG1` header format is still readable (and writable via
-//!   [`write_signatures_legacy`]); [`read_signatures`] detects the format
-//!   from the leading magic bytes.
-//!
-//! Every reader in this module turns malformed input into an
-//! [`io::Error`] naming the file and the offending offset or line — never
-//! a panic, never a silently partial result.
+//! The reader turns malformed input into an [`io::Error`] naming the
+//! file and the offending line — never a panic, never a silently partial
+//! result.
 
 use crate::DocId;
-use inspire_store::{Snapshot, SnapshotWriter};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::Path;
-
-/// Magic bytes of the legacy signature file format.
-const SIG_MAGIC: &[u8; 8] = b"INSPSIG1";
 
 fn data_err(path: &Path, what: String) -> io::Error {
     io::Error::new(
@@ -108,116 +94,6 @@ pub fn read_coords_csv(path: &Path) -> io::Result<Vec<(DocId, f64, f64, i64)>> {
     Ok(out)
 }
 
-fn check_shape(path: &Path, rows: u64, cols: u32, len: u64) -> io::Result<()> {
-    let want = rows
-        .checked_mul(cols as u64)
-        .ok_or_else(|| data_err(path, format!("shape {rows}×{cols} overflows")))?;
-    if len != want {
-        return Err(data_err(
-            path,
-            format!("shape says {rows}×{cols} = {want} values, file holds {len}"),
-        ));
-    }
-    Ok(())
-}
-
-/// Persist a row-major `rows × cols` signature matrix as a checksummed
-/// store snapshot (sections `shape` and `sigs`).
-pub fn write_signatures(path: &Path, rows: u64, cols: u32, data: &[f64]) -> io::Result<()> {
-    check_shape(path, rows, cols, data.len() as u64)?;
-    let mut w = SnapshotWriter::create(path)?;
-    w.add_u64s("shape", &[rows, cols as u64])?;
-    w.add_f64s("sigs", data)?;
-    w.finish()?;
-    Ok(())
-}
-
-/// Persist a signature matrix in the pre-store `INSPSIG1` format (raw
-/// little-endian header + values, no checksums). Kept so the migration
-/// path stays testable; new code should use [`write_signatures`].
-pub fn write_signatures_legacy(path: &Path, rows: u64, cols: u32, data: &[f64]) -> io::Result<()> {
-    check_shape(path, rows, cols, data.len() as u64)?;
-    let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
-    f.write_all(SIG_MAGIC)?;
-    f.write_all(&rows.to_le_bytes())?;
-    f.write_all(&cols.to_le_bytes())?;
-    for v in data {
-        f.write_all(&v.to_le_bytes())?;
-    }
-    f.flush()
-}
-
-/// Load a signature matrix written by [`write_signatures`] (store
-/// snapshot) or [`write_signatures_legacy`] (`INSPSIG1`); the format is
-/// detected from the leading magic bytes.
-pub fn read_signatures(path: &Path) -> io::Result<(u64, u32, Vec<f64>)> {
-    let mut f = std::io::BufReader::new(std::fs::File::open(path)?);
-    let mut magic = [0u8; 8];
-    f.read_exact(&mut magic)
-        .map_err(|e| data_err(path, format!("file too short for a signature header ({e})")))?;
-    if &magic == inspire_store::MAGIC {
-        drop(f);
-        return read_signatures_store(path);
-    }
-    if &magic != SIG_MAGIC {
-        return Err(data_err(
-            path,
-            format!("bad magic {magic:02x?}: neither a store snapshot nor an INSPSIG1 file"),
-        ));
-    }
-
-    // Legacy INSPSIG1 body: rows u64, cols u32, rows×cols f64 values.
-    let mut b8 = [0u8; 8];
-    f.read_exact(&mut b8)
-        .map_err(|e| data_err(path, format!("truncated at offset 8 reading rows ({e})")))?;
-    let rows = u64::from_le_bytes(b8);
-    let mut b4 = [0u8; 4];
-    f.read_exact(&mut b4)
-        .map_err(|e| data_err(path, format!("truncated at offset 16 reading cols ({e})")))?;
-    let cols = u32::from_le_bytes(b4);
-    let n = rows
-        .checked_mul(cols as u64)
-        .ok_or_else(|| data_err(path, format!("shape {rows}×{cols} overflows")))?;
-    let mut data = Vec::with_capacity(n as usize);
-    for i in 0..n {
-        f.read_exact(&mut b8).map_err(|e| {
-            data_err(
-                path,
-                format!(
-                    "truncated at offset {} reading value {i} of {n} ({e})",
-                    20 + i * 8
-                ),
-            )
-        })?;
-        data.push(f64::from_le_bytes(b8));
-    }
-    // Trailing garbage is an error (truncation detection's mirror image).
-    if f.read(&mut [0u8; 1])? != 0 {
-        return Err(data_err(
-            path,
-            format!("trailing bytes after the {n}-value signature matrix"),
-        ));
-    }
-    Ok((rows, cols, data))
-}
-
-fn read_signatures_store(path: &Path) -> io::Result<(u64, u32, Vec<f64>)> {
-    let snap = Snapshot::open(path)?;
-    let shape = snap.require("shape")?.as_u64s()?;
-    if shape.len() != 2 {
-        return Err(data_err(
-            path,
-            format!("shape section has {} values, expected 2", shape.len()),
-        ));
-    }
-    let (rows, cols64) = (shape[0], shape[1]);
-    let cols = u32::try_from(cols64)
-        .map_err(|_| data_err(path, format!("column count {cols64} exceeds u32")))?;
-    let data = snap.require("sigs")?.as_f64s()?;
-    check_shape(path, rows, cols, data.len() as u64)?;
-    Ok((rows, cols, data.to_vec()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,93 +127,6 @@ mod tests {
         write_coords_csv(&path, &[(1.0, 2.0)], None).unwrap();
         let back = read_coords_csv(&path).unwrap();
         assert_eq!(back[0].3, -1);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn signatures_roundtrip_via_store() {
-        let path = tmp("sigs.isnap");
-        let data: Vec<f64> = (0..12).map(|i| i as f64 * 0.25 - 1.0).collect();
-        write_signatures(&path, 3, 4, &data).unwrap();
-        // The new writer produces a store container …
-        let head = std::fs::read(&path).unwrap();
-        assert_eq!(&head[..8], inspire_store::MAGIC);
-        // … and the reader round-trips it.
-        let (rows, cols, back) = read_signatures(&path).unwrap();
-        assert_eq!((rows, cols), (3, 4));
-        assert_eq!(back, data);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn signatures_roundtrip_via_legacy_format() {
-        let path = tmp("sigs-legacy.bin");
-        let data: Vec<f64> = (0..12).map(|i| i as f64 * 0.25 - 1.0).collect();
-        write_signatures_legacy(&path, 3, 4, &data).unwrap();
-        let head = std::fs::read(&path).unwrap();
-        assert_eq!(&head[..8], b"INSPSIG1");
-        let (rows, cols, back) = read_signatures(&path).unwrap();
-        assert_eq!((rows, cols), (3, 4));
-        assert_eq!(back, data);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn signature_writer_rejects_shape_mismatch() {
-        let path = tmp("shape.isnap");
-        let err = write_signatures(&path, 3, 4, &[0.0; 11]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        let err = write_signatures_legacy(&path, 3, 4, &[0.0; 11]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn signature_reader_rejects_garbage() {
-        let path = tmp("garbage.bin");
-        std::fs::write(&path, b"definitely not a signature file").unwrap();
-        let err = read_signatures(&path).unwrap_err();
-        assert!(err.to_string().contains("garbage.bin"), "{err}");
-        // Too short for even a magic number.
-        std::fs::write(&path, b"xy").unwrap();
-        let err = read_signatures(&path).unwrap_err();
-        assert!(err.to_string().contains("too short"), "{err}");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn signature_reader_rejects_truncation_in_both_formats() {
-        let data = vec![1.0f64; 8];
-        for (name, legacy) in [("trunc.isnap", false), ("trunc-legacy.bin", true)] {
-            let path = tmp(name);
-            if legacy {
-                write_signatures_legacy(&path, 2, 4, &data).unwrap();
-            } else {
-                write_signatures(&path, 2, 4, &data).unwrap();
-            }
-            let full = std::fs::read(&path).unwrap();
-            std::fs::write(&path, &full[..full.len() - 3]).unwrap();
-            let err = read_signatures(&path).unwrap_err();
-            assert!(err.to_string().contains(name), "{err}");
-            std::fs::remove_file(&path).ok();
-        }
-    }
-
-    #[test]
-    fn store_signatures_reject_bit_flips() {
-        let path = tmp("flip.isnap");
-        let data: Vec<f64> = (0..32).map(|i| i as f64).collect();
-        write_signatures(&path, 8, 4, &data).unwrap();
-        let good = std::fs::read(&path).unwrap();
-        for pos in [9, good.len() / 2, good.len() - 2] {
-            let mut bad = good.clone();
-            bad[pos] ^= 0x10;
-            std::fs::write(&path, &bad).unwrap();
-            assert!(
-                read_signatures(&path).is_err(),
-                "bit flip at byte {pos} was accepted"
-            );
-        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -40,19 +40,19 @@ pub mod ann;
 pub mod assoc;
 pub mod cluster;
 pub mod config;
-pub mod dedup;
 pub mod hierarchy;
 pub mod index;
 pub mod interact;
 pub mod io;
 pub mod linalg;
+pub mod migrate;
 pub mod pipeline;
+pub mod postings;
 pub mod project;
 pub mod query;
 pub mod report;
 pub mod scan;
 pub mod seq;
-pub mod session;
 pub mod signature;
 pub mod snapshot;
 pub mod tokenize;
@@ -61,7 +61,6 @@ pub mod topicality;
 pub use config::{Balancing, ClusterMethod, EngineConfig};
 pub use pipeline::{Engine, EngineOutput, EngineSummary};
 pub use report::build_run_report;
-pub use session::{Selection, Session, Theme};
 pub use snapshot::{EngineSnapshot, SnapshotReport, Stage};
 
 /// Global term identifier assigned by the distributed vocabulary map.

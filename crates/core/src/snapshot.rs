@@ -19,44 +19,23 @@
 use crate::assoc::AssociationMatrix;
 use crate::cluster::Clustering;
 use crate::config::EngineConfig;
-use crate::index::{pack_posting, unpack_posting, InvertedIndex, Posting, RankLoad};
+use crate::index::{pack_posting, InvertedIndex, Posting, RankLoad};
 use crate::pipeline::{EngineOutput, EngineSummary};
+use crate::postings::{
+    encode_index_sections, read_terms, EncodedIndex, PostingsDir, PostingsReader,
+};
 use crate::scan::{unpack_entry, LocalDoc, LocalField, ScanOutput};
 use crate::signature::{SignatureStats, Signatures};
 use crate::topicality::TopicSelection;
 use crate::{DocId, TermId};
 use corpus::SourceSet;
 use ga::{DistHashMap, GlobalArray, GlobalArray2D};
-use inspire_store::{codec, Snapshot, SnapshotWriter};
+use inspire_store::{Snapshot, SnapshotWriter};
 use intern::TermTable;
 use spmd::Ctx;
 use std::io;
-use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-
-// The codec packs the field id into 3 bits of the value varint.
-const _: () = assert!(
-    crate::FIELD_NAMES.len() <= 8,
-    "field ids must fit the codec's 3-bit field slot"
-);
-
-/// Codec pair for one posting: key = doc id, val = `freq << 3 | field`.
-/// Pairs must be produced from [`Posting`]-sorted order (doc, field,
-/// freq) so the decoded sequence matches what the legacy reader's
-/// post-sort produced — served answers stay byte-identical.
-pub fn posting_to_pair(p: Posting) -> (u32, u32) {
-    (p.doc, (p.freq.min(0xFF_FFFF) << 3) | p.field as u32)
-}
-
-/// Inverse of [`posting_to_pair`].
-pub fn pair_to_posting(key: u32, val: u32) -> Posting {
-    Posting {
-        doc: key,
-        field: (val & 0x7) as crate::FieldId,
-        freq: val >> 3,
-    }
-}
 
 /// Pipeline stage a snapshot was taken after.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -320,11 +299,7 @@ pub fn write_engine_snapshot(
                     &idx.tf,
                 );
                 drop(postdat);
-                w.add_packed("postdir", &enc.dir)?;
-                w.add_packed("postblk", &enc.blk)?;
-                w.add_skips("postskp", &enc.skips)?;
-                w.add_packed("dfv", &enc.dfv)?;
-                w.add_packed("tfv", &enc.tfv)?;
+                write_index_sections(&mut w, &enc)?;
                 let load: Vec<u64> = idx
                     .load
                     .iter()
@@ -367,24 +342,10 @@ pub fn write_engine_snapshot(
                 w.add_u32s("laboff", &laboff)?;
                 w.add_u32s("labcnt", &labcnt)?;
 
-                // ---- IVF + quantized signature sections (§13) ----
-                // The k-means centroids double as the IVF coarse
-                // quantizer; signatures are re-encoded as u8 codes with
-                // per-signature scale/offset plus an exact f64 norm
-                // table, grouped into per-centroid lists. Skipped for
-                // degenerate corpora with no signature dimensions —
-                // similarity queries are meaningless there.
                 if let (Some(t), Some(sd)) = (inp.topics, sigdat.as_ref()) {
-                    let m_dims = t.m_dims();
                     let assign_all = assign.as_ref().unwrap().as_ref().unwrap();
-                    if m_dims > 0 && !assign_all.is_empty() {
-                        let ivf = crate::ann::build_ivf(sd, m_dims, assign_all, cl.k);
-                        w.add_quant("qsig", &ivf.codes, assign_all.len(), m_dims)?;
-                        w.add_f64s("qscale", &ivf.scale)?;
-                        w.add_f64s("qoff", &ivf.offset)?;
-                        w.add_f64s("signrm", &ivf.norm)?;
-                        w.add_u32s("ivfdoc", &ivf.ivfdoc)?;
-                        w.add_u64s("ivfoff", &ivf.ivfoff)?;
+                    if t.m_dims() > 0 && !assign_all.is_empty() {
+                        write_ann_sections(&mut w, sd, t.m_dims(), assign_all, cl.k)?;
                     }
                 }
             }
@@ -402,172 +363,35 @@ pub fn write_engine_snapshot(
     result
 }
 
-/// The block-compressed index sections (DESIGN.md §8): a per-term
-/// directory, concatenated delta/varint posting blocks, skip entries for
-/// multi-block terms only, and varint df/tf streams.
-pub struct EncodedIndex {
-    pub dir: Vec<u8>,
-    pub blk: Vec<u8>,
-    pub skips: Vec<u64>,
-    pub dfv: Vec<u8>,
-    pub tfv: Vec<u8>,
+/// Append the five block-compressed index sections (DESIGN.md §8).
+pub(crate) fn write_index_sections(w: &mut SnapshotWriter, enc: &EncodedIndex) -> io::Result<()> {
+    w.add_packed("postdir", &enc.dir)?;
+    w.add_packed("postblk", &enc.blk)?;
+    w.add_skips("postskp", &enc.skips)?;
+    w.add_packed("dfv", &enc.dfv)?;
+    w.add_packed("tfv", &enc.tfv)
 }
 
-/// Encode the replicated index into the compressed v2 sections. Postings
-/// are sorted per term (scatter order depends on scheduling) before
-/// delta-encoding, which both makes the bytes deterministic and matches
-/// the order every query path serves.
-fn encode_index_sections(offsets: &[i64], postdat: &[u64], df: &[u32], tf: &[u64]) -> EncodedIndex {
-    encode_posting_sections(offsets.len().saturating_sub(1), df, tf, |t, posts| {
-        let (lo, hi) = (offsets[t] as usize, offsets[t + 1] as usize);
-        posts.extend(postdat[lo..hi].iter().map(|&e| unpack_posting(e)));
-    })
-}
-
-/// Encode arbitrary posting lists into the same compressed sections the
-/// batch pipeline writes. `fill` appends term `t`'s postings (any order —
-/// they are sorted by (doc, field) here; a term lists each pair once).
-/// Shared with the incremental-ingest sealer so segment bytes follow the
-/// exact rules of a full rebuild: saturated freqs, count+len directory
-/// varints, and skip entries only for lists longer than one block.
-pub fn encode_posting_sections(
-    vocab: usize,
-    df: &[u32],
-    tf: &[u64],
-    mut fill: impl FnMut(usize, &mut Vec<Posting>),
-) -> EncodedIndex {
-    let mut enc = EncodedIndex {
-        dir: Vec::with_capacity(vocab * 3),
-        blk: Vec::new(),
-        skips: Vec::new(),
-        dfv: Vec::with_capacity(vocab * 2),
-        tfv: Vec::with_capacity(vocab * 2),
-    };
-    let mut posts: Vec<Posting> = Vec::new();
-    let mut keys: Vec<u64> = Vec::new();
-    let mut pairs: Vec<(u32, u32)> = Vec::new();
-    let mut term_skips: Vec<u64> = Vec::new();
-    for t in 0..vocab {
-        posts.clear();
-        fill(t, &mut posts);
-        // Sort `doc | field | saturated freq` as one integer: the order of
-        // `Posting`'s derived `Ord`, at a third of the comparison cost.
-        // (doc, field) is unique within a term, so freq never decides.
-        keys.clear();
-        keys.extend(posts.iter().map(|p| {
-            ((p.doc as u64) << 32) | ((p.field as u64) << 24) | p.freq.min(0xFF_FFFF) as u64
-        }));
-        keys.sort_unstable();
-        debug_assert!(
-            keys.windows(2).all(|w| w[0] >> 24 < w[1] >> 24),
-            "term {t}: (doc, field) repeats"
-        );
-        pairs.clear();
-        pairs.extend(keys.iter().map(|&k| {
-            posting_to_pair(Posting {
-                doc: (k >> 32) as DocId,
-                field: (k >> 24) as crate::FieldId,
-                freq: k as u32 & 0xFF_FFFF,
-            })
-        }));
-        term_skips.clear();
-        let byte_len = codec::encode_list(&pairs, &mut enc.blk, &mut term_skips);
-        codec::write_u32(&mut enc.dir, pairs.len() as u32);
-        codec::write_u32(&mut enc.dir, byte_len as u32);
-        // Single-block lists need no seek table; deriving "no skips" from
-        // the count keeps the section proportional to long lists only.
-        if pairs.len() > codec::BLOCK_LEN {
-            enc.skips.extend_from_slice(&term_skips);
-        }
-    }
-    for &d in df {
-        codec::write_u32(&mut enc.dfv, d);
-    }
-    for &v in tf {
-        codec::write_u64(&mut enc.tfv, v);
-    }
-    enc
-}
-
-/// Parsed `postdir` directory: where each term's compressed posting list
-/// and skip entries live inside the `postblk` / `postskp` sections.
-/// Parsing touches only the directory (two varints per term); posting
-/// bytes stay unread until a query decodes them.
-pub struct PostingsDir {
-    counts: Vec<u32>,
-    offsets: Vec<u64>,
-    skip_offsets: Vec<u32>,
-}
-
-impl PostingsDir {
-    /// Parse and fully cross-check the directory against the posting and
-    /// skip section lengths.
-    pub fn parse(dir: &[u8], vocab: usize, blk_len: usize, skip_len: usize) -> io::Result<Self> {
-        let err =
-            |msg: String| io::Error::new(io::ErrorKind::InvalidData, format!("postdir: {msg}"));
-        let mut counts = Vec::with_capacity(vocab);
-        let mut offsets = Vec::with_capacity(vocab + 1);
-        let mut skip_offsets = Vec::with_capacity(vocab + 1);
-        let mut at = 0usize;
-        let mut byte_at = 0u64;
-        let mut skip_at = 0u32;
-        for _ in 0..vocab {
-            offsets.push(byte_at);
-            skip_offsets.push(skip_at);
-            let n = codec::read_u32(dir, &mut at)?;
-            let len = codec::read_u32(dir, &mut at)?;
-            counts.push(n);
-            byte_at += len as u64;
-            if n as usize > codec::BLOCK_LEN {
-                skip_at += (n as usize).div_ceil(codec::BLOCK_LEN) as u32;
-            }
-        }
-        offsets.push(byte_at);
-        skip_offsets.push(skip_at);
-        if at != dir.len() {
-            return Err(err(format!("{} trailing bytes", dir.len() - at)));
-        }
-        if byte_at != blk_len as u64 {
-            return Err(err(format!(
-                "directory covers {byte_at} posting bytes, section has {blk_len}"
-            )));
-        }
-        if skip_at as usize != skip_len {
-            return Err(err(format!(
-                "directory expects {skip_at} skip entries, section has {skip_len}"
-            )));
-        }
-        Ok(PostingsDir {
-            counts,
-            offsets,
-            skip_offsets,
-        })
-    }
-
-    pub fn vocab(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Posting count of `term`.
-    pub fn count(&self, term: TermId) -> u32 {
-        self.counts[term as usize]
-    }
-
-    /// Total postings across all terms.
-    pub fn total_postings(&self) -> u64 {
-        self.counts.iter().map(|&c| c as u64).sum()
-    }
-
-    /// Byte range of `term`'s list within `postblk`.
-    pub fn byte_range(&self, term: TermId) -> Range<usize> {
-        self.offsets[term as usize] as usize..self.offsets[term as usize + 1] as usize
-    }
-
-    /// Range of `term`'s entries within `postskp` (empty for lists of at
-    /// most one block).
-    pub fn skip_range(&self, term: TermId) -> Range<usize> {
-        self.skip_offsets[term as usize] as usize..self.skip_offsets[term as usize + 1] as usize
-    }
+/// Append the IVF + quantized signature sections (§13). The k-means
+/// centroids double as the IVF coarse quantizer; signatures are
+/// re-encoded as u8 codes with per-signature scale/offset plus an exact
+/// f64 norm table, grouped into per-centroid lists. Not written for
+/// degenerate corpora with no signature dimensions or no documents —
+/// similarity queries are meaningless there.
+pub(crate) fn write_ann_sections(
+    w: &mut SnapshotWriter,
+    sigs: &[f64],
+    m_dims: usize,
+    assign: &[u32],
+    k: usize,
+) -> io::Result<()> {
+    let ivf = crate::ann::build_ivf(sigs, m_dims, assign, k);
+    w.add_quant("qsig", &ivf.codes, assign.len(), m_dims)?;
+    w.add_f64s("qscale", &ivf.scale)?;
+    w.add_f64s("qoff", &ivf.offset)?;
+    w.add_f64s("signrm", &ivf.norm)?;
+    w.add_u32s("ivfdoc", &ivf.ivfdoc)?;
+    w.add_u64s("ivfoff", &ivf.ivfoff)
 }
 
 /// Publish an already-validated on-disk snapshot (typically a
@@ -623,38 +447,20 @@ pub struct EngineMeta {
     pub projection_dims: usize,
 }
 
-/// A loaded, validated engine snapshot. Construction verifies every
-/// checksum (via [`inspire_store::Snapshot::open`]) and that all
-/// sections the recorded stage promises are present and mutually
-/// consistent in size.
-pub struct EngineSnapshot {
-    snap: Snapshot,
-    meta: EngineMeta,
-}
-
-fn bad(source: &str, msg: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, format!("{source}: {msg}"))
-}
-
-impl EngineSnapshot {
-    /// Open and validate an engine snapshot file.
-    pub fn open(path: &Path) -> io::Result<EngineSnapshot> {
-        Self::from_store(Snapshot::open(path)?)
-    }
-
-    /// Validate an already-loaded store container as an engine snapshot.
-    pub fn from_store(snap: Snapshot) -> io::Result<EngineSnapshot> {
-        let src = snap.source().to_string();
+impl EngineMeta {
+    /// Parse the `meta` section of an engine snapshot container.
+    pub(crate) fn parse(snap: &Snapshot) -> io::Result<EngineMeta> {
+        let src = snap.source();
         let m = snap.require("meta")?.as_u64s()?;
         if m.len() != META_LEN {
             return Err(bad(
-                &src,
+                src,
                 format!("meta section has {} slots, expected {META_LEN}", m.len()),
             ));
         }
         let stage = Stage::from_u64(m[META_STAGE])
-            .ok_or_else(|| bad(&src, format!("unknown stage {}", m[META_STAGE])))?;
-        let meta = EngineMeta {
+            .ok_or_else(|| bad(src, format!("unknown stage {}", m[META_STAGE])))?;
+        Ok(EngineMeta {
             stage,
             nprocs: m[META_NPROCS] as usize,
             total_docs: m[META_TOTAL_DOCS] as u32,
@@ -675,14 +481,66 @@ impl EngineSnapshot {
             kmeans_objective: f64::from_bits(m[META_OBJECTIVE_BITS]),
             variance_explained: f64::from_bits(m[META_VARIANCE_BITS]),
             projection_dims: m[META_PROJ_DIMS] as usize,
+        })
+    }
+
+    /// Whether a Final snapshot of this shape carries the IVF +
+    /// quantized-signature sections (§13): every one does, except a
+    /// degenerate corpus with no signature dimensions or no documents,
+    /// where similarity queries are meaningless.
+    pub(crate) fn wants_ann(&self) -> bool {
+        self.stage == Stage::Final && self.m_dims > 0 && self.total_docs > 0
+    }
+}
+
+/// A loaded, validated engine snapshot. Construction verifies every
+/// checksum (via [`inspire_store::Snapshot::open`]) and that all
+/// sections the recorded stage promises are present and mutually
+/// consistent in size.
+pub struct EngineSnapshot {
+    snap: Snapshot,
+    meta: EngineMeta,
+    /// The inverted index's parsed tables (`Stage::Index` and later).
+    index: Option<PostingsReader>,
+}
+
+fn bad(source: &str, msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, format!("{source}: {msg}"))
+}
+
+/// The one error for a file an earlier release wrote: fixed-width index
+/// sections, or a Final stage without the ANN sections.
+fn needs_migrate(source: &str, what: &str) -> io::Error {
+    bad(
+        source,
+        format!(
+            "{what}; this layout is no longer read — convert the file once with \
+             `vaengine migrate --in <old.isnap> --out <new.isnap>`"
+        ),
+    )
+}
+
+impl EngineSnapshot {
+    /// Open and validate an engine snapshot file.
+    pub fn open(path: &Path) -> io::Result<EngineSnapshot> {
+        Self::from_store(Snapshot::open(path)?)
+    }
+
+    /// Validate an already-loaded store container as an engine snapshot.
+    pub fn from_store(snap: Snapshot) -> io::Result<EngineSnapshot> {
+        let meta = EngineMeta::parse(&snap)?;
+        let mut s = EngineSnapshot {
+            snap,
+            meta,
+            index: None,
         };
-        let s = EngineSnapshot { snap, meta };
-        s.validate_sections()?;
+        s.index = s.validate_sections()?;
         Ok(s)
     }
 
-    /// Check stage-promised sections exist with mutually consistent sizes.
-    fn validate_sections(&self) -> io::Result<()> {
+    /// Check stage-promised sections exist with mutually consistent
+    /// sizes; returns the index reader that checking the index built.
+    fn validate_sections(&self) -> io::Result<Option<PostingsReader>> {
         let src = self.snap.source();
         let m = &self.meta;
         let docs = m.total_docs as usize;
@@ -739,51 +597,18 @@ impl EngineSnapshot {
             self.snap.require("rankio")?.as_u64s()?.len(),
             m.nprocs * 4,
         )?;
+        let mut index = None;
         if m.stage >= Stage::Index {
-            if self.has_compressed_index() {
-                // v2 block-compressed layout: the directory cross-checks
-                // the posting and skip section lengths; posting bytes are
-                // covered by the store CRCs and stay undecoded until a
-                // query needs them.
-                let dir = self.snap.require("postdir")?.as_packed()?;
-                let blk = self.snap.require("postblk")?.as_packed()?;
-                let skips = self.snap.require("postskp")?.as_skips()?;
-                PostingsDir::parse(dir, m.vocab_size, blk.len(), skips.len())
-                    .map_err(|e| bad(src, e.to_string()))?;
-                let dfv = self.snap.require("dfv")?.as_packed()?;
-                let mut at = 0usize;
-                for _ in 0..m.vocab_size {
-                    codec::read_u32(dfv, &mut at).map_err(|e| bad(src, format!("dfv: {e}")))?;
-                }
-                expect("dfv", dfv.len(), at)?;
-                let tfv = self.snap.require("tfv")?.as_packed()?;
-                let mut at = 0usize;
-                for _ in 0..m.vocab_size {
-                    codec::read_u64(tfv, &mut at).map_err(|e| bad(src, format!("tfv: {e}")))?;
-                }
-                expect("tfv", tfv.len(), at)?;
-            } else {
-                // Legacy (format v1) fixed-width layout, retained so
-                // pre-bump snapshots keep loading and serving.
-                let postoff = self.snap.require("postoff")?.as_i64s()?;
-                expect("postoff", postoff.len(), m.vocab_size + 1)?;
-                let n_post = *postoff.last().unwrap_or(&0) as usize;
-                expect(
-                    "postdat",
-                    self.snap.require("postdat")?.as_u64s()?.len(),
-                    n_post,
-                )?;
-                expect(
-                    "df",
-                    self.snap.require("df")?.as_u32s()?.len(),
-                    m.vocab_size,
-                )?;
-                expect(
-                    "tf",
-                    self.snap.require("tf")?.as_u64s()?.len(),
-                    m.vocab_size,
-                )?;
+            if !self.snap.has("postdir") {
+                return Err(needs_migrate(
+                    src,
+                    "the index is stored as fixed-width arrays",
+                ));
             }
+            // The directory cross-checks the posting and skip section
+            // lengths; posting bytes are covered by the store CRCs and
+            // stay undecoded until a query needs them.
+            index = Some(PostingsReader::open(&self.snap, m.vocab_size)?);
             expect(
                 "load",
                 self.snap.require("load")?.as_u64s()?.len(),
@@ -833,6 +658,16 @@ impl EngineSnapshot {
                 m.k * m.m_dims,
             )?;
             expect("csize", self.snap.require("csize")?.as_u64s()?.len(), m.k)?;
+            // Readers take `row[0]`, `row[1]` of every coordinate row.
+            if !(2..=3).contains(&m.projection_dims) {
+                return Err(bad(
+                    src,
+                    format!(
+                        "meta records {} projection dimensions, expected 2 or 3",
+                        m.projection_dims
+                    ),
+                ));
+            }
             expect(
                 "coordnd",
                 self.snap.require("coordnd")?.as_f64s()?.len(),
@@ -849,7 +684,13 @@ impl EngineSnapshot {
                 labstr.len(),
                 *laboff.last().unwrap_or(&0) as usize,
             )?;
-            if self.has_ann() {
+            if m.wants_ann() {
+                if !self.snap.has("qsig") {
+                    return Err(needs_migrate(
+                        src,
+                        "the Final stage has no similarity-search sections",
+                    ));
+                }
                 // The quantized store is validated here, up front and by
                 // name — a malformed section must never surface later as
                 // a short-slice panic in the query path.
@@ -891,14 +732,13 @@ impl EngineSnapshot {
                 }
             }
         }
-        Ok(())
+        Ok(index)
     }
 
     /// Whether the snapshot carries the IVF + quantized-signature
-    /// sections (§13). Pre-ANN snapshots still load and serve; only
-    /// similarity queries require a rebuild.
+    /// sections (§13): every Final snapshot of a non-degenerate corpus.
     pub fn has_ann(&self) -> bool {
-        self.snap.has("qsig")
+        self.meta.wants_ann()
     }
 
     pub fn meta(&self) -> &EngineMeta {
@@ -910,89 +750,25 @@ impl EngineSnapshot {
         &self.snap
     }
 
-    /// Whether the index sections use the block-compressed layout
-    /// (format v2) rather than the legacy fixed-width arrays. Sniffed
-    /// from the section table, not the file version: a v2 container may
-    /// legally carry v1 sections.
-    pub fn has_compressed_index(&self) -> bool {
-        self.snap.has("postblk")
+    /// The inverted index's reader; `None` before `Stage::Index`.
+    pub fn index(&self) -> Option<&PostingsReader> {
+        self.index.as_ref()
     }
 
-    /// Parse the compressed-postings directory (v2 index sections).
-    pub fn postings_dir(&self) -> io::Result<PostingsDir> {
-        let dir = self.snap.require("postdir")?.as_packed()?;
-        let blk = self.snap.require("postblk")?.as_packed()?;
-        let skips = self.snap.require("postskp")?.as_skips()?;
-        PostingsDir::parse(dir, self.meta.vocab_size, blk.len(), skips.len())
-            .map_err(|e| bad(self.snap.source(), e.to_string()))
-    }
-
-    /// Document frequencies for every term, from whichever layout the
-    /// snapshot carries.
-    pub fn decode_df(&self) -> io::Result<Vec<u32>> {
-        if self.has_compressed_index() {
-            let dfv = self.snap.require("dfv")?.as_packed()?;
-            let mut out = Vec::with_capacity(self.meta.vocab_size);
-            let mut at = 0usize;
-            codec::read_varints_u32(dfv, &mut at, self.meta.vocab_size, &mut out)
-                .map_err(|e| bad(self.snap.source(), format!("dfv: {e}")))?;
-            Ok(out)
-        } else {
-            Ok(self.snap.require("df")?.as_u32s()?.to_vec())
+    /// The compressed-postings directory.
+    pub fn postings_dir(&self) -> io::Result<&PostingsDir> {
+        match &self.index {
+            Some(index) => Ok(index.dir()),
+            None => Err(bad(
+                self.snap.source(),
+                format!("stage {:?} snapshot has no inverted index", self.meta.stage),
+            )),
         }
-    }
-
-    /// Collection frequencies for every term, from whichever layout the
-    /// snapshot carries.
-    pub fn decode_tf(&self) -> io::Result<Vec<u64>> {
-        if self.has_compressed_index() {
-            let tfv = self.snap.require("tfv")?.as_packed()?;
-            let mut out = Vec::with_capacity(self.meta.vocab_size);
-            let mut at = 0usize;
-            for _ in 0..self.meta.vocab_size {
-                out.push(
-                    codec::read_u64(tfv, &mut at)
-                        .map_err(|e| bad(self.snap.source(), format!("tfv: {e}")))?,
-                );
-            }
-            Ok(out)
-        } else {
-            Ok(self.snap.require("tf")?.as_u64s()?.to_vec())
-        }
-    }
-
-    /// Decode every compressed posting list back into the engine's packed
-    /// u64 layout (the resume path rebuilds the full global array; the
-    /// serving tier instead decodes per query via [`PostingsDir`]).
-    fn decode_postings_flat(&self) -> io::Result<(Vec<i64>, Vec<u64>)> {
-        let dir = self.postings_dir()?;
-        let blk = self.snap.require("postblk")?.as_packed()?;
-        let mut offsets = Vec::with_capacity(dir.vocab() + 1);
-        let mut data = Vec::with_capacity(dir.total_postings() as usize);
-        let mut pairs: Vec<(u32, u32)> = Vec::new();
-        let mut at = 0i64;
-        for t in 0..dir.vocab() {
-            offsets.push(at);
-            let n = dir.count(t as TermId) as usize;
-            pairs.clear();
-            codec::decode_list(&blk[dir.byte_range(t as TermId)], n, &mut pairs)
-                .map_err(|e| bad(self.snap.source(), format!("postings of term {t}: {e}")))?;
-            data.extend(
-                pairs
-                    .iter()
-                    .map(|&(key, val)| pack_posting(pair_to_posting(key, val))),
-            );
-            at += n as i64;
-        }
-        offsets.push(at);
-        Ok((offsets, data))
     }
 
     /// The canonical vocabulary.
     pub fn terms(&self) -> io::Result<TermTable> {
-        let arena = self.snap.require("terms")?.bytes().to_vec();
-        let offsets = self.snap.require("termoff")?.as_u32s()?.to_vec();
-        TermTable::from_parts(arena, offsets).map_err(|e| bad(self.snap.source(), e))
+        read_terms(&self.snap)
     }
 
     /// This rank's document range `lo..hi` under the snapshot's
@@ -1117,16 +893,25 @@ impl EngineSnapshot {
 
     /// Restore the inverted index and global term statistics. Collective.
     pub fn restore_index(&self, ctx: &Ctx) -> io::Result<InvertedIndex> {
-        let (postoff, postdat): (Vec<i64>, Vec<u64>) = if self.has_compressed_index() {
-            self.decode_postings_flat()?
-        } else {
-            (
-                self.snap.require("postoff")?.as_i64s()?.to_vec(),
-                self.snap.require("postdat")?.as_u64s()?.to_vec(),
+        let index = self.index.as_ref().ok_or_else(|| {
+            bad(
+                self.snap.source(),
+                format!("stage {:?} snapshot has no inverted index", self.meta.stage),
             )
-        };
-        let df = self.decode_df()?;
-        let tf = self.decode_tf()?;
+        })?;
+        // Back into the engine's flat packed layout: the resume path
+        // rebuilds the whole global array, where serving decodes per query.
+        let vocab = index.dir().vocab();
+        let mut postoff: Vec<i64> = Vec::with_capacity(vocab + 1);
+        let mut postdat: Vec<u64> = Vec::with_capacity(index.dir().total_postings() as usize);
+        let mut posts: Vec<Posting> = Vec::new();
+        for t in 0..vocab {
+            postoff.push(postdat.len() as i64);
+            posts.clear();
+            index.postings_into(&self.snap, t as TermId, &mut posts)?;
+            postdat.extend(posts.iter().map(|&p| pack_posting(p)));
+        }
+        postoff.push(postdat.len() as i64);
 
         let postings = GlobalArray::<u64>::create(ctx, postdat.len());
         postings.with_local_mut(ctx, |local| {
@@ -1148,8 +933,8 @@ impl EngineSnapshot {
         Ok(InvertedIndex {
             offsets: Arc::new(postoff),
             postings,
-            df: Arc::new(df),
-            tf: Arc::new(tf),
+            df: Arc::new(index.df().to_vec()),
+            tf: Arc::new(index.tf().to_vec()),
             total_docs: self.meta.total_docs,
             total_tokens: self.meta.total_tokens,
             load,

@@ -23,6 +23,7 @@
 use crate::manifest::{Manifest, SegmentRef};
 use crate::segment::{write_segment, Segment, SegmentBuild};
 use inspire_core::index::Posting;
+use inspire_core::postings::union_vocabularies;
 use intern::TermTable;
 use std::io;
 use std::path::Path;
@@ -74,29 +75,19 @@ pub fn compact(dir: &Path) -> io::Result<Option<CompactReport>> {
     tombs.dedup();
     let resolved = |d: u32| (doc_base..doc_end).contains(&d) && tombs.binary_search(&d).is_ok();
 
-    // Sorted union of the segment vocabularies, remembering where each
-    // merged term lives. Ties group by segment order, which is doc order.
-    let mut keyed: Vec<(&str, usize, u32)> = Vec::new();
-    for (si, seg) in segs.iter().enumerate() {
-        for (local, term) in seg.terms().iter().enumerate() {
-            keyed.push((term, si, local as u32));
-        }
-    }
-    keyed.sort_unstable_by(|a, b| a.0.as_bytes().cmp(b.0.as_bytes()).then(a.1.cmp(&b.1)));
-
+    // Per merged term, members arrive in segment order, which is doc
+    // order: lists concatenate, stat deltas add.
+    let vocabs: Vec<&TermTable> = segs.iter().map(|s| s.terms()).collect();
     let mut vocab: Vec<&str> = Vec::new();
     let mut lists: Vec<Vec<Posting>> = Vec::new();
     let mut df: Vec<u32> = Vec::new();
     let mut tf: Vec<u64> = Vec::new();
     let mut dropped = 0u64;
-    let mut at = 0usize;
     let mut scratch: Vec<Posting> = Vec::new();
-    while at < keyed.len() {
-        let term = keyed[at].0;
+    union_vocabularies(&vocabs, |term, members| {
         let mut list = Vec::new();
         let (mut d_sum, mut t_sum) = (0u32, 0u64);
-        while at < keyed.len() && keyed[at].0 == term {
-            let (_, si, local) = keyed[at];
+        for &(si, local) in members {
             d_sum += segs[si].df(local);
             t_sum += segs[si].tf(local);
             scratch.clear();
@@ -108,13 +99,12 @@ pub fn compact(dir: &Path) -> io::Result<Option<CompactReport>> {
                     list.push(p);
                 }
             }
-            at += 1;
         }
         vocab.push(term);
         lists.push(list);
         df.push(d_sum);
         tf.push(t_sum);
-    }
+    });
 
     let build = SegmentBuild {
         doc_base,

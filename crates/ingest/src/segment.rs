@@ -4,7 +4,7 @@
 //! A segment is a self-contained inverted index over a contiguous run
 //! of global document ids (`doc_base .. doc_base + doc_count`), encoded
 //! with the exact same rules as the full engine snapshot — the
-//! [`inspire_core::snapshot::encode_posting_sections`] codec shared
+//! [`inspire_core::postings::encode_posting_sections`] codec shared
 //! with the batch pipeline, saturated posting freqs, raw-frequency tf
 //! sums, and per-distinct-doc df counts. That sharing is what makes
 //! merge-on-read answers bit-identical to a from-scratch rebuild: the
@@ -19,10 +19,10 @@
 
 use corpus::Source;
 use inspire_core::index::Posting;
+use inspire_core::postings::{encode_posting_sections, read_terms, PostingsReader};
 use inspire_core::scan::tokenize_batch;
-use inspire_core::snapshot::{encode_posting_sections, pair_to_posting, PostingsDir};
 use inspire_core::tokenize::Tokenizer;
-use inspire_store::{codec, Snapshot, SnapshotWriter};
+use inspire_store::{Snapshot, SnapshotWriter};
 use intern::{TermInterner, TermTable};
 use std::io;
 use std::path::Path;
@@ -172,9 +172,7 @@ pub struct Segment {
     doc_count: u32,
     tokens: u64,
     terms: TermTable,
-    dir: PostingsDir,
-    df: Vec<u32>,
-    tf: Vec<u64>,
+    index: PostingsReader,
     tombstones: Vec<u32>,
 }
 
@@ -193,31 +191,8 @@ impl Segment {
             ));
         }
         let (doc_base, doc_count, tokens) = (meta[1] as u32, meta[2] as u32, meta[3]);
-        let terms = TermTable::from_parts(
-            snap.require("terms")?.bytes().to_vec(),
-            snap.require("termoff")?.as_u32s()?.to_vec(),
-        )
-        .map_err(|e| bad(&src, format!("vocabulary: {e}")))?;
-        let vocab = terms.len();
-        let dir = PostingsDir::parse(
-            snap.require("postdir")?.bytes(),
-            vocab,
-            snap.require("postblk")?.as_packed()?.len(),
-            snap.require("postskp")?.as_skips()?.len(),
-        )
-        .map_err(|e| bad(&src, e.to_string()))?;
-        let dfv = snap.require("dfv")?.bytes();
-        let tfv = snap.require("tfv")?.bytes();
-        let mut df = Vec::with_capacity(vocab);
-        let mut tf = Vec::with_capacity(vocab);
-        let (mut at_d, mut at_t) = (0usize, 0usize);
-        for _ in 0..vocab {
-            df.push(codec::read_u32(dfv, &mut at_d).map_err(|e| bad(&src, format!("dfv: {e}")))?);
-            tf.push(codec::read_u64(tfv, &mut at_t).map_err(|e| bad(&src, format!("tfv: {e}")))?);
-        }
-        if at_d != dfv.len() || at_t != tfv.len() {
-            return Err(bad(&src, "trailing bytes in df/tf streams".into()));
-        }
+        let terms = read_terms(&snap)?;
+        let index = PostingsReader::open(&snap, terms.len())?;
         let tombstones = match snap.section("tomb") {
             Some(s) => s.as_u32s()?.to_vec(),
             None => Vec::new(),
@@ -231,9 +206,7 @@ impl Segment {
             doc_count,
             tokens,
             terms,
-            dir,
-            df,
-            tf,
+            index,
             tombstones,
         })
     }
@@ -263,12 +236,18 @@ impl Segment {
         self.terms.len()
     }
 
+    /// The index reader and the container its posting bytes live in —
+    /// what the serving tier merges with the base snapshot's.
+    pub fn index(&self) -> (&PostingsReader, &Snapshot) {
+        (&self.index, &self.snap)
+    }
+
     pub fn df(&self, local: u32) -> u32 {
-        self.df[local as usize]
+        self.index.df()[local as usize]
     }
 
     pub fn tf(&self, local: u32) -> u64 {
-        self.tf[local as usize]
+        self.index.tf()[local as usize]
     }
 
     pub fn tombstones(&self) -> &[u32] {
@@ -276,54 +255,22 @@ impl Segment {
     }
 
     pub fn total_postings(&self) -> u64 {
-        self.dir.total_postings()
-    }
-
-    fn blk(&self) -> &[u8] {
-        self.snap
-            .section("postblk")
-            .expect("validated at open")
-            .as_packed()
-            .expect("validated at open")
-    }
-
-    fn skips(&self) -> &[u64] {
-        self.snap
-            .section("postskp")
-            .expect("validated at open")
-            .as_skips()
-            .expect("validated at open")
+        self.index.dir().total_postings()
     }
 
     /// Append term `local`'s full posting list (global doc ids).
     pub fn postings_into(&self, local: u32, out: &mut Vec<Posting>) {
-        let n = self.dir.count(local) as usize;
-        if n == 0 {
-            return;
-        }
-        let mut pairs = Vec::with_capacity(n);
-        codec::decode_list(&self.blk()[self.dir.byte_range(local)], n, &mut pairs)
+        self.index
+            .postings_into(&self.snap, local, out)
             .expect("CRC-validated segment postings decode");
-        out.extend(pairs.iter().map(|&(k, v)| pair_to_posting(k, v)));
     }
 
     /// Append only postings with `doc ≥ min_doc`, seeking through the
     /// skip entries for multi-block lists.
     pub fn postings_from(&self, local: u32, min_doc: u32, out: &mut Vec<Posting>) {
-        let n = self.dir.count(local) as usize;
-        if n == 0 {
-            return;
-        }
-        let mut pairs = Vec::new();
-        codec::decode_from(
-            &self.blk()[self.dir.byte_range(local)],
-            n,
-            &self.skips()[self.dir.skip_range(local)],
-            min_doc,
-            &mut pairs,
-        )
-        .expect("CRC-validated segment postings decode");
-        out.extend(pairs.iter().map(|&(k, v)| pair_to_posting(k, v)));
+        self.index
+            .postings_from(&self.snap, local, min_doc, out)
+            .expect("CRC-validated segment postings decode");
     }
 }
 

@@ -1,58 +1,13 @@
-//! Merge-on-read serving over base snapshot + ingest segments.
-//!
-//! [`LiveIndex`] is the generation-swappable overlay a [`ServeState`]
-//! carries when it serves an ingest directory instead of a single
-//! snapshot: the merged (sorted-union) vocabulary, a per-component term
-//! map, summed df stats, and the union of tombstones. Components cover
-//! disjoint, ascending document ranges — base `[0, base_docs)`, then
-//! each segment `[doc_base, doc_base + doc_count)` in manifest order —
-//! so a merged posting list is the plain concatenation of component
-//! lists, already doc-sorted. That makes every merged answer
-//! bit-identical to a from-scratch rebuild of the same logical corpus:
-//! same postings in the same order, same df sums, same total_docs, and
-//! therefore the same scores and bytes.
-//!
-//! Lower-bounded reads ([`LiveIndex::postings_from`], the boolean AND
-//! seek path) skip whole components whose doc range lies below the
-//! bound and use the block skip-pointers inside the one component the
-//! bound lands in.
-//!
-//! Deletes are tombstones: postings of tombstoned documents are
-//! filtered out of every merged list, while df/tf stats and total_docs
-//! intentionally keep counting them (LSM semantics — stats converge
-//! when a future full rebuild folds the base). Compaction preserves
-//! exactly these semantics, so a generation flip never changes bytes.
+//! Serving an ingest directory: the manifest's base snapshot and
+//! segments, opened and checked against the manifest, become the
+//! components of one [`ServeState`] (see [`crate::state`] for the
+//! merge-on-read rules).
 
 use crate::state::ServeState;
-use inspire_core::index::Posting;
-use inspire_core::query::SearchIndex;
-use inspire_core::TermId;
+use inspire_core::EngineSnapshot;
 use inspire_ingest::{Manifest, Segment};
-use intern::TermTable;
 use std::io;
 use std::path::Path;
-use std::sync::Arc;
-
-/// "This component does not contain the merged term."
-const ABSENT: u32 = u32::MAX;
-
-/// The merge-on-read overlay. Built by [`load_live_state`]; owned by a
-/// [`ServeState`] whose `terms` is the merged vocabulary.
-pub struct LiveIndex {
-    segments: Vec<Segment>,
-    /// Per merged term id: base-local term id, or [`ABSENT`].
-    base_map: Vec<u32>,
-    /// Per segment, per merged term id: segment-local id or [`ABSENT`].
-    seg_maps: Vec<Vec<u32>>,
-    /// Merged document frequency: base + segment deltas.
-    df: Vec<u32>,
-    /// Documents in the base component.
-    base_docs: u32,
-    /// Documents across base + segments (tombstones still counted).
-    total_docs: u32,
-    /// Sorted union of segment tombstones (global doc ids).
-    tombstones: Vec<u32>,
-}
 
 fn bad(dir: &Path, msg: String) -> io::Error {
     io::Error::new(
@@ -72,8 +27,8 @@ pub fn load_live_state(dir: &Path) -> io::Result<ServeState> {
         .base
         .clone()
         .ok_or_else(|| bad(dir, "live serving requires a base snapshot".into()))?;
-    let mut state = ServeState::load(&base_path)?;
-    if !state.has_index() {
+    let base = EngineSnapshot::open(&base_path)?;
+    if base.index().is_none() {
         return Err(bad(
             dir,
             format!(
@@ -82,12 +37,13 @@ pub fn load_live_state(dir: &Path) -> io::Result<ServeState> {
             ),
         ));
     }
-    if state.meta.total_docs != manifest.base_docs {
+    if base.meta().total_docs != manifest.base_docs {
         return Err(bad(
             dir,
             format!(
                 "manifest says the base has {} documents, snapshot has {}",
-                manifest.base_docs, state.meta.total_docs
+                manifest.base_docs,
+                base.meta().total_docs
             ),
         ));
     }
@@ -112,169 +68,9 @@ pub fn load_live_state(dir: &Path) -> io::Result<ServeState> {
         }
     }
 
-    // Sorted union of base + segment vocabularies. Component index 0 is
-    // the base; 1 + si is segment si.
-    let base_terms = Arc::clone(&state.terms);
-    let mut keyed: Vec<(&str, usize, u32)> = Vec::new();
-    for (i, term) in base_terms.iter().enumerate() {
-        keyed.push((term, 0, i as u32));
-    }
-    for (si, seg) in segments.iter().enumerate() {
-        for (local, term) in seg.terms().iter().enumerate() {
-            keyed.push((term, 1 + si, local as u32));
-        }
-    }
-    keyed.sort_unstable_by(|a, b| a.0.as_bytes().cmp(b.0.as_bytes()).then(a.1.cmp(&b.1)));
-
-    let mut vocab: Vec<&str> = Vec::new();
-    let mut base_map: Vec<u32> = Vec::new();
-    let mut seg_maps: Vec<Vec<u32>> = vec![Vec::new(); segments.len()];
-    let mut df: Vec<u32> = Vec::new();
-    let mut at = 0usize;
-    while at < keyed.len() {
-        let term = keyed[at].0;
-        vocab.push(term);
-        base_map.push(ABSENT);
-        for m in seg_maps.iter_mut() {
-            m.push(ABSENT);
-        }
-        let mut d = 0u32;
-        while at < keyed.len() && keyed[at].0 == term {
-            let (_, comp, local) = keyed[at];
-            if comp == 0 {
-                *base_map.last_mut().unwrap() = local;
-                d += state.base_df(local);
-            } else {
-                seg_maps[comp - 1][vocab.len() - 1] = local;
-                d += segments[comp - 1].df(local);
-            }
-            at += 1;
-        }
-        df.push(d);
-    }
-    let merged_terms = Arc::new(TermTable::from_sorted(vocab.iter().copied()));
-
-    // Segments carry no signature sections; reconstruct their documents'
-    // signatures from postings so `/similar` can brute-force them.
-    state.attach_segment_signatures(&segments);
-
-    let mut tombstones: Vec<u32> = segments
-        .iter()
-        .flat_map(|s| s.tombstones().iter().copied())
-        .collect();
-    tombstones.sort_unstable();
-    tombstones.dedup();
-    let total_docs = manifest.base_docs + segments.iter().map(|s| s.doc_count()).sum::<u32>();
-
-    state.terms = merged_terms;
-    state.live = Some(LiveIndex {
-        segments,
-        base_map,
-        seg_maps,
-        df,
-        base_docs: manifest.base_docs,
-        total_docs,
-        tombstones,
-    });
+    let mut state = ServeState::over(base, segments)?;
     state.generation = manifest.generation;
     state.last_seal_unix = manifest.last_seal_unix;
     state.ingest_dir = Some(dir.to_path_buf());
     Ok(state)
-}
-
-impl LiveIndex {
-    pub fn segments_open(&self) -> usize {
-        self.segments.len()
-    }
-
-    pub fn total_docs(&self) -> u32 {
-        self.total_docs
-    }
-
-    pub fn df(&self, term: TermId) -> u32 {
-        self.df[term as usize]
-    }
-
-    /// Sorted union of segment tombstones (global doc ids).
-    pub(crate) fn tombstones(&self) -> &[u32] {
-        &self.tombstones
-    }
-
-    /// Is `doc` tombstoned?
-    pub(crate) fn is_deleted(&self, doc: u32) -> bool {
-        self.tombstones.binary_search(&doc).is_ok()
-    }
-
-    /// Drop tombstoned postings from `out[from..]` (which is sorted by
-    /// doc; the filter is order-preserving).
-    fn filter_tombstones(&self, out: &mut Vec<Posting>, from: usize) {
-        if self.tombstones.is_empty() {
-            return;
-        }
-        let mut w = from;
-        for r in from..out.len() {
-            if self.tombstones.binary_search(&out[r].doc).is_err() {
-                out[w] = out[r];
-                w += 1;
-            }
-        }
-        out.truncate(w);
-    }
-
-    /// Merged full posting list: base component, then each segment in
-    /// doc order. Component ranges are disjoint and ascending, so the
-    /// concatenation is the doc-sorted list a rebuild would store.
-    pub fn postings_into(&self, state: &ServeState, term: TermId, out: &mut Vec<Posting>) {
-        let from = out.len();
-        let b = self.base_map[term as usize];
-        if b != ABSENT {
-            state.base_postings_into(b, out);
-        }
-        for (si, seg) in self.segments.iter().enumerate() {
-            let local = self.seg_maps[si][term as usize];
-            if local != ABSENT {
-                seg.postings_into(local, out);
-            }
-        }
-        self.filter_tombstones(out, from);
-    }
-
-    /// Merged lower-bounded read: components entirely below `min_doc`
-    /// are skipped without touching their bytes; the one the bound
-    /// lands in seeks through its skip pointers.
-    pub fn postings_from(
-        &self,
-        state: &ServeState,
-        term: TermId,
-        min_doc: u32,
-        out: &mut Vec<Posting>,
-    ) {
-        let from = out.len();
-        let b = self.base_map[term as usize];
-        if b != ABSENT && min_doc < self.base_docs {
-            state.base_postings_from(b, min_doc, out);
-        }
-        for (si, seg) in self.segments.iter().enumerate() {
-            let local = self.seg_maps[si][term as usize];
-            if local == ABSENT || min_doc >= seg.doc_end() {
-                continue;
-            }
-            if min_doc <= seg.doc_base() {
-                seg.postings_into(local, out);
-            } else {
-                seg.postings_from(local, min_doc, out);
-            }
-        }
-        self.filter_tombstones(out, from);
-    }
-}
-
-/// Merged-view invariant check used by tests: every posting stream a
-/// [`SearchIndex`] hands out must be strictly doc/field-sorted.
-pub fn assert_sorted(state: &ServeState, term: TermId) {
-    let posts = state.postings_of(term);
-    assert!(
-        posts.windows(2).all(|w| w[0] < w[1]),
-        "merged postings out of order for term {term}"
-    );
 }

@@ -518,10 +518,7 @@ fn require_ann(state: &ServeState) -> Result<(), RequestError> {
     } else {
         Err(RequestError {
             status: 409,
-            message: format!(
-                "stage {:?} snapshot has no ANN sections; rebuild snapshot",
-                state.meta.stage
-            ),
+            message: format!("stage {:?} snapshot has no ANN sections", state.meta.stage),
         })
     }
 }

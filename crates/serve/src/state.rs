@@ -6,34 +6,52 @@
 //! accounting to one thread. A long-lived server needs the opposite — an
 //! immutable, `Send + Sync` view of the same data that any worker thread
 //! can read concurrently with no coordination. [`ServeState`] is that
-//! view: it **owns** the validated snapshot and serves queries straight
-//! from its section views. Postings stay in their block-compressed
-//! on-disk form; each query decodes only the blocks it touches into a
-//! per-thread scratch buffer (with skip-pointer seeks for lower-bounded
-//! reads), so load time is directory parsing plus the small per-term
+//! view: it **owns** N ≥ 1 index components — component 0 is the
+//! validated base snapshot, the rest are ingest segments — and merges
+//! them on read. A plain snapshot is simply N = 1 with no tombstones.
+//!
+//! Components cover disjoint, ascending document ranges — base
+//! `[0, base_docs)`, then each segment `[doc_base, doc_base + doc_count)`
+//! in manifest order — so a merged posting list is the plain
+//! concatenation of component lists, already doc-sorted. That makes
+//! every merged answer bit-identical to a from-scratch rebuild of the
+//! same logical corpus: same postings in the same order, same df sums,
+//! same total_docs, and therefore the same scores and bytes.
+//!
+//! Postings stay in their block-compressed on-disk form; each query
+//! decodes only the blocks it touches (with skip-pointer seeks for
+//! lower-bounded reads, which also skip whole components below the
+//! bound), so load time is directory parsing plus the small per-term
 //! stats — not a full postings materialization. Queries run through the
 //! exact same algorithms as the CLI path via
 //! [`inspire_core::query::SearchIndex`].
+//!
+//! Deletes are tombstones: postings of tombstoned documents are
+//! filtered out of every merged list, while df/tf stats and total_docs
+//! intentionally keep counting them (LSM semantics — stats converge
+//! when a future full rebuild folds the base). Compaction preserves
+//! exactly these semantics, so a generation flip never changes bytes.
 
 use inspire_core::ann::{self, AnnIndexView, SearchStats};
 use inspire_core::index::Posting;
+use inspire_core::postings::{union_vocabularies, PostingsReader};
 use inspire_core::query::{Hit, SearchIndex};
-use inspire_core::snapshot::{pair_to_posting, EngineMeta, PostingsDir};
+use inspire_core::snapshot::EngineMeta;
 use inspire_core::{EngineSnapshot, Stage, TermId};
-use inspire_store::codec;
+use inspire_ingest::Segment;
+use inspire_store::Snapshot;
 use intern::TermTable;
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::io;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-thread_local! {
-    /// Reusable per-thread decode buffer: one query's block decodes land
-    /// here before conversion to [`Posting`]s, so steady-state serving
-    /// does no per-query pair allocations.
-    static PAIR_SCRATCH: RefCell<Vec<(u32, u32)>> = const { RefCell::new(Vec::new()) };
+/// "This component does not contain the merged term."
+const ABSENT: u32 = u32::MAX;
 
+thread_local! {
     /// Per-thread postings-decode accumulator for request tracing:
     /// `None` when no request is being timed (the common case — one
     /// `Cell` read per postings call), `Some(ns)` between
@@ -56,9 +74,7 @@ pub fn decode_timer_take() -> u64 {
 }
 
 /// Run `f`, charging its wall time to the armed decode timer (or just
-/// running it when the timer is off). Only the two [`SearchIndex`] entry
-/// points call this, so overlay-to-base delegation is never counted
-/// twice.
+/// running it when the timer is off).
 fn decode_timed<R>(f: impl FnOnce() -> R) -> R {
     DECODE_NS.with(|c| match c.get() {
         None => f(),
@@ -74,16 +90,16 @@ fn decode_timed<R>(f: impl FnOnce() -> R) -> R {
 
 /// ANN serving state derived from the snapshot's IVF sections at load:
 /// the per-list-position code sums the affine kernel expansion needs,
-/// the major-term rows that embed free text into signature space, and —
-/// under a live overlay — reconstructed signatures for segment documents
-/// that are not in the IVF lists yet.
+/// the major-term rows that embed free text into signature space, and
+/// reconstructed signatures for segment documents, which are not in the
+/// IVF lists.
 struct AnnState {
     /// Precomputed [`ann::code_sums`] over the `qsig` section, list
     /// order.
     sums: Vec<u32>,
     /// Major-term string → association-matrix row index. Keyed by
-    /// string (not term id) so free-text embedding survives the live
-    /// overlay's merged vocabulary, whose ids differ from the base's.
+    /// string (not term id) so free-text embedding survives the merged
+    /// vocabulary, whose ids differ from the base's.
     rows: HashMap<String, usize>,
     /// Global doc ids of live-segment documents, ascending (segments
     /// cover disjoint ascending ranges above the base).
@@ -97,33 +113,32 @@ struct AnnState {
     seg_sigs: Vec<f64>,
 }
 
-/// How the owned snapshot stores its postings.
-enum IndexLayout {
-    /// Format v2: block-compressed lists read zero-copy from the
-    /// `postblk`/`postskp` sections, located via the parsed directory.
-    Compressed(PostingsDir),
-    /// Legacy fixed-width `postoff`/`postdat` sections (pre-bump
-    /// snapshots keep serving through the sniffing reader).
-    Legacy,
-}
-
-/// Immutable, shareable query-serving state from one engine snapshot.
+/// Immutable, shareable query-serving state: one base engine snapshot
+/// plus any ingest segments, merged on read.
 ///
-/// Holds the canonical vocabulary, the postings directory (or legacy
-/// offsets), per-term document frequencies, and — for `Final`-stage
-/// snapshots — the projected coordinates, cluster assignments, labels,
-/// and sizes.
+/// Holds the merged vocabulary, a per-component term map, summed
+/// per-term document frequencies, the union of tombstones, and — for
+/// `Final`-stage bases — the projected coordinates, cluster assignments,
+/// labels, and sizes.
 pub struct ServeState {
-    /// The validated snapshot; posting bytes are read from its sections
-    /// on demand.
+    /// Component 0: the validated base snapshot; posting bytes are read
+    /// from its sections on demand.
     snap: EngineSnapshot,
-    /// Snapshot metadata (stage, fingerprints, corpus shape).
+    /// Components 1..: ingest segments in manifest (= doc) order.
+    segments: Vec<Segment>,
+    /// Base snapshot metadata (stage, fingerprints, corpus shape).
     pub meta: EngineMeta,
-    /// Canonical sorted vocabulary.
+    /// Sorted union of the component vocabularies.
     pub terms: Arc<TermTable>,
-    /// Postings layout + per-term document frequency; `None` when the
-    /// snapshot predates the Index stage.
-    index: Option<(IndexLayout, Vec<u32>)>,
+    /// Per component, per merged term id: the component-local term id or
+    /// [`ABSENT`]. Empty when the base predates the Index stage.
+    maps: Vec<Vec<u32>>,
+    /// Merged document frequency: the sum over components.
+    df: Vec<u32>,
+    /// Documents across all components (tombstoned ones still counted).
+    total_docs: u32,
+    /// Sorted union of segment tombstones (global doc ids).
+    tombstones: Vec<u32>,
     /// 2-D document coordinates (Final stage only).
     pub coords: Option<Vec<(f64, f64)>>,
     /// Cluster assignment per document (Final stage only).
@@ -132,14 +147,9 @@ pub struct ServeState {
     pub cluster_labels: Vec<Vec<String>>,
     /// Documents per cluster (Final stage only).
     pub cluster_sizes: Vec<u64>,
-    /// IVF similarity-search state; `None` when the snapshot predates
-    /// the ANN sections (similarity requests then get a clear 409).
+    /// IVF similarity-search state; `None` before the Final stage and
+    /// for degenerate corpora (similarity requests then get a 409).
     ann: Option<AnnState>,
-    /// Merge-on-read overlay: ingest segments unioned with the base
-    /// snapshot at query time. `None` for plain snapshot serving. When
-    /// set, `terms` is the merged vocabulary and every [`SearchIndex`]
-    /// method routes through the overlay.
-    pub(crate) live: Option<crate::live::LiveIndex>,
     /// Ingest-manifest generation this state was built from (0 for
     /// plain snapshots).
     pub generation: u64,
@@ -161,21 +171,57 @@ impl ServeState {
     }
 
     /// Build serving state over an already opened snapshot. Cheap: the
-    /// vocabulary, postings directory, and df stats are materialized
-    /// (all small); posting lists are not touched until queried.
+    /// vocabulary and the per-term tables are materialized (all small);
+    /// posting lists are not touched until queried.
     pub fn from_snapshot(snap: EngineSnapshot) -> io::Result<ServeState> {
+        Self::over(snap, Vec::new())
+    }
+
+    /// Build serving state over a base snapshot and the ingest segments
+    /// stacked on it (ascending, disjoint doc ranges above the base).
+    pub(crate) fn over(snap: EngineSnapshot, segments: Vec<Segment>) -> io::Result<ServeState> {
         let meta = snap.meta().clone();
-        let terms = Arc::new(snap.terms()?);
-        let index = if meta.stage >= Stage::Index {
-            let layout = if snap.has_compressed_index() {
-                IndexLayout::Compressed(snap.postings_dir()?)
-            } else {
-                IndexLayout::Legacy
-            };
-            Some((layout, snap.decode_df()?))
+        let base_terms = snap.terms()?;
+        let mut maps: Vec<Vec<u32>> = Vec::new();
+        let mut df: Vec<u32> = Vec::new();
+        // Major-term rows are keyed by base-local term ids on disk.
+        let ann_rows: Option<HashMap<String, usize>> = if snap.has_ann() {
+            let major = snap.store().require("major")?.as_u32s()?;
+            Some(
+                major
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &t)| (base_terms.get(t as usize).to_string(), i))
+                    .collect(),
+            )
         } else {
             None
         };
+        let terms = if let Some(base) = snap.index() {
+            let mut vocabs = vec![&base_terms];
+            vocabs.extend(segments.iter().map(|s| s.terms()));
+            let readers: Vec<&PostingsReader> = std::iter::once(base)
+                .chain(segments.iter().map(|s| s.index().0))
+                .collect();
+            maps = vec![Vec::new(); readers.len()];
+            let mut vocab: Vec<&str> = Vec::new();
+            union_vocabularies(&vocabs, |term, members| {
+                vocab.push(term);
+                for m in maps.iter_mut() {
+                    m.push(ABSENT);
+                }
+                let mut d = 0u32;
+                for &(c, local) in members {
+                    *maps[c].last_mut().expect("pushed above") = local;
+                    d += readers[c].df()[local as usize];
+                }
+                df.push(d);
+            });
+            TermTable::from_sorted(vocab.iter().copied())
+        } else {
+            base_terms
+        };
+        let terms = Arc::new(terms);
         let (coords, assignments, cluster_labels, cluster_sizes) = if meta.stage == Stage::Final {
             let dims = meta.projection_dims;
             let coordnd = snap.store().require("coordnd")?.as_f64s()?;
@@ -191,50 +237,44 @@ impl ServeState {
         } else {
             (None, None, Vec::new(), Vec::new())
         };
-        let ann = if snap.has_ann() {
-            let m = meta.m_dims;
-            let codes = snap.store().require("qsig")?.as_records(m)?;
-            let major = snap.store().require("major")?.as_u32s()?;
-            let rows = major
-                .iter()
-                .enumerate()
-                .map(|(i, &t)| (terms.get(t as usize).to_string(), i))
-                .collect();
-            Some(AnnState {
-                sums: ann::code_sums(codes, m),
-                rows,
-                seg_docs: Vec::new(),
-                seg_sigs: Vec::new(),
-            })
-        } else {
-            None
-        };
-        Ok(ServeState {
+        let mut tombstones: Vec<u32> = segments
+            .iter()
+            .flat_map(|s| s.tombstones().iter().copied())
+            .collect();
+        tombstones.sort_unstable();
+        tombstones.dedup();
+        let total_docs = meta.total_docs + segments.iter().map(|s| s.doc_count()).sum::<u32>();
+        let mut state = ServeState {
             meta,
             terms,
-            index,
+            maps,
+            df,
+            total_docs,
+            tombstones,
             coords,
             assignments,
             cluster_labels,
             cluster_sizes,
             snap,
-            ann,
-            live: None,
+            segments,
+            ann: None,
             generation: 0,
             last_seal_unix: 0,
             ingest_dir: None,
-        })
+        };
+        state.ann = ann_rows.map(|rows| state.build_ann(rows)).transpose()?;
+        Ok(state)
     }
 
     /// Does this snapshot hold an inverted index (term/boolean/search)?
     pub fn has_index(&self) -> bool {
-        self.index.is_some()
+        self.snap.index().is_some()
     }
 
     /// Number of ingest segments merged into this view (0 for plain
     /// snapshot serving).
     pub fn segments_open(&self) -> usize {
-        self.live.as_ref().map_or(0, |l| l.segments_open())
+        self.segments.len()
     }
 
     /// Does this snapshot hold clustering + projection (cluster/rect)?
@@ -248,19 +288,9 @@ impl ServeState {
         &self.snap
     }
 
-    /// Borrow a section validated at open. Sections were checked for
-    /// presence, kind, and CRC by [`EngineSnapshot::from_store`], so a
+    /// Borrow an `f64` section validated at open: sections were checked
+    /// for presence, kind, and CRC by [`EngineSnapshot::from_store`], so a
     /// miss here is a programming error, not a data error.
-    fn packed(&self, name: &str) -> &[u8] {
-        self.snap
-            .store()
-            .section(name)
-            .expect("section validated at open")
-            .as_packed()
-            .expect("section kind validated at open")
-    }
-
-    /// Borrow an `f64` section validated at open.
     fn f64s(&self, name: &str) -> &[f64] {
         self.snap
             .store()
@@ -313,9 +343,9 @@ impl ServeState {
         }
     }
 
-    /// Is `doc` tombstoned by the live overlay?
+    /// Is `doc` tombstoned?
     pub fn is_deleted(&self, doc: u32) -> bool {
-        self.live.as_ref().is_some_and(|l| l.is_deleted(doc))
+        self.tombstones.binary_search(&doc).is_ok()
     }
 
     /// Exact signature of a document: base documents read their `sigs`
@@ -356,7 +386,7 @@ impl ServeState {
     }
 
     /// IVF similarity search over the base snapshot, merged with a
-    /// brute-force scan of any live-segment signatures and filtered for
+    /// brute-force scan of any segment signatures and filtered for
     /// tombstones. Returns the top hits (exact `f64` cosine, score
     /// descending then doc ascending) plus the probe/candidate
     /// counters. Empty when the snapshot has no ANN sections.
@@ -365,7 +395,7 @@ impl ServeState {
         let Some(ann) = &self.ann else {
             return (Vec::new(), stats);
         };
-        let tombs: &[u32] = self.live.as_ref().map_or(&[], |l| l.tombstones());
+        let tombs = &self.tombstones;
         // Over-fetch by the tombstone count: deletions can knock at most
         // that many hits out of any top list.
         let fetch = top + tombs.len();
@@ -393,25 +423,25 @@ impl ServeState {
         (hits, stats)
     }
 
-    /// Reconstruct signatures for live-segment documents so `/similar`
-    /// can brute-force them (segments carry postings but no signature
-    /// sections). Called by [`crate::live::load_live_state`] once the
-    /// segments are open; a no-op when the base has no ANN sections.
-    pub(crate) fn attach_segment_signatures(&mut self, segments: &[inspire_ingest::Segment]) {
-        let Some(ann) = &self.ann else { return };
+    /// Derive the ANN state from the base's IVF sections, and
+    /// reconstruct signatures for segment documents so `/similar` can
+    /// brute-force them (segments carry postings but no signature
+    /// sections).
+    fn build_ann(&self, rows: HashMap<String, usize>) -> io::Result<AnnState> {
         let m = self.meta.m_dims;
+        let codes = self.snap.store().require("qsig")?.as_records(m)?;
         let assoc = self.f64s("assoc");
         let mut seg_docs: Vec<u32> = Vec::new();
         let mut seg_sigs: Vec<f64> = Vec::new();
         let mut posts: Vec<Posting> = Vec::new();
-        for seg in segments {
+        for seg in &self.segments {
             let base = seg.doc_base();
             let count = seg.doc_count() as usize;
             let off = seg_sigs.len();
             seg_docs.extend(base..seg.doc_end());
             seg_sigs.resize(off + count * m, 0.0);
             for (local, term) in seg.terms().iter().enumerate() {
-                let Some(&row) = ann.rows.get(term) else {
+                let Some(&row) = rows.get(term) else {
                     continue;
                 };
                 let arow = &assoc[row * m..(row + 1) * m];
@@ -438,9 +468,45 @@ impl ServeState {
                 }
             }
         }
-        let ann = self.ann.as_mut().expect("checked above");
-        ann.seg_docs = seg_docs;
-        ann.seg_sigs = seg_sigs;
+        Ok(AnnState {
+            sums: ann::code_sums(codes, m),
+            rows,
+            seg_docs,
+            seg_sigs,
+        })
+    }
+
+    /// Component `c`'s index reader, the container its posting bytes
+    /// live in, and the document range it covers.
+    fn component(&self, c: usize) -> (&PostingsReader, &Snapshot, Range<u32>) {
+        match c.checked_sub(1) {
+            None => (
+                self.snap.index().expect("maps are empty without an index"),
+                self.snap.store(),
+                0..self.meta.total_docs,
+            ),
+            Some(s) => {
+                let seg = &self.segments[s];
+                let (reader, store) = seg.index();
+                (reader, store, seg.doc_base()..seg.doc_end())
+            }
+        }
+    }
+
+    /// Drop tombstoned postings from `out[from..]` (which is sorted by
+    /// doc; the filter is order-preserving).
+    fn filter_tombstones(&self, out: &mut Vec<Posting>, from: usize) {
+        if self.tombstones.is_empty() {
+            return;
+        }
+        let mut w = from;
+        for r in from..out.len() {
+            if self.tombstones.binary_search(&out[r].doc).is_err() {
+                out[w] = out[r];
+                w += 1;
+            }
+        }
+        out.truncate(w);
     }
 }
 
@@ -455,144 +521,44 @@ impl SearchIndex for ServeState {
         out
     }
 
+    /// Merged full posting list: each component's list in component
+    /// order. Component ranges are disjoint and ascending, so the
+    /// concatenation is the doc-sorted list a rebuild would store.
     fn postings_into(&self, term: TermId, out: &mut Vec<Posting>) {
-        decode_timed(|| {
-            if let Some(live) = &self.live {
-                live.postings_into(self, term, out);
-                return;
-            }
-            self.base_postings_into(term, out);
-        })
+        self.postings_from(term, 0, out)
     }
 
+    /// Merged lower-bounded read: components entirely below `min_doc`
+    /// are skipped without touching their bytes; the one the bound
+    /// lands in seeks through its skip pointers.
     fn postings_from(&self, term: TermId, min_doc: u32, out: &mut Vec<Posting>) {
         decode_timed(|| {
-            if let Some(live) = &self.live {
-                live.postings_from(self, term, min_doc, out);
-                return;
+            let from = out.len();
+            for (c, map) in self.maps.iter().enumerate() {
+                let local = map[term as usize];
+                if local == ABSENT {
+                    continue;
+                }
+                let (reader, store, docs) = self.component(c);
+                if min_doc >= docs.end {
+                    continue;
+                }
+                if min_doc <= docs.start {
+                    reader.postings_into(store, local, out)
+                } else {
+                    reader.postings_from(store, local, min_doc, out)
+                }
+                .expect("CRC-verified postings decode");
             }
-            self.base_postings_from(term, min_doc, out);
+            self.filter_tombstones(out, from);
         })
     }
 
     fn df(&self, term: TermId) -> u32 {
-        match &self.live {
-            Some(live) => live.df(term),
-            None => self.base_df(term),
-        }
+        self.df.get(term as usize).copied().unwrap_or(0)
     }
 
     fn total_docs(&self) -> u32 {
-        match &self.live {
-            Some(live) => live.total_docs(),
-            None => self.meta.total_docs,
-        }
-    }
-}
-
-impl ServeState {
-    /// Postings of a **base-local** term id, straight from the owned
-    /// snapshot (ignoring any live overlay). The overlay calls this for
-    /// the base component of a merged list.
-    pub(crate) fn base_postings_into(&self, term: TermId, out: &mut Vec<Posting>) {
-        let Some((layout, _)) = &self.index else {
-            return;
-        };
-        match layout {
-            IndexLayout::Compressed(dir) => {
-                let blk = self.packed("postblk");
-                let n = dir.count(term) as usize;
-                PAIR_SCRATCH.with(|s| {
-                    let mut pairs = s.borrow_mut();
-                    pairs.clear();
-                    codec::decode_list(&blk[dir.byte_range(term)], n, &mut pairs)
-                        .expect("CRC-verified postings decode");
-                    out.extend(pairs.iter().map(|&(k, v)| pair_to_posting(k, v)));
-                });
-            }
-            IndexLayout::Legacy => {
-                let offsets = self.legacy_offsets();
-                let postdat = self.legacy_postings();
-                let lo = offsets[term as usize] as usize;
-                let hi = offsets[term as usize + 1] as usize;
-                // Same unpack + deterministic sort as
-                // `InvertedIndex::postings_of` (scatter order is
-                // schedule-dependent in legacy snapshots).
-                let from = out.len();
-                out.extend(
-                    postdat[lo..hi]
-                        .iter()
-                        .map(|&e| inspire_core::index::unpack_posting(e)),
-                );
-                out[from..].sort_unstable();
-            }
-        }
-    }
-
-    /// Lower-bounded postings of a **base-local** term id.
-    pub(crate) fn base_postings_from(&self, term: TermId, min_doc: u32, out: &mut Vec<Posting>) {
-        let Some((layout, _)) = &self.index else {
-            return;
-        };
-        match layout {
-            IndexLayout::Compressed(dir) => {
-                let blk = self.packed("postblk");
-                let skips = self
-                    .snap
-                    .store()
-                    .section("postskp")
-                    .expect("section validated at open")
-                    .as_skips()
-                    .expect("section kind validated at open");
-                let n = dir.count(term) as usize;
-                PAIR_SCRATCH.with(|s| {
-                    let mut pairs = s.borrow_mut();
-                    pairs.clear();
-                    codec::decode_from(
-                        &blk[dir.byte_range(term)],
-                        n,
-                        &skips[dir.skip_range(term)],
-                        min_doc,
-                        &mut pairs,
-                    )
-                    .expect("CRC-verified postings decode");
-                    out.extend(pairs.iter().map(|&(k, v)| pair_to_posting(k, v)));
-                });
-            }
-            IndexLayout::Legacy => {
-                // Decode + sort the full list, then drop the sorted
-                // prefix below `min_doc`.
-                let from = out.len();
-                self.base_postings_into(term, out);
-                let below = out[from..].partition_point(|p| p.doc < min_doc);
-                out.drain(from..from + below);
-            }
-        }
-    }
-
-    /// Document frequency of a **base-local** term id.
-    pub(crate) fn base_df(&self, term: TermId) -> u32 {
-        match &self.index {
-            Some((_, df)) => df[term as usize],
-            None => 0,
-        }
-    }
-
-    fn legacy_offsets(&self) -> &[i64] {
-        self.snap
-            .store()
-            .section("postoff")
-            .expect("section validated at open")
-            .as_i64s()
-            .expect("section kind validated at open")
-    }
-
-    fn legacy_postings(&self) -> &[u64] {
-        self.snap
-            .store()
-            .section("postdat")
-            .expect("section validated at open")
-            .as_u64s()
-            .expect("section kind validated at open")
+        self.total_docs
     }
 }

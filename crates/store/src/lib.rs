@@ -43,8 +43,9 @@
 //!   element kinds (block-compressed lists, see [`codec`]). A version-1
 //!   reader rejects a version-2 file twice over — by the version number
 //!   and by the unknown kinds — while this reader accepts any version in
-//!   `MIN_FORMAT_VERSION..=FORMAT_VERSION`, so pre-bump fixed-width
-//!   files stay loadable.
+//!   `MIN_FORMAT_VERSION..=FORMAT_VERSION`: the engine no longer reads
+//!   the fixed-width index sections of version-1 files, but `vaengine
+//!   migrate` has to open them to convert them.
 //!
 //! ## Zero-copy typed views
 //!
@@ -65,7 +66,8 @@ pub const MAGIC: &[u8; 8] = b"INSPSNP1";
 /// Current container format version (see the version-bump rules above).
 pub const FORMAT_VERSION: u32 = 2;
 
-/// Oldest format version this reader still accepts.
+/// Oldest format version this reader still accepts (for `vaengine
+/// migrate`; see the version-bump rules above).
 pub const MIN_FORMAT_VERSION: u32 = 1;
 
 /// Section alignment: payloads start 8 bytes past these boundaries.

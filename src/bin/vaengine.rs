@@ -5,6 +5,7 @@
 //! vaengine analyze  --input ./corpus --procs 8 --out coords.csv
 //! vaengine snapshot --input ./corpus --procs 8 --out engine.isnap
 //! vaengine query    --snapshot engine.isnap --search "heart attack"
+//! vaengine migrate  --in old.isnap --out engine.isnap
 //! vaengine themeview --coords coords.csv --width 80 --height 30
 //! ```
 //!
@@ -16,8 +17,11 @@
 //! `snapshot` runs the same pipeline but persists every engine artifact
 //! into one checksummed snapshot file, which `query` then serves —
 //! boolean and ranked retrieval plus cluster/rectangle drill-downs —
-//! without re-running any pipeline stage. `themeview` re-renders a saved
-//! coordinate file as terrain.
+//! without re-running any pipeline stage. `migrate` rewrites a snapshot
+//! an earlier release wrote (fixed-width index sections, or a Final stage
+//! without similarity-search sections) into the one layout `query` and
+//! `serve` read. `themeview` re-renders a saved coordinate file as
+//! terrain.
 //!
 //! Observability: `--trace-out` records per-rank stage/collective spans
 //! and writes a Chrome trace-event file (open in `chrome://tracing` or
@@ -48,7 +52,7 @@ use visual_analytics::prelude::*;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  vaengine generate --flavour <pubmed|trec|newswire> --size <bytes[K|M]> [--seed N] --out <dir>\n  vaengine analyze|run --input <dir> [--procs N] [--clusters K] [--out coords.csv]\n                   [--checkpoint-dir <dir>] [--resume] [--snapshot-out <file.isnap>]\n                   [--trace-out <trace.json>] [--report-out <report.json>]\n  vaengine snapshot --input <dir> --out <file.isnap> [--procs N] [--clusters K]\n                    [--checkpoint-dir <dir>] [--resume]\n                    [--trace-out <trace.json>] [--report-out <report.json>]\n  vaengine ingest --dir <ingest-dir> [--base <file.isnap>] [--input <file|dir>]\n                  [--delete id,id,...] [--crash-after-wal]\n  vaengine compact --dir <ingest-dir>\n  vaengine query --snapshot <file.isnap> | --ingest-dir <dir>\n                 [--search \"free text\"] [--query \"a AND NOT title:b\"]\n                 [--term <term>] [--top N] [--cluster C] [--rect x0,y0,x1,y1]\n                 [--similar <doc> | --similar-text \"free text\"] [--nprobe N]\n                 [--json] [--repeat N] [--report-out <report.json>]\n  vaengine serve --snapshot <file.isnap> | --ingest-dir <dir>\n                 [--addr 127.0.0.1:7878] [--workers N] [--cache N] [--queue N]\n                 [--access-log <file>] [--slow-log-n N] [--slow-threshold-ms N]\n  vaengine themeview --coords <coords.csv> [--width N] [--height N]"
+        "usage:\n  vaengine generate --flavour <pubmed|trec|newswire> --size <bytes[K|M]> [--seed N] --out <dir>\n  vaengine analyze|run --input <dir> [--procs N] [--clusters K] [--out coords.csv]\n                   [--checkpoint-dir <dir>] [--resume] [--snapshot-out <file.isnap>]\n                   [--trace-out <trace.json>] [--report-out <report.json>]\n  vaengine snapshot --input <dir> --out <file.isnap> [--procs N] [--clusters K]\n                    [--checkpoint-dir <dir>] [--resume]\n                    [--trace-out <trace.json>] [--report-out <report.json>]\n  vaengine ingest --dir <ingest-dir> [--base <file.isnap>] [--input <file|dir>]\n                  [--delete id,id,...] [--crash-after-wal]\n  vaengine compact --dir <ingest-dir>\n  vaengine query --snapshot <file.isnap> | --ingest-dir <dir>\n                 [--search \"free text\"] [--query \"a AND NOT title:b\"]\n                 [--term <term>] [--top N] [--cluster C] [--rect x0,y0,x1,y1]\n                 [--similar <doc> | --similar-text \"free text\"] [--nprobe N]\n                 [--json] [--repeat N] [--report-out <report.json>]\n  vaengine serve --snapshot <file.isnap> | --ingest-dir <dir>\n                 [--addr 127.0.0.1:7878] [--workers N] [--cache N] [--queue N]\n                 [--access-log <file>] [--slow-log-n N] [--slow-threshold-ms N]\n  vaengine migrate --in <old.isnap> --out <new.isnap>\n  vaengine themeview --coords <coords.csv> [--width N] [--height N]"
     );
     exit(2);
 }
@@ -100,6 +104,7 @@ fn main() {
         "compact" => compact_cmd(&args),
         "query" => query_cmd(&args),
         "serve" => serve_cmd(&args),
+        "migrate" => migrate_cmd(&args),
         "themeview" => themeview_cmd(&args),
         _ => usage(),
     }
@@ -745,7 +750,7 @@ fn print_human(
         } => {
             if !state.has_ann() {
                 return Err(format!(
-                    "stage {:?} snapshot has no ANN sections; rebuild snapshot",
+                    "stage {:?} snapshot has no ANN sections",
                     state.meta.stage
                 ));
             }
@@ -884,6 +889,28 @@ fn serve_cmd(args: &Args) {
         summary.rejected_429,
         summary.cache.hit_rate() * 100.0
     );
+}
+
+fn migrate_cmd(args: &Args) {
+    let (Some(input), Some(out)) = (args.value("--in"), args.value("--out")) else {
+        usage()
+    };
+    match visual_analytics::engine::migrate::migrate(Path::new(input), Path::new(out)) {
+        Ok(r) => println!(
+            "migrated {input} to {out}: {} bytes, index {}, similarity sections {}",
+            r.bytes,
+            if r.reencoded_index {
+                "re-encoded"
+            } else {
+                "already current"
+            },
+            if r.added_ann { "added" } else { "unchanged" },
+        ),
+        Err(e) => {
+            eprintln!("cannot migrate {input}: {e}");
+            exit(1);
+        }
+    }
 }
 
 fn themeview_cmd(args: &Args) {

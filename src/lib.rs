@@ -63,8 +63,7 @@ pub mod prelude {
     pub use inspire_core::pipeline::{run_engine, EngineOutput, EngineRun};
     pub use inspire_core::seq::run_sequential;
     pub use inspire_core::{
-        Balancing, ClusterMethod, EngineConfig, EngineSnapshot, Selection, Session, SnapshotReport,
-        Stage, Theme,
+        Balancing, ClusterMethod, EngineConfig, EngineSnapshot, SnapshotReport, Stage,
     };
     pub use perfmodel::{ClusterSpec, CostModel, WorkloadScale};
     pub use spmd::{Component, Runtime};

@@ -5,9 +5,7 @@
 use std::sync::Arc;
 use visual_analytics::engine::hierarchy::Linkage;
 use visual_analytics::engine::interact::{select_cluster, select_rect, subset_corpus};
-use visual_analytics::engine::io::{
-    read_coords_csv, read_signatures, write_coords_csv, write_signatures,
-};
+use visual_analytics::engine::io::{read_coords_csv, write_coords_csv};
 use visual_analytics::engine::ClusterMethod;
 use visual_analytics::prelude::*;
 
@@ -161,22 +159,6 @@ fn engine_products_persist_and_reload() {
         assert_eq!(*c, master.all_assignments.as_ref().unwrap()[i] as i64);
     }
     std::fs::remove_file(&cpath).ok();
-
-    // Signatures: persist this rank's block and reload.
-    let spath = dir.join(format!("va-ext-sigs-{}.bin", std::process::id()));
-    let n = master.local_coords_nd.len() / master.projection_dims;
-    write_signatures(
-        &spath,
-        n as u64,
-        master.projection_dims as u32,
-        &master.local_coords_nd,
-    )
-    .unwrap();
-    let (rows, cols, data) = read_signatures(&spath).unwrap();
-    assert_eq!(rows as usize, n);
-    assert_eq!(cols as usize, master.projection_dims);
-    assert_eq!(data, master.local_coords_nd);
-    std::fs::remove_file(&spath).ok();
 }
 
 #[test]

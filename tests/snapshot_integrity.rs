@@ -99,6 +99,45 @@ fn the_pristine_snapshot_itself_loads() {
     assert_eq!(snap.meta().nprocs, 2);
 }
 
+/// A snapshot can be CRC-valid and still lie: readers index every
+/// `coordnd` row at `[0]` and `[1]`, so a recorded projection width
+/// outside {2, 3} must be refused at open — with `coordnd` resized to
+/// match, nothing else in the file would give it away.
+#[test]
+fn projection_width_outside_2_and_3_is_rejected_at_open() {
+    const META_PROJ_DIMS: usize = 17;
+    let good = inspire_store::Snapshot::from_bytes(snapshot_bytes(), "pristine").unwrap();
+    let meta = good.require("meta").unwrap().as_u64s().unwrap();
+    let docs = meta[2] as usize;
+    for dims in [0u64, 1] {
+        let path = snapshot_path(&format!("proj{dims}"));
+        let mut w = inspire_store::SnapshotWriter::create(&path).unwrap();
+        for (name, kind, _) in good.sections() {
+            match name {
+                "meta" => {
+                    let mut lied = meta.to_vec();
+                    lied[META_PROJ_DIMS] = dims;
+                    w.add_u64s(name, &lied).unwrap();
+                }
+                "coordnd" => w.add_f64s(name, &vec![0.0; docs * dims as usize]).unwrap(),
+                _ => w
+                    .add_section(name, kind, good.require(name).unwrap().bytes())
+                    .unwrap(),
+            }
+        }
+        w.finish().unwrap();
+        let err = EngineSnapshot::open(&path)
+            .err()
+            .unwrap_or_else(|| panic!("projection width {dims} was accepted"));
+        let msg = err.to_string();
+        assert!(
+            msg.contains(&format!("{dims} projection dimensions")),
+            "error does not name the bad width: {msg}"
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
 /// Hits from `query::search` with doc id and raw score bits, plus the
 /// boolean-evaluation ids, gathered identically on every rank.
 type ServedAnswers = (Vec<(u32, u64)>, Vec<u32>);
