@@ -363,7 +363,8 @@ pub fn union_vocabularies<'a>(
     vocabs: &[&'a TermTable],
     mut visit: impl FnMut(&'a str, &[(usize, u32)]),
 ) {
-    let mut keyed: Vec<(&str, usize, u32)> = Vec::new();
+    let mut keyed: Vec<(&str, usize, u32)> =
+        Vec::with_capacity(vocabs.iter().map(|t| t.len()).sum());
     for (c, terms) in vocabs.iter().enumerate() {
         for (local, term) in terms.iter().enumerate() {
             keyed.push((term, c, local as u32));

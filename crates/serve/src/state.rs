@@ -493,15 +493,20 @@ impl ServeState {
         }
     }
 
-    /// Drop tombstoned postings from `out[from..]` (which is sorted by
-    /// doc; the filter is order-preserving).
+    /// Drop tombstoned postings from `out[from..]`, preserving order.
+    /// Both lists ascend by doc, so one pass walks them together —
+    /// compaction keeps every tombstone, and a lookup per posting would
+    /// grow with all deletes ever made.
     fn filter_tombstones(&self, out: &mut Vec<Posting>, from: usize) {
         if self.tombstones.is_empty() {
             return;
         }
+        let mut tombs = self.tombstones.iter().peekable();
         let mut w = from;
         for r in from..out.len() {
-            if self.tombstones.binary_search(&out[r].doc).is_err() {
+            let doc = out[r].doc;
+            while tombs.next_if(|&&t| t < doc).is_some() {}
+            if tombs.peek() != Some(&&doc) {
                 out[w] = out[r];
                 w += 1;
             }
