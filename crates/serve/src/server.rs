@@ -268,6 +268,11 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
                         &http::error_body(&err),
                         &["Retry-After: 1"],
                     );
+                    // The request is still unread, and closing over it
+                    // would RST the 429 away. Discard what has arrived
+                    // without waiting for more: this is the accept thread.
+                    let _ = stream.set_nonblocking(true);
+                    drain(&mut stream);
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -395,6 +400,7 @@ fn handle_connection(shared: &Shared, stream: &mut TcpStream) {
             // The client sent more than we read. Closing now would
             // RST the connection and discard the response we just
             // wrote; drain (bounded) so close sends a clean FIN.
+            let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
             drain(stream);
         }
     }
@@ -441,11 +447,11 @@ fn record_request(shared: &Shared, mut ctx: ReqCtx, id: u64, status: u16, body: 
     }
 }
 
-/// Best-effort bounded read-and-discard of whatever the peer already
-/// sent, so the subsequent close delivers the response.
+/// Best-effort bounded read-and-discard of whatever the peer sends
+/// until the stream's read timeout (or `WouldBlock` on a nonblocking
+/// stream), so the subsequent close delivers the response.
 fn drain(stream: &mut TcpStream) {
     use std::io::Read;
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
     let mut scratch = [0u8; 4096];
     let mut total = 0usize;
     while total < 256 * 1024 {

@@ -17,8 +17,9 @@ use perfmodel::CostModel;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 const TIMEOUT: Duration = Duration::from_secs(10);
 
@@ -116,25 +117,54 @@ fn concurrent_served_bodies_match_single_shot_bodies() {
     let ts = targets(&state);
     let want: Vec<String> = ts.iter().map(|t| oracle(&state, t)).collect();
     let clients = 8;
+    const FLIPS: u64 = 8;
+    // The herd keeps firing until the last flip has landed, then makes
+    // one more full pass, so every swap has requests on both sides.
+    let answered = AtomicU64::new(0);
+    let flipping = AtomicBool::new(true);
+    let herd_ready = Barrier::new(clients + 1);
     std::thread::scope(|s| {
         for _ in 0..clients {
             s.spawn(|| {
-                for (t, w) in ts.iter().zip(&want) {
-                    let resp = http::get(addr, t, TIMEOUT).expect(t);
-                    assert_eq!(resp.status, 200, "{t}: {}", resp.body);
-                    assert_eq!(&resp.body, w, "served body diverged for {t}");
-                    assert_eq!(resp.header("content-type"), Some("application/json"));
+                herd_ready.wait();
+                let mut last_pass = false;
+                while !last_pass {
+                    last_pass = !flipping.load(Ordering::SeqCst);
+                    for (t, w) in ts.iter().zip(&want) {
+                        let resp = http::get(addr, t, TIMEOUT).expect(t);
+                        assert_eq!(resp.status, 200, "{t}: {}", resp.body);
+                        assert_eq!(&resp.body, w, "served body diverged for {t}");
+                        assert_eq!(resp.header("content-type"), Some("application/json"));
+                        answered.fetch_add(1, Ordering::SeqCst);
+                    }
                 }
             });
         }
+        // Hot swaps under load: each flip installs a freshly loaded,
+        // equal-content state of the next generation (what an ingest
+        // generation flip does, minus new documents) and then waits for
+        // the herd to be answered at least once more before the next.
+        herd_ready.wait();
+        for generation in 1..=FLIPS {
+            let mut next = ServeState::load(&path).expect("reload snapshot");
+            next.generation = generation;
+            server.swap_state(Arc::new(next));
+            let (seen, since) = (answered.load(Ordering::SeqCst), Instant::now());
+            while answered.load(Ordering::SeqCst) == seen {
+                assert!(since.elapsed() < TIMEOUT, "herd stopped answering");
+                std::thread::yield_now();
+            }
+        }
+        flipping.store(false, Ordering::SeqCst);
     });
+    assert_eq!(server.generation(), FLIPS);
 
     let summary = server.shutdown();
-    assert_eq!(summary.served, 1 + (clients * ts.len()) as u64);
+    assert_eq!(summary.served, 1 + answered.load(Ordering::SeqCst));
     assert_eq!(summary.errors, 0);
     assert_eq!(summary.rejected_429, 0);
-    // 8 clients × 7 targets with only 7 distinct cache keys: almost
-    // everything after the first pass is a hit.
+    // 8 clients over only 7 distinct cache keys per epoch: almost
+    // everything after the first pass of an epoch is a hit.
     assert!(summary.cache.hits > 0, "no cache hits: {:?}", summary.cache);
     let _ = std::fs::remove_file(&path);
 }
@@ -349,6 +379,67 @@ fn malformed_requests_get_clean_error_responses() {
     assert_eq!(http::get(addr, "/healthz", TIMEOUT).unwrap().status, 200);
     let summary = server.shutdown();
     assert_eq!(summary.errors, 9);
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn full_queue_answers_429_with_retry_after() {
+    let path = build_snapshot("saturated");
+    let state = Arc::new(ServeState::load(&path).expect("load snapshot"));
+    let cfg = ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        queue_depth: 1,
+        // The idle connections below are closed by the test, not timed out.
+        read_timeout: Duration::from_secs(60),
+        ..ServeConfig::default()
+    };
+    let server = Server::start(state, &cfg).expect("start server");
+    let addr = server.local_addr();
+    let requests = |key: &str| -> f64 {
+        let v = inspire_trace::json::parse(&server.metrics_json()).expect("metrics parse");
+        let counter = v.get("requests").and_then(|r| r.get(key));
+        counter.and_then(|x| x.as_f64()).expect(key)
+    };
+    let wait_for = |key: &str, want: f64| {
+        let since = Instant::now();
+        while requests(key) != want {
+            assert!(since.elapsed() < TIMEOUT, "{key} never reached {want}");
+            std::thread::yield_now();
+        }
+    };
+
+    // A connection that sends nothing pins the only worker in its head
+    // read; a second one then fills the one-slot queue. The listener
+    // hands connections over in handshake order, so the third is
+    // accepted after the second is queued and finds the queue full.
+    let pin = TcpStream::connect(addr).expect("connect pin");
+    wait_for("in_flight", 1.0);
+    let fill = TcpStream::connect(addr).expect("connect fill");
+    let resp = http::get(addr, "/healthz", TIMEOUT).expect("429 response delivered");
+    assert_eq!(resp.status, 429, "{}", resp.body);
+    assert_eq!(resp.header("retry-after"), Some("1"));
+    assert_eq!(resp.header("content-type"), Some("application/json"));
+    let v = inspire_trace::json::parse(&resp.body).expect("429 body parses");
+    assert_eq!(v.get("status").and_then(|s| s.as_f64()), Some(429.0));
+    assert!(v.get("error").and_then(|e| e.as_str()).is_some());
+    assert_eq!(requests("rejected_429"), 1.0);
+
+    // Closing the idle connections ends both head reads (each a 400 to
+    // nobody); with the worker free again a normal request is served.
+    drop(pin);
+    drop(fill);
+    wait_for("errors", 2.0);
+    assert_eq!(http::get(addr, "/healthz", TIMEOUT).unwrap().status, 200);
+    let m = http::get(addr, "/metrics", TIMEOUT).unwrap();
+    let v = inspire_trace::json::parse(&m.body).expect("metrics parse");
+    let rejected = v.get("requests").and_then(|r| r.get("rejected_429"));
+    assert_eq!(rejected.and_then(|x| x.as_f64()), Some(1.0));
+
+    let summary = server.shutdown();
+    assert_eq!(summary.rejected_429, 1);
+    assert_eq!(summary.errors, 2);
+    assert_eq!(summary.served, 2);
     let _ = std::fs::remove_file(&path);
 }
 

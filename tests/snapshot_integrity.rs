@@ -138,6 +138,34 @@ fn projection_width_outside_2_and_3_is_rejected_at_open() {
     }
 }
 
+/// The block-compressed index must stay at least 3x smaller than the
+/// fixed-width layout it replaced: `postoff` (i64 per term + 1),
+/// `postdat` (u64 per posting), `df` (u32 per term), `tf` (u64 per term).
+#[test]
+fn compressed_index_is_3x_smaller_than_fixed_width() {
+    let src = CorpusSpec::pubmed(256 * 1024, 2007).generate();
+    let path = snapshot_path("compression");
+    let cfg = EngineConfig {
+        snapshot_out: Some(path.clone()),
+        ..EngineConfig::for_testing()
+    };
+    run_engine(1, Arc::new(CostModel::zero()), &src, &cfg);
+    let snap = EngineSnapshot::open(&path).expect("snapshot loads");
+    let dir = snap.postings_dir().expect("final snapshot has an index");
+    let (vocab, postings) = (dir.vocab() as u64, dir.total_postings());
+    let fixed = 8 * (vocab + 1) + 8 * postings + 4 * vocab + 8 * vocab;
+    let compressed: u64 = ["postdir", "postblk", "postskp", "dfv", "tfv"]
+        .iter()
+        .map(|name| snap.store().require(name).unwrap().bytes().len() as u64)
+        .sum();
+    assert!(postings > 0, "empty index");
+    assert!(
+        compressed * 3 <= fixed,
+        "index sections take {compressed} B, less than 3x below fixed-width {fixed} B"
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
 /// Hits from `query::search` with doc id and raw score bits, plus the
 /// boolean-evaluation ids, gathered identically on every rank.
 type ServedAnswers = (Vec<(u32, u64)>, Vec<u32>);
