@@ -19,9 +19,6 @@ use perfmodel::CostModel;
 use spmd::Component;
 use std::sync::Arc;
 
-pub mod history;
-pub mod timing;
-
 /// One of the paper's evaluation datasets.
 #[derive(Debug, Clone, Copy)]
 pub struct Dataset {

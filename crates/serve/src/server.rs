@@ -45,11 +45,6 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Per-connection read timeout.
     pub read_timeout: Duration,
-    /// Record a per-request span timeline on every request (feeds the
-    /// slow-query ring and the access log). Observational only: served
-    /// bodies are byte-identical either way. Off = the untraced
-    /// baseline the load generator measures overhead against.
-    pub trace_requests: bool,
     /// Worst-N request timelines retained for `/debug/slow`.
     pub slow_log_n: usize,
     /// Minimum total milliseconds before a timeline may enter the slow
@@ -69,7 +64,6 @@ impl Default for ServeConfig {
             cache_capacity: 1024,
             queue_depth: 256,
             read_timeout: Duration::from_secs(5),
-            trace_requests: true,
             slow_log_n: 32,
             slow_threshold_ms: 0,
             access_log: None,
@@ -111,10 +105,8 @@ struct Shared {
     in_flight: AtomicUsize,
     max_in_flight: AtomicUsize,
     started: Instant,
-    /// Monotonic request-id source (traced requests only).
+    /// Monotonic request-id source.
     next_req_id: AtomicU64,
-    /// Whether workers build per-request timelines at all.
-    trace_requests: bool,
     /// Worst-N request timelines for `/debug/slow`.
     slow: SlowLog,
     /// Access-log sink; `None` = stderr. Opened (and the file created)
@@ -166,7 +158,6 @@ impl Server {
             max_in_flight: AtomicUsize::new(0),
             started: Instant::now(),
             next_req_id: AtomicU64::new(0),
-            trace_requests: cfg.trace_requests,
             slow: SlowLog::new(cfg.slow_log_n, cfg.slow_threshold_ms.saturating_mul(1_000)),
             access,
         });
@@ -316,10 +307,10 @@ fn worker_loop(shared: &Shared) {
 }
 
 /// Per-request tracing context threaded from the connection handler
-/// through routing and execution. When `traced` is off every method is
-/// a no-op, so the untraced path pays only the flag checks.
+/// through routing and execution: the span timeline that feeds the
+/// slow-query ring and the access log. Observational only — it never
+/// changes a served byte.
 struct ReqCtx {
-    traced: bool,
     tr: ReqTrace,
     /// Full request target (`/query?q=…`), once the head parsed.
     detail: String,
@@ -332,9 +323,8 @@ struct ReqCtx {
 }
 
 impl ReqCtx {
-    fn new(traced: bool) -> ReqCtx {
+    fn new() -> ReqCtx {
         ReqCtx {
-            traced,
             tr: ReqTrace::start(),
             detail: String::new(),
             cache_hit: false,
@@ -343,53 +333,31 @@ impl ReqCtx {
             epoch: 0,
         }
     }
-
-    /// Open stage `name` (closing any open stage).
-    fn begin(&mut self, name: &'static str) {
-        if self.traced {
-            self.tr.begin(name);
-        }
-    }
-
-    /// Close the open stage.
-    fn end(&mut self) {
-        if self.traced {
-            self.tr.end();
-        }
-    }
 }
 
 /// Speak one request/response exchange on `stream`.
 ///
-/// With tracing on, the timeline covers first byte through response
-/// ready (`parse` opens before the head is read); the socket write is
-/// deliberately outside it, so per-stage micros account for the
-/// server-side work, not the client's read speed.
+/// The timeline covers first byte through response ready (`parse` opens
+/// before the head is read); the socket write is deliberately outside
+/// it, so per-stage micros account for the server-side work, not the
+/// client's read speed.
 fn handle_connection(shared: &Shared, stream: &mut TcpStream) {
     let _ = stream.set_read_timeout(Some(shared.read_timeout));
     let _ = stream.set_write_timeout(Some(shared.read_timeout));
-    let mut ctx = ReqCtx::new(shared.trace_requests);
-    let id = if ctx.traced {
-        shared.next_req_id.fetch_add(1, Ordering::Relaxed) + 1
-    } else {
-        0
-    };
-    ctx.begin("parse");
+    let mut ctx = ReqCtx::new();
+    let id = shared.next_req_id.fetch_add(1, Ordering::Relaxed) + 1;
+    ctx.tr.begin("parse");
     let outcome = http::read_head(stream)
         .and_then(|head| http::parse_head(&head))
         .and_then(|req| {
-            if ctx.traced {
-                ctx.detail = req.target.clone();
-            }
+            ctx.detail = req.target.clone();
             respond(shared, &req.target, &mut ctx)
         });
     let (status, body, content_type) = match outcome {
         Ok((body, ct)) => (200u16, body, ct),
         Err(err) => (err.status, http::error_body(&err), "application/json"),
     };
-    if ctx.traced {
-        record_request(shared, ctx, id, status, &body);
-    }
+    record_request(shared, ctx, id, status, &body);
     if status == 200 {
         shared.served.fetch_add(1, Ordering::Relaxed);
         let _ = http::write_response(stream, 200, content_type, &body, &[]);
@@ -406,7 +374,7 @@ fn handle_connection(shared: &Shared, stream: &mut TcpStream) {
     }
 }
 
-/// Finish one traced request: close the timeline, offer it to the slow
+/// Finish one request: close the timeline, offer it to the slow
 /// ring (query kinds only, after the lock-free floor check), and emit
 /// one structured access-log line when `INSPIRE_LOG` is `info`+.
 fn record_request(shared: &Shared, mut ctx: ReqCtx, id: u64, status: u16, body: &str) {
@@ -478,11 +446,11 @@ fn respond(
         .map(|(_, v)| v.as_str());
     match path {
         "/healthz" => {
-            ctx.end();
+            ctx.tr.end();
             return Ok(("ok\n".to_string(), "text/plain"));
         }
         "/metrics" => {
-            ctx.end();
+            ctx.tr.end();
             // Content negotiation by explicit parameter: Prometheus
             // text exposition on `?format=prom`, JSON otherwise (the
             // default the smoke tests byte-compare against).
@@ -492,7 +460,7 @@ fn respond(
             });
         }
         "/debug/slow" => {
-            ctx.end();
+            ctx.tr.end();
             return Ok(match format {
                 Some("chrome") => (shared.slow.to_chrome_json(), "application/json"),
                 _ => (shared.slow.to_json(), "application/json"),
@@ -506,7 +474,7 @@ fn respond(
     })?;
     // The `parse` stage ends once the target is a typed request; only
     // typed query requests are slow-ring eligible.
-    ctx.end();
+    ctx.tr.end();
     ctx.is_query = true;
     let t0 = Instant::now();
     let body = answer(shared, &req, ctx)?;
@@ -524,32 +492,21 @@ fn respond(
 fn answer(shared: &Shared, req: &ServeRequest, ctx: &mut ReqCtx) -> Result<String, HttpError> {
     let epoch = shared.epoch.load(Ordering::SeqCst);
     let state = Arc::clone(&shared.state.read().unwrap());
-    if ctx.traced {
-        ctx.generation = state.generation;
-        ctx.epoch = epoch;
-    }
+    ctx.generation = state.generation;
+    ctx.epoch = epoch;
     let key = format!("{epoch}#{}", req.cache_key());
-    ctx.begin("cache_probe");
+    ctx.tr.begin("cache_probe");
     if let Some(hit) = shared.cache.lock().unwrap().get(&key) {
         ctx.cache_hit = true;
         let body = hit.to_string();
-        ctx.end();
+        ctx.tr.end();
         return Ok(body);
     }
-    ctx.end();
+    ctx.tr.end();
     let to_http = |e: request::RequestError| HttpError {
         status: e.status,
         message: e.message,
     };
-    if !ctx.traced {
-        let body = request::execute(&state, req).map_err(to_http)?;
-        shared
-            .cache
-            .lock()
-            .unwrap()
-            .insert(&key, Arc::from(body.as_str()));
-        return Ok(body);
-    }
     // Execute with the per-thread decode timer armed: evaluation wall
     // time splits into `postings_decode` (accumulated inside the
     // SearchIndex postings calls) and `rank_merge` (everything else in

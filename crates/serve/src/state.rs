@@ -277,11 +277,6 @@ impl ServeState {
         self.segments.len()
     }
 
-    /// Does this snapshot hold clustering + projection (cluster/rect)?
-    pub fn has_layout(&self) -> bool {
-        self.coords.is_some() && self.assignments.is_some()
-    }
-
     /// Borrow the underlying validated snapshot (postings directory,
     /// section sizes — what benches and diagnostics need).
     pub fn snapshot(&self) -> &EngineSnapshot {

@@ -396,6 +396,8 @@ fn full_queue_answers_429_with_retry_after() {
     };
     let server = Server::start(state, &cfg).expect("start server");
     let addr = server.local_addr();
+    // The `/metrics` document, read in process: over HTTP it would
+    // itself queue behind the pinned worker.
     let requests = |key: &str| -> f64 {
         let v = inspire_trace::json::parse(&server.metrics_json()).expect("metrics parse");
         let counter = v.get("requests").and_then(|r| r.get(key));
@@ -431,15 +433,11 @@ fn full_queue_answers_429_with_retry_after() {
     drop(fill);
     wait_for("errors", 2.0);
     assert_eq!(http::get(addr, "/healthz", TIMEOUT).unwrap().status, 200);
-    let m = http::get(addr, "/metrics", TIMEOUT).unwrap();
-    let v = inspire_trace::json::parse(&m.body).expect("metrics parse");
-    let rejected = v.get("requests").and_then(|r| r.get("rejected_429"));
-    assert_eq!(rejected.and_then(|x| x.as_f64()), Some(1.0));
 
     let summary = server.shutdown();
     assert_eq!(summary.rejected_429, 1);
     assert_eq!(summary.errors, 2);
-    assert_eq!(summary.served, 2);
+    assert_eq!(summary.served, 1);
     let _ = std::fs::remove_file(&path);
 }
 

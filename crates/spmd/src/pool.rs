@@ -18,9 +18,6 @@
 //!    `threads_per_rank`, including the serial pool.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
 
 /// A fixed-width worker pool owned by one rank's `Ctx`.
 ///
@@ -29,11 +26,6 @@ use std::time::Instant;
 pub struct IntraPool {
     pool: Option<rayon::ThreadPool>,
     width: usize,
-    /// When set, `map_chunks` records per-chunk wall-clock seconds.
-    profiling: AtomicBool,
-    /// One group per `map_chunks` call; `(chunk index, seconds)` pairs
-    /// within a group arrive in completion order.
-    profile: Mutex<Vec<Vec<(usize, f64)>>>,
 }
 
 impl IntraPool {
@@ -50,12 +42,7 @@ impl IntraPool {
         } else {
             None
         };
-        IntraPool {
-            pool,
-            width,
-            profiling: AtomicBool::new(false),
-            profile: Mutex::new(Vec::new()),
-        }
+        IntraPool { pool, width }
     }
 
     /// Serial pool (the default for every rank unless configured).
@@ -66,27 +53,6 @@ impl IntraPool {
     /// Number of worker threads this pool fans out to.
     pub fn width(&self) -> usize {
         self.width
-    }
-
-    /// Turn per-chunk wall-clock profiling on or off. Profiling never
-    /// affects results or virtual time; the scaling benchmark uses it to
-    /// project pool speedups from one measured run.
-    pub fn set_profiling(&self, on: bool) {
-        self.profiling.store(on, Ordering::Relaxed);
-    }
-
-    /// Drain the recorded profile: one inner vector per `map_chunks`
-    /// call since the last drain, each sorted by chunk index and holding
-    /// that chunk's wall-clock seconds.
-    pub fn take_profile(&self) -> Vec<Vec<f64>> {
-        let groups = std::mem::take(&mut *self.profile.lock().unwrap());
-        groups
-            .into_iter()
-            .map(|mut g| {
-                g.sort_by_key(|&(i, _)| i);
-                g.into_iter().map(|(_, s)| s).collect()
-            })
-            .collect()
     }
 
     /// Split `0..n_items` into chunks of `chunk_size` and map `f` over
@@ -102,34 +68,15 @@ impl IntraPool {
         F: Fn(Range<usize>) -> R + Sync,
     {
         let chunk_size = chunk_size.max(1);
-        let chunks: Vec<(usize, usize)> = (0..n_items).step_by(chunk_size).enumerate().collect();
-        let profiling = self.profiling.load(Ordering::Relaxed);
-        let sink: Mutex<Vec<(usize, f64)>> = Mutex::new(Vec::new());
-        let run = |(ci, s): (usize, usize)| -> R {
-            let range = s..(s + chunk_size).min(n_items);
-            if profiling {
-                let t0 = Instant::now();
-                let r = f(range);
-                sink.lock().unwrap().push((ci, t0.elapsed().as_secs_f64()));
-                r
-            } else {
-                f(range)
-            }
-        };
-        let out = match &self.pool {
+        let chunks: Vec<usize> = (0..n_items).step_by(chunk_size).collect();
+        let run = |s: usize| -> R { f(s..(s + chunk_size).min(n_items)) };
+        match &self.pool {
             Some(pool) if chunks.len() > 1 => pool.install(|| {
                 use rayon::prelude::*;
                 chunks.into_par_iter().map(run).collect()
             }),
             _ => chunks.into_iter().map(run).collect(),
-        };
-        if profiling {
-            self.profile
-                .lock()
-                .unwrap()
-                .push(sink.into_inner().unwrap());
         }
-        out
     }
 }
 
@@ -186,24 +133,6 @@ mod tests {
         assert_eq!(pool.width(), 1);
         let out = pool.map_chunks(5, 2, |r| r.len());
         assert_eq!(out, vec![2, 2, 1]);
-    }
-
-    #[test]
-    fn profiling_records_one_group_per_call() {
-        let pool = IntraPool::new(3);
-        pool.set_profiling(true);
-        let out = pool.map_chunks(50, 8, |r| r.len());
-        assert_eq!(out.len(), 7);
-        pool.map_chunks(10, 2, |r| r.len());
-        let prof = pool.take_profile();
-        assert_eq!(prof.len(), 2);
-        assert_eq!(prof[0].len(), 7);
-        assert_eq!(prof[1].len(), 5);
-        assert!(prof.iter().flatten().all(|&s| s >= 0.0));
-        // Draining resets; disabled profiling records nothing.
-        pool.set_profiling(false);
-        pool.map_chunks(10, 2, |r| r.len());
-        assert!(pool.take_profile().is_empty());
     }
 
     #[test]

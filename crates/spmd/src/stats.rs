@@ -212,11 +212,6 @@ impl CommStatsSnapshot {
         self.stage_msgs[stage]
     }
 
-    /// Payload bytes attributed to `stage`.
-    pub fn stage_bytes_for(&self, stage: Component) -> u64 {
-        self.stage_bytes[stage]
-    }
-
     /// Batched RPC messages attributed to `stage`.
     pub fn stage_batched_msgs_for(&self, stage: Component) -> u64 {
         self.stage_batched_msgs[stage]
@@ -313,7 +308,7 @@ mod tests {
         s.record_one_sided(100);
         let snap = s.snapshot();
         assert_eq!(snap.stage_msgs_for(Component::Other), 1);
-        assert_eq!(snap.stage_bytes_for(Component::Other), 100);
+        assert_eq!(snap.stage_bytes[Component::Other], 100);
         assert_eq!(snap.stage_msgs_for(Component::Scan), 0);
     }
 
@@ -332,9 +327,9 @@ mod tests {
         s.record_local(8);
         let snap = s.snapshot();
         assert_eq!(snap.stage_msgs_for(Component::Scan), 3);
-        assert_eq!(snap.stage_bytes_for(Component::Scan), 4 + 16 + 8);
+        assert_eq!(snap.stage_bytes[Component::Scan], 4 + 16 + 8);
         assert_eq!(snap.stage_msgs_for(Component::Index), 2);
-        assert_eq!(snap.stage_bytes_for(Component::Index), 32 + 8);
+        assert_eq!(snap.stage_bytes[Component::Index], 32 + 8);
         // Per-stage totals reconcile with the global message count.
         assert_eq!(snap.stage_msgs.iter().sum::<u64>(), snap.total_msgs());
     }

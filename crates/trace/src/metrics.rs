@@ -284,8 +284,7 @@ impl HistogramSummary {
 }
 
 /// A string-keyed registry of histograms and gauges. Not thread-safe by
-/// design: each serving rank owns its own registry and summaries merge
-/// after the run, mirroring how `CommStats` works.
+/// design: an owner that shares one wraps it in a lock.
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
     hists: BTreeMap<String, Histogram>,
@@ -334,19 +333,6 @@ impl Registry {
     /// Summaries of all histograms, sorted by name.
     pub fn summaries(&self) -> Vec<HistogramSummary> {
         self.hists.iter().map(|(k, h)| h.summarize(k)).collect()
-    }
-
-    /// Merge `other` into `self`: same-named histograms merge bucket-wise
-    /// (count-additive), gauges take `other`'s value on collision. The
-    /// serving tier uses this to fold per-worker registries into one
-    /// `/metrics` view without sharing mutable histograms across threads.
-    pub fn merge(&mut self, other: &Registry) {
-        for (name, h) in &other.hists {
-            self.hists.entry(name.clone()).or_default().merge(h);
-        }
-        for (name, &v) in &other.gauges {
-            self.gauges.insert(name.clone(), v);
-        }
     }
 
     /// Export the whole registry as one JSON object: histogram summaries
@@ -594,17 +580,13 @@ mod tests {
     }
 
     #[test]
-    fn registry_merge_and_json_export() {
+    fn registry_json_export() {
         let mut a = Registry::new();
-        let mut b = Registry::new();
-        for i in 1..=10u64 {
+        for i in 1..=20u64 {
             a.observe("serve.term", std::time::Duration::from_micros(i));
-            b.observe("serve.term", std::time::Duration::from_micros(i * 100));
         }
-        b.observe("serve.search", std::time::Duration::from_millis(1));
-        a.gauge("cache.hits", 3.0);
-        b.gauge("cache.hits", 7.0);
-        a.merge(&b);
+        a.observe("serve.search", std::time::Duration::from_millis(1));
+        a.gauge("cache.hits", 7.0);
         let sums = a.summaries();
         assert_eq!(sums.len(), 2);
         let term = sums.iter().find(|s| s.name == "serve.term").unwrap();

@@ -5,9 +5,8 @@
 //! per stage with virtual/wall time, load imbalance, wait-time share and
 //! critical-path share, plus communication totals and (when the serving
 //! path ran) query latency summaries. The report renders two ways — a
-//! pretty table for stderr and machine-readable JSON for CI and the
-//! bench history — from the same data, so the numbers can never drift
-//! apart.
+//! pretty table for stderr and machine-readable JSON for CI — from the
+//! same data, so the numbers can never drift apart.
 //!
 //! The imbalance metrics follow the paper's Figure 9 load-balance
 //! analysis. A stage's per-rank *elapsed* virtual time includes the time
@@ -111,7 +110,7 @@ pub struct CommTotals {
 /// The complete run report.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunReport {
-    /// What ran, e.g. `"pipeline"` or `"bench-smoke"`.
+    /// What ran, e.g. `"pipeline"`.
     pub title: String,
     /// Free-form key/value context (P, docs, model, …), in insertion
     /// order.
