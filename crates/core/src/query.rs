@@ -537,6 +537,54 @@ pub fn search_in(ix: &impl SearchIndex, query: &str, top: usize) -> Vec<Hit> {
     hits
 }
 
+/// The ranked-retrieval reference the tests hold [`search_in`] to, rank
+/// by rank and bit by bit: scores accumulate in a hash map per query
+/// and fields fold in a second one per term, then every scored document
+/// is sorted.
+#[cfg(test)]
+fn search_oracle(ix: &impl SearchIndex, query: &str, top: usize) -> Vec<Hit> {
+    use std::collections::HashMap;
+    let tokenizer = crate::tokenize::Tokenizer::default();
+    let mut terms = Vec::new();
+    tokenizer.tokenize_into(query, |t| terms.push(t.to_string()));
+
+    let d = ix.total_docs() as f64;
+    let mut scores: HashMap<DocId, f64> = HashMap::new();
+    let mut posts: Vec<Posting> = Vec::new();
+    for term in terms {
+        let Some(t) = ix.term_id(&term) else {
+            continue;
+        };
+        let df = ix.df(t) as f64;
+        if df == 0.0 {
+            continue;
+        }
+        let idf = ((d + 1.0) / (df + 1.0)).ln();
+        // Merge field postings per document.
+        posts.clear();
+        ix.postings_into(t, &mut posts);
+        let mut per_doc: HashMap<DocId, u32> = HashMap::new();
+        for p in &posts {
+            *per_doc.entry(p.doc).or_insert(0) += p.freq;
+        }
+        for (doc, freq) in per_doc {
+            *scores.entry(doc).or_insert(0.0) += (1.0 + (freq as f64).ln()) * idf;
+        }
+    }
+    let mut hits: Vec<Hit> = scores
+        .into_iter()
+        .map(|(doc, score)| Hit { doc, score })
+        .collect();
+    hits.sort_by(|a, b| {
+        b.score
+            .partial_cmp(&a.score)
+            .unwrap()
+            .then(a.doc.cmp(&b.doc))
+    });
+    hits.truncate(top);
+    hits
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -841,5 +889,166 @@ mod tests {
             assert!(search(ctx, &s, &idx, "", 5).is_empty());
             assert!(search(ctx, &s, &idx, "the and of", 5).is_empty());
         });
+    }
+
+    /// Deterministic xorshift for the seeded query mix.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// Equal length, and at every rank equal doc and equal score bits.
+    fn assert_matches_oracle(ix: &impl SearchIndex, text: &str, top: usize) -> usize {
+        let got = search_in(ix, text, top);
+        let want = search_oracle(ix, text, top);
+        assert_eq!(got.len(), want.len(), "{text:?} top={top}");
+        for (rank, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g.doc, w.doc, "{text:?} top={top} rank {rank}");
+            assert_eq!(
+                g.score.to_bits(),
+                w.score.to_bits(),
+                "{text:?} top={top} rank {rank}: {} vs {}",
+                g.score,
+                w.score
+            );
+        }
+        got.len()
+    }
+
+    #[test]
+    fn search_matches_the_oracle_bit_for_bit_on_seeded_queries() {
+        let src = CorpusSpec::pubmed(1024 * 1024, 83).generate();
+        let rt = Runtime::for_testing();
+        for procs in [1, 2] {
+            rt.run(procs, |ctx| {
+                let cfg = EngineConfig::for_testing();
+                let s = scan(ctx, &src, &cfg);
+                let idx = invert(ctx, &s, &cfg);
+                let ix = LiveIndex {
+                    ctx,
+                    scan: &s,
+                    index: &idx,
+                };
+                // Vocabulary by descending df: cubing a uniform draw puts
+                // a third of the tokens in the most frequent 3 % of terms
+                // and still reaches the df = 1 tail.
+                let mut by_df: Vec<usize> = (0..s.vocab_size()).collect();
+                by_df.sort_by_key(|&t| (std::cmp::Reverse(idx.df[t]), t));
+                assert!(idx.df[by_df[0]] > 50 * idx.df[by_df[by_df.len() - 1]]);
+                let mut rng = Rng(0x9e37_79b9_7f4a_7c15 ^ procs as u64);
+                let mut nonempty = 0;
+                for q in 0..2_000 {
+                    let mut tokens: Vec<String> = (0..1 + rng.below(5))
+                        .map(|_| {
+                            let u = rng.below(1 << 20) as f64 / (1u64 << 20) as f64;
+                            let at = (u * u * u * by_df.len() as f64) as usize;
+                            s.terms[by_df[at]].to_string()
+                        })
+                        .collect();
+                    if q % 5 == 0 {
+                        let again = tokens[rng.below(tokens.len())].clone();
+                        tokens.insert(rng.below(tokens.len() + 1), again);
+                    }
+                    if q % 7 == 0 {
+                        tokens.insert(rng.below(tokens.len() + 1), "zzunknownzz".into());
+                    }
+                    let text = tokens.join(" ");
+                    // `top` of 1, 5, 50, and more than can match.
+                    let top = [1, 5, 50, idx.total_docs as usize + 1][q % 4];
+                    nonempty += usize::from(assert_matches_oracle(&ix, &text, top) > 0);
+                }
+                assert!(nonempty > 1_900, "only {nonempty} queries matched");
+                for text in ["", "the and of", "zzunknownzz", "zzunknownzz qqunknownqq"] {
+                    assert_eq!(assert_matches_oracle(&ix, text, 10), 0, "{text:?}");
+                }
+            });
+        }
+    }
+
+    /// A hand-built index: `lists[t]` is the postings of `term<t>`.
+    struct Toy {
+        lists: Vec<Vec<Posting>>,
+        total_docs: u32,
+    }
+
+    impl SearchIndex for Toy {
+        fn term_id(&self, term: &str) -> Option<TermId> {
+            let id: usize = term.strip_prefix("term")?.parse().ok()?;
+            (id < self.lists.len()).then_some(id as TermId)
+        }
+
+        fn postings_of(&self, term: TermId) -> Vec<Posting> {
+            self.lists[term as usize].clone()
+        }
+
+        fn df(&self, term: TermId) -> u32 {
+            let mut docs: Vec<DocId> = self.lists[term as usize].iter().map(|p| p.doc).collect();
+            docs.dedup();
+            docs.len() as u32
+        }
+
+        fn total_docs(&self) -> u32 {
+            self.total_docs
+        }
+    }
+
+    #[test]
+    fn search_lists_zero_idf_hits_and_breaks_ties_by_doc() {
+        let post = |doc, field, freq| Posting { doc, field, freq };
+        let toy = Toy {
+            lists: vec![
+                // term0 is in every document: idf = ln(1) = 0.
+                vec![
+                    post(0, 0, 3),
+                    post(1, 0, 1),
+                    post(1, 2, 4),
+                    post(2, 1, 1),
+                    post(3, 0, 2),
+                    post(4, 0, 1),
+                ],
+                // term1: documents 1, 3 and 4 tie exactly (frequency 2 each,
+                // 3 and 4 in one field, 1 folded from two).
+                vec![post(1, 0, 1), post(1, 1, 1), post(3, 1, 2), post(4, 3, 2)],
+                // term2 breaks the tie for document 4 only.
+                vec![post(4, 0, 1)],
+                // term3 is in the vocabulary with no postings (df = 0).
+                vec![],
+            ],
+            total_docs: 5,
+        };
+        let docs = |text: &str, top: usize| -> Vec<(DocId, f64)> {
+            assert_matches_oracle(&toy, text, top);
+            let hits = search_in(&toy, text, top);
+            hits.iter().map(|h| (h.doc, h.score)).collect()
+        };
+        // Zero idf: every document is a hit with score 0.0, in doc order.
+        let all_zero: Vec<(DocId, f64)> = (0..5).map(|d| (d, 0.0)).collect();
+        assert_eq!(docs("term0", 10), all_zero);
+        assert_eq!(docs("term0 term0", 3), all_zero[..3]);
+        // Exact ties rank by ascending doc, also when `top` cuts them.
+        let tied = docs("term1", 10);
+        assert_eq!(tied.iter().map(|h| h.0).collect::<Vec<_>>(), vec![1, 3, 4]);
+        assert!(tied[0].1 > 0.0 && tied[0].1 == tied[1].1 && tied[1].1 == tied[2].1);
+        assert_eq!(docs("term1", 2), tied[..2]);
+        assert_eq!(docs("term1", 1), tied[..1]);
+        // Zero-score hits rank below the positive ones, still by doc.
+        let mixed = docs("term0 term1 term2", 10);
+        assert_eq!(
+            mixed.iter().map(|h| h.0).collect::<Vec<_>>(),
+            vec![4, 1, 3, 0, 2]
+        );
+        assert_eq!(docs("term1 term0 term2 term1", 4).len(), 4);
+        assert_eq!(docs("term2 term3 term9", 10).len(), 1);
+        assert!(docs("term3", 10).is_empty());
     }
 }
