@@ -9,7 +9,9 @@ use crate::index::{InvertedIndex, Posting};
 use crate::scan::ScanOutput;
 use crate::{DocId, FieldId, TermId};
 use spmd::Ctx;
-use std::collections::HashMap;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+use std::ops::Range;
 
 /// Read-only view of the term statistics and postings a query needs.
 ///
@@ -494,15 +496,56 @@ pub fn search(
     search_in(&LiveIndex { ctx, scan, index }, query, top)
 }
 
+/// A [`Hit`] ordered by rank: `Less` ranks earlier — the higher score,
+/// then the lower doc id.
+struct Ranked(Hit);
+
+impl Ord for Ranked {
+    fn cmp(&self, other: &Self) -> Ordering {
+        let by_score = other.0.score.partial_cmp(&self.0.score);
+        by_score
+            .expect("tf-idf scores are never NaN")
+            .then(self.0.doc.cmp(&other.0.doc))
+    }
+}
+
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Ranked {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Ranked {}
+
 /// [`search`] against any [`SearchIndex`] backend.
+///
+/// Document at a time. Each token's list arrives (doc, field)-sorted, so
+/// folding a document's fields is a run-length pass that leaves one
+/// `(doc, (1 + ln f)·idf)` run per document, ascending. The tokens' runs
+/// are then merged by document: a document's score starts at 0.0 and
+/// takes its contributions in token order (a repeated token contributes
+/// once per occurrence) — the order in which a per-document accumulator
+/// would have met them, so every sum has the same bits. Only the best
+/// `top` are kept, in a heap whose root is the worst of them; documents
+/// arrive in ascending id, so one that merely ties the root ranks after
+/// it and is dropped.
 pub fn search_in(ix: &impl SearchIndex, query: &str, top: usize) -> Vec<Hit> {
     let tokenizer = crate::tokenize::Tokenizer::default();
     let mut terms = Vec::new();
     tokenizer.tokenize_into(query, |t| terms.push(t.to_string()));
 
     let d = ix.total_docs() as f64;
-    let mut scores: HashMap<DocId, f64> = HashMap::new();
     let mut posts: Vec<Posting> = Vec::new();
+    // Every token's runs back to back, and per token with any a cursor
+    // over its stretch, in token order.
+    let mut runs: Vec<(DocId, f64)> = Vec::new();
+    let mut cursors: Vec<Range<usize>> = Vec::new();
     for term in terms {
         let Some(t) = ix.term_id(&term) else {
             continue;
@@ -512,29 +555,44 @@ pub fn search_in(ix: &impl SearchIndex, query: &str, top: usize) -> Vec<Hit> {
             continue;
         }
         let idf = ((d + 1.0) / (df + 1.0)).ln();
-        // Merge field postings per document.
         posts.clear();
         ix.postings_into(t, &mut posts);
-        let mut per_doc: HashMap<DocId, u32> = HashMap::new();
-        for p in &posts {
-            *per_doc.entry(p.doc).or_insert(0) += p.freq;
-        }
-        for (doc, freq) in per_doc {
-            *scores.entry(doc).or_insert(0.0) += (1.0 + (freq as f64).ln()) * idf;
+        let start = runs.len();
+        runs.extend(posts.chunk_by(|a, b| a.doc == b.doc).map(|fields| {
+            let freq: u32 = fields.iter().map(|p| p.freq).sum();
+            (fields[0].doc, (1.0 + (freq as f64).ln()) * idf)
+        }));
+        if runs.len() > start {
+            cursors.push(start..runs.len());
         }
     }
-    let mut hits: Vec<Hit> = scores
-        .into_iter()
-        .map(|(doc, score)| Hit { doc, score })
-        .collect();
-    hits.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .unwrap()
-            .then(a.doc.cmp(&b.doc))
-    });
-    hits.truncate(top);
-    hits
+
+    let mut best: BinaryHeap<Ranked> = BinaryHeap::new();
+    // No cursor in the list is ever empty: the next document is the
+    // smallest one any of them points at.
+    while let Some(doc) = cursors.iter().map(|c| runs[c.start].0).min() {
+        let mut score = 0.0;
+        let mut spent = false;
+        for c in &mut cursors {
+            if runs[c.start].0 == doc {
+                score += runs[c.start].1;
+                c.start += 1;
+                spent |= c.is_empty();
+            }
+        }
+        if spent {
+            cursors.retain(|c| !c.is_empty());
+        }
+        let hit = Ranked(Hit { doc, score });
+        if best.len() < top {
+            best.push(hit);
+        } else if let Some(mut worst) = best.peek_mut() {
+            if hit < *worst {
+                *worst = hit;
+            }
+        }
+    }
+    best.into_sorted_vec().into_iter().map(|r| r.0).collect()
 }
 
 /// The ranked-retrieval reference the tests hold [`search_in`] to, rank
