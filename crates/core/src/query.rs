@@ -11,7 +11,6 @@ use crate::{DocId, FieldId, TermId};
 use spmd::Ctx;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::ops::Range;
 
 /// Read-only view of the term statistics and postings a query needs.
 ///
@@ -542,10 +541,9 @@ pub fn search_in(ix: &impl SearchIndex, query: &str, top: usize) -> Vec<Hit> {
 
     let d = ix.total_docs() as f64;
     let mut posts: Vec<Posting> = Vec::new();
-    // Every token's runs back to back, and per token with any a cursor
-    // over its stretch, in token order.
+    // Every token's runs back to back, and how many each token has.
     let mut runs: Vec<(DocId, f64)> = Vec::new();
-    let mut cursors: Vec<Range<usize>> = Vec::new();
+    let mut lens: Vec<usize> = Vec::new();
     for term in terms {
         let Some(t) = ix.term_id(&term) else {
             continue;
@@ -557,26 +555,34 @@ pub fn search_in(ix: &impl SearchIndex, query: &str, top: usize) -> Vec<Hit> {
         let idf = ((d + 1.0) / (df + 1.0)).ln();
         posts.clear();
         ix.postings_into(t, &mut posts);
-        let start = runs.len();
+        let before = runs.len();
         runs.extend(posts.chunk_by(|a, b| a.doc == b.doc).map(|fields| {
             let freq: u32 = fields.iter().map(|p| p.freq).sum();
             (fields[0].doc, (1.0 + (freq as f64).ln()) * idf)
         }));
-        if runs.len() > start {
-            cursors.push(start..runs.len());
-        }
+        lens.push(runs.len() - before);
     }
 
+    // One cursor per token that has runs, in token order; none in the
+    // list is ever empty, so the next document is the smallest one any
+    // of them points at.
+    let mut rest = runs.as_slice();
+    let mut cursors: Vec<&[(DocId, f64)]> = Vec::with_capacity(lens.len());
+    for len in lens {
+        let (own, later) = rest.split_at(len);
+        if !own.is_empty() {
+            cursors.push(own);
+        }
+        rest = later;
+    }
     let mut best: BinaryHeap<Ranked> = BinaryHeap::new();
-    // No cursor in the list is ever empty: the next document is the
-    // smallest one any of them points at.
-    while let Some(doc) = cursors.iter().map(|c| runs[c.start].0).min() {
+    while let Some(doc) = cursors.iter().map(|c| c[0].0).min() {
         let mut score = 0.0;
         let mut spent = false;
         for c in &mut cursors {
-            if runs[c.start].0 == doc {
-                score += runs[c.start].1;
-                c.start += 1;
+            if c[0].0 == doc {
+                score += c[0].1;
+                *c = &c[1..];
                 spent |= c.is_empty();
             }
         }

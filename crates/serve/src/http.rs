@@ -131,10 +131,16 @@ pub fn parse_head(head: &[u8]) -> Result<Request, HttpError> {
 pub fn read_head(stream: &mut TcpStream) -> Result<Vec<u8>, HttpError> {
     let mut buf = Vec::with_capacity(512);
     let mut chunk = [0u8; 512];
+    // Bytes already searched for the terminator. It may straddle two
+    // reads, so each search resumes three bytes before the last one
+    // ended instead of at byte 0.
+    let mut searched = 0usize;
     loop {
-        if buf.windows(4).any(|w| w == b"\r\n\r\n") {
+        let from = searched.saturating_sub(3);
+        if buf[from..].windows(4).any(|w| w == b"\r\n\r\n") {
             return Ok(buf);
         }
+        searched = buf.len();
         if buf.len() >= MAX_HEAD_BYTES {
             return Err(HttpError::new(413, "request head too large"));
         }
@@ -153,16 +159,17 @@ pub fn read_head(stream: &mut TcpStream) -> Result<Vec<u8>, HttpError> {
     }
 }
 
-/// Write one response and flush. `extra_headers` are raw `Name: value`
-/// lines (no CRLF).
+/// Write one response — head and body in a single `write`, so a
+/// `Connection: close` exchange is one segment where it fits — and
+/// flush. `extra_headers` are raw `Name: value` lines (no CRLF).
 pub fn write_response(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     status: u16,
     content_type: &str,
     body: &str,
     extra_headers: &[&str],
 ) -> io::Result<()> {
-    let mut head = format!(
+    let mut out = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n",
         status,
         reason(status),
@@ -170,12 +177,12 @@ pub fn write_response(
         body.len()
     );
     for h in extra_headers {
-        head.push_str(h);
-        head.push_str("\r\n");
+        out.push_str(h);
+        out.push_str("\r\n");
     }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    out.push_str("\r\n");
+    out.push_str(body);
+    stream.write_all(out.as_bytes())?;
     stream.flush()
 }
 
@@ -336,6 +343,64 @@ mod tests {
         assert_eq!(resp.status, 200);
         assert_eq!(resp.body, "{\"a\":");
         assert_eq!(resp.header("content-type"), Some("application/json"));
+    }
+
+    /// Records each `write` it is handed, accepting all of it.
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_is_one_write_of_the_exact_wire_bytes() {
+        let mut wire = Writes(Vec::new());
+        write_response(&mut wire, 200, "application/json", "{\"a\":1}\n", &[]).unwrap();
+        assert_eq!(
+            wire.0,
+            [
+                b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 8\r\n\
+               Connection: close\r\n\r\n{\"a\":1}\n"
+                    .to_vec()
+            ]
+        );
+
+        let err = HttpError::new(429, "server saturated, retry shortly");
+        let body = error_body(&err);
+        let mut wire = Writes(Vec::new());
+        write_response(
+            &mut wire,
+            429,
+            "application/json",
+            &body,
+            &["Retry-After: 1"],
+        )
+        .unwrap();
+        assert_eq!(wire.0.len(), 1, "head and body must leave in one write");
+        let want = format!(
+            "HTTP/1.1 429 Too Many Requests\r\nContent-Type: application/json\r\n\
+             Content-Length: {}\r\nConnection: close\r\nRetry-After: 1\r\n\r\n{body}",
+            body.len()
+        );
+        assert_eq!(wire.0[0], want.as_bytes());
+        let resp = parse_response(&wire.0[0]).unwrap();
+        assert_eq!(resp.header("retry-after"), Some("1"));
+        assert_eq!((resp.status, resp.body), (429, body));
+
+        // An empty body still ends the head.
+        let mut wire = Writes(Vec::new());
+        write_response(&mut wire, 200, "text/plain", "", &[]).unwrap();
+        assert!(wire
+            .0
+            .concat()
+            .ends_with(b"Content-Length: 0\r\nConnection: close\r\n\r\n"));
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //! [`spmd::IntraPool`] — the same pool the engine uses for intra-rank
 //! data parallelism — runs the workers: each worker blocks on the queue,
 //! speaks one request per connection, and consults the shared LRU cache
-//! before executing. Shutdown flips one flag: the accept thread stops
-//! accepting immediately, workers drain everything already queued, and
-//! [`Server::shutdown`] joins all threads before returning the final
-//! counters.
+//! before executing. Shutdown flips one flag and wakes the accept
+//! thread out of its blocking `accept`: it stops accepting at once,
+//! workers drain everything already queued, and [`Server::shutdown`]
+//! joins all threads before returning the final counters.
 
 use crate::http::{self, HttpError};
 use crate::lru::{CacheStats, LruCache};
@@ -24,7 +24,7 @@ use spmd::IntraPool;
 use std::collections::VecDeque;
 use std::fs::File;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
@@ -127,7 +127,6 @@ impl Server {
     /// Bind, spin up the worker pool, and start accepting.
     pub fn start(state: Arc<ServeState>, cfg: &ServeConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let workers = cfg.workers.max(1);
         let access = match &cfg.access_log {
@@ -213,10 +212,17 @@ impl Server {
 
     /// Stop accepting, drain every queued and in-flight request, join
     /// all threads, and return the final counters.
+    ///
+    /// The accept thread blocks in `accept`, so after the flag is set it
+    /// is woken with one connection from this process; it checks the
+    /// flag before it looks at what it accepted, so that connection is
+    /// dropped unanswered and moves no counter.
     pub fn shutdown(mut self) -> ServeSummary {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.available.notify_all();
         if let Some(t) = self.accept_thread.take() {
+            let wake = wake_addr(self.local_addr);
+            let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
             let _ = t.join();
         }
         if let Some(t) = self.pool_thread.take() {
@@ -232,44 +238,65 @@ impl Server {
     }
 }
 
-/// Accept until shutdown. Nonblocking accept + short sleep so the
-/// shutdown flag is observed within a millisecond; the backpressure
-/// check runs here so a full queue answers 429 without ever touching
-/// the worker pool.
+/// Where a connection from this host reaches a listener bound to
+/// `addr`: `addr` itself, or the loopback of its family when it is the
+/// wildcard (`0.0.0.0`, `[::]`).
+fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
+}
+
+/// Accept until shutdown, blocking in `accept` between connections;
+/// [`Server::shutdown`] sets the flag and then connects once to end the
+/// wait. The flag is read as soon as `accept` returns, before the queue
+/// and the 429 branch, so whatever was accepted after shutdown began —
+/// the wake connection included — is neither queued, answered nor
+/// counted. The backpressure check runs here so a full queue answers
+/// 429 without ever touching the worker pool.
 fn accept_loop(listener: TcpListener, shared: &Shared) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((mut stream, _peer)) => {
-                let mut q = shared.queue.lock().unwrap();
-                if q.len() < shared.queue_depth {
-                    q.push_back(stream);
-                    drop(q);
-                    shared.available.notify_one();
-                } else {
-                    drop(q);
-                    shared.rejected_429.fetch_add(1, Ordering::Relaxed);
-                    let err = HttpError {
-                        status: 429,
-                        message: "server saturated, retry shortly".to_string(),
-                    };
-                    let _ = http::write_response(
-                        &mut stream,
-                        429,
-                        "application/json",
-                        &http::error_body(&err),
-                        &["Retry-After: 1"],
-                    );
-                    // The request is still unread, and closing over it
-                    // would RST the 429 away. Discard what has arrived
-                    // without waiting for more: this is the accept thread.
-                    let _ = stream.set_nonblocking(true);
-                    drain(&mut stream);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+    loop {
+        let accepted = listener.accept();
+        if shared.shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        let mut stream = match accepted {
+            Ok((stream, _peer)) => stream,
+            Err(_) => {
+                // Out of descriptors, or the peer reset while still in
+                // the backlog: give the condition a moment to clear.
                 std::thread::sleep(Duration::from_millis(1));
+                continue;
             }
-            Err(_) => std::thread::sleep(Duration::from_millis(1)),
+        };
+        let mut q = shared.queue.lock().unwrap();
+        if q.len() < shared.queue_depth {
+            q.push_back(stream);
+            drop(q);
+            shared.available.notify_one();
+        } else {
+            drop(q);
+            shared.rejected_429.fetch_add(1, Ordering::Relaxed);
+            let err = HttpError {
+                status: 429,
+                message: "server saturated, retry shortly".to_string(),
+            };
+            let _ = http::write_response(
+                &mut stream,
+                429,
+                "application/json",
+                &http::error_body(&err),
+                &["Retry-After: 1"],
+            );
+            // The request is still unread, and closing over it
+            // would RST the 429 away. Discard what has arrived
+            // without waiting for more: this is the accept thread.
+            let _ = stream.set_nonblocking(true);
+            drain(&mut stream);
         }
     }
     // Dropping the listener here closes the socket, so the port is free
@@ -663,4 +690,22 @@ fn metrics_prom(shared: &Shared) -> String {
         out.push_str(&reg.to_prometheus());
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::wake_addr;
+
+    #[test]
+    fn wildcard_listeners_are_woken_through_their_loopback() {
+        for (bound, wake) in [
+            ("0.0.0.0:7878", "127.0.0.1:7878"),
+            ("[::]:7878", "[::1]:7878"),
+            ("127.0.0.1:9", "127.0.0.1:9"),
+            ("10.1.2.3:9", "10.1.2.3:9"),
+            ("[fe80::1]:9", "[fe80::1]:9"),
+        ] {
+            assert_eq!(wake_addr(bound.parse().unwrap()), wake.parse().unwrap());
+        }
+    }
 }

@@ -12,7 +12,7 @@ use corpus::CorpusSpec;
 use inspire_core::pipeline::run_engine;
 use inspire_core::EngineConfig;
 use inspire_serve::request::split_target;
-use inspire_serve::{execute, http, ServeConfig, ServeRequest, ServeState, Server};
+use inspire_serve::{execute, http, ServeConfig, ServeRequest, ServeState, ServeSummary, Server};
 use perfmodel::CostModel;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -455,5 +455,144 @@ fn graceful_shutdown_drains_and_frees_the_port() {
     // The listener is gone: the exact port rebinds cleanly.
     let rebind = std::net::TcpListener::bind(addr);
     assert!(rebind.is_ok(), "port still held after shutdown: {rebind:?}");
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A head that arrives one byte per segment is read and answered like
+/// any other, and one that never ends is cut off at the limit.
+#[test]
+fn dripped_heads_are_answered_and_bounded() {
+    let (state, server, addr, path) = start("drip", 1);
+    let drip = |bytes: &[u8]| -> http::Response {
+        let mut s = TcpStream::connect(addr).expect("connect");
+        s.set_nodelay(true).unwrap();
+        s.set_read_timeout(Some(TIMEOUT)).unwrap();
+        for b in bytes {
+            s.write_all(std::slice::from_ref(b))
+                .expect("write one byte");
+        }
+        let mut buf = Vec::new();
+        s.read_to_end(&mut buf).expect("read");
+        http::parse_response(&buf).expect("response parses")
+    };
+
+    let target = &targets(&state)[4];
+    assert!(target.starts_with("/search"), "{target}");
+    let head = format!("GET {target} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n");
+    let resp = drip(head.as_bytes());
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    assert_eq!(resp.body, oracle(&state, target));
+
+    // Exactly MAX_HEAD_BYTES bytes and no terminator among them.
+    let mut endless = b"GET /healthz HTTP/1.1\r\nX-Filler: ".to_vec();
+    endless.resize(http::MAX_HEAD_BYTES, b'a');
+    assert_eq!(drip(&endless).status, 413);
+
+    // The only worker is still there for the next request.
+    assert_eq!(http::get(addr, "/healthz", TIMEOUT).unwrap().status, 200);
+    let summary = server.shutdown();
+    assert_eq!((summary.served, summary.errors), (2, 1));
+    let _ = std::fs::remove_file(&path);
+}
+
+/// `shutdown()` on another thread, its summary handed back through a
+/// channel so that a shutdown that never returns fails the test instead
+/// of hanging it.
+fn shutdown_in_background(server: Server) -> std::sync::mpsc::Receiver<ServeSummary> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(server.shutdown()));
+    rx
+}
+
+/// The accept thread blocks in `accept`; a server no client ever
+/// connected to must still notice shutdown, on a loopback and on a
+/// wildcard bind alike.
+#[test]
+fn idle_server_shuts_down_at_once_and_frees_its_port() {
+    let path = build_snapshot("idle");
+    let state = Arc::new(ServeState::load(&path).expect("load snapshot"));
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let cfg = ServeConfig {
+            addr: bind.to_string(),
+            workers: 2,
+            ..ServeConfig::default()
+        };
+        let server = Server::start(Arc::clone(&state), &cfg).expect("start server");
+        let addr = server.local_addr();
+        let summary = shutdown_in_background(server)
+            .recv_timeout(Duration::from_secs(1))
+            .unwrap_or_else(|e| panic!("{bind}: idle shutdown took over a second: {e}"));
+        assert_eq!(
+            (summary.served, summary.errors, summary.rejected_429),
+            (0, 0, 0),
+            "{bind}: the wake connection was counted"
+        );
+        let rebind = std::net::TcpListener::bind(addr);
+        assert!(rebind.is_ok(), "{bind}: port still held: {rebind:?}");
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Shutdown with the only worker pinned and the one-slot queue full: the
+/// connection that wakes the accept thread would be a 429 if it were
+/// looked at. It is not — the counters are exactly what this test's own
+/// clients caused — and the queued connection is still answered.
+#[test]
+fn shutdown_with_a_full_queue_counts_only_real_clients() {
+    let path = build_snapshot("fullstop");
+    let state = Arc::new(ServeState::load(&path).expect("load snapshot"));
+    let cfg = ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        queue_depth: 1,
+        // The pinning connection is closed by the test, not timed out.
+        read_timeout: Duration::from_secs(60),
+        ..ServeConfig::default()
+    };
+    let server = Server::start(state, &cfg).expect("start server");
+    let addr = server.local_addr();
+    let in_flight = || -> f64 {
+        let v = inspire_trace::json::parse(&server.metrics_json()).expect("metrics parse");
+        let gauge = v.get("requests").and_then(|r| r.get("in_flight"));
+        gauge.and_then(|x| x.as_f64()).expect("in_flight")
+    };
+
+    // As in the 429 test: a silent connection pins the worker, a second
+    // fills the queue (this one carries a request), and the third's 429
+    // proves the second was queued before it.
+    let pin = TcpStream::connect(addr).expect("connect pin");
+    let since = Instant::now();
+    while in_flight() != 1.0 {
+        assert!(since.elapsed() < TIMEOUT, "worker never picked up the pin");
+        std::thread::yield_now();
+    }
+    let mut queued = TcpStream::connect(addr).expect("connect queued");
+    queued.set_read_timeout(Some(TIMEOUT)).unwrap();
+    queued
+        .write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+        .expect("write queued request");
+    let resp = http::get(addr, "/healthz", TIMEOUT).expect("429 response delivered");
+    assert_eq!(resp.status, 429, "{}", resp.body);
+
+    // Shutdown cannot finish while the worker is pinned, but the accept
+    // thread goes at once: the port rebinds while the queue is still full.
+    let summary = shutdown_in_background(server);
+    let since = Instant::now();
+    while std::net::TcpListener::bind(addr).is_err() {
+        assert!(since.elapsed() < TIMEOUT, "accept thread never woke");
+        std::thread::yield_now();
+    }
+    drop(pin);
+    let mut buf = Vec::new();
+    queued
+        .read_to_end(&mut buf)
+        .expect("queued connection answered");
+    let resp = http::parse_response(&buf).expect("queued response parses");
+    assert_eq!((resp.status, resp.body.as_str()), (200, "ok\n"));
+
+    let summary = summary.recv_timeout(TIMEOUT).expect("shutdown returns");
+    assert_eq!(summary.rejected_429, 1);
+    assert_eq!(summary.errors, 1, "the pin's 400 to nobody");
+    assert_eq!(summary.served, 1, "the queued /healthz");
     let _ = std::fs::remove_file(&path);
 }

@@ -383,6 +383,18 @@ fn interleaving_requests(state: &ServeState, deleted: &[u32]) -> Vec<ServeReques
         ServeRequest::Term { term, .. } => term.clone(),
         other => panic!("build_requests starts with a term lookup, got {other:?}"),
     };
+    // Ranked search with a repeated token, and cut to the single best
+    // hit: the merge over many segments and tombstones must add and
+    // tie-break exactly as it does over one component.
+    let pair = match &out[2] {
+        ServeRequest::Search { text, .. } => text.clone(),
+        other => panic!("build_requests' third request is a search, got {other:?}"),
+    };
+    out.push(ServeRequest::Search {
+        text: format!("{pair} {text}"),
+        top: 10,
+    });
+    out.push(ServeRequest::Search { text: pair, top: 1 });
     let docs = state.total_docs();
     let probes = [(0, 8), (docs / 2, 1), (docs - 1, 8)];
     for (doc, nprobe) in probes.into_iter().chain(deleted.iter().map(|&d| (d, 8))) {
