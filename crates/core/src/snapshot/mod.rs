@@ -37,6 +37,10 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+pub mod schema;
+
+pub use schema::EngineMeta;
+
 /// Pipeline stage a snapshot was taken after.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Stage {
@@ -52,16 +56,6 @@ pub enum Stage {
 }
 
 impl Stage {
-    fn from_u64(v: u64) -> Option<Stage> {
-        match v {
-            1 => Some(Stage::Scan),
-            2 => Some(Stage::Index),
-            3 => Some(Stage::Sig),
-            4 => Some(Stage::Final),
-            _ => None,
-        }
-    }
-
     /// Checkpoint file name for this stage.
     pub fn file_name(self) -> &'static str {
         match self {
@@ -77,27 +71,6 @@ impl Stage {
 pub fn checkpoint_path(dir: &Path, stage: Stage) -> PathBuf {
     dir.join(stage.file_name())
 }
-
-// Meta section layout (u64 slots).
-const META_STAGE: usize = 0;
-const META_NPROCS: usize = 1;
-const META_TOTAL_DOCS: usize = 2;
-const META_VOCAB: usize = 3;
-const META_CONFIG_FP: usize = 4;
-const META_CORPUS_FP: usize = 5;
-const META_TOTAL_TOKENS: usize = 6;
-const META_N_MAJOR: usize = 7;
-const META_M_DIMS: usize = 8;
-const META_EXPANSIONS: usize = 9;
-const META_SIG_TOTAL: usize = 10;
-const META_SIG_NULL: usize = 11;
-const META_SIG_WEAK: usize = 12;
-const META_K: usize = 13;
-const META_KMEANS_ITERS: usize = 14;
-const META_OBJECTIVE_BITS: usize = 15;
-const META_VARIANCE_BITS: usize = 16;
-const META_PROJ_DIMS: usize = 17;
-const META_LEN: usize = 18;
 
 /// Fingerprint of the configuration fields that affect engine *results*
 /// (execution-detail fields — thread width, checkpoint/snapshot paths —
@@ -232,33 +205,32 @@ pub fn write_engine_snapshot(
     if ctx.rank() == 0 {
         result = (|| {
             let start = std::time::Instant::now();
-            let mut meta = vec![0u64; META_LEN];
-            meta[META_STAGE] = inp.stage as u64;
-            meta[META_NPROCS] = ctx.nprocs() as u64;
-            meta[META_TOTAL_DOCS] = total_docs as u64;
-            meta[META_VOCAB] = scan.vocab_size() as u64;
-            meta[META_CONFIG_FP] = inp.config_fp;
-            meta[META_CORPUS_FP] = inp.corpus_fp;
-            if let Some(idx) = inp.index {
-                meta[META_TOTAL_TOKENS] = idx.total_tokens;
-            }
-            if let Some(t) = inp.topics {
-                meta[META_N_MAJOR] = t.major.len() as u64;
-                meta[META_M_DIMS] = t.m_dims() as u64;
-                meta[META_EXPANSIONS] = inp.expansions as u64;
-            }
-            if let Some(s) = inp.sigs {
-                meta[META_SIG_TOTAL] = s.stats.total;
-                meta[META_SIG_NULL] = s.stats.null;
-                meta[META_SIG_WEAK] = s.stats.weak;
-            }
-            if let Some(cl) = inp.clustering {
-                meta[META_K] = cl.k as u64;
-                meta[META_KMEANS_ITERS] = cl.iterations as u64;
-                meta[META_OBJECTIVE_BITS] = cl.objective.to_bits();
-            }
-            meta[META_VARIANCE_BITS] = inp.variance_explained.to_bits();
-            meta[META_PROJ_DIMS] = inp.projection_dims as u64;
+            // A stage's products are absent (zero) until it has run.
+            let meta = EngineMeta {
+                stage: inp.stage,
+                nprocs: ctx.nprocs(),
+                total_docs: scan.total_docs,
+                vocab_size: scan.vocab_size(),
+                config_fp: inp.config_fp,
+                corpus_fp: inp.corpus_fp,
+                total_tokens: inp.index.map_or(0, |idx| idx.total_tokens),
+                n_major: inp.topics.map_or(0, |t| t.major.len()),
+                m_dims: inp.topics.map_or(0, |t| t.m_dims()),
+                dim_expansions: inp.topics.map_or(0, |_| inp.expansions),
+                sig_stats: inp.sigs.map_or(
+                    SignatureStats {
+                        total: 0,
+                        null: 0,
+                        weak: 0,
+                    },
+                    |s| s.stats,
+                ),
+                k: inp.clustering.map_or(0, |cl| cl.k),
+                kmeans_iters: inp.clustering.map_or(0, |cl| cl.iterations),
+                kmeans_objective: inp.clustering.map_or(0.0, |cl| cl.objective),
+                variance_explained: inp.variance_explained,
+                projection_dims: inp.projection_dims,
+            };
 
             let doctok: Vec<u32> = doctok.as_ref().unwrap().concat();
             let segcnt: Vec<u32> = segcnt.as_ref().unwrap().concat();
@@ -275,7 +247,7 @@ pub fn write_engine_snapshot(
 
             let tmp = path.with_extension("isnap.tmp");
             let mut w = SnapshotWriter::create(&tmp)?;
-            w.add_u64s("meta", &meta)?;
+            w.add_u64s("meta", &meta.to_slots())?;
             w.add_u64s("docbase", &docbase)?;
             w.add_bytes("terms", scan.terms.arena_bytes())?;
             w.add_u32s("termoff", scan.terms.offsets())?;
@@ -424,73 +396,6 @@ pub fn republish_snapshot(
     }
     ctx.barrier();
     result
-}
-
-/// Parsed snapshot metadata.
-#[derive(Debug, Clone)]
-pub struct EngineMeta {
-    pub stage: Stage,
-    pub nprocs: usize,
-    pub total_docs: u32,
-    pub vocab_size: usize,
-    pub config_fp: u64,
-    pub corpus_fp: u64,
-    pub total_tokens: u64,
-    pub n_major: usize,
-    pub m_dims: usize,
-    pub dim_expansions: usize,
-    pub sig_stats: SignatureStats,
-    pub k: usize,
-    pub kmeans_iters: usize,
-    pub kmeans_objective: f64,
-    pub variance_explained: f64,
-    pub projection_dims: usize,
-}
-
-impl EngineMeta {
-    /// Parse the `meta` section of an engine snapshot container.
-    pub(crate) fn parse(snap: &Snapshot) -> io::Result<EngineMeta> {
-        let src = snap.source();
-        let m = snap.require("meta")?.as_u64s()?;
-        if m.len() != META_LEN {
-            return Err(bad(
-                src,
-                format!("meta section has {} slots, expected {META_LEN}", m.len()),
-            ));
-        }
-        let stage = Stage::from_u64(m[META_STAGE])
-            .ok_or_else(|| bad(src, format!("unknown stage {}", m[META_STAGE])))?;
-        Ok(EngineMeta {
-            stage,
-            nprocs: m[META_NPROCS] as usize,
-            total_docs: m[META_TOTAL_DOCS] as u32,
-            vocab_size: m[META_VOCAB] as usize,
-            config_fp: m[META_CONFIG_FP],
-            corpus_fp: m[META_CORPUS_FP],
-            total_tokens: m[META_TOTAL_TOKENS],
-            n_major: m[META_N_MAJOR] as usize,
-            m_dims: m[META_M_DIMS] as usize,
-            dim_expansions: m[META_EXPANSIONS] as usize,
-            sig_stats: SignatureStats {
-                total: m[META_SIG_TOTAL],
-                null: m[META_SIG_NULL],
-                weak: m[META_SIG_WEAK],
-            },
-            k: m[META_K] as usize,
-            kmeans_iters: m[META_KMEANS_ITERS] as usize,
-            kmeans_objective: f64::from_bits(m[META_OBJECTIVE_BITS]),
-            variance_explained: f64::from_bits(m[META_VARIANCE_BITS]),
-            projection_dims: m[META_PROJ_DIMS] as usize,
-        })
-    }
-
-    /// Whether a Final snapshot of this shape carries the IVF +
-    /// quantized-signature sections (§13): every one does, except a
-    /// degenerate corpus with no signature dimensions or no documents,
-    /// where similarity queries are meaningless.
-    pub(crate) fn wants_ann(&self) -> bool {
-        self.stage == Stage::Final && self.m_dims > 0 && self.total_docs > 0
-    }
 }
 
 /// A loaded, validated engine snapshot. Construction verifies every
@@ -1176,6 +1081,56 @@ mod tests {
             );
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    /// The writer conforms to the schema: every checkpoint, and a Final
+    /// snapshot without the similarity sections, holds exactly its
+    /// stage's rows — same order, names and kinds.
+    #[test]
+    fn writer_emits_exactly_the_schema_rows_of_each_stage() {
+        let zero = Arc::new(CostModel::zero());
+        let dir = tmp("conform");
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = EngineConfig {
+            checkpoint_dir: Some(dir.clone()),
+            ..EngineConfig::for_testing()
+        };
+        run_engine(2, zero.clone(), &corpus(), &cfg);
+        // Every token is filtered: no signature dimensions, no ANN.
+        let degenerate = dir.join("degenerate.isnap");
+        let no_terms = SourceSet {
+            sources: vec![corpus::Source {
+                name: "none.txt".into(),
+                data: b"PMID- 1\nTI  - a b c 1 2 3\nAB  - x y z 42\n\nPMID- 2\nTI  - 9 8 7\n\n"
+                    .to_vec(),
+                format: corpus::FormatKind::Medline,
+            }],
+        };
+        let cfg = EngineConfig {
+            snapshot_out: Some(degenerate.clone()),
+            ..EngineConfig::for_testing()
+        };
+        run_engine(2, zero, &no_terms, &cfg);
+
+        let mut files: Vec<PathBuf> = [Stage::Scan, Stage::Index, Stage::Sig, Stage::Final]
+            .iter()
+            .map(|&stage| checkpoint_path(&dir, stage))
+            .collect();
+        files.push(degenerate);
+        let mut widths = Vec::new();
+        for path in &files {
+            let store = Snapshot::open(path).unwrap();
+            let meta = EngineMeta::parse(&store).unwrap();
+            let wrote: Vec<_> = store.sections().map(|(n, kind, _)| (n, kind)).collect();
+            let rows: Vec<_> = schema::engine_rows(&meta)
+                .iter()
+                .map(|r| (r.name, r.kind))
+                .collect();
+            assert_eq!(wrote, rows, "{}", path.display());
+            widths.push(rows.len());
+        }
+        assert_eq!(widths, [11, 17, 22, 35, 29]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A corrupt checkpoint is skipped (falling back to an earlier stage),

@@ -287,6 +287,31 @@ mod tests {
         }
     }
 
+    /// The sealer conforms to the schema: a segment holds exactly the
+    /// segment table's rows — same order, names and kinds — with `tomb`
+    /// only when it deletes something.
+    #[test]
+    fn sealed_segment_holds_exactly_the_schema_rows() {
+        use inspire_core::snapshot::schema::{When, SEGMENT};
+        let dir = std::env::temp_dir().join(format!("seg_rows_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let src = medline("b.txt", "PMID- 1\nTI  - alpha beta\n\n");
+        let mut b = build_from_batch(&src, 0, &Tokenizer::new(Default::default()));
+        for tombstones in [vec![], vec![0]] {
+            b.tombstones = tombstones;
+            write_segment(&dir, "seg.iseg", &b).unwrap();
+            let store = Snapshot::open(&dir.join("seg.iseg")).unwrap();
+            let wrote: Vec<_> = store.sections().map(|(n, kind, _)| (n, kind)).collect();
+            let rows: Vec<_> = SEGMENT
+                .iter()
+                .filter(|r| r.when != When::Tombstones || !b.tombstones.is_empty())
+                .map(|r| (r.name, r.kind))
+                .collect();
+            assert_eq!(wrote, rows);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn seal_and_reopen_roundtrip() {
         let dir = std::env::temp_dir().join(format!("seg_rt_{}", std::process::id()));

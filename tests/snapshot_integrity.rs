@@ -14,7 +14,7 @@
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 use visual_analytics::engine::query::{self, Query};
-use visual_analytics::engine::snapshot::EngineSnapshot;
+use visual_analytics::engine::snapshot::{schema, EngineSnapshot};
 use visual_analytics::engine::{index::invert, scan::scan};
 use visual_analytics::prelude::*;
 
@@ -30,20 +30,23 @@ fn snapshot_path(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("va-integrity-{}-{tag}.isnap", std::process::id()))
 }
 
+/// The bytes of a Final snapshot of [`corpus`] built at `procs` ranks.
+fn build_snapshot(procs: usize, tag: &str) -> Vec<u8> {
+    let path = snapshot_path(tag);
+    let cfg = EngineConfig {
+        snapshot_out: Some(path.clone()),
+        ..EngineConfig::for_testing()
+    };
+    run_engine(procs, Arc::new(CostModel::zero()), &corpus(), &cfg);
+    let bytes = std::fs::read(&path).expect("snapshot written");
+    let _ = std::fs::remove_file(&path);
+    bytes
+}
+
 /// One engine snapshot, built once and shared by the corruption tests.
 fn snapshot_bytes() -> &'static [u8] {
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
-    BYTES.get_or_init(|| {
-        let path = snapshot_path("shared");
-        let cfg = EngineConfig {
-            snapshot_out: Some(path.clone()),
-            ..EngineConfig::for_testing()
-        };
-        run_engine(2, Arc::new(CostModel::zero()), &corpus(), &cfg);
-        let bytes = std::fs::read(&path).expect("snapshot written");
-        let _ = std::fs::remove_file(&path);
-        bytes
-    })
+    BYTES.get_or_init(|| build_snapshot(2, "shared"))
 }
 
 /// Loading `bytes` as an engine snapshot must fail with a descriptive
@@ -99,6 +102,28 @@ fn the_pristine_snapshot_itself_loads() {
     assert_eq!(snap.meta().nprocs, 2);
 }
 
+/// `good` rewritten CRC-valid, each section's payload passed through
+/// `edit` (`None` keeps it), then opened as an engine snapshot. A
+/// checksum cannot catch these files; only `from_store` can.
+fn open_rewritten(
+    good: &inspire_store::Snapshot,
+    tag: &str,
+    edit: impl Fn(&str, &[u8]) -> Option<Vec<u8>>,
+) -> std::io::Result<EngineSnapshot> {
+    let path = snapshot_path(tag);
+    let mut w = inspire_store::SnapshotWriter::create(&path).unwrap();
+    for (name, kind, _) in good.sections() {
+        let payload = good.require(name).unwrap().bytes();
+        let edited = edit(name, payload);
+        w.add_section(name, kind, edited.as_deref().unwrap_or(payload))
+            .unwrap();
+    }
+    w.finish().unwrap();
+    let opened = EngineSnapshot::open(&path);
+    let _ = std::fs::remove_file(&path);
+    opened
+}
+
 /// A snapshot can be CRC-valid and still lie: readers index every
 /// `coordnd` row at `[0]` and `[1]`, so a recorded projection width
 /// outside {2, 3} must be refused at open — with `coordnd` resized to
@@ -110,32 +135,80 @@ fn projection_width_outside_2_and_3_is_rejected_at_open() {
     let meta = good.require("meta").unwrap().as_u64s().unwrap();
     let docs = meta[2] as usize;
     for dims in [0u64, 1] {
-        let path = snapshot_path(&format!("proj{dims}"));
-        let mut w = inspire_store::SnapshotWriter::create(&path).unwrap();
-        for (name, kind, _) in good.sections() {
-            match name {
-                "meta" => {
-                    let mut lied = meta.to_vec();
-                    lied[META_PROJ_DIMS] = dims;
-                    w.add_u64s(name, &lied).unwrap();
-                }
-                "coordnd" => w.add_f64s(name, &vec![0.0; docs * dims as usize]).unwrap(),
-                _ => w
-                    .add_section(name, kind, good.require(name).unwrap().bytes())
-                    .unwrap(),
+        let err = open_rewritten(&good, &format!("proj{dims}"), |name, _| match name {
+            "meta" => {
+                let mut lied = meta.to_vec();
+                lied[META_PROJ_DIMS] = dims;
+                Some(lied.iter().flat_map(|v| v.to_le_bytes()).collect())
             }
-        }
-        w.finish().unwrap();
-        let err = EngineSnapshot::open(&path)
-            .err()
-            .unwrap_or_else(|| panic!("projection width {dims} was accepted"));
+            "coordnd" => Some(vec![0u8; docs * dims as usize * 8]),
+            _ => None,
+        })
+        .err()
+        .unwrap_or_else(|| panic!("projection width {dims} was accepted"));
         let msg = err.to_string();
         assert!(
             msg.contains(&format!("{dims} projection dimensions")),
             "error does not name the bad width: {msg}"
         );
-        let _ = std::fs::remove_file(&path);
     }
+}
+
+/// Every length the schema declares is enforced, and every offsets
+/// table is checked to be one: each section in turn one element short,
+/// one element long, and (offsets tables) with two interior entries
+/// swapped must be refused at open by an error naming the section —
+/// never accepted, never a panic in a reader later.
+#[test]
+fn every_lying_section_is_refused_at_open_by_name() {
+    // Four ranks, so that `docbase` has interior entries to swap.
+    let bytes = build_snapshot(4, "lying");
+    let good = inspire_store::Snapshot::from_bytes(&bytes, "pristine").unwrap();
+    let accepted = std::cell::RefCell::new(Vec::new());
+    let refused = |row: &schema::Row, how: &str, lie: &dyn Fn(&[u8]) -> Vec<u8>| {
+        let tag = format!("lying-{}-{how}", row.name);
+        let edit = |name: &str, payload: &[u8]| (name == row.name).then(|| lie(payload));
+        match open_rewritten(&good, &tag, edit) {
+            Ok(_) => accepted.borrow_mut().push(format!("`{}` {how}", row.name)),
+            Err(e) => assert!(
+                e.to_string().contains(&format!("`{}`", row.name)),
+                "`{}` {how}: the error does not name the section: {e}",
+                row.name
+            ),
+        }
+    };
+    let mut lengths = 0;
+    let mut tables = 0;
+    for row in schema::ENGINE {
+        let width = row.kind.elem_size();
+        let payload = good.require(row.name).unwrap().bytes();
+        if !matches!(row.len, schema::Len::Parser(_)) {
+            assert!(payload.len() >= width, "`{}` is empty", row.name);
+            refused(row, "one short", &|p| p[..p.len() - width].to_vec());
+            // Repeating the last element keeps an offsets table one.
+            refused(row, "one long", &|p| [p, &p[p.len() - width..]].concat());
+            lengths += 1;
+        }
+        if row.offsets != schema::Offsets::No {
+            let (lo, hi) = (width, payload.len() - 2 * width);
+            assert!(
+                lo < hi && payload[lo..lo + width] != payload[hi..hi + width],
+                "`{}` has no two distinct interior entries",
+                row.name
+            );
+            refused(row, "with two entries swapped", &|p| {
+                let mut p = p.to_vec();
+                for i in 0..width {
+                    p.swap(lo + i, hi + i);
+                }
+                p
+            });
+            tables += 1;
+        }
+    }
+    assert_eq!((lengths, tables), (29, 5), "rows the schema gives a rule");
+    let accepted = accepted.into_inner();
+    assert!(accepted.is_empty(), "accepted at open: {accepted:?}");
 }
 
 /// The block-compressed index must stay at least 3x smaller than the
