@@ -20,8 +20,9 @@
 //! that merges both.
 
 use crate::index::{unpack_posting, Posting};
+use crate::snapshot::schema::{DFV, POSTBLK, POSTDIR, POSTSKP, TERMOFF, TERMS, TFV};
 use crate::{DocId, TermId};
-use inspire_store::{codec, Snapshot};
+use inspire_store::{codec, Snapshot, SnapshotWriter};
 use intern::TermTable;
 use std::cell::RefCell;
 use std::io;
@@ -150,6 +151,17 @@ pub fn encode_posting_sections(
     enc
 }
 
+/// Append the five index sections to `w`: the one place the batch
+/// pipeline, `vaengine migrate`, the ingest sealer and the compactor
+/// write them.
+pub fn write_index_sections(w: &mut SnapshotWriter, enc: &EncodedIndex) -> io::Result<()> {
+    POSTDIR.put(w, &enc.dir)?;
+    POSTBLK.put(w, &enc.blk)?;
+    POSTSKP.put(w, &enc.skips)?;
+    DFV.put(w, &enc.dfv)?;
+    TFV.put(w, &enc.tfv)
+}
+
 /// Parsed `postdir` directory: where each term's compressed posting list
 /// and skip entries live inside the `postblk` / `postskp` sections.
 /// Parsing touches only the directory (two varints per term); posting
@@ -240,8 +252,8 @@ pub(crate) fn bad(snap: &Snapshot, msg: String) -> io::Error {
 
 /// The sorted vocabulary stored in `snap`'s `terms`/`termoff` sections.
 pub fn read_terms(snap: &Snapshot) -> io::Result<TermTable> {
-    let arena = snap.require("terms")?.bytes().to_vec();
-    let offsets = snap.require("termoff")?.as_u32s()?.to_vec();
+    let arena = snap.require(TERMS.name)?.bytes().to_vec();
+    let offsets = snap.require(TERMOFF.name)?.as_u32s()?.to_vec();
     TermTable::from_parts(arena, offsets).map_err(|e| bad(snap, format!("vocabulary: {e}")))
 }
 
@@ -256,19 +268,19 @@ pub struct PostingsReader {
 
 impl PostingsReader {
     /// Parse and cross-check `snap`'s index sections for a vocabulary of
-    /// `vocab` terms. `postdir`/`dfv`/`tfv` are read whatever byte kind
-    /// they carry: the engine writes them `Packed`, the sealer `Bytes`.
+    /// `vocab` terms. `postdir`/`dfv`/`tfv` are read through `.bytes()`:
+    /// segments sealed before the one writer carry them as `Bytes`.
     pub fn open(snap: &Snapshot, vocab: usize) -> io::Result<PostingsReader> {
-        let blk = snap.require("postblk")?.as_packed()?;
-        let skips = snap.require("postskp")?.as_skips()?;
+        let blk = snap.require(POSTBLK.name)?.as_packed()?;
+        let skips = snap.require(POSTSKP.name)?.as_skips()?;
         let dir = PostingsDir::parse(
-            snap.require("postdir")?.bytes(),
+            snap.require(POSTDIR.name)?.bytes(),
             vocab,
             blk.len(),
             skips.len(),
         )
         .map_err(|e| bad(snap, e.to_string()))?;
-        let dfv = snap.require("dfv")?.bytes();
+        let dfv = snap.require(DFV.name)?.bytes();
         let mut df = Vec::with_capacity(vocab);
         let mut at = 0usize;
         codec::read_varints_u32(dfv, &mut at, vocab, &mut df)
@@ -276,7 +288,7 @@ impl PostingsReader {
         if at != dfv.len() {
             return Err(bad(snap, format!("dfv: {} trailing bytes", dfv.len() - at)));
         }
-        let tfv = snap.require("tfv")?.bytes();
+        let tfv = snap.require(TFV.name)?.bytes();
         let mut tf = Vec::with_capacity(vocab);
         let mut at = 0usize;
         for _ in 0..vocab {
@@ -318,7 +330,7 @@ impl PostingsReader {
         if n == 0 {
             return Ok(());
         }
-        let blk = snap.require("postblk")?.bytes();
+        let blk = snap.require(POSTBLK.name)?.bytes();
         PAIR_SCRATCH.with(|s| {
             let mut pairs = s.borrow_mut();
             pairs.clear();
@@ -349,7 +361,7 @@ impl PostingsReader {
         out: &mut Vec<Posting>,
     ) -> io::Result<()> {
         self.decode(snap, term, out, |bytes, n, pairs| {
-            let skips = snap.require("postskp")?.as_skips()?;
+            let skips = snap.require(POSTSKP.name)?.as_skips()?;
             codec::decode_from(bytes, n, &skips[self.dir.skip_range(term)], min_doc, pairs)
         })
     }

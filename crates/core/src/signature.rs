@@ -30,7 +30,7 @@ pub const WEAK_DIMS: usize = 3;
 const SIG_DOC_CHUNK: usize = 64;
 
 /// Quality statistics over all documents (globally reduced).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SignatureStats {
     pub total: u64,
     /// Documents whose signature is identically zero (no major terms).

@@ -1,0 +1,340 @@
+//! Rebuilding engine state from a validated snapshot: the per-stage
+//! restore paths of checkpoint/resume, and the borrowed views serving
+//! reads. Every section is reached through [`EngineSnapshot`]'s
+//! accessors, keyed by its [`super::schema`] row.
+
+use super::schema::*;
+use super::{EngineSnapshot, Stage};
+use crate::ann::AnnIndexView;
+use crate::assoc::AssociationMatrix;
+use crate::index::{pack_posting, InvertedIndex, Posting, RankLoad};
+use crate::pipeline::{EngineOutput, EngineSummary};
+use crate::postings::{bad, read_terms};
+use crate::scan::{unpack_entry, LocalDoc, LocalField, ScanOutput};
+use crate::signature::Signatures;
+use crate::topicality::TopicSelection;
+use crate::{DocId, TermId};
+use ga::{DistHashMap, GlobalArray, GlobalArray2D};
+use intern::TermTable;
+use spmd::Ctx;
+use std::io;
+use std::sync::Arc;
+
+impl EngineSnapshot {
+    /// Refuse to rebuild `what` from a snapshot taken before `stage`.
+    pub(super) fn since(&self, stage: Stage, what: &str) -> io::Result<()> {
+        if self.meta.stage >= stage {
+            return Ok(());
+        }
+        Err(bad(
+            &self.snap,
+            format!("stage {:?} snapshot has no {what}", self.meta.stage),
+        ))
+    }
+
+    /// The canonical vocabulary.
+    pub fn terms(&self) -> io::Result<TermTable> {
+        read_terms(&self.snap)
+    }
+
+    /// The FAST-INV load-balance telemetry, four words per writer rank
+    /// (the inverse of [`super::write`]'s `load` section).
+    fn rank_loads(&self) -> Vec<RankLoad> {
+        self.u64s(&LOAD)
+            .chunks_exact(4)
+            .map(|w| RankLoad {
+                own_tasks: w[0] as u32,
+                stolen_tasks: w[1] as u32,
+                postings: w[2],
+                seconds: f64::from_bits(w[3]),
+            })
+            .collect()
+    }
+
+    /// The IVF index over this snapshot's sections (`has_ann`
+    /// snapshots), with the caller's precomputed [`crate::ann::code_sums`].
+    pub fn ann_view<'a>(&'a self, sums: &'a [u32]) -> AnnIndexView<'a> {
+        AnnIndexView {
+            k: self.meta.k,
+            m: self.meta.m_dims,
+            centroids: self.f64s(&CENTROID),
+            ivfoff: self.u64s(&IVFOFF),
+            ivfdoc: self.u32s(&IVFDOC),
+            codes: self.bytes(&QSIG),
+            scale: self.f64s(&QSCALE),
+            offset: self.f64s(&QOFF),
+            norm: self.f64s(&SIGNRM),
+            sums,
+            exact: self.f64s(&SIGS),
+        }
+    }
+
+    /// This rank's document range `lo..hi` under the snapshot's
+    /// partitioning — or all documents when serving on a single rank.
+    fn doc_range(&self, ctx: &Ctx) -> io::Result<(usize, usize)> {
+        let docs = self.meta.total_docs as usize;
+        if ctx.nprocs() == self.meta.nprocs {
+            let bases = self.u64s(&DOCBASE);
+            Ok((bases[ctx.rank()] as usize, bases[ctx.rank() + 1] as usize))
+        } else if ctx.nprocs() == 1 {
+            Ok((0, docs))
+        } else {
+            Err(bad(
+                &self.snap,
+                format!(
+                    "snapshot was written at P={} and cannot restore at P={} \
+                     (only the original count, or a single serving rank)",
+                    self.meta.nprocs,
+                    ctx.nprocs()
+                ),
+            ))
+        }
+    }
+
+    /// Restore the Scan & Map stage state. Collective.
+    pub fn restore_scan(&self, ctx: &Ctx) -> io::Result<ScanOutput> {
+        let (lo, hi) = self.doc_range(ctx)?;
+        let terms = self.terms()?;
+        let doctok = self.u32s(&DOCTOK);
+        let segoff = self.u64s(&SEGOFF);
+        let segfld = self.u32s(&SEGFLD);
+        let seglen = self.u32s(&SEGLEN);
+        let fwdoff = self.i64s(&FWDOFF);
+        let fwddat = self.u64s(&FWDDAT);
+
+        let mut docs: Vec<LocalDoc> = Vec::with_capacity(hi - lo);
+        for d in lo..hi {
+            let mut entry_at = fwdoff[d] as usize;
+            let mut fields = Vec::with_capacity((segoff[d + 1] - segoff[d]) as usize);
+            for s in segoff[d] as usize..segoff[d + 1] as usize {
+                let n = seglen[s] as usize;
+                let mut counts: Vec<(TermId, u32)> = Vec::with_capacity(n);
+                let entries = fwddat.get(entry_at..entry_at + n).ok_or_else(|| {
+                    bad(
+                        &self.snap,
+                        format!("doc {d}: segment {s} runs past `fwddat`"),
+                    )
+                })?;
+                for e in entries {
+                    let (t, f, c) = unpack_entry(*e);
+                    if f as u32 != segfld[s] {
+                        return Err(bad(
+                            &self.snap,
+                            format!(
+                                "doc {d}: forward entry field {f} disagrees with segment field {}",
+                                segfld[s]
+                            ),
+                        ));
+                    }
+                    counts.push((t, c));
+                }
+                entry_at += n;
+                fields.push(LocalField {
+                    field: segfld[s] as crate::FieldId,
+                    counts,
+                });
+            }
+            if entry_at != fwdoff[d + 1] as usize {
+                return Err(bad(
+                    &self.snap,
+                    format!(
+                        "doc {d}: segments cover {entry_at} entries, offsets say {}",
+                        fwdoff[d + 1]
+                    ),
+                ));
+            }
+            docs.push(LocalDoc {
+                doc_id: d as DocId,
+                fields,
+                tokens: doctok[d],
+            });
+        }
+
+        // Rebuild the forward global arrays: each rank fills its own
+        // block from the (replicated) snapshot sections. No messages —
+        // the restore is embarrassingly local.
+        let total_docs = self.meta.total_docs as usize;
+        let fwd_offsets = GlobalArray::<i64>::create(ctx, total_docs + 1);
+        fwd_offsets.with_local_mut(ctx, |local| {
+            let r = fwd_offsets.distribution(ctx.rank());
+            local.copy_from_slice(&fwdoff[r]);
+        });
+        let fwd_data = GlobalArray::<u64>::create(ctx, fwddat.len());
+        fwd_data.with_local_mut(ctx, |local| {
+            let r = fwd_data.distribution(ctx.rank());
+            local.copy_from_slice(&fwddat[r]);
+        });
+        ctx.barrier();
+
+        // Per-rank scan statistics: exact under the original
+        // partitioning; summed onto the single rank when serving.
+        let rankio = self.u64s(&RANKIO);
+        let stat = |slot: usize| -> u64 {
+            if ctx.nprocs() == self.meta.nprocs {
+                rankio[ctx.rank() * 4 + slot]
+            } else {
+                (0..self.meta.nprocs).map(|r| rankio[r * 4 + slot]).sum()
+            }
+        };
+
+        Ok(ScanOutput {
+            docs,
+            doc_base: lo as DocId,
+            total_docs: self.meta.total_docs,
+            // The distributed hashmap's arrival-order ids are dead state
+            // after canonicalization; nothing downstream reads it.
+            vocab: DistHashMap::create(ctx),
+            terms: Arc::new(terms),
+            fwd_offsets,
+            fwd_data,
+            bytes_scanned: stat(0),
+            tokens_scanned: stat(1),
+            vocab_rpc_msgs: stat(2),
+            vocab_rpc_scalar_equiv: stat(3),
+        })
+    }
+
+    /// Restore the inverted index and global term statistics. Collective.
+    pub fn restore_index(&self, ctx: &Ctx) -> io::Result<InvertedIndex> {
+        self.since(Stage::Index, "inverted index")?;
+        let index = self.index.as_ref().expect("opened with the index");
+        // Back into the engine's flat packed layout: the resume path
+        // rebuilds the whole global array, where serving decodes per query.
+        let vocab = index.dir().vocab();
+        let mut postoff: Vec<i64> = Vec::with_capacity(vocab + 1);
+        let mut postdat: Vec<u64> = Vec::with_capacity(index.dir().total_postings() as usize);
+        let mut posts: Vec<Posting> = Vec::new();
+        for t in 0..vocab {
+            postoff.push(postdat.len() as i64);
+            posts.clear();
+            index.postings_into(&self.snap, t as TermId, &mut posts)?;
+            postdat.extend(posts.iter().map(|&p| pack_posting(p)));
+        }
+        postoff.push(postdat.len() as i64);
+
+        let postings = GlobalArray::<u64>::create(ctx, postdat.len());
+        postings.with_local_mut(ctx, |local| {
+            let r = postings.distribution(ctx.rank());
+            local.copy_from_slice(&postdat[r]);
+        });
+        ctx.barrier();
+
+        Ok(InvertedIndex {
+            offsets: Arc::new(postoff),
+            postings,
+            df: Arc::new(index.df().to_vec()),
+            tf: Arc::new(index.tf().to_vec()),
+            total_docs: self.meta.total_docs,
+            total_tokens: self.meta.total_tokens,
+            load: self.rank_loads(),
+        })
+    }
+
+    /// Restore the signature-stage state: topic selection, association
+    /// matrix, signatures, and the expansion count. Collective.
+    pub fn restore_sig_state(
+        &self,
+        ctx: &Ctx,
+    ) -> io::Result<(TopicSelection, AssociationMatrix, Signatures, usize)> {
+        self.since(Stage::Sig, "signatures")?;
+        let (lo, hi) = self.doc_range(ctx)?;
+        let m = self.meta.m_dims;
+        let major = self.u32s(&MAJOR).to_vec();
+        let scores = self.f64s(&MSCORE).to_vec();
+        let topic_ids = self.u32s(&TOPICS).to_vec();
+        let assoc = self.f64s(&ASSOC).to_vec();
+        let sigdat = self.f64s(&SIGS);
+
+        let topics = TopicSelection {
+            major: major.clone(),
+            scores,
+            topics: topic_ids,
+        };
+        let row_of = crate::assoc::position_table(&major, self.meta.vocab_size);
+        let am = AssociationMatrix {
+            values: Arc::new(assoc),
+            n: self.meta.n_major,
+            m,
+            row_of: Arc::new(row_of),
+        };
+
+        let local = sigdat[lo * m..hi * m].to_vec();
+        let global = GlobalArray2D::<f64>::create(ctx, self.meta.total_docs as usize, m);
+        global.with_local_mut(ctx, |rows, block| {
+            block.copy_from_slice(&sigdat[rows.start * m..rows.end * m]);
+        });
+        ctx.barrier();
+        let sigs = Signatures::from_parts(local, m, hi - lo, global, self.meta.sig_stats);
+        Ok((topics, am, sigs, self.meta.dim_expansions))
+    }
+
+    /// Cluster labels (`Stage::Final` snapshots).
+    pub fn labels(&self) -> io::Result<Vec<Vec<String>>> {
+        self.since(Stage::Final, "cluster labels")?;
+        let labstr = self.bytes(&LABSTR);
+        let laboff = self.u32s(&LABOFF);
+        let labcnt = self.u32s(&LABCNT);
+        let mut out = Vec::with_capacity(labcnt.len());
+        let mut li = 0usize;
+        for &c in labcnt {
+            let mut cluster = Vec::with_capacity(c as usize);
+            for _ in 0..c {
+                let s = &labstr[laboff[li] as usize..laboff[li + 1] as usize];
+                cluster.push(
+                    std::str::from_utf8(s)
+                        .map_err(|_| bad(&self.snap, format!("label {li} is not UTF-8")))?
+                        .to_string(),
+                );
+                li += 1;
+            }
+            out.push(cluster);
+        }
+        Ok(out)
+    }
+
+    /// Reconstruct the complete [`EngineOutput`] from a `Stage::Final`
+    /// snapshot without running any pipeline stage. Collective.
+    pub fn restore_output(&self, ctx: &Ctx) -> io::Result<EngineOutput> {
+        self.since(Stage::Final, "final output")?;
+        let (lo, hi) = self.doc_range(ctx)?;
+        let dims = self.meta.projection_dims;
+        let assign = self.u32s(&ASSIGN);
+        let coordnd = self.f64s(&COORDND);
+        let csize = self.u64s(&CSIZE);
+
+        let local_coords_nd = coordnd[lo * dims..hi * dims].to_vec();
+        let local_coords: Vec<(f64, f64)> = local_coords_nd
+            .chunks(dims)
+            .map(|row| (row[0], row[1]))
+            .collect();
+        let rank0 = ctx.rank() == 0;
+        let coords = rank0.then(|| coordnd.chunks(dims).map(|r| (r[0], r[1])).collect());
+        let all_assignments = rank0.then(|| assign.to_vec());
+
+        Ok(EngineOutput {
+            local_coords,
+            coords,
+            local_coords_nd,
+            projection_dims: dims,
+            assignments: assign[lo..hi].to_vec(),
+            all_assignments,
+            doc_base: lo as DocId,
+            cluster_labels: self.labels()?,
+            cluster_sizes: csize.to_vec(),
+            snapshot_report: None,
+            summary: EngineSummary {
+                vocab_size: self.meta.vocab_size,
+                total_docs: self.meta.total_docs,
+                total_tokens: self.meta.total_tokens,
+                n_major: self.meta.n_major,
+                m_dims: self.meta.m_dims,
+                dim_expansions: self.meta.dim_expansions,
+                sig_stats: self.meta.sig_stats,
+                kmeans_iters: self.meta.kmeans_iters,
+                kmeans_objective: self.meta.kmeans_objective,
+                variance_explained: self.meta.variance_explained,
+                load: self.rank_loads(),
+            },
+        })
+    }
+}

@@ -1,27 +1,28 @@
 //! The one declaration of every on-disk section.
 //!
 //! An engine snapshot and an ingest segment are both `inspire-store`
-//! containers of named sections. Each section is one [`Row`] here — its
-//! name, element kind, the first [`Stage`] that writes it, what fixes its
-//! length, whether it is an offsets table, and when it may be absent —
-//! and everything else derives from the rows: the writers and readers
-//! take section names from them, [`check`] holds a file to its table at
-//! open, `core::migrate` re-encodes the [`RETIRED_INDEX`] rows and copies
-//! the rest through, and a test holds DESIGN.md §8's tables to the rows.
-//! Adding a section is one row (listed in its table), the `add_*` call
-//! that writes it, and its consumer.
+//! containers of named sections. Each section is one [`Row`] here, and
+//! everything else derives from the rows: writers and readers take
+//! section names from them, [`check`] holds a file to its table at open,
+//! `core::migrate` re-encodes the [`RETIRED_INDEX`] rows, and a test
+//! holds DESIGN.md §8's tables to them. Adding a section is one row
+//! (listed in its table), the `add_*` call that writes it, and its
+//! consumer.
 
 use super::Stage;
+use crate::postings::bad;
 use crate::signature::SignatureStats;
-use inspire_store::{SectionKind, Snapshot};
+use inspire_store::{Scalar, SectionKind, Snapshot, SnapshotWriter};
 use std::io;
+use Offsets::{Data, Partition, Table};
 use SectionKind::{Bytes, Packed, Quant, Skip, F64, I64, U32, U64};
 use Stage::{Final, Index, Scan, Sig};
+use When::{Always, Ann, Tombstones};
 
 /// What fixes a section's element count.
 #[derive(Clone, Copy)]
 pub enum Len {
-    /// A count the `meta` section fixes: how DESIGN.md spells it, and
+    /// A count the `meta` section fixes: its spelling in DESIGN.md, and
     /// the count.
     Fixed(&'static str, fn(&EngineMeta) -> usize),
     /// The last entry of an offsets section.
@@ -33,16 +34,16 @@ pub enum Len {
     Parser(&'static str),
 }
 
-/// Whether a section is an offsets table.
+/// What a section's entries are to the others.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub enum Offsets {
-    No,
-    /// First entry 0, non-decreasing. The `LastOf` rows that cite the
-    /// section pin its last entry.
-    Yes,
-    /// …and the last entry is the document count: a partition of the
-    /// corpus.
-    OfDocs,
+    /// Nothing the table knows about.
+    Data,
+    /// An offsets table: first entry 0, non-decreasing; the `LastOf`
+    /// rows citing it pin its last entry.
+    Table,
+    /// An offsets table whose last entry is the document count.
+    Partition,
 }
 
 /// When a container carries a section (from the row's stage on).
@@ -56,8 +57,8 @@ pub enum When {
     Tombstones,
 }
 
-/// A check on a section's *values* that no length rule expresses.
-type Rule = fn(&Snapshot, &EngineMeta) -> io::Result<()>;
+/// For a section of distinct ids (`u32`): the count they lie below.
+type IdsBelow = fn(&EngineMeta) -> usize;
 
 /// One on-disk section.
 #[derive(Clone, Copy)]
@@ -69,7 +70,7 @@ pub struct Row {
     pub len: Len,
     pub offsets: Offsets,
     pub when: When,
-    rule: Option<Rule>,
+    ids_below: Option<IdsBelow>,
 }
 
 const fn row(name: &'static str, kind: SectionKind, stage: Stage, len: Len) -> Row {
@@ -78,13 +79,19 @@ const fn row(name: &'static str, kind: SectionKind, stage: Stage, len: Len) -> R
         kind,
         stage,
         len,
-        offsets: Offsets::No,
-        when: When::Always,
-        rule: None,
+        offsets: Data,
+        when: Always,
+        ids_below: None,
     }
 }
 
 impl Row {
+    /// Append `data` as this section: name and kind come from the row,
+    /// so a writer cannot disagree with the table.
+    pub fn put<T: Scalar>(&self, w: &mut SnapshotWriter, data: &[T]) -> io::Result<()> {
+        w.add_section(self.name, self.kind, data)
+    }
+
     const fn offsets(self, offsets: Offsets) -> Row {
         Row { offsets, ..self }
     }
@@ -93,109 +100,79 @@ impl Row {
         Row { when, ..self }
     }
 
-    const fn rule(self, rule: Rule) -> Row {
+    const fn ids_below(self, bound: IdsBelow) -> Row {
         Row {
-            rule: Some(rule),
+            ids_below: Some(bound),
             ..self
         }
     }
 }
 
+const SLOTS: Len = Len::Fixed("18", |_| META_SLOTS);
+const RANKS_PLUS_1: Len = Len::Fixed("nprocs + 1", |m| m.nprocs + 1);
+const PER_RANK_4: Len = Len::Fixed("nprocs × 4", |m| m.nprocs * 4);
+const VOCAB: Len = Len::Fixed("vocab", |m| m.vocab_size);
+const VOCAB_PLUS_1: Len = Len::Fixed("vocab + 1", |m| m.vocab_size + 1);
 const DOCS: Len = Len::Fixed("docs", |m| m.docs());
 const DOCS_PLUS_1: Len = Len::Fixed("docs + 1", |m| m.docs() + 1);
-const PER_RANK_4: Len = Len::Fixed("nprocs × 4", |m| m.nprocs * 4);
 const N_MAJOR: Len = Len::Fixed("n_major", |m| m.n_major);
+const M_DIMS: Len = Len::Fixed("m_dims", |m| m.m_dims);
+const MAJOR_BY_DIMS: Len = Len::Fixed("n_major × m_dims", |m| m.n_major * m.m_dims);
+const DOCS_BY_DIMS: Len = Len::Fixed("docs × m_dims", |m| m.docs() * m.m_dims);
+const DOCS_BY_PROJ: Len = Len::Fixed("docs × projection_dims", |m| m.docs() * m.projection_dims);
 const K: Len = Len::Fixed("k", |m| m.k);
+const K_PLUS_1: Len = Len::Fixed("k + 1", |m| m.k + 1);
+const K_BY_DIMS: Len = Len::Fixed("k × m_dims", |m| m.k * m.m_dims);
+const LABELS_PLUS_1: Len = Len::SumPlusOne(&LABCNT);
 const VOCABULARY: Len = Len::Parser("`TermTable::from_parts`");
 const INDEX: Len = Len::Parser("`PostingsReader::open`");
+const SEGMENT_OPEN: Len = Len::Parser("`Segment::open`");
 
-// ---- Scan & Map ----
-pub static META: Row = row("meta", U64, Scan, Len::Fixed("18", |_| META_SLOTS));
-pub static DOCBASE: Row = row(
-    "docbase",
-    U64,
-    Scan,
-    Len::Fixed("nprocs + 1", |m| m.nprocs + 1),
-)
-.offsets(Offsets::OfDocs);
+// Scan & Map.
+pub static META: Row = row("meta", U64, Scan, SLOTS);
+pub static DOCBASE: Row = row("docbase", U64, Scan, RANKS_PLUS_1).offsets(Partition);
 pub static TERMS: Row = row("terms", Bytes, Scan, VOCABULARY);
-pub static TERMOFF: Row = row(
-    "termoff",
-    U32,
-    Scan,
-    Len::Fixed("vocab + 1", |m| m.vocab_size + 1),
-);
+pub static TERMOFF: Row = row("termoff", U32, Scan, VOCAB_PLUS_1);
 pub static DOCTOK: Row = row("doctok", U32, Scan, DOCS);
-pub static SEGOFF: Row = row("segoff", U64, Scan, DOCS_PLUS_1).offsets(Offsets::Yes);
+pub static SEGOFF: Row = row("segoff", U64, Scan, DOCS_PLUS_1).offsets(Table);
 pub static SEGFLD: Row = row("segfld", U32, Scan, Len::LastOf(&SEGOFF));
 pub static SEGLEN: Row = row("seglen", U32, Scan, Len::LastOf(&SEGOFF));
-pub static FWDOFF: Row = row("fwdoff", I64, Scan, DOCS_PLUS_1).offsets(Offsets::Yes);
+pub static FWDOFF: Row = row("fwdoff", I64, Scan, DOCS_PLUS_1).offsets(Table);
 pub static FWDDAT: Row = row("fwddat", U64, Scan, Len::LastOf(&FWDOFF));
 pub static RANKIO: Row = row("rankio", U64, Scan, PER_RANK_4);
-
-// ---- Inverted file: the five index sections (`core::postings`), shared
-// ---- with [`SEGMENT`], and the load-balance telemetry ----
+// The inverted file: the five index sections (`core::postings`), which
+// [`SEGMENT`] shares, and the load-balance telemetry.
 pub static POSTDIR: Row = row("postdir", Packed, Index, INDEX);
 pub static POSTBLK: Row = row("postblk", Packed, Index, INDEX);
 pub static POSTSKP: Row = row("postskp", Skip, Index, INDEX);
 pub static DFV: Row = row("dfv", Packed, Index, INDEX);
 pub static TFV: Row = row("tfv", Packed, Index, INDEX);
 pub static LOAD: Row = row("load", U64, Index, PER_RANK_4);
-
-// ---- Topicality, association matrix, signatures ----
-pub static MAJOR: Row = row("major", U32, Sig, N_MAJOR).rule(major_inside_vocabulary);
+// Topicality, association matrix, signatures.
+pub static MAJOR: Row = row("major", U32, Sig, N_MAJOR).ids_below(|m| m.vocab_size);
 pub static MSCORE: Row = row("mscore", F64, Sig, N_MAJOR);
-pub static TOPICS: Row = row("topics", U32, Sig, Len::Fixed("m_dims", |m| m.m_dims));
-pub static ASSOC: Row = row(
-    "assoc",
-    F64,
-    Sig,
-    Len::Fixed("n_major × m_dims", |m| m.n_major * m.m_dims),
-);
-pub static SIGS: Row = row(
-    "sigs",
-    F64,
-    Sig,
-    Len::Fixed("docs × m_dims", |m| m.docs() * m.m_dims),
-);
-
-// ---- Clustering, projection, labels ----
+pub static TOPICS: Row = row("topics", U32, Sig, M_DIMS);
+pub static ASSOC: Row = row("assoc", F64, Sig, MAJOR_BY_DIMS);
+pub static SIGS: Row = row("sigs", F64, Sig, DOCS_BY_DIMS);
+// Clustering, projection, labels.
 pub static ASSIGN: Row = row("assign", U32, Final, DOCS);
-pub static CENTROID: Row = row(
-    "centroid",
-    F64,
-    Final,
-    Len::Fixed("k × m_dims", |m| m.k * m.m_dims),
-);
+pub static CENTROID: Row = row("centroid", F64, Final, K_BY_DIMS);
 pub static CSIZE: Row = row("csize", U64, Final, K);
-pub static COORDND: Row = row(
-    "coordnd",
-    F64,
-    Final,
-    Len::Fixed("docs × projection_dims", |m| m.docs() * m.projection_dims),
-)
-.rule(projection_width_2_or_3);
+pub static COORDND: Row = row("coordnd", F64, Final, DOCS_BY_PROJ);
 pub static LABSTR: Row = row("labstr", Bytes, Final, Len::LastOf(&LABOFF));
-pub static LABOFF: Row = row("laboff", U32, Final, Len::SumPlusOne(&LABCNT)).offsets(Offsets::Yes);
+pub static LABOFF: Row = row("laboff", U32, Final, LABELS_PLUS_1).offsets(Table);
 pub static LABCNT: Row = row("labcnt", U32, Final, K);
-
-// ---- IVF + quantized signatures (§13) ----
-pub static QSIG: Row = row(
-    "qsig",
-    Quant,
-    Final,
-    Len::Fixed("docs × m_dims", |m| m.docs() * m.m_dims),
-)
-.when(When::Ann);
-pub static QSCALE: Row = row("qscale", F64, Final, DOCS).when(When::Ann);
-pub static QOFF: Row = row("qoff", F64, Final, DOCS).when(When::Ann);
-pub static SIGNRM: Row = row("signrm", F64, Final, DOCS).when(When::Ann);
+// IVF + quantized signatures (§13).
+pub static QSIG: Row = row("qsig", Quant, Final, DOCS_BY_DIMS).when(Ann);
+pub static QSCALE: Row = row("qscale", F64, Final, DOCS).when(Ann);
+pub static QOFF: Row = row("qoff", F64, Final, DOCS).when(Ann);
+pub static SIGNRM: Row = row("signrm", F64, Final, DOCS).when(Ann);
 pub static IVFDOC: Row = row("ivfdoc", U32, Final, DOCS)
-    .when(When::Ann)
-    .rule(ivfdoc_is_a_permutation);
-pub static IVFOFF: Row = row("ivfoff", U64, Final, Len::Fixed("k + 1", |m| m.k + 1))
-    .offsets(Offsets::OfDocs)
-    .when(When::Ann);
+    .when(Ann)
+    .ids_below(|m| m.docs());
+pub static IVFOFF: Row = row("ivfoff", U64, Final, K_PLUS_1)
+    .offsets(Partition)
+    .when(Ann);
 
 /// Every section of an engine snapshot, in file order.
 pub static ENGINE: [&Row; 35] = [
@@ -205,53 +182,24 @@ pub static ENGINE: [&Row; 35] = [
     &SIGNRM, &IVFDOC, &IVFOFF,
 ];
 
-// ---- Ingest segments: `smeta`, a vocabulary, the index, tombstones ----
-pub static SMETA: Row = row(
-    "smeta",
-    U64,
-    Index,
-    Len::Parser("`Segment::open`: 4 slots, version 1"),
-);
-/// A segment's vocabulary size is recorded nowhere else.
-pub static SEG_TERMOFF: Row = Row {
-    len: VOCABULARY,
-    ..TERMOFF
-};
-pub static TOMB: Row = row(
-    "tomb",
-    U32,
-    Index,
-    Len::Parser("`Segment::open`: strictly ascending"),
-)
-.when(When::Tombstones);
+// Ingest segments. `Segment::open` is the parser of `smeta` (4 slots,
+// version 1) and `tomb`; a segment's vocabulary size is recorded nowhere
+// but in `termoff` itself.
+pub static SMETA: Row = row("smeta", U64, Index, SEGMENT_OPEN);
+pub static SEG_TOFF: Row = row(TERMOFF.name, U32, Scan, VOCABULARY);
+pub static TOMB: Row = row("tomb", U32, Index, SEGMENT_OPEN).when(Tombstones);
 
 /// Every section of an ingest segment, in file order.
 pub static SEGMENT: [&Row; 9] = [
-    &SMETA,
-    &TERMS,
-    &SEG_TERMOFF,
-    &POSTDIR,
-    &POSTBLK,
-    &POSTSKP,
-    &DFV,
-    &TFV,
-    &TOMB,
+    &SMETA, &TERMS, &SEG_TOFF, &POSTDIR, &POSTBLK, &POSTSKP, &DFV, &TFV, &TOMB,
 ];
 
-// ---- The fixed-width index of format-v1 files: read by `vaengine
-// ---- migrate` only, which replaces it with the five index sections ----
-pub static POSTOFF: Row = row(
-    "postoff",
-    I64,
-    Index,
-    Len::Fixed("vocab + 1", |m| m.vocab_size + 1),
-)
-.offsets(Offsets::Yes);
+// The fixed-width index of format-v1 files, in the order they wrote it:
+// read by `vaengine migrate` only, which re-encodes it.
+pub static POSTOFF: Row = row("postoff", I64, Index, VOCAB_PLUS_1).offsets(Table);
 pub static POSTDAT: Row = row("postdat", U64, Index, Len::LastOf(&POSTOFF));
-pub static DF: Row = row("df", U32, Index, Len::Fixed("vocab", |m| m.vocab_size));
-pub static TF: Row = row("tf", U64, Index, Len::Fixed("vocab", |m| m.vocab_size));
-
-/// The retired index sections, in the order format v1 wrote them.
+pub static DF: Row = row("df", U32, Index, VOCAB);
+pub static TF: Row = row("tf", U64, Index, VOCAB);
 pub static RETIRED_INDEX: [&Row; 4] = [&POSTOFF, &POSTDAT, &DF, &TF];
 
 /// Slots of the `meta` section.
@@ -310,9 +258,9 @@ impl EngineMeta {
         let &[stage, nprocs, docs, vocab, config_fp, corpus_fp, tokens, n_major, m_dims, expansions, total, null, weak, k, iters, objective, variance, proj] =
             slots
         else {
+            let n = slots.len();
             return Err(format!(
-                "section `meta` has {} slots, expected {META_SLOTS}",
-                slots.len()
+                "section `meta` has {n} slots, expected {META_SLOTS}"
             ));
         };
         let stage = match stage {
@@ -330,6 +278,12 @@ impl EngineMeta {
         }
         if nprocs == 0 {
             return Err("snapshot records zero processes".into());
+        }
+        // Readers take `row[0]`, `row[1]` of every `coordnd` row.
+        if stage == Stage::Final && !(2..=3).contains(&proj) {
+            return Err(format!(
+                "meta records {proj} projection dimensions, expected 2 or 3"
+            ));
         }
         Ok(EngineMeta {
             stage,
@@ -371,47 +325,18 @@ impl EngineMeta {
 
 /// The rows a snapshot of this shape carries, in file order.
 pub fn engine_rows(meta: &EngineMeta) -> Vec<&'static Row> {
-    let carried = |r: &&&Row| r.stage <= meta.stage && (r.when != When::Ann || meta.wants_ann());
+    let carried = |r: &&&Row| r.stage <= meta.stage && (r.when != Ann || meta.wants_ann());
     ENGINE.iter().filter(carried).copied().collect()
-}
-
-pub(crate) fn bad(snap: &Snapshot, msg: String) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!("{}: {msg}", snap.source()),
-    )
-}
-
-/// The one error for a file an earlier release wrote: fixed-width index
-/// sections, or a Final stage without the ANN sections.
-fn missing(snap: &Snapshot, row: &Row) -> io::Error {
-    let retired = if row.name == POSTDIR.name {
-        "the index is stored as fixed-width arrays"
-    } else if row.name == QSIG.name {
-        "the Final stage has no similarity-search sections"
-    } else {
-        return bad(snap, format!("missing section `{}`", row.name));
-    };
-    bad(
-        snap,
-        format!(
-            "{retired}; this layout is no longer read — convert the file once with \
-             `vaengine migrate --in <old.isnap> --out <new.isnap>`"
-        ),
-    )
 }
 
 /// An integer section's entries, widened. A negative `i64` lands above
 /// every valid offset, where the offsets check refuses it.
-fn entries<'a>(
-    snap: &'a Snapshot,
-    row: &Row,
-) -> io::Result<Box<dyn DoubleEndedIterator<Item = u64> + 'a>> {
+fn entries(snap: &Snapshot, row: &Row) -> io::Result<Vec<u64>> {
     let view = snap.require(row.name)?;
     Ok(match row.kind {
-        U32 => Box::new(view.as_u32s()?.iter().map(|&v| v as u64)),
-        U64 => Box::new(view.as_u64s()?.iter().copied()),
-        I64 => Box::new(view.as_i64s()?.iter().map(|&v| v as u64)),
+        U32 => view.as_u32s()?.iter().map(|&v| v as u64).collect(),
+        U64 => view.as_u64s()?.to_vec(),
+        I64 => view.as_i64s()?.iter().map(|&v| v as u64).collect(),
         kind => unreachable!("`{}` ({kind}) is cited as an integer section", row.name),
     })
 }
@@ -419,126 +344,75 @@ fn entries<'a>(
 /// Hold `snap` to `rows`: every one present, and — unless its parser is
 /// the judge — of the declared kind and length, a well-formed offsets
 /// table where the row says so, and passing the row's value rule. The
-/// only passes over payload bytes are the offsets scans and the two
-/// value rules over `major` and `ivfdoc`, all O(documents).
+/// only passes over payload bytes are the offsets scans and the value
+/// rules of `major` and `ivfdoc`, all O(documents).
 pub fn check(snap: &Snapshot, rows: &[&'static Row], meta: &EngineMeta) -> io::Result<()> {
     // A length rule cites another section's contents; taking the cited
     // rows first makes the section that lies the one the error names.
-    let order = |len: &Len| match len {
+    let pass_of = |len: &Len| match len {
         Len::Fixed(..) | Len::Parser(_) => 0,
         Len::SumPlusOne(_) => 1,
         Len::LastOf(_) => 2,
     };
     for pass in 0..3 {
-        for row in rows.iter().filter(|r| order(&r.len) == pass) {
+        for row in rows.iter().filter(|r| pass_of(&r.len) == pass) {
+            let refuse = |what: String| Err(bad(snap, format!("section `{}` {what}", row.name)));
             let Some(view) = snap.section(row.name) else {
-                return Err(missing(snap, row));
+                // A file an earlier release wrote lacks exactly these.
+                let retired = match row.name {
+                    "postdir" => "the index is stored as fixed-width arrays",
+                    "qsig" => "the Final stage has no similarity-search sections",
+                    _ => return refuse("is missing".into()),
+                };
+                return refuse(format!(
+                    "is missing: {retired}; this layout is no longer read — convert the file \
+                     once with `vaengine migrate --in <old.isnap> --out <new.isnap>`"
+                ));
             };
             let want = match row.len {
                 Len::Parser(_) => continue,
                 Len::Fixed(_, count) => count(meta) as u64,
-                Len::SumPlusOne(counts) => entries(snap, counts)?.sum::<u64>() + 1,
-                Len::LastOf(offsets) => entries(snap, offsets)?.next_back().unwrap_or(0),
+                Len::SumPlusOne(counts) => entries(snap, counts)?.iter().sum::<u64>() + 1,
+                Len::LastOf(offsets) => entries(snap, offsets)?.last().copied().unwrap_or(0),
             };
-            if view.kind() != row.kind {
-                return Err(bad(
-                    snap,
-                    format!(
-                        "section `{}` holds {} elements, expected {}",
-                        row.name,
-                        view.kind(),
-                        row.kind
-                    ),
-                ));
-            }
             let len = (view.bytes().len() / row.kind.elem_size()) as u64;
-            if len != want {
-                return Err(bad(
-                    snap,
-                    format!("section `{}` has {len} elements, expected {want}", row.name),
+            if view.kind() != row.kind {
+                return refuse(format!(
+                    "holds {} elements, expected {}",
+                    view.kind(),
+                    row.kind
                 ));
             }
-            if row.offsets != Offsets::No {
-                let mut last = 0u64;
-                for (i, at) in entries(snap, row)?.enumerate() {
-                    if at < last || (i == 0 && at != 0) {
-                        return Err(bad(
-                            snap,
-                            format!(
-                                "section `{}` is not an offsets table: entry {i} is {at}",
-                                row.name
-                            ),
-                        ));
-                    }
-                    last = at;
+            if len != want {
+                return refuse(format!("has {len} elements, expected {want}"));
+            }
+            if row.offsets != Data {
+                let table = entries(snap, row)?;
+                if table[0] != 0 || table.windows(2).any(|w| w[0] > w[1]) {
+                    return refuse("does not start at 0 and ascend".into());
                 }
-                if row.offsets == Offsets::OfDocs && last != meta.docs() as u64 {
-                    return Err(bad(
-                        snap,
-                        format!(
-                            "section `{}` ends at {last}, not at the {} documents it partitions",
-                            row.name, meta.total_docs
-                        ),
+                let docs = meta.total_docs;
+                if row.offsets == Partition && table.last() != Some(&(docs as u64)) {
+                    return refuse(format!(
+                        "does not end at the {docs} documents it partitions"
                     ));
                 }
             }
-            if let Some(rule) = row.rule {
-                rule(snap, meta)?;
+            // `major` indexes vocabulary-length tables on restore; with
+            // its length fixed, `ivfdoc` is a permutation of the documents.
+            if let Some(bound) = row.ids_below {
+                let mut seen = vec![false; bound(meta)];
+                let stray = view.as_u32s()?.iter().find(|&&id| {
+                    seen.get_mut(id as usize)
+                        .is_none_or(|s| std::mem::replace(s, true))
+                });
+                if let Some(id) = stray {
+                    return refuse(format!("is not a set of ids below {}: {id}", seen.len()));
+                }
             }
         }
     }
     Ok(())
-}
-
-/// Major ids index vocabulary-length tables on restore.
-fn major_inside_vocabulary(snap: &Snapshot, meta: &EngineMeta) -> io::Result<()> {
-    let major = snap.require(MAJOR.name)?.as_u32s()?;
-    match major.iter().find(|&&t| t as usize >= meta.vocab_size) {
-        Some(t) => Err(bad(
-            snap,
-            format!("section `major` names term {t} beyond the vocabulary"),
-        )),
-        None => Ok(()),
-    }
-}
-
-/// Readers take `row[0]`, `row[1]` of every coordinate row.
-fn projection_width_2_or_3(snap: &Snapshot, meta: &EngineMeta) -> io::Result<()> {
-    if (2..=3).contains(&meta.projection_dims) {
-        return Ok(());
-    }
-    Err(bad(
-        snap,
-        format!(
-            "meta records {} projection dimensions, expected 2 or 3",
-            meta.projection_dims
-        ),
-    ))
-}
-
-/// Every document sits in exactly one IVF list.
-fn ivfdoc_is_a_permutation(snap: &Snapshot, meta: &EngineMeta) -> io::Result<()> {
-    let mut seen = vec![false; meta.docs()];
-    for &d in snap.require(IVFDOC.name)?.as_u32s()? {
-        match seen.get_mut(d as usize) {
-            Some(slot) if !*slot => *slot = true,
-            _ => {
-                return Err(bad(
-                    snap,
-                    format!(
-                        "section `ivfdoc` is not a permutation of 0..{} (doc {d})",
-                        meta.total_docs
-                    ),
-                ))
-            }
-        }
-    }
-    Ok(())
-}
-
-/// A segment's tombstones are sorted and deduplicated.
-pub fn tombstones_ascend(ids: &[u32]) -> bool {
-    ids.windows(2).all(|w| w[0] < w[1])
 }
 
 #[cfg(test)]

@@ -11,16 +11,18 @@
 //! union of base + segment postings for a term is byte-for-byte the
 //! list a rebuild would have encoded.
 //!
-//! Sections: `smeta` (u64 ×4: segment version, doc_base, doc_count,
-//! token total), `terms`/`termoff` (segment-local sorted vocabulary),
-//! `postdir`/`postblk`/`postskp` (block-compressed postings over
-//! **global** doc ids), `dfv`/`tfv` (varint stat deltas), and an
-//! optional `tomb` (sorted global doc ids this segment deletes).
+//! Sections: [`schema::SEGMENT`] — `smeta` (u64 ×4: segment version,
+//! doc_base, doc_count, token total), a segment-local sorted vocabulary,
+//! the five index sections over **global** doc ids, and an optional
+//! `tomb` (sorted global doc ids this segment deletes).
 
 use corpus::Source;
 use inspire_core::index::Posting;
-use inspire_core::postings::{encode_posting_sections, read_terms, PostingsReader};
+use inspire_core::postings::{
+    encode_posting_sections, read_terms, write_index_sections, PostingsReader,
+};
 use inspire_core::scan::tokenize_batch;
+use inspire_core::snapshot::schema::{self, When, SEG_TOFF, SMETA, TERMS, TOMB};
 use inspire_core::tokenize::Tokenizer;
 use inspire_store::{Snapshot, SnapshotWriter};
 use intern::{TermInterner, TermTable};
@@ -137,19 +139,13 @@ pub fn write_segment(dir: &Path, file: &str, b: &SegmentBuild) -> io::Result<u64
         posts.extend_from_slice(&b.lists[t]);
     });
     let mut w = SnapshotWriter::create(&tmp)?;
-    w.add_u64s(
-        "smeta",
-        &[SEG_VERSION, b.doc_base as u64, b.doc_count as u64, b.tokens],
-    )?;
-    w.add_bytes("terms", b.terms.arena_bytes())?;
-    w.add_u32s("termoff", b.terms.offsets())?;
-    w.add_bytes("postdir", &enc.dir)?;
-    w.add_packed("postblk", &enc.blk)?;
-    w.add_skips("postskp", &enc.skips)?;
-    w.add_bytes("dfv", &enc.dfv)?;
-    w.add_bytes("tfv", &enc.tfv)?;
+    let smeta = [SEG_VERSION, b.doc_base as u64, b.doc_count as u64, b.tokens];
+    SMETA.put(&mut w, &smeta)?;
+    TERMS.put(&mut w, b.terms.arena_bytes())?;
+    SEG_TOFF.put(&mut w, b.terms.offsets())?;
+    write_index_sections(&mut w, &enc)?;
     if !b.tombstones.is_empty() {
-        w.add_u32s("tomb", &b.tombstones)?;
+        TOMB.put(&mut w, &b.tombstones)?;
     }
     let stats = w.finish()?;
     std::fs::File::open(&tmp)?.sync_all()?;
@@ -179,31 +175,31 @@ pub struct Segment {
 impl Segment {
     pub fn open(path: &Path) -> io::Result<Segment> {
         let snap = Snapshot::open(path)?;
-        let src = snap.source().to_string();
-        let meta = snap.require("smeta")?.as_u64s()?.to_vec();
-        if meta.len() < 4 {
-            return Err(bad(&src, format!("smeta has {} slots, need 4", meta.len())));
+        // Every row's length is its parser's to judge; the table says
+        // which rows a segment cannot be without.
+        for row in schema::SEGMENT.iter().filter(|r| r.when == When::Always) {
+            snap.require(row.name)?;
         }
-        if meta[0] != SEG_VERSION {
-            return Err(bad(
-                &src,
-                format!("segment version {} unsupported", meta[0]),
-            ));
+        let src = snap.source();
+        let &[version, doc_base, doc_count, tokens] = snap.require(SMETA.name)?.as_u64s()? else {
+            return Err(bad(src, "section `smeta` does not have 4 slots".into()));
+        };
+        if version != SEG_VERSION {
+            return Err(bad(src, format!("segment version {version} unsupported")));
         }
-        let (doc_base, doc_count, tokens) = (meta[1] as u32, meta[2] as u32, meta[3]);
         let terms = read_terms(&snap)?;
         let index = PostingsReader::open(&snap, terms.len())?;
-        let tombstones = match snap.section("tomb") {
+        let tombstones = match snap.section(TOMB.name) {
             Some(s) => s.as_u32s()?.to_vec(),
             None => Vec::new(),
         };
         if tombstones.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(bad(&src, "tombstones not sorted/deduplicated".into()));
+            return Err(bad(src, "section `tomb` is not sorted/deduplicated".into()));
         }
         Ok(Segment {
             snap,
-            doc_base,
-            doc_count,
+            doc_base: doc_base as u32,
+            doc_count: doc_count as u32,
             tokens,
             terms,
             index,
@@ -232,10 +228,6 @@ impl Segment {
         &self.terms
     }
 
-    pub fn vocab(&self) -> usize {
-        self.terms.len()
-    }
-
     /// The index reader and the container its posting bytes live in —
     /// what the serving tier merges with the base snapshot's.
     pub fn index(&self) -> (&PostingsReader, &Snapshot) {
@@ -254,22 +246,10 @@ impl Segment {
         &self.tombstones
     }
 
-    pub fn total_postings(&self) -> u64 {
-        self.index.dir().total_postings()
-    }
-
     /// Append term `local`'s full posting list (global doc ids).
     pub fn postings_into(&self, local: u32, out: &mut Vec<Posting>) {
         self.index
             .postings_into(&self.snap, local, out)
-            .expect("CRC-validated segment postings decode");
-    }
-
-    /// Append only postings with `doc ≥ min_doc`, seeking through the
-    /// skip entries for multi-block lists.
-    pub fn postings_from(&self, local: u32, min_doc: u32, out: &mut Vec<Posting>) {
-        self.index
-            .postings_from(&self.snap, local, min_doc, out)
             .expect("CRC-validated segment postings decode");
     }
 }
@@ -327,7 +307,7 @@ mod tests {
         let seg = Segment::open(&dir.join("seg-000001.iseg")).unwrap();
         assert_eq!(seg.doc_base(), 100);
         assert_eq!(seg.doc_end(), 102);
-        assert_eq!(seg.vocab(), b.terms.len());
+        assert_eq!(seg.terms().len(), b.terms.len());
         let alpha = seg.terms().position("alpha").expect("alpha indexed") as u32;
         assert_eq!(seg.df(alpha), 1);
         assert_eq!(seg.tf(alpha), 3);
@@ -335,9 +315,6 @@ mod tests {
         seg.postings_into(alpha, &mut posts);
         assert!(posts.iter().all(|p| p.doc == 100));
         assert_eq!(posts.iter().map(|p| p.freq).sum::<u32>(), 3);
-        let mut tail = Vec::new();
-        seg.postings_from(alpha, 101, &mut tail);
-        assert!(tail.is_empty());
 
         let t = build_tombstones(102, vec![7, 3, 7]);
         write_segment(&dir, "seg-000002.iseg", &t).unwrap();

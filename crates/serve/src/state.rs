@@ -32,10 +32,11 @@
 //! when a future full rebuild folds the base). Compaction preserves
 //! exactly these semantics, so a generation flip never changes bytes.
 
-use inspire_core::ann::{self, AnnIndexView, SearchStats};
+use inspire_core::ann::{self, SearchStats};
 use inspire_core::index::Posting;
 use inspire_core::postings::{union_vocabularies, PostingsReader};
 use inspire_core::query::{Hit, SearchIndex};
+use inspire_core::snapshot::schema::{ASSIGN, ASSOC, COORDND, CSIZE, MAJOR, QSIG, SIGS};
 use inspire_core::snapshot::EngineMeta;
 use inspire_core::{EngineSnapshot, Stage, TermId};
 use inspire_ingest::Segment;
@@ -185,18 +186,12 @@ impl ServeState {
         let mut maps: Vec<Vec<u32>> = Vec::new();
         let mut df: Vec<u32> = Vec::new();
         // Major-term rows are keyed by base-local term ids on disk.
-        let ann_rows: Option<HashMap<String, usize>> = if snap.has_ann() {
-            let major = snap.store().require("major")?.as_u32s()?;
-            Some(
-                major
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &t)| (base_terms.get(t as usize).to_string(), i))
-                    .collect(),
-            )
-        } else {
-            None
-        };
+        let ann_rows: Option<HashMap<String, usize>> = snap.has_ann().then(|| {
+            let major = snap.u32s(&MAJOR).iter().enumerate();
+            major
+                .map(|(i, &t)| (base_terms.get(t as usize).to_string(), i))
+                .collect()
+        });
         let terms = if let Some(base) = snap.index() {
             let mut vocabs = vec![&base_terms];
             vocabs.extend(segments.iter().map(|s| s.terms()));
@@ -224,15 +219,13 @@ impl ServeState {
         let terms = Arc::new(terms);
         let (coords, assignments, cluster_labels, cluster_sizes) = if meta.stage == Stage::Final {
             let dims = meta.projection_dims;
-            let coordnd = snap.store().require("coordnd")?.as_f64s()?;
+            let coordnd = snap.f64s(&COORDND);
             let coords: Vec<(f64, f64)> = coordnd.chunks(dims).map(|r| (r[0], r[1])).collect();
-            let assignments = snap.store().require("assign")?.as_u32s()?.to_vec();
-            let cluster_sizes = snap.store().require("csize")?.as_u64s()?.to_vec();
             (
                 Some(coords),
-                Some(assignments),
+                Some(snap.u32s(&ASSIGN).to_vec()),
                 snap.labels()?,
-                cluster_sizes,
+                snap.u64s(&CSIZE).to_vec(),
             )
         } else {
             (None, None, Vec::new(), Vec::new())
@@ -262,7 +255,7 @@ impl ServeState {
             last_seal_unix: 0,
             ingest_dir: None,
         };
-        state.ann = ann_rows.map(|rows| state.build_ann(rows)).transpose()?;
+        state.ann = ann_rows.map(|rows| state.build_ann(rows));
         Ok(state)
     }
 
@@ -283,59 +276,10 @@ impl ServeState {
         &self.snap
     }
 
-    /// Borrow an `f64` section validated at open: sections were checked
-    /// for presence, kind, and CRC by [`EngineSnapshot::from_store`], so a
-    /// miss here is a programming error, not a data error.
-    fn f64s(&self, name: &str) -> &[f64] {
-        self.snap
-            .store()
-            .section(name)
-            .expect("section validated at open")
-            .as_f64s()
-            .expect("section kind validated at open")
-    }
-
     /// Does this snapshot carry the IVF + quantized-signature sections
     /// (`/similar` queries)?
     pub fn has_ann(&self) -> bool {
         self.ann.is_some()
-    }
-
-    /// Assemble the borrowed ANN view over the snapshot's validated
-    /// sections plus the precomputed code sums.
-    fn ann_view<'a>(&'a self, ann: &'a AnnState) -> AnnIndexView<'a> {
-        let m = self.meta.m_dims;
-        AnnIndexView {
-            k: self.meta.k,
-            m,
-            centroids: self.f64s("centroid"),
-            ivfoff: self
-                .snap
-                .store()
-                .section("ivfoff")
-                .expect("section validated at open")
-                .as_u64s()
-                .expect("section kind validated at open"),
-            ivfdoc: self
-                .snap
-                .store()
-                .section("ivfdoc")
-                .expect("section validated at open")
-                .as_u32s()
-                .expect("section kind validated at open"),
-            codes: self
-                .snap
-                .store()
-                .section("qsig")
-                .expect("section validated at open")
-                .as_records(m)
-                .expect("section record size validated at open"),
-            scale: self.f64s("qscale"),
-            offset: self.f64s("qoff"),
-            norm: self.f64s("signrm"),
-            sums: &ann.sums,
-            exact: self.f64s("sigs"),
-        }
     }
 
     /// Is `doc` tombstoned?
@@ -350,8 +294,7 @@ impl ServeState {
         let ann = self.ann.as_ref()?;
         let m = self.meta.m_dims;
         if (doc as usize) < self.meta.total_docs as usize {
-            let sigs = self.f64s("sigs");
-            return Some(&sigs[doc as usize * m..(doc as usize + 1) * m]);
+            return Some(&self.snap.f64s(&SIGS)[doc as usize * m..(doc as usize + 1) * m]);
         }
         let i = ann.seg_docs.binary_search(&doc).ok()?;
         Some(&ann.seg_sigs[i * m..(i + 1) * m])
@@ -375,7 +318,7 @@ impl ServeState {
         pairs.sort_unstable_by_key(|&(r, _)| r);
         Some(ann::embed_rows(
             pairs.into_iter(),
-            self.f64s("assoc"),
+            self.snap.f64s(&ASSOC),
             self.meta.m_dims,
         ))
     }
@@ -394,7 +337,7 @@ impl ServeState {
         // Over-fetch by the tombstone count: deletions can knock at most
         // that many hits out of any top list.
         let fetch = top + tombs.len();
-        let view = self.ann_view(ann);
+        let view = self.snap.ann_view(&ann.sums);
         let mut hits = ann::search(&view, query, fetch, nprobe, &mut stats);
         if !ann.seg_docs.is_empty() {
             let m = self.meta.m_dims;
@@ -422,10 +365,9 @@ impl ServeState {
     /// reconstruct signatures for segment documents so `/similar` can
     /// brute-force them (segments carry postings but no signature
     /// sections).
-    fn build_ann(&self, rows: HashMap<String, usize>) -> io::Result<AnnState> {
+    fn build_ann(&self, rows: HashMap<String, usize>) -> AnnState {
         let m = self.meta.m_dims;
-        let codes = self.snap.store().require("qsig")?.as_records(m)?;
-        let assoc = self.f64s("assoc");
+        let assoc = self.snap.f64s(&ASSOC);
         let mut seg_docs: Vec<u32> = Vec::new();
         let mut seg_sigs: Vec<f64> = Vec::new();
         let mut posts: Vec<Posting> = Vec::new();
@@ -463,12 +405,12 @@ impl ServeState {
                 }
             }
         }
-        Ok(AnnState {
-            sums: ann::code_sums(codes, m),
+        AnnState {
+            sums: ann::code_sums(self.snap.bytes(&QSIG), m),
             rows,
             seg_docs,
             seg_sigs,
-        })
+        }
     }
 
     /// Component `c`'s index reader, the container its posting bytes

@@ -185,8 +185,6 @@ pub enum SectionKind {
     I64 = 4,
     /// Little-endian IEEE-754 `f64` elements.
     F64 = 5,
-    /// UTF-8 text.
-    Str = 6,
     /// Block-compressed varint stream (see [`codec`]); opaque bytes to
     /// the container, but tagged so readers know a raw-bytes view is
     /// *encoded* data, not a plain blob. Format version ≥ 2.
@@ -209,7 +207,6 @@ impl SectionKind {
             3 => Some(SectionKind::U64),
             4 => Some(SectionKind::I64),
             5 => Some(SectionKind::F64),
-            6 => Some(SectionKind::Str),
             7 => Some(SectionKind::Packed),
             8 => Some(SectionKind::Skip),
             9 => Some(SectionKind::Quant),
@@ -217,10 +214,10 @@ impl SectionKind {
         }
     }
 
-    /// Element size in bytes (1 for `Bytes`/`Str`/`Packed`).
+    /// Element size in bytes (1 for `Bytes`/`Packed`/`Quant`).
     pub fn elem_size(self) -> usize {
         match self {
-            SectionKind::Bytes | SectionKind::Str | SectionKind::Packed | SectionKind::Quant => 1,
+            SectionKind::Bytes | SectionKind::Packed | SectionKind::Quant => 1,
             SectionKind::U32 => 4,
             SectionKind::U64 | SectionKind::I64 | SectionKind::F64 | SectionKind::Skip => 8,
         }
@@ -243,7 +240,6 @@ impl fmt::Display for SectionKind {
             SectionKind::U64 => "u64",
             SectionKind::I64 => "i64",
             SectionKind::F64 => "f64",
-            SectionKind::Str => "str",
             SectionKind::Packed => "packed",
             SectionKind::Skip => "skip",
             SectionKind::Quant => "quant",
@@ -349,9 +345,22 @@ impl SnapshotWriter {
         Ok(out)
     }
 
-    /// Append one section. The payload is length-prefixed, padded to the
+    /// Append one section of `kind` elements, written straight from
+    /// `data`'s memory. The payload is length-prefixed, padded to the
     /// 64-byte alignment, and CRC-checksummed over the padded extent.
-    pub fn add_section(&mut self, name: &str, kind: SectionKind, payload: &[u8]) -> io::Result<()> {
+    pub fn add_section<T: Scalar>(
+        &mut self,
+        name: &str,
+        kind: SectionKind,
+        data: &[T],
+    ) -> io::Result<()> {
+        let payload = as_bytes(data);
+        // Raw bytes may carry any kind's encoding (a section copied through).
+        let raw = std::mem::size_of::<T>() == 1 && payload.len().is_multiple_of(kind.elem_size());
+        if !T::KINDS.contains(&kind) && !raw {
+            let ty = std::any::type_name::<T>();
+            return Err(bad(format!("section `{name}`: {ty} data is not {kind}")));
+        }
         let name_bytes = Self::encode_name(name)?;
         if self.entries.iter().any(|e| e.name == name_bytes) {
             return Err(bad(format!("duplicate section name `{name}`")));
@@ -377,66 +386,6 @@ impl SnapshotWriter {
             crc: crc.finish(),
         });
         Ok(())
-    }
-
-    /// Append a raw-bytes section.
-    pub fn add_bytes(&mut self, name: &str, payload: &[u8]) -> io::Result<()> {
-        self.add_section(name, SectionKind::Bytes, payload)
-    }
-
-    /// Append a UTF-8 text section.
-    pub fn add_str(&mut self, name: &str, text: &str) -> io::Result<()> {
-        self.add_section(name, SectionKind::Str, text.as_bytes())
-    }
-
-    /// Append a `u32` section.
-    pub fn add_u32s(&mut self, name: &str, data: &[u32]) -> io::Result<()> {
-        self.add_section(name, SectionKind::U32, as_bytes(data))
-    }
-
-    /// Append a `u64` section.
-    pub fn add_u64s(&mut self, name: &str, data: &[u64]) -> io::Result<()> {
-        self.add_section(name, SectionKind::U64, as_bytes(data))
-    }
-
-    /// Append an `i64` section.
-    pub fn add_i64s(&mut self, name: &str, data: &[i64]) -> io::Result<()> {
-        self.add_section(name, SectionKind::I64, as_bytes(data))
-    }
-
-    /// Append an `f64` section.
-    pub fn add_f64s(&mut self, name: &str, data: &[f64]) -> io::Result<()> {
-        self.add_section(name, SectionKind::F64, as_bytes(data))
-    }
-
-    /// Append a block-compressed ([`codec`]) byte stream.
-    pub fn add_packed(&mut self, name: &str, payload: &[u8]) -> io::Result<()> {
-        self.add_section(name, SectionKind::Packed, payload)
-    }
-
-    /// Append scalar-quantized vector codes: `records` fixed-width rows
-    /// of `record` `u8` components each. Rejects payloads whose length
-    /// is not `records * record`, so a malformed section can never be
-    /// written in the first place.
-    pub fn add_quant(
-        &mut self,
-        name: &str,
-        payload: &[u8],
-        records: usize,
-        record: usize,
-    ) -> io::Result<()> {
-        if payload.len() != records.saturating_mul(record) {
-            return Err(bad(format!(
-                "quant section `{name}` has {} bytes, expected {records} records × {record} bytes",
-                payload.len()
-            )));
-        }
-        self.add_section(name, SectionKind::Quant, payload)
-    }
-
-    /// Append skip-pointer entries for a `Packed` section.
-    pub fn add_skips(&mut self, name: &str, data: &[u64]) -> io::Result<()> {
-        self.add_section(name, SectionKind::Skip, as_bytes(data))
     }
 
     /// Write the section table, patch the header, and flush.
@@ -668,11 +617,6 @@ impl Snapshot {
         self.entries.iter().map(|e| (e.name_str(), e.kind, e.len))
     }
 
-    /// Whether a section exists.
-    pub fn has(&self, name: &str) -> bool {
-        self.entries.iter().any(|e| e.name_str() == name)
-    }
-
     /// A view over the named section, if present.
     pub fn section(&self, name: &str) -> Option<SectionView<'_>> {
         let e = self.entries.iter().find(|e| e.name_str() == name)?;
@@ -802,28 +746,34 @@ impl<'a> SectionView<'a> {
         }
         Ok(self.bytes)
     }
-
-    /// The payload as UTF-8 text.
-    pub fn as_str(&self) -> io::Result<&'a str> {
-        self.expect_kind(SectionKind::Str)?;
-        std::str::from_utf8(self.bytes).map_err(|e| {
-            bad(format!(
-                "{}: section `{}` is not UTF-8 at byte {}",
-                self.source,
-                self.name,
-                e.valid_up_to()
-            ))
-        })
-    }
 }
 
 /// Element types whose memory is their file encoding on a little-endian
-/// host: fixed width, no padding.
-trait Scalar: Copy {}
-impl Scalar for u32 {}
-impl Scalar for u64 {}
-impl Scalar for i64 {}
-impl Scalar for f64 {}
+/// host — fixed width, no padding — and the kinds each may be stored as.
+/// Sealed, because [`as_bytes`] trusts it.
+pub trait Scalar: sealed::Pod {}
+impl<T: sealed::Pod> Scalar for T {}
+mod sealed {
+    use super::SectionKind::{self, *};
+    pub trait Pod: Copy {
+        const KINDS: &'static [SectionKind];
+    }
+    impl Pod for u8 {
+        const KINDS: &'static [SectionKind] = &[Bytes, Packed, Quant];
+    }
+    impl Pod for u32 {
+        const KINDS: &'static [SectionKind] = &[U32];
+    }
+    impl Pod for u64 {
+        const KINDS: &'static [SectionKind] = &[U64, Skip];
+    }
+    impl Pod for i64 {
+        const KINDS: &'static [SectionKind] = &[I64];
+    }
+    impl Pod for f64 {
+        const KINDS: &'static [SectionKind] = &[F64];
+    }
+}
 
 /// `data`'s memory as bytes — on the hosts this crate builds for (see the
 /// `compile_error!` above) its little-endian encoding, so the writer
@@ -852,13 +802,17 @@ mod tests {
 
     fn sample(path: &Path) -> SnapshotStats {
         let mut w = SnapshotWriter::create(path).unwrap();
-        w.add_u32s("ids", &[1, 2, 3, 0xFFFF_FFFF]).unwrap();
-        w.add_f64s("vals", &[0.5, -1.25, f64::MAX, 0.0]).unwrap();
-        w.add_u64s("big", &[u64::MAX, 7]).unwrap();
-        w.add_i64s("off", &[-1, 0, i64::MAX]).unwrap();
-        w.add_bytes("blob", b"arbitrary \x00 bytes").unwrap();
-        w.add_str("text", "hello snapshot").unwrap();
-        w.add_bytes("empty", b"").unwrap();
+        w.add_section("ids", SectionKind::U32, &[1u32, 2, 3, 0xFFFF_FFFF])
+            .unwrap();
+        w.add_section("vals", SectionKind::F64, &[0.5, -1.25, f64::MAX, 0.0])
+            .unwrap();
+        w.add_section("big", SectionKind::U64, &[u64::MAX, 7])
+            .unwrap();
+        w.add_section("off", SectionKind::I64, &[-1, 0, i64::MAX])
+            .unwrap();
+        w.add_section("blob", SectionKind::Bytes, b"arbitrary \x00 bytes")
+            .unwrap();
+        w.add_section("empty", SectionKind::Bytes, b"").unwrap();
         w.finish().unwrap()
     }
 
@@ -866,7 +820,7 @@ mod tests {
     fn roundtrip_all_kinds() {
         let path = tmp("roundtrip.snap");
         let stats = sample(&path);
-        assert_eq!(stats.sections.len(), 7);
+        assert_eq!(stats.sections.len(), 6);
         let s = Snapshot::open(&path).unwrap();
         assert_eq!(s.version(), FORMAT_VERSION);
         assert_eq!(
@@ -883,12 +837,8 @@ mod tests {
             &[-1, 0, i64::MAX]
         );
         assert_eq!(s.require("blob").unwrap().bytes(), b"arbitrary \x00 bytes");
-        assert_eq!(
-            s.require("text").unwrap().as_str().unwrap(),
-            "hello snapshot"
-        );
         assert_eq!(s.require("empty").unwrap().bytes(), b"");
-        assert!(!s.has("nope"));
+        assert!(s.section("nope").is_none());
         assert!(s.require("nope").is_err());
         std::fs::remove_file(&path).ok();
     }
@@ -911,7 +861,7 @@ mod tests {
         let s = Snapshot::open(&path).unwrap();
         assert!(s.require("ids").unwrap().as_f64s().is_err());
         assert!(s.require("vals").unwrap().as_u32s().is_err());
-        assert!(s.require("blob").unwrap().as_str().is_err());
+        assert!(s.require("blob").unwrap().as_packed().is_err());
         std::fs::remove_file(&path).ok();
     }
 
@@ -919,11 +869,18 @@ mod tests {
     fn writer_rejects_bad_names() {
         let path = tmp("names.snap");
         let mut w = SnapshotWriter::create(&path).unwrap();
-        assert!(w.add_bytes("", b"x").is_err());
-        assert!(w.add_bytes("waytoolong", b"x").is_err());
-        assert!(w.add_bytes("has space", b"x").is_err());
-        w.add_bytes("ok", b"x").unwrap();
-        assert!(w.add_bytes("ok", b"y").is_err(), "duplicate must fail");
+        assert!(w.add_section("", SectionKind::Bytes, b"x").is_err());
+        assert!(w
+            .add_section("waytoolong", SectionKind::Bytes, b"x")
+            .is_err());
+        assert!(w
+            .add_section("has space", SectionKind::Bytes, b"x")
+            .is_err());
+        w.add_section("ok", SectionKind::Bytes, b"x").unwrap();
+        assert!(
+            w.add_section("ok", SectionKind::Bytes, b"y").is_err(),
+            "duplicate must fail"
+        );
         w.finish().unwrap();
         std::fs::remove_file(&path).ok();
     }
@@ -933,7 +890,8 @@ mod tests {
         let path = tmp("unfinished.snap");
         {
             let mut w = SnapshotWriter::create(&path).unwrap();
-            w.add_u32s("ids", &[1, 2, 3]).unwrap();
+            w.add_section("ids", SectionKind::U32, &[1u32, 2, 3])
+                .unwrap();
             // Dropped without finish(): header stays zeroed.
         }
         assert!(Snapshot::open(&path).is_err());
@@ -1015,8 +973,9 @@ mod tests {
             .map(|i| i as f64 * 0.5 - 3.0)
             .collect();
         let mut w = SnapshotWriter::create(&path).unwrap();
-        w.add_f64s("big", &big).unwrap();
-        w.add_u32s("after", &[7, 8, 9]).unwrap();
+        w.add_section("big", SectionKind::F64, &big).unwrap();
+        w.add_section("after", SectionKind::U32, &[7u32, 8, 9])
+            .unwrap();
         w.finish().unwrap();
         let s = Snapshot::open(&path).unwrap();
         assert_eq!(s.require("big").unwrap().as_f64s().unwrap(), &big[..]);
@@ -1032,8 +991,8 @@ mod tests {
         let mut skips = Vec::new();
         codec::encode_list(&pairs, &mut blob, &mut skips);
         let mut w = SnapshotWriter::create(&path).unwrap();
-        w.add_packed("plist", &blob).unwrap();
-        w.add_skips("pskip", &skips).unwrap();
+        w.add_section("plist", SectionKind::Packed, &blob).unwrap();
+        w.add_section("pskip", SectionKind::Skip, &skips).unwrap();
         w.finish().unwrap();
 
         let s = Snapshot::open(&path).unwrap();
@@ -1084,7 +1043,8 @@ mod tests {
     fn v1_file_with_v2_kinds_is_rejected() {
         let path = tmp("v1kinds.snap");
         let mut w = SnapshotWriter::create(&path).unwrap();
-        w.add_packed("plist", &[0, 1, 2]).unwrap();
+        w.add_section("plist", SectionKind::Packed, &[0u8, 1, 2])
+            .unwrap();
         w.finish().unwrap();
         // Claiming version 1 while carrying a Packed section is malformed.
         assert!(Snapshot::from_bytes(&with_version(&path, 1), "v1bad").is_err());
@@ -1096,10 +1056,12 @@ mod tests {
         let path = tmp("quant.snap");
         let codes: Vec<u8> = (0..5 * 7).map(|i| (i * 11 % 251) as u8).collect();
         let mut w = SnapshotWriter::create(&path).unwrap();
-        w.add_quant("qsig", &codes, 5, 7).unwrap();
+        w.add_section("qsig", SectionKind::Quant, &codes).unwrap();
         assert!(
-            w.add_quant("qbad", &codes, 5, 8).is_err(),
-            "writer must reject a payload that is not records × record bytes"
+            w.add_section("qbad", SectionKind::U64, &[0.5f64]).is_err()
+                && w.add_section("qbad", SectionKind::U32, &codes[..7])
+                    .is_err(),
+            "writer must reject data that is not of the section's kind"
         );
         w.finish().unwrap();
 
@@ -1120,7 +1082,8 @@ mod tests {
     fn v1_file_with_quant_kind_is_rejected() {
         let path = tmp("v1quant.snap");
         let mut w = SnapshotWriter::create(&path).unwrap();
-        w.add_quant("qsig", &[1, 2, 3, 4], 2, 2).unwrap();
+        w.add_section("qsig", SectionKind::Quant, &[1u8, 2, 3, 4])
+            .unwrap();
         w.finish().unwrap();
         assert!(Snapshot::from_bytes(&with_version(&path, 1), "v1q").is_err());
         std::fs::remove_file(&path).ok();

@@ -12,7 +12,7 @@ use inspire_store::codec::{
     decode_from, decode_list, encode_list, read_varints_u32, read_varints_u32_scalar, seek_block,
     skip_last_key, write_u32, BLOCK_LEN,
 };
-use inspire_store::{Snapshot, SnapshotWriter};
+use inspire_store::{SectionKind, Snapshot, SnapshotWriter};
 use proptest::prelude::*;
 
 /// Build a sorted key sequence from a base and gaps (gap 0 is legal:
@@ -149,8 +149,8 @@ proptest! {
         ));
         let _ = std::fs::remove_file(&path);
         let mut w = SnapshotWriter::create(&path).expect("create");
-        w.add_packed("postblk", &blk).expect("postblk");
-        w.add_skips("postskp", &skips).expect("postskp");
+        w.add_section("postblk", SectionKind::Packed, &blk).expect("postblk");
+        w.add_section("postskp", SectionKind::Skip, &skips).expect("postskp");
         w.finish().expect("finish");
         Snapshot::open(&path).expect("pristine file validates");
 
@@ -183,8 +183,8 @@ proptest! {
         ));
         let _ = std::fs::remove_file(&path);
         let mut w = SnapshotWriter::create(&path).expect("create");
-        w.add_packed("postblk", &blk).expect("postblk");
-        w.add_skips("postskp", &skips).expect("postskp");
+        w.add_section("postblk", SectionKind::Packed, &blk).expect("postblk");
+        w.add_section("postskp", SectionKind::Skip, &skips).expect("postskp");
         w.finish().expect("finish");
 
         let bytes = std::fs::read(&path).expect("read back");

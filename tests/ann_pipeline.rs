@@ -5,7 +5,8 @@
 //! fixed-width `f64` signature section it accelerates.
 
 use std::sync::Arc;
-use visual_analytics::engine::ann::{self, AnnIndexView};
+use visual_analytics::engine::ann;
+use visual_analytics::engine::snapshot::schema;
 use visual_analytics::engine::EngineSnapshot;
 use visual_analytics::prelude::*;
 
@@ -26,23 +27,9 @@ fn build_snapshot(p: usize, src: &corpus::SourceSet, out: &std::path::Path) -> E
 fn assert_full_probe_is_exhaustive(snap: &EngineSnapshot) -> Vec<(u32, u64)> {
     let meta = snap.meta();
     let (k, m) = (meta.k, meta.m_dims);
-    let store = snap.store();
-    let sigs = store.require("sigs").unwrap().as_f64s().unwrap();
-    let codes = store.require("qsig").unwrap().as_records(m).unwrap();
-    let sums = ann::code_sums(codes, m);
-    let view = AnnIndexView {
-        k,
-        m,
-        centroids: store.require("centroid").unwrap().as_f64s().unwrap(),
-        ivfoff: store.require("ivfoff").unwrap().as_u64s().unwrap(),
-        ivfdoc: store.require("ivfdoc").unwrap().as_u32s().unwrap(),
-        codes,
-        scale: store.require("qscale").unwrap().as_f64s().unwrap(),
-        offset: store.require("qoff").unwrap().as_f64s().unwrap(),
-        norm: store.require("signrm").unwrap().as_f64s().unwrap(),
-        sums: &sums,
-        exact: sigs,
-    };
+    let sigs = snap.f64s(&schema::SIGS);
+    let sums = ann::code_sums(snap.bytes(&schema::QSIG), m);
+    let view = snap.ann_view(&sums);
     let docs = view.docs();
     assert_eq!(docs, meta.total_docs as usize);
     assert!(docs > 0, "empty snapshot");

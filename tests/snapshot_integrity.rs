@@ -189,7 +189,7 @@ fn every_lying_section_is_refused_at_open_by_name() {
             refused(row, "one long", &|p| [p, &p[p.len() - width..]].concat());
             lengths += 1;
         }
-        if row.offsets != schema::Offsets::No {
+        if row.offsets != schema::Offsets::Data {
             let (lo, hi) = (width, payload.len() - 2 * width);
             assert!(
                 lo < hi && payload[lo..lo + width] != payload[hi..hi + width],
