@@ -6,7 +6,7 @@
 //! section names from them, [`check`] holds a file to its table at open,
 //! `core::migrate` re-encodes the [`RETIRED_INDEX`] rows, and a test
 //! holds DESIGN.md §8's tables to them. Adding a section is one row
-//! (listed in its table), the `add_*` call that writes it, and its
+//! (listed in its table), the [`Row::put`] that writes it, and its
 //! consumer.
 
 use super::Stage;
@@ -418,6 +418,53 @@ pub fn check(snap: &Snapshot, rows: &[&'static Row], meta: &EngineMeta) -> io::R
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One row of a DESIGN.md §8 section table.
+    fn design_row(row: &Row) -> String {
+        let mut rule = match row.len {
+            Len::Fixed(count, _) => count.to_string(),
+            Len::LastOf(offsets) => format!("last entry of `{}`", offsets.name),
+            Len::SumPlusOne(counts) => format!("sum of `{}` + 1", counts.name),
+            Len::Parser(parser) => format!("checked by its parser, {parser}"),
+        };
+        rule += match row.offsets {
+            Data => "",
+            Table => "; offsets",
+            Partition => "; offsets ending at docs",
+        };
+        let when = match row.when {
+            Always => "—",
+            Ann => "`wants_ann`",
+            Tombstones => "the segment deletes documents",
+        };
+        let (name, kind, stage) = (row.name, row.kind, row.stage);
+        format!("| `{name}` | {kind} | {stage:?} | {rule} | {when} |")
+    }
+
+    /// DESIGN.md §8 documents the tables row for row; this is what keeps
+    /// it from drifting. On failure the message is the table to paste.
+    #[test]
+    fn design_md_section_tables_are_the_schema() {
+        let design = include_str!("../../../../DESIGN.md");
+        let tables: [(&str, &[&Row]); 3] = [
+            ("engine", &ENGINE),
+            ("segment", &SEGMENT),
+            ("retired", &RETIRED_INDEX),
+        ];
+        for (table, rows) in tables {
+            let open = format!("<!-- schema:{table} -->\n");
+            let (_, rest) = design.split_once(&open).expect("table marker in DESIGN.md");
+            let (body, _) = rest.split_once("<!-- /schema -->").expect("closing marker");
+            let documented: Vec<&str> = body.lines().skip(2).collect();
+            let declared: Vec<String> = rows.iter().map(|r| design_row(r)).collect();
+            assert_eq!(
+                documented,
+                declared,
+                "{table} rows:\n{}",
+                declared.join("\n")
+            );
+        }
+    }
 
     #[test]
     fn meta_slots_round_trip() {

@@ -52,7 +52,10 @@
 //! The reader loads the file into an 8-byte-aligned buffer; because every
 //! payload starts 8 bytes past a 64-byte boundary, `u32`/`u64`/`i64`/
 //! `f64` views are reinterpretations of the section bytes — no per-row
-//! parsing on load.
+//! parsing on load. The writer is the mirror image: one
+//! [`SnapshotWriter::add_section`] takes a slice of any [`Scalar`] type,
+//! checks the type against the section's kind (raw bytes may carry any
+//! kind's encoding), and writes it from where it lies.
 
 pub mod codec;
 

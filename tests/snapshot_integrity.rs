@@ -207,6 +207,17 @@ fn every_lying_section_is_refused_at_open_by_name() {
         }
     }
     assert_eq!((lengths, tables), (29, 5), "rows the schema gives a rule");
+    // The two sections of ids: `major` (terms of the vocabulary) and
+    // `ivfdoc` (a permutation of the documents), with an id repeated and
+    // with one out of range.
+    for row in [&schema::MAJOR, &schema::IVFDOC] {
+        refused(row, "with an id repeated", &|p| {
+            [&p[..4], &p[..4], &p[8..]].concat()
+        });
+        refused(row, "with an id out of range", &|p| {
+            [&[0xFF; 4], &p[4..]].concat()
+        });
+    }
     let accepted = accepted.into_inner();
     assert!(accepted.is_empty(), "accepted at open: {accepted:?}");
 }
