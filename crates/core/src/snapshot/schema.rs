@@ -329,14 +329,17 @@ pub fn engine_rows(meta: &EngineMeta) -> Vec<&'static Row> {
     ENGINE.iter().filter(carried).copied().collect()
 }
 
-/// An integer section's entries, widened. A negative `i64` lands above
-/// every valid offset, where the offsets check refuses it.
-fn entries(snap: &Snapshot, row: &Row) -> io::Result<Vec<u64>> {
+/// An integer section's entries, widened in place. A negative `i64`
+/// lands above every valid offset, where the offsets check refuses it.
+fn entries<'a>(
+    snap: &'a Snapshot,
+    row: &Row,
+) -> io::Result<Box<dyn DoubleEndedIterator<Item = u64> + 'a>> {
     let view = snap.require(row.name)?;
     Ok(match row.kind {
-        U32 => view.as_u32s()?.iter().map(|&v| v as u64).collect(),
-        U64 => view.as_u64s()?.to_vec(),
-        I64 => view.as_i64s()?.iter().map(|&v| v as u64).collect(),
+        U32 => Box::new(view.as_u32s()?.iter().map(|&v| v as u64)),
+        U64 => Box::new(view.as_u64s()?.iter().copied()),
+        I64 => Box::new(view.as_i64s()?.iter().map(|&v| v as u64)),
         kind => unreachable!("`{}` ({kind}) is cited as an integer section", row.name),
     })
 }
@@ -359,10 +362,12 @@ pub fn check(snap: &Snapshot, rows: &[&'static Row], meta: &EngineMeta) -> io::R
             let refuse = |what: String| Err(bad(snap, format!("section `{}` {what}", row.name)));
             let Some(view) = snap.section(row.name) else {
                 // A file an earlier release wrote lacks exactly these.
-                let retired = match row.name {
-                    "postdir" => "the index is stored as fixed-width arrays",
-                    "qsig" => "the Final stage has no similarity-search sections",
-                    _ => return refuse("is missing".into()),
+                let retired = if row.name == POSTDIR.name {
+                    "the index is stored as fixed-width arrays"
+                } else if row.name == QSIG.name {
+                    "the Final stage has no similarity-search sections"
+                } else {
+                    return refuse("is missing".into());
                 };
                 return refuse(format!(
                     "is missing: {retired}; this layout is no longer read — convert the file \
@@ -372,8 +377,8 @@ pub fn check(snap: &Snapshot, rows: &[&'static Row], meta: &EngineMeta) -> io::R
             let want = match row.len {
                 Len::Parser(_) => continue,
                 Len::Fixed(_, count) => count(meta) as u64,
-                Len::SumPlusOne(counts) => entries(snap, counts)?.iter().sum::<u64>() + 1,
-                Len::LastOf(offsets) => entries(snap, offsets)?.last().copied().unwrap_or(0),
+                Len::SumPlusOne(counts) => entries(snap, counts)?.sum::<u64>() + 1,
+                Len::LastOf(offsets) => entries(snap, offsets)?.next_back().unwrap_or(0),
             };
             let len = (view.bytes().len() / row.kind.elem_size()) as u64;
             if view.kind() != row.kind {
@@ -387,12 +392,15 @@ pub fn check(snap: &Snapshot, rows: &[&'static Row], meta: &EngineMeta) -> io::R
                 return refuse(format!("has {len} elements, expected {want}"));
             }
             if row.offsets != Data {
-                let table = entries(snap, row)?;
-                if table[0] != 0 || table.windows(2).any(|w| w[0] > w[1]) {
-                    return refuse("does not start at 0 and ascend".into());
+                let mut last = 0;
+                for (i, at) in entries(snap, row)?.enumerate() {
+                    if at < last || (i == 0 && at != 0) {
+                        return refuse(format!("does not start at 0 and ascend (entry {i})"));
+                    }
+                    last = at;
                 }
                 let docs = meta.total_docs;
-                if row.offsets == Partition && table.last() != Some(&(docs as u64)) {
+                if row.offsets == Partition && last != docs as u64 {
                     return refuse(format!(
                         "does not end at the {docs} documents it partitions"
                     ));

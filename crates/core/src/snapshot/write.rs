@@ -193,7 +193,8 @@ pub fn write_engine_snapshot(
             }
 
             if let (Some(cl), Some(labels)) = (inp.clustering, inp.labels) {
-                ASSIGN.put(&mut w, assign.as_ref().unwrap().as_ref().unwrap())?;
+                let assign = assign.as_ref().unwrap().as_ref().unwrap();
+                ASSIGN.put(&mut w, assign)?;
                 CENTROID.put(&mut w, &cl.centroids)?;
                 CSIZE.put(&mut w, &cl.sizes)?;
                 COORDND.put(&mut w, coordnd.as_ref().unwrap().as_ref().unwrap())?;
@@ -212,8 +213,8 @@ pub fn write_engine_snapshot(
                 LABCNT.put(&mut w, &labcnt)?;
 
                 if meta.wants_ann() {
-                    let (sigs, assign) = (sigdat.as_ref().unwrap(), assign.as_ref().unwrap());
-                    write_ann_sections(&mut w, sigs, meta.m_dims, assign.as_ref().unwrap(), cl.k)?;
+                    let sigs = sigdat.as_ref().unwrap();
+                    write_ann_sections(&mut w, sigs, meta.m_dims, assign, cl.k)?;
                 }
             }
 

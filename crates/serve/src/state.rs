@@ -188,9 +188,8 @@ impl ServeState {
         // Major-term rows are keyed by base-local term ids on disk.
         let ann_rows: Option<HashMap<String, usize>> = snap.has_ann().then(|| {
             let major = snap.u32s(&MAJOR).iter().enumerate();
-            major
-                .map(|(i, &t)| (base_terms.get(t as usize).to_string(), i))
-                .collect()
+            let row_of = |(i, &t): (usize, &u32)| (base_terms.get(t as usize).to_string(), i);
+            major.map(row_of).collect()
         });
         let terms = if let Some(base) = snap.index() {
             let mut vocabs = vec![&base_terms];
