@@ -183,15 +183,14 @@ pub static ENGINE: [&Row; 35] = [
 ];
 
 // Ingest segments. `Segment::open` is the parser of `smeta` (4 slots,
-// version 1) and `tomb`; a segment's vocabulary size is recorded nowhere
-// but in `termoff` itself.
+// version 1) and `tomb`; `vocab` is the segment's own vocabulary, whose
+// size is recorded nowhere but in `termoff` itself.
 pub static SMETA: Row = row("smeta", U64, Index, SEGMENT_OPEN);
-pub static SEG_TOFF: Row = row(TERMOFF.name, U32, Scan, VOCABULARY);
 pub static TOMB: Row = row("tomb", U32, Index, SEGMENT_OPEN).when(Tombstones);
 
 /// Every section of an ingest segment, in file order.
 pub static SEGMENT: [&Row; 9] = [
-    &SMETA, &TERMS, &SEG_TOFF, &POSTDIR, &POSTBLK, &POSTSKP, &DFV, &TFV, &TOMB,
+    &SMETA, &TERMS, &TERMOFF, &POSTDIR, &POSTBLK, &POSTSKP, &DFV, &TFV, &TOMB,
 ];
 
 // The fixed-width index of format-v1 files, in the order they wrote it:

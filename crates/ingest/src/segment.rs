@@ -22,7 +22,7 @@ use inspire_core::postings::{
     encode_posting_sections, read_terms, write_index_sections, PostingsReader,
 };
 use inspire_core::scan::tokenize_batch;
-use inspire_core::snapshot::schema::{self, When, SEG_TOFF, SMETA, TERMS, TOMB};
+use inspire_core::snapshot::schema::{self, When, SMETA, TERMOFF, TERMS, TOMB};
 use inspire_core::tokenize::Tokenizer;
 use inspire_store::{Snapshot, SnapshotWriter};
 use intern::{TermInterner, TermTable};
@@ -142,7 +142,7 @@ pub fn write_segment(dir: &Path, file: &str, b: &SegmentBuild) -> io::Result<u64
     let smeta = [SEG_VERSION, b.doc_base as u64, b.doc_count as u64, b.tokens];
     SMETA.put(&mut w, &smeta)?;
     TERMS.put(&mut w, b.terms.arena_bytes())?;
-    SEG_TOFF.put(&mut w, b.terms.offsets())?;
+    TERMOFF.put(&mut w, b.terms.offsets())?;
     write_index_sections(&mut w, &enc)?;
     if !b.tombstones.is_empty() {
         TOMB.put(&mut w, &b.tombstones)?;
