@@ -59,8 +59,8 @@ fn append_ann(snap: &Snapshot, meta: &EngineMeta, w: &mut SnapshotWriter) -> io:
 pub fn migrate(input: &Path, output: &Path) -> io::Result<MigrateReport> {
     let snap = Snapshot::open(input)?;
     let meta = EngineMeta::parse(&snap)?;
-    let reencoded_index = snap.section(POSTOFF.name).is_some();
-    let added_ann = meta.wants_ann() && snap.section(QSIG.name).is_none();
+    let reencoded_index = snap.has(POSTOFF.name);
+    let added_ann = meta.wants_ann() && !snap.has(QSIG.name);
 
     let tmp = output.with_extension("isnap.tmp");
     let written: io::Result<u64> = (|| {

@@ -19,7 +19,7 @@
 use crate::config::EngineConfig;
 use crate::postings::{PostingsDir, PostingsReader};
 use corpus::SourceSet;
-use inspire_store::{SectionView, Snapshot};
+use inspire_store::{Scalar, Snapshot};
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -114,9 +114,6 @@ pub struct EngineSnapshot {
     index: Option<PostingsReader>,
 }
 
-/// Why a typed view of a declared row cannot fail after open.
-const CHECKED: &str = "kind held to the schema at open";
-
 impl EngineSnapshot {
     /// Open and validate an engine snapshot file.
     pub fn open(path: &Path) -> io::Result<EngineSnapshot> {
@@ -151,33 +148,15 @@ impl EngineSnapshot {
         &self.snap
     }
 
-    /// The section `row` declares. Panics if this snapshot's stage does
-    /// not carry it: callers ask for what [`EngineMeta::stage`] and
-    /// [`EngineSnapshot::has_ann`] promise.
-    fn view(&self, row: &schema::Row) -> SectionView<'_> {
-        let carried = self.snap.section(row.name);
-        carried.unwrap_or_else(|| panic!("no `{}` in a {:?} snapshot", row.name, self.meta.stage))
-    }
-
-    /// The payload of a byte-kind row.
-    pub fn bytes(&self, row: &schema::Row) -> &[u8] {
-        self.view(row).bytes()
-    }
-
-    pub fn u32s(&self, row: &schema::Row) -> &[u32] {
-        self.view(row).as_u32s().expect(CHECKED)
-    }
-
-    pub fn u64s(&self, row: &schema::Row) -> &[u64] {
-        self.view(row).as_u64s().expect(CHECKED)
-    }
-
-    pub fn i64s(&self, row: &schema::Row) -> &[i64] {
-        self.view(row).as_i64s().expect(CHECKED)
-    }
-
-    pub fn f64s(&self, row: &schema::Row) -> &[f64] {
-        self.view(row).as_f64s().expect(CHECKED)
+    /// The section `row` declares, as the `T`s its kind stores. Panics
+    /// when asked for a row this snapshot's stage does not carry —
+    /// callers ask for what [`EngineMeta::stage`] and
+    /// [`EngineSnapshot::has_ann`] promise — or for the wrong `T`.
+    pub fn get<T: Scalar>(&self, row: &schema::Row) -> &[T] {
+        let Some(view) = self.snap.section(row.name) else {
+            panic!("no `{}` in a {:?} snapshot", row.name, self.meta.stage)
+        };
+        view.as_slice().expect("kind held to the schema at open")
     }
 
     /// The inverted index's reader; `None` before `Stage::Index`.

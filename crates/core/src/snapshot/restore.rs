@@ -40,7 +40,7 @@ impl EngineSnapshot {
     /// The FAST-INV load-balance telemetry, four words per writer rank
     /// (the inverse of [`super::write`]'s `load` section).
     fn rank_loads(&self) -> Vec<RankLoad> {
-        self.u64s(&LOAD)
+        self.get::<u64>(&LOAD)
             .chunks_exact(4)
             .map(|w| RankLoad {
                 own_tasks: w[0] as u32,
@@ -57,15 +57,15 @@ impl EngineSnapshot {
         AnnIndexView {
             k: self.meta.k,
             m: self.meta.m_dims,
-            centroids: self.f64s(&CENTROID),
-            ivfoff: self.u64s(&IVFOFF),
-            ivfdoc: self.u32s(&IVFDOC),
-            codes: self.bytes(&QSIG),
-            scale: self.f64s(&QSCALE),
-            offset: self.f64s(&QOFF),
-            norm: self.f64s(&SIGNRM),
+            centroids: self.get(&CENTROID),
+            ivfoff: self.get(&IVFOFF),
+            ivfdoc: self.get(&IVFDOC),
+            codes: self.get(&QSIG),
+            scale: self.get(&QSCALE),
+            offset: self.get(&QOFF),
+            norm: self.get(&SIGNRM),
             sums,
-            exact: self.f64s(&SIGS),
+            exact: self.get::<f64>(&SIGS),
         }
     }
 
@@ -74,7 +74,7 @@ impl EngineSnapshot {
     fn doc_range(&self, ctx: &Ctx) -> io::Result<(usize, usize)> {
         let docs = self.meta.total_docs as usize;
         if ctx.nprocs() == self.meta.nprocs {
-            let bases = self.u64s(&DOCBASE);
+            let bases = self.get::<u64>(&DOCBASE);
             Ok((bases[ctx.rank()] as usize, bases[ctx.rank() + 1] as usize))
         } else if ctx.nprocs() == 1 {
             Ok((0, docs))
@@ -95,12 +95,12 @@ impl EngineSnapshot {
     pub fn restore_scan(&self, ctx: &Ctx) -> io::Result<ScanOutput> {
         let (lo, hi) = self.doc_range(ctx)?;
         let terms = self.terms()?;
-        let doctok = self.u32s(&DOCTOK);
-        let segoff = self.u64s(&SEGOFF);
-        let segfld = self.u32s(&SEGFLD);
-        let seglen = self.u32s(&SEGLEN);
-        let fwdoff = self.i64s(&FWDOFF);
-        let fwddat = self.u64s(&FWDDAT);
+        let doctok = self.get::<u32>(&DOCTOK);
+        let segoff = self.get::<u64>(&SEGOFF);
+        let segfld = self.get::<u32>(&SEGFLD);
+        let seglen = self.get::<u32>(&SEGLEN);
+        let fwdoff = self.get::<i64>(&FWDOFF);
+        let fwddat = self.get::<u64>(&FWDDAT);
 
         let mut docs: Vec<LocalDoc> = Vec::with_capacity(hi - lo);
         for d in lo..hi {
@@ -108,14 +108,11 @@ impl EngineSnapshot {
             let mut fields = Vec::with_capacity((segoff[d + 1] - segoff[d]) as usize);
             for s in segoff[d] as usize..segoff[d + 1] as usize {
                 let n = seglen[s] as usize;
-                let mut counts: Vec<(TermId, u32)> = Vec::with_capacity(n);
-                let entries = fwddat.get(entry_at..entry_at + n).ok_or_else(|| {
-                    bad(
-                        &self.snap,
-                        format!("doc {d}: segment {s} runs past `fwddat`"),
-                    )
-                })?;
-                for e in entries {
+                // A run past `fwddat` reads as empty; the cover check
+                // below then refuses the document.
+                let run = fwddat.get(entry_at..entry_at + n).unwrap_or_default();
+                let mut counts: Vec<(TermId, u32)> = Vec::with_capacity(run.len());
+                for e in run {
                     let (t, f, c) = unpack_entry(*e);
                     if f as u32 != segfld[s] {
                         return Err(bad(
@@ -168,7 +165,7 @@ impl EngineSnapshot {
 
         // Per-rank scan statistics: exact under the original
         // partitioning; summed onto the single rank when serving.
-        let rankio = self.u64s(&RANKIO);
+        let rankio = self.get::<u64>(&RANKIO);
         let stat = |slot: usize| -> u64 {
             if ctx.nprocs() == self.meta.nprocs {
                 rankio[ctx.rank() * 4 + slot]
@@ -239,11 +236,11 @@ impl EngineSnapshot {
         self.since(Stage::Sig, "signatures")?;
         let (lo, hi) = self.doc_range(ctx)?;
         let m = self.meta.m_dims;
-        let major = self.u32s(&MAJOR).to_vec();
-        let scores = self.f64s(&MSCORE).to_vec();
-        let topic_ids = self.u32s(&TOPICS).to_vec();
-        let assoc = self.f64s(&ASSOC).to_vec();
-        let sigdat = self.f64s(&SIGS);
+        let major = self.get::<u32>(&MAJOR).to_vec();
+        let scores = self.get::<f64>(&MSCORE).to_vec();
+        let topic_ids = self.get::<u32>(&TOPICS).to_vec();
+        let assoc = self.get::<f64>(&ASSOC).to_vec();
+        let sigdat = self.get::<f64>(&SIGS);
 
         let topics = TopicSelection {
             major: major.clone(),
@@ -271,25 +268,17 @@ impl EngineSnapshot {
     /// Cluster labels (`Stage::Final` snapshots).
     pub fn labels(&self) -> io::Result<Vec<Vec<String>>> {
         self.since(Stage::Final, "cluster labels")?;
-        let labstr = self.bytes(&LABSTR);
-        let laboff = self.u32s(&LABOFF);
-        let labcnt = self.u32s(&LABCNT);
-        let mut out = Vec::with_capacity(labcnt.len());
-        let mut li = 0usize;
-        for &c in labcnt {
-            let mut cluster = Vec::with_capacity(c as usize);
-            for _ in 0..c {
-                let s = &labstr[laboff[li] as usize..laboff[li + 1] as usize];
-                cluster.push(
-                    std::str::from_utf8(s)
-                        .map_err(|_| bad(&self.snap, format!("label {li} is not UTF-8")))?
-                        .to_string(),
-                );
-                li += 1;
-            }
-            out.push(cluster);
-        }
-        Ok(out)
+        // `laboff` delimits Σ`labcnt` terms inside `labstr` (held at open).
+        let (labstr, laboff) = (self.get::<u8>(&LABSTR), self.get::<u32>(&LABOFF));
+        let mut terms = laboff.windows(2).map(|w| {
+            let term = std::str::from_utf8(&labstr[w[0] as usize..w[1] as usize]);
+            term.map(str::to_string)
+                .map_err(|_| bad(&self.snap, "a cluster label is not UTF-8".into()))
+        });
+        let labcnt = self.get::<u32>(&LABCNT).iter();
+        labcnt
+            .map(|&c| terms.by_ref().take(c as usize).collect())
+            .collect()
     }
 
     /// Reconstruct the complete [`EngineOutput`] from a `Stage::Final`
@@ -298,9 +287,9 @@ impl EngineSnapshot {
         self.since(Stage::Final, "final output")?;
         let (lo, hi) = self.doc_range(ctx)?;
         let dims = self.meta.projection_dims;
-        let assign = self.u32s(&ASSIGN);
-        let coordnd = self.f64s(&COORDND);
-        let csize = self.u64s(&CSIZE);
+        let assign = self.get::<u32>(&ASSIGN);
+        let coordnd = self.get::<f64>(&COORDND);
+        let csize = self.get::<u64>(&CSIZE);
 
         let local_coords_nd = coordnd[lo * dims..hi * dims].to_vec();
         let local_coords: Vec<(f64, f64)> = local_coords_nd

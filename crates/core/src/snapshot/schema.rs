@@ -1,64 +1,48 @@
 //! The one declaration of every on-disk section.
 //!
-//! An engine snapshot and an ingest segment are both `inspire-store`
-//! containers of named sections. Each section is one [`Row`] here, and
-//! everything else derives from the rows: writers and readers take
-//! section names from them, [`check`] holds a file to its table at open,
-//! `core::migrate` re-encodes the [`RETIRED_INDEX`] rows, and a test
-//! holds DESIGN.md §8's tables to them. Adding a section is one row
-//! (listed in its table), the [`Row::put`] that writes it, and its
-//! consumer.
+//! An engine snapshot and an ingest segment are `inspire-store`
+//! containers of named sections. Each section is one [`Row`]: writers
+//! and readers take names and kinds from the rows, [`check`] holds a
+//! file to its table at open, `core::migrate` re-encodes the
+//! [`RETIRED_INDEX`] rows, and a test holds DESIGN.md §8's tables to
+//! them. Adding a section is one row, its [`Row::put`] and its consumer.
 
 use super::Stage;
 use crate::postings::bad;
 use crate::signature::SignatureStats;
 use inspire_store::{Scalar, SectionKind, Snapshot, SnapshotWriter};
 use std::io;
-use Offsets::{Data, Partition, Table};
+use Len::{Fixed, LastOf, Parser, SumPlusOne};
 use SectionKind::{Bytes, Packed, Quant, Skip, F64, I64, U32, U64};
 use Stage::{Final, Index, Scan, Sig};
-use When::{Always, Ann, Tombstones};
+use Values::{Any, IdsBelow, Offsets, Partition};
 
 /// What fixes a section's element count.
 #[derive(Clone, Copy)]
 pub enum Len {
-    /// A count the `meta` section fixes: its spelling in DESIGN.md, and
-    /// the count.
-    Fixed(&'static str, fn(&EngineMeta) -> usize),
+    /// A count the `meta` section fixes.
+    Fixed(fn(&EngineMeta) -> usize),
     /// The last entry of an offsets section.
     LastOf(&'static Row),
     /// One more than the sum of a counts section.
     SumPlusOne(&'static Row),
-    /// Nothing in the table: the named parser checks the payload, which
-    /// it reads through `.bytes()` whatever byte kind the section has.
-    Parser(&'static str),
+    /// Nothing in the table: the section's parser judges the payload,
+    /// reading it through `.bytes()` whatever byte kind it carries.
+    Parser,
 }
 
-/// What a section's entries are to the others.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub enum Offsets {
-    /// Nothing the table knows about.
-    Data,
-    /// An offsets table: first entry 0, non-decreasing; the `LastOf`
-    /// rows citing it pin its last entry.
-    Table,
+/// What a section's entries must be, beyond their count.
+#[derive(Clone, Copy)]
+pub enum Values {
+    Any,
+    /// An offsets table — first entry 0, non-decreasing — whose last
+    /// entry the `LastOf` rows citing it pin.
+    Offsets,
     /// An offsets table whose last entry is the document count.
     Partition,
+    /// Distinct `u32` ids below a count.
+    IdsBelow(fn(&EngineMeta) -> usize),
 }
-
-/// When a container carries a section (from the row's stage on).
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub enum When {
-    Always,
-    /// Final snapshots of a non-degenerate corpus
-    /// ([`EngineMeta::wants_ann`]).
-    Ann,
-    /// Segments that delete documents.
-    Tombstones,
-}
-
-/// For a section of distinct ids (`u32`): the count they lie below.
-type IdsBelow = fn(&EngineMeta) -> usize;
 
 /// One on-disk section.
 #[derive(Clone, Copy)]
@@ -68,9 +52,7 @@ pub struct Row {
     /// First stage whose snapshots carry the section.
     pub stage: Stage,
     pub len: Len,
-    pub offsets: Offsets,
-    pub when: When,
-    ids_below: Option<IdsBelow>,
+    pub values: Values,
 }
 
 const fn row(name: &'static str, kind: SectionKind, stage: Stage, len: Len) -> Row {
@@ -79,9 +61,7 @@ const fn row(name: &'static str, kind: SectionKind, stage: Stage, len: Len) -> R
         kind,
         stage,
         len,
-        offsets: Data,
-        when: Always,
-        ids_below: None,
+        values: Any,
     }
 }
 
@@ -92,111 +72,95 @@ impl Row {
         w.add_section(self.name, self.kind, data)
     }
 
-    const fn offsets(self, offsets: Offsets) -> Row {
-        Row { offsets, ..self }
-    }
-
-    const fn when(self, when: When) -> Row {
-        Row { when, ..self }
-    }
-
-    const fn ids_below(self, bound: IdsBelow) -> Row {
-        Row {
-            ids_below: Some(bound),
-            ..self
-        }
+    const fn values(self, values: Values) -> Row {
+        Row { values, ..self }
     }
 }
 
-const SLOTS: Len = Len::Fixed("18", |_| META_SLOTS);
-const RANKS_PLUS_1: Len = Len::Fixed("nprocs + 1", |m| m.nprocs + 1);
-const PER_RANK_4: Len = Len::Fixed("nprocs × 4", |m| m.nprocs * 4);
-const VOCAB: Len = Len::Fixed("vocab", |m| m.vocab_size);
-const VOCAB_PLUS_1: Len = Len::Fixed("vocab + 1", |m| m.vocab_size + 1);
-const DOCS: Len = Len::Fixed("docs", |m| m.docs());
-const DOCS_PLUS_1: Len = Len::Fixed("docs + 1", |m| m.docs() + 1);
-const N_MAJOR: Len = Len::Fixed("n_major", |m| m.n_major);
-const M_DIMS: Len = Len::Fixed("m_dims", |m| m.m_dims);
-const MAJOR_BY_DIMS: Len = Len::Fixed("n_major × m_dims", |m| m.n_major * m.m_dims);
-const DOCS_BY_DIMS: Len = Len::Fixed("docs × m_dims", |m| m.docs() * m.m_dims);
-const DOCS_BY_PROJ: Len = Len::Fixed("docs × projection_dims", |m| m.docs() * m.projection_dims);
-const K: Len = Len::Fixed("k", |m| m.k);
-const K_PLUS_1: Len = Len::Fixed("k + 1", |m| m.k + 1);
-const K_BY_DIMS: Len = Len::Fixed("k × m_dims", |m| m.k * m.m_dims);
-const LABELS_PLUS_1: Len = Len::SumPlusOne(&LABCNT);
-const VOCABULARY: Len = Len::Parser("`TermTable::from_parts`");
-const INDEX: Len = Len::Parser("`PostingsReader::open`");
-const SEGMENT_OPEN: Len = Len::Parser("`Segment::open`");
+// The counts several rows share.
+const PER_RANK_4: Len = Fixed(|m| m.nprocs * 4);
+const VOCAB: Len = Fixed(|m| m.vocab_size);
+const VOCAB_PLUS_1: Len = Fixed(|m| m.vocab_size + 1);
+const DOCS: Len = Fixed(|m| m.docs());
+const DOCS_PLUS_1: Len = Fixed(|m| m.docs() + 1);
+const DOCS_BY_DIMS: Len = Fixed(|m| m.docs() * m.m_dims);
+const N_MAJOR: Len = Fixed(|m| m.n_major);
+const K: Len = Fixed(|m| m.k);
 
 // Scan & Map.
-pub static META: Row = row("meta", U64, Scan, SLOTS);
-pub static DOCBASE: Row = row("docbase", U64, Scan, RANKS_PLUS_1).offsets(Partition);
-pub static TERMS: Row = row("terms", Bytes, Scan, VOCABULARY);
+pub static META: Row = row("meta", U64, Scan, Fixed(|_| META_SLOTS));
+pub static DOCBASE: Row = row("docbase", U64, Scan, Fixed(|m| m.nprocs + 1)).values(Partition);
+pub static TERMS: Row = row("terms", Bytes, Scan, Parser);
 pub static TERMOFF: Row = row("termoff", U32, Scan, VOCAB_PLUS_1);
 pub static DOCTOK: Row = row("doctok", U32, Scan, DOCS);
-pub static SEGOFF: Row = row("segoff", U64, Scan, DOCS_PLUS_1).offsets(Table);
-pub static SEGFLD: Row = row("segfld", U32, Scan, Len::LastOf(&SEGOFF));
-pub static SEGLEN: Row = row("seglen", U32, Scan, Len::LastOf(&SEGOFF));
-pub static FWDOFF: Row = row("fwdoff", I64, Scan, DOCS_PLUS_1).offsets(Table);
-pub static FWDDAT: Row = row("fwddat", U64, Scan, Len::LastOf(&FWDOFF));
+pub static SEGOFF: Row = row("segoff", U64, Scan, DOCS_PLUS_1).values(Offsets);
+pub static SEGFLD: Row = row("segfld", U32, Scan, LastOf(&SEGOFF));
+pub static SEGLEN: Row = row("seglen", U32, Scan, LastOf(&SEGOFF));
+pub static FWDOFF: Row = row("fwdoff", I64, Scan, DOCS_PLUS_1).values(Offsets);
+pub static FWDDAT: Row = row("fwddat", U64, Scan, LastOf(&FWDOFF));
 pub static RANKIO: Row = row("rankio", U64, Scan, PER_RANK_4);
 // The inverted file: the five index sections (`core::postings`), which
 // [`SEGMENT`] shares, and the load-balance telemetry.
-pub static POSTDIR: Row = row("postdir", Packed, Index, INDEX);
-pub static POSTBLK: Row = row("postblk", Packed, Index, INDEX);
-pub static POSTSKP: Row = row("postskp", Skip, Index, INDEX);
-pub static DFV: Row = row("dfv", Packed, Index, INDEX);
-pub static TFV: Row = row("tfv", Packed, Index, INDEX);
+pub static POSTDIR: Row = row("postdir", Packed, Index, Parser);
+pub static POSTBLK: Row = row("postblk", Packed, Index, Parser);
+pub static POSTSKP: Row = row("postskp", Skip, Index, Parser);
+pub static DFV: Row = row("dfv", Packed, Index, Parser);
+pub static TFV: Row = row("tfv", Packed, Index, Parser);
 pub static LOAD: Row = row("load", U64, Index, PER_RANK_4);
 // Topicality, association matrix, signatures.
-pub static MAJOR: Row = row("major", U32, Sig, N_MAJOR).ids_below(|m| m.vocab_size);
+pub static MAJOR: Row = row("major", U32, Sig, N_MAJOR).values(IdsBelow(|m| m.vocab_size));
 pub static MSCORE: Row = row("mscore", F64, Sig, N_MAJOR);
-pub static TOPICS: Row = row("topics", U32, Sig, M_DIMS);
-pub static ASSOC: Row = row("assoc", F64, Sig, MAJOR_BY_DIMS);
+pub static TOPICS: Row = row("topics", U32, Sig, Fixed(|m| m.m_dims));
+pub static ASSOC: Row = row("assoc", F64, Sig, Fixed(|m| m.n_major * m.m_dims));
 pub static SIGS: Row = row("sigs", F64, Sig, DOCS_BY_DIMS);
 // Clustering, projection, labels.
 pub static ASSIGN: Row = row("assign", U32, Final, DOCS);
-pub static CENTROID: Row = row("centroid", F64, Final, K_BY_DIMS);
+pub static CENTROID: Row = row("centroid", F64, Final, Fixed(|m| m.k * m.m_dims));
 pub static CSIZE: Row = row("csize", U64, Final, K);
-pub static COORDND: Row = row("coordnd", F64, Final, DOCS_BY_PROJ);
-pub static LABSTR: Row = row("labstr", Bytes, Final, Len::LastOf(&LABOFF));
-pub static LABOFF: Row = row("laboff", U32, Final, LABELS_PLUS_1).offsets(Table);
+pub static COORDND: Row = row(
+    "coordnd",
+    F64,
+    Final,
+    Fixed(|m| m.docs() * m.projection_dims),
+);
+pub static LABSTR: Row = row("labstr", Bytes, Final, LastOf(&LABOFF));
+pub static LABOFF: Row = row("laboff", U32, Final, SumPlusOne(&LABCNT)).values(Offsets);
 pub static LABCNT: Row = row("labcnt", U32, Final, K);
-// IVF + quantized signatures (§13).
-pub static QSIG: Row = row("qsig", Quant, Final, DOCS_BY_DIMS).when(Ann);
-pub static QSCALE: Row = row("qscale", F64, Final, DOCS).when(Ann);
-pub static QOFF: Row = row("qoff", F64, Final, DOCS).when(Ann);
-pub static SIGNRM: Row = row("signrm", F64, Final, DOCS).when(Ann);
-pub static IVFDOC: Row = row("ivfdoc", U32, Final, DOCS)
-    .when(Ann)
-    .ids_below(|m| m.docs());
-pub static IVFOFF: Row = row("ivfoff", U64, Final, K_PLUS_1)
-    .offsets(Partition)
-    .when(Ann);
 
-/// Every section of an engine snapshot, in file order.
-pub static ENGINE: [&Row; 35] = [
+/// Every section of every engine snapshot, in file order.
+pub static ENGINE: [&Row; 29] = [
     &META, &DOCBASE, &TERMS, &TERMOFF, &DOCTOK, &SEGOFF, &SEGFLD, &SEGLEN, &FWDOFF, &FWDDAT,
     &RANKIO, &POSTDIR, &POSTBLK, &POSTSKP, &DFV, &TFV, &LOAD, &MAJOR, &MSCORE, &TOPICS, &ASSOC,
-    &SIGS, &ASSIGN, &CENTROID, &CSIZE, &COORDND, &LABSTR, &LABOFF, &LABCNT, &QSIG, &QSCALE, &QOFF,
-    &SIGNRM, &IVFDOC, &IVFOFF,
+    &SIGS, &ASSIGN, &CENTROID, &CSIZE, &COORDND, &LABSTR, &LABOFF, &LABCNT,
 ];
 
-// Ingest segments. `Segment::open` is the parser of `smeta` (4 slots,
-// version 1) and `tomb`; `vocab` is the segment's own vocabulary, whose
-// size is recorded nowhere but in `termoff` itself.
-pub static SMETA: Row = row("smeta", U64, Index, SEGMENT_OPEN);
-pub static TOMB: Row = row("tomb", U32, Index, SEGMENT_OPEN).when(Tombstones);
+// IVF + quantized signatures (§13).
+pub static QSIG: Row = row("qsig", Quant, Final, DOCS_BY_DIMS);
+pub static QSCALE: Row = row("qscale", F64, Final, DOCS);
+pub static QOFF: Row = row("qoff", F64, Final, DOCS);
+pub static SIGNRM: Row = row("signrm", F64, Final, DOCS);
+pub static IVFDOC: Row = row("ivfdoc", U32, Final, DOCS).values(IdsBelow(|m| m.docs()));
+pub static IVFOFF: Row = row("ivfoff", U64, Final, Fixed(|m| m.k + 1)).values(Partition);
+
+/// What follows [`ENGINE`]'s sections where [`EngineMeta::wants_ann`].
+pub static ANN: [&Row; 6] = [&QSIG, &QSCALE, &QOFF, &SIGNRM, &IVFDOC, &IVFOFF];
+
+// Ingest segments. `Segment::open` parses `smeta` (4 slots, version 1)
+// and `tomb`, which only a segment that deletes documents carries; a
+// segment's vocabulary size is recorded nowhere but in its `termoff`.
+pub static SMETA: Row = row("smeta", U64, Index, Parser);
+pub static SEG_TOFF: Row = row(TERMOFF.name, U32, Scan, Parser);
+pub static TOMB: Row = row("tomb", U32, Index, Parser);
 
 /// Every section of an ingest segment, in file order.
 pub static SEGMENT: [&Row; 9] = [
-    &SMETA, &TERMS, &TERMOFF, &POSTDIR, &POSTBLK, &POSTSKP, &DFV, &TFV, &TOMB,
+    &SMETA, &TERMS, &SEG_TOFF, &POSTDIR, &POSTBLK, &POSTSKP, &DFV, &TFV, &TOMB,
 ];
 
 // The fixed-width index of format-v1 files, in the order they wrote it:
 // read by `vaengine migrate` only, which re-encodes it.
-pub static POSTOFF: Row = row("postoff", I64, Index, VOCAB_PLUS_1).offsets(Table);
-pub static POSTDAT: Row = row("postdat", U64, Index, Len::LastOf(&POSTOFF));
+pub static POSTOFF: Row = row("postoff", I64, Index, VOCAB_PLUS_1).values(Offsets);
+pub static POSTDAT: Row = row("postdat", U64, Index, LastOf(&POSTOFF));
 pub static DF: Row = row("df", U32, Index, VOCAB);
 pub static TF: Row = row("tf", U64, Index, VOCAB);
 pub static RETIRED_INDEX: [&Row; 4] = [&POSTOFF, &POSTDAT, &DF, &TF];
@@ -262,12 +226,9 @@ impl EngineMeta {
                 "section `meta` has {n} slots, expected {META_SLOTS}"
             ));
         };
-        let stage = match stage {
-            1 => Stage::Scan,
-            2 => Stage::Index,
-            3 => Stage::Sig,
-            4 => Stage::Final,
-            _ => return Err(format!("unknown stage {stage}")),
+        let stages = [Scan, Index, Sig, Final];
+        let Some(&stage) = stages.iter().find(|&&s| s as u64 == stage) else {
+            return Err(format!("unknown stage {stage}"));
         };
         // These size every other section, two at a time: inside u32
         // (where doc and term ids live) no product overflows.
@@ -324,98 +285,83 @@ impl EngineMeta {
 
 /// The rows a snapshot of this shape carries, in file order.
 pub fn engine_rows(meta: &EngineMeta) -> Vec<&'static Row> {
-    let carried = |r: &&&Row| r.stage <= meta.stage && (r.when != Ann || meta.wants_ann());
-    ENGINE.iter().filter(carried).copied().collect()
+    let ann = ANN.iter().filter(|_| meta.wants_ann());
+    let staged = ENGINE.iter().filter(|r| r.stage <= meta.stage);
+    staged.chain(ann).copied().collect()
 }
 
-/// An integer section's entries, widened in place. A negative `i64`
-/// lands above every valid offset, where the offsets check refuses it.
+const MIGRATE: &str = ": this layout is no longer read — convert the file once with \
+                       `vaengine migrate --in <old.isnap> --out <new.isnap>`";
+
+/// An integer section's entries, widened from their little-endian
+/// bytes. A negative `i64` lands above every valid offset, where the
+/// offsets check refuses it.
 fn entries<'a>(
     snap: &'a Snapshot,
     row: &Row,
-) -> io::Result<Box<dyn DoubleEndedIterator<Item = u64> + 'a>> {
-    let view = snap.require(row.name)?;
-    Ok(match row.kind {
-        U32 => Box::new(view.as_u32s()?.iter().map(|&v| v as u64)),
-        U64 => Box::new(view.as_u64s()?.iter().copied()),
-        I64 => Box::new(view.as_i64s()?.iter().map(|&v| v as u64)),
-        kind => unreachable!("`{}` ({kind}) is cited as an integer section", row.name),
-    })
+) -> io::Result<impl DoubleEndedIterator<Item = u64> + 'a> {
+    let widen = |e: &[u8]| e.iter().rev().fold(0, |v, &b| v << 8 | b as u64);
+    let bytes = snap.require(row.name)?.bytes();
+    Ok(bytes.chunks_exact(row.kind.elem_size()).map(widen))
 }
 
 /// Hold `snap` to `rows`: every one present, and — unless its parser is
 /// the judge — of the declared kind and length, a well-formed offsets
-/// table where the row says so, and passing the row's value rule. The
-/// only passes over payload bytes are the offsets scans and the value
-/// rules of `major` and `ivfdoc`, all O(documents).
+/// table where the row says so, its ids distinct and in range. The only
+/// passes over payload bytes are those last two, all O(documents).
 pub fn check(snap: &Snapshot, rows: &[&'static Row], meta: &EngineMeta) -> io::Result<()> {
     // A length rule cites another section's contents; taking the cited
     // rows first makes the section that lies the one the error names.
-    let pass_of = |len: &Len| match len {
-        Len::Fixed(..) | Len::Parser(_) => 0,
-        Len::SumPlusOne(_) => 1,
-        Len::LastOf(_) => 2,
-    };
-    for pass in 0..3 {
-        for row in rows.iter().filter(|r| pass_of(&r.len) == pass) {
-            let refuse = |what: String| Err(bad(snap, format!("section `{}` {what}", row.name)));
-            let Some(view) = snap.section(row.name) else {
-                // A file an earlier release wrote lacks exactly these.
-                let retired = if row.name == POSTDIR.name {
-                    "the index is stored as fixed-width arrays"
-                } else if row.name == QSIG.name {
-                    "the Final stage has no similarity-search sections"
-                } else {
-                    return refuse("is missing".into());
-                };
-                return refuse(format!(
-                    "is missing: {retired}; this layout is no longer read — convert the file \
-                     once with `vaengine migrate --in <old.isnap> --out <new.isnap>`"
-                ));
-            };
-            let want = match row.len {
-                Len::Parser(_) => continue,
-                Len::Fixed(_, count) => count(meta) as u64,
-                Len::SumPlusOne(counts) => entries(snap, counts)?.sum::<u64>() + 1,
-                Len::LastOf(offsets) => entries(snap, offsets)?.next_back().unwrap_or(0),
-            };
-            let len = (view.bytes().len() / row.kind.elem_size()) as u64;
-            if view.kind() != row.kind {
-                return refuse(format!(
-                    "holds {} elements, expected {}",
-                    view.kind(),
-                    row.kind
-                ));
-            }
-            if len != want {
-                return refuse(format!("has {len} elements, expected {want}"));
-            }
-            if row.offsets != Data {
-                let mut last = 0;
-                for (i, at) in entries(snap, row)?.enumerate() {
-                    if at < last || (i == 0 && at != 0) {
-                        return refuse(format!("does not start at 0 and ascend (entry {i})"));
-                    }
-                    last = at;
+    let mut rows = rows.to_vec();
+    rows.sort_by_key(|r| match r.len {
+        Fixed(_) | Parser => 0,
+        SumPlusOne(_) => 1,
+        LastOf(_) => 2,
+    });
+    for row in rows {
+        let refuse = |what: String| Err(bad(snap, format!("section `{}` {what}", row.name)));
+        let Some(view) = snap.section(row.name) else {
+            // A file an earlier release wrote lacks exactly these.
+            let retired = [POSTDIR.name, QSIG.name].contains(&row.name);
+            return refuse(format!("is missing{}", if retired { MIGRATE } else { "" }));
+        };
+        let want = match row.len {
+            Parser => continue,
+            Fixed(count) => count(meta) as u64,
+            SumPlusOne(counts) => entries(snap, counts)?.sum::<u64>() + 1,
+            LastOf(offsets) => entries(snap, offsets)?.next_back().unwrap_or(0),
+        };
+        let (held, len) = (
+            view.kind(),
+            (view.bytes().len() / row.kind.elem_size()) as u64,
+        );
+        if (held, len) != (row.kind, want) {
+            let kind = row.kind;
+            return refuse(format!("holds {len} × {held}, expected {want} × {kind}"));
+        }
+        if matches!(row.values, Offsets | Partition) {
+            let mut last = 0;
+            for (i, at) in entries(snap, row)?.enumerate() {
+                if at < last || (i == 0 && at != 0) {
+                    return refuse(format!("does not start at 0 and ascend (entry {i})"));
                 }
-                let docs = meta.total_docs;
-                if row.offsets == Partition && last != docs as u64 {
-                    return refuse(format!(
-                        "does not end at the {docs} documents it partitions"
-                    ));
-                }
+                last = at;
             }
-            // `major` indexes vocabulary-length tables on restore; with
-            // its length fixed, `ivfdoc` is a permutation of the documents.
-            if let Some(bound) = row.ids_below {
-                let mut seen = vec![false; bound(meta)];
-                let stray = view.as_u32s()?.iter().find(|&&id| {
-                    seen.get_mut(id as usize)
-                        .is_none_or(|s| std::mem::replace(s, true))
-                });
-                if let Some(id) = stray {
-                    return refuse(format!("is not a set of ids below {}: {id}", seen.len()));
-                }
+            let docs = meta.total_docs as u64;
+            if matches!(row.values, Partition) && last != docs {
+                return refuse(format!("does not end at the {docs} documents it splits"));
+            }
+        }
+        // `major` indexes vocabulary-length tables on restore; with
+        // its length fixed, `ivfdoc` is a permutation of the documents.
+        if let IdsBelow(bound) = row.values {
+            let mut seen = vec![false; bound(meta)];
+            let stray = view.as_u32s()?.iter().find(|&&id| {
+                seen.get_mut(id as usize)
+                    .is_none_or(|s| std::mem::replace(s, true))
+            });
+            if let Some(id) = stray {
+                return refuse(format!("is not a set of ids below {}: {id}", seen.len()));
             }
         }
     }
@@ -426,56 +372,8 @@ pub fn check(snap: &Snapshot, rows: &[&'static Row], meta: &EngineMeta) -> io::R
 mod tests {
     use super::*;
 
-    /// One row of a DESIGN.md §8 section table.
-    fn design_row(row: &Row) -> String {
-        let mut rule = match row.len {
-            Len::Fixed(count, _) => count.to_string(),
-            Len::LastOf(offsets) => format!("last entry of `{}`", offsets.name),
-            Len::SumPlusOne(counts) => format!("sum of `{}` + 1", counts.name),
-            Len::Parser(parser) => format!("checked by its parser, {parser}"),
-        };
-        rule += match row.offsets {
-            Data => "",
-            Table => "; offsets",
-            Partition => "; offsets ending at docs",
-        };
-        let when = match row.when {
-            Always => "—",
-            Ann => "`wants_ann`",
-            Tombstones => "the segment deletes documents",
-        };
-        let (name, kind, stage) = (row.name, row.kind, row.stage);
-        format!("| `{name}` | {kind} | {stage:?} | {rule} | {when} |")
-    }
-
-    /// DESIGN.md §8 documents the tables row for row; this is what keeps
-    /// it from drifting. On failure the message is the table to paste.
-    #[test]
-    fn design_md_section_tables_are_the_schema() {
-        let design = include_str!("../../../../DESIGN.md");
-        let tables: [(&str, &[&Row]); 3] = [
-            ("engine", &ENGINE),
-            ("segment", &SEGMENT),
-            ("retired", &RETIRED_INDEX),
-        ];
-        for (table, rows) in tables {
-            let open = format!("<!-- schema:{table} -->\n");
-            let (_, rest) = design.split_once(&open).expect("table marker in DESIGN.md");
-            let (body, _) = rest.split_once("<!-- /schema -->").expect("closing marker");
-            let documented: Vec<&str> = body.lines().skip(2).collect();
-            let declared: Vec<String> = rows.iter().map(|r| design_row(r)).collect();
-            assert_eq!(
-                documented,
-                declared,
-                "{table} rows:\n{}",
-                declared.join("\n")
-            );
-        }
-    }
-
-    #[test]
-    fn meta_slots_round_trip() {
-        let meta = EngineMeta {
+    fn sample_meta() -> EngineMeta {
+        EngineMeta {
             stage: Stage::Final,
             nprocs: 4,
             total_docs: 1_000_003,
@@ -496,7 +394,95 @@ mod tests {
             kmeans_objective: 1234.5678e-9,
             variance_explained: 0.731,
             projection_dims: 3,
+        }
+    }
+
+    /// How DESIGN.md spells each count the `meta` section fixes.
+    type Count = fn(&EngineMeta) -> usize;
+    const SPELLINGS: [(&str, Count); 15] = [
+        ("18", |_| 18),
+        ("nprocs + 1", |m| m.nprocs + 1),
+        ("nprocs × 4", |m| m.nprocs * 4),
+        ("vocab", |m| m.vocab_size),
+        ("vocab + 1", |m| m.vocab_size + 1),
+        ("docs", |m| m.total_docs as usize),
+        ("docs + 1", |m| m.total_docs as usize + 1),
+        ("n_major", |m| m.n_major),
+        ("m_dims", |m| m.m_dims),
+        ("n_major × m_dims", |m| m.n_major * m.m_dims),
+        ("docs × m_dims", |m| m.total_docs as usize * m.m_dims),
+        ("docs × projection_dims", |m| {
+            m.total_docs as usize * m.projection_dims
+        }),
+        ("k", |m| m.k),
+        ("k + 1", |m| m.k + 1),
+        ("k × m_dims", |m| m.k * m.m_dims),
+    ];
+
+    /// DESIGN.md's spelling of a count the `meta` section fixes: the one
+    /// that computes what `count` computes (on [`sample_meta`], where all
+    /// fifteen differ), so the document cannot say what the code does not.
+    fn spelt(count: Count) -> &'static str {
+        let meta = sample_meta();
+        let agree = SPELLINGS.iter().filter(|(_, f)| f(&meta) == count(&meta));
+        let agree: Vec<&str> = agree.map(|&(text, _)| text).collect();
+        assert_eq!(agree.len(), 1, "spellings of {}: {agree:?}", count(&meta));
+        agree[0]
+    }
+
+    /// One row of a DESIGN.md §8 section table.
+    fn design_row(row: &Row) -> String {
+        let mut rule = match row.len {
+            Fixed(count) => spelt(count).to_string(),
+            LastOf(offsets) => format!("last entry of `{}`", offsets.name),
+            SumPlusOne(counts) => format!("sum of `{}` + 1", counts.name),
+            Parser => "checked by its parser".to_string(),
         };
+        rule += &match row.values {
+            Any => String::new(),
+            Offsets => "; offsets".to_string(),
+            Partition => "; offsets ending at docs".to_string(),
+            IdsBelow(bound) => format!("; distinct ids below {}", spelt(bound)),
+        };
+        let is = |other: &Row| std::ptr::eq(row, other);
+        let when = match () {
+            _ if ANN.iter().any(|r| is(r)) => "`wants_ann`",
+            _ if is(&TOMB) => "the segment deletes documents",
+            _ => "—",
+        };
+        let (name, kind, stage) = (row.name, row.kind, row.stage);
+        format!("| `{name}` | {kind} | {stage:?} | {rule} | {when} |")
+    }
+
+    /// DESIGN.md §8 documents the tables row for row; this is what keeps
+    /// it from drifting. On failure the message is the table to paste.
+    #[test]
+    fn design_md_section_tables_are_the_schema() {
+        let design = include_str!("../../../../DESIGN.md");
+        let engine = [&ENGINE[..], &ANN[..]].concat();
+        let tables: [(&str, &[&Row]); 3] = [
+            ("engine", &engine),
+            ("segment", &SEGMENT),
+            ("retired", &RETIRED_INDEX),
+        ];
+        for (table, rows) in tables {
+            let open = format!("<!-- schema:{table} -->\n");
+            let (_, rest) = design.split_once(&open).expect("table marker in DESIGN.md");
+            let (body, _) = rest.split_once("<!-- /schema -->").expect("closing marker");
+            let documented: Vec<&str> = body.lines().skip(2).collect();
+            let declared: Vec<String> = rows.iter().map(|r| design_row(r)).collect();
+            assert_eq!(
+                documented,
+                declared,
+                "{table} rows:\n{}",
+                declared.join("\n")
+            );
+        }
+    }
+
+    #[test]
+    fn meta_slots_round_trip() {
+        let meta = sample_meta();
         let slots = meta.to_slots();
         assert_eq!(EngineMeta::from_slots(&slots), Ok(meta.clone()));
         // Every slot carries a distinct field: none is dropped or read

@@ -245,7 +245,7 @@ pub(crate) fn write_ann_sections(
     k: usize,
 ) -> io::Result<()> {
     let ivf = crate::ann::build_ivf(sigs, m_dims, assign, k);
-    QSIG.put(w, &ivf.codes)?;
+    w.add_quant(QSIG.name, &ivf.codes, assign.len(), m_dims)?;
     QSCALE.put(w, &ivf.scale)?;
     QOFF.put(w, &ivf.offset)?;
     SIGNRM.put(w, &ivf.norm)?;

@@ -11,7 +11,7 @@
 //! union of base + segment postings for a term is byte-for-byte the
 //! list a rebuild would have encoded.
 //!
-//! Sections: [`schema::SEGMENT`] — `smeta` (u64 ×4: segment version,
+//! Sections ([`inspire_core::snapshot::schema::SEGMENT`]): `smeta` (u64 ×4: segment version,
 //! doc_base, doc_count, token total), a segment-local sorted vocabulary,
 //! the five index sections over **global** doc ids, and an optional
 //! `tomb` (sorted global doc ids this segment deletes).
@@ -22,7 +22,7 @@ use inspire_core::postings::{
     encode_posting_sections, read_terms, write_index_sections, PostingsReader,
 };
 use inspire_core::scan::tokenize_batch;
-use inspire_core::snapshot::schema::{self, When, SMETA, TERMOFF, TERMS, TOMB};
+use inspire_core::snapshot::schema::{SEG_TOFF, SMETA, TERMS, TOMB};
 use inspire_core::tokenize::Tokenizer;
 use inspire_store::{Snapshot, SnapshotWriter};
 use intern::{TermInterner, TermTable};
@@ -142,7 +142,7 @@ pub fn write_segment(dir: &Path, file: &str, b: &SegmentBuild) -> io::Result<u64
     let smeta = [SEG_VERSION, b.doc_base as u64, b.doc_count as u64, b.tokens];
     SMETA.put(&mut w, &smeta)?;
     TERMS.put(&mut w, b.terms.arena_bytes())?;
-    TERMOFF.put(&mut w, b.terms.offsets())?;
+    SEG_TOFF.put(&mut w, b.terms.offsets())?;
     write_index_sections(&mut w, &enc)?;
     if !b.tombstones.is_empty() {
         TOMB.put(&mut w, &b.tombstones)?;
@@ -175,11 +175,6 @@ pub struct Segment {
 impl Segment {
     pub fn open(path: &Path) -> io::Result<Segment> {
         let snap = Snapshot::open(path)?;
-        // Every row's length is its parser's to judge; the table says
-        // which rows a segment cannot be without.
-        for row in schema::SEGMENT.iter().filter(|r| r.when == When::Always) {
-            snap.require(row.name)?;
-        }
         let src = snap.source();
         let &[version, doc_base, doc_count, tokens] = snap.require(SMETA.name)?.as_u64s()? else {
             return Err(bad(src, "section `smeta` does not have 4 slots".into()));
@@ -228,6 +223,10 @@ impl Segment {
         &self.terms
     }
 
+    pub fn vocab(&self) -> usize {
+        self.terms.len()
+    }
+
     /// The index reader and the container its posting bytes live in —
     /// what the serving tier merges with the base snapshot's.
     pub fn index(&self) -> (&PostingsReader, &Snapshot) {
@@ -246,10 +245,22 @@ impl Segment {
         &self.tombstones
     }
 
+    pub fn total_postings(&self) -> u64 {
+        self.index.dir().total_postings()
+    }
+
     /// Append term `local`'s full posting list (global doc ids).
     pub fn postings_into(&self, local: u32, out: &mut Vec<Posting>) {
         self.index
             .postings_into(&self.snap, local, out)
+            .expect("CRC-validated segment postings decode");
+    }
+
+    /// Append only postings with `doc ≥ min_doc`, seeking through the
+    /// skip entries for multi-block lists.
+    pub fn postings_from(&self, local: u32, min_doc: u32, out: &mut Vec<Posting>) {
+        self.index
+            .postings_from(&self.snap, local, min_doc, out)
             .expect("CRC-validated segment postings decode");
     }
 }
@@ -272,7 +283,7 @@ mod tests {
     /// only when it deletes something.
     #[test]
     fn sealed_segment_holds_exactly_the_schema_rows() {
-        use inspire_core::snapshot::schema::{When, SEGMENT};
+        use inspire_core::snapshot::schema::SEGMENT;
         let dir = std::env::temp_dir().join(format!("seg_rows_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let src = medline("b.txt", "PMID- 1\nTI  - alpha beta\n\n");
@@ -284,7 +295,7 @@ mod tests {
             let wrote: Vec<_> = store.sections().map(|(n, kind, _)| (n, kind)).collect();
             let rows: Vec<_> = SEGMENT
                 .iter()
-                .filter(|r| r.when != When::Tombstones || !b.tombstones.is_empty())
+                .filter(|r| r.name != TOMB.name || !b.tombstones.is_empty())
                 .map(|r| (r.name, r.kind))
                 .collect();
             assert_eq!(wrote, rows);
@@ -307,7 +318,7 @@ mod tests {
         let seg = Segment::open(&dir.join("seg-000001.iseg")).unwrap();
         assert_eq!(seg.doc_base(), 100);
         assert_eq!(seg.doc_end(), 102);
-        assert_eq!(seg.terms().len(), b.terms.len());
+        assert_eq!(seg.vocab(), b.terms.len());
         let alpha = seg.terms().position("alpha").expect("alpha indexed") as u32;
         assert_eq!(seg.df(alpha), 1);
         assert_eq!(seg.tf(alpha), 3);
@@ -315,6 +326,9 @@ mod tests {
         seg.postings_into(alpha, &mut posts);
         assert!(posts.iter().all(|p| p.doc == 100));
         assert_eq!(posts.iter().map(|p| p.freq).sum::<u32>(), 3);
+        let mut tail = Vec::new();
+        seg.postings_from(alpha, 101, &mut tail);
+        assert!(tail.is_empty());
 
         let t = build_tombstones(102, vec![7, 3, 7]);
         write_segment(&dir, "seg-000002.iseg", &t).unwrap();

@@ -187,7 +187,7 @@ impl ServeState {
         let mut df: Vec<u32> = Vec::new();
         // Major-term rows are keyed by base-local term ids on disk.
         let ann_rows: Option<HashMap<String, usize>> = snap.has_ann().then(|| {
-            let major = snap.u32s(&MAJOR).iter().enumerate();
+            let major = snap.get::<u32>(&MAJOR).iter().enumerate();
             let row_of = |(i, &t): (usize, &u32)| (base_terms.get(t as usize).to_string(), i);
             major.map(row_of).collect()
         });
@@ -218,13 +218,13 @@ impl ServeState {
         let terms = Arc::new(terms);
         let (coords, assignments, cluster_labels, cluster_sizes) = if meta.stage == Stage::Final {
             let dims = meta.projection_dims;
-            let coordnd = snap.f64s(&COORDND);
+            let coordnd = snap.get::<f64>(&COORDND);
             let coords: Vec<(f64, f64)> = coordnd.chunks(dims).map(|r| (r[0], r[1])).collect();
             (
                 Some(coords),
-                Some(snap.u32s(&ASSIGN).to_vec()),
+                Some(snap.get::<u32>(&ASSIGN).to_vec()),
                 snap.labels()?,
-                snap.u64s(&CSIZE).to_vec(),
+                snap.get::<u64>(&CSIZE).to_vec(),
             )
         } else {
             (None, None, Vec::new(), Vec::new())
@@ -293,7 +293,7 @@ impl ServeState {
         let ann = self.ann.as_ref()?;
         let m = self.meta.m_dims;
         if (doc as usize) < self.meta.total_docs as usize {
-            return Some(&self.snap.f64s(&SIGS)[doc as usize * m..(doc as usize + 1) * m]);
+            return Some(&self.snap.get::<f64>(&SIGS)[doc as usize * m..(doc as usize + 1) * m]);
         }
         let i = ann.seg_docs.binary_search(&doc).ok()?;
         Some(&ann.seg_sigs[i * m..(i + 1) * m])
@@ -317,7 +317,7 @@ impl ServeState {
         pairs.sort_unstable_by_key(|&(r, _)| r);
         Some(ann::embed_rows(
             pairs.into_iter(),
-            self.snap.f64s(&ASSOC),
+            self.snap.get::<f64>(&ASSOC),
             self.meta.m_dims,
         ))
     }
@@ -366,7 +366,7 @@ impl ServeState {
     /// sections).
     fn build_ann(&self, rows: HashMap<String, usize>) -> AnnState {
         let m = self.meta.m_dims;
-        let assoc = self.snap.f64s(&ASSOC);
+        let assoc = self.snap.get::<f64>(&ASSOC);
         let mut seg_docs: Vec<u32> = Vec::new();
         let mut seg_sigs: Vec<f64> = Vec::new();
         let mut posts: Vec<Posting> = Vec::new();
@@ -405,7 +405,7 @@ impl ServeState {
             }
         }
         AnnState {
-            sums: ann::code_sums(self.snap.bytes(&QSIG), m),
+            sums: ann::code_sums(self.snap.get::<u8>(&QSIG), m),
             rows,
             seg_docs,
             seg_sigs,

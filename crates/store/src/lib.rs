@@ -52,10 +52,7 @@
 //! The reader loads the file into an 8-byte-aligned buffer; because every
 //! payload starts 8 bytes past a 64-byte boundary, `u32`/`u64`/`i64`/
 //! `f64` views are reinterpretations of the section bytes — no per-row
-//! parsing on load. The writer is the mirror image: one
-//! [`SnapshotWriter::add_section`] takes a slice of any [`Scalar`] type,
-//! checks the type against the section's kind (raw bytes may carry any
-//! kind's encoding), and writes it from where it lies.
+//! parsing on load.
 
 pub mod codec;
 
@@ -391,6 +388,26 @@ impl SnapshotWriter {
         Ok(())
     }
 
+    /// Append scalar-quantized vector codes: `records` fixed-width rows
+    /// of `record` `u8` components each. Rejects payloads whose length
+    /// is not `records * record`, so a malformed section can never be
+    /// written in the first place.
+    pub fn add_quant(
+        &mut self,
+        name: &str,
+        payload: &[u8],
+        records: usize,
+        record: usize,
+    ) -> io::Result<()> {
+        if payload.len() != records.saturating_mul(record) {
+            return Err(bad(format!(
+                "quant section `{name}` has {} bytes, expected {records} records × {record} bytes",
+                payload.len()
+            )));
+        }
+        self.add_section(name, SectionKind::Quant, payload)
+    }
+
     /// Write the section table, patch the header, and flush.
     pub fn finish(mut self) -> io::Result<SnapshotStats> {
         let table_offset = self.pos;
@@ -620,6 +637,11 @@ impl Snapshot {
         self.entries.iter().map(|e| (e.name_str(), e.kind, e.len))
     }
 
+    /// Whether a section exists.
+    pub fn has(&self, name: &str) -> bool {
+        self.entries.iter().any(|e| e.name_str() == name)
+    }
+
     /// A view over the named section, if present.
     pub fn section(&self, name: &str) -> Option<SectionView<'_>> {
         let e = self.entries.iter().find(|e| e.name_str() == name)?;
@@ -676,21 +698,22 @@ impl<'a> SectionView<'a> {
         Ok(())
     }
 
-    /// Reinterpret the payload as `T` elements. Sound for the plain-old-
-    /// data element types this module stores (`u32`/`u64`/`i64`/`f64`):
-    /// every bit pattern is a valid value, and payloads start 8 bytes
-    /// past a 64-byte boundary of an 8-byte-aligned buffer, so `align_to`
-    /// never produces a prefix or suffix.
-    fn typed<T>(&self, want: SectionKind) -> io::Result<&'a [T]> {
-        self.expect_kind(want)?;
-        // SAFETY: T is restricted by the callers to POD integer/float
-        // types for which any bit pattern is valid; alignment is
+    /// The payload as `T` elements, for any kind stored as `T`s. Sound
+    /// for the plain-old-data [`Scalar`] types: every bit pattern is a
+    /// valid value, and payloads start 8 bytes past a 64-byte boundary of
+    /// an 8-byte-aligned buffer, so `align_to` never produces a prefix
+    /// or suffix.
+    pub fn as_slice<T: Scalar>(&self) -> io::Result<&'a [T]> {
+        // SAFETY: any bit pattern is a valid `Scalar`; alignment is
         // guaranteed by the container layout (checked below).
         let (prefix, mid, suffix) = unsafe { self.bytes.align_to::<T>() };
-        if !prefix.is_empty() || !suffix.is_empty() {
+        if !T::KINDS.contains(&self.kind) || !prefix.is_empty() || !suffix.is_empty() {
             return Err(bad(format!(
-                "{}: section `{}` is not aligned for {want} elements",
-                self.source, self.name
+                "{}: section `{}` ({}) is not a whole, aligned run of {} elements",
+                self.source,
+                self.name,
+                self.kind,
+                std::any::type_name::<T>()
             )));
         }
         Ok(mid)
@@ -698,22 +721,23 @@ impl<'a> SectionView<'a> {
 
     /// The payload as little-endian `u32` elements.
     pub fn as_u32s(&self) -> io::Result<&'a [u32]> {
-        self.typed::<u32>(SectionKind::U32)
+        self.as_slice()
     }
 
     /// The payload as little-endian `u64` elements.
     pub fn as_u64s(&self) -> io::Result<&'a [u64]> {
-        self.typed::<u64>(SectionKind::U64)
+        self.expect_kind(SectionKind::U64)?;
+        self.as_slice()
     }
 
     /// The payload as little-endian `i64` elements.
     pub fn as_i64s(&self) -> io::Result<&'a [i64]> {
-        self.typed::<i64>(SectionKind::I64)
+        self.as_slice()
     }
 
     /// The payload as little-endian `f64` elements.
     pub fn as_f64s(&self) -> io::Result<&'a [f64]> {
-        self.typed::<f64>(SectionKind::F64)
+        self.as_slice()
     }
 
     /// The payload of a block-compressed section (decode via [`codec`]).
@@ -724,7 +748,8 @@ impl<'a> SectionView<'a> {
 
     /// The payload as skip-pointer entries ([`codec::skip_entry`] layout).
     pub fn as_skips(&self) -> io::Result<&'a [u64]> {
-        self.typed::<u64>(SectionKind::Skip)
+        self.expect_kind(SectionKind::Skip)?;
+        self.as_slice()
     }
 
     /// The payload of a quantized-vector section as fixed-width records
@@ -841,7 +866,7 @@ mod tests {
         );
         assert_eq!(s.require("blob").unwrap().bytes(), b"arbitrary \x00 bytes");
         assert_eq!(s.require("empty").unwrap().bytes(), b"");
-        assert!(s.section("nope").is_none());
+        assert!(!s.has("nope"));
         assert!(s.require("nope").is_err());
         std::fs::remove_file(&path).ok();
     }
@@ -865,6 +890,11 @@ mod tests {
         assert!(s.require("ids").unwrap().as_f64s().is_err());
         assert!(s.require("vals").unwrap().as_u32s().is_err());
         assert!(s.require("blob").unwrap().as_packed().is_err());
+        // The generic view follows the element type, not one kind.
+        let ids = s.require("ids").unwrap();
+        assert_eq!(ids.as_slice::<u32>().unwrap(), ids.as_u32s().unwrap());
+        assert!(ids.as_slice::<u64>().is_err());
+        assert!(s.require("blob").unwrap().as_slice::<u8>().is_ok());
         std::fs::remove_file(&path).ok();
     }
 
@@ -1059,7 +1089,11 @@ mod tests {
         let path = tmp("quant.snap");
         let codes: Vec<u8> = (0..5 * 7).map(|i| (i * 11 % 251) as u8).collect();
         let mut w = SnapshotWriter::create(&path).unwrap();
-        w.add_section("qsig", SectionKind::Quant, &codes).unwrap();
+        w.add_quant("qsig", &codes, 5, 7).unwrap();
+        assert!(
+            w.add_quant("qbad", &codes, 5, 8).is_err(),
+            "writer must reject a payload that is not records × record bytes"
+        );
         assert!(
             w.add_section("qbad", SectionKind::U64, &[0.5f64]).is_err()
                 && w.add_section("qbad", SectionKind::U32, &codes[..7])
@@ -1085,8 +1119,7 @@ mod tests {
     fn v1_file_with_quant_kind_is_rejected() {
         let path = tmp("v1quant.snap");
         let mut w = SnapshotWriter::create(&path).unwrap();
-        w.add_section("qsig", SectionKind::Quant, &[1u8, 2, 3, 4])
-            .unwrap();
+        w.add_quant("qsig", &[1, 2, 3, 4], 2, 2).unwrap();
         w.finish().unwrap();
         assert!(Snapshot::from_bytes(&with_version(&path, 1), "v1q").is_err());
         std::fs::remove_file(&path).ok();

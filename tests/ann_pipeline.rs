@@ -27,8 +27,8 @@ fn build_snapshot(p: usize, src: &corpus::SourceSet, out: &std::path::Path) -> E
 fn assert_full_probe_is_exhaustive(snap: &EngineSnapshot) -> Vec<(u32, u64)> {
     let meta = snap.meta();
     let (k, m) = (meta.k, meta.m_dims);
-    let sigs = snap.f64s(&schema::SIGS);
-    let sums = ann::code_sums(snap.bytes(&schema::QSIG), m);
+    let sigs = snap.get::<f64>(&schema::SIGS);
+    let sums = ann::code_sums(snap.get::<u8>(&schema::QSIG), m);
     let view = snap.ann_view(&sums);
     let docs = view.docs();
     assert_eq!(docs, meta.total_docs as usize);
