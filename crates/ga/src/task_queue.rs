@@ -107,16 +107,16 @@ impl TaskQueue {
     /// Returns `None` when every subqueue is exhausted (after which the
     /// rank stops participating in the claim ordering).
     pub fn pop(&self, ctx: &Ctx) -> Option<TaskId> {
-        ctx.trace_begin("queue", "task.pace");
+        let paced = ctx.now();
         self.gate.pace(ctx);
-        ctx.trace_end("queue", "task.pace");
+        ctx.trace_span("queue", "task.pace", paced);
         let t = self.claim(ctx);
         match t {
             None => self.gate.leave(ctx),
             // A claim whose data lives on another rank is a steal — the
             // event the paper's dynamic balancing exists to produce.
             Some(task) if task.owner != ctx.rank() => {
-                ctx.trace_instant("queue", "task.steal");
+                ctx.trace_span("queue", "task.steal", ctx.now()); // zero-length
             }
             Some(_) => {}
         }

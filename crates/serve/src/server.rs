@@ -560,46 +560,102 @@ fn answer(shared: &Shared, req: &ServeRequest, ctx: &mut ReqCtx) -> Result<Strin
     Ok(body)
 }
 
-/// Build the `/metrics` document: request counters, cache counters, and
+/// What one `/metrics` scrape reads: the shared counters, the state
+/// being served, and the LRU's counters and `(len, capacity,
+/// resident_bytes)`, each lock taken once.
+struct Scrape<'a> {
+    shared: &'a Shared,
+    state: Arc<ServeState>,
+    cache: CacheStats,
+    lru: (usize, usize, usize),
+}
+
+impl Scrape<'_> {
+    fn take(shared: &Shared) -> Scrape<'_> {
+        let (cache, lru) = {
+            let c = shared.cache.lock().unwrap();
+            (c.stats(), (c.len(), c.capacity(), c.resident_bytes()))
+        };
+        let state = Arc::clone(&shared.state.read().unwrap());
+        Scrape {
+            shared,
+            state,
+            cache,
+            lru,
+        }
+    }
+}
+
+/// One server counter as both `/metrics` renderers see it: JSON group
+/// (`""` = top level) and key, Prometheus family and type, and how a
+/// scrape reads it. An empty key or family means that side omits it.
+type Counter = (
+    &'static str,
+    &'static str,
+    &'static str,
+    &'static str,
+    fn(&Scrape) -> f64,
+);
+
+fn n(counter: &AtomicU64) -> f64 {
+    counter.load(Ordering::Relaxed) as f64
+}
+
+/// The server's counters, declared once: JSON keys print in this order
+/// (consecutive rows of a group form its object), Prometheus lines too.
+/// DESIGN.md §12 documents this table row for row.
+#[rustfmt::skip]
+const COUNTERS: [Counter; 18] = [
+    ("", "uptime_s", "serve_uptime_seconds", "gauge", |s| s.shared.started.elapsed().as_secs_f64()),
+    ("requests", "served", "serve_requests_total", "counter", |s| n(&s.shared.served)),
+    ("requests", "errors", "serve_errors_total", "counter", |s| n(&s.shared.errors)),
+    ("requests", "rejected_429", "serve_rejected_total", "counter", |s| n(&s.shared.rejected_429)),
+    ("requests", "in_flight", "serve_in_flight", "gauge", |s| s.shared.in_flight.load(Ordering::Relaxed) as f64),
+    ("requests", "max_in_flight", "serve_in_flight_max", "gauge", |s| s.shared.max_in_flight.load(Ordering::Relaxed) as f64),
+    ("cache", "hits", "serve_cache_hits_total", "counter", |s| s.cache.hits as f64),
+    ("cache", "misses", "serve_cache_misses_total", "counter", |s| s.cache.misses as f64),
+    ("cache", "insertions", "serve_cache_insertions_total", "counter", |s| s.cache.insertions as f64),
+    ("cache", "evictions", "serve_cache_evictions_total", "counter", |s| s.cache.evictions as f64),
+    ("cache", "hit_rate", "", "", |s| s.cache.hit_rate()),
+    ("cache", "len", "serve_cache_entries", "gauge", |s| s.lru.0 as f64),
+    ("cache", "capacity", "serve_cache_capacity", "gauge", |s| s.lru.1 as f64),
+    ("cache", "resident_bytes", "serve_cache_resident_bytes", "gauge", |s| s.lru.2 as f64),
+    ("ingest", "segments_open", "segments_open", "gauge", |s| s.state.segments_open() as f64),
+    ("ingest", "snapshot_generation", "snapshot_generation", "gauge", |s| s.state.generation as f64),
+    ("ingest", "last_seal_unix", "last_seal_unix", "gauge", |s| s.state.last_seal_unix as f64),
+    ("", "", "slow_log_retained", "gauge", |s| s.shared.slow.len() as f64),
+];
+
+/// Build the `/metrics` document: the [`COUNTERS`] rows, then the
 /// per-kind latency histograms from the trace registry.
 fn metrics_json(shared: &Shared) -> String {
-    let cache = shared.cache.lock().unwrap();
-    let stats = cache.stats();
-    let (len, capacity, resident) = (cache.len(), cache.capacity(), cache.resident_bytes());
-    drop(cache);
-    let (segments_open, generation, last_seal) = {
-        let state = shared.state.read().unwrap();
-        (
-            state.segments_open(),
-            state.generation,
-            state.last_seal_unix,
-        )
+    let scrape = Scrape::take(shared);
+    let mut s = String::from("{");
+    let sep = |s: &mut String| {
+        if !s.ends_with('{') {
+            s.push(',');
+        }
     };
-    let mut s = format!(
-        "{{\"uptime_s\":{},\"requests\":{{\"served\":{},\"errors\":{},\"rejected_429\":{},\
-         \"in_flight\":{},\"max_in_flight\":{}}},\
-         \"cache\":{{\"hits\":{},\"misses\":{},\"insertions\":{},\"evictions\":{},\
-         \"hit_rate\":{},\"len\":{},\"capacity\":{},\"resident_bytes\":{resident}}},\
-         \"ingest\":{{\"segments_open\":{segments_open},\"snapshot_generation\":{generation},\
-         \"last_seal_unix\":{last_seal}}},\"histograms\":[",
-        num(shared.started.elapsed().as_secs_f64()),
-        shared.served.load(Ordering::Relaxed),
-        shared.errors.load(Ordering::Relaxed),
-        shared.rejected_429.load(Ordering::Relaxed),
-        shared.in_flight.load(Ordering::Relaxed),
-        shared.max_in_flight.load(Ordering::Relaxed),
-        stats.hits,
-        stats.misses,
-        stats.insertions,
-        stats.evictions,
-        num(stats.hit_rate()),
-        len,
-        capacity
-    );
-    let registry = shared.registry.lock().unwrap();
-    let mut summaries = registry.summaries();
-    drop(registry);
-    summaries.sort_by(|a, b| a.name.cmp(&b.name));
+    let mut open = "";
+    for (group, key, _, _, read) in COUNTERS.iter().filter(|c| !c.1.is_empty()) {
+        if *group != open {
+            if !open.is_empty() {
+                s.push('}');
+            }
+            if !group.is_empty() {
+                sep(&mut s);
+                s.push_str(&format!("\"{group}\":{{"));
+            }
+            open = *group;
+        }
+        sep(&mut s);
+        s.push_str(&format!("\"{key}\":{}", num(read(&scrape))));
+    }
+    if !open.is_empty() {
+        s.push('}');
+    }
+    s.push_str(",\"histograms\":[");
+    let summaries = shared.registry.lock().unwrap().summaries();
     for (i, sum) in summaries.iter().enumerate() {
         if i > 0 {
             s.push(',');
@@ -610,69 +666,24 @@ fn metrics_json(shared: &Shared) -> String {
     s
 }
 
-fn prom_counter(out: &mut String, name: &str, v: u64) {
-    out.push_str(&format!("# TYPE {name} counter\n{name} {v}\n"));
-}
-
 fn prom_gauge(out: &mut String, name: &str, v: f64) {
     out.push_str(&format!("# TYPE {name} gauge\n{name} {}\n", num(v)));
 }
 
 /// Build the Prometheus text exposition (`/metrics?format=prom`): the
-/// serve counters and gauges, the per-kind latency summaries from the
-/// trace registry, and — when serving an ingest directory — the live
-/// WAL backlog gauges plus the sealer/compactor histograms accumulated
-/// in the ingest metrics sidecar.
+/// [`COUNTERS`] rows, the per-kind latency summaries from the trace
+/// registry, and — when serving an ingest directory — the live WAL
+/// backlog gauges plus the sealer/compactor histograms accumulated in
+/// the ingest metrics sidecar.
 fn metrics_prom(shared: &Shared) -> String {
-    let cache = shared.cache.lock().unwrap();
-    let stats = cache.stats();
-    let (len, capacity, resident) = (cache.len(), cache.capacity(), cache.resident_bytes());
-    drop(cache);
-    let state = Arc::clone(&shared.state.read().unwrap());
+    let scrape = Scrape::take(shared);
     let mut out = String::with_capacity(4096);
-    prom_counter(
-        &mut out,
-        "serve_requests_total",
-        shared.served.load(Ordering::Relaxed),
-    );
-    prom_counter(
-        &mut out,
-        "serve_errors_total",
-        shared.errors.load(Ordering::Relaxed),
-    );
-    prom_counter(
-        &mut out,
-        "serve_rejected_total",
-        shared.rejected_429.load(Ordering::Relaxed),
-    );
-    prom_gauge(
-        &mut out,
-        "serve_in_flight",
-        shared.in_flight.load(Ordering::Relaxed) as f64,
-    );
-    prom_gauge(
-        &mut out,
-        "serve_in_flight_max",
-        shared.max_in_flight.load(Ordering::Relaxed) as f64,
-    );
-    prom_counter(&mut out, "serve_cache_hits_total", stats.hits);
-    prom_counter(&mut out, "serve_cache_misses_total", stats.misses);
-    prom_counter(&mut out, "serve_cache_insertions_total", stats.insertions);
-    prom_counter(&mut out, "serve_cache_evictions_total", stats.evictions);
-    prom_gauge(&mut out, "serve_cache_entries", len as f64);
-    prom_gauge(&mut out, "serve_cache_capacity", capacity as f64);
-    prom_gauge(&mut out, "serve_cache_resident_bytes", resident as f64);
-    prom_gauge(
-        &mut out,
-        "serve_uptime_seconds",
-        shared.started.elapsed().as_secs_f64(),
-    );
-    prom_gauge(&mut out, "snapshot_generation", state.generation as f64);
-    prom_gauge(&mut out, "segments_open", state.segments_open() as f64);
-    prom_gauge(&mut out, "last_seal_unix", state.last_seal_unix as f64);
-    prom_gauge(&mut out, "slow_log_retained", shared.slow.len() as f64);
+    for (_, _, family, kind, read) in COUNTERS.iter().filter(|c| !c.2.is_empty()) {
+        let v = num(read(&scrape));
+        out.push_str(&format!("# TYPE {family} {kind}\n{family} {v}\n"));
+    }
     out.push_str(&shared.registry.lock().unwrap().to_prometheus());
-    if let Some(dir) = &state.ingest_dir {
+    if let Some(dir) = &scrape.state.ingest_dir {
         // Always emit the full ingest family set: a fresh directory
         // (no sidecar yet, no backlog) scrapes the same names as a
         // busy one, so dashboards and validators can rely on them.
@@ -694,7 +705,45 @@ fn metrics_prom(shared: &Shared) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::wake_addr;
+    use super::{wake_addr, COUNTERS};
+
+    /// DESIGN.md §12 documents the counter table row for row; this is
+    /// what keeps it from drifting. On failure the message is the table
+    /// to paste.
+    #[test]
+    fn design_md_counter_table_is_the_rows() {
+        let design = include_str!("../../../DESIGN.md");
+        let (_, rest) = design
+            .split_once("<!-- counters -->\n")
+            .expect("table marker");
+        let (body, _) = rest
+            .split_once("<!-- /counters -->")
+            .expect("closing marker");
+        let documented: Vec<&str> = body.lines().skip(2).collect();
+        let cell = |s: &str, code: bool| match s {
+            "" => "—".to_string(),
+            s if code => format!("`{s}`"),
+            s => s.to_string(),
+        };
+        let declared: Vec<String> = COUNTERS
+            .iter()
+            .map(|(group, key, family, kind, _)| {
+                let json = match (*group, *key) {
+                    (_, "") | ("", _) => key.to_string(),
+                    _ => format!("{group}.{key}"),
+                };
+                let (family, kind, json) =
+                    (cell(family, true), cell(kind, false), cell(&json, true));
+                format!("| {family} | {kind} | {json} |")
+            })
+            .collect();
+        assert_eq!(
+            documented,
+            declared,
+            "counter rows:\n{}",
+            declared.join("\n")
+        );
+    }
 
     #[test]
     fn wildcard_listeners_are_woken_through_their_loopback() {

@@ -10,8 +10,8 @@ use corpus::CorpusSpec;
 use inspire_core::pipeline::run_engine;
 use inspire_core::EngineConfig;
 use inspire_serve::{http, ServeConfig, ServeState, Server};
+use inspire_trace::json::parse as parse_access_line;
 use inspire_trace::json::Value;
-use inspire_trace::reqspan::parse_access_line;
 use perfmodel::CostModel;
 use std::collections::BTreeSet;
 use std::path::PathBuf;

@@ -5,7 +5,7 @@ use crate::pool::IntraPool;
 use crate::rendezvous::Rendezvous;
 use crate::stats::CommStats;
 use crate::timer::{Component, Timers};
-use inspire_trace::span::{Phase, RankTrace, SpanRecorder};
+use inspire_trace::span::{RankTrace, SpanRecorder};
 use perfmodel::{CostModel, WorkKind};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -205,26 +205,15 @@ impl Ctx {
         self.trace.enabled()
     }
 
-    /// Record a span-begin at the current virtual time. A no-op unless
-    /// the runtime enabled tracing; never touches the clock.
+    /// Record the span from virtual time `start` to now — zero-length
+    /// when `start` is now. A no-op unless the runtime enabled tracing;
+    /// never touches the clock.
     #[inline]
-    pub fn trace_begin(&self, cat: &'static str, name: &'static str) {
-        self.trace.record(cat, name, Phase::Begin, self.now());
+    pub fn trace_span(&self, cat: &'static str, name: &'static str, start: f64) {
+        self.trace.record(cat, name, start, self.now());
     }
 
-    /// Record a span-end at the current virtual time.
-    #[inline]
-    pub fn trace_end(&self, cat: &'static str, name: &'static str) {
-        self.trace.record(cat, name, Phase::End, self.now());
-    }
-
-    /// Record a point event at the current virtual time.
-    #[inline]
-    pub fn trace_instant(&self, cat: &'static str, name: &'static str) {
-        self.trace.record(cat, name, Phase::Instant, self.now());
-    }
-
-    /// Drain this rank's recorded events (used by the runtime at the end
+    /// Drain this rank's recorded spans (used by the runtime at the end
     /// of a run).
     pub(crate) fn take_trace(&self) -> RankTrace {
         self.trace.take(self.rank)
@@ -233,16 +222,13 @@ impl Ctx {
     /// Run `f` attributing its virtual-time delta to `component` and its
     /// charged communication to the component's per-stage counters. The
     /// stage's host wall time is measured as well (observational only),
-    /// and when tracing is on the stage is bracketed by a span.
+    /// and when tracing is on the stage is recorded as a span.
     pub fn component<R>(&self, component: Component, f: impl FnOnce() -> R) -> R {
         let start = self.now();
         let wall_start = Instant::now();
         let prev = self.stats.set_stage(component);
-        self.trace
-            .record("stage", component.label(), Phase::Begin, start);
         let out = f();
-        self.trace
-            .record("stage", component.label(), Phase::End, self.now());
+        self.trace_span("stage", component.label(), start);
         self.stats.set_stage(prev);
         self.timers.accrue(component, self.now() - start);
         self.timers
@@ -255,14 +241,12 @@ impl Ctx {
     // the same order, with compatible types.
     // ---------------------------------------------------------------
 
-    /// Bookkeeping at collective entry: count the payload, open the trace
-    /// span, and return the entry clock for wait attribution.
+    /// Bookkeeping at collective entry: count the payload and return the
+    /// entry clock for wait attribution and the trace span.
     #[inline]
-    fn enter_collective(&self, name: &'static str, bytes: u64) -> f64 {
+    fn enter_collective(&self, bytes: u64) -> f64 {
         self.stats.record_collective(bytes);
-        let entry = self.now();
-        self.trace.record("collective", name, Phase::Begin, entry);
-        entry
+        self.now()
     }
 
     /// Bookkeeping at collective exit: the gap between entering the
@@ -275,7 +259,7 @@ impl Ctx {
         self.timers
             .accrue_wait(self.stats.stage(), departed - entry);
         self.clock.set(departed);
-        self.trace.record("collective", name, Phase::End, departed);
+        self.trace_span("collective", name, entry);
     }
 
     /// Synchronize all ranks; clocks advance to the latest participant plus
@@ -283,7 +267,7 @@ impl Ctx {
     pub fn barrier(&self) {
         let p = self.nprocs;
         let cost = self.model.barrier(p);
-        let entry = self.enter_collective("barrier", 0);
+        let entry = self.enter_collective(0);
         let (_r, clock) =
             self.shared
                 .rendezvous
@@ -306,7 +290,7 @@ impl Ctx {
             "exactly the root must supply the broadcast value"
         );
         let cost = self.model.broadcast(self.nprocs, bytes);
-        let entry = self.enter_collective("broadcast", bytes);
+        let entry = self.enter_collective(bytes);
         let (res, clock) = self.shared.rendezvous.round(
             self.rank,
             value,
@@ -330,7 +314,7 @@ impl Ctx {
         // (already scaled) is what grows with the nominal workload.
         let flops = value.len() as u64 * (self.nprocs.max(1) as u64 - 1);
         self.charge_fixed(WorkKind::Flops, flops);
-        let entry = self.enter_collective("allreduce", bytes);
+        let entry = self.enter_collective(bytes);
         let (res, clock) = self.shared.rendezvous.round(
             self.rank,
             value,
@@ -361,7 +345,7 @@ impl Ctx {
         let cost = self.model.allreduce(self.nprocs, bytes);
         let flops = value.len() as u64 * (self.nprocs.max(1) as u64 - 1);
         self.charge_fixed(WorkKind::Flops, flops);
-        let entry = self.enter_collective("allreduce", bytes);
+        let entry = self.enter_collective(bytes);
         let (res, clock) = self.shared.rendezvous.round(
             self.rank,
             value,
@@ -402,7 +386,7 @@ impl Ctx {
         T: Clone + Send + Sync + 'static,
     {
         let cost = self.model.allgather(self.nprocs, bytes_per_rank);
-        let entry = self.enter_collective("allgather", bytes_per_rank);
+        let entry = self.enter_collective(bytes_per_rank);
         let (res, clock) =
             self.shared
                 .rendezvous
@@ -422,7 +406,7 @@ impl Ctx {
     {
         assert!(root < self.nprocs, "gather root out of range");
         let cost = self.model.gather(self.nprocs, bytes_per_rank);
-        let entry = self.enter_collective("gather", bytes_per_rank);
+        let entry = self.enter_collective(bytes_per_rank);
         let (res, clock) =
             self.shared
                 .rendezvous
@@ -445,7 +429,7 @@ impl Ctx {
     {
         assert!(root < self.nprocs, "gather root out of range");
         let cost = self.model.gather_data(self.nprocs, bytes_per_rank);
-        let entry = self.enter_collective("gather_data", bytes_per_rank);
+        let entry = self.enter_collective(bytes_per_rank);
         let (res, clock) =
             self.shared
                 .rendezvous
@@ -484,7 +468,7 @@ impl Ctx {
     {
         assert_eq!(send.len(), self.nprocs, "alltoall needs one item per rank");
         let cost = self.model.alltoall(self.nprocs, bytes_per_pair);
-        let entry = self.enter_collective("alltoall", bytes_per_pair * self.nprocs as u64);
+        let entry = self.enter_collective(bytes_per_pair * self.nprocs as u64);
         let me = self.rank;
         let (res, clock) =
             self.shared
@@ -511,7 +495,7 @@ impl Ctx {
         let cost = self.model.reduce_scatter(self.nprocs, total_bytes);
         let flops = value.len() as u64 * (self.nprocs.max(1) as u64 - 1);
         self.charge_fixed(WorkKind::Flops, flops);
-        let entry = self.enter_collective("reduce_scatter", total_bytes);
+        let entry = self.enter_collective(total_bytes);
         let p = self.nprocs;
         let me = self.rank;
         let (res, clock) = self.shared.rendezvous.round(

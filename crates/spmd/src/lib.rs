@@ -26,11 +26,13 @@
 //!   while collectives, clocks and timers stay on the rank thread. Chunk
 //!   boundaries are width-independent, so results are bit-identical at
 //!   any `threads_per_rank` (see [`Runtime::with_threads_per_rank`]).
-//! * With [`Runtime::with_tracing`], each rank records stage and
-//!   collective spans into an `inspire-trace` ring buffer (stamped with
-//!   both virtual and wall clocks) that [`RunResult::traces`] exposes for
-//!   Chrome trace-event export. Recording only *reads* clocks — engine
-//!   output is bit-identical with tracing on or off.
+//! * With [`Runtime::with_tracing`], each rank records its stages,
+//!   collectives and task-queue work as complete `inspire-trace` spans
+//!   ([`Ctx::trace_span`]: from a start to now, on the virtual clock,
+//!   stamped with wall time) into a ring buffer that
+//!   [`RunResult::traces`] exposes for Chrome trace-event export.
+//!   Recording only *reads* clocks — engine output is bit-identical with
+//!   tracing on or off.
 //!
 //! The wall-clock/virtual-clock split is the substitution documented in
 //! DESIGN.md §2: the machine running this reproduction has a single core,

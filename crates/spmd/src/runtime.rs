@@ -5,7 +5,7 @@ use crate::ctx::{Ctx, SharedState};
 use crate::rendezvous::Rendezvous;
 use crate::stats::CommStatsSnapshot;
 use crate::timer::TimerSnapshot;
-use inspire_trace::span::{RankTrace, SpanRecorder};
+use inspire_trace::span::{RankTrace, SpanRecorder, CAPACITY};
 use perfmodel::CostModel;
 use std::sync::Arc;
 use std::time::Instant;
@@ -52,7 +52,6 @@ pub struct Runtime {
     model: Arc<CostModel>,
     threads_per_rank: usize,
     tracing: bool,
-    trace_capacity: usize,
 }
 
 impl Runtime {
@@ -61,7 +60,6 @@ impl Runtime {
             model,
             threads_per_rank: 1,
             tracing: false,
-            trace_capacity: inspire_trace::span::DEFAULT_CAPACITY,
         }
     }
 
@@ -85,18 +83,12 @@ impl Runtime {
         self.threads_per_rank
     }
 
-    /// Record stage and collective spans on every rank, exposed through
+    /// Record stage, collective and task-queue spans on every rank (the
+    /// newest [`CAPACITY`] per rank), exposed through
     /// [`RunResult::traces`]. Off by default; recording only reads the
     /// virtual clock, so results are bit-identical either way.
     pub fn with_tracing(mut self, on: bool) -> Self {
         self.tracing = on;
-        self
-    }
-
-    /// Cap the per-rank span ring at `events` entries (oldest dropped
-    /// beyond it). Only meaningful together with [`Runtime::with_tracing`].
-    pub fn with_trace_capacity(mut self, events: usize) -> Self {
-        self.trace_capacity = events;
         self
     }
 
@@ -139,7 +131,6 @@ impl Runtime {
         let model = &self.model;
         let threads_per_rank = self.threads_per_rank;
         let tracing = self.tracing;
-        let trace_capacity = self.trace_capacity;
         // One epoch per run so wall stamps align across rank lanes.
         let epoch = Instant::now();
         let f = &f;
@@ -154,7 +145,7 @@ impl Runtime {
                             shared: shared.clone(),
                         };
                         let trace = if tracing {
-                            SpanRecorder::enabled_with(epoch, trace_capacity)
+                            SpanRecorder::enabled_with(epoch, CAPACITY)
                         } else {
                             SpanRecorder::disabled()
                         };
@@ -285,9 +276,8 @@ mod tests {
     }
 
     #[test]
-    fn tracing_records_balanced_monotone_spans() {
+    fn tracing_records_complete_spans_that_nest() {
         use crate::timer::Component;
-        use inspire_trace::span::Phase;
         let rt = Runtime::new(Arc::new(CostModel::pnnl_2007())).with_tracing(true);
         let res = rt.run(3, |ctx| {
             assert!(ctx.tracing());
@@ -301,24 +291,22 @@ mod tests {
         for (rank, t) in res.traces.iter().enumerate() {
             assert_eq!(t.rank, rank);
             assert_eq!(t.dropped, 0);
-            let begins = t.events.iter().filter(|e| e.phase == Phase::Begin).count();
-            let ends = t.events.iter().filter(|e| e.phase == Phase::End).count();
-            assert_eq!(begins, ends, "rank {rank} spans unbalanced");
-            assert!(t
-                .events
-                .iter()
-                .any(|e| e.cat == "stage" && e.name == "scan"));
-            assert!(t
-                .events
-                .iter()
-                .any(|e| e.cat == "collective" && e.name == "barrier"));
-            for w in t.events.windows(2) {
-                assert!(
-                    w[0].virt_us <= w[1].virt_us,
-                    "rank {rank}: virtual stamps must be monotone"
-                );
-            }
+            // Close order: the barrier inside the stage, the stage, the
+            // allreduce after it.
+            let names: Vec<_> = t.spans.iter().map(|s| (s.cat, s.name)).collect();
+            assert_eq!(
+                names,
+                [
+                    ("collective", "barrier"),
+                    ("stage", "scan"),
+                    ("collective", "allreduce")
+                ]
+            );
+            assert!(t.spans.iter().all(|s| s.dur_us >= 0.0));
         }
+        let json = inspire_trace::chrome::to_chrome_json(&res.traces);
+        let summary = inspire_trace::chrome::validate_chrome_json(&json).expect("spans nest");
+        assert_eq!((summary.lanes, summary.spans), (3, 9));
     }
 
     #[test]
@@ -330,9 +318,9 @@ mod tests {
             ctx.allreduce_scalar_f64(ctx.now(), ReduceOp::Max).to_bits()
         };
         let plain = Runtime::new(model.clone()).run(4, work);
-        assert!(plain.traces.iter().all(|t| t.events.is_empty()));
+        assert!(plain.traces.iter().all(|t| t.spans.is_empty()));
         let traced = Runtime::new(model).with_tracing(true).run(4, work);
-        assert!(traced.traces.iter().any(|t| !t.events.is_empty()));
+        assert!(traced.traces.iter().any(|t| !t.spans.is_empty()));
         // Bit-identical outputs and clocks.
         assert_eq!(plain.results, traced.results);
         assert_eq!(plain.clocks, traced.clocks);

@@ -1,339 +1,266 @@
-//! Chrome trace-event export.
+//! Chrome trace-event export: the one writer and its validator.
 //!
-//! Converts per-rank [`RankTrace`]s into the JSON Object Format consumed
-//! by `chrome://tracing` and Perfetto: one process (`pid: 0`), one
-//! thread lane per rank (`tid: rank`), duration events (`ph: "B"/"E"`)
-//! for stages and collectives, instants (`ph: "i"`) for point events.
-//! The `ts` axis is the SPMD **virtual** clock in microseconds — the
-//! timeline the paper's model reasons about — and each event carries the
-//! host wall-clock microseconds in `args.wall_us` for correlation.
-//!
-//! Because the recorder is a drop-oldest ring, a drained trace can open
-//! mid-span. Export reconciles this so the emitted file is always
-//! balanced per lane: `End` events with no matching `Begin` are skipped,
-//! and `Begin` events still open at the end of the lane get a synthetic
-//! `End` at the lane's last timestamp.
-
-use std::io::Write as _;
-use std::path::Path;
+//! `write_trace` renders lanes of [`Span`]s into the JSON Object
+//! Format consumed by `chrome://tracing` and Perfetto: one process
+//! (`pid: 0`), one thread lane per `tid`, every span a `ph: "X"`
+//! complete event. Both traces this workspace exports go through it —
+//! rank lanes from a batch run ([`to_chrome_json`], `--trace-out`; `ts`
+//! on the SPMD virtual clock, each span's host wall stamp in
+//! `args.wall_us`) and request lanes from the slow-query ring
+//! ([`crate::SlowLog::to_chrome_json`], `/debug/slow?format=chrome`).
+//! Spans are complete when recorded, so there is nothing to repair.
 
 use crate::json::{self, Value};
-use crate::span::{Phase, RankTrace};
+use crate::span::{RankTrace, Span};
 
-/// Render traces to a complete Chrome trace-event JSON document.
-pub fn to_chrome_json(traces: &[RankTrace]) -> String {
-    let mut out = String::with_capacity(4096);
-    out.push_str("{\"traceEvents\":[\n");
-    let mut first = true;
-    let mut push = |line: String, first: &mut bool| {
-        if !*first {
-            out.push_str(",\n");
-        }
-        *first = false;
-        out.push_str(&line);
-    };
-    for trace in traces {
-        push(
-            format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{},\
-                 \"args\":{{\"name\":\"rank {}\"}}}}",
-                trace.rank, trace.rank
-            ),
-            &mut first,
-        );
-        let last_ts = trace.events.last().map(|e| e.virt_us).unwrap_or(0.0);
-        // Names of spans currently open in this lane, for reconciliation.
-        let mut open: Vec<(&'static str, &'static str)> = Vec::new();
-        for ev in &trace.events {
-            let ph = match ev.phase {
-                Phase::Begin => {
-                    open.push((ev.cat, ev.name));
-                    "B"
-                }
-                Phase::End => {
-                    // An End must close the innermost open Begin; a ring
-                    // that dropped the Begin produces an orphan — skip it.
-                    match open.last() {
-                        Some(&(_, name)) if name == ev.name => {
-                            open.pop();
-                        }
-                        _ => continue,
-                    }
-                    "E"
-                }
-                Phase::Instant => "i",
-            };
-            let scope = if ev.phase == Phase::Instant {
-                ",\"s\":\"t\""
-            } else {
-                ""
-            };
-            push(
-                format!(
-                    "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"{ph}\",\"ts\":{},\
-                     \"pid\":0,\"tid\":{}{scope},\"args\":{{\"wall_us\":{}}}}}",
-                    json::escape(ev.name),
-                    json::escape(ev.cat),
-                    json::num(ev.virt_us),
-                    trace.rank,
-                    json::num(ev.wall_us)
-                ),
-                &mut first,
-            );
-        }
-        // Close any spans still open (their End fell past the drain).
-        while let Some((cat, name)) = open.pop() {
-            push(
-                format!(
-                    "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"E\",\"ts\":{},\
-                     \"pid\":0,\"tid\":{},\"args\":{{\"synthetic\":true}}}}",
-                    json::escape(name),
-                    json::escape(cat),
-                    json::num(last_ts),
-                    trace.rank
-                ),
-                &mut first,
-            );
-        }
-    }
-    let dropped: u64 = traces.iter().map(|t| t.dropped).sum();
-    out.push_str("\n],\"displayTimeUnit\":\"ms\",\"otherData\":{");
-    out.push_str(&format!(
-        "\"clock\":\"virtual_us\",\"ranks\":{},\"dropped_events\":{}",
-        traces.len(),
-        dropped
-    ));
-    out.push_str("}}\n");
-    out
+/// One `tid` lane of a trace document: its display name and its spans,
+/// each with the members of its `args` object (`""` for none).
+pub(crate) struct Lane {
+    pub tid: usize,
+    pub name: String,
+    pub spans: Vec<(Span, String)>,
 }
 
-/// Write the Chrome trace for `traces` to `path`.
-pub fn write_chrome_trace(path: &Path, traces: &[RankTrace]) -> std::io::Result<()> {
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(to_chrome_json(traces).as_bytes())
+/// Render `lanes` as a complete Chrome trace-event document: per lane a
+/// `thread_name` record, then its spans in start order, an enclosing
+/// span before those it contains. `other` holds the members of
+/// `otherData`.
+pub(crate) fn write_trace(mut lanes: Vec<Lane>, other: &str) -> String {
+    let mut events = Vec::new();
+    for lane in &mut lanes {
+        lane.spans.sort_by(|(a, _), (b, _)| {
+            a.start_us
+                .total_cmp(&b.start_us)
+                .then(b.dur_us.total_cmp(&a.dur_us))
+        });
+        events.push(format!(
+            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{},\
+             \"args\":{{\"name\":\"{}\"}}}}",
+            lane.tid,
+            json::escape(&lane.name)
+        ));
+        for (span, args) in &lane.spans {
+            events.push(format!(
+                "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
+                 \"pid\":0,\"tid\":{},\"args\":{{{args}}}}}",
+                json::escape(span.name),
+                json::escape(span.cat),
+                json::num(span.start_us),
+                json::num(span.dur_us),
+                lane.tid
+            ));
+        }
+    }
+    format!(
+        "{{\"traceEvents\":[\n{}\n],\"displayTimeUnit\":\"ms\",\"otherData\":{{{other}}}}}\n",
+        events.join(",\n")
+    )
+}
+
+/// The trace of a batch run: one lane per rank.
+pub fn to_chrome_json(traces: &[RankTrace]) -> String {
+    let lanes = traces
+        .iter()
+        .map(|t| Lane {
+            tid: t.rank,
+            name: format!("rank {}", t.rank),
+            spans: t
+                .spans
+                .iter()
+                .zip(&t.wall_us)
+                .map(|(s, w)| (*s, format!("\"wall_us\":{}", json::num(*w))))
+                .collect(),
+        })
+        .collect();
+    let dropped: u64 = traces.iter().map(|t| t.dropped).sum();
+    write_trace(
+        lanes,
+        &format!(
+            "\"clock\":\"virtual_us\",\"ranks\":{},\"dropped_events\":{dropped}",
+            traces.len()
+        ),
+    )
 }
 
 /// What [`validate_chrome_json`] learned about a well-formed trace.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceSummary {
-    /// Distinct `tid` lanes seen (ranks).
+    /// Distinct `tid` lanes seen.
     pub lanes: usize,
-    /// Total `B`/`E` pairs across all lanes.
+    /// Total `X` events across all lanes.
     pub spans: usize,
-    /// Total `i` events.
-    pub instants: usize,
 }
 
-/// Parse `s` as a Chrome trace-event document and check the invariants
-/// our exporters guarantee: `traceEvents` is an array; per lane, every
-/// `E` closes the innermost open `B` of the same name, every `B` is
-/// closed, every `X` complete event (the request-timeline exporter in
-/// [`crate::reqspan`] emits these) carries a non-negative `dur`, and
-/// `ts` is monotone non-decreasing.
+/// Rounding room when comparing span ends: `ts + dur` re-adds two
+/// printed floats, so it may land a few ulps off the recorded end.
+fn slack(t: f64) -> f64 {
+    1e-9 * t.abs().max(1.0)
+}
+
+/// Parse `s` as a Chrome trace-event document and check what
+/// `write_trace` guarantees: `traceEvents` is an array of `M` and `X`
+/// events; every `X` has a non-negative `dur`; per lane, `ts` is
+/// non-decreasing and spans nest — each one ends no later than the
+/// innermost span still open when it starts.
 pub fn validate_chrome_json(s: &str) -> Result<TraceSummary, String> {
     let doc = json::parse(s)?;
     let events = doc
         .get("traceEvents")
         .and_then(Value::as_arr)
         .ok_or("missing traceEvents array")?;
-    let mut lanes: Vec<(f64, Vec<String>)> = Vec::new(); // (last_ts, open stack) per tid
-    let mut tids: Vec<i64> = Vec::new();
-    let mut summary = TraceSummary::default();
+    // Per tid: the last `ts` and the ends of the spans still open.
+    let mut lanes: std::collections::BTreeMap<i64, (f64, Vec<f64>)> = Default::default();
+    let mut spans = 0;
     for (i, ev) in events.iter().enumerate() {
-        let ph = ev
-            .get("ph")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("event {i}: missing ph"))?;
-        if ph == "M" {
-            continue; // metadata carries no ts
+        match ev.get("ph").and_then(Value::as_str) {
+            Some("M") => continue,
+            Some("X") => {}
+            other => return Err(format!("event {i}: ph {other:?} is not \"M\" or \"X\"")),
         }
-        let tid = ev
-            .get("tid")
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("event {i}: missing tid"))? as i64;
-        let ts = ev
-            .get("ts")
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("event {i}: missing ts"))?;
-        let name = ev
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("event {i}: missing name"))?;
-        let lane = match tids.iter().position(|&t| t == tid) {
-            Some(ix) => ix,
-            None => {
-                tids.push(tid);
-                lanes.push((f64::NEG_INFINITY, Vec::new()));
-                lanes.len() - 1
-            }
+        let num = |key: &str| {
+            ev.get(key)
+                .and_then(Value::as_f64)
+                .ok_or_else(|| format!("event {i}: missing {key}"))
         };
-        let (last_ts, stack) = &mut lanes[lane];
+        let (tid, ts, dur) = (num("tid")? as i64, num("ts")?, num("dur")?);
+        let name = ev.get("name").and_then(Value::as_str).unwrap_or("");
+        if dur < 0.0 {
+            return Err(format!(
+                "event {i} (tid {tid}): \"{name}\" has negative dur {dur}"
+            ));
+        }
+        let (last_ts, open) = lanes.entry(tid).or_insert((f64::NEG_INFINITY, Vec::new()));
         if ts < *last_ts {
             return Err(format!(
                 "event {i} (tid {tid}): ts {ts} < previous {last_ts} — not monotone"
             ));
         }
         *last_ts = ts;
-        match ph {
-            "B" => stack.push(name.to_string()),
-            "E" => match stack.pop() {
-                Some(top) if top == name => summary.spans += 1,
-                Some(top) => {
-                    return Err(format!(
-                        "event {i} (tid {tid}): E \"{name}\" does not close innermost B \"{top}\""
-                    ))
-                }
-                None => {
-                    return Err(format!(
-                        "event {i} (tid {tid}): E \"{name}\" with no open B"
-                    ))
-                }
-            },
-            "i" => summary.instants += 1,
-            "X" => {
-                let dur = ev
-                    .get("dur")
-                    .and_then(Value::as_f64)
-                    .ok_or_else(|| format!("event {i} (tid {tid}): X \"{name}\" without dur"))?;
-                if dur < 0.0 {
-                    return Err(format!(
-                        "event {i} (tid {tid}): X \"{name}\" has negative dur {dur}"
-                    ));
-                }
-                summary.spans += 1;
+        while open.last().is_some_and(|&end| end <= ts + slack(ts)) {
+            open.pop();
+        }
+        let end = ts + dur;
+        if let Some(&outer) = open.last() {
+            if end > outer + slack(outer) {
+                return Err(format!(
+                    "event {i} (tid {tid}): \"{name}\" [{ts}, {end}] overlaps a span \
+                     open until {outer} without nesting"
+                ));
             }
-            other => return Err(format!("event {i}: unsupported ph {other:?}")),
         }
+        open.push(end);
+        spans += 1;
     }
-    for (lane, (_, stack)) in lanes.iter().enumerate() {
-        if let Some(open) = stack.last() {
-            return Err(format!("tid {}: span \"{open}\" never closed", tids[lane]));
-        }
-    }
-    summary.lanes = lanes.len();
-    Ok(summary)
+    Ok(TraceSummary {
+        lanes: lanes.len(),
+        spans,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::{Event, Phase};
-
-    fn ev(name: &'static str, cat: &'static str, phase: Phase, virt_us: f64) -> Event {
-        Event {
-            name,
-            cat,
-            phase,
-            virt_us,
-            wall_us: virt_us / 10.0,
-        }
-    }
-
-    fn trace(rank: usize, events: Vec<Event>) -> RankTrace {
-        RankTrace {
-            rank,
-            events,
-            dropped: 0,
-        }
-    }
+    use crate::span::SpanRecorder;
+    use std::time::Instant;
 
     #[test]
-    fn exports_balanced_lanes_that_validate() {
-        let traces = vec![
-            trace(
-                0,
-                vec![
-                    ev("scan", "stage", Phase::Begin, 0.0),
-                    ev("barrier", "collective", Phase::Begin, 10.0),
-                    ev("barrier", "collective", Phase::End, 15.0),
-                    ev("scan", "stage", Phase::End, 20.0),
-                ],
-            ),
-            trace(
-                1,
-                vec![
-                    ev("scan", "stage", Phase::Begin, 0.0),
-                    ev("steal", "queue", Phase::Instant, 5.0),
-                    ev("scan", "stage", Phase::End, 25.0),
-                ],
-            ),
-        ];
-        let s = to_chrome_json(&traces);
+    fn rank_lanes_export_complete_events_that_validate() {
+        let r0 = SpanRecorder::enabled_with(Instant::now(), 64);
+        r0.record("collective", "barrier", 10e-6, 15e-6);
+        r0.record("stage", "scan", 0.0, 20e-6);
+        let r1 = SpanRecorder::enabled_with(Instant::now(), 64);
+        r1.record("queue", "task.steal", 5e-6, 5e-6);
+        r1.record("stage", "scan", 0.0, 25e-6);
+        let s = to_chrome_json(&[r0.take(0), r1.take(1)]);
         let sum = validate_chrome_json(&s).expect("valid trace");
-        assert_eq!(sum.lanes, 2);
-        assert_eq!(sum.spans, 3);
-        assert_eq!(sum.instants, 1);
+        assert_eq!(sum, TraceSummary { lanes: 2, spans: 4 });
+        // Start order: the enclosing stage precedes what it contains.
+        assert!(s.find("\"scan\"").unwrap() < s.find("\"barrier\"").unwrap());
+        assert!(s.contains("\"wall_us\":"));
+        assert!(!s.contains("\"ph\":\"B\"") && !s.contains("\"ph\":\"E\""));
     }
 
+    /// (a) A 16-span ring fed nested stage, collective and steal spans
+    /// well past its capacity still exports a lane that validates — the
+    /// truncation the export-time repair used to patch up.
     #[test]
-    fn ring_truncation_is_reconciled() {
-        // Orphan End (its Begin was dropped by the ring) and an unclosed
-        // Begin at the tail.
-        let traces = vec![trace(
-            0,
-            vec![
-                ev("scan", "stage", Phase::End, 5.0), // orphan: skipped
-                ev("cluster", "stage", Phase::Begin, 6.0),
-                ev("barrier", "collective", Phase::Begin, 8.0), // unclosed: synthesized
-            ],
-        )];
-        let s = to_chrome_json(&traces);
-        let sum = validate_chrome_json(&s).expect("reconciled trace validates");
-        assert_eq!(sum.spans, 2); // cluster + barrier, both closed synthetically
-        assert!(s.contains("\"synthetic\":true"));
+    fn truncated_ring_exports_a_nesting_lane() {
+        let r = SpanRecorder::enabled_with(Instant::now(), 16);
+        let mut t = 0.0;
+        for _stage in 0..10 {
+            let stage_start = t;
+            for _ in 0..3 {
+                t += 1.0;
+                r.record("queue", "task.steal", t, t);
+                let entry = t;
+                t += 2.0;
+                r.record("collective", "barrier", entry, t);
+            }
+            t += 1.0;
+            r.record("stage", "index", stage_start, t);
+        }
+        let trace = r.take(0);
+        assert_eq!(trace.spans.len(), 16);
+        assert_eq!(trace.dropped, 70 - 16);
+        let s = to_chrome_json(&[trace]);
+        let sum = validate_chrome_json(&s).expect("truncated lane validates");
+        assert_eq!(
+            sum,
+            TraceSummary {
+                lanes: 1,
+                spans: 16
+            }
+        );
+        let doc = json::parse(&s).unwrap();
+        let other = doc.get("otherData").unwrap();
+        assert_eq!(
+            other.get("dropped_events").and_then(Value::as_f64),
+            Some(54.0)
+        );
     }
 
+    /// (b) Two spans on one lane that overlap without nesting are refused.
     #[test]
-    fn validator_rejects_imbalance_and_time_travel() {
-        let bad_balance = r#"{"traceEvents":[
-            {"name":"a","ph":"B","ts":1,"pid":0,"tid":0}
+    fn validator_rejects_overlap_without_nesting() {
+        let crossing = r#"{"traceEvents":[
+            {"name":"a","ph":"X","ts":1,"dur":2,"pid":0,"tid":0},
+            {"name":"b","ph":"X","ts":2,"dur":2,"pid":0,"tid":0}
         ]}"#;
-        assert!(validate_chrome_json(bad_balance)
+        assert!(validate_chrome_json(crossing)
             .unwrap_err()
-            .contains("never closed"));
+            .contains("without nesting"));
+        // The same spans on two lanes, or touching end to start, are fine.
+        let apart = r#"{"traceEvents":[
+            {"name":"a","ph":"X","ts":1,"dur":2,"pid":0,"tid":0},
+            {"name":"b","ph":"X","ts":2,"dur":2,"pid":0,"tid":1},
+            {"name":"c","ph":"X","ts":3,"dur":0,"pid":0,"tid":0},
+            {"name":"d","ph":"X","ts":3,"dur":1,"pid":0,"tid":0}
+        ]}"#;
+        assert_eq!(
+            validate_chrome_json(apart),
+            Ok(TraceSummary { lanes: 2, spans: 4 })
+        );
+    }
 
+    #[test]
+    fn validator_rejects_time_travel_bad_dur_and_other_phases() {
         let bad_order = r#"{"traceEvents":[
-            {"name":"a","ph":"B","ts":10,"pid":0,"tid":0},
-            {"name":"a","ph":"E","ts":5,"pid":0,"tid":0}
+            {"name":"a","ph":"X","ts":10,"dur":1,"pid":0,"tid":0},
+            {"name":"b","ph":"X","ts":5,"dur":1,"pid":0,"tid":0}
         ]}"#;
         assert!(validate_chrome_json(bad_order)
             .unwrap_err()
             .contains("monotone"));
-
-        let bad_nest = r#"{"traceEvents":[
-            {"name":"a","ph":"B","ts":1,"pid":0,"tid":0},
-            {"name":"b","ph":"B","ts":2,"pid":0,"tid":0},
-            {"name":"a","ph":"E","ts":3,"pid":0,"tid":0},
-            {"name":"b","ph":"E","ts":4,"pid":0,"tid":0}
-        ]}"#;
-        assert!(validate_chrome_json(bad_nest)
-            .unwrap_err()
-            .contains("innermost"));
-    }
-
-    #[test]
-    fn complete_events_validate_and_require_dur() {
-        let good = r#"{"traceEvents":[
-            {"name":"request","ph":"X","ts":0,"dur":100,"pid":0,"tid":0},
-            {"name":"parse","ph":"X","ts":0,"dur":10,"pid":0,"tid":0},
-            {"name":"serialize","ph":"X","ts":10,"dur":90,"pid":0,"tid":0}
-        ]}"#;
-        let sum = validate_chrome_json(good).expect("X events validate");
-        assert_eq!(sum.spans, 3);
-
-        let no_dur = r#"{"traceEvents":[
-            {"name":"a","ph":"X","ts":0,"pid":0,"tid":0}
-        ]}"#;
+        let no_dur = r#"{"traceEvents":[{"name":"a","ph":"X","ts":0,"pid":0,"tid":0}]}"#;
         assert!(validate_chrome_json(no_dur)
             .unwrap_err()
-            .contains("without dur"));
-
-        let neg_dur = r#"{"traceEvents":[
-            {"name":"a","ph":"X","ts":0,"dur":-1,"pid":0,"tid":0}
-        ]}"#;
+            .contains("missing dur"));
+        let neg_dur = r#"{"traceEvents":[{"name":"a","ph":"X","ts":0,"dur":-1,"pid":0,"tid":0}]}"#;
         assert!(validate_chrome_json(neg_dur)
             .unwrap_err()
             .contains("negative dur"));
+        let begin = r#"{"traceEvents":[{"name":"a","ph": "B","ts":1,"pid":0,"tid":0}]}"#;
+        assert!(validate_chrome_json(begin).unwrap_err().contains("is not"));
     }
 
     #[test]

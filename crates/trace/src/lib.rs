@@ -9,20 +9,22 @@
 //! * [`log`] — a leveled, rank-prefixed structured logger
 //!   (`INSPIRE_LOG=error|warn|info|debug`) replacing ad-hoc `eprintln!`
 //!   warnings, so `P>1` runs don't interleave unattributed lines.
-//! * [`span`] — a per-rank ring-buffered span recorder. Every event is
-//!   stamped with both the host wall clock and the SPMD **virtual**
-//!   clock; recording is off by default and a single branch when off.
-//! * [`chrome`] — export of recorded spans to the Chrome trace-event
-//!   JSON format (`chrome://tracing`, Perfetto): one lane per rank,
-//!   stage spans, collective wait spans, task-queue events.
-//! * [`metrics`] — log-bucketed latency histograms (p50/p95/p99 with
-//!   bounded relative error) and gauges behind a string-keyed registry,
-//!   used by the snapshot-serving query path; renders as JSON or
-//!   Prometheus text exposition and persists at bucket fidelity.
-//! * [`reqspan`] — the request-scoped counterpart to [`span`]: per-request
-//!   stage timelines built concurrently on serving workers, a structured
+//! * [`span`] — the one span record, [`Span`] (category, name, start
+//!   and duration in µs, always complete), and the per-rank ring that
+//!   records it on the SPMD **virtual** clock, each span stamped with
+//!   host wall time; recording is off by default and a single branch
+//!   when off.
+//! * [`reqspan`] — the same record on request lanes: per-request stage
+//!   timelines built concurrently on serving workers, a structured
 //!   access-log line format, and a thread-safe keep-N-worst slow-query
-//!   ring with JSON and Chrome-trace export.
+//!   ring.
+//! * [`chrome`] — the one Chrome trace-event writer (`chrome://tracing`,
+//!   Perfetto; `ph: "X"` complete events, one lane per rank or per
+//!   request) and the validator that checks its output nests.
+//! * [`metrics`] — log-bucketed latency histograms (p50/p95/p99 with
+//!   bounded relative error) behind a string-keyed registry, used by the
+//!   serving path and the ingest sidecar; renders as Prometheus text
+//!   exposition and persists at bucket fidelity.
 //! * [`report`] — the structured run report: a pretty table for stderr
 //!   plus a machine-readable JSON artifact, covering per-stage wall and
 //!   virtual time, communication totals, per-stage load imbalance, and
@@ -44,5 +46,5 @@ pub mod span;
 pub use log::Level;
 pub use metrics::{Histogram, HistogramSummary, Registry};
 pub use report::{RunReport, StageRow};
-pub use reqspan::{ReqSpan, ReqTimeline, ReqTrace, SlowLog};
-pub use span::{Event, Phase, RankTrace, SpanRecorder};
+pub use reqspan::{ReqTimeline, ReqTrace, SlowLog};
+pub use span::{RankTrace, Span, SpanRecorder};

@@ -7,12 +7,11 @@
 //! that bucket; values below 8 are exact. Recording is two shifts and an
 //! increment — cheap enough for the per-query serving path.
 //!
-//! Histograms merge by bucket-wise addition, and merged quantiles
-//! *bracket* the per-shard quantiles: `quantile` returns the upper bound
-//! of the first bucket whose cumulative count reaches `ceil(q·n)`, so
-//! the merged value is `>=` the minimum and `<=` the maximum of the
-//! shards' values for the same `q` (the property the proptest in
-//! `tests/hist_props.rs` exercises).
+//! `quantile` returns the upper bound of the first bucket whose
+//! cumulative count reaches `ceil(q·n)`, clamped to the observed max, so
+//! an estimate never undershoots the true order statistic and overshoots
+//! it by at most one sub-bucket (the properties `tests/hist_props.rs`
+//! exercises).
 
 use std::collections::BTreeMap;
 
@@ -126,17 +125,6 @@ impl Histogram {
         self.max
     }
 
-    /// Merge `other` into `self` bucket-wise.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (&bucket, &n) in &other.counts {
-            *self.counts.entry(bucket).or_insert(0) += n;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Snapshot the standard percentiles under `name`.
     pub fn summarize(&self, name: &str) -> HistogramSummary {
         HistogramSummary {
@@ -153,9 +141,8 @@ impl Histogram {
     }
 
     /// Serialize at full bucket fidelity (exact round trip through
-    /// [`Histogram::from_persist`], so persisted histograms stay
-    /// count-additive under [`Histogram::merge`]). Used by the ingest
-    /// metrics sidecar to accumulate across processes.
+    /// [`Histogram::from_persist`]). Used by the ingest metrics sidecar
+    /// to accumulate across processes.
     pub fn to_persist_json(&self) -> String {
         let mut s = format!(
             "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[",
@@ -283,12 +270,11 @@ impl HistogramSummary {
     }
 }
 
-/// A string-keyed registry of histograms and gauges. Not thread-safe by
-/// design: an owner that shares one wraps it in a lock.
+/// A string-keyed registry of histograms. Not thread-safe by design: an
+/// owner that shares one wraps it in a lock.
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
     hists: BTreeMap<String, Histogram>,
-    gauges: BTreeMap<String, f64>,
 }
 
 impl Registry {
@@ -309,11 +295,6 @@ impl Registry {
         out
     }
 
-    /// Set gauge `name` to `v` (last write wins).
-    pub fn gauge(&mut self, name: &str, v: f64) {
-        self.gauges.insert(name.to_string(), v);
-    }
-
     /// Ensure histogram `name` exists (empty until the first
     /// observation). Expositions call this so scrapes expose a stable
     /// family set from the very first request, instead of families
@@ -326,47 +307,15 @@ impl Registry {
         self.hists.get(name)
     }
 
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.gauges.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
     /// Summaries of all histograms, sorted by name.
     pub fn summaries(&self) -> Vec<HistogramSummary> {
         self.hists.iter().map(|(k, h)| h.summarize(k)).collect()
     }
 
-    /// Export the whole registry as one JSON object: histogram summaries
-    /// under `"histograms"` (sorted by name) and gauges under `"gauges"`.
-    /// This is the payload a serving `/metrics` endpoint returns; it
-    /// round-trips through [`crate::json::parse`].
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\"histograms\":[");
-        for (i, sum) in self.summaries().iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&sum.to_json());
-        }
-        s.push_str("],\"gauges\":{");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "\"{}\":{}",
-                crate::json::escape(k),
-                crate::json::num(*v)
-            ));
-        }
-        s.push_str("}}");
-        s
-    }
-
     /// Prometheus text exposition (format 0.0.4): each histogram as a
     /// `summary` metric — `{quantile="0.5|0.95|0.99"}` sample lines plus
     /// the `_sum`/`_count` pair that keeps scraped series count-additive
-    /// across merges — and each gauge as a `gauge`. Histograms record
-    /// nanoseconds; metrics named `*_seconds` are scaled to seconds on
+    /// across merges. Histograms record nanoseconds; metrics named `*_seconds` are scaled to seconds on
     /// the way out, so the exposition speaks base units while the JSON
     /// views keep their `*_ns` fields.
     pub fn to_prometheus(&self) -> String {
@@ -387,18 +336,12 @@ impl Registry {
             ));
             out.push_str(&format!("{n}_count {}\n", h.count()));
         }
-        for (name, v) in &self.gauges {
-            let n = prom_name(name);
-            out.push_str(&format!("# TYPE {n} gauge\n{n} {}\n", crate::json::num(*v)));
-        }
         out
     }
 
     /// Full-fidelity serialization: every histogram at bucket level (see
-    /// [`Histogram::to_persist_json`]) plus gauges. Unlike
-    /// [`to_json`](Self::to_json) this round-trips exactly, so a
-    /// registry persisted by one process and reloaded by another keeps
-    /// merging count-additively.
+    /// [`Histogram::to_persist_json`]), so a registry persisted by one
+    /// process and reloaded by another keeps accumulating exactly.
     pub fn to_persist_json(&self) -> String {
         let mut s = String::from("{\"histograms\":{");
         for (i, (name, h)) in self.hists.iter().enumerate() {
@@ -411,22 +354,13 @@ impl Registry {
                 h.to_persist_json()
             ));
         }
-        s.push_str("},\"gauges\":{");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "\"{}\":{}",
-                crate::json::escape(k),
-                crate::json::num(*v)
-            ));
-        }
         s.push_str("}}");
         s
     }
 
     /// Rebuild a registry from [`to_persist_json`](Self::to_persist_json).
+    /// Other top-level keys are ignored (files written before gauges were
+    /// removed carry an empty `"gauges"` object).
     pub fn from_persist_json(s: &str) -> Result<Registry, String> {
         let doc = crate::json::parse(s)?;
         let mut reg = Registry::new();
@@ -436,16 +370,6 @@ impl Registry {
             }
         } else {
             return Err("registry persist: missing histograms".into());
-        }
-        if let Some(crate::json::Value::Obj(gauges)) = doc.get("gauges") {
-            for (name, v) in gauges {
-                let f = v
-                    .as_f64()
-                    .ok_or_else(|| format!("registry persist: gauge {name} not a number"))?;
-                reg.gauges.insert(name.clone(), f);
-            }
-        } else {
-            return Err("registry persist: missing gauges".into());
         }
         Ok(reg)
     }
@@ -467,9 +391,6 @@ impl Registry {
                 fmt_ns(s.p99_ns as f64),
                 fmt_ns(s.max_ns as f64)
             ));
-        }
-        for (k, v) in &self.gauges {
-            out.push_str(&format!("{k:<24} {v}\n"));
         }
         out
     }
@@ -537,23 +458,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_counts_and_preserves_extremes() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        for v in [10u64, 20, 30] {
-            a.record(v);
-        }
-        for v in [1_000u64, 2_000] {
-            b.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), 5);
-        assert_eq!(a.min(), 10);
-        assert_eq!(a.max(), 2_000);
-        assert!(a.quantile(0.5) >= 30);
-    }
-
-    #[test]
     fn empty_histogram_is_safe() {
         let h = Histogram::new();
         assert_eq!(h.quantile(0.5), 0);
@@ -568,35 +472,15 @@ mod tests {
         for i in 1..=100u64 {
             r.observe("query.term", std::time::Duration::from_micros(i));
         }
-        r.gauge("snapshot.docs", 1234.0);
+        r.observe("query.search", std::time::Duration::from_millis(1));
         let sums = r.summaries();
-        assert_eq!(sums.len(), 1);
-        assert_eq!(sums[0].count, 100);
+        assert_eq!(sums.len(), 2);
+        assert_eq!(sums[0].name, "query.search");
+        assert_eq!(sums[1].count, 100);
         let table = r.render_table();
         assert!(table.contains("query.term"));
-        assert!(table.contains("snapshot.docs"));
-        let json = sums[0].to_json();
+        let json = sums[1].to_json();
         crate::json::parse(&json).expect("summary JSON parses");
-    }
-
-    #[test]
-    fn registry_json_export() {
-        let mut a = Registry::new();
-        for i in 1..=20u64 {
-            a.observe("serve.term", std::time::Duration::from_micros(i));
-        }
-        a.observe("serve.search", std::time::Duration::from_millis(1));
-        a.gauge("cache.hits", 7.0);
-        let sums = a.summaries();
-        assert_eq!(sums.len(), 2);
-        let term = sums.iter().find(|s| s.name == "serve.term").unwrap();
-        assert_eq!(term.count, 20);
-        let json = a.to_json();
-        let v = crate::json::parse(&json).expect("registry JSON parses");
-        let hists = v.get("histograms").and_then(|h| h.as_arr()).unwrap();
-        assert_eq!(hists.len(), 2);
-        let gauges = v.get("gauges").unwrap();
-        assert_eq!(gauges.get("cache.hits").and_then(|g| g.as_f64()), Some(7.0));
     }
 
     #[test]
@@ -633,13 +517,11 @@ mod tests {
         for i in 1..=100u64 {
             r.observe("serve_term_seconds", std::time::Duration::from_micros(i));
         }
-        r.gauge("snapshot_generation", 3.0);
         let text = r.to_prometheus();
         assert!(text.contains("# TYPE serve_term_seconds summary\n"));
         assert!(text.contains("serve_term_seconds{quantile=\"0.5\"}"));
         assert!(text.contains("serve_term_seconds{quantile=\"0.99\"}"));
         assert!(text.contains("serve_term_seconds_count 100\n"));
-        assert!(text.contains("# TYPE snapshot_generation gauge\nsnapshot_generation 3\n"));
         // _sum is scaled ns → s: 1+2+..+100 µs = 5050 µs = 0.00505 s.
         let sum_line = text
             .lines()
@@ -662,7 +544,7 @@ mod tests {
     }
 
     #[test]
-    fn histogram_persist_round_trips_and_stays_additive() {
+    fn histogram_persist_round_trips() {
         let mut h = Histogram::new();
         for v in [1u64, 7, 100, 5_000, 1_000_000, u32::MAX as u64] {
             h.record(v);
@@ -670,14 +552,6 @@ mod tests {
         let doc = crate::json::parse(&h.to_persist_json()).unwrap();
         let back = Histogram::from_persist(&doc).unwrap();
         assert_eq!(back, h);
-        // Accumulate across a persist/load cycle: equals direct merging.
-        let mut more = Histogram::new();
-        more.record(42);
-        let mut via_persist = back.clone();
-        via_persist.merge(&more);
-        let mut direct = h.clone();
-        direct.merge(&more);
-        assert_eq!(via_persist, direct);
         // Empty histogram round-trips too (min sentinel preserved).
         let empty_doc = crate::json::parse(&Histogram::new().to_persist_json()).unwrap();
         let empty = Histogram::from_persist(&empty_doc).unwrap();
@@ -689,7 +563,6 @@ mod tests {
         let mut r = Registry::new();
         r.observe("seal_latency_seconds", std::time::Duration::from_millis(12));
         r.observe("seal_latency_seconds", std::time::Duration::from_millis(30));
-        r.gauge("snapshot_generation", 5.0);
         let s = r.to_persist_json();
         let back = Registry::from_persist_json(&s).unwrap();
         assert_eq!(
@@ -700,9 +573,32 @@ mod tests {
             back.histogram("seal_latency_seconds"),
             r.histogram("seal_latency_seconds")
         );
-        let gauges: Vec<_> = back.gauges().collect();
-        assert_eq!(gauges, vec![("snapshot_generation", 5.0)]);
         assert!(Registry::from_persist_json("{}").is_err());
         assert!(Registry::from_persist_json("not json").is_err());
+    }
+
+    /// An `ingest_metrics.json` written by the parent (registry gauges
+    /// still existed, so it carries `"gauges":{}`), copied verbatim from
+    /// `vaengine ingest` + `compact`: it loads with its histograms.
+    #[test]
+    fn sidecar_with_the_retired_gauges_key_still_loads() {
+        let parent = r#"{"histograms":{"compaction_duration_seconds":{"count":1,"sum":829416,"min":0,"max":829416,"buckets":[[140,1]]},"seal_latency_seconds":{"count":2,"sum":1029381,"min":0,"max":551906,"buckets":[[134,1],[136,1]]},"time_to_visibility_seconds":{"count":2,"sum":1316468,"min":0,"max":738999,"buckets":[[136,1],[139,1]]}},"gauges":{}}"#;
+        let reg = Registry::from_persist_json(parent).expect("parent sidecar loads");
+        let counts: Vec<(String, u64)> = reg
+            .summaries()
+            .iter()
+            .map(|s| (s.name.clone(), s.count))
+            .collect();
+        let want = [
+            ("compaction_duration_seconds", 1),
+            ("seal_latency_seconds", 2),
+            ("time_to_visibility_seconds", 2),
+        ];
+        assert_eq!(counts, want.map(|(n, c)| (n.to_string(), c)));
+        assert_eq!(
+            reg.histogram("seal_latency_seconds").unwrap().max(),
+            551_906
+        );
+        assert!(!reg.to_persist_json().contains("gauges"));
     }
 }

@@ -3,20 +3,20 @@
 //! The [`span`](crate::span) recorder is per-rank and SPMD-oriented: one
 //! ring per rank, drained after a batch run. A serving tier needs the
 //! opposite shape — many short-lived timelines, one per request, built
-//! concurrently on worker threads and retained only when interesting.
-//! This module provides that shape:
+//! concurrently on worker threads and retained only when interesting —
+//! over the same [`Span`] record:
 //!
 //! * [`ReqTrace`] — a tiny single-request builder. Stages are contiguous
 //!   by construction (`begin` closes the previous stage) and measured on
 //!   the host wall clock in microseconds from the request's first byte.
 //! * [`ReqTimeline`] — the finished record: request id, route, status,
 //!   cache hit/miss, live-view generation, bytes, and the stage spans.
-//!   Renders as a JSON object, a one-line structured access-log entry,
-//!   or (in bulk) a Chrome trace-event document using `ph: "X"` complete
-//!   events, one lane per request.
+//!   Renders as a JSON object or a one-line structured access-log entry.
 //! * [`SlowLog`] — a thread-safe keep-N-worst ring. Admission is a
 //!   lock-free floor check ([`SlowLog::would_admit`]), so the fast path
-//!   for an unremarkable request is two atomic loads and no lock.
+//!   for an unremarkable request is two atomic loads and no lock. Its
+//!   Chrome export is one lane per request through the one writer,
+//!   `chrome::write_trace`.
 //!
 //! Nothing here charges virtual time or perturbs results: timelines are
 //! observational and the served bytes are identical with or without them.
@@ -25,15 +25,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::json::{self, Value};
-
-/// One stage of a request timeline, in microseconds since request start.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReqSpan {
-    pub name: &'static str,
-    pub start_us: u64,
-    pub dur_us: u64,
-}
+use crate::chrome::{self, Lane};
+use crate::json;
+use crate::span::Span;
 
 /// A finished per-request timeline.
 #[derive(Debug, Clone)]
@@ -56,27 +50,19 @@ pub struct ReqTimeline {
     pub bytes: u64,
     /// Wall time from first byte to response ready, microseconds.
     pub total_us: u64,
-    /// Stage spans in start order.
-    pub spans: Vec<ReqSpan>,
+    /// Stage spans in start order, whole microseconds since request start.
+    pub spans: Vec<Span>,
 }
 
 impl ReqTimeline {
-    /// Total microseconds attributed to stage `name`.
-    pub fn stage_us(&self, name: &str) -> u64 {
-        self.spans
-            .iter()
-            .filter(|s| s.name == name)
-            .map(|s| s.dur_us)
-            .sum()
-    }
-
     /// `(stage, summed micros)` in first-seen order.
     pub fn stages_us(&self) -> Vec<(&'static str, u64)> {
         let mut out: Vec<(&'static str, u64)> = Vec::with_capacity(self.spans.len());
         for s in &self.spans {
+            let us = s.dur_us as u64;
             match out.iter_mut().find(|(n, _)| *n == s.name) {
-                Some((_, d)) => *d += s.dur_us,
-                None => out.push((s.name, s.dur_us)),
+                Some((_, d)) => *d += us,
+                None => out.push((s.name, us)),
             }
         }
         out
@@ -96,21 +82,9 @@ impl ReqTimeline {
 
     /// Full JSON object including the span list (the `/debug/slow` shape).
     pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\"id\":{},\"route\":\"{}\",\"detail\":\"{}\",\"status\":{},\
-             \"cache_hit\":{},\"generation\":{},\"epoch\":{},\"bytes\":{},\
-             \"total_us\":{},\"stages\":{},\"spans\":[",
-            self.id,
-            json::escape(&self.route),
-            json::escape(&self.detail),
-            self.status,
-            self.cache_hit,
-            self.generation,
-            self.epoch,
-            self.bytes,
-            self.total_us,
-            self.stages_json()
-        );
+        let mut s = self.access_line();
+        s.pop(); // reopen the access line's object for the span list
+        s.push_str(",\"spans\":[");
         for (i, sp) in self.spans.iter().enumerate() {
             if i > 0 {
                 s.push(',');
@@ -118,8 +92,8 @@ impl ReqTimeline {
             s.push_str(&format!(
                 "{{\"name\":\"{}\",\"start_us\":{},\"dur_us\":{}}}",
                 json::escape(sp.name),
-                sp.start_us,
-                sp.dur_us
+                sp.start_us as u64,
+                sp.dur_us as u64
             ));
         }
         s.push_str("]}");
@@ -146,76 +120,36 @@ impl ReqTimeline {
             self.stages_json()
         )
     }
-}
 
-/// Render timelines as a Chrome trace-event document: one lane per
-/// request, `ph: "X"` complete events (an enclosing `request` span plus
-/// one per stage), `ts` in microseconds since that request's start.
-/// Validates under [`crate::chrome::validate_chrome_json`].
-pub fn timelines_to_chrome_json(timelines: &[ReqTimeline]) -> String {
-    let mut out = String::with_capacity(4096);
-    out.push_str("{\"traceEvents\":[\n");
-    let mut first = true;
-    let mut push = |line: String, first: &mut bool| {
-        if !*first {
-            out.push_str(",\n");
-        }
-        *first = false;
-        out.push_str(&line);
-    };
-    for (lane, t) in timelines.iter().enumerate() {
-        push(
-            format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{lane},\
-                 \"args\":{{\"name\":\"req {} {} ({}us)\"}}}}",
-                t.id,
-                json::escape(&t.detail),
-                t.total_us
-            ),
-            &mut first,
+    /// This request as a trace lane: an enclosing `request` span carrying
+    /// the request's fields, then one span per stage.
+    fn lane(&self, tid: usize) -> Lane {
+        let request = Span {
+            cat: "request",
+            name: "request",
+            start_us: 0.0,
+            dur_us: self.total_us as f64,
+        };
+        let args = format!(
+            "\"id\":{},\"status\":{},\"cache_hit\":{},\"generation\":{},\"epoch\":{},\"bytes\":{}",
+            self.id, self.status, self.cache_hit, self.generation, self.epoch, self.bytes
         );
-        push(
-            format!(
-                "{{\"name\":\"request\",\"cat\":\"request\",\"ph\":\"X\",\"ts\":0,\
-                 \"dur\":{},\"pid\":0,\"tid\":{lane},\"args\":{{\"id\":{},\"status\":{},\
-                 \"cache_hit\":{},\"generation\":{},\"epoch\":{},\"bytes\":{}}}}}",
-                t.total_us, t.id, t.status, t.cache_hit, t.generation, t.epoch, t.bytes
-            ),
-            &mut first,
-        );
-        for sp in &t.spans {
-            push(
-                format!(
-                    "{{\"name\":\"{}\",\"cat\":\"stage\",\"ph\":\"X\",\"ts\":{},\
-                     \"dur\":{},\"pid\":0,\"tid\":{lane},\"args\":{{}}}}",
-                    json::escape(sp.name),
-                    sp.start_us,
-                    sp.dur_us
-                ),
-                &mut first,
-            );
+        let stages = self.spans.iter().map(|s| (*s, String::new()));
+        Lane {
+            tid,
+            name: format!("req {} {} ({}us)", self.id, self.detail, self.total_us),
+            spans: std::iter::once((request, args)).chain(stages).collect(),
         }
     }
-    out.push_str(&format!(
-        "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{{\"clock\":\"request_us\",\
-         \"requests\":{}}}}}\n",
-        timelines.len()
-    ));
-    out
 }
 
-/// Parse one access-log line back into its field map (tests and tooling).
-pub fn parse_access_line(line: &str) -> Result<Value, String> {
-    json::parse(line)
-}
-
-/// Single-request timeline builder. Cheap: one `Instant` plus a small
-/// `Vec`; all timestamps are microseconds relative to construction.
+/// Single-request timeline builder. Cheap: one `Instant` plus one small
+/// `Vec`; all timestamps are whole microseconds since construction.
 #[derive(Debug)]
 pub struct ReqTrace {
     t0: Instant,
     open: Option<(&'static str, u64)>,
-    spans: Vec<ReqSpan>,
+    spans: Vec<Span>,
 }
 
 impl Default for ReqTrace {
@@ -229,7 +163,8 @@ impl ReqTrace {
         ReqTrace {
             t0: Instant::now(),
             open: None,
-            spans: Vec::with_capacity(6),
+            // parse, cache_probe, postings_decode, rank_merge, serialize
+            spans: Vec::with_capacity(5),
         }
     }
 
@@ -249,26 +184,23 @@ impl ReqTrace {
     pub fn end(&mut self) {
         if let Some((name, start)) = self.open.take() {
             let now = self.mark();
-            self.spans.push(ReqSpan {
-                name,
-                start_us: start,
-                dur_us: now.saturating_sub(start),
-            });
+            self.push_span(name, start, now.saturating_sub(start));
         }
     }
 
     /// Record a stage measured externally (e.g. decode time attributed
     /// from inside query evaluation). Callers must push in start order.
     pub fn push_span(&mut self, name: &'static str, start_us: u64, dur_us: u64) {
-        self.spans.push(ReqSpan {
+        self.spans.push(Span {
+            cat: "stage",
             name,
-            start_us,
-            dur_us,
+            start_us: start_us as f64,
+            dur_us: dur_us as f64,
         });
     }
 
     /// Close any open stage and return `(spans, total_us)`.
-    pub fn finish(mut self) -> (Vec<ReqSpan>, u64) {
+    pub fn finish(mut self) -> (Vec<Span>, u64) {
         self.end();
         let total = self.mark();
         (self.spans, total)
@@ -375,9 +307,13 @@ impl SlowLog {
         s
     }
 
-    /// The `/debug/slow?format=chrome` document.
+    /// The `/debug/slow?format=chrome` document: one lane per retained
+    /// request, worst first.
     pub fn to_chrome_json(&self) -> String {
-        timelines_to_chrome_json(&self.snapshot())
+        let snap = self.snapshot();
+        let lanes = snap.iter().enumerate().map(|(tid, t)| t.lane(tid));
+        let other = format!("\"clock\":\"request_us\",\"requests\":{}", snap.len());
+        chrome::write_trace(lanes.collect(), &other)
     }
 }
 
@@ -385,6 +321,15 @@ impl SlowLog {
 mod tests {
     use super::*;
     use crate::chrome::validate_chrome_json;
+
+    fn stage(name: &'static str, start_us: u64, dur_us: u64) -> Span {
+        Span {
+            cat: "stage",
+            name,
+            start_us: start_us as f64,
+            dur_us: dur_us as f64,
+        }
+    }
 
     fn tl(id: u64, total_us: u64) -> ReqTimeline {
         ReqTimeline {
@@ -398,16 +343,8 @@ mod tests {
             bytes: 42,
             total_us,
             spans: vec![
-                ReqSpan {
-                    name: "parse",
-                    start_us: 0,
-                    dur_us: total_us / 4,
-                },
-                ReqSpan {
-                    name: "serialize",
-                    start_us: total_us / 4,
-                    dur_us: total_us - total_us / 4,
-                },
+                stage("parse", 0, total_us / 4),
+                stage("serialize", total_us / 4, total_us - total_us / 4),
             ],
         }
     }
@@ -423,26 +360,45 @@ mod tests {
         assert_eq!(spans[0].name, "parse");
         assert_eq!(spans[1].name, "cache_probe");
         assert_eq!(spans[1].start_us, spans[0].start_us + spans[0].dur_us);
-        assert!(spans[1].dur_us >= 1_000, "slept 1ms inside cache_probe");
-        assert!(total >= spans[1].start_us + spans[1].dur_us);
+        assert!(spans[1].dur_us >= 1_000.0, "slept 1ms inside cache_probe");
+        assert!(total as f64 >= spans[1].start_us + spans[1].dur_us);
     }
 
+    /// (c) A fixed timeline renders to exactly the bytes the parent
+    /// (the `ReqSpan` recorder) wrote for it: literals copied from its
+    /// output, escapes and a repeated stage included.
     #[test]
-    fn timeline_json_and_access_line_parse() {
-        let t = tl(7, 1000);
-        let v = crate::json::parse(&t.to_json()).expect("timeline JSON parses");
-        assert_eq!(v.get("id").and_then(|x| x.as_f64()), Some(7.0));
+    fn slow_json_and_access_line_bytes_are_the_parents() {
+        let t = ReqTimeline {
+            id: 7,
+            route: "/query".into(),
+            detail: "/query?q=a+AND+\"b\"\\c".into(),
+            status: 200,
+            cache_hit: false,
+            generation: 3,
+            epoch: 1,
+            bytes: 42,
+            total_us: 1234,
+            spans: vec![
+                stage("parse", 0, 12),
+                stage("cache_probe", 12, 3),
+                stage("postings_decode", 20, 400),
+                stage("rank_merge", 420, 600),
+                stage("serialize", 1020, 200),
+                stage("postings_decode", 1220, 5),
+            ],
+        };
+        const FIELDS: &str = r#"{"id":7,"route":"/query","detail":"/query?q=a+AND+\"b\"\\c","status":200,"cache_hit":false,"generation":3,"epoch":1,"bytes":42,"total_us":1234,"stages":{"parse":12,"cache_probe":3,"postings_decode":405,"rank_merge":600,"serialize":200}"#;
+        const SPANS: &str = r#""spans":[{"name":"parse","start_us":0,"dur_us":12},{"name":"cache_probe","start_us":12,"dur_us":3},{"name":"postings_decode","start_us":20,"dur_us":400},{"name":"rank_merge","start_us":420,"dur_us":600},{"name":"serialize","start_us":1020,"dur_us":200},{"name":"postings_decode","start_us":1220,"dur_us":5}]"#;
+        assert_eq!(t.access_line(), format!("{FIELDS}}}"));
+        let log = SlowLog::new(4, 0);
+        log.offer(t);
         assert_eq!(
-            v.get("stages")
-                .and_then(|s| s.get("parse"))
-                .and_then(|x| x.as_f64()),
-            Some(250.0)
+            log.to_json(),
+            format!(
+                "{{\"retained\":1,\"capacity\":4,\"threshold_us\":0,\"slow\":[{FIELDS},{SPANS}}}]}}\n"
+            )
         );
-        let line = t.access_line();
-        assert!(!line.contains('\n'));
-        let v = parse_access_line(&line).expect("access line parses");
-        assert_eq!(v.get("total_us").and_then(|x| x.as_f64()), Some(1000.0));
-        assert!(v.get("spans").is_none(), "access line has no span list");
     }
 
     #[test]
@@ -472,7 +428,7 @@ mod tests {
     }
 
     #[test]
-    fn chrome_export_validates() {
+    fn chrome_export_validates_and_keeps_request_fields() {
         let log = SlowLog::new(4, 0);
         log.offer(tl(1, 1000));
         log.offer(tl(2, 2000));
@@ -481,8 +437,29 @@ mod tests {
         assert_eq!(sum.lanes, 2);
         // One enclosing request span + two stage spans per lane.
         assert_eq!(sum.spans, 6);
-        let json_doc = log.to_json();
-        let v = crate::json::parse(&json_doc).expect("slow JSON parses");
-        assert_eq!(v.get("retained").and_then(|x| x.as_f64()), Some(2.0));
+        let v = crate::json::parse(&doc).unwrap();
+        let events = v.get("traceEvents").and_then(|e| e.as_arr()).unwrap();
+        let request = events
+            .iter()
+            .find(|e| e.get("name").and_then(|n| n.as_str()) == Some("request"))
+            .and_then(|e| e.get("args"))
+            .unwrap();
+        for (key, want) in [
+            ("id", 2.0),
+            ("status", 200.0),
+            ("generation", 3.0),
+            ("epoch", 1.0),
+            ("bytes", 42.0),
+        ] {
+            assert_eq!(
+                request.get(key).and_then(|x| x.as_f64()),
+                Some(want),
+                "{key}"
+            );
+        }
+        assert_eq!(
+            request.get("cache_hit"),
+            Some(&crate::json::Value::Bool(false))
+        );
     }
 }

@@ -1,15 +1,18 @@
-//! Per-rank span recording.
+//! The span record and the per-rank recorder.
+//!
+//! Every lane of every trace this workspace exports — a rank's stages,
+//! collectives and task-queue work, a request's serving stages — is a
+//! list of [`Span`]s: complete intervals, recorded once they close.
 //!
 //! A [`SpanRecorder`] is owned by one rank (it is deliberately not
-//! `Sync`, like the rank's clock) and collects [`Event`]s into a bounded
-//! ring: when the buffer is full the **oldest** events are dropped and
-//! counted, so a run can never exhaust memory by tracing. Every event
-//! carries two timestamps:
-//!
-//! * `virt_us` — the rank's SPMD virtual clock (microseconds on the
-//!   modeled cluster), the time axis the exported trace uses, and
-//! * `wall_us` — host wall clock microseconds since the runtime's epoch,
-//!   for correlating with real execution.
+//! `Sync`, like the rank's clock) and keeps its spans in a bounded ring:
+//! when the buffer is full the **oldest** span is dropped and counted,
+//! so a run can never exhaust memory by tracing. The ring only ever
+//! holds finished spans, so truncation can drop a span but never split
+//! one. A rank span is timed on the SPMD virtual clock (the time axis
+//! the exported trace uses) and stamped with the host wall clock at its
+//! close, microseconds since the runtime's epoch, for correlating with
+//! real execution.
 //!
 //! Recording is a single branch when disabled and never touches the
 //! virtual clock, so engine output is bit-identical with tracing on or
@@ -19,34 +22,22 @@ use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::time::Instant;
 
-/// Default per-rank event capacity (events, not bytes).
-pub const DEFAULT_CAPACITY: usize = 1 << 16;
+/// Per-rank ring capacity, in spans.
+pub const CAPACITY: usize = 1 << 16;
 
-/// Trace-event phase, mirroring the Chrome trace-event `ph` field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Phase {
-    /// Duration span opens (`ph: "B"`).
-    Begin,
-    /// Duration span closes (`ph: "E"`).
-    End,
-    /// Point event (`ph: "i"`).
-    Instant,
-}
-
-/// One recorded event. `name` and `cat` are `&'static str` so recording
+/// One complete span. `cat` and `name` are `&'static str` so recording
 /// never allocates.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Event {
-    /// Span or instant name (e.g. a stage label, `"barrier"`).
-    pub name: &'static str,
-    /// Category lane: `"stage"`, `"collective"`, `"queue"`, …
+pub struct Span {
+    /// Category: `"stage"`, `"collective"`, `"queue"`, `"request"`.
     pub cat: &'static str,
-    /// Begin / End / Instant.
-    pub phase: Phase,
-    /// Virtual clock at the event, microseconds.
-    pub virt_us: f64,
-    /// Host wall clock at the event, microseconds since the run epoch.
-    pub wall_us: f64,
+    /// Stage label, collective name, `"task.steal"`, …
+    pub name: &'static str,
+    /// Start on the lane's clock, microseconds.
+    pub start_us: f64,
+    /// Length on the same clock, microseconds; 0 for a point such as a
+    /// steal.
+    pub dur_us: f64,
 }
 
 /// The ring-buffered recorder one rank writes into.
@@ -54,7 +45,8 @@ pub struct SpanRecorder {
     enabled: bool,
     epoch: Instant,
     capacity: usize,
-    buf: RefCell<VecDeque<Event>>,
+    /// Spans with their wall stamp, in close order.
+    buf: RefCell<VecDeque<(Span, f64)>>,
     dropped: Cell<u64>,
 }
 
@@ -71,8 +63,9 @@ impl SpanRecorder {
         }
     }
 
-    /// An enabled recorder. `epoch` should be shared by all ranks of one
-    /// run so wall timestamps align across lanes.
+    /// An enabled recorder keeping at most `capacity` spans. `epoch`
+    /// should be shared by all ranks of one run so wall stamps align
+    /// across lanes.
     pub fn enabled_with(epoch: Instant, capacity: usize) -> Self {
         let capacity = capacity.max(16);
         SpanRecorder {
@@ -84,60 +77,57 @@ impl SpanRecorder {
         }
     }
 
-    /// Is this recorder collecting events?
+    /// Is this recorder collecting spans?
     #[inline]
     pub fn enabled(&self) -> bool {
         self.enabled
     }
 
-    /// Record one event at `virt_seconds` on the virtual clock. A no-op
+    /// Record the span `[start, end]`, both in virtual seconds. A no-op
     /// when disabled.
     #[inline]
-    pub fn record(&self, cat: &'static str, name: &'static str, phase: Phase, virt_seconds: f64) {
+    pub fn record(&self, cat: &'static str, name: &'static str, start: f64, end: f64) {
         if !self.enabled {
             return;
         }
         let wall_us = self.epoch.elapsed().as_secs_f64() * 1e6;
+        let (start_us, end_us) = (start * 1e6, end * 1e6);
+        let span = Span {
+            cat,
+            name,
+            start_us,
+            dur_us: end_us - start_us,
+        };
         let mut buf = self.buf.borrow_mut();
         if buf.len() == self.capacity {
             buf.pop_front();
             self.dropped.set(self.dropped.get() + 1);
         }
-        buf.push_back(Event {
-            name,
-            cat,
-            phase,
-            virt_us: virt_seconds * 1e6,
-            wall_us,
-        });
-    }
-
-    /// Number of events currently buffered.
-    pub fn len(&self) -> usize {
-        self.buf.borrow().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.buf.borrow().is_empty()
+        buf.push_back((span, wall_us));
     }
 
     /// Drain the buffer into a sendable per-rank trace.
     pub fn take(&self, rank: usize) -> RankTrace {
+        let (spans, wall_us) = self.buf.borrow_mut().drain(..).unzip();
         RankTrace {
             rank,
-            events: self.buf.borrow_mut().drain(..).collect(),
+            spans,
+            wall_us,
             dropped: self.dropped.replace(0),
         }
     }
 }
 
-/// One rank's recorded events, in record order, safe to send across
+/// One rank's recorded spans, in close order, safe to send across
 /// threads once the run is over.
 #[derive(Debug, Clone, Default)]
 pub struct RankTrace {
     pub rank: usize,
-    pub events: Vec<Event>,
-    /// Oldest events overwritten by the ring while recording.
+    pub spans: Vec<Span>,
+    /// Host wall clock at each span's close, microseconds since the
+    /// run's epoch (parallel to `spans`).
+    pub wall_us: Vec<f64>,
+    /// Oldest spans overwritten by the ring while recording.
     pub dropped: u64,
 }
 
@@ -148,52 +138,47 @@ mod tests {
     #[test]
     fn disabled_records_nothing() {
         let r = SpanRecorder::disabled();
-        r.record("stage", "scan", Phase::Begin, 0.0);
-        r.record("stage", "scan", Phase::End, 1.0);
-        assert!(r.is_empty());
-        assert_eq!(r.take(0).events.len(), 0);
+        r.record("stage", "scan", 0.0, 1.0);
+        assert!(r.take(0).spans.is_empty());
     }
 
     #[test]
-    fn records_in_order_with_virtual_micros() {
+    fn records_complete_spans_in_close_order() {
         let r = SpanRecorder::enabled_with(Instant::now(), 64);
-        r.record("stage", "scan", Phase::Begin, 0.5);
-        r.record("collective", "barrier", Phase::Begin, 0.75);
-        r.record("collective", "barrier", Phase::End, 1.0);
-        r.record("stage", "scan", Phase::End, 1.25);
+        r.record("collective", "barrier", 0.75, 1.0);
+        r.record("stage", "scan", 0.5, 1.25);
         let t = r.take(2);
         assert_eq!(t.rank, 2);
         assert_eq!(t.dropped, 0);
-        let names: Vec<_> = t.events.iter().map(|e| e.name).collect();
-        assert_eq!(names, vec!["scan", "barrier", "barrier", "scan"]);
-        assert_eq!(t.events[0].virt_us, 0.5e6);
-        assert_eq!(t.events[3].virt_us, 1.25e6);
+        let names: Vec<_> = t.spans.iter().map(|s| s.name).collect();
+        assert_eq!(names, vec!["barrier", "scan"]);
+        assert_eq!(t.spans[1].start_us, 0.5e6);
+        assert_eq!(t.spans[1].dur_us, 0.75e6);
         // Wall stamps are monotone in record order.
-        for w in t.events.windows(2) {
-            assert!(w[0].wall_us <= w[1].wall_us);
-        }
+        assert!(t.wall_us[0] <= t.wall_us[1]);
     }
 
     #[test]
     fn ring_drops_oldest_and_counts() {
         let r = SpanRecorder::enabled_with(Instant::now(), 16);
         for i in 0..40 {
-            r.record("queue", "tick", Phase::Instant, i as f64);
+            r.record("queue", "task.steal", i as f64, i as f64);
         }
         let t = r.take(0);
-        assert_eq!(t.events.len(), 16);
+        assert_eq!((t.spans.len(), t.wall_us.len()), (16, 16));
         assert_eq!(t.dropped, 24);
         // The survivors are the newest 16.
-        assert_eq!(t.events[0].virt_us, 24.0e6);
-        assert_eq!(t.events[15].virt_us, 39.0e6);
+        assert_eq!(t.spans[0].start_us, 24.0e6);
+        assert_eq!(t.spans[15].start_us, 39.0e6);
     }
 
     #[test]
     fn take_resets_the_buffer() {
         let r = SpanRecorder::enabled_with(Instant::now(), 64);
-        r.record("stage", "scan", Phase::Instant, 1.0);
-        assert_eq!(r.take(0).events.len(), 1);
-        assert!(r.is_empty());
-        assert_eq!(r.take(0).dropped, 0);
+        r.record("stage", "scan", 1.0, 1.0);
+        assert_eq!(r.take(0).spans.len(), 1);
+        let again = r.take(0);
+        assert!(again.spans.is_empty());
+        assert_eq!(again.dropped, 0);
     }
 }

@@ -1,7 +1,6 @@
-//! Property-based tests for the log-bucketed latency histogram: merging
-//! per-shard histograms must behave like one histogram over the union,
-//! and quantile estimates must bound the true order statistics within
-//! the bucketing's relative-error guarantee.
+//! Property-based tests for the log-bucketed latency histogram: quantile
+//! estimates must bound the true order statistics within the bucketing's
+//! relative-error guarantee.
 
 use inspire_trace::Histogram;
 use proptest::prelude::*;
@@ -15,51 +14,6 @@ fn hist_of(values: &[u64]) -> Histogram {
 }
 
 proptest! {
-    /// A merged histogram's quantile lies between the smallest and
-    /// largest per-shard quantile at the same rank fraction, up to one
-    /// sub-bucket (12.5 %) above the largest: per-shard estimates are
-    /// clamped to their own observed max, while the merged histogram
-    /// only clamps to the merged max.
-    #[test]
-    fn merged_quantiles_bracket_shards(
-        shards in prop::collection::vec(
-            prop::collection::vec(1u64..1_000_000, 1..50),
-            1..6,
-        ),
-    ) {
-        let hists: Vec<Histogram> = shards.iter().map(|s| hist_of(s)).collect();
-        let mut merged = Histogram::new();
-        for h in &hists {
-            merged.merge(h);
-        }
-        let total: u64 = shards.iter().map(|s| s.len() as u64).sum();
-        prop_assert_eq!(merged.count(), total);
-        prop_assert_eq!(merged.min(), hists.iter().map(Histogram::min).min().unwrap());
-        prop_assert_eq!(merged.max(), hists.iter().map(Histogram::max).max().unwrap());
-        for q in [0.5, 0.9, 0.95, 0.99, 1.0] {
-            let m = merged.quantile(q);
-            let lo = hists.iter().map(|h| h.quantile(q)).min().unwrap();
-            let hi = hists.iter().map(|h| h.quantile(q)).max().unwrap();
-            prop_assert!(
-                lo <= m && m as f64 <= hi as f64 * 1.125,
-                "q={q}: merged {m} outside [{lo}, {hi}·1.125]"
-            );
-        }
-    }
-
-    /// Merging is equivalent to recording the union of the values.
-    #[test]
-    fn merge_equals_union(
-        a in prop::collection::vec(1u64..1_000_000, 0..50),
-        b in prop::collection::vec(1u64..1_000_000, 0..50),
-    ) {
-        let mut merged = hist_of(&a);
-        merged.merge(&hist_of(&b));
-        let union: Vec<u64> = a.iter().chain(&b).copied().collect();
-        let direct = hist_of(&union);
-        prop_assert_eq!(merged, direct);
-    }
-
     /// The estimate never undershoots the true order statistic, and
     /// overshoots by at most one sub-bucket (≤ 12.5 % relative error).
     #[test]

@@ -38,15 +38,15 @@
 //! the manifest generation advances — no restart, no dropped requests.
 
 use inspire_serve::{ServeConfig, ServeRequest, ServeState, Server};
+use inspire_trace::json::Value;
 use inspire_trace::report::RunReport;
 use inspire_trace::Registry;
 use std::path::{Path, PathBuf};
 use std::process::exit;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use visual_analytics::engine::interact::{select_cluster, select_rect};
 use visual_analytics::engine::io::{read_coords_csv, write_coords_csv};
-use visual_analytics::engine::query::{self, Query};
+use visual_analytics::engine::query::Query;
 use visual_analytics::engine::report::build_run_report;
 use visual_analytics::prelude::*;
 
@@ -171,12 +171,11 @@ fn engine_config(args: &Args) -> EngineConfig {
 /// stderr, and persist the report JSON.
 fn emit_observability(args: &Args, title: &str, run: &EngineRun, wall_s: f64) {
     if let Some(path) = args.value("--trace-out") {
-        inspire_trace::chrome::write_chrome_trace(Path::new(path), &run.run.traces).unwrap_or_else(
-            |e| {
-                eprintln!("cannot write trace {path}: {e}");
-                exit(1);
-            },
-        );
+        let trace = inspire_trace::chrome::to_chrome_json(&run.run.traces);
+        std::fs::write(path, trace).unwrap_or_else(|e| {
+            eprintln!("cannot write trace {path}: {e}");
+            exit(1);
+        });
         println!("chrome trace written to {path}");
     }
     let mut report = build_run_report(title, &run.run, wall_s);
@@ -579,23 +578,18 @@ fn query_cmd(args: &Args) {
     }
 
     // Each requested query kind runs `repeat` times against the serving
-    // metrics registry; results print on the first pass only.
+    // metrics registry, timing `execute` in both output modes; results
+    // print on the first pass only.
     for pass in 0..repeat {
-        let first = pass == 0;
         for req in &requests {
             let name = format!("query_{}_seconds", metric_kind(req));
-            if json {
-                let body = metrics.time(&name, || inspire_serve::execute(&state, req));
-                match body {
-                    Ok(b) => {
-                        if first {
-                            print!("{b}");
-                        }
-                    }
-                    Err(e) => fail(e.message),
-                }
-            } else if let Err(e) = print_human(&state, req, &name, &mut metrics, first) {
-                fail(e);
+            let body = metrics
+                .time(&name, || inspire_serve::execute(&state, req))
+                .unwrap_or_else(|e| fail(e.message));
+            match (pass, json) {
+                (0, true) => print!("{body}"),
+                (0, false) => print_human(req, &body),
+                _ => {}
             }
         }
     }
@@ -636,157 +630,87 @@ fn metric_kind(req: &ServeRequest) -> &'static str {
     }
 }
 
-/// Execute one request and print the human-readable result (first pass
-/// only); timings land in `metrics` under `name` on every pass.
-fn print_human(
-    state: &ServeState,
-    req: &ServeRequest,
-    name: &str,
-    metrics: &mut Registry,
-    first: bool,
-) -> Result<(), String> {
-    let need_index = || {
-        if state.has_index() {
-            Ok(())
-        } else {
-            Err(format!(
-                "stage {:?} snapshot has no inverted index",
-                state.meta.stage
-            ))
-        }
-    };
-    type Layout<'a> = (&'a [(f64, f64)], &'a [u32]);
-    let need_layout = || -> Result<Layout<'_>, String> {
-        match (&state.coords, &state.assignments) {
-            (Some(c), Some(a)) => Ok((c, a)),
-            _ => Err(format!(
-                "stage {:?} snapshot has no clustering/projection to drill into",
-                state.meta.stage
-            )),
+/// Print the human-readable form of `req`'s response body — the one the
+/// server and `--json` return, parsed back. Scores and coordinates
+/// round-trip exactly through their shortest-form JSON numbers.
+fn print_human(req: &ServeRequest, body: &str) {
+    let v = inspire_trace::json::parse(body).expect("execute renders valid JSON");
+    let num = |v: &Value, key: &str| v.get(key).and_then(Value::as_f64).unwrap_or(0.0);
+    let text = |key: &str| v.get(key).and_then(Value::as_str).unwrap_or("");
+    let list = |key: &str| v.get(key).and_then(Value::as_arr).unwrap_or(&[]);
+    let int = |v: &Value, key: &str| num(v, key) as u64;
+    let ranked = |hits: &[Value]| {
+        for h in hits {
+            println!("  doc {:>7}  score {:.4}", int(h, "doc"), num(h, "score"));
         }
     };
     match req {
-        ServeRequest::Term { term, top } => {
-            need_index()?;
-            let posts = metrics.time(name, || query::lookup_in(state, term));
-            if first {
-                let mut docs: Vec<u32> = posts.iter().map(|p| p.doc).collect();
-                docs.dedup();
-                println!(
-                    "term {term:?}: {} postings in {} documents",
-                    posts.len(),
-                    docs.len()
-                );
-                for p in posts.iter().take(*top) {
-                    println!("  doc {:>7}  field {}  freq {}", p.doc, p.field, p.freq);
-                }
+        ServeRequest::Term { .. } => {
+            println!(
+                "term {:?}: {} postings in {} documents",
+                text("term"),
+                int(&v, "postings"),
+                int(&v, "documents")
+            );
+            for p in list("hits") {
+                let (doc, field, freq) = (int(p, "doc"), int(p, "field"), int(p, "freq"));
+                println!("  doc {doc:>7}  field {field}  freq {freq}");
             }
         }
-        ServeRequest::Boolean { expr, top } => {
-            need_index()?;
-            let docs = metrics.time(name, || query::evaluate_in(state, expr));
-            if first {
-                println!(
-                    "query {:?}: {} matching documents",
-                    expr.normalized(),
-                    docs.len()
-                );
-                for d in docs.iter().take(*top) {
-                    println!("  doc {d}");
-                }
-                if docs.len() > *top {
-                    println!("  … and {} more", docs.len() - top);
-                }
+        ServeRequest::Boolean { top, .. } => {
+            let matches = int(&v, "matches");
+            println!("query {:?}: {matches} matching documents", text("query"));
+            for d in list("docs") {
+                println!("  doc {}", d.as_f64().unwrap_or(0.0) as u64);
+            }
+            if matches > *top as u64 {
+                println!("  … and {} more", matches - *top as u64);
             }
         }
-        ServeRequest::Search { text, top } => {
-            need_index()?;
-            let hits = metrics.time(name, || query::search_in(state, text, *top));
-            if first {
-                println!("search {text:?}: top {} of ranked hits", hits.len());
-                for h in &hits {
-                    println!("  doc {:>7}  score {:.4}", h.doc, h.score);
-                }
+        ServeRequest::Search { .. } => {
+            let hits = list("hits");
+            println!(
+                "search {:?}: top {} of ranked hits",
+                text("text"),
+                hits.len()
+            );
+            ranked(hits);
+        }
+        ServeRequest::Cluster { cluster, .. } => {
+            println!(
+                "cluster {cluster} ({}): {} documents",
+                text("label"),
+                int(&v, "size")
+            );
+            for d in list("docs") {
+                let (x, y) = (num(d, "x"), num(d, "y"));
+                println!("  doc {:>7}  ({x:.4}, {y:.4})", int(d, "doc"));
             }
         }
-        ServeRequest::Cluster { cluster, top } => {
-            let (coords, assignments) = need_layout()?;
-            let docs = metrics.time(name, || select_cluster(assignments, *cluster));
-            if first {
-                let label = state
-                    .cluster_labels
-                    .get(*cluster as usize)
-                    .map(|l| l.join(", "))
-                    .unwrap_or_default();
-                println!("cluster {cluster} ({label}): {} documents", docs.len());
-                for d in docs.iter().take(*top) {
-                    let (x, y) = coords[*d as usize];
-                    println!("  doc {d:>7}  ({x:.4}, {y:.4})");
-                }
+        ServeRequest::Rect { .. } => {
+            let (x0, y0, x1, y1) = (num(&v, "x0"), num(&v, "y0"), num(&v, "x1"), num(&v, "y1"));
+            let matches = int(&v, "matches");
+            println!("rect ({x0:.3},{y0:.3})–({x1:.3},{y1:.3}): {matches} documents");
+            for d in list("docs") {
+                println!("  doc {:>7}  cluster {}", int(d, "doc"), int(d, "cluster"));
             }
         }
-        ServeRequest::Rect { min, max, top } => {
-            let (coords, assignments) = need_layout()?;
-            let docs = metrics.time(name, || select_rect(coords, *min, *max));
-            if first {
-                println!(
-                    "rect ({:.3},{:.3})–({:.3},{:.3}): {} documents",
-                    min.0,
-                    min.1,
-                    max.0,
-                    max.1,
-                    docs.len()
-                );
-                for d in docs.iter().take(*top) {
-                    println!("  doc {d:>7}  cluster {}", assignments[*d as usize]);
-                }
-            }
-        }
-        ServeRequest::Similar {
-            doc,
-            text,
-            top,
-            nprobe,
-        } => {
-            if !state.has_ann() {
-                return Err(format!(
-                    "stage {:?} snapshot has no ANN sections",
-                    state.meta.stage
-                ));
-            }
-            let query: Vec<f64> = match (doc, text) {
-                (Some(d), _) => {
-                    if state.is_deleted(*d) {
-                        return Err(format!("document {d} is deleted"));
-                    }
-                    state
-                        .doc_signature(*d)
-                        .ok_or_else(|| format!("unknown document {d}"))?
-                        .to_vec()
-                }
-                (None, Some(t)) => state.embed_text(t).expect("ANN sections checked"),
-                (None, None) => return Err("missing --similar or --similar-text".to_string()),
+        ServeRequest::Similar { doc, .. } => {
+            let what = match doc {
+                Some(d) => format!("doc {d}"),
+                None => format!("{:?}", text("text")),
             };
-            let (hits, stats) = metrics.time(name, || state.similar(&query, *top, *nprobe));
-            if first {
-                let what = match (doc, text) {
-                    (Some(d), _) => format!("doc {d}"),
-                    (_, Some(t)) => format!("{t:?}"),
-                    _ => String::new(),
-                };
-                println!(
-                    "similar to {what}: top {} (nprobe {nprobe}, {} clusters probed, {} candidates)",
-                    hits.len(),
-                    stats.probed,
-                    stats.candidates
-                );
-                for h in &hits {
-                    println!("  doc {:>7}  score {:.4}", h.doc, h.score);
-                }
-            }
+            let hits = list("hits");
+            println!(
+                "similar to {what}: top {} (nprobe {}, {} clusters probed, {} candidates)",
+                hits.len(),
+                int(&v, "nprobe"),
+                int(&v, "probed"),
+                int(&v, "candidates")
+            );
+            ranked(hits);
         }
     }
-    Ok(())
 }
 
 /// SIGINT/SIGTERM → a flag the serve loop polls. Raw `signal(2)` FFI:

@@ -52,8 +52,8 @@ fn tracing_is_bit_invisible_to_engine_output() {
             fingerprint(&traced),
             "tracing at P={nprocs} perturbed the engine output"
         );
-        assert!(plain.run.traces.iter().all(|t| t.events.is_empty()));
-        assert!(traced.run.traces.iter().any(|t| !t.events.is_empty()));
+        assert!(plain.run.traces.iter().all(|t| t.spans.is_empty()));
+        assert!(traced.run.traces.iter().any(|t| !t.spans.is_empty()));
     }
 }
 
