@@ -129,7 +129,7 @@ pub fn build(
     ctx.charge(WorkKind::AssocOps, ops);
 
     // Merge partial matrices (the paper's MPI_Allreduce).
-    let mut merged = ctx.allreduce_f64(cooc, ReduceOp::Sum);
+    let mut merged = ctx.allreduce(cooc, ReduceOp::Sum);
 
     // Normalize: P(t_i | t_j) * (1 - P(t_j)).
     ctx.charge(WorkKind::Flops, (n * m) as u64);

@@ -137,7 +137,7 @@ pub fn kmeans(
             centroids[c * m..(c + 1) * m].copy_from_slice(sigs.row(local_idx));
         }
     }
-    let mut centroids = ctx.allreduce_f64(centroids, ReduceOp::Sum);
+    let mut centroids = ctx.allreduce(centroids, ReduceOp::Sum);
 
     let mut assignments = vec![0u32; n_local];
     let mut iterations = 0;
@@ -172,9 +172,9 @@ pub fn kmeans(
         ctx.charge(WorkKind::Flops, 3 * (n_local * k * m) as u64);
 
         // ---- Merge (the Dhillon–Modha Allreduce) ----
-        let sums = ctx.allreduce_f64(part_sums, ReduceOp::Sum);
-        let counts = ctx.allreduce_u64(part_counts, ReduceOp::Sum);
-        let new_obj = ctx.allreduce_scalar_f64(part_obj, ReduceOp::Sum);
+        let sums = ctx.allreduce(part_sums, ReduceOp::Sum);
+        let counts = ctx.allreduce(part_counts, ReduceOp::Sum);
+        let new_obj = ctx.allreduce(vec![part_obj], ReduceOp::Sum)[0];
 
         // ---- Centroid update (identical on every rank) ----
         ctx.charge(WorkKind::Flops, (k * m) as u64);

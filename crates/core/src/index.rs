@@ -404,7 +404,7 @@ pub fn invert(ctx: &Ctx, scan: &ScanOutput, cfg: &EngineConfig) -> InvertedIndex
     };
     let load = ctx.allgather(my_load, std::mem::size_of::<RankLoad>() as u64);
 
-    let total_tokens = ctx.allreduce_scalar_u64(scan.tokens_scanned, spmd::ReduceOp::Sum);
+    let total_tokens = ctx.allreduce(vec![scan.tokens_scanned], spmd::ReduceOp::Sum)[0];
 
     InvertedIndex {
         offsets,

@@ -17,7 +17,7 @@
 
 use crate::assoc::AssociationMatrix;
 use crate::scan::ScanOutput;
-use ga::GlobalArray2D;
+use ga::GlobalArray;
 use perfmodel::WorkKind;
 use spmd::{Ctx, ReduceOp};
 
@@ -63,8 +63,10 @@ pub struct Signatures {
     /// Number of local documents (tracked explicitly so `m == 0` does not
     /// lose them).
     n_local: usize,
-    /// The global docs×M array holding every rank's signatures.
-    pub global: GlobalArray2D<f64>,
+    /// The global row-major docs×M array holding every rank's
+    /// signatures, one row per document in row-aligned blocks
+    /// ([`GlobalArray::create_rows`]).
+    pub global: GlobalArray<f64>,
     /// Global quality statistics.
     pub stats: SignatureStats,
 }
@@ -87,7 +89,7 @@ impl Signatures {
         local: Vec<f64>,
         m: usize,
         n_local: usize,
-        global: GlobalArray2D<f64>,
+        global: GlobalArray<f64>,
         stats: SignatureStats,
     ) -> Signatures {
         debug_assert_eq!(local.len(), n_local * m);
@@ -156,14 +158,12 @@ pub fn generate(ctx: &Ctx, scan: &ScanOutput, am: &AssociationMatrix) -> Signatu
     ctx.charge(WorkKind::Flops, flops);
 
     // Persist into the global signature array (step 7).
-    let global = GlobalArray2D::<f64>::create(ctx, scan.total_docs as usize, m);
-    if !scan.docs.is_empty() {
-        global.put_rows(ctx, scan.doc_base as usize, &local);
-    }
+    let global = GlobalArray::<f64>::create_rows(ctx, scan.total_docs as usize, m);
+    global.put(ctx, scan.doc_base as usize * m, &local);
     ctx.barrier();
 
     // Global quality statistics.
-    let sums = ctx.allreduce_u64(vec![scan.docs.len() as u64, null, weak], ReduceOp::Sum);
+    let sums = ctx.allreduce(vec![scan.docs.len() as u64, null, weak], ReduceOp::Sum);
     let stats = SignatureStats {
         total: sums[0],
         null: sums[1],

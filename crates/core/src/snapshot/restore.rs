@@ -14,7 +14,7 @@ use crate::scan::{unpack_entry, LocalDoc, LocalField, ScanOutput};
 use crate::signature::Signatures;
 use crate::topicality::TopicSelection;
 use crate::{DocId, TermId};
-use ga::{DistHashMap, GlobalArray, GlobalArray2D};
+use ga::{DistHashMap, GlobalArray};
 use intern::TermTable;
 use spmd::Ctx;
 use std::io;
@@ -256,10 +256,9 @@ impl EngineSnapshot {
         };
 
         let local = sigdat[lo * m..hi * m].to_vec();
-        let global = GlobalArray2D::<f64>::create(ctx, self.meta.total_docs as usize, m);
-        global.with_local_mut(ctx, |rows, block| {
-            block.copy_from_slice(&sigdat[rows.start * m..rows.end * m]);
-        });
+        let global = GlobalArray::<f64>::create_rows(ctx, self.meta.total_docs as usize, m);
+        let mine = global.distribution(ctx.rank());
+        global.with_local_mut(ctx, |block| block.copy_from_slice(&sigdat[mine]));
         ctx.barrier();
         let sigs = Signatures::from_parts(local, m, hi - lo, global, self.meta.sig_stats);
         Ok((topics, am, sigs, self.meta.dim_expansions))

@@ -115,7 +115,7 @@ pub fn select_topics(
     // is vocabulary-sized and independent of P while everything else
     // shrinks as 1/P: this is why topicality is the one component that
     // does not scale (Figures 6b/7b).
-    let scores_all = ctx.allreduce_f64(score_vec, ReduceOp::Max);
+    let scores_all = ctx.allreduce(score_vec, ReduceOp::Max);
     let log_v = (usize::BITS - v.max(2).leading_zeros()) as u64;
     ctx.charge_vocab(WorkKind::Flops, v as u64 * log_v);
     let mut all: Vec<(f64, TermId)> = scores_all

@@ -1,4 +1,11 @@
-//! One-dimensional block-distributed global arrays.
+//! Block-distributed global arrays, optionally with row-aligned blocks.
+//!
+//! A [`GlobalArray`] is one-dimensional storage split into one contiguous
+//! block per rank. [`GlobalArray::create_rows`] lays a row-major
+//! `rows × cols` matrix over it with every block boundary on a row
+//! boundary — GA's default distribution of a matrix's leading dimension —
+//! so a rank's block holds whole rows and a span of rows touches exactly
+//! the blocks that own them.
 
 use parking_lot::RwLock;
 use spmd::Ctx;
@@ -15,9 +22,10 @@ struct Storage<T> {
     len: usize,
 }
 
-/// A handle to a block-distributed 1-D array of `T`.
+/// A handle to a block-distributed array of `T`.
 ///
-/// Created collectively by [`GlobalArray::create`]; every rank holds a
+/// Created collectively by [`GlobalArray::create`] or
+/// [`GlobalArray::create_rows`]; every rank holds a
 /// clone of the same handle. All data-access methods take the caller's
 /// [`Ctx`] so the traffic is charged to the right virtual clock.
 pub struct GlobalArray<T> {
@@ -34,7 +42,7 @@ impl<T> Clone for GlobalArray<T> {
 
 /// Standard block distribution: the first `len % p` ranks get one extra
 /// element.
-pub fn block_starts(len: usize, p: usize) -> Vec<usize> {
+fn block_starts(len: usize, p: usize) -> Vec<usize> {
     let base = len / p;
     let extra = len % p;
     let mut starts = Vec::with_capacity(p + 1);
@@ -52,22 +60,33 @@ impl<T: Copy + Default + Send + Sync + 'static> GlobalArray<T> {
     /// Collective creation of a zero-initialized array of `len` elements
     /// block-distributed over all ranks. Every rank must call this.
     pub fn create(ctx: &Ctx, len: usize) -> Self {
-        let p = ctx.nprocs();
-        let handle = if ctx.rank() == 0 {
-            let starts = block_starts(len, p);
-            let blocks = (0..p)
-                .map(|r| RwLock::new(vec![T::default(); starts[r + 1] - starts[r]]))
+        Self::create_rows(ctx, len, 1)
+    }
+
+    /// Collective creation of a zero-initialized row-major `rows × cols`
+    /// matrix whose blocks hold whole rows: rows are block-distributed
+    /// like [`create`](GlobalArray::create)'s elements, so
+    /// `distribution(r)` is rank `r`'s row range times `cols`. Global
+    /// index `row * cols + col` addresses an element. Every rank must
+    /// call this.
+    pub fn create_rows(ctx: &Ctx, rows: usize, cols: usize) -> Self {
+        let handle = (ctx.rank() == 0).then(|| {
+            let starts: Vec<usize> = block_starts(rows, ctx.nprocs())
+                .into_iter()
+                .map(|row| row * cols)
                 .collect();
-            Some(GlobalArray {
+            let blocks = starts
+                .windows(2)
+                .map(|w| RwLock::new(vec![T::default(); w[1] - w[0]]))
+                .collect();
+            GlobalArray {
                 storage: Arc::new(Storage {
                     blocks,
                     starts,
-                    len,
+                    len: rows * cols,
                 }),
-            })
-        } else {
-            None
-        };
+            }
+        });
         ctx.broadcast(0, handle, 16)
     }
 
@@ -125,45 +144,6 @@ impl<T: Copy + Default + Send + Sync + 'static> GlobalArray<T> {
             out.extend_from_slice(&block[local..local + seg.len()]);
         });
         out
-    }
-
-    /// One-sided get of a single element.
-    pub fn get_one(&self, ctx: &Ctx, i: usize) -> T {
-        self.get(ctx, i..i + 1)[0]
-    }
-
-    /// Destination-aggregated get of many ranges: at most one message per
-    /// rank that owns any requested data, carrying every range segment
-    /// that rank serves (the batched counterpart of [`get`]
-    /// (GlobalArray::get), with the same per-destination packing as
-    /// [`put_batch`](GlobalArray::put_batch)). Returns one vector per
-    /// input range, in input order.
-    pub fn get_batch(&self, ctx: &Ctx, ranges: &[Range<usize>]) -> Vec<Vec<T>> {
-        let p = self.storage.blocks.len();
-        let mut bytes = vec![0u64; p];
-        let mut segs = vec![0u64; p];
-        for range in ranges {
-            self.for_blocks(range.clone(), |r, seg, _local| {
-                bytes[r] += (seg.len() * std::mem::size_of::<T>()) as u64;
-                segs[r] += 1;
-            });
-        }
-        for r in 0..p {
-            if segs[r] > 0 {
-                ctx.charge_one_sided_batch(bytes[r], r, segs[r]);
-            }
-        }
-        ranges
-            .iter()
-            .map(|range| {
-                let mut out = Vec::with_capacity(range.len());
-                self.for_blocks(range.clone(), |r, seg, local| {
-                    let block = self.storage.blocks[r].read();
-                    out.extend_from_slice(&block[local..local + seg.len()]);
-                });
-                out
-            })
-            .collect()
     }
 
     /// One-sided put of `data` starting at global index `start`.
@@ -385,6 +365,75 @@ mod tests {
     }
 
     #[test]
+    fn create_rows_puts_every_block_boundary_on_a_row_boundary() {
+        // (rows, cols, P): more rows than ranks, fewer rows than ranks,
+        // no rows, no columns.
+        for (rows, cols, p) in [
+            (10, 3, 4),
+            (11, 3, 4),
+            (6, 2, 5),
+            (2, 2, 7),
+            (0, 5, 3),
+            (6, 0, 3),
+        ] {
+            Runtime::for_testing().run(p, |ctx| {
+                let a = GlobalArray::<u64>::create_rows(ctx, rows, cols);
+                assert_eq!(a.len(), rows * cols);
+                let mut at = 0;
+                for r in 0..p {
+                    let d = a.distribution(r);
+                    assert_eq!(d.start, at, "blocks tile the array");
+                    if cols > 0 {
+                        assert_eq!((d.start % cols, d.len() % cols), (0, 0), "whole rows");
+                    }
+                    at = d.end;
+                }
+                assert_eq!(at, rows * cols);
+                // Each rank writes row * 10 + col into its own rows, then
+                // every rank adds 1 everywhere.
+                let mine = a.distribution(ctx.rank());
+                a.with_local_mut(ctx, |block| {
+                    for (g, v) in mine.zip(block) {
+                        *v = (g / cols * 10 + g % cols) as u64;
+                    }
+                });
+                ctx.barrier();
+                a.acc(ctx, 0, &vec![1; rows * cols]);
+                ctx.barrier();
+                let want: Vec<u64> = (0..rows)
+                    .flat_map(|row| (0..cols).map(move |c| (row * 10 + c) as u64 + p as u64))
+                    .collect();
+                assert_eq!(a.to_vec_collective(ctx), want);
+                // An empty put, all an empty matrix ever takes, is free.
+                let before = ctx.stats.snapshot();
+                a.put(ctx, 0, &[]);
+                assert_eq!(ctx.stats.snapshot(), before);
+            });
+        }
+    }
+
+    #[test]
+    fn a_put_across_two_row_blocks_charges_two_messages_of_whole_rows() {
+        Runtime::for_testing().run(3, |ctx| {
+            // 8 rows of 4 over 3 ranks: rows 0..3 | 3..6 | 6..8.
+            let a = GlobalArray::<u32>::create_rows(ctx, 8, 4);
+            if ctx.rank() == 0 {
+                // Rows 2..5: row 2 is rank 0's own, rows 3 and 4 are
+                // rank 1's.
+                let before = ctx.stats.snapshot();
+                a.put(ctx, 2 * 4, &(8..20).collect::<Vec<u32>>());
+                let snap = ctx.stats.snapshot();
+                assert_eq!(snap.total_msgs() - before.total_msgs(), 2);
+                assert_eq!(snap.local_bytes - before.local_bytes, 4 * 4);
+                assert_eq!(snap.one_sided_bytes - before.one_sided_bytes, 2 * 4 * 4);
+            }
+            ctx.barrier();
+            assert_eq!(a.get(ctx, 3 * 4..4 * 4), vec![12, 13, 14, 15]);
+            assert_eq!(a.get(ctx, 2 * 4..5 * 4), (8..20).collect::<Vec<u32>>());
+        });
+    }
+
+    #[test]
     fn put_get_roundtrip_across_blocks() {
         let rt = Runtime::for_testing();
         rt.run(4, |ctx| {
@@ -440,7 +489,7 @@ mod tests {
                 mine.push(a.read_inc(ctx, 0, 1));
             }
             ctx.barrier();
-            (mine, a.get_one(ctx, 0))
+            (mine, a.get(ctx, 0..1)[0])
         });
         let mut all: Vec<i64> = res.results.iter().flat_map(|(m, _)| m.clone()).collect();
         all.sort_unstable();
@@ -630,7 +679,7 @@ mod tests {
             }
             ctx.barrier();
             assert_eq!(a.get(ctx, 18..22), vec![5, 6, 7, 8]);
-            assert_eq!(a.get_one(ctx, 25), 4);
+            assert_eq!(a.get(ctx, 25..26), vec![4]);
         });
     }
 
@@ -654,31 +703,6 @@ mod tests {
             // 0..20 touches all 4 blocks: one message per destination.
             assert_eq!(msgs, 4);
         }
-    }
-
-    #[test]
-    fn get_batch_matches_scalar_gets_with_fewer_messages() {
-        let rt = Runtime::for_testing();
-        rt.run(3, |ctx| {
-            let a = GlobalArray::<u32>::create(ctx, 60);
-            if ctx.rank() == 0 {
-                a.put(ctx, 0, &(0..60).collect::<Vec<u32>>());
-            }
-            ctx.barrier();
-            let ranges = [3..9, 0..2, 40..45, 12..12, 19..23];
-            let before = ctx.stats.snapshot();
-            let batched = a.get_batch(ctx, &ranges);
-            let snap = ctx.stats.snapshot();
-            let msgs = snap.total_msgs() - before.total_msgs();
-            for (range, got) in ranges.iter().zip(&batched) {
-                assert_eq!(got, &a.get(ctx, range.clone()));
-            }
-            // Blocks of 20: destinations touched are rank 0 (3..9, 0..2,
-            // 19..20), rank 1 (20..23) and rank 2 (40..45) → 3 messages
-            // for what 5 scalar gets would have charged as 6.
-            assert!(msgs <= 3, "get_batch charged {msgs} messages");
-            assert_eq!(snap.batched_scalar_equiv - before.batched_scalar_equiv, 5);
-        });
     }
 
     #[test]
@@ -781,7 +805,6 @@ mod tests {
             assert!(a.fetch_add_batch(ctx, &[]).is_empty());
             a.put_batch(ctx, []);
             a.acc_batch(ctx, []);
-            assert!(a.get_batch(ctx, &[]).is_empty());
             assert_eq!(ctx.stats.snapshot(), before);
         });
     }

@@ -7,10 +7,13 @@
 //! (§3.1). Four GA facilities carry the whole engine, and this crate
 //! provides all four:
 //!
-//! * [`GlobalArray`] / [`GlobalArray2D`] — block-distributed dense arrays
-//!   with one-sided `get` / `put` / `acc`(umulate) and locality queries.
-//!   The paper stores the field-to-term and term-to-field indices, term
-//!   statistics, the major-terms list, and the association matrix in these.
+//! * [`GlobalArray`] — block-distributed dense arrays with one-sided
+//!   `get` / `put` / `acc`(umulate) and locality queries; a matrix is one
+//!   with row-aligned blocks ([`GlobalArray::create_rows`]). The engine
+//!   keeps the forward index, the term statistics, the inverted index's
+//!   postings and cursors, and the knowledge signatures in these; the
+//!   association matrix is allreduced and replicated on every rank
+//!   instead.
 //! * [`GlobalArray::read_inc`] — the atomic fetch-and-increment that
 //!   implements fixed-size-chunking dynamic load balancing *"in only a few
 //!   lines of code"* (§3.3).
@@ -27,13 +30,11 @@
 //! a round trip, and local accesses are charged memory-copy time. Locality
 //! therefore matters exactly as it does on the modeled cluster.
 
-pub mod array2d;
 pub mod counter;
 pub mod dhashmap;
 pub mod global_array;
 pub mod task_queue;
 
-pub use array2d::GlobalArray2D;
 pub use counter::GlobalCounter;
 pub use dhashmap::DistHashMap;
 pub use global_array::GlobalArray;

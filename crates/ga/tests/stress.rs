@@ -1,7 +1,7 @@
 //! Concurrency stress for the Global Arrays substrate: many ranks
 //! hammering the same arrays, hashmap shards, and task queues.
 
-use ga::{DistHashMap, GlobalArray, GlobalArray2D, TaskQueue};
+use ga::{DistHashMap, GlobalArray, TaskQueue};
 use spmd::Runtime;
 
 fn xorshift(state: &mut u64) -> u64 {
@@ -29,7 +29,7 @@ fn concurrent_accumulates_sum_exactly() {
             }
         }
         // Global expectation: sum of everyone's local expectations.
-        let expected_total = ctx.allreduce_u64(expected, spmd::ReduceOp::Sum);
+        let expected_total = ctx.allreduce(expected, spmd::ReduceOp::Sum);
         ctx.barrier();
         (a.get(ctx, 0..257), expected_total)
     });
@@ -131,7 +131,7 @@ fn task_queue_exactly_once_under_uneven_loads() {
 fn matrix_rows_survive_concurrent_block_writes() {
     let rt = Runtime::for_testing();
     let res = rt.run(5, |ctx| {
-        let m = GlobalArray2D::<u64>::create(ctx, 100, 7);
+        let m = GlobalArray::<u64>::create_rows(ctx, 100, 7);
         // Ranks write disjoint row stripes concurrently (row = owner*20 + i).
         let base = ctx.rank() * 20;
         let mut rows = Vec::new();
@@ -139,7 +139,7 @@ fn matrix_rows_survive_concurrent_block_writes() {
             let row: Vec<u64> = (0..7).map(|c| (base + i) as u64 * 10 + c).collect();
             rows.extend_from_slice(&row);
         }
-        m.put_rows(ctx, base, &rows);
+        m.put(ctx, base * 7, &rows);
         ctx.barrier();
         m.to_vec_collective(ctx)
     });

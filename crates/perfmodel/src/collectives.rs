@@ -28,55 +28,22 @@ pub fn broadcast(net: &Network, p: usize, bytes: f64) -> f64 {
     rounds(p) as f64 * net.ptp(bytes)
 }
 
-/// Reduce `bytes` to a root (same tree as broadcast, plus the combining
-/// arithmetic which is charged to the compute meter by the caller).
-pub fn reduce(net: &Network, p: usize, bytes: f64) -> f64 {
-    broadcast(net, p, bytes)
-}
-
-/// Allreduce: reduce followed by broadcast (the classical implementation;
+/// Allreduce: a reduce to a root over the broadcast tree, followed by a
+/// broadcast (the classical implementation;
 /// recursive-doubling halves the constant but has the same `log p` shape).
 pub fn allreduce(net: &Network, p: usize, bytes: f64) -> f64 {
     2.0 * broadcast(net, p, bytes)
 }
 
-/// Gather `bytes_per_rank` from every rank to a root. The root's inbound
-/// link is the bottleneck: `(p-1)` payloads, pipelined behind one latency
-/// per tree round.
+/// Gather `bytes_per_rank` from every rank to a root (an allgather is
+/// priced the same: ring/Bruck moves `(p-1)` payloads through each rank).
+/// The root's inbound link is the bottleneck: `(p-1)` payloads, pipelined
+/// behind one latency per tree round.
 pub fn gather(net: &Network, p: usize, bytes_per_rank: f64) -> f64 {
     if p <= 1 {
         return 0.0;
     }
     rounds(p) as f64 * net.latency_s + (p - 1) as f64 * bytes_per_rank / net.bandwidth_bps
-}
-
-/// Allgather: every rank ends with `p * bytes_per_rank`; ring/bruck style
-/// moves `(p-1)` payloads through each rank.
-pub fn allgather(net: &Network, p: usize, bytes_per_rank: f64) -> f64 {
-    if p <= 1 {
-        return 0.0;
-    }
-    rounds(p) as f64 * net.latency_s + (p - 1) as f64 * bytes_per_rank / net.bandwidth_bps
-}
-
-/// All-to-all personalized exchange: every rank sends a distinct
-/// `bytes_per_pair` to every other rank. Modeled as `(p-1)` pipelined
-/// point-to-point transfers behind the tree latency.
-pub fn alltoall(net: &Network, p: usize, bytes_per_pair: f64) -> f64 {
-    if p <= 1 {
-        return 0.0;
-    }
-    rounds(p) as f64 * net.latency_s + (p - 1) as f64 * bytes_per_pair / net.bandwidth_bps
-}
-
-/// Reduce-scatter of a `total_bytes` vector: reduce then scatter 1/p to
-/// each rank — half the volume of a full allreduce in the classical
-/// implementation.
-pub fn reduce_scatter(net: &Network, p: usize, total_bytes: f64) -> f64 {
-    if p <= 1 {
-        return 0.0;
-    }
-    rounds(p) as f64 * net.latency_s + total_bytes * (p - 1) as f64 / p as f64 / net.bandwidth_bps
 }
 
 #[cfg(test)]
@@ -107,7 +74,6 @@ mod tests {
         assert_eq!(broadcast(&n, 1, 1e6), 0.0);
         assert_eq!(allreduce(&n, 1, 1e6), 0.0);
         assert_eq!(gather(&n, 1, 1e6), 0.0);
-        assert_eq!(allgather(&n, 1, 1e6), 0.0);
     }
 
     #[test]
@@ -125,21 +91,6 @@ mod tests {
             assert!(c > prev);
             prev = c;
         }
-    }
-
-    #[test]
-    fn alltoall_and_reduce_scatter_monotone() {
-        let n = net();
-        assert!(alltoall(&n, 16, 1024.0) > alltoall(&n, 4, 1024.0));
-        assert!(reduce_scatter(&n, 16, 1e6) > reduce_scatter(&n, 2, 1e6));
-        assert_eq!(alltoall(&n, 1, 4096.0), 0.0);
-        assert_eq!(reduce_scatter(&n, 1, 4096.0), 0.0);
-    }
-
-    #[test]
-    fn reduce_scatter_cheaper_than_allreduce() {
-        let n = net();
-        assert!(reduce_scatter(&n, 8, 1e6) < allreduce(&n, 8, 1e6));
     }
 
     #[test]

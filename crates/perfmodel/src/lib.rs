@@ -18,7 +18,7 @@
 //! * [`RateCard`] — how fast one 2007-era processor performs each
 //!   [`WorkKind`] (calibrated against the paper's absolute minutes).
 //! * [`collectives`] — LogP-style binomial-tree costs for barrier,
-//!   broadcast, reductions, gathers.
+//!   broadcast, allreduce and gather.
 //! * [`MemoryModel`] — a thrash multiplier once a processor's working set
 //!   exceeds its share of node memory; this reproduces the paper's
 //!   observation that 16.44 GB of PubMed on 4 processors is
@@ -191,7 +191,8 @@ impl CostModel {
         collectives::allreduce(&self.cluster.network, p, self.scale.comm_bytes(bytes))
     }
 
-    /// Cost of gathering `bytes_per_rank` from each of `p` ranks to a root.
+    /// Cost of gathering `bytes_per_rank` from each of `p` ranks to a root
+    /// (or to every rank: an allgather is priced the same).
     pub fn gather(&self, p: usize, bytes_per_rank: u64) -> f64 {
         collectives::gather(
             &self.cluster.network,
@@ -208,29 +209,6 @@ impl CostModel {
             p,
             bytes_per_rank as f64 * self.scale.data_scale(),
         )
-    }
-
-    /// Cost of an allgather of `bytes_per_rank` from each of `p` ranks.
-    pub fn allgather(&self, p: usize, bytes_per_rank: u64) -> f64 {
-        collectives::allgather(
-            &self.cluster.network,
-            p,
-            self.scale.comm_bytes(bytes_per_rank),
-        )
-    }
-
-    /// Cost of an all-to-all of `bytes_per_pair` between every rank pair.
-    pub fn alltoall(&self, p: usize, bytes_per_pair: u64) -> f64 {
-        collectives::alltoall(
-            &self.cluster.network,
-            p,
-            self.scale.comm_bytes(bytes_per_pair),
-        )
-    }
-
-    /// Cost of a reduce-scatter over a `total_bytes` vector.
-    pub fn reduce_scatter(&self, p: usize, total_bytes: u64) -> f64 {
-        collectives::reduce_scatter(&self.cluster.network, p, self.scale.comm_bytes(total_bytes))
     }
 }
 

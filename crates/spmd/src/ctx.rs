@@ -11,7 +11,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Reduction operators for the numeric allreduce helpers.
+/// Reduction operators for [`Ctx::allreduce`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReduceOp {
     Sum,
@@ -19,11 +19,30 @@ pub enum ReduceOp {
     Max,
 }
 
-/// Shared state owned by the runtime, visible to every rank.
-pub struct SharedState {
-    pub(crate) rendezvous: Rendezvous,
-    #[allow(dead_code)]
-    pub(crate) nprocs: usize,
+/// An element type [`Ctx::allreduce`] combines.
+pub trait Reduce: Copy + Send + Sync + 'static {
+    /// `self op other`.
+    fn combine(self, other: Self, op: ReduceOp) -> Self;
+}
+
+impl Reduce for f64 {
+    fn combine(self, other: f64, op: ReduceOp) -> f64 {
+        match op {
+            ReduceOp::Sum => self + other,
+            ReduceOp::Min => self.min(other),
+            ReduceOp::Max => self.max(other),
+        }
+    }
+}
+
+impl Reduce for u64 {
+    fn combine(self, other: u64, op: ReduceOp) -> u64 {
+        match op {
+            ReduceOp::Sum => self.wrapping_add(other),
+            ReduceOp::Min => self.min(other),
+            ReduceOp::Max => self.max(other),
+        }
+    }
 }
 
 /// One rank's view of the SPMD computation.
@@ -35,7 +54,8 @@ pub struct Ctx {
     rank: usize,
     nprocs: usize,
     model: Arc<CostModel>,
-    shared: Arc<SharedState>,
+    /// The rendezvous every rank of the run shares.
+    rendezvous: Arc<Rendezvous>,
     clock: Cell<f64>,
     /// Memory-pressure multiplier applied to compute charges (see
     /// [`Ctx::set_working_set`]).
@@ -55,7 +75,7 @@ impl Ctx {
         rank: usize,
         nprocs: usize,
         model: Arc<CostModel>,
-        shared: Arc<SharedState>,
+        rendezvous: Arc<Rendezvous>,
         threads_per_rank: usize,
         trace: SpanRecorder,
     ) -> Self {
@@ -63,7 +83,7 @@ impl Ctx {
             rank,
             nprocs,
             model,
-            shared,
+            rendezvous,
             clock: Cell::new(0.0),
             pressure: Cell::new(1.0),
             stats: CommStats::new(),
@@ -241,40 +261,42 @@ impl Ctx {
     // the same order, with compatible types.
     // ---------------------------------------------------------------
 
-    /// Bookkeeping at collective entry: count the payload and return the
-    /// entry clock for wait attribution and the trace span.
-    #[inline]
-    fn enter_collective(&self, bytes: u64) -> f64 {
+    /// The one collective round under every public collective: count
+    /// `bytes` of payload, deposit `value` at the rendezvous, and leave
+    /// with `combine` of all deposits in rank order. Departure is the
+    /// latest entry clock plus `cost`; the gap from this rank's entry —
+    /// peer skew plus the modeled transfer — is its wait, attributed to
+    /// the active pipeline stage, and the round is traced as a
+    /// `collective` span called `name`. Only reads and sets the clock the
+    /// rendezvous computed, so tracing cannot perturb virtual time.
+    fn collective<T, R>(
+        &self,
+        name: &'static str,
+        bytes: u64,
+        cost: f64,
+        value: T,
+        combine: impl FnOnce(Vec<T>) -> R,
+    ) -> Arc<R>
+    where
+        T: Send + 'static,
+        R: Send + Sync + 'static,
+    {
         self.stats.record_collective(bytes);
-        self.now()
-    }
-
-    /// Bookkeeping at collective exit: the gap between entering the
-    /// rendezvous and departing it — peer skew plus the modeled transfer
-    /// cost — is this rank's wait, attributed to the active pipeline
-    /// stage. Only reads and sets the clock the rendezvous already
-    /// computed, so tracing cannot perturb virtual time.
-    #[inline]
-    fn leave_collective(&self, name: &'static str, entry: f64, departed: f64) {
+        let entry = self.now();
+        let depart = move |vals: Vec<T>, latest: f64| (combine(vals), latest + cost);
+        let (res, departed) = self.rendezvous.round(self.rank, value, entry, depart);
         self.timers
             .accrue_wait(self.stats.stage(), departed - entry);
         self.clock.set(departed);
         self.trace_span("collective", name, entry);
+        res
     }
 
     /// Synchronize all ranks; clocks advance to the latest participant plus
     /// the modeled barrier cost.
     pub fn barrier(&self) {
-        let p = self.nprocs;
-        let cost = self.model.barrier(p);
-        let entry = self.enter_collective(0);
-        let (_r, clock) =
-            self.shared
-                .rendezvous
-                .round(self.rank, (), entry, move |_vals: Vec<()>, mx| {
-                    ((), mx + cost)
-                });
-        self.leave_collective("barrier", entry, clock);
+        let cost = self.model.barrier(self.nprocs);
+        self.collective("barrier", 0, cost, (), |_| ());
     }
 
     /// Broadcast from `root`. The root passes `Some(value)`, everyone else
@@ -290,111 +312,44 @@ impl Ctx {
             "exactly the root must supply the broadcast value"
         );
         let cost = self.model.broadcast(self.nprocs, bytes);
-        let entry = self.enter_collective(bytes);
-        let (res, clock) = self.shared.rendezvous.round(
-            self.rank,
-            value,
-            entry,
-            move |mut vals: Vec<Option<T>>, mx| {
-                let v = vals[root].take().expect("root deposited a value");
-                (v, mx + cost)
-            },
-        );
-        self.leave_collective("broadcast", entry, clock);
+        let res = self.collective("broadcast", bytes, cost, value, move |mut vals| {
+            vals[root].take().expect("root deposited a value")
+        });
         (*res).clone()
     }
 
-    /// Element-wise allreduce over `f64` vectors. All ranks must pass
-    /// vectors of identical length. Combining is done in rank order, so the
-    /// floating-point result is deterministic.
-    pub fn allreduce_f64(&self, value: Vec<f64>, op: ReduceOp) -> Vec<f64> {
-        let bytes = (value.len() * 8) as u64;
+    /// Element-wise allreduce. All ranks must pass vectors of identical
+    /// length. Combining is done in rank order, so the floating-point
+    /// result is deterministic.
+    pub fn allreduce<T: Reduce>(&self, value: Vec<T>, op: ReduceOp) -> Vec<T> {
+        let bytes = std::mem::size_of_val(value.as_slice()) as u64;
         let cost = self.model.allreduce(self.nprocs, bytes);
         // Combining arithmetic, charged unscaled: the transported payload
         // (already scaled) is what grows with the nominal workload.
-        let flops = value.len() as u64 * (self.nprocs.max(1) as u64 - 1);
+        let flops = value.len() as u64 * (self.nprocs as u64 - 1);
         self.charge_fixed(WorkKind::Flops, flops);
-        let entry = self.enter_collective(bytes);
-        let (res, clock) = self.shared.rendezvous.round(
-            self.rank,
-            value,
-            entry,
-            move |vals: Vec<Vec<f64>>, mx| {
-                let mut it = vals.into_iter();
-                let mut acc = it.next().expect("at least one rank");
-                for v in it {
-                    assert_eq!(v.len(), acc.len(), "allreduce length mismatch");
-                    for (a, b) in acc.iter_mut().zip(v) {
-                        *a = match op {
-                            ReduceOp::Sum => *a + b,
-                            ReduceOp::Min => a.min(b),
-                            ReduceOp::Max => a.max(b),
-                        };
-                    }
+        let res = self.collective("allreduce", bytes, cost, value, move |vals| {
+            let mut it = vals.into_iter();
+            let mut acc = it.next().expect("at least one rank");
+            for v in it {
+                assert_eq!(v.len(), acc.len(), "allreduce length mismatch");
+                for (a, b) in acc.iter_mut().zip(v) {
+                    *a = a.combine(b, op);
                 }
-                (acc, mx + cost)
-            },
-        );
-        self.leave_collective("allreduce", entry, clock);
+            }
+            acc
+        });
         (*res).clone()
-    }
-
-    /// Element-wise allreduce over `u64` vectors.
-    pub fn allreduce_u64(&self, value: Vec<u64>, op: ReduceOp) -> Vec<u64> {
-        let bytes = (value.len() * 8) as u64;
-        let cost = self.model.allreduce(self.nprocs, bytes);
-        let flops = value.len() as u64 * (self.nprocs.max(1) as u64 - 1);
-        self.charge_fixed(WorkKind::Flops, flops);
-        let entry = self.enter_collective(bytes);
-        let (res, clock) = self.shared.rendezvous.round(
-            self.rank,
-            value,
-            entry,
-            move |vals: Vec<Vec<u64>>, mx| {
-                let mut it = vals.into_iter();
-                let mut acc = it.next().expect("at least one rank");
-                for v in it {
-                    assert_eq!(v.len(), acc.len(), "allreduce length mismatch");
-                    for (a, b) in acc.iter_mut().zip(v) {
-                        *a = match op {
-                            ReduceOp::Sum => a.wrapping_add(b),
-                            ReduceOp::Min => (*a).min(b),
-                            ReduceOp::Max => (*a).max(b),
-                        };
-                    }
-                }
-                (acc, mx + cost)
-            },
-        );
-        self.leave_collective("allreduce", entry, clock);
-        (*res).clone()
-    }
-
-    /// Scalar allreduce conveniences.
-    pub fn allreduce_scalar_f64(&self, value: f64, op: ReduceOp) -> f64 {
-        self.allreduce_f64(vec![value], op)[0]
-    }
-
-    pub fn allreduce_scalar_u64(&self, value: u64, op: ReduceOp) -> u64 {
-        self.allreduce_u64(vec![value], op)[0]
     }
 
     /// Allgather: every rank contributes `value`, every rank receives the
-    /// per-rank values in rank order.
+    /// per-rank values in rank order. Priced as a gather.
     pub fn allgather<T>(&self, value: T, bytes_per_rank: u64) -> Vec<T>
     where
         T: Clone + Send + Sync + 'static,
     {
-        let cost = self.model.allgather(self.nprocs, bytes_per_rank);
-        let entry = self.enter_collective(bytes_per_rank);
-        let (res, clock) =
-            self.shared
-                .rendezvous
-                .round(self.rank, value, entry, move |vals: Vec<T>, mx| {
-                    (vals, mx + cost)
-                });
-        self.leave_collective("allgather", entry, clock);
-        (*res).clone()
+        let cost = self.model.gather(self.nprocs, bytes_per_rank);
+        (*self.collective("allgather", bytes_per_rank, cost, value, |vals| vals)).clone()
     }
 
     /// Gather to `root`: returns `Some(values in rank order)` at the root,
@@ -406,19 +361,8 @@ impl Ctx {
     {
         assert!(root < self.nprocs, "gather root out of range");
         let cost = self.model.gather(self.nprocs, bytes_per_rank);
-        let entry = self.enter_collective(bytes_per_rank);
-        let (res, clock) =
-            self.shared
-                .rendezvous
-                .round(self.rank, value, entry, move |vals: Vec<T>, mx| {
-                    (vals, mx + cost)
-                });
-        self.leave_collective("gather", entry, clock);
-        if self.rank == root {
-            Some((*res).clone())
-        } else {
-            None
-        }
+        let res = self.collective("gather", bytes_per_rank, cost, value, |vals| vals);
+        (self.rank == root).then(|| (*res).clone())
     }
 
     /// Gather to `root` for payloads proportional to corpus size
@@ -429,19 +373,8 @@ impl Ctx {
     {
         assert!(root < self.nprocs, "gather root out of range");
         let cost = self.model.gather_data(self.nprocs, bytes_per_rank);
-        let entry = self.enter_collective(bytes_per_rank);
-        let (res, clock) =
-            self.shared
-                .rendezvous
-                .round(self.rank, value, entry, move |vals: Vec<T>, mx| {
-                    (vals, mx + cost)
-                });
-        self.leave_collective("gather_data", entry, clock);
-        if self.rank == root {
-            Some((*res).clone())
-        } else {
-            None
-        }
+        let res = self.collective("gather_data", bytes_per_rank, cost, value, |vals| vals);
+        (self.rank == root).then(|| (*res).clone())
     }
 
     /// Exclusive prefix sum over a `u64` contribution: rank `r` receives
@@ -451,74 +384,6 @@ impl Ctx {
         let before: u64 = all[..self.rank].iter().sum();
         let total: u64 = all.iter().sum();
         (before, total)
-    }
-
-    /// Inclusive prefix sum: rank `r` receives the sum over ranks `0..=r`.
-    pub fn scan_u64(&self, value: u64) -> u64 {
-        let (before, _) = self.exscan_u64(value);
-        before + value
-    }
-
-    /// All-to-all personalized exchange: `send[j]` goes to rank `j`;
-    /// returns what every rank sent to this one (indexed by source rank).
-    /// All ranks must pass vectors of length `nprocs`.
-    pub fn alltoall<T>(&self, send: Vec<T>, bytes_per_pair: u64) -> Vec<T>
-    where
-        T: Clone + Send + Sync + 'static,
-    {
-        assert_eq!(send.len(), self.nprocs, "alltoall needs one item per rank");
-        let cost = self.model.alltoall(self.nprocs, bytes_per_pair);
-        let entry = self.enter_collective(bytes_per_pair * self.nprocs as u64);
-        let me = self.rank;
-        let (res, clock) =
-            self.shared
-                .rendezvous
-                .round(self.rank, send, entry, move |mats: Vec<Vec<T>>, mx| {
-                    (mats, mx + cost)
-                });
-        self.leave_collective("alltoall", entry, clock);
-        // Transpose: my inbox is column `me`.
-        res.iter().map(|row| row[me].clone()).collect()
-    }
-
-    /// Reduce-scatter over `f64` vectors: the element-wise sum of all
-    /// ranks' vectors is computed and rank `r` receives the `r`-th
-    /// equal-length block. All ranks must pass vectors of identical
-    /// length divisible by `nprocs`.
-    pub fn reduce_scatter_f64(&self, value: Vec<f64>) -> Vec<f64> {
-        assert_eq!(
-            value.len() % self.nprocs,
-            0,
-            "reduce_scatter length must divide evenly"
-        );
-        let total_bytes = (value.len() * 8) as u64;
-        let cost = self.model.reduce_scatter(self.nprocs, total_bytes);
-        let flops = value.len() as u64 * (self.nprocs.max(1) as u64 - 1);
-        self.charge_fixed(WorkKind::Flops, flops);
-        let entry = self.enter_collective(total_bytes);
-        let p = self.nprocs;
-        let me = self.rank;
-        let (res, clock) = self.shared.rendezvous.round(
-            self.rank,
-            value,
-            entry,
-            move |vals: Vec<Vec<f64>>, mx| {
-                let mut it = vals.into_iter();
-                let mut acc = it.next().expect("at least one rank");
-                for v in it {
-                    for (a, b) in acc.iter_mut().zip(v) {
-                        *a += b;
-                    }
-                }
-                // Pre-split into per-rank blocks so each rank clones only
-                // its own share.
-                let chunk = acc.len() / p;
-                let blocks: Vec<Vec<f64>> = acc.chunks(chunk.max(1)).map(|c| c.to_vec()).collect();
-                (blocks, mx + cost)
-            },
-        );
-        self.leave_collective("reduce_scatter", entry, clock);
-        res[me].clone()
     }
 }
 
@@ -555,10 +420,14 @@ mod tests {
     fn allreduce_sums_across_ranks() {
         let rt = Runtime::new(Arc::new(CostModel::zero()));
         let res = rt.run(4, |ctx| {
-            ctx.allreduce_f64(vec![ctx.rank() as f64, 1.0], ReduceOp::Sum)
+            let f = ctx.allreduce(vec![ctx.rank() as f64, 1.0], ReduceOp::Sum);
+            // `u64` sums wrap.
+            let u = ctx.allreduce(vec![u64::MAX, 1], ReduceOp::Sum);
+            (f, u)
         });
-        for v in res.results {
-            assert_eq!(v, vec![6.0, 4.0]);
+        for (f, u) in res.results {
+            assert_eq!(f, vec![6.0, 4.0]);
+            assert_eq!(u, vec![u64::MAX - 3, 4]);
         }
     }
 
@@ -566,8 +435,8 @@ mod tests {
     fn allreduce_min_max() {
         let rt = Runtime::new(Arc::new(CostModel::zero()));
         let res = rt.run(5, |ctx| {
-            let mn = ctx.allreduce_scalar_u64(ctx.rank() as u64 + 10, ReduceOp::Min);
-            let mx = ctx.allreduce_scalar_u64(ctx.rank() as u64 + 10, ReduceOp::Max);
+            let mn = ctx.allreduce(vec![ctx.rank() as u64 + 10], ReduceOp::Min)[0];
+            let mx = ctx.allreduce(vec![ctx.rank() as u64 + 10], ReduceOp::Max)[0];
             (mn, mx)
         });
         for (mn, mx) in res.results {
@@ -617,39 +486,80 @@ mod tests {
         assert_eq!(res.results, vec![(0, 100), (10, 100), (30, 100), (60, 100)]);
     }
 
+    /// Every public collective is one round of the one helper: it
+    /// records one collective with its payload bytes, accrues its wait to
+    /// the active stage, and traces one `collective` span under its name.
     #[test]
-    fn alltoall_transposes() {
-        let rt = Runtime::for_testing();
-        let res = rt.run(4, |ctx| {
-            // send[j] = rank * 10 + j
-            let send: Vec<usize> = (0..4).map(|j| ctx.rank() * 10 + j).collect();
-            ctx.alltoall(send, 8)
-        });
-        for (rank, inbox) in res.results.iter().enumerate() {
-            let expect: Vec<usize> = (0..4).map(|src| src * 10 + rank).collect();
-            assert_eq!(inbox, &expect);
+    fn every_collective_records_one_round_its_wait_and_its_span() {
+        type Call = fn(&Ctx);
+        let cases: [(&str, u64, Call); 8] = [
+            ("barrier", 0, |c| c.barrier()),
+            ("broadcast", 24, |c| {
+                c.broadcast(1, (c.rank() == 1).then_some(7u8), 24);
+            }),
+            ("allreduce", 16, |c| {
+                c.allreduce(vec![c.rank() as f64, 1.0], ReduceOp::Sum);
+            }),
+            ("allreduce", 24, |c| {
+                c.allreduce(vec![c.rank() as u64; 3], ReduceOp::Max);
+            }),
+            ("allgather", 8, |c| {
+                c.allgather(c.rank(), 8);
+            }),
+            ("gather", 4, |c| {
+                c.gather(0, c.rank() as u32, 4);
+            }),
+            ("gather_data", 12, |c| {
+                c.gather_data(2, c.rank(), 12);
+            }),
+            ("allgather", 8, |c| {
+                c.exscan_u64(c.rank() as u64);
+            }),
+        ];
+        let rt = Runtime::new(Arc::new(CostModel::pnnl_2007())).with_tracing(true);
+        for (name, bytes, call) in cases {
+            let res = rt.run(3, |ctx| {
+                ctx.component(Component::Index, || {
+                    // Unequal work first, so the early ranks wait for the
+                    // last; everyone waits out the modeled cost.
+                    ctx.charge(WorkKind::Flops, (ctx.rank() as u64 + 1) * 12_000_000);
+                    let before = ctx.stats.snapshot();
+                    call(ctx);
+                    let after = ctx.stats.snapshot();
+                    (
+                        after.collectives - before.collectives,
+                        after.collective_bytes - before.collective_bytes,
+                        after.stage_msgs_for(Component::Index)
+                            - before.stage_msgs_for(Component::Index),
+                    )
+                })
+            });
+            for rank in 0..3 {
+                assert_eq!(res.results[rank], (1, bytes, 1), "{name} at rank {rank}");
+                let t = &res.timers[rank];
+                for c in Component::ALL {
+                    let wait = t.get_wait(c);
+                    assert_eq!(
+                        wait > 0.0,
+                        c == Component::Index,
+                        "{name}: {c:?} wait {wait}"
+                    );
+                }
+                let spans: Vec<_> = res.traces[rank]
+                    .spans
+                    .iter()
+                    .filter(|s| s.cat == "collective")
+                    .map(|s| s.name)
+                    .collect();
+                assert_eq!(spans, [name], "rank {rank}");
+            }
+            let waits: Vec<f64> = res
+                .timers
+                .iter()
+                .map(|t| t.get_wait(Component::Index))
+                .collect();
+            assert!(waits[0] > waits[2], "{name}: {waits:?}");
         }
-    }
-
-    #[test]
-    fn reduce_scatter_gives_each_rank_its_block() {
-        let rt = Runtime::for_testing();
-        let res = rt.run(4, |ctx| {
-            // Each rank contributes [r, r, ..., r] of length 8.
-            let v = vec![ctx.rank() as f64; 8];
-            ctx.reduce_scatter_f64(v)
-        });
-        // Sum over ranks = 0+1+2+3 = 6 in every element; block size 2.
-        for block in res.results {
-            assert_eq!(block, vec![6.0, 6.0]);
-        }
-    }
-
-    #[test]
-    fn inclusive_scan_matches_prefix() {
-        let rt = Runtime::for_testing();
-        let res = rt.run(5, |ctx| ctx.scan_u64(ctx.rank() as u64 + 1));
-        assert_eq!(res.results, vec![1, 3, 6, 10, 15]);
     }
 
     #[test]

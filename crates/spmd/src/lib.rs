@@ -13,11 +13,13 @@
 //!   ([`Ctx::charge`]); collectives synchronize clocks to the maximum
 //!   participant plus the modeled collective cost, exactly like a
 //!   discrete-event simulation driven by the real execution trace.
-//! * Collectives ([`Ctx::barrier`], [`Ctx::allreduce_f64`],
-//!   [`Ctx::broadcast`], [`Ctx::allgather`], [`Ctx::gather`], …) follow MPI
-//!   semantics: **every rank must call every collective in the same
-//!   order**. Results are combined in rank order, so the outcome is
-//!   deterministic regardless of thread scheduling.
+//! * Six collectives — [`Ctx::barrier`], [`Ctx::broadcast`],
+//!   [`Ctx::allreduce`] (over `f64` or `u64`), [`Ctx::allgather`],
+//!   [`Ctx::gather`] and [`Ctx::gather_data`], plus [`Ctx::exscan_u64`]
+//!   on top of allgather — follow MPI semantics: **every rank must call
+//!   every collective in the same order**. Each is one round of one
+//!   rendezvous that combines the deposits in rank order, so the outcome
+//!   is deterministic regardless of thread scheduling.
 //! * [`Ctx::timers`] attribute virtual time to the paper's pipeline
 //!   components (scan, index, topic, AM, DocVec, ClusProj) so the harness
 //!   can regenerate Figures 6b, 7b and 8.
@@ -47,7 +49,7 @@ pub mod runtime;
 pub mod stats;
 pub mod timer;
 
-pub use ctx::{Ctx, ReduceOp};
+pub use ctx::{Ctx, Reduce, ReduceOp};
 pub use gate::VirtualGate;
 pub use pool::IntraPool;
 pub use runtime::{RunResult, Runtime};

@@ -1,7 +1,7 @@
 //! The SPMD runtime: spawns ranks, collects results, merges clocks and
 //! timers.
 
-use crate::ctx::{Ctx, SharedState};
+use crate::ctx::Ctx;
 use crate::rendezvous::Rendezvous;
 use crate::stats::CommStatsSnapshot;
 use crate::timer::TimerSnapshot;
@@ -110,20 +110,17 @@ impl Runtime {
         F: Fn(&Ctx) -> R + Send + Sync,
     {
         assert!(nprocs > 0, "need at least one rank");
-        let shared = Arc::new(SharedState {
-            rendezvous: Rendezvous::new(nprocs),
-            nprocs,
-        });
+        let rendezvous = Arc::new(Rendezvous::new(nprocs));
 
         // A guard that poisons the rendezvous if the rank unwinds, so the
         // other ranks don't deadlock inside a collective.
         struct PoisonOnPanic {
-            shared: Arc<SharedState>,
+            rendezvous: Arc<Rendezvous>,
         }
         impl Drop for PoisonOnPanic {
             fn drop(&mut self) {
                 if std::thread::panicking() {
-                    self.shared.rendezvous.poison();
+                    self.rendezvous.poison();
                 }
             }
         }
@@ -138,18 +135,19 @@ impl Runtime {
         let outputs: Vec<RankOutput<R>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..nprocs)
                 .map(|rank| {
-                    let shared = shared.clone();
+                    let rendezvous = rendezvous.clone();
                     let model = model.clone();
                     scope.spawn(move || {
                         let _guard = PoisonOnPanic {
-                            shared: shared.clone(),
+                            rendezvous: rendezvous.clone(),
                         };
                         let trace = if tracing {
                             SpanRecorder::enabled_with(epoch, CAPACITY)
                         } else {
                             SpanRecorder::disabled()
                         };
-                        let ctx = Ctx::new(rank, nprocs, model, shared, threads_per_rank, trace);
+                        let ctx =
+                            Ctx::new(rank, nprocs, model, rendezvous, threads_per_rank, trace);
                         let out = f(&ctx);
                         (
                             out,
@@ -220,7 +218,7 @@ mod tests {
         let rt = Runtime::for_testing();
         let res = rt.run(1, |ctx| {
             ctx.barrier();
-            ctx.allreduce_scalar_f64(5.0, ReduceOp::Sum)
+            ctx.allreduce(vec![5.0], ReduceOp::Sum)[0]
         });
         assert_eq!(res.results, vec![5.0]);
     }
@@ -248,7 +246,7 @@ mod tests {
             .map(|_| {
                 rt.run(6, |ctx| {
                     ctx.charge(WorkKind::ScanBytes, 1000 * (ctx.rank() as u64 + 1));
-                    ctx.allreduce_f64(vec![ctx.rank() as f64 * 0.1; 16], ReduceOp::Sum);
+                    ctx.allreduce(vec![ctx.rank() as f64 * 0.1; 16], ReduceOp::Sum);
                     ctx.barrier();
                     ctx.now()
                 })
@@ -265,7 +263,7 @@ mod tests {
         let res = rt.run(16, |ctx| {
             let mut acc = 0u64;
             for i in 0..50 {
-                acc = ctx.allreduce_scalar_u64(acc + i + ctx.rank() as u64, ReduceOp::Sum);
+                acc = ctx.allreduce(vec![acc + i + ctx.rank() as u64], ReduceOp::Sum)[0];
             }
             acc
         });
@@ -285,7 +283,7 @@ mod tests {
                 ctx.charge(WorkKind::ScanBytes, 1_000_000 * (ctx.rank() as u64 + 1));
                 ctx.barrier();
             });
-            ctx.allreduce_scalar_u64(1, crate::ctx::ReduceOp::Sum);
+            ctx.allreduce(vec![1u64], ReduceOp::Sum);
         });
         assert_eq!(res.traces.len(), 3);
         for (rank, t) in res.traces.iter().enumerate() {
@@ -315,7 +313,7 @@ mod tests {
         let work = |ctx: &Ctx| {
             ctx.charge(WorkKind::Flops, (ctx.rank() as u64 + 1) * 10_000_000);
             ctx.barrier();
-            ctx.allreduce_scalar_f64(ctx.now(), ReduceOp::Max).to_bits()
+            ctx.allreduce(vec![ctx.now()], ReduceOp::Max)[0].to_bits()
         };
         let plain = Runtime::new(model.clone()).run(4, work);
         assert!(plain.traces.iter().all(|t| t.spans.is_empty()));

@@ -28,7 +28,7 @@ fn long_mixed_collective_sequence_agrees_across_ranks() {
             for step in 0..300 {
                 match xorshift(&mut seq) % 5 {
                     0 => {
-                        acc = ctx.allreduce_scalar_u64(acc + step, ReduceOp::Sum);
+                        acc = ctx.allreduce(vec![acc + step], ReduceOp::Sum)[0];
                         trace.push(acc);
                     }
                     1 => {
@@ -55,7 +55,7 @@ fn long_mixed_collective_sequence_agrees_across_ranks() {
                         acc = acc.wrapping_add(before ^ total);
                         // before differs per rank; fold back to a shared
                         // value so the sequence stays comparable.
-                        acc = ctx.allreduce_scalar_u64(acc, ReduceOp::Max);
+                        acc = ctx.allreduce(vec![acc], ReduceOp::Max)[0];
                         trace.push(acc);
                     }
                 }
@@ -156,7 +156,7 @@ fn repeated_runtimes_do_not_interfere() {
     let rt = Runtime::for_testing();
     for round in 0..30 {
         let res = rt.run(1 + (round % 4), |ctx: &Ctx| {
-            ctx.allreduce_scalar_u64(1, ReduceOp::Sum)
+            ctx.allreduce(vec![1u64], ReduceOp::Sum)[0]
         });
         for v in &res.results {
             assert_eq!(*v, res.results.len() as u64);

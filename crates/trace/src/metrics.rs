@@ -20,7 +20,7 @@ const SUB_BITS: u32 = 3;
 const SUB: u64 = 1 << SUB_BITS;
 
 /// A log-bucketed histogram of `u64` values with ≤12.5% relative error.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     counts: BTreeMap<u32, u64>,
     count: u64,
@@ -49,6 +49,13 @@ fn upper_bound(bucket: u32) -> u64 {
     let sub = (bucket % SUB as u32) as u64;
     // Start of the sub-bucket plus its width, minus one.
     ((SUB + sub) << (octave - SUB_BITS)) + (1u64 << (octave - SUB_BITS)) - 1
+}
+
+impl Default for Histogram {
+    /// The empty histogram, with the `min` sentinel `record` lowers.
+    fn default() -> Self {
+        Histogram::new()
+    }
 }
 
 impl Histogram {
@@ -484,6 +491,17 @@ mod tests {
     }
 
     #[test]
+    fn registry_histograms_report_the_smallest_observation() {
+        let mut r = Registry::new();
+        r.ensure("ensured_seconds");
+        r.observe("ensured_seconds", std::time::Duration::from_millis(5));
+        r.observe("observed_seconds", std::time::Duration::from_millis(5));
+        for s in r.summaries() {
+            assert!(s.min_ns >= 5_000_000, "{}: min_ns {}", s.name, s.min_ns);
+        }
+    }
+
+    #[test]
     fn fmt_ns_picks_units() {
         assert_eq!(fmt_ns(850.0), "850ns");
         assert_eq!(fmt_ns(12_400.0), "12.4µs");
@@ -595,10 +613,11 @@ mod tests {
             ("time_to_visibility_seconds", 2),
         ];
         assert_eq!(counts, want.map(|(n, c)| (n.to_string(), c)));
-        assert_eq!(
-            reg.histogram("seal_latency_seconds").unwrap().max(),
-            551_906
-        );
+        let seal = reg.histogram("seal_latency_seconds").unwrap();
+        assert_eq!(seal.max(), 551_906);
+        // Registries of that age never raised `min` above 0; the stored
+        // value is read as is.
+        assert_eq!(seal.min(), 0);
         assert!(!reg.to_persist_json().contains("gauges"));
     }
 }

@@ -46,7 +46,6 @@ use std::process::exit;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use visual_analytics::engine::io::{read_coords_csv, write_coords_csv};
-use visual_analytics::engine::query::Query;
 use visual_analytics::engine::report::build_run_report;
 use visual_analytics::prelude::*;
 
@@ -416,21 +415,6 @@ fn compact_cmd(args: &Args) {
     }
 }
 
-/// Normalized `(min, max)` corners of a `--rect` selection.
-type RectCorners = ((f64, f64), (f64, f64));
-
-/// `--rect x0,y0,x1,y1` → normalized `(min, max)` corners.
-fn parse_rect(rect: &str) -> Result<RectCorners, String> {
-    let parts: Vec<f64> = rect.split(',').filter_map(|v| v.parse().ok()).collect();
-    if parts.len() != 4 {
-        return Err(format!("bad --rect {rect:?}, expected x0,y0,x1,y1"));
-    }
-    Ok((
-        (parts[0].min(parts[2]), parts[1].min(parts[3])),
-        (parts[0].max(parts[2]), parts[1].max(parts[3])),
-    ))
-}
-
 /// Load a snapshot into serving state, printing the standard banner.
 /// `--json` mode moves the banner to stderr so stdout carries only the
 /// query bodies.
@@ -498,7 +482,6 @@ fn query_cmd(args: &Args) {
         (None, Some(d)) => d,
         _ => usage(),
     };
-    let top: usize = args.value_or("--top", "10").parse().unwrap_or(10);
     let repeat: usize = args
         .value_or("--repeat", "1")
         .parse()
@@ -518,63 +501,38 @@ fn query_cmd(args: &Args) {
         exit(1);
     };
 
-    // The typed request list, in CLI flag order. Both output modes
-    // execute these; `--json` prints the exact bodies the HTTP server
-    // serves (same `execute` path, byte for byte).
+    // The typed request list, in CLI flag order. Each flag becomes the
+    // route and params the server would see (`--top` and `--nprobe` only
+    // when given) and goes through the server's own validator, so the CLI
+    // refuses exactly what the server refuses, with its message. Both
+    // output modes execute these; `--json` prints the exact bodies the
+    // HTTP server serves (same `execute` path, byte for byte).
+    let shared: Vec<(String, String)> = [("--top", "top"), ("--nprobe", "nprobe")]
+        .into_iter()
+        .filter_map(|(flag, key)| Some((key.to_string(), args.value(flag)?.to_string())))
+        .collect();
     let mut requests: Vec<ServeRequest> = Vec::new();
-    if let Some(term) = args.value("--term") {
-        requests.push(ServeRequest::Term {
-            term: term.to_ascii_lowercase(),
-            top,
-        });
-    }
-    if let Some(expr) = args.value("--query") {
-        let parsed =
-            Query::parse(expr).unwrap_or_else(|e| fail(format!("bad query {expr:?}: {e}")));
-        requests.push(ServeRequest::Boolean { expr: parsed, top });
-    }
-    if let Some(text) = args.value("--search") {
-        requests.push(ServeRequest::Search {
-            text: text.to_string(),
-            top,
-        });
-    }
-    if let Some(c) = args.value("--cluster") {
-        let cluster: u32 = c
-            .parse()
-            .unwrap_or_else(|_| fail(format!("bad cluster id {c:?}")));
-        requests.push(ServeRequest::Cluster { cluster, top });
-    }
-    if let Some(rect) = args.value("--rect") {
-        let (min, max) = parse_rect(rect).unwrap_or_else(|e| fail(e));
-        requests.push(ServeRequest::Rect { min, max, top });
-    }
-    let nprobe: usize = match args.value("--nprobe") {
-        None => inspire_serve::request::DEFAULT_NPROBE,
-        Some(v) => v
-            .parse()
-            .ok()
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| fail(format!("bad --nprobe {v:?} (>= 1)"))),
-    };
-    if let Some(d) = args.value("--similar") {
-        let doc: u32 = d
-            .parse()
-            .unwrap_or_else(|_| fail(format!("bad document id {d:?}")));
-        requests.push(ServeRequest::Similar {
-            doc: Some(doc),
-            text: None,
-            top,
-            nprobe,
-        });
-    }
-    if let Some(text) = args.value("--similar-text") {
-        requests.push(ServeRequest::Similar {
-            doc: None,
-            text: Some(text.to_string()),
-            top,
-            nprobe,
-        });
+    for (flag, route, keys) in [
+        ("--term", "/term", &["t"][..]),
+        ("--query", "/query", &["q"]),
+        ("--search", "/search", &["q"]),
+        ("--cluster", "/cluster", &["c"]),
+        ("--rect", "/rect", &["x0", "y0", "x1", "y1"]),
+        ("--similar", "/similar", &["doc"]),
+        ("--similar-text", "/similar", &["text"]),
+    ] {
+        let Some(value) = args.value(flag) else {
+            continue;
+        };
+        // `--rect x0,y0,x1,y1` carries four params, every other flag one.
+        let mut params: Vec<(String, String)> = keys
+            .iter()
+            .zip(value.splitn(keys.len(), ','))
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect();
+        params.extend(shared.iter().cloned());
+        let req = ServeRequest::parse(route, &params).unwrap_or_else(|e| fail(e.message));
+        requests.push(req);
     }
 
     // Each requested query kind runs `repeat` times against the serving
@@ -582,7 +540,7 @@ fn query_cmd(args: &Args) {
     // print on the first pass only.
     for pass in 0..repeat {
         for req in &requests {
-            let name = format!("query_{}_seconds", metric_kind(req));
+            let name = format!("query_{}_seconds", req.kind());
             let body = metrics
                 .time(&name, || inspire_serve::execute(&state, req))
                 .unwrap_or_else(|e| fail(e.message));
@@ -613,20 +571,6 @@ fn query_cmd(args: &Args) {
             exit(1);
         });
         println!("serving report written to {out}");
-    }
-}
-
-/// Serving-metric kind segment per query kind (`query_<kind>_seconds`).
-/// `Boolean` keeps the historical `eval` kind the run reports already
-/// use, now in the `subsystem_name_unit` naming convention.
-fn metric_kind(req: &ServeRequest) -> &'static str {
-    match req {
-        ServeRequest::Term { .. } => "term",
-        ServeRequest::Boolean { .. } => "eval",
-        ServeRequest::Search { .. } => "search",
-        ServeRequest::Cluster { .. } => "cluster",
-        ServeRequest::Rect { .. } => "rect",
-        ServeRequest::Similar { .. } => "similar",
     }
 }
 
