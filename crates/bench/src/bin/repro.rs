@@ -33,6 +33,7 @@ fn main() {
         .unwrap_or("all");
 
     // Figures 5-8 are views over one sweep; compute it once and share.
+    // `fig5.csv` holds it; figures 6-8 print their tables from it.
     let mut sweep_cache: Option<Vec<RunRecord>> = None;
     let mut records = |quick: bool| -> Vec<RunRecord> {
         sweep_cache.get_or_insert_with(|| full_sweep(quick)).clone()
@@ -196,7 +197,6 @@ fn fig6(records: &[RunRecord]) {
     print_speedup_table(records, "PubMed");
     println!("\nPubMed 2.75 GB — Time Percentage in Components:");
     print_component_table(records, "PubMed 2.75 GB");
-    save("fig6.csv", &to_csv(records));
     println!("\nexpected shape: near-linear speedup; percentages stable in P");
     println!("except topic, whose share grows (Allreduce-bound).");
 }
@@ -207,7 +207,6 @@ fn fig7(records: &[RunRecord]) {
     print_speedup_table(records, "TREC");
     println!("\nTREC 1.00 GB — Time Percentage in Components:");
     print_component_table(records, "TREC 1.00 GB");
-    save("fig7.csv", &to_csv(records));
 }
 
 fn fig8(records: &[RunRecord]) {
@@ -254,7 +253,6 @@ fn fig8(records: &[RunRecord]) {
             }
         }
     }
-    save("fig8.csv", &to_csv(records));
     println!("\nexpected shape: every component near-linear; signature");
     println!("generation slightly below linear (its Allreduce share).");
 }

@@ -11,7 +11,7 @@
 use crate::postings::{bad, encode_index_sections, write_index_sections};
 use crate::snapshot::schema::{self, ASSIGN, DF, POSTDAT, POSTOFF, QSIG, RETIRED_INDEX, SIGS, TF};
 use crate::snapshot::{write_ann_sections, EngineMeta, EngineSnapshot};
-use inspire_store::{Snapshot, SnapshotWriter};
+use inspire_store::{publish, Snapshot, SnapshotWriter};
 use std::io;
 use std::path::Path;
 
@@ -53,18 +53,17 @@ fn append_ann(snap: &Snapshot, meta: &EngineMeta, w: &mut SnapshotWriter) -> io:
     write_ann_sections(w, sigs, meta.m_dims, assign, meta.k)
 }
 
-/// Convert `input` to the current layout at `output` (tmp + rename, so a
-/// failed run leaves nothing behind). The result is opened as an
-/// [`EngineSnapshot`] before it is published.
+/// Convert `input` to the current layout at `output` (through
+/// [`publish`], so a failed run leaves nothing behind). The result is
+/// opened as an [`EngineSnapshot`] before it is published.
 pub fn migrate(input: &Path, output: &Path) -> io::Result<MigrateReport> {
     let snap = Snapshot::open(input)?;
     let meta = EngineMeta::parse(&snap)?;
     let reencoded_index = snap.has(POSTOFF.name);
     let added_ann = meta.wants_ann() && !snap.has(QSIG.name);
 
-    let tmp = output.with_extension("isnap.tmp");
-    let written: io::Result<u64> = (|| {
-        let mut w = SnapshotWriter::create(&tmp)?;
+    let bytes = publish(output, |tmp| {
+        let mut w = SnapshotWriter::create(tmp)?;
         for (name, kind, _) in snap.sections() {
             if name == POSTOFF.name {
                 reencode_index(&snap, &meta, &mut w)?;
@@ -76,16 +75,12 @@ pub fn migrate(input: &Path, output: &Path) -> io::Result<MigrateReport> {
             append_ann(&snap, &meta, &mut w)?;
         }
         let bytes = w.finish()?.total_bytes;
-        EngineSnapshot::open(&tmp)?;
-        std::fs::rename(&tmp, output)?;
+        EngineSnapshot::open(tmp)?;
         Ok(bytes)
-    })();
-    if written.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
+    })?;
     Ok(MigrateReport {
         reencoded_index,
         added_ann,
-        bytes: written?,
+        bytes,
     })
 }

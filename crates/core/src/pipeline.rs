@@ -9,13 +9,15 @@ use crate::project::project_nd;
 use crate::scan::scan;
 use crate::signature::{generate, SignatureStats};
 use crate::snapshot::{
-    self, config_fingerprint, corpus_fingerprint, republish_snapshot, write_engine_snapshot,
-    SnapshotInput, SnapshotReport, Stage,
+    self, config_fingerprint, copy_snapshot, corpus_fingerprint, write_engine_snapshot,
+    EngineSnapshot, SnapshotInput, SnapshotReport, Stage,
 };
 use crate::topicality::select_topics;
 use corpus::SourceSet;
 use perfmodel::CostModel;
 use spmd::{Component, Ctx, RunResult, Runtime};
+use std::io;
+use std::path::Path;
 use std::sync::Arc;
 
 /// Summary of one engine execution (identical on every rank).
@@ -85,28 +87,43 @@ impl Engine {
             .expect("run_until(Stage::Final) always produces an output")
     }
 
-    /// Write a stage checkpoint when a checkpoint directory is configured.
-    /// Failures are warnings, not errors: a run never dies because its
-    /// checkpoint could not be written.
-    fn maybe_checkpoint(&self, ctx: &Ctx, stage: Stage, inp: &SnapshotInput<'_>) {
-        let Some(dir) = &self.config.checkpoint_dir else {
-            return;
+    /// Write `inp`'s snapshot unless the checkpoint being resumed already
+    /// holds its stage: to the stage's checkpoint when checkpointing, else
+    /// (Final stage only) to [`EngineConfig::snapshot_out`]. Failures are
+    /// warnings: a run never dies because a snapshot could not be written.
+    fn write_snapshot(
+        &self,
+        ctx: &Ctx,
+        resume: Option<&EngineSnapshot>,
+        inp: &SnapshotInput,
+    ) -> Option<SnapshotReport> {
+        let path = match (&self.config.checkpoint_dir, &self.config.snapshot_out) {
+            _ if resume.is_some_and(|s| s.meta().stage >= inp.stage) => return None,
+            (Some(dir), _) => {
+                // A directory that cannot be created fails the write, which warns.
+                if ctx.rank() == 0 {
+                    std::fs::create_dir_all(dir).ok();
+                }
+                snapshot::checkpoint_path(dir, inp.stage)
+            }
+            (None, Some(out)) if inp.stage == Stage::Final => out.clone(),
+            _ => return None,
         };
-        if ctx.rank() == 0 {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                inspire_trace::log_warn!(ctx.rank(), "cannot create {}: {e}", dir.display());
-            }
-        }
-        let path = snapshot::checkpoint_path(dir, stage);
-        if let Err(e) = write_engine_snapshot(ctx, &path, inp) {
-            if ctx.rank() == 0 {
-                inspire_trace::log_warn!(
-                    ctx.rank(),
-                    "checkpoint write {} failed: {e}",
-                    path.display()
-                );
-            }
-        }
+        warned(ctx, &path, write_engine_snapshot(ctx, &path, inp))
+    }
+
+    /// Publish the Final snapshot at [`EngineConfig::snapshot_out`]. When
+    /// checkpointing, the Final checkpoint already holds it (`written`
+    /// describes that file, on rank 0) and rank 0 copies it instead of
+    /// gathering and writing it again; otherwise `written` is
+    /// `snapshot_out`'s own report.
+    fn publish_final(&self, ctx: &Ctx, written: Option<SnapshotReport>) -> Option<SnapshotReport> {
+        let out = self.config.snapshot_out.as_ref()?;
+        let Some(dir) = &self.config.checkpoint_dir else {
+            return written;
+        };
+        let from = snapshot::checkpoint_path(dir, Stage::Final);
+        warned(ctx, out, copy_snapshot(&from, out, written?).map(Some))
     }
 
     /// Execute the pipeline through `stop_after`, inclusive.
@@ -144,11 +161,6 @@ impl Engine {
 
         let config_fp = config_fingerprint(cfg);
         let corpus_fp = corpus_fingerprint(sources);
-        let warn0 = |what: &str, e: &std::io::Error| {
-            if ctx.rank() == 0 {
-                inspire_trace::log_warn!(ctx.rank(), "{what} ({e}); recomputing");
-            }
-        };
 
         // Every rank opens the same checkpoint files read-only, so the
         // resume decision is identical everywhere without communication.
@@ -161,44 +173,27 @@ impl Engine {
         };
 
         // A final-stage checkpoint short-circuits the whole pipeline.
-        if resume.as_ref().map(|s| s.meta().stage) == Some(Stage::Final) {
-            match resume.as_ref().unwrap().restore_output(ctx) {
-                Ok(mut out) => {
-                    // A requested snapshot must still appear even though
-                    // nothing was recomputed: copy the checkpoint's bytes.
-                    if let Some(path) = &cfg.snapshot_out {
-                        match republish_snapshot(ctx, resume.as_ref().unwrap(), path) {
-                            Ok(report) => out.snapshot_report = report,
-                            Err(e) => warn0("snapshot republish failed", &e),
-                        }
-                    }
-                    return Some(out);
-                }
-                Err(e) => {
-                    warn0("final checkpoint restore failed", &e);
-                    resume = None;
-                }
-            }
+        let restored = restore_or_compute(
+            ctx,
+            &mut resume,
+            Stage::Final,
+            |s| s.restore_output(ctx).map(Some),
+            || None,
+        );
+        if let (Some(mut out), Some(ckpt)) = (restored, &resume) {
+            let ckpt_report = (ctx.rank() == 0).then(|| SnapshotReport::describe(ckpt));
+            out.snapshot_report = self.publish_final(ctx, ckpt_report);
+            return Some(out);
         }
-        let mut have = resume.as_ref().map(|s| s.meta().stage);
 
         // ---- Scan & Map ----
-        let mut restored_scan = None;
-        if have >= Some(Stage::Scan) {
-            match ctx.component(Component::Scan, || {
-                resume.as_ref().unwrap().restore_scan(ctx)
-            }) {
-                Ok(s) => restored_scan = Some(s),
-                Err(e) => {
-                    warn0("scan checkpoint restore failed", &e);
-                    have = None;
-                }
-            }
-        }
-        let scanned = match restored_scan {
-            Some(s) => s,
-            None => ctx.component(Component::Scan, || scan(ctx, sources, cfg)),
-        };
+        let scanned = restore_or_compute(
+            ctx,
+            &mut resume,
+            Stage::Scan,
+            |s| ctx.component(Component::Scan, || s.restore_scan(ctx)),
+            || ctx.component(Component::Scan, || scan(ctx, sources, cfg)),
+        );
         let mut inp = SnapshotInput {
             stage: Stage::Scan,
             config_fp,
@@ -215,56 +210,34 @@ impl Engine {
             variance_explained: 0.0,
             labels: None,
         };
-        if have < Some(Stage::Scan) {
-            self.maybe_checkpoint(ctx, Stage::Scan, &inp);
-        }
+        self.write_snapshot(ctx, resume.as_ref(), &inp);
         if stop_after == Stage::Scan {
             return None;
         }
 
         // ---- Inverted file indexing + global term statistics ----
-        let mut restored_index = None;
-        if have >= Some(Stage::Index) {
-            match ctx.component(Component::Index, || {
-                resume.as_ref().unwrap().restore_index(ctx)
-            }) {
-                Ok(i) => restored_index = Some(i),
-                Err(e) => {
-                    warn0("index checkpoint restore failed", &e);
-                    have = Some(Stage::Scan);
-                }
-            }
-        }
-        let index = match restored_index {
-            Some(i) => i,
-            None => ctx.component(Component::Index, || invert(ctx, &scanned, cfg)),
-        };
+        let index = restore_or_compute(
+            ctx,
+            &mut resume,
+            Stage::Index,
+            |s| ctx.component(Component::Index, || s.restore_index(ctx)),
+            || ctx.component(Component::Index, || invert(ctx, &scanned, cfg)),
+        );
         inp.stage = Stage::Index;
         inp.index = Some(&index);
-        if have < Some(Stage::Index) {
-            self.maybe_checkpoint(ctx, Stage::Index, &inp);
-        }
+        self.write_snapshot(ctx, resume.as_ref(), &inp);
         if stop_after == Stage::Index {
             return None;
         }
 
         // ---- Topicality → association matrix → signatures, with the
         // adaptive-dimensionality loop (§4.2) ----
-        let mut restored_sig = None;
-        if have >= Some(Stage::Sig) {
-            match ctx.component(Component::DocVec, || {
-                resume.as_ref().unwrap().restore_sig_state(ctx)
-            }) {
-                Ok(s) => restored_sig = Some(s),
-                Err(e) => {
-                    warn0("signature checkpoint restore failed", &e);
-                    have = Some(Stage::Index);
-                }
-            }
-        }
-        let (topics, am, sigs, expansions) = match restored_sig {
-            Some(s) => s,
-            None => {
+        let (topics, am, sigs, expansions) = restore_or_compute(
+            ctx,
+            &mut resume,
+            Stage::Sig,
+            |s| ctx.component(Component::DocVec, || s.restore_sig_state(ctx)),
+            || {
                 let mut n_major = cfg.n_major;
                 let mut m_dims = cfg.m_dims();
                 let mut expansions = 0usize;
@@ -287,16 +260,14 @@ impl Engine {
                     n_major = (n_major * 3) / 2;
                     m_dims = ((n_major as f64 * cfg.topic_ratio).round() as usize).max(m_dims + 1);
                 }
-            }
-        };
+            },
+        );
         inp.stage = Stage::Sig;
         inp.topics = Some(&topics);
         inp.am = Some(&am);
         inp.sigs = Some(&sigs);
         inp.expansions = expansions;
-        if have < Some(Stage::Sig) {
-            self.maybe_checkpoint(ctx, Stage::Sig, &inp);
-        }
+        self.write_snapshot(ctx, resume.as_ref(), &inp);
         if stop_after == Stage::Sig {
             return None;
         }
@@ -316,22 +287,8 @@ impl Engine {
         inp.projection_dims = projection.dims;
         inp.variance_explained = projection.variance_explained;
         inp.labels = Some(&cluster_labels);
-        self.maybe_checkpoint(ctx, Stage::Final, &inp);
-        let mut snapshot_report = None;
-        if let Some(path) = &cfg.snapshot_out {
-            match write_engine_snapshot(ctx, path, &inp) {
-                Ok(report) => snapshot_report = report,
-                Err(e) => {
-                    if ctx.rank() == 0 {
-                        inspire_trace::log_warn!(
-                            ctx.rank(),
-                            "snapshot write {} failed: {e}",
-                            path.display()
-                        );
-                    }
-                }
-            }
-        }
+        let written = self.write_snapshot(ctx, resume.as_ref(), &inp);
+        let snapshot_report = self.publish_final(ctx, written);
 
         // The master also collects cluster assignments (alongside the
         // coordinates it writes out).
@@ -369,6 +326,45 @@ impl Engine {
             },
         })
     }
+}
+
+/// A stage's products: restored from the checkpoint being resumed when
+/// it holds them, else computed. A failed restore is warned about and
+/// ends the resume, so this stage and every later one are recomputed and
+/// checkpointed again.
+fn restore_or_compute<T>(
+    ctx: &Ctx,
+    resume: &mut Option<EngineSnapshot>,
+    stage: Stage,
+    restore: impl FnOnce(&EngineSnapshot) -> io::Result<T>,
+    compute: impl FnOnce() -> T,
+) -> T {
+    if let Some(snap) = resume.as_ref().filter(|s| s.meta().stage >= stage) {
+        match restore(snap) {
+            Ok(products) => return products,
+            Err(e) => {
+                if ctx.rank() == 0 {
+                    let msg = format!("{stage:?} checkpoint restore failed ({e}); recomputing");
+                    inspire_trace::log_warn!(ctx.rank(), "{msg}");
+                }
+                *resume = None;
+            }
+        }
+    }
+    compute()
+}
+
+/// A snapshot write's or copy's report, its failure downgraded to a
+/// warning. Only rank 0 writes, so only rank 0 can fail.
+fn warned(
+    ctx: &Ctx,
+    path: &Path,
+    result: io::Result<Option<SnapshotReport>>,
+) -> Option<SnapshotReport> {
+    result.unwrap_or_else(|e| {
+        inspire_trace::log_warn!(ctx.rank(), "snapshot {} failed: {e}", path.display());
+        None
+    })
 }
 
 /// For each cluster, the topic terms with the strongest centroid weight.

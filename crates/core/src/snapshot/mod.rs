@@ -28,8 +28,8 @@ pub mod schema;
 mod write;
 
 pub use schema::EngineMeta;
-pub(crate) use write::write_ann_sections;
-pub use write::{republish_snapshot, write_engine_snapshot, SnapshotInput, SnapshotReport};
+pub(crate) use write::{copy_snapshot, write_ann_sections};
+pub use write::{write_engine_snapshot, SnapshotInput, SnapshotReport};
 
 /// Pipeline stage a snapshot was taken after.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -503,5 +503,85 @@ mod tests {
 
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_file(&out);
+    }
+
+    /// A build asked for checkpoints and a snapshot gathers and writes its
+    /// Final snapshot once: `snapshot_out` is a copy of the Final
+    /// checkpoint, and the run communicates exactly what a checkpoint-only
+    /// run does.
+    #[test]
+    fn checkpointed_build_writes_its_final_snapshot_once() {
+        let src = corpus();
+        let zero = Arc::new(CostModel::zero());
+        let dir = tmp("once-ckpt");
+        let out = tmp("once.isnap");
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_file(&out);
+        let comm = |run: &EngineRun| {
+            let s = run.run.total_stats();
+            let bytes = s.one_sided_bytes + s.local_bytes + s.collective_bytes;
+            (s.total_msgs(), bytes)
+        };
+
+        let cfg = EngineConfig {
+            checkpoint_dir: Some(dir.clone()),
+            ..EngineConfig::for_testing()
+        };
+        let alone = run_engine(2, zero.clone(), &src, &cfg);
+        assert!(alone.master().snapshot_report.is_none());
+        let both = run_engine(
+            2,
+            zero,
+            &src,
+            &EngineConfig {
+                snapshot_out: Some(out.clone()),
+                ..cfg
+            },
+        );
+        let published = std::fs::read(&out).unwrap();
+        let ckpt = std::fs::read(checkpoint_path(&dir, Stage::Final)).unwrap();
+        assert_eq!(
+            published, ckpt,
+            "snapshot_out differs from the Final checkpoint"
+        );
+        let report = both.master().snapshot_report.as_ref().expect("reported");
+        assert_eq!(report.total_bytes, published.len() as u64);
+        assert_eq!(comm(&both), comm(&alone), "(messages, bytes)");
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_file(&out);
+    }
+
+    /// A snapshot that cannot be published — a directory holds
+    /// `snapshot_out`'s name, so the rename fails once the file is
+    /// written or copied — is not reported and leaves no tmp file.
+    #[test]
+    fn unpublishable_snapshot_is_not_reported_and_leaves_no_tmp() {
+        let zero = Arc::new(CostModel::zero());
+        let dir = tmp("taken");
+        let _ = std::fs::remove_dir_all(&dir);
+        let out = dir.join("engine.isnap");
+        std::fs::create_dir_all(&out).unwrap();
+        let names = |d: &Path| {
+            let mut names: Vec<String> = std::fs::read_dir(d)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .collect();
+            names.sort();
+            names
+        };
+        let ckpt = dir.join("ckpt");
+        for checkpoint_dir in [None, Some(ckpt.clone())] {
+            let cfg = EngineConfig {
+                snapshot_out: Some(out.clone()),
+                checkpoint_dir,
+                ..EngineConfig::for_testing()
+            };
+            let run = run_engine(2, zero.clone(), &corpus(), &cfg);
+            assert!(run.master().snapshot_report.is_none());
+            assert!(out.is_dir());
+        }
+        assert_eq!(names(&dir), ["ckpt", "engine.isnap"]);
+        assert!(names(&ckpt).iter().all(|n| n.ends_with(".isnap")));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -11,20 +11,37 @@ use crate::postings::{encode_index_sections, write_index_sections};
 use crate::scan::ScanOutput;
 use crate::signature::Signatures;
 use crate::topicality::TopicSelection;
-use inspire_store::SnapshotWriter;
+use inspire_store::{publish, SnapshotWriter};
 use spmd::Ctx;
 use std::io;
 use std::path::Path;
+use std::time::Instant;
 
 /// What a snapshot write reported (rank 0 only).
 #[derive(Debug, Clone)]
 pub struct SnapshotReport {
-    /// Host wall-clock seconds spent serializing and writing the file.
+    /// Host wall-clock seconds spent serializing, writing and durably
+    /// publishing the file.
     pub write_seconds: f64,
     /// Total file size in bytes.
     pub total_bytes: u64,
     /// `(section name, payload bytes)` per section.
     pub sections: Vec<(String, u64)>,
+}
+
+impl SnapshotReport {
+    /// The sizes of a snapshot already on disk, with no write time.
+    pub(crate) fn describe(snap: &EngineSnapshot) -> SnapshotReport {
+        SnapshotReport {
+            write_seconds: 0.0,
+            total_bytes: snap.store().total_bytes(),
+            sections: snap
+                .store()
+                .sections()
+                .map(|(name, _, bytes)| (name.to_string(), bytes))
+                .collect(),
+        }
+    }
 }
 
 /// Everything available for a snapshot at some stage. Later-stage fields
@@ -47,9 +64,9 @@ pub struct SnapshotInput<'a> {
 }
 
 /// Write an engine snapshot. Collective: all ranks participate in the
-/// gathers; rank 0 writes `path` (atomically, via a temp file + rename)
-/// and returns the report. The write is fenced by a barrier, so on
-/// return every rank may rely on the file existing.
+/// gathers; rank 0 publishes `path` (through [`publish`]: durable and
+/// atomic) and returns the report. The write is fenced by a barrier, so
+/// on return every rank may rely on the file existing.
 pub fn write_engine_snapshot(
     ctx: &Ctx,
     path: &Path,
@@ -107,8 +124,8 @@ pub fn write_engine_snapshot(
 
     let mut result = Ok(None);
     if ctx.rank() == 0 {
-        result = (|| {
-            let start = std::time::Instant::now();
+        let start = Instant::now();
+        result = publish(path, |tmp| {
             // A stage's products are absent (zero) until it has run.
             let meta = EngineMeta {
                 stage: inp.stage,
@@ -142,8 +159,7 @@ pub fn write_engine_snapshot(
             segoff.push(at);
             let rankio: Vec<u64> = rankio.as_ref().unwrap().concat();
 
-            let tmp = path.with_extension("isnap.tmp");
-            let mut w = SnapshotWriter::create(&tmp)?;
+            let mut w = SnapshotWriter::create(tmp)?;
             META.put(&mut w, &meta.to_slots())?;
             DOCBASE.put(&mut w, &docbase)?;
             TERMS.put(&mut w, scan.terms.arena_bytes())?;
@@ -218,14 +234,15 @@ pub fn write_engine_snapshot(
                 }
             }
 
-            let stats = w.finish()?;
-            std::fs::rename(&tmp, path)?;
-            Ok(Some(SnapshotReport {
+            w.finish()
+        })
+        .map(|stats| {
+            Some(SnapshotReport {
                 write_seconds: start.elapsed().as_secs_f64(),
                 total_bytes: stats.total_bytes,
                 sections: stats.sections,
-            }))
-        })();
+            })
+        });
     }
     ctx.barrier();
     result
@@ -253,34 +270,18 @@ pub(crate) fn write_ann_sections(
     IVFOFF.put(w, &ivf.ivfoff)
 }
 
-/// Publish an already-validated on-disk snapshot (typically a
-/// final-stage checkpoint) to `path` by copying its bytes, so a resumed
-/// run that recomputes nothing still honours
-/// [`crate::EngineConfig::snapshot_out`]. Collective: rank 0 copies via
-/// a temp file + rename, and the barrier fences the rename.
-pub fn republish_snapshot(
-    ctx: &Ctx,
-    snap: &EngineSnapshot,
-    path: &Path,
-) -> io::Result<Option<SnapshotReport>> {
-    let mut result = Ok(None);
-    if ctx.rank() == 0 {
-        result = (|| {
-            let start = std::time::Instant::now();
-            let tmp = path.with_extension("isnap.tmp");
-            std::fs::copy(snap.store().source(), &tmp)?;
-            std::fs::rename(&tmp, path)?;
-            Ok(Some(SnapshotReport {
-                write_seconds: start.elapsed().as_secs_f64(),
-                total_bytes: snap.store().total_bytes(),
-                sections: snap
-                    .store()
-                    .sections()
-                    .map(|(name, _, bytes)| (name.to_string(), bytes))
-                    .collect(),
-            }))
-        })();
-    }
-    ctx.barrier();
-    result
+/// Publish a copy of the snapshot file `from`, whose write reported
+/// `written`, at `to` — no second gather and write. Not a collective:
+/// the caller's rank copies. Returns `written` with the copy's seconds.
+pub(crate) fn copy_snapshot(
+    from: &Path,
+    to: &Path,
+    written: SnapshotReport,
+) -> io::Result<SnapshotReport> {
+    let start = Instant::now();
+    publish(to, |tmp| std::fs::copy(from, tmp))?;
+    Ok(SnapshotReport {
+        write_seconds: start.elapsed().as_secs_f64(),
+        ..written
+    })
 }

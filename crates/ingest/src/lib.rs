@@ -158,6 +158,9 @@ impl IngestDir {
                 me.recovery.sealed_records += 1;
             }
         }
+        if me.recovery.sealed_records > 0 {
+            me.metrics.store().ok(); // observational, like every sidecar write
+        }
         Ok(me)
     }
 
@@ -192,7 +195,7 @@ impl IngestDir {
     }
 
     /// Seal every durable WAL record past the manifest watermark.
-    pub fn seal_pending(&mut self) -> io::Result<Vec<AppendStats>> {
+    fn seal_pending(&mut self) -> io::Result<Vec<AppendStats>> {
         let replay = self.wal.replay()?;
         let mut out = Vec::new();
         for (end, rec) in &replay.records {
@@ -203,7 +206,9 @@ impl IngestDir {
         Ok(out)
     }
 
-    /// Fold one durable record into a segment and flip the manifest.
+    /// Fold one durable record into a segment and flip the manifest. The
+    /// seal latency is observed here and stored with the sidecar's next
+    /// write.
     fn seal_record(&mut self, rec: &WalRecord, wal_end: u64) -> io::Result<AppendStats> {
         let started = Instant::now();
         let wal_bytes = wal_end - self.manifest.wal_sealed_bytes;
@@ -229,7 +234,6 @@ impl IngestDir {
         self.manifest.store(&self.dir)?;
         let seal_s = started.elapsed().as_secs_f64();
         self.metrics.observe_seconds("seal_latency_seconds", seal_s);
-        self.metrics.store().ok(); // observational: a failed write never fails a seal
         Ok(AppendStats {
             docs: build.doc_count,
             wal_bytes,
@@ -243,17 +247,7 @@ impl IngestDir {
 
     /// Append one document batch: WAL-durable, then sealed and visible.
     pub fn append(&mut self, source: Source) -> io::Result<AppendStats> {
-        let rec = WalRecord::AddBatch(source);
-        let t0 = Instant::now();
-        self.append_wal(&rec)?;
-        let wal_s = t0.elapsed().as_secs_f64();
-        let mut sealed = self.seal_pending()?;
-        let mut stats = sealed
-            .pop()
-            .ok_or_else(|| bad(&self.dir, "appended record did not seal".into()))?;
-        stats.wal_s = wal_s;
-        self.observe_visibility(&stats);
-        Ok(stats)
+        self.commit(WalRecord::AddBatch(source))
     }
 
     /// Tombstone existing documents by global id.
@@ -265,24 +259,25 @@ impl IngestDir {
                 format!("cannot delete doc {out_of_range}: only {limit} documents exist"),
             ));
         }
-        let rec = WalRecord::Delete(ids);
+        self.commit(WalRecord::Delete(ids))
+    }
+
+    /// Make `rec` durable, seal it, and record its durability-to-
+    /// visibility latency: the seal's and this latency reach the metrics
+    /// sidecar in one write.
+    fn commit(&mut self, rec: WalRecord) -> io::Result<AppendStats> {
         let t0 = Instant::now();
         self.append_wal(&rec)?;
         let wal_s = t0.elapsed().as_secs_f64();
-        let mut sealed = self.seal_pending()?;
-        let mut stats = sealed
+        let mut stats = self
+            .seal_pending()?
             .pop()
-            .ok_or_else(|| bad(&self.dir, "delete record did not seal".into()))?;
+            .ok_or_else(|| bad(&self.dir, "the committed record did not seal".into()))?;
         stats.wal_s = wal_s;
-        self.observe_visibility(&stats);
-        Ok(stats)
-    }
-
-    /// Record durability-to-visibility latency for one sealed mutation.
-    fn observe_visibility(&mut self, stats: &AppendStats) {
         self.metrics
             .observe_seconds("time_to_visibility_seconds", stats.wal_s + stats.seal_s);
-        self.metrics.store().ok();
+        self.metrics.store().ok(); // observational: a failed write never fails a seal
+        Ok(stats)
     }
 
     /// Size and record count of the WAL tail not yet covered by the

@@ -1,10 +1,10 @@
 //! The generation manifest: the single source of truth for what an
 //! ingest directory currently serves.
 //!
-//! The manifest is a small text file rewritten atomically (tmp +
-//! rename) on every state change; its last line is a CRC32 over every
-//! preceding byte so a torn rename target or bit rot is rejected rather
-//! than half-trusted. Readers that race a writer see either the old or
+//! The manifest is a small text file rewritten atomically (through
+//! `inspire_store::publish`) on every state change; its last line is a
+//! CRC32 over every preceding byte so a torn rename target or bit rot is
+//! rejected rather than half-trusted. Readers that race a writer see either the old or
 //! the new generation, never a mix — this is the "atomic generation
 //! flip" the serving tier polls.
 //!
@@ -26,7 +26,7 @@
 //! `seg-*.iseg` on disk that the manifest does not list is a stray from
 //! a crash window and is deleted on the next open.
 
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// Manifest file name inside an ingest directory.
@@ -126,22 +126,13 @@ impl Manifest {
         out
     }
 
-    /// Atomically replace the manifest under `dir`.
+    /// Durably and atomically replace the manifest under `dir`: on
+    /// return, the rename is on disk, so anything that depends on this
+    /// generation may be acknowledged.
     pub fn store(&self, dir: &Path) -> io::Result<()> {
-        let path = Self::path_in(dir);
-        let tmp = dir.join(format!("{MANIFEST_FILE}.tmp"));
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(self.render().as_bytes())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, &path)?;
-        // Make the rename itself durable before acknowledging anything
-        // that depends on this generation.
-        if let Ok(d) = std::fs::File::open(dir) {
-            d.sync_all().ok();
-        }
-        Ok(())
+        inspire_store::publish(&Self::path_in(dir), |tmp| {
+            std::fs::write(tmp, self.render())
+        })
     }
 
     /// Load the manifest under `dir`; `Ok(None)` when none exists yet.

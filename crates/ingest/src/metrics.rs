@@ -8,7 +8,8 @@
 //! [`Registry`] persisted at full bucket fidelity
 //! ([`Registry::to_persist_json`]) next to the manifest, reloaded on
 //! every open so histograms keep accumulating across processes, and
-//! rewritten atomically (tmp + rename) so readers never see a torn file.
+//! rewritten atomically (through `inspire_store::publish`) so readers
+//! never see a torn file.
 //!
 //! The sidecar holds only the histograms ingest alone can measure:
 //!
@@ -24,7 +25,7 @@
 //! are an observation, never a reason to fail ingestion.
 
 use inspire_trace::Registry;
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -61,16 +62,11 @@ impl IngestMetrics {
             .observe(name, Duration::from_secs_f64(secs.max(0.0)));
     }
 
-    /// Atomically rewrite the sidecar.
+    /// Durably and atomically rewrite the sidecar.
     pub fn store(&self) -> io::Result<()> {
-        let path = self.dir.join(METRICS_FILE);
-        let tmp = self.dir.join(format!("{METRICS_FILE}.tmp"));
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(self.reg.to_persist_json().as_bytes())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, &path)
+        inspire_store::publish(&self.dir.join(METRICS_FILE), |tmp| {
+            std::fs::write(tmp, self.reg.to_persist_json())
+        })
     }
 }
 

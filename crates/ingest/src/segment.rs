@@ -24,7 +24,7 @@ use inspire_core::postings::{
 use inspire_core::scan::tokenize_batch;
 use inspire_core::snapshot::schema::{SEG_TOFF, SMETA, TERMS, TOMB};
 use inspire_core::tokenize::Tokenizer;
-use inspire_store::{Snapshot, SnapshotWriter};
+use inspire_store::{publish, Snapshot, SnapshotWriter};
 use intern::{TermInterner, TermTable};
 use std::io;
 use std::path::Path;
@@ -130,29 +130,25 @@ pub fn build_tombstones(doc_base: u32, mut ids: Vec<u32>) -> SegmentBuild {
     }
 }
 
-/// Write `b` as `dir/file`, via tmp + rename so a crash mid-write
-/// leaves only a `.tmp` stray (cleaned on the next open), never a
-/// half-written segment under a live name. Returns the file size.
+/// Publish `b` as `dir/file` (through [`publish`], so a crash mid-write
+/// leaves at most a `.tmp` stray, cleaned on the next open, never a
+/// half-written segment under a live name). Returns the file size.
 pub fn write_segment(dir: &Path, file: &str, b: &SegmentBuild) -> io::Result<u64> {
-    let tmp = dir.join(format!("{file}.tmp"));
     let enc = encode_posting_sections(b.terms.len(), &b.df, &b.tf, |t, posts| {
         posts.extend_from_slice(&b.lists[t]);
     });
-    let mut w = SnapshotWriter::create(&tmp)?;
-    let smeta = [SEG_VERSION, b.doc_base as u64, b.doc_count as u64, b.tokens];
-    SMETA.put(&mut w, &smeta)?;
-    TERMS.put(&mut w, b.terms.arena_bytes())?;
-    SEG_TOFF.put(&mut w, b.terms.offsets())?;
-    write_index_sections(&mut w, &enc)?;
-    if !b.tombstones.is_empty() {
-        TOMB.put(&mut w, &b.tombstones)?;
-    }
-    let stats = w.finish()?;
-    std::fs::File::open(&tmp)?.sync_all()?;
-    std::fs::rename(&tmp, dir.join(file))?;
-    if let Ok(d) = std::fs::File::open(dir) {
-        d.sync_all().ok();
-    }
+    let stats = publish(&dir.join(file), |tmp| {
+        let mut w = SnapshotWriter::create(tmp)?;
+        let smeta = [SEG_VERSION, b.doc_base as u64, b.doc_count as u64, b.tokens];
+        SMETA.put(&mut w, &smeta)?;
+        TERMS.put(&mut w, b.terms.arena_bytes())?;
+        SEG_TOFF.put(&mut w, b.terms.offsets())?;
+        write_index_sections(&mut w, &enc)?;
+        if !b.tombstones.is_empty() {
+            TOMB.put(&mut w, &b.tombstones)?;
+        }
+        w.finish()
+    })?;
     Ok(stats.total_bytes)
 }
 

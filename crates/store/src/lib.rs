@@ -58,7 +58,7 @@ pub mod codec;
 
 use std::fmt;
 use std::io::{self, Read, Seek, SeekFrom, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Magic bytes identifying a snapshot container.
 pub const MAGIC: &[u8; 8] = b"INSPSNP1";
@@ -252,15 +252,39 @@ fn bad(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
+// ---------------------------------------------------------------------------
+// Writer
+// ---------------------------------------------------------------------------
+
+/// Publish a file at `path` durably and atomically — every file the
+/// system publishes goes through here. `write` fills `<path>.tmp`; that
+/// file is fsynced and renamed over `path`, then the parent directory is
+/// fsynced so the rename survives a crash (best-effort: not every file
+/// system can sync a directory). On any error the tmp file is removed
+/// and `path` is left as it was.
+pub fn publish<T>(path: &Path, write: impl FnOnce(&Path) -> io::Result<T>) -> io::Result<T> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let published = write(&tmp).and_then(|value| {
+        std::fs::File::open(&tmp)?.sync_all()?;
+        std::fs::rename(&tmp, path)?;
+        Ok(value)
+    });
+    if published.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    } else {
+        let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
+        let _ = std::fs::File::open(dir.unwrap_or(Path::new("."))).and_then(|d| d.sync_all());
+    }
+    published
+}
+
 /// Padded on-disk extent of a payload of `len` bytes (length prefix +
 /// payload, rounded up to the alignment).
 fn extent(len: u64) -> u64 {
     (8 + len).div_ceil(ALIGN) * ALIGN
 }
-
-// ---------------------------------------------------------------------------
-// Writer
-// ---------------------------------------------------------------------------
 
 #[derive(Debug, Clone)]
 struct Entry {
@@ -1154,6 +1178,67 @@ mod tests {
             streamed.update(&slice[split..]);
             assert_eq!(streamed.finish(), crc32(slice), "split at {split} of {len}");
         }
+    }
+
+    /// A fresh directory per test: tests run in parallel, and the
+    /// publish tests list everything left beside their file.
+    fn scratch_dir(name: &str) -> PathBuf {
+        let dir = tmp(name);
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn entries(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn publish_replaces_the_destination_and_leaves_no_tmp() {
+        let dir = scratch_dir("publish-ok");
+        let path = dir.join("out.isnap");
+        std::fs::write(&path, b"old").unwrap();
+        let stats = publish(&path, |tmp| {
+            assert_eq!(tmp, dir.join("out.isnap.tmp"));
+            let mut w = SnapshotWriter::create(tmp)?;
+            w.add_section("ids", SectionKind::U32, &[4u32, 5])?;
+            w.finish()
+        })
+        .unwrap();
+        let s = Snapshot::open(&path).unwrap();
+        assert_eq!(s.total_bytes(), stats.total_bytes);
+        assert_eq!(s.require("ids").unwrap().as_u32s().unwrap(), &[4, 5]);
+        assert_eq!(entries(&dir), ["out.isnap"]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn failed_publish_keeps_the_old_destination_and_leaves_no_tmp() {
+        let dir = scratch_dir("publish-fail");
+        let path = dir.join("MANIFEST");
+        std::fs::write(&path, b"old").unwrap();
+        let err = publish(&path, |tmp| {
+            std::fs::write(tmp, b"half a ")?;
+            Err::<(), _>(io::Error::other("disk full"))
+        })
+        .unwrap_err();
+        assert_eq!(err.to_string(), "disk full");
+        assert_eq!(std::fs::read(&path).unwrap(), b"old");
+        assert_eq!(entries(&dir), ["MANIFEST"]);
+
+        // The rename is the step that fails here: a directory holds the
+        // destination's name.
+        let taken = dir.join("taken");
+        std::fs::create_dir(&taken).unwrap();
+        assert!(publish(&taken, |tmp| std::fs::write(tmp, b"new")).is_err());
+        assert!(taken.is_dir());
+        assert_eq!(entries(&dir), ["MANIFEST", "taken"]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -41,8 +41,10 @@ use inspire_serve::{ServeConfig, ServeRequest, ServeState, Server};
 use inspire_trace::json::Value;
 use inspire_trace::report::RunReport;
 use inspire_trace::Registry;
+use std::fmt::Display;
 use std::path::{Path, PathBuf};
 use std::process::exit;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use visual_analytics::engine::io::{read_coords_csv, write_coords_csv};
@@ -73,6 +75,30 @@ impl Args {
 
     fn has(&self, flag: &str) -> bool {
         self.0.iter().any(|a| a == flag)
+    }
+
+    /// The numeric value of `flag`, `default` when the flag is absent.
+    /// Callers read every numeric flag before doing any work: a value
+    /// that does not parse, or is below `min`, exits 2 naming the flag.
+    fn num<T: FromStr + PartialOrd + Display>(&self, flag: &str, default: T, min: T) -> T {
+        let Some(v) = self.value(flag) else {
+            if self.has(flag) {
+                eprintln!("{flag} needs a value");
+                exit(2);
+            }
+            return default;
+        };
+        match v.parse::<T>() {
+            Ok(n) if n >= min => n,
+            Ok(_) => {
+                eprintln!("{flag} must be at least {min}, got {v:?}");
+                exit(2)
+            }
+            Err(_) => {
+                eprintln!("{flag} expects a number, got {v:?}");
+                exit(2)
+            }
+        }
     }
 }
 
@@ -112,7 +138,7 @@ fn main() {
 fn generate(args: &Args) {
     let flavour = args.value_or("--flavour", "pubmed");
     let size = parse_size(args.value_or("--size", "2M"));
-    let seed: u64 = args.value_or("--seed", "42").parse().unwrap_or(42);
+    let seed: u64 = args.num("--seed", 42, 0);
     let Some(out) = args.value("--out") else {
         usage()
     };
@@ -152,12 +178,14 @@ fn load_sources(input: &str) -> SourceSet {
 
 /// Engine configuration from the shared `analyze`/`snapshot` flags.
 fn engine_config(args: &Args) -> EngineConfig {
+    let checkpoint_dir = args.value("--checkpoint-dir").map(PathBuf::from);
+    if args.has("--resume") && checkpoint_dir.is_none() {
+        eprintln!("--resume needs --checkpoint-dir");
+        exit(2);
+    }
     EngineConfig {
-        n_clusters: args
-            .value("--clusters")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(12),
-        checkpoint_dir: args.value("--checkpoint-dir").map(PathBuf::from),
+        n_clusters: args.num("--clusters", 12, 1),
+        checkpoint_dir,
         resume: args.has("--resume"),
         snapshot_out: args.value("--snapshot-out").map(PathBuf::from),
         trace: args.value("--trace-out").is_some(),
@@ -232,7 +260,8 @@ fn analyze(args: &Args) {
     let Some(input) = args.value("--input") else {
         usage()
     };
-    let procs: usize = args.value_or("--procs", "8").parse().unwrap_or(8);
+    let procs: usize = args.num("--procs", 8, 1);
+    let config = engine_config(args);
     let out = PathBuf::from(args.value_or("--out", "coords.csv"));
     let sources = load_sources(input);
     println!(
@@ -240,7 +269,6 @@ fn analyze(args: &Args) {
         sources.sources.len(),
         sources.total_bytes() as f64 / 1e6
     );
-    let config = engine_config(args);
     let started = std::time::Instant::now();
     let run = run_engine(procs, Arc::new(CostModel::pnnl_2007()), &sources, &config);
     let wall_s = started.elapsed().as_secs_f64();
@@ -270,17 +298,17 @@ fn snapshot_cmd(args: &Args) {
     let Some(out) = args.value("--out") else {
         usage()
     };
-    let procs: usize = args.value_or("--procs", "8").parse().unwrap_or(8);
+    let procs: usize = args.num("--procs", 8, 1);
+    let config = EngineConfig {
+        snapshot_out: Some(PathBuf::from(out)),
+        ..engine_config(args)
+    };
     let sources = load_sources(input);
     println!(
         "loaded {} sources ({:.1} MB); building snapshot on {procs} simulated processors…",
         sources.sources.len(),
         sources.total_bytes() as f64 / 1e6
     );
-    let config = EngineConfig {
-        snapshot_out: Some(PathBuf::from(out)),
-        ..engine_config(args)
-    };
     let started = std::time::Instant::now();
     let run = run_engine(procs, Arc::new(CostModel::pnnl_2007()), &sources, &config);
     let wall_s = started.elapsed().as_secs_f64();
@@ -482,12 +510,7 @@ fn query_cmd(args: &Args) {
         (None, Some(d)) => d,
         _ => usage(),
     };
-    let repeat: usize = args
-        .value_or("--repeat", "1")
-        .parse()
-        .ok()
-        .filter(|&n| n >= 1)
-        .unwrap_or(1);
+    let repeat: usize = args.num("--repeat", 1, 1);
     let json = args.has("--json");
     let started = std::time::Instant::now();
     let state = match ingest_dir {
@@ -685,15 +708,12 @@ fn serve_cmd(args: &Args) {
     let ingest_dir = args.value("--ingest-dir").map(PathBuf::from);
     let cfg = ServeConfig {
         addr: args.value_or("--addr", "127.0.0.1:7878").to_string(),
-        workers: args.value_or("--workers", "8").parse().unwrap_or(8),
-        cache_capacity: args.value_or("--cache", "1024").parse().unwrap_or(1024),
-        queue_depth: args.value_or("--queue", "256").parse().unwrap_or(256),
+        workers: args.num("--workers", 8, 1),
+        cache_capacity: args.num("--cache", 1024, 0),
+        queue_depth: args.num("--queue", 256, 1),
         access_log: args.value("--access-log").map(PathBuf::from),
-        slow_log_n: args.value_or("--slow-log-n", "32").parse().unwrap_or(32),
-        slow_threshold_ms: args
-            .value_or("--slow-threshold-ms", "0")
-            .parse()
-            .unwrap_or(0),
+        slow_log_n: args.num("--slow-log-n", 32, 0),
+        slow_threshold_ms: args.num("--slow-threshold-ms", 0, 0),
         ..ServeConfig::default()
     };
     let state = Arc::new(match &ingest_dir {
@@ -785,8 +805,8 @@ fn themeview_cmd(args: &Args) {
     let Some(path) = args.value("--coords") else {
         usage()
     };
-    let width: usize = args.value_or("--width", "80").parse().unwrap_or(80);
-    let height: usize = args.value_or("--height", "30").parse().unwrap_or(30);
+    let width: usize = args.num("--width", 80, 1);
+    let height: usize = args.num("--height", 30, 1);
     let rows = read_coords_csv(Path::new(path)).unwrap_or_else(|e| {
         eprintln!("cannot read {path}: {e}");
         exit(1);
