@@ -442,26 +442,6 @@ pub fn exhaustive(sigs: &[f64], m: usize, query: &[f64], top: usize) -> Vec<Hit>
     hits
 }
 
-/// Combine association-matrix rows into a query signature: the same
-/// frequency-weighted sum + L1 normalization as document signature
-/// generation, so free-text queries live in the same space as documents.
-/// `rows` yields `(row index into assoc, frequency)` pairs.
-pub fn embed_rows(rows: impl Iterator<Item = (usize, f64)>, assoc: &[f64], m: usize) -> Vec<f64> {
-    let mut sig = vec![0.0f64; m];
-    for (r, w) in rows {
-        for (s, &a) in sig.iter_mut().zip(&assoc[r * m..(r + 1) * m]) {
-            *s += w * a;
-        }
-    }
-    let l1: f64 = sig.iter().map(|x| x.abs()).sum();
-    if l1 > 0.0 {
-        for s in &mut sig {
-            *s /= l1;
-        }
-    }
-    sig
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -711,20 +691,6 @@ mod tests {
         let esums = code_sums(&empty.codes, m);
         let eview = AnnIndexView::of(&empty, &centroids, &esums, &[]);
         assert!(search(&eview, &sigs[..m], 5, 2, &mut stats).is_empty());
-    }
-
-    #[test]
-    fn embed_rows_matches_signature_semantics() {
-        // Two rows, m = 3.
-        let assoc = [0.2, 0.0, 0.6, 0.1, 0.3, 0.0];
-        let sig = embed_rows([(0usize, 2.0), (1usize, 1.0)].into_iter(), &assoc, 3);
-        // Raw: 2*[0.2,0,0.6] + 1*[0.1,0.3,0] = [0.5,0.3,1.2]; L1 = 2.
-        assert!((sig[0] - 0.25).abs() < 1e-12);
-        assert!((sig[1] - 0.15).abs() < 1e-12);
-        assert!((sig[2] - 0.6).abs() < 1e-12);
-        let l1: f64 = sig.iter().sum();
-        assert!((l1 - 1.0).abs() < 1e-12);
-        assert_eq!(embed_rows(std::iter::empty(), &assoc, 3), vec![0.0; 3]);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Engine configuration.
 
 use crate::hierarchy::Linkage;
-use crate::tokenize::TokenizerConfig;
 use std::path::PathBuf;
 
 /// Load-balancing strategy for the inversion stage (§3.3 and Figure 9).
@@ -76,8 +75,6 @@ pub struct EngineConfig {
     /// Terms in more than this fraction of documents are too common to
     /// discriminate.
     pub max_df_frac: f64,
-    /// Tokenizer settings.
-    pub tokenizer: TokenizerConfig,
     /// Seed for the engine's deterministic choices (k-means init).
     pub seed: u64,
     /// Intra-rank worker threads for the hot pipeline stages (tokenize,
@@ -118,7 +115,6 @@ impl Default for EngineConfig {
             weak_sig_threshold: 0.05,
             min_df: 3,
             max_df_frac: 0.2,
-            tokenizer: TokenizerConfig::default(),
             seed: 0x1f5b,
             threads_per_rank: 1,
             checkpoint_dir: None,

@@ -338,9 +338,11 @@ pub fn tokenize_batch(
 }
 
 /// Run Scan & Map. Collective: every rank calls with the same arguments.
-pub fn scan(ctx: &Ctx, sources: &SourceSet, cfg: &EngineConfig) -> ScanOutput {
+/// Takes the configuration like every stage; no setting changes the scan
+/// (the tokenizer is fixed, so live ingestion and queries tokenize alike).
+pub fn scan(ctx: &Ctx, sources: &SourceSet, _cfg: &EngineConfig) -> ScanOutput {
     let p = ctx.nprocs();
-    let tokenizer = Tokenizer::new(cfg.tokenizer.clone());
+    let tokenizer = Tokenizer::default();
     let indexed: Vec<FieldId> = INDEXED_FIELDS
         .iter()
         .map(|n| crate::field_id(n).expect("indexed field registered"))

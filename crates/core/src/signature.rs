@@ -103,6 +103,32 @@ impl Signatures {
     }
 }
 
+/// One record's signature (§3.4): every `(row, freq)` pair — a major
+/// term's association-matrix row and the term's frequency in the record
+/// — adds `freq × row` into `sig` (zeroed, `m` wide), and the sum is
+/// L1-normalized. Pairs add in the order given, so callers that pass
+/// them in the same order get the same bits: [`generate`] and the
+/// serving tier's live-document signatures pass term order. Returns the
+/// L1 norm before normalization; 0 leaves a null signature.
+pub fn record_signature<'a>(
+    pairs: impl IntoIterator<Item = (&'a [f64], u32)>,
+    sig: &mut [f64],
+) -> f64 {
+    for (row, freq) in pairs {
+        let w = freq as f64;
+        for (s, &a) in sig.iter_mut().zip(row) {
+            *s += w * a;
+        }
+    }
+    let l1: f64 = sig.iter().map(|x| x.abs()).sum();
+    if l1 != 0.0 {
+        for s in sig.iter_mut() {
+            *s /= l1;
+        }
+    }
+    l1
+}
+
 /// Generate signatures for this rank's documents. Collective.
 pub fn generate(ctx: &Ctx, scan: &ScanOutput, am: &AssociationMatrix) -> Signatures {
     let m = am.m;
@@ -120,27 +146,15 @@ pub fn generate(ctx: &Ctx, scan: &ScanOutput, am: &AssociationMatrix) -> Signatu
                 let mut flops = 0u64;
                 for (bi, d) in scan.docs[chunk].iter().enumerate() {
                     let sig = &mut block[bi * m..(bi + 1) * m];
-                    for (t, freq) in d.distinct_terms() {
-                        if let Some(row) = am.row(t) {
-                            let w = freq as f64;
-                            for (s, &a) in sig.iter_mut().zip(row) {
-                                *s += w * a;
-                            }
-                            flops += 2 * m as u64;
-                        }
-                    }
-                    // L1 normalization.
-                    let l1: f64 = sig.iter().map(|x| x.abs()).sum();
-                    flops += m as u64;
+                    let mut rows = 0u64;
+                    let terms = d.distinct_terms().into_iter();
+                    let pairs = terms.filter_map(|(t, freq)| Some((am.row(t)?, freq)));
+                    let l1 = record_signature(pairs.inspect(|_| rows += 1), sig);
+                    flops += (2 * rows + 1) * m as u64;
                     if l1 == 0.0 {
                         null += 1;
-                    } else {
-                        for s in sig.iter_mut() {
-                            *s /= l1;
-                        }
-                        if sig.iter().filter(|&&x| x != 0.0).count() < WEAK_DIMS {
-                            weak += 1;
-                        }
+                    } else if sig.iter().filter(|&&x| x != 0.0).count() < WEAK_DIMS {
+                        weak += 1;
                     }
                 }
                 (block, null, weak, flops)
@@ -258,6 +272,28 @@ mod tests {
         let (m, v, st) = full_sigs(2);
         assert_eq!(st.total as usize, v.len() / m);
         assert!(st.null + st.weak <= st.total);
+    }
+
+    #[test]
+    fn record_signature_weights_rows_by_frequency_then_l1_normalizes() {
+        // Two rows, m = 3.
+        let (r0, r1) = ([0.2, 0.0, 0.6], [0.1, 0.3, 0.0]);
+        let mut sig = [0.0; 3];
+        let l1 = record_signature([(&r0[..], 2), (&r1[..], 1)], &mut sig);
+        // Raw: 2*[0.2,0,0.6] + 1*[0.1,0.3,0] = [0.5,0.3,1.2]; L1 = 2.
+        assert!((l1 - 2.0).abs() < 1e-12);
+        assert!((sig[0] - 0.25).abs() < 1e-12);
+        assert!((sig[1] - 0.15).abs() < 1e-12);
+        assert!((sig[2] - 0.6).abs() < 1e-12);
+        let l1: f64 = sig.iter().sum();
+        assert!((l1 - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn record_signature_without_rows_is_null() {
+        let mut sig = [0.0; 3];
+        assert_eq!(record_signature(std::iter::empty(), &mut sig), 0.0);
+        assert_eq!(sig, [0.0; 3]);
     }
 
     #[test]

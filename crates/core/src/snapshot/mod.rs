@@ -83,7 +83,9 @@ pub fn config_fingerprint(cfg: &EngineConfig) -> u64 {
         cfg.weak_sig_threshold,
         cfg.min_df,
         cfg.max_df_frac,
-        cfg.tokenizer,
+        // The tokenizer is fixed; its settings keep their slot so
+        // existing fingerprints (and checkpoints) stay valid.
+        crate::tokenize::TokenizerConfig::default(),
         cfg.seed,
     );
     intern::fxhash(s.as_bytes())

@@ -6,11 +6,12 @@
 //! sealer into small immutable index segments ([`segment`]) that reuse
 //! the engine's block-compressed posting codec, tracked by a crash-safe
 //! generation manifest ([`manifest`]), and folded back together by a
-//! compactor ([`compact`]). The serving tier unions base snapshot +
-//! segments at read time (merge-on-read, in `inspire-serve`); because
-//! segments are encoded with the batch pipeline's own rules and cover
-//! disjoint ascending document ranges, served answers are bit-identical
-//! to a from-scratch rebuild of the same logical corpus.
+//! compactor ([`compact`]). Base snapshot + segments are read as one
+//! index through [`Merged`] (merge-on-read), by the serving tier and the
+//! compactor alike; because segments are encoded with the batch
+//! pipeline's own rules and cover disjoint ascending document ranges,
+//! served answers are bit-identical to a from-scratch rebuild of the
+//! same logical corpus.
 //!
 //! Durability contract: [`IngestDir::append`] returns only after the
 //! WAL record is fsynced — the seal that follows is a cached
@@ -21,19 +22,20 @@
 
 pub mod compact;
 pub mod manifest;
+pub mod merged;
 pub mod metrics;
 pub mod segment;
 pub mod wal;
 
 pub use compact::{compact as compact_dir, CompactReport};
 pub use manifest::{clean_strays, peek_generation, Manifest, SegmentRef, MANIFEST_FILE};
+pub use merged::Merged;
 pub use metrics::{load_registry as load_ingest_metrics, IngestMetrics, METRICS_FILE};
 pub use segment::{Segment, SegmentBuild, SEG_VERSION};
 pub use wal::{Wal, WalRecord, WalReplay, WAL_FILE};
 
 use corpus::Source;
 use inspire_core::snapshot::EngineSnapshot;
-use inspire_core::tokenize::{Tokenizer, TokenizerConfig};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
@@ -74,10 +76,11 @@ fn now_unix() -> u64 {
         .unwrap_or(0)
 }
 
-fn bad(dir: &Path, msg: String) -> io::Error {
+/// An `InvalidData` error naming the file or directory at fault.
+pub(crate) fn bad(path: &Path, msg: String) -> io::Error {
     io::Error::new(
         io::ErrorKind::InvalidData,
-        format!("{}: {msg}", dir.display()),
+        format!("{}: {msg}", path.display()),
     )
 }
 
@@ -85,8 +88,7 @@ fn bad(dir: &Path, msg: String) -> io::Error {
 /// complete records past the manifest's sealed watermark. This is what
 /// a serving-tier metrics scrape calls — read-only, no replay.
 pub fn wal_backlog(dir: &Path) -> io::Result<(u64, u64)> {
-    let m = Manifest::load(dir)?
-        .ok_or_else(|| bad(dir, "not an ingest directory (no manifest)".into()))?;
+    let m = Manifest::require(dir)?;
     Wal::new(dir.join(WAL_FILE)).tail_after(m.wal_sealed_bytes)
 }
 
@@ -98,7 +100,6 @@ pub struct IngestDir {
     dir: PathBuf,
     wal: Wal,
     manifest: Manifest,
-    tokenizer: Tokenizer,
     /// Cumulative latency sidecar (see [`metrics`]); best-effort.
     metrics: IngestMetrics,
     /// Filled by [`IngestDir::open`] when it had work to do.
@@ -127,7 +128,6 @@ impl IngestDir {
             dir: dir.to_path_buf(),
             wal: Wal::new(dir.join(WAL_FILE)),
             manifest,
-            tokenizer: Tokenizer::new(TokenizerConfig::default()),
             metrics: IngestMetrics::load(dir),
             recovery: RecoveryReport::default(),
         })
@@ -138,13 +138,11 @@ impl IngestDir {
     /// WAL record the manifest watermark does not cover. After this
     /// returns, the directory serves exactly the durable prefix.
     pub fn open(dir: &Path) -> io::Result<IngestDir> {
-        let manifest = Manifest::load(dir)?
-            .ok_or_else(|| bad(dir, "not an ingest directory (no manifest)".into()))?;
+        let manifest = Manifest::require(dir)?;
         let mut me = IngestDir {
             dir: dir.to_path_buf(),
             wal: Wal::new(dir.join(WAL_FILE)),
             manifest,
-            tokenizer: Tokenizer::new(TokenizerConfig::default()),
             metrics: IngestMetrics::load(dir),
             recovery: RecoveryReport::default(),
         };
@@ -214,7 +212,7 @@ impl IngestDir {
         let wal_bytes = wal_end - self.manifest.wal_sealed_bytes;
         let build = match rec {
             WalRecord::AddBatch(src) => {
-                segment::build_from_batch(src, self.manifest.next_doc_base(), &self.tokenizer)
+                segment::build_from_batch(src, self.manifest.next_doc_base())
             }
             WalRecord::Delete(ids) => {
                 segment::build_tombstones(self.manifest.next_doc_base(), ids.clone())
@@ -293,8 +291,7 @@ impl IngestDir {
     pub fn compact(&mut self) -> io::Result<Option<CompactReport>> {
         let report = compact::compact(&self.dir)?;
         if report.is_some() {
-            self.manifest = Manifest::load(&self.dir)?
-                .ok_or_else(|| bad(&self.dir, "manifest vanished during compaction".into()))?;
+            self.manifest = Manifest::require(&self.dir)?;
             self.metrics = IngestMetrics::load(&self.dir);
         }
         Ok(report)

@@ -26,6 +26,7 @@
 //! `seg-*.iseg` on disk that the manifest does not list is a stray from
 //! a crash window and is deleted on the next open.
 
+use crate::bad;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -62,13 +63,6 @@ pub struct Manifest {
     pub last_seal_unix: u64,
     /// Live segments in ascending `doc_base` order.
     pub segments: Vec<SegmentRef>,
-}
-
-fn bad(path: &Path, msg: String) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!("{}: {msg}", path.display()),
-    )
 }
 
 impl Manifest {
@@ -128,11 +122,17 @@ impl Manifest {
 
     /// Durably and atomically replace the manifest under `dir`: on
     /// return, the rename is on disk, so anything that depends on this
-    /// generation may be acknowledged.
+    /// generation may be acknowledged. A manifest [`Manifest::load`]
+    /// would refuse is never published.
     pub fn store(&self, dir: &Path) -> io::Result<()> {
-        inspire_store::publish(&Self::path_in(dir), |tmp| {
-            std::fs::write(tmp, self.render())
-        })
+        let path = Self::path_in(dir);
+        self.check(&path)?;
+        inspire_store::publish(&path, |tmp| std::fs::write(tmp, self.render()))
+    }
+
+    /// Load the manifest under `dir`, which must be an ingest directory.
+    pub fn require(dir: &Path) -> io::Result<Manifest> {
+        Self::load(dir)?.ok_or_else(|| bad(dir, "not an ingest directory (no manifest)".into()))
     }
 
     /// Load the manifest under `dir`; `Ok(None)` when none exists yet.
@@ -209,11 +209,16 @@ impl Manifest {
         if !seen_generation {
             return Err(bad(path, "missing generation line".into()));
         }
-        // Segments must tile the document space contiguously above the
-        // base; a gap means a manifest from one directory is being read
-        // against another's files.
-        let mut next = m.base_docs;
-        for s in &m.segments {
+        m.check(path)?;
+        Ok(m)
+    }
+
+    /// Segments must tile the document space contiguously above the
+    /// base; a gap means a manifest from one directory is being read
+    /// against another's files.
+    fn check(&self, path: &Path) -> io::Result<()> {
+        let mut next = self.base_docs;
+        for s in &self.segments {
             if s.doc_base != next {
                 return Err(bad(
                     path,
@@ -225,7 +230,7 @@ impl Manifest {
             }
             next += s.doc_count;
         }
-        Ok(m)
+        Ok(())
     }
 }
 
@@ -305,9 +310,12 @@ mod tests {
         assert!(dir.join("seg-000001.iseg").exists());
         assert!(!dir.join("seg-000009.iseg").exists());
 
-        // A gap in the document tiling is structural corruption.
+        // A gap in the document tiling is structural corruption: never
+        // published, and refused when found on disk.
         m.segments[1].doc_base = 150;
-        m.store(&dir).unwrap();
+        assert!(m.store(&dir).is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), good);
+        std::fs::write(&path, m.render()).unwrap();
         assert!(Manifest::load(&dir).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }

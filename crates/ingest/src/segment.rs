@@ -16,6 +16,7 @@
 //! the five index sections over **global** doc ids, and an optional
 //! `tomb` (sorted global doc ids this segment deletes).
 
+use crate::bad;
 use corpus::Source;
 use inspire_core::index::Posting;
 use inspire_core::postings::{
@@ -48,13 +49,14 @@ pub struct SegmentBuild {
     pub tombstones: Vec<u32>,
 }
 
-/// Tokenize one WAL batch into a segment. Per-record tokenization is
-/// context-free (the scan pipeline's own invariant), so the postings,
-/// df, and tf produced here match what a full rebuild over a corpus
-/// ending with these records would compute for them.
-pub fn build_from_batch(source: &Source, doc_base: u32, tokenizer: &Tokenizer) -> SegmentBuild {
+/// Tokenize one WAL batch into a segment, with the engine's one
+/// tokenizer. Per-record tokenization is context-free (the scan
+/// pipeline's own invariant), so the postings, df, and tf produced here
+/// match what a full rebuild over a corpus ending with these records
+/// would compute for them.
+pub fn build_from_batch(source: &Source, doc_base: u32) -> SegmentBuild {
     let mut interner = TermInterner::new();
-    let docs = tokenize_batch(source, tokenizer, &mut interner);
+    let docs = tokenize_batch(source, &Tokenizer::default(), &mut interner);
     let n_terms = interner.len();
 
     // Segment-local canonical ids: lexicographic, like the global remap.
@@ -152,10 +154,6 @@ pub fn write_segment(dir: &Path, file: &str, b: &SegmentBuild) -> io::Result<u64
     Ok(stats.total_bytes)
 }
 
-fn bad(source: &str, msg: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, format!("{source}: {msg}"))
-}
-
 /// A loaded, validated segment. Checksums are verified at open (via the
 /// store reader); postings stay compressed and are decoded per query.
 pub struct Segment {
@@ -171,7 +169,7 @@ pub struct Segment {
 impl Segment {
     pub fn open(path: &Path) -> io::Result<Segment> {
         let snap = Snapshot::open(path)?;
-        let src = snap.source();
+        let src = Path::new(snap.source());
         let &[version, doc_base, doc_count, tokens] = snap.require(SMETA.name)?.as_u64s()? else {
             return Err(bad(src, "section `smeta` does not have 4 slots".into()));
         };
@@ -219,22 +217,10 @@ impl Segment {
         &self.terms
     }
 
-    pub fn vocab(&self) -> usize {
-        self.terms.len()
-    }
-
     /// The index reader and the container its posting bytes live in —
     /// what the serving tier merges with the base snapshot's.
     pub fn index(&self) -> (&PostingsReader, &Snapshot) {
         (&self.index, &self.snap)
-    }
-
-    pub fn df(&self, local: u32) -> u32 {
-        self.index.df()[local as usize]
-    }
-
-    pub fn tf(&self, local: u32) -> u64 {
-        self.index.tf()[local as usize]
     }
 
     pub fn tombstones(&self) -> &[u32] {
@@ -249,14 +235,6 @@ impl Segment {
     pub fn postings_into(&self, local: u32, out: &mut Vec<Posting>) {
         self.index
             .postings_into(&self.snap, local, out)
-            .expect("CRC-validated segment postings decode");
-    }
-
-    /// Append only postings with `doc ≥ min_doc`, seeking through the
-    /// skip entries for multi-block lists.
-    pub fn postings_from(&self, local: u32, min_doc: u32, out: &mut Vec<Posting>) {
-        self.index
-            .postings_from(&self.snap, local, min_doc, out)
             .expect("CRC-validated segment postings decode");
     }
 }
@@ -283,7 +261,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("seg_rows_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let src = medline("b.txt", "PMID- 1\nTI  - alpha beta\n\n");
-        let mut b = build_from_batch(&src, 0, &Tokenizer::new(Default::default()));
+        let mut b = build_from_batch(&src, 0);
         for tombstones in [vec![], vec![0]] {
             b.tombstones = tombstones;
             write_segment(&dir, "seg.iseg", &b).unwrap();
@@ -307,23 +285,23 @@ mod tests {
             "b.txt",
             "PMID- 1\nTI  - alpha beta alpha\nAB  - gamma alpha\n\nPMID- 2\nTI  - beta delta\n\n",
         );
-        let tok = Tokenizer::new(Default::default());
-        let b = build_from_batch(&src, 100, &tok);
+        let b = build_from_batch(&src, 100);
         assert_eq!(b.doc_count, 2);
         write_segment(&dir, "seg-000001.iseg", &b).unwrap();
         let seg = Segment::open(&dir.join("seg-000001.iseg")).unwrap();
         assert_eq!(seg.doc_base(), 100);
         assert_eq!(seg.doc_end(), 102);
-        assert_eq!(seg.vocab(), b.terms.len());
+        assert_eq!(seg.terms().len(), b.terms.len());
         let alpha = seg.terms().position("alpha").expect("alpha indexed") as u32;
-        assert_eq!(seg.df(alpha), 1);
-        assert_eq!(seg.tf(alpha), 3);
+        let (reader, store) = seg.index();
+        assert_eq!(reader.df()[alpha as usize], 1);
+        assert_eq!(reader.tf()[alpha as usize], 3);
         let mut posts = Vec::new();
         seg.postings_into(alpha, &mut posts);
         assert!(posts.iter().all(|p| p.doc == 100));
         assert_eq!(posts.iter().map(|p| p.freq).sum::<u32>(), 3);
         let mut tail = Vec::new();
-        seg.postings_from(alpha, 101, &mut tail);
+        reader.postings_from(store, alpha, 101, &mut tail).unwrap();
         assert!(tail.is_empty());
 
         let t = build_tombstones(102, vec![7, 3, 7]);

@@ -22,6 +22,7 @@
 //! tag 2 (Delete):    [2u8] [count: u32] [doc_id: u32 × count]
 //! ```
 
+use crate::bad;
 use corpus::{FormatKind, Source};
 use inspire_store::crc32;
 use std::fs::OpenOptions;
@@ -81,13 +82,6 @@ fn encode_payload(rec: &WalRecord) -> Vec<u8> {
             out
         }
     }
-}
-
-fn bad(path: &Path, msg: String) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!("{}: {msg}", path.display()),
-    )
 }
 
 /// Decode a CRC-verified payload. Failure here is corruption the CRC

@@ -12,9 +12,10 @@
 //! The crate splits along the obvious seams:
 //!
 //! - [`state`] — [`state::ServeState`]: a `Send + Sync` view over
-//!   the snapshot's scan/index/output sections, implementing the core
-//!   [`inspire_core::query::SearchIndex`] trait so served answers run
-//!   the exact algorithms the CLI runs.
+//!   the snapshot's scan/index/output sections, or over an ingest
+//!   directory's merged base + segments ([`state::load_live_state`]),
+//!   implementing the core [`inspire_core::query::SearchIndex`] trait so
+//!   served answers run the exact algorithms the CLI runs.
 //! - [`request`] — typed routes, normalized cache keys, and the shared
 //!   [`request::execute`] renderer both front ends use, which is what
 //!   makes served bodies byte-identical to `vaengine query --json`.
@@ -26,20 +27,14 @@
 //!   an [`spmd::IntraPool`] worker pool, graceful drain on shutdown,
 //!   and hot state swaps ([`server::Server::swap_state`]) for ingest
 //!   generation flips.
-//! - [`live`] — merge-on-read over base snapshot + ingest segments:
-//!   [`live::load_live_state`] builds a [`state::ServeState`] whose
-//!   answers are bit-identical to a full rebuild of the same logical
-//!   corpus.
 
 pub mod http;
-pub mod live;
 pub mod lru;
 pub mod request;
 pub mod server;
 pub mod state;
 
-pub use live::load_live_state;
 pub use lru::{CacheStats, LruCache};
 pub use request::{execute, execute_timed, ExecTiming, RequestError, ServeRequest};
 pub use server::{ServeConfig, ServeSummary, Server};
-pub use state::ServeState;
+pub use state::{load_live_state, ServeState};

@@ -6,51 +6,29 @@
 //! accounting to one thread. A long-lived server needs the opposite — an
 //! immutable, `Send + Sync` view of the same data that any worker thread
 //! can read concurrently with no coordination. [`ServeState`] is that
-//! view: it **owns** N ≥ 1 index components — component 0 is the
-//! validated base snapshot, the rest are ingest segments — and merges
-//! them on read. A plain snapshot is simply N = 1 with no tombstones.
+//! view: one [`Merged`] — the validated base snapshot plus any ingest
+//! segments, merged on read (see [`inspire_ingest::merged`] for the
+//! rules) — and the layout and similarity-search state of the base. A
+//! plain snapshot is simply a base with no segments and no tombstones.
 //!
-//! Components cover disjoint, ascending document ranges — base
-//! `[0, base_docs)`, then each segment `[doc_base, doc_base + doc_count)`
-//! in manifest order — so a merged posting list is the plain
-//! concatenation of component lists, already doc-sorted. That makes
-//! every merged answer bit-identical to a from-scratch rebuild of the
-//! same logical corpus: same postings in the same order, same df sums,
-//! same total_docs, and therefore the same scores and bytes.
-//!
-//! Postings stay in their block-compressed on-disk form; each query
-//! decodes only the blocks it touches (with skip-pointer seeks for
-//! lower-bounded reads, which also skip whole components below the
-//! bound), so load time is directory parsing plus the small per-term
-//! stats — not a full postings materialization. Queries run through the
-//! exact same algorithms as the CLI path via
+//! Queries run through the exact same algorithms as the CLI path via
 //! [`inspire_core::query::SearchIndex`].
-//!
-//! Deletes are tombstones: postings of tombstoned documents are
-//! filtered out of every merged list, while df/tf stats and total_docs
-//! intentionally keep counting them (LSM semantics — stats converge
-//! when a future full rebuild folds the base). Compaction preserves
-//! exactly these semantics, so a generation flip never changes bytes.
 
 use inspire_core::ann::{self, SearchStats};
 use inspire_core::index::Posting;
-use inspire_core::postings::{union_vocabularies, PostingsReader};
 use inspire_core::query::{Hit, SearchIndex};
+use inspire_core::signature::record_signature;
 use inspire_core::snapshot::schema::{ASSIGN, ASSOC, COORDND, CSIZE, MAJOR, QSIG, SIGS};
 use inspire_core::snapshot::EngineMeta;
+use inspire_core::tokenize::Tokenizer;
 use inspire_core::{EngineSnapshot, Stage, TermId};
-use inspire_ingest::Segment;
-use inspire_store::Snapshot;
+use inspire_ingest::{Manifest, Merged};
 use intern::TermTable;
 use std::cell::Cell;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io;
-use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-
-/// "This component does not contain the merged term."
-const ABSENT: u32 = u32::MAX;
 
 thread_local! {
     /// Per-thread postings-decode accumulator for request tracing:
@@ -92,54 +70,35 @@ fn decode_timed<R>(f: impl FnOnce() -> R) -> R {
 /// ANN serving state derived from the snapshot's IVF sections at load:
 /// the per-list-position code sums the affine kernel expansion needs,
 /// the major-term rows that embed free text into signature space, and
-/// reconstructed signatures for segment documents, which are not in the
-/// IVF lists.
+/// the signatures of live-segment documents, which are not in the IVF
+/// lists.
 struct AnnState {
     /// Precomputed [`ann::code_sums`] over the `qsig` section, list
     /// order.
     sums: Vec<u32>,
     /// Major-term string → association-matrix row index. Keyed by
-    /// string (not term id) so free-text embedding survives the merged
-    /// vocabulary, whose ids differ from the base's.
+    /// string (not term id) so free-text embedding needs no vocabulary
+    /// lookup.
     rows: HashMap<String, usize>,
-    /// Global doc ids of live-segment documents, ascending (segments
-    /// cover disjoint ascending ranges above the base).
-    seg_docs: Vec<u32>,
-    /// Reconstructed `seg_docs.len() × m` signatures for those
-    /// documents: per-term frequency-weighted association rows,
-    /// L1-normalized — the same semantics as the engine's signature
-    /// stage, rebuilt from segment postings because segments carry no
-    /// signature sections. Brute-forced at query time until compaction
-    /// folds them into the IVF lists.
-    seg_sigs: Vec<f64>,
+    /// `m`-wide signatures of the live-segment documents, which follow
+    /// the base's in doc order: the signature stage's own
+    /// [`record_signature`], fed from segment postings because segments
+    /// carry no signature sections. Brute-forced at query time until a
+    /// rebuild folds them into the IVF lists.
+    live_sigs: Vec<f64>,
 }
 
 /// Immutable, shareable query-serving state: one base engine snapshot
-/// plus any ingest segments, merged on read.
-///
-/// Holds the merged vocabulary, a per-component term map, summed
-/// per-term document frequencies, the union of tombstones, and — for
-/// `Final`-stage bases — the projected coordinates, cluster assignments,
-/// labels, and sizes.
+/// plus any ingest segments, merged on read, and — for `Final`-stage
+/// bases — the projected coordinates, cluster assignments, labels,
+/// sizes, and similarity-search state.
 pub struct ServeState {
-    /// Component 0: the validated base snapshot; posting bytes are read
-    /// from its sections on demand.
-    snap: EngineSnapshot,
-    /// Components 1..: ingest segments in manifest (= doc) order.
-    segments: Vec<Segment>,
+    /// The base snapshot (component 0) and the ingest segments.
+    merged: Merged,
     /// Base snapshot metadata (stage, fingerprints, corpus shape).
     pub meta: EngineMeta,
     /// Sorted union of the component vocabularies.
     pub terms: Arc<TermTable>,
-    /// Per component, per merged term id: the component-local term id or
-    /// [`ABSENT`]. Empty when the base predates the Index stage.
-    maps: Vec<Vec<u32>>,
-    /// Merged document frequency: the sum over components.
-    df: Vec<u32>,
-    /// Documents across all components (tombstoned ones still counted).
-    total_docs: u32,
-    /// Sorted union of segment tombstones (global doc ids).
-    tombstones: Vec<u32>,
     /// 2-D document coordinates (Final stage only).
     pub coords: Option<Vec<(f64, f64)>>,
     /// Cluster assignment per document (Final stage only).
@@ -157,7 +116,7 @@ pub struct ServeState {
     /// `last_seal_unix` of the manifest (0 for plain snapshots).
     pub last_seal_unix: u64,
     /// The ingest directory this state was built from, when live
-    /// serving ([`crate::live::load_live_state`]); lets `/metrics`
+    /// serving ([`load_live_state`]); lets `/metrics`
     /// compute WAL backlog gauges and read the ingest metrics sidecar.
     pub ingest_dir: Option<PathBuf>,
 }
@@ -175,47 +134,13 @@ impl ServeState {
     /// vocabulary and the per-term tables are materialized (all small);
     /// posting lists are not touched until queried.
     pub fn from_snapshot(snap: EngineSnapshot) -> io::Result<ServeState> {
-        Self::over(snap, Vec::new())
+        Self::over(Merged::snapshot(snap)?)
     }
 
-    /// Build serving state over a base snapshot and the ingest segments
-    /// stacked on it (ascending, disjoint doc ranges above the base).
-    pub(crate) fn over(snap: EngineSnapshot, segments: Vec<Segment>) -> io::Result<ServeState> {
+    /// Build serving state over a merged view with a base snapshot.
+    fn over(merged: Merged) -> io::Result<ServeState> {
+        let snap = merged.base().expect("a serving view has a base");
         let meta = snap.meta().clone();
-        let base_terms = snap.terms()?;
-        let mut maps: Vec<Vec<u32>> = Vec::new();
-        let mut df: Vec<u32> = Vec::new();
-        // Major-term rows are keyed by base-local term ids on disk.
-        let ann_rows: Option<HashMap<String, usize>> = snap.has_ann().then(|| {
-            let major = snap.get::<u32>(&MAJOR).iter().enumerate();
-            let row_of = |(i, &t): (usize, &u32)| (base_terms.get(t as usize).to_string(), i);
-            major.map(row_of).collect()
-        });
-        let terms = if let Some(base) = snap.index() {
-            let mut vocabs = vec![&base_terms];
-            vocabs.extend(segments.iter().map(|s| s.terms()));
-            let readers: Vec<&PostingsReader> = std::iter::once(base)
-                .chain(segments.iter().map(|s| s.index().0))
-                .collect();
-            maps = vec![Vec::new(); readers.len()];
-            let mut vocab: Vec<&str> = Vec::new();
-            union_vocabularies(&vocabs, |term, members| {
-                vocab.push(term);
-                for m in maps.iter_mut() {
-                    m.push(ABSENT);
-                }
-                let mut d = 0u32;
-                for &(c, local) in members {
-                    *maps[c].last_mut().expect("pushed above") = local;
-                    d += readers[c].df()[local as usize];
-                }
-                df.push(d);
-            });
-            TermTable::from_sorted(vocab.iter().copied())
-        } else {
-            base_terms
-        };
-        let terms = Arc::new(terms);
         let (coords, assignments, cluster_labels, cluster_sizes) = if meta.stage == Stage::Final {
             let dims = meta.projection_dims;
             let coordnd = snap.get::<f64>(&COORDND);
@@ -229,50 +154,37 @@ impl ServeState {
         } else {
             (None, None, Vec::new(), Vec::new())
         };
-        let mut tombstones: Vec<u32> = segments
-            .iter()
-            .flat_map(|s| s.tombstones().iter().copied())
-            .collect();
-        tombstones.sort_unstable();
-        tombstones.dedup();
-        let total_docs = meta.total_docs + segments.iter().map(|s| s.doc_count()).sum::<u32>();
-        let mut state = ServeState {
+        let ann = snap.has_ann().then(|| build_ann(&merged));
+        Ok(ServeState {
             meta,
-            terms,
-            maps,
-            df,
-            total_docs,
-            tombstones,
+            terms: Arc::clone(merged.terms()),
             coords,
             assignments,
             cluster_labels,
             cluster_sizes,
-            snap,
-            segments,
-            ann: None,
+            merged,
+            ann,
             generation: 0,
             last_seal_unix: 0,
             ingest_dir: None,
-        };
-        state.ann = ann_rows.map(|rows| state.build_ann(rows));
-        Ok(state)
+        })
     }
 
     /// Does this snapshot hold an inverted index (term/boolean/search)?
     pub fn has_index(&self) -> bool {
-        self.snap.index().is_some()
+        self.merged.has_index()
     }
 
     /// Number of ingest segments merged into this view (0 for plain
     /// snapshot serving).
     pub fn segments_open(&self) -> usize {
-        self.segments.len()
+        self.merged.segments().len()
     }
 
     /// Borrow the underlying validated snapshot (postings directory,
     /// section sizes — what benches and diagnostics need).
     pub fn snapshot(&self) -> &EngineSnapshot {
-        &self.snap
+        self.merged.base().expect("a serving view has a base")
     }
 
     /// Does this snapshot carry the IVF + quantized-signature sections
@@ -283,47 +195,47 @@ impl ServeState {
 
     /// Is `doc` tombstoned?
     pub fn is_deleted(&self, doc: u32) -> bool {
-        self.tombstones.binary_search(&doc).is_ok()
+        self.merged.tombstones().binary_search(&doc).is_ok()
     }
 
     /// Exact signature of a document: base documents read their `sigs`
-    /// row, live-segment documents their reconstructed row. `None` for
+    /// row, live-segment documents their derived row. `None` for
     /// unknown doc ids or when the snapshot has no ANN sections.
     pub fn doc_signature(&self, doc: u32) -> Option<&[f64]> {
         let ann = self.ann.as_ref()?;
-        let m = self.meta.m_dims;
-        if (doc as usize) < self.meta.total_docs as usize {
-            return Some(&self.snap.get::<f64>(&SIGS)[doc as usize * m..(doc as usize + 1) * m]);
+        let (m, d) = (self.meta.m_dims, doc as usize);
+        match d.checked_sub(self.meta.total_docs as usize) {
+            None => Some(&self.snapshot().get::<f64>(&SIGS)[d * m..(d + 1) * m]),
+            Some(i) => ann.live_sigs.get(i * m..(i + 1) * m),
         }
-        let i = ann.seg_docs.binary_search(&doc).ok()?;
-        Some(&ann.seg_sigs[i * m..(i + 1) * m])
     }
 
     /// Embed free text into signature space: tokenize, map tokens onto
-    /// major-term association rows, and combine them exactly like the
-    /// engine's signature stage ([`ann::embed_rows`]). Rows accumulate
-    /// in ascending row order so the float sum is deterministic. `None`
-    /// when the snapshot has no ANN sections.
+    /// major-term association rows, and combine them with the engine's
+    /// own [`record_signature`]. Rows add in ascending row order so the
+    /// float sum is deterministic. `None` when the snapshot has no ANN
+    /// sections.
     pub fn embed_text(&self, text: &str) -> Option<Vec<f64>> {
         let ann = self.ann.as_ref()?;
-        let tokenizer = inspire_core::tokenize::Tokenizer::default();
-        let mut freqs: HashMap<usize, f64> = HashMap::new();
-        tokenizer.tokenize_into(text, |t| {
+        let mut freqs: BTreeMap<usize, u32> = BTreeMap::new();
+        Tokenizer::default().tokenize_into(text, |t| {
             if let Some(&r) = ann.rows.get(t) {
-                *freqs.entry(r).or_insert(0.0) += 1.0;
+                *freqs.entry(r).or_insert(0) += 1;
             }
         });
-        let mut pairs: Vec<(usize, f64)> = freqs.into_iter().collect();
-        pairs.sort_unstable_by_key(|&(r, _)| r);
-        Some(ann::embed_rows(
-            pairs.into_iter(),
-            self.snap.get::<f64>(&ASSOC),
-            self.meta.m_dims,
-        ))
+        let (m, assoc) = (self.meta.m_dims, self.snapshot().get::<f64>(&ASSOC));
+        let mut sig = vec![0.0; m];
+        record_signature(
+            freqs
+                .into_iter()
+                .map(|(r, f)| (&assoc[r * m..(r + 1) * m], f)),
+            &mut sig,
+        );
+        Some(sig)
     }
 
     /// IVF similarity search over the base snapshot, merged with a
-    /// brute-force scan of any segment signatures and filtered for
+    /// brute-force scan of the live-segment signatures and filtered for
     /// tombstones. Returns the top hits (exact `f64` cosine, score
     /// descending then doc ascending) plus the probe/candidate
     /// counters. Empty when the snapshot has no ANN sections.
@@ -332,18 +244,18 @@ impl ServeState {
         let Some(ann) = &self.ann else {
             return (Vec::new(), stats);
         };
-        let tombs = &self.tombstones;
+        let tombs = self.merged.tombstones();
         // Over-fetch by the tombstone count: deletions can knock at most
         // that many hits out of any top list.
         let fetch = top + tombs.len();
-        let view = self.snap.ann_view(&ann.sums);
+        let view = self.snapshot().ann_view(&ann.sums);
         let mut hits = ann::search(&view, query, fetch, nprobe, &mut stats);
-        if !ann.seg_docs.is_empty() {
+        if !ann.live_sigs.is_empty() {
             let m = self.meta.m_dims;
-            stats.candidates += ann.seg_docs.len();
-            let seg_hits = ann::exhaustive(&ann.seg_sigs, m, query, fetch);
-            hits.extend(seg_hits.into_iter().map(|h| Hit {
-                doc: ann.seg_docs[h.doc as usize],
+            stats.candidates += ann.live_sigs.len() / m;
+            let live_hits = ann::exhaustive(&ann.live_sigs, m, query, fetch);
+            hits.extend(live_hits.into_iter().map(|h| Hit {
+                doc: self.meta.total_docs + h.doc,
                 score: h.score,
             }));
         }
@@ -359,95 +271,61 @@ impl ServeState {
         hits.truncate(top);
         (hits, stats)
     }
+}
 
-    /// Derive the ANN state from the base's IVF sections, and
-    /// reconstruct signatures for segment documents so `/similar` can
-    /// brute-force them (segments carry postings but no signature
-    /// sections).
-    fn build_ann(&self, rows: HashMap<String, usize>) -> AnnState {
-        let m = self.meta.m_dims;
-        let assoc = self.snap.get::<f64>(&ASSOC);
-        let mut seg_docs: Vec<u32> = Vec::new();
-        let mut seg_sigs: Vec<f64> = Vec::new();
-        let mut posts: Vec<Posting> = Vec::new();
-        for seg in &self.segments {
-            let base = seg.doc_base();
-            let count = seg.doc_count() as usize;
-            let off = seg_sigs.len();
-            seg_docs.extend(base..seg.doc_end());
-            seg_sigs.resize(off + count * m, 0.0);
-            for (local, term) in seg.terms().iter().enumerate() {
-                let Some(&row) = rows.get(term) else {
-                    continue;
-                };
-                let arow = &assoc[row * m..(row + 1) * m];
-                posts.clear();
-                seg.postings_into(local as u32, &mut posts);
-                // Summing per-(doc, field) postings weights each term by
-                // its doc-total frequency — the signature-stage rule.
-                for p in &posts {
-                    let d = (p.doc - base) as usize;
-                    let sig = &mut seg_sigs[off + d * m..off + (d + 1) * m];
-                    let w = p.freq as f64;
-                    for (s, &a) in sig.iter_mut().zip(arow) {
-                        *s += w * a;
-                    }
-                }
-            }
-            for d in 0..count {
-                let sig = &mut seg_sigs[off + d * m..off + (d + 1) * m];
-                let l1: f64 = sig.iter().map(|x| x.abs()).sum();
-                if l1 > 0.0 {
-                    for s in sig.iter_mut() {
-                        *s /= l1;
-                    }
-                }
-            }
-        }
-        AnnState {
-            sums: ann::code_sums(self.snap.get::<u8>(&QSIG), m),
-            rows,
-            seg_docs,
-            seg_sigs,
+/// Build a serving state over an ingest directory: the manifest's base
+/// snapshot — required, with an inverted index — plus every segment it
+/// lists, checked against the manifest and merged at read time.
+pub fn load_live_state(dir: &Path) -> io::Result<ServeState> {
+    let manifest = Manifest::require(dir)?;
+    let mut state = ServeState::over(Merged::live(dir, &manifest)?)?;
+    state.generation = manifest.generation;
+    state.last_seal_unix = manifest.last_seal_unix;
+    state.ingest_dir = Some(dir.to_path_buf());
+    Ok(state)
+}
+
+/// Derive the ANN state from the base's IVF sections, with the live
+/// documents' signatures: each major term's live postings, walked in
+/// term order (the merged vocabulary's, which is the signature stage's),
+/// have their per-(doc, field) freqs summed to the doc-total frequency
+/// and pushed onto that document's `(row, freq)` list, which
+/// [`record_signature`] then combines.
+fn build_ann(merged: &Merged) -> AnnState {
+    let snap = merged.base().expect("a serving view has a base");
+    let (m, base_docs) = (snap.meta().m_dims, snap.meta().total_docs);
+    let assoc = snap.get::<f64>(&ASSOC);
+    // Major-term rows are keyed by base-local term ids on disk.
+    let mut row_of = vec![None; snap.meta().vocab_size];
+    for (row, &t) in snap.get::<u32>(&MAJOR).iter().enumerate() {
+        row_of[t as usize] = Some(row);
+    }
+    let terms = merged.terms();
+    let majors: Vec<(TermId, usize)> = (0..terms.len() as TermId)
+        .filter_map(|t| Some((t, row_of[merged.local_id(0, t)? as usize]?)))
+        .collect();
+    let mut pairs: Vec<Vec<(usize, u32)>> =
+        vec![Vec::new(); (merged.total_docs() - base_docs) as usize];
+    let mut posts: Vec<Posting> = Vec::new();
+    for &(term, row) in &majors {
+        posts.clear();
+        merged.postings_from(term, base_docs, &mut posts);
+        for run in posts.chunk_by(|a, b| a.doc == b.doc) {
+            let freq = run.iter().map(|p| p.freq).sum();
+            pairs[(run[0].doc - base_docs) as usize].push((row, freq));
         }
     }
-
-    /// Component `c`'s index reader, the container its posting bytes
-    /// live in, and the document range it covers.
-    fn component(&self, c: usize) -> (&PostingsReader, &Snapshot, Range<u32>) {
-        match c.checked_sub(1) {
-            None => (
-                self.snap.index().expect("maps are empty without an index"),
-                self.snap.store(),
-                0..self.meta.total_docs,
-            ),
-            Some(s) => {
-                let seg = &self.segments[s];
-                let (reader, store) = seg.index();
-                (reader, store, seg.doc_base()..seg.doc_end())
-            }
-        }
+    let mut live_sigs = vec![0.0; pairs.len() * m];
+    for (sig, doc) in live_sigs.chunks_exact_mut(m).zip(&pairs) {
+        let rows = doc.iter().map(|&(r, f)| (&assoc[r * m..(r + 1) * m], f));
+        record_signature(rows, sig);
     }
-
-    /// Drop tombstoned postings from `out[from..]`, preserving order.
-    /// Both lists ascend by doc, so one pass walks them together —
-    /// compaction keeps every tombstone, and a lookup per posting would
-    /// grow with all deletes ever made.
-    fn filter_tombstones(&self, out: &mut Vec<Posting>, from: usize) {
-        if self.tombstones.is_empty() {
-            return;
-        }
-        let mut tombs = self.tombstones.iter().peekable();
-        let mut w = from;
-        for r in from..out.len() {
-            let doc = out[r].doc;
-            while tombs.next_if(|&&t| t < doc).is_some() {}
-            if tombs.peek() != Some(&&doc) {
-                out[w] = out[r];
-                w += 1;
-            }
-        }
-        out.truncate(w);
+    AnnState {
+        sums: ann::code_sums(snap.get::<u8>(&QSIG), m),
+        rows: (majors.iter())
+            .map(|&(t, row)| (terms.get(t as usize).to_string(), row))
+            .collect(),
+        live_sigs,
     }
 }
 
@@ -462,44 +340,22 @@ impl SearchIndex for ServeState {
         out
     }
 
-    /// Merged full posting list: each component's list in component
-    /// order. Component ranges are disjoint and ascending, so the
-    /// concatenation is the doc-sorted list a rebuild would store.
+    /// Merged full posting list (see [`Merged::postings_into`]).
     fn postings_into(&self, term: TermId, out: &mut Vec<Posting>) {
         self.postings_from(term, 0, out)
     }
 
-    /// Merged lower-bounded read: components entirely below `min_doc`
-    /// are skipped without touching their bytes; the one the bound
-    /// lands in seeks through its skip pointers.
+    /// Merged lower-bounded read (see [`Merged::postings_from`]),
+    /// charged to the request's decode timer.
     fn postings_from(&self, term: TermId, min_doc: u32, out: &mut Vec<Posting>) {
-        decode_timed(|| {
-            let from = out.len();
-            for (c, map) in self.maps.iter().enumerate() {
-                let local = map[term as usize];
-                if local == ABSENT {
-                    continue;
-                }
-                let (reader, store, docs) = self.component(c);
-                if min_doc >= docs.end {
-                    continue;
-                }
-                if min_doc <= docs.start {
-                    reader.postings_into(store, local, out)
-                } else {
-                    reader.postings_from(store, local, min_doc, out)
-                }
-                .expect("CRC-verified postings decode");
-            }
-            self.filter_tombstones(out, from);
-        })
+        decode_timed(|| self.merged.postings_from(term, min_doc, out))
     }
 
     fn df(&self, term: TermId) -> u32 {
-        self.df.get(term as usize).copied().unwrap_or(0)
+        self.merged.df(term)
     }
 
     fn total_docs(&self) -> u32 {
-        self.total_docs
+        self.merged.total_docs()
     }
 }

@@ -20,13 +20,24 @@
 //!    enumeration (term, boolean, ranked) before and after compaction,
 //!    while df/total_docs keep LSM stats semantics (unchanged until a
 //!    full rebuild folds the base).
+//! 5. **One signature rule** — live documents are signed bit for bit
+//!    the way the engine's signature stage signs records.
+//! 6. **Compaction refuses a directory that disagrees with its
+//!    manifest** instead of rewriting it.
 
+use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use visual_analytics::engine::pipeline::run_engine;
 use visual_analytics::engine::query::{Query, SearchIndex};
-use visual_analytics::engine::EngineConfig;
-use visual_analytics::ingest::{IngestDir, Wal, WalRecord, WAL_FILE};
+use visual_analytics::engine::scan::tokenize_batch;
+use visual_analytics::engine::signature::record_signature;
+use visual_analytics::engine::snapshot::schema::{ASSOC, MAJOR};
+use visual_analytics::engine::tokenize::Tokenizer;
+use visual_analytics::engine::{EngineConfig, EngineSnapshot};
+use visual_analytics::ingest::{
+    compact_dir, IngestDir, Manifest, Wal, WalRecord, MANIFEST_FILE, WAL_FILE,
+};
 use visual_analytics::perfmodel::CostModel;
 use visual_analytics::prelude::{CorpusSpec, SourceSet};
 use visual_analytics::serve::{execute, load_live_state, ServeRequest, ServeState};
@@ -356,6 +367,120 @@ fn tombstones_hide_deleted_docs_across_compaction() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The signature stage's rule applied to `sources` record by record:
+/// each record's `tokenize_batch` doc-total frequencies, in term order,
+/// over `snap`'s major-term association rows.
+fn rule_signatures(sources: &[corpus::Source], snap: &EngineSnapshot) -> Vec<Vec<f64>> {
+    let terms = snap.terms().expect("base vocabulary");
+    let (m, assoc) = (snap.meta().m_dims, snap.get::<f64>(&ASSOC));
+    let rows: HashMap<&str, usize> = (snap.get::<u32>(&MAJOR).iter().enumerate())
+        .map(|(row, &t)| (terms.get(t as usize), row))
+        .collect();
+    let mut out = Vec::new();
+    for src in sources {
+        let mut interner = intern::TermInterner::new();
+        for doc in tokenize_batch(src, &Tokenizer::default(), &mut interner) {
+            let mut freqs: BTreeMap<&str, u32> = BTreeMap::new();
+            for &(id, n) in doc.fields.iter().flat_map(|f| &f.counts) {
+                *freqs.entry(interner.get(id)).or_default() += n;
+            }
+            let pairs =
+                (freqs.into_iter()).filter_map(|(t, f)| Some((&assoc[rows.get(t)? * m..][..m], f)));
+            let mut sig = vec![0.0; m];
+            record_signature(pairs, &mut sig);
+            out.push(sig);
+        }
+    }
+    out
+}
+
+/// Contract 5: every document of a live directory — base documents from
+/// their `sigs` rows, live ones derived from segment postings — carries
+/// exactly the signature the engine's rule gives its record, before and
+/// after compaction.
+#[test]
+fn live_signatures_follow_the_signature_stage_rule() {
+    let dir = tmp_dir("livesig");
+    let set = CorpusSpec {
+        source_bytes: 8 * 1024,
+        ..CorpusSpec::pubmed(256 * 1024, 31)
+    }
+    .generate();
+    let (base_sources, batches) = set.sources.split_at(16);
+    assert!(batches.len() >= 8, "got {} batches", batches.len());
+    let base_path = dir.join("base.isnap");
+    build_snapshot(
+        &SourceSet {
+            sources: base_sources.to_vec(),
+        },
+        &base_path,
+        1,
+    );
+    let live = dir.join("live");
+    let mut ing = IngestDir::create(&live, Some(&base_path)).expect("create");
+    for src in batches {
+        ing.append(src.clone()).expect("append");
+    }
+    for compacted in [false, true] {
+        if compacted {
+            ing.compact().expect("compact").expect("folds");
+        }
+        let state = load_live_state(&live).expect("live view");
+        let want = rule_signatures(&set.sources, state.snapshot());
+        assert_eq!(want.len(), state.total_docs() as usize);
+        let base_docs = state.meta.total_docs as usize;
+        assert!(want.len() > base_docs, "no live documents");
+        for (doc, want) in want.iter().enumerate() {
+            let got = state.doc_signature(doc as u32).expect("signed");
+            let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(got),
+                bits(want),
+                "doc {doc} (base has {base_docs}, compacted={compacted}) is not signed by the rule"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Contract 6: segment files swapped on disk disagree with the
+/// manifest's document ranges. Compaction must refuse, name the
+/// segment, and leave every input and the manifest as it found them.
+#[test]
+fn compaction_refuses_segments_that_disagree_with_the_manifest() {
+    let dir = tmp_dir("swap");
+    let mut ing = IngestDir::create(&dir, None).expect("create");
+    for (name, text) in [
+        ("a", "TI  - alpha beta\nAB  - gamma words\n\n"),
+        ("b", "TI  - delta beta\nAB  - epsilon text\n\n"),
+        ("c", "TI  - zeta alpha\nAB  - eta record\n\n"),
+    ] {
+        ing.append(medline(name, text)).expect("append");
+    }
+    drop(ing);
+    let files: Vec<PathBuf> = (1..=3)
+        .map(|i| dir.join(format!("seg-{i:06}.iseg")))
+        .collect();
+    let (first, second) = (
+        std::fs::read(&files[0]).unwrap(),
+        std::fs::read(&files[1]).unwrap(),
+    );
+    std::fs::write(&files[0], &second).unwrap();
+    std::fs::write(&files[1], &first).unwrap();
+    let manifest = std::fs::read(dir.join(MANIFEST_FILE)).unwrap();
+
+    let err = compact_dir(&dir).expect_err("compaction over swapped segments must fail");
+    assert!(err.to_string().contains("seg-000001.iseg"), "{err}");
+    for f in &files {
+        assert!(f.exists(), "{} was removed", f.display());
+    }
+    assert!(!dir.join("seg-000004.iseg").exists());
+    assert_eq!(std::fs::read(dir.join(MANIFEST_FILE)).unwrap(), manifest);
+    let m = Manifest::load(&dir).expect("the manifest still loads");
+    assert_eq!(m.expect("present").segments.len(), 3);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// SplitMix64: the interleaving test's only source of randomness, so a
 /// failing seed replays exactly.
 struct Rng(u64);
@@ -437,7 +562,7 @@ fn regression_seeds() -> Vec<u64> {
         .collect()
 }
 
-/// Contract 5: compaction and crash recovery are invisible under
+/// Contract 7: compaction and crash recovery are invisible under
 /// *arbitrary* interleavings. Each seed drives two ingest directories
 /// over one base through 40 random steps: the subject takes appends,
 /// deletes, compactions and crash-reopens (half of them with a durable,
