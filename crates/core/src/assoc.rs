@@ -174,8 +174,8 @@ mod tests {
         let rt = Runtime::for_testing();
         let mut res = rt.run(p, |ctx| {
             let cfg = EngineConfig::for_testing();
-            let s = scan(ctx, &src, &cfg);
-            let idx = invert(ctx, &s, &cfg);
+            let (s, fwd) = scan(ctx, &src, &cfg);
+            let idx = invert(ctx, &s, fwd, &cfg);
             let topics = select_topics(ctx, &idx, &cfg, cfg.n_major, cfg.m_dims());
             let am = build(ctx, &s, &idx, &topics);
             (am.n, am.m, am.values.as_ref().clone())
@@ -215,8 +215,8 @@ mod tests {
         let rt = Runtime::for_testing();
         rt.run(2, |ctx| {
             let cfg = EngineConfig::for_testing();
-            let s = scan(ctx, &src, &cfg);
-            let idx = invert(ctx, &s, &cfg);
+            let (s, fwd) = scan(ctx, &src, &cfg);
+            let idx = invert(ctx, &s, fwd, &cfg);
             let topics = select_topics(ctx, &idx, &cfg, cfg.n_major, cfg.m_dims());
             let am = build(ctx, &s, &idx, &topics);
             for (j, &tj) in topics.topics.iter().enumerate().take(5) {
@@ -241,8 +241,8 @@ mod tests {
         let rt = Runtime::for_testing();
         rt.run(2, |ctx| {
             let cfg = EngineConfig::for_testing();
-            let s = scan(ctx, &src, &cfg);
-            let idx = invert(ctx, &s, &cfg);
+            let (s, fwd) = scan(ctx, &src, &cfg);
+            let idx = invert(ctx, &s, fwd, &cfg);
             let topics = select_topics(ctx, &idx, &cfg, cfg.n_major, cfg.m_dims());
             let am = build(ctx, &s, &idx, &topics);
             let col_of = position_table(&topics.topics, s.vocab_size());
@@ -264,8 +264,8 @@ mod tests {
         let rt = Runtime::for_testing();
         rt.run(2, |ctx| {
             let cfg = EngineConfig::for_testing();
-            let s = scan(ctx, &src, &cfg);
-            let idx = invert(ctx, &s, &cfg);
+            let (s, fwd) = scan(ctx, &src, &cfg);
+            let idx = invert(ctx, &s, fwd, &cfg);
             let topics = select_topics(ctx, &idx, &cfg, cfg.n_major, cfg.m_dims());
             let am = build(ctx, &s, &idx, &topics);
             let t = topics.major[3];

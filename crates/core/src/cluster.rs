@@ -394,8 +394,8 @@ mod tests {
         let rt = Runtime::for_testing();
         let res = rt.run(p, |ctx| {
             let cfg = EngineConfig::for_testing();
-            let s = scan(ctx, &src, &cfg);
-            let idx = invert(ctx, &s, &cfg);
+            let (s, fwd) = scan(ctx, &src, &cfg);
+            let idx = invert(ctx, &s, fwd, &cfg);
             let topics = select_topics(ctx, &idx, &cfg, cfg.n_major, cfg.m_dims());
             let am = assoc::build(ctx, &s, &idx, &topics);
             let sigs = generate(ctx, &s, &am);
@@ -446,8 +446,8 @@ mod tests {
         let rt = Runtime::for_testing();
         rt.run(2, |ctx| {
             let cfg = EngineConfig::for_testing();
-            let s = scan(ctx, &src, &cfg);
-            let idx = invert(ctx, &s, &cfg);
+            let (s, fwd) = scan(ctx, &src, &cfg);
+            let idx = invert(ctx, &s, fwd, &cfg);
             let topics = select_topics(ctx, &idx, &cfg, cfg.n_major, cfg.m_dims());
             let am = assoc::build(ctx, &s, &idx, &topics);
             let sigs = generate(ctx, &s, &am);
@@ -474,8 +474,8 @@ mod tests {
             let rt = Runtime::for_testing();
             let res = rt.run(2, |ctx| {
                 let cfg = EngineConfig::for_testing();
-                let s = scan(ctx, &src, &cfg);
-                let idx = invert(ctx, &s, &cfg);
+                let (s, fwd) = scan(ctx, &src, &cfg);
+                let idx = invert(ctx, &s, fwd, &cfg);
                 let topics = select_topics(ctx, &idx, &cfg, cfg.n_major, cfg.m_dims());
                 let am = assoc::build(ctx, &s, &idx, &topics);
                 let sigs = generate(ctx, &s, &am);
@@ -501,8 +501,8 @@ mod tests {
         let rt = Runtime::for_testing();
         rt.run(2, |ctx| {
             let cfg = EngineConfig::for_testing();
-            let s = scan(ctx, &src, &cfg);
-            let idx = invert(ctx, &s, &cfg);
+            let (s, fwd) = scan(ctx, &src, &cfg);
+            let idx = invert(ctx, &s, fwd, &cfg);
             let topics = select_topics(ctx, &idx, &cfg, cfg.n_major, cfg.m_dims());
             let am = assoc::build(ctx, &s, &idx, &topics);
             let sigs = generate(ctx, &s, &am);

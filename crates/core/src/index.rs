@@ -33,7 +33,7 @@
 //! classical centralized alternative §3.3 argues against).
 
 use crate::config::{Balancing, EngineConfig};
-use crate::scan::{unpack_entry, ScanOutput};
+use crate::scan::{unpack_entry, ForwardIndex, ScanOutput};
 use crate::{DocId, FieldId, TermId};
 use ga::{GlobalArray, GlobalCounter, TaskQueue};
 use perfmodel::WorkKind;
@@ -140,8 +140,15 @@ struct CountPartial {
 /// scalability issue §3.3 describes.
 const MASTER_SERVICE_S: f64 = 2.5e-5;
 
-/// Run parallel inverted file indexing. Collective.
-pub fn invert(ctx: &Ctx, scan: &ScanOutput, cfg: &EngineConfig) -> InvertedIndex {
+/// Run parallel inverted file indexing. Collective. Consumes the forward
+/// index: once inverted, nothing reads it again, so its global arrays are
+/// freed here rather than held through the later stages.
+pub fn invert(
+    ctx: &Ctx,
+    scan: &ScanOutput,
+    forward: ForwardIndex,
+    cfg: &EngineConfig,
+) -> InvertedIndex {
     let p = ctx.nprocs();
     let vocab_size = scan.vocab_size();
 
@@ -256,7 +263,7 @@ pub fn invert(ctx: &Ctx, scan: &ScanOutput, cfg: &EngineConfig) -> InvertedIndex
         }
         // Fetch the owner's forward-index slice. For own loads this is a
         // local-block access; for stolen loads it is one-sided traffic.
-        let offs = scan.fwd_offsets.get(ctx, d0..d1 + 1);
+        let offs = forward.offsets.get(ctx, d0..d1 + 1);
         let lo = offs[0] as usize;
         let hi = offs[d1 - d0] as usize;
         // The load's InvertPostings charge below is still to come and
@@ -269,7 +276,7 @@ pub fn invert(ctx: &Ctx, scan: &ScanOutput, cfg: &EngineConfig) -> InvertedIndex
                     .compute(WorkKind::InvertPostings, (hi - lo) as u64)
                     * ctx.pressure(),
         );
-        let entries = scan.fwd_data.get(ctx, lo..hi);
+        let entries = forward.data.get(ctx, lo..hi);
         // Group by term, preserving (doc, field) structure. Entries within
         // a document are term-sorted per field; a simple sort by term
         // groups across the load.
@@ -441,8 +448,8 @@ mod tests {
                 chunk_docs: 8,
                 ..EngineConfig::for_testing()
             };
-            let s = scan(ctx, &src, &cfg);
-            let idx = invert(ctx, &s, &cfg);
+            let (s, fwd) = scan(ctx, &src, &cfg);
+            let idx = invert(ctx, &s, fwd, &cfg);
             ctx.barrier();
             // Fetch postings for a sample of terms for cross-P comparison.
             let sample: Vec<Vec<Posting>> = (0..s.vocab_size())
@@ -475,8 +482,8 @@ mod tests {
         let rt = Runtime::for_testing();
         rt.run(3, |ctx| {
             let cfg = EngineConfig::for_testing();
-            let s = scan(ctx, &src, &cfg);
-            let idx = invert(ctx, &s, &cfg);
+            let (s, fwd) = scan(ctx, &src, &cfg);
+            let idx = invert(ctx, &s, fwd, &cfg);
             ctx.barrier();
             // Every local document's forward entries must appear in the
             // inverted postings of the corresponding term.
@@ -505,8 +512,8 @@ mod tests {
         let rt = Runtime::for_testing();
         rt.run(2, |ctx| {
             let cfg = EngineConfig::for_testing();
-            let s = scan(ctx, &src, &cfg);
-            let idx = invert(ctx, &s, &cfg);
+            let (s, fwd) = scan(ctx, &src, &cfg);
+            let idx = invert(ctx, &s, fwd, &cfg);
             ctx.barrier();
             for t in (0..s.vocab_size()).step_by(53) {
                 let posts = idx.postings_of(ctx, t as TermId);
@@ -523,8 +530,8 @@ mod tests {
         let rt = Runtime::for_testing();
         rt.run(2, |ctx| {
             let cfg = EngineConfig::for_testing();
-            let s = scan(ctx, &src, &cfg);
-            let idx = invert(ctx, &s, &cfg);
+            let (s, fwd) = scan(ctx, &src, &cfg);
+            let idx = invert(ctx, &s, fwd, &cfg);
             ctx.barrier();
             for t in (0..s.vocab_size()).step_by(41) {
                 let posts = idx.postings_of(ctx, t as TermId);
@@ -543,8 +550,8 @@ mod tests {
                 chunk_docs: 4,
                 ..EngineConfig::for_testing()
             };
-            let s = scan(ctx, &src, &cfg);
-            let idx = invert(ctx, &s, &cfg);
+            let (s, fwd) = scan(ctx, &src, &cfg);
+            let idx = invert(ctx, &s, fwd, &cfg);
             let expected_loads: usize = {
                 let counts: Vec<u32> = ctx.allgather(s.docs.len() as u32, 4);
                 counts.iter().map(|&c| n_loads(c as usize, 4)).sum()
@@ -566,8 +573,8 @@ mod tests {
                 balancing: Balancing::Static,
                 ..EngineConfig::for_testing()
             };
-            let s = scan(ctx, &src, &cfg);
-            let idx = invert(ctx, &s, &cfg);
+            let (s, fwd) = scan(ctx, &src, &cfg);
+            let idx = invert(ctx, &s, fwd, &cfg);
             idx.load.iter().map(|l| l.stolen_tasks).sum::<u32>()
         });
         assert!(res.results.iter().all(|&s| s == 0));
@@ -579,8 +586,8 @@ mod tests {
         let rt = Runtime::for_testing();
         let res = rt.run(3, |ctx| {
             let cfg = EngineConfig::for_testing();
-            let s = scan(ctx, &src, &cfg);
-            invert(ctx, &s, &cfg).total_tokens
+            let (s, fwd) = scan(ctx, &src, &cfg);
+            invert(ctx, &s, fwd, &cfg).total_tokens
         });
         assert!(res.results.iter().all(|&t| t == res.results[0] && t > 0));
     }

@@ -4,12 +4,18 @@
 //! Two layouts are no longer read at run time and are rewritten here
 //! instead: the fixed-width index of format-v1 files (the schema's
 //! [`RETIRED_INDEX`] rows), and Final-stage files that predate the
-//! similarity-search sections (§13). Every other section is copied
-//! through verbatim, in file order, so migrating a current snapshot
-//! reproduces it byte for byte.
+//! similarity-search sections (§13). A third is still read but wasteful:
+//! files past the Scan stage written while every stage kept the forward
+//! index (`fwdoff`/`fwddat`, now Scan-only rows). They open as they are,
+//! because `schema::check` ignores sections it has no row for; migrating
+//! drops the two sections, about half of such a file. Every other
+//! section is copied through verbatim, in file order, so migrating a
+//! current snapshot reproduces it byte for byte.
 
 use crate::postings::{bad, encode_index_sections, write_index_sections};
-use crate::snapshot::schema::{self, ASSIGN, DF, POSTDAT, POSTOFF, QSIG, RETIRED_INDEX, SIGS, TF};
+use crate::snapshot::schema::{
+    self, ASSIGN, DF, ENGINE, FWDDAT, POSTDAT, POSTOFF, QSIG, RETIRED_INDEX, SIGS, TF,
+};
 use crate::snapshot::{write_ann_sections, EngineMeta, EngineSnapshot};
 use inspire_store::{publish, Snapshot, SnapshotWriter};
 use std::io;
@@ -22,6 +28,8 @@ pub struct MigrateReport {
     pub reencoded_index: bool,
     /// The similarity-search sections were built and appended.
     pub added_ann: bool,
+    /// The forward index of a file past the Scan stage was dropped.
+    pub stripped_forward: bool,
     /// Size of the written file.
     pub bytes: u64,
 }
@@ -61,13 +69,23 @@ pub fn migrate(input: &Path, output: &Path) -> io::Result<MigrateReport> {
     let meta = EngineMeta::parse(&snap)?;
     let reencoded_index = snap.has(POSTOFF.name);
     let added_ann = meta.wants_ann() && !snap.has(QSIG.name);
+    let stripped_forward = !FWDDAT.carried_at(meta.stage) && snap.has(FWDDAT.name);
+    // Sections the current layout does not carry: the fixed-width index
+    // once re-encoded, and rows whose last stage the file is past.
+    let dropped = |name: &str| {
+        let retired = reencoded_index && RETIRED_INDEX.iter().any(|r| r.name == name);
+        retired
+            || ENGINE
+                .iter()
+                .any(|r| r.name == name && !r.carried_at(meta.stage))
+    };
 
     let bytes = publish(output, |tmp| {
         let mut w = SnapshotWriter::create(tmp)?;
         for (name, kind, _) in snap.sections() {
             if name == POSTOFF.name {
                 reencode_index(&snap, &meta, &mut w)?;
-            } else if !(reencoded_index && RETIRED_INDEX.iter().any(|r| r.name == name)) {
+            } else if !dropped(name) {
                 w.add_section(name, kind, snap.require(name)?.bytes())?;
             }
         }
@@ -81,6 +99,7 @@ pub fn migrate(input: &Path, output: &Path) -> io::Result<MigrateReport> {
     Ok(MigrateReport {
         reencoded_index,
         added_ann,
+        stripped_forward,
         bytes,
     })
 }

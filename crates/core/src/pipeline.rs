@@ -187,44 +187,46 @@ impl Engine {
         }
 
         // ---- Scan & Map ----
-        let scanned = restore_or_compute(
+        let (mut scanned, mut forward) = restore_or_compute(
             ctx,
             &mut resume,
             Stage::Scan,
             |s| ctx.component(Component::Scan, || s.restore_scan(ctx)),
-            || ctx.component(Component::Scan, || scan(ctx, sources, cfg)),
+            || {
+                let (scanned, forward) = ctx.component(Component::Scan, || scan(ctx, sources, cfg));
+                (scanned, Some(forward))
+            },
         );
-        let mut inp = SnapshotInput {
-            stage: Stage::Scan,
-            config_fp,
-            corpus_fp,
-            scan: &scanned,
-            index: None,
-            topics: None,
-            am: None,
-            sigs: None,
-            expansions: 0,
-            clustering: None,
-            coords_nd: None,
-            projection_dims: 0,
-            variance_explained: 0.0,
-            labels: None,
-        };
-        self.write_snapshot(ctx, resume.as_ref(), &inp);
+        let at_scan = SnapshotInput::scanned(config_fp, corpus_fp, &scanned, forward.as_ref());
+        self.write_snapshot(ctx, resume.as_ref(), &at_scan);
         if stop_after == Stage::Scan {
             return None;
         }
 
         // ---- Inverted file indexing + global term statistics ----
+        // The inversion consumes the forward index. Only a Scan-stage
+        // checkpoint holds one, so when a later checkpoint's index fails to
+        // restore (which ends the resume) the scan is run again.
         let index = restore_or_compute(
             ctx,
             &mut resume,
             Stage::Index,
             |s| ctx.component(Component::Index, || s.restore_index(ctx)),
-            || ctx.component(Component::Index, || invert(ctx, &scanned, cfg)),
+            || {
+                let forward = forward.take().unwrap_or_else(|| {
+                    let (rescanned, forward) =
+                        ctx.component(Component::Scan, || scan(ctx, sources, cfg));
+                    scanned = rescanned;
+                    forward
+                });
+                ctx.component(Component::Index, || invert(ctx, &scanned, forward, cfg))
+            },
         );
-        inp.stage = Stage::Index;
-        inp.index = Some(&index);
+        let mut inp = SnapshotInput {
+            stage: Stage::Index,
+            index: Some(&index),
+            ..SnapshotInput::scanned(config_fp, corpus_fp, &scanned, None)
+        };
         self.write_snapshot(ctx, resume.as_ref(), &inp);
         if stop_after == Stage::Index {
             return None;

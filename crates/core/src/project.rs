@@ -173,8 +173,8 @@ mod tests {
         let rt = Runtime::for_testing();
         let res = rt.run(p, |ctx| {
             let cfg = EngineConfig::for_testing();
-            let s = scan(ctx, &src, &cfg);
-            let idx = invert(ctx, &s, &cfg);
+            let (s, fwd) = scan(ctx, &src, &cfg);
+            let idx = invert(ctx, &s, fwd, &cfg);
             let topics = select_topics(ctx, &idx, &cfg, cfg.n_major, cfg.m_dims());
             let am = assoc::build(ctx, &s, &idx, &topics);
             let sigs = generate(ctx, &s, &am);

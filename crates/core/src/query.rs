@@ -673,8 +673,8 @@ mod tests {
         let rt = Runtime::for_testing();
         rt.run(2, |ctx| {
             let cfg = EngineConfig::for_testing();
-            let s = scan(ctx, &src, &cfg);
-            let idx = invert(ctx, &s, &cfg);
+            let (s, fwd) = scan(ctx, &src, &cfg);
+            let idx = invert(ctx, &s, fwd, &cfg);
             assert!(lookup(ctx, &s, &idx, "qqqqq").is_empty());
         });
     }
@@ -685,8 +685,8 @@ mod tests {
         let rt = Runtime::for_testing();
         rt.run(2, |ctx| {
             let cfg = EngineConfig::for_testing();
-            let s = scan(ctx, &src, &cfg);
-            let idx = invert(ctx, &s, &cfg);
+            let (s, fwd) = scan(ctx, &src, &cfg);
+            let idx = invert(ctx, &s, fwd, &cfg);
             // Pick a mid-frequency term from the vocabulary.
             let t = (0..s.vocab_size())
                 .find(|&t| idx.df[t] >= 3)
@@ -705,8 +705,8 @@ mod tests {
         let rt = Runtime::for_testing();
         rt.run(2, |ctx| {
             let cfg = EngineConfig::for_testing();
-            let s = scan(ctx, &src, &cfg);
-            let idx = invert(ctx, &s, &cfg);
+            let (s, fwd) = scan(ctx, &src, &cfg);
+            let idx = invert(ctx, &s, fwd, &cfg);
             let t = (0..s.vocab_size()).max_by_key(|&t| idx.df[t]).unwrap();
             let term = s.terms[t].to_string();
             let hits = search(ctx, &s, &idx, &term, 10);
@@ -734,8 +734,8 @@ mod tests {
         let rt = Runtime::for_testing();
         rt.run(2, |ctx| {
             let cfg = EngineConfig::for_testing();
-            let s = scan(ctx, &src, &cfg);
-            let idx = invert(ctx, &s, &cfg);
+            let (s, fwd) = scan(ctx, &src, &cfg);
+            let idx = invert(ctx, &s, fwd, &cfg);
             // Two mid-frequency terms.
             let mut picks = (0..s.vocab_size())
                 .filter(|&t| idx.df[t] >= 4 && (idx.df[t] as f64) < idx.total_docs as f64 * 0.5)
@@ -790,8 +790,8 @@ mod tests {
         let rt = Runtime::for_testing();
         rt.run(2, |ctx| {
             let cfg = EngineConfig::for_testing();
-            let s = scan(ctx, &src, &cfg);
-            let idx = invert(ctx, &s, &cfg);
+            let (s, fwd) = scan(ctx, &src, &cfg);
+            let idx = invert(ctx, &s, fwd, &cfg);
             // A frequent term appears in abstracts far more than titles.
             let t = (0..s.vocab_size()).max_by_key(|&t| idx.df[t]).unwrap();
             let term = s.terms[t].to_string();
@@ -824,8 +824,8 @@ mod tests {
         let rt = Runtime::for_testing();
         rt.run(1, |ctx| {
             let cfg = EngineConfig::for_testing();
-            let s = scan(ctx, &src, &cfg);
-            let idx = invert(ctx, &s, &cfg);
+            let (s, fwd) = scan(ctx, &src, &cfg);
+            let idx = invert(ctx, &s, fwd, &cfg);
             assert!(evaluate(ctx, &s, &idx, &Query::And(vec![])).is_empty());
             assert!(evaluate(ctx, &s, &idx, &Query::Or(vec![])).is_empty());
             assert!(evaluate(ctx, &s, &idx, &Query::Term("zz-unknown-zz".into())).is_empty());
@@ -920,8 +920,8 @@ mod tests {
         let rt = Runtime::for_testing();
         rt.run(2, |ctx| {
             let cfg = EngineConfig::for_testing();
-            let s = scan(ctx, &src, &cfg);
-            let idx = invert(ctx, &s, &cfg);
+            let (s, fwd) = scan(ctx, &src, &cfg);
+            let idx = invert(ctx, &s, fwd, &cfg);
             let mut picks = (0..s.vocab_size())
                 .filter(|&t| idx.df[t] >= 4)
                 .map(|t| s.terms[t].to_string());
@@ -949,8 +949,8 @@ mod tests {
         let rt = Runtime::for_testing();
         rt.run(1, |ctx| {
             let cfg = EngineConfig::for_testing();
-            let s = scan(ctx, &src, &cfg);
-            let idx = invert(ctx, &s, &cfg);
+            let (s, fwd) = scan(ctx, &src, &cfg);
+            let idx = invert(ctx, &s, fwd, &cfg);
             assert!(search(ctx, &s, &idx, "", 5).is_empty());
             assert!(search(ctx, &s, &idx, "the and of", 5).is_empty());
         });
@@ -997,8 +997,8 @@ mod tests {
         for procs in [1, 2] {
             rt.run(procs, |ctx| {
                 let cfg = EngineConfig::for_testing();
-                let s = scan(ctx, &src, &cfg);
-                let idx = invert(ctx, &s, &cfg);
+                let (s, fwd) = scan(ctx, &src, &cfg);
+                let idx = invert(ctx, &s, fwd, &cfg);
                 let ix = LiveIndex {
                     ctx,
                     scan: &s,

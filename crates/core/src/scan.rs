@@ -15,6 +15,9 @@
 //! postings during the dynamically load-balanced inversion — this is the
 //! "stored in global arrays, so that they are globally accessible when
 //! processes exchange information during inverted file indexing" of §3.2.
+//! Those arrays are a [`ForwardIndex`], handed to the Index stage beside
+//! the [`ScanOutput`] rather than inside it: the inversion consumes them,
+//! and from then on the inverted file holds the same facts.
 //!
 //! Finally the vocabulary is **canonicalized**: the distributed hashmap's
 //! arrival-order IDs depend on thread scheduling, so ranks collectively
@@ -86,7 +89,7 @@ pub struct LocalField {
 }
 
 /// One scanned document owned by this rank.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LocalDoc {
     pub doc_id: DocId,
     pub fields: Vec<LocalField>,
@@ -144,6 +147,18 @@ fn merge_summing(a: &[(TermId, u32)], b: &[(TermId, u32)]) -> Vec<(TermId, u32)>
     out
 }
 
+/// The forward index in global arrays, which any rank can read during
+/// the load-balanced inversion. [`scan`] returns it beside the
+/// [`ScanOutput`]; [`crate::index::invert`] consumes it, and only
+/// Scan-stage snapshots persist it.
+pub struct ForwardIndex {
+    /// Document offsets into `data` (length `total_docs + 1`).
+    pub offsets: GlobalArray<i64>,
+    /// Packed entries (term | field | freq), in document order and, within
+    /// a document, field by field as [`LocalDoc::fields`] lists them.
+    pub data: GlobalArray<u64>,
+}
+
 /// The result of the Scan & Map stage on one rank.
 pub struct ScanOutput {
     /// This rank's documents, in corpus order.
@@ -152,16 +167,10 @@ pub struct ScanOutput {
     pub doc_base: DocId,
     /// Total documents across all ranks.
     pub total_docs: u32,
-    /// The distributed vocabulary map (original arrival-order ids).
-    pub vocab: DistHashMap,
     /// Canonical vocabulary: `terms[canonical_id]`, lexicographically
     /// sorted, arena-backed. All term ids in `docs` and the forward
-    /// arrays are canonical.
+    /// index are canonical.
     pub terms: std::sync::Arc<TermTable>,
-    /// Forward-index document offsets (length `total_docs + 1`).
-    pub fwd_offsets: GlobalArray<i64>,
-    /// Packed forward-index entries (term | field | freq).
-    pub fwd_data: GlobalArray<u64>,
     /// Bytes of source data this rank scanned.
     pub bytes_scanned: u64,
     /// Accepted tokens this rank scanned.
@@ -340,7 +349,7 @@ pub fn tokenize_batch(
 /// Run Scan & Map. Collective: every rank calls with the same arguments.
 /// Takes the configuration like every stage; no setting changes the scan
 /// (the tokenizer is fixed, so live ingestion and queries tokenize alike).
-pub fn scan(ctx: &Ctx, sources: &SourceSet, _cfg: &EngineConfig) -> ScanOutput {
+pub fn scan(ctx: &Ctx, sources: &SourceSet, _cfg: &EngineConfig) -> (ScanOutput, ForwardIndex) {
     let p = ctx.nprocs();
     let tokenizer = Tokenizer::default();
     let indexed: Vec<FieldId> = INDEXED_FIELDS
@@ -495,6 +504,8 @@ pub fn scan(ctx: &Ctx, sources: &SourceSet, _cfg: &EngineConfig) -> ScanOutput {
         cache.len(),
         "every registered term is in the canonical vocabulary"
     );
+    // The arrival-order ids are dead once `old_to_new` holds them.
+    drop(vocab);
     drop(sorted_terms);
     // Remap chunk-local → arrival → canonical id and sort each field by
     // canonical id: the one place term order is established (ids are
@@ -548,8 +559,10 @@ pub fn scan(ctx: &Ctx, sources: &SourceSet, _cfg: &EngineConfig) -> ScanOutput {
         .map(|d| d.fields.iter().map(|f| f.counts.len() as u64).sum::<u64>())
         .sum();
     let (entry_base, total_entries) = ctx.exscan_u64(my_entries);
-    let fwd_offsets = GlobalArray::<i64>::create(ctx, total_docs as usize + 1);
-    let fwd_data = GlobalArray::<u64>::create(ctx, total_entries as usize);
+    let forward = ForwardIndex {
+        offsets: GlobalArray::<i64>::create(ctx, total_docs as usize + 1),
+        data: GlobalArray::<u64>::create(ctx, total_entries as usize),
+    };
 
     let mut offsets = Vec::with_capacity(docs.len() + 1);
     let mut entries = Vec::with_capacity(my_entries as usize);
@@ -564,27 +577,27 @@ pub fn scan(ctx: &Ctx, sources: &SourceSet, _cfg: &EngineConfig) -> ScanOutput {
         at = entry_base + entries.len() as u64;
     }
     if !docs.is_empty() {
-        fwd_offsets.put(ctx, doc_base as usize, &offsets);
-        fwd_data.put(ctx, entry_base as usize, &entries);
+        forward.offsets.put(ctx, doc_base as usize, &offsets);
+        forward.data.put(ctx, entry_base as usize, &entries);
     }
     if ctx.rank() == p - 1 {
-        fwd_offsets.put(ctx, total_docs as usize, &[total_entries as i64]);
+        forward
+            .offsets
+            .put(ctx, total_docs as usize, &[total_entries as i64]);
     }
     ctx.barrier();
 
-    ScanOutput {
+    let out = ScanOutput {
         docs,
         doc_base: doc_base as DocId,
         total_docs: total_docs as u32,
-        vocab,
         terms: std::sync::Arc::new(terms),
-        fwd_offsets,
-        fwd_data,
         bytes_scanned,
         tokens_scanned,
         vocab_rpc_msgs,
         vocab_rpc_scalar_equiv,
-    }
+    };
+    (out, forward)
 }
 
 #[cfg(test)]
@@ -683,7 +696,7 @@ mod tests {
         let corpus = tiny_corpus();
         let rt = Runtime::for_testing();
         let res = rt.run(4, |ctx| {
-            let out = scan(ctx, &corpus, &EngineConfig::for_testing());
+            let (out, _) = scan(ctx, &corpus, &EngineConfig::for_testing());
             (out.doc_base, out.docs.len() as u32, out.total_docs)
         });
         let total = res.results[0].2;
@@ -703,6 +716,7 @@ mod tests {
         let t1 = rt
             .run(1, |ctx| {
                 scan(ctx, &corpus, &EngineConfig::for_testing())
+                    .0
                     .terms
                     .as_ref()
                     .clone()
@@ -713,6 +727,7 @@ mod tests {
             let tp = rt
                 .run(p, |ctx| {
                     scan(ctx, &corpus, &EngineConfig::for_testing())
+                        .0
                         .terms
                         .as_ref()
                         .clone()
@@ -728,15 +743,15 @@ mod tests {
         let corpus = tiny_corpus();
         let rt = Runtime::for_testing();
         rt.run(3, |ctx| {
-            let out = scan(ctx, &corpus, &EngineConfig::for_testing());
+            let (out, forward) = scan(ctx, &corpus, &EngineConfig::for_testing());
             ctx.barrier();
             // Read every rank's docs back through the global arrays and
             // compare with the local structures via an allgather.
-            let offsets = out.fwd_offsets.get(ctx, 0..out.total_docs as usize + 1);
+            let offsets = forward.offsets.get(ctx, 0..out.total_docs as usize + 1);
             for d in &out.docs {
                 let lo = offsets[d.doc_id as usize] as usize;
                 let hi = offsets[d.doc_id as usize + 1] as usize;
-                let entries = out.fwd_data.get(ctx, lo..hi);
+                let entries = forward.data.get(ctx, lo..hi);
                 let mut expect = Vec::new();
                 for f in &d.fields {
                     for &(t, c) in &f.counts {
@@ -753,7 +768,7 @@ mod tests {
         let corpus = tiny_corpus();
         let rt = Runtime::for_testing();
         rt.run(2, |ctx| {
-            let out = scan(ctx, &corpus, &EngineConfig::for_testing());
+            let (out, _) = scan(ctx, &corpus, &EngineConfig::for_testing());
             // Every canonical id maps back to its term.
             for (i, t) in out.terms.iter().enumerate().step_by(50) {
                 assert_eq!(out.term_id(t), Some(i as TermId));
@@ -767,7 +782,7 @@ mod tests {
         let corpus = tiny_corpus();
         let rt = Runtime::for_testing();
         rt.run(2, |ctx| {
-            let out = scan(ctx, &corpus, &EngineConfig::for_testing());
+            let (out, _) = scan(ctx, &corpus, &EngineConfig::for_testing());
             let terms: Vec<&str> = out.terms.iter().collect();
             for w in terms.windows(2) {
                 assert!(w[0] < w[1], "terms must be strictly sorted");
@@ -780,7 +795,7 @@ mod tests {
         let corpus = tiny_corpus();
         let rt = Runtime::for_testing();
         rt.run(2, |ctx| {
-            let out = scan(ctx, &corpus, &EngineConfig::for_testing());
+            let (out, _) = scan(ctx, &corpus, &EngineConfig::for_testing());
             assert_eq!(out.term_id("the"), None);
             assert_eq!(out.term_id("html"), None);
         });
@@ -791,7 +806,7 @@ mod tests {
         let corpus = tiny_corpus();
         let rt = Runtime::for_testing();
         let res = rt.run(2, |ctx| {
-            let out = scan(ctx, &corpus, &EngineConfig::for_testing());
+            let (out, _) = scan(ctx, &corpus, &EngineConfig::for_testing());
             let local_sum: u64 = out.docs.iter().map(|d| d.tokens as u64).sum();
             assert_eq!(local_sum, out.tokens_scanned);
             out.tokens_scanned

@@ -4,7 +4,10 @@
 //!
 //! A snapshot is **cumulative by stage**: a `Stage::Index` file contains
 //! everything a `Stage::Scan` file does plus the inversion products, and
-//! a `Stage::Final` file holds the complete engine output. Resuming from
+//! a `Stage::Final` file holds the complete engine output. The one
+//! exception is the forward index, which only the inversion reads: a
+//! `Stage::Scan` file alone carries it, and later restores rebuild the
+//! documents from the inverted file instead. Resuming from
 //! a stage-*k* checkpoint restarts the pipeline at stage *k+1* and — at
 //! the same processor count — reproduces the uninterrupted run
 //! bit-for-bit (the restore paths rebuild exactly the per-rank state the
@@ -220,6 +223,16 @@ mod tests {
         .generate()
     }
 
+    /// A web corpus: pages of HTML, one indexed field, record sizes and
+    /// vocabulary unlike PubMed's.
+    fn trec_corpus() -> SourceSet {
+        CorpusSpec {
+            source_bytes: 8 * 1024,
+            ..CorpusSpec::trec(128 * 1024, 31)
+        }
+        .generate()
+    }
+
     fn tmp(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("va-snapshot-{}-{tag}", std::process::id()))
     }
@@ -235,19 +248,25 @@ mod tests {
     }
 
     /// Satellite: kill the run after every stage boundary in turn, resume,
-    /// and demand a bit-identical final result.
+    /// and demand a bit-identical final result — on PubMed and on web
+    /// pages, whose documents a post-Scan resume rebuilds from postings.
     #[test]
     fn crash_after_each_stage_then_resume_is_bit_identical() {
-        let src = corpus();
+        for (flavour, src) in [("pubmed", corpus()), ("trec", trec_corpus())] {
+            crash_after_each_stage_then_resume(flavour, &src);
+        }
+    }
+
+    fn crash_after_each_stage_then_resume(flavour: &str, src: &SourceSet) {
         let base = EngineConfig::for_testing();
         let zero = Arc::new(CostModel::zero());
-        let baseline = run_engine(2, zero.clone(), &src, &base);
+        let baseline = run_engine(2, zero.clone(), src, &base);
         let want_coords = coord_bits(&baseline);
         let want_assign = baseline.master().all_assignments.clone().unwrap();
         let want_obj = baseline.master().summary.kmeans_objective.to_bits();
 
         for stop in [Stage::Scan, Stage::Index, Stage::Sig, Stage::Final] {
-            let dir = tmp(&format!("crash-{stop:?}"));
+            let dir = tmp(&format!("crash-{flavour}-{stop:?}"));
             let _ = std::fs::remove_dir_all(&dir);
             let cfg = EngineConfig {
                 checkpoint_dir: Some(dir.clone()),
@@ -257,7 +276,7 @@ mod tests {
             // the ranks held in memory, keep only the checkpoint files.
             let engine = Engine::new(cfg.clone());
             Runtime::new(zero.clone()).run(2, |ctx| {
-                engine.run_until(ctx, &src, stop);
+                engine.run_until(ctx, src, stop);
             });
             assert!(
                 checkpoint_path(&dir, stop).exists(),
@@ -267,24 +286,70 @@ mod tests {
             let resumed = run_engine(
                 2,
                 zero.clone(),
-                &src,
+                src,
                 &EngineConfig {
                     resume: true,
                     ..cfg
                 },
             );
-            assert_eq!(coord_bits(&resumed), want_coords, "coords after {stop:?}");
+            assert_eq!(
+                coord_bits(&resumed),
+                want_coords,
+                "{flavour}: coords after {stop:?}"
+            );
             assert_eq!(
                 resumed.master().all_assignments.clone().unwrap(),
                 want_assign,
-                "assignments after {stop:?}"
+                "{flavour}: assignments after {stop:?}"
             );
             assert_eq!(
                 resumed.master().summary.kmeans_objective.to_bits(),
                 want_obj,
-                "objective after {stop:?}"
+                "{flavour}: objective after {stop:?}"
             );
             let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// Every checkpoint restores the documents a fresh scan produces, on
+    /// every rank: from the forward index at Scan, from the postings
+    /// after it. Only the Scan checkpoint hands back a forward index.
+    /// PubMed indexes three fields per record, newswire two, web pages one.
+    #[test]
+    fn restored_documents_equal_a_fresh_scan() {
+        let zero = Arc::new(CostModel::zero());
+        let newswire = CorpusSpec {
+            source_bytes: 8 * 1024,
+            ..CorpusSpec::newswire(128 * 1024, 37)
+        }
+        .generate();
+        let flavours = [
+            ("pubmed", corpus()),
+            ("trec", trec_corpus()),
+            ("newswire", newswire),
+        ];
+        for (flavour, src) in flavours {
+            for p in [1, 2, 4] {
+                let dir = tmp(&format!("docs-{flavour}-p{p}"));
+                let _ = std::fs::remove_dir_all(&dir);
+                let cfg = EngineConfig {
+                    checkpoint_dir: Some(dir.clone()),
+                    ..EngineConfig::for_testing()
+                };
+                run_engine(p, zero.clone(), &src, &cfg);
+                for stage in [Stage::Scan, Stage::Index, Stage::Sig, Stage::Final] {
+                    let snap = EngineSnapshot::open(&checkpoint_path(&dir, stage)).unwrap();
+                    Runtime::new(zero.clone()).run(p, |ctx| {
+                        let (restored, forward) = snap.restore_scan(ctx).unwrap();
+                        let (fresh, _) = crate::scan::scan(ctx, &src, &cfg);
+                        let at = format!("{flavour} P={p} {stage:?} rank {}", ctx.rank());
+                        assert_eq!(forward.is_some(), stage == Stage::Scan, "{at}");
+                        assert_eq!(restored.doc_base, fresh.doc_base, "{at}");
+                        assert_eq!(restored.docs, fresh.docs, "{at}");
+                    });
+                }
+                let _ = std::fs::remove_dir_all(&dir);
+            }
         }
     }
 
@@ -334,7 +399,7 @@ mod tests {
             assert_eq!(wrote, rows, "{}", path.display());
             widths.push(rows.len());
         }
-        assert_eq!(widths, [11, 17, 22, 35, 29]);
+        assert_eq!(widths, [11, 15, 20, 33, 27]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -10,11 +10,11 @@ use crate::assoc::AssociationMatrix;
 use crate::index::{pack_posting, InvertedIndex, Posting, RankLoad};
 use crate::pipeline::{EngineOutput, EngineSummary};
 use crate::postings::{bad, read_terms};
-use crate::scan::{unpack_entry, LocalDoc, LocalField, ScanOutput};
+use crate::scan::{unpack_entry, ForwardIndex, LocalDoc, LocalField, ScanOutput};
 use crate::signature::Signatures;
 use crate::topicality::TopicSelection;
 use crate::{DocId, TermId};
-use ga::{DistHashMap, GlobalArray};
+use ga::GlobalArray;
 use intern::TermTable;
 use spmd::Ctx;
 use std::io;
@@ -91,78 +91,38 @@ impl EngineSnapshot {
         }
     }
 
-    /// Restore the Scan & Map stage state. Collective.
-    pub fn restore_scan(&self, ctx: &Ctx) -> io::Result<ScanOutput> {
+    /// Restore the Scan & Map stage state. Collective. Documents come
+    /// from the forward index in a Scan-stage snapshot, which also hands
+    /// back the forward index itself for the Index stage to consume; in a
+    /// later snapshot they come from the inverted file, and there is no
+    /// forward index to hand back.
+    pub fn restore_scan(&self, ctx: &Ctx) -> io::Result<(ScanOutput, Option<ForwardIndex>)> {
         let (lo, hi) = self.doc_range(ctx)?;
         let terms = self.terms()?;
         let doctok = self.get::<u32>(&DOCTOK);
         let segoff = self.get::<u64>(&SEGOFF);
         let segfld = self.get::<u32>(&SEGFLD);
         let seglen = self.get::<u32>(&SEGLEN);
-        let fwdoff = self.get::<i64>(&FWDOFF);
-        let fwddat = self.get::<u64>(&FWDDAT);
-
-        let mut docs: Vec<LocalDoc> = Vec::with_capacity(hi - lo);
-        for d in lo..hi {
-            let mut entry_at = fwdoff[d] as usize;
-            let mut fields = Vec::with_capacity((segoff[d + 1] - segoff[d]) as usize);
-            for s in segoff[d] as usize..segoff[d + 1] as usize {
-                let n = seglen[s] as usize;
-                // A run past `fwddat` reads as empty; the cover check
-                // below then refuses the document.
-                let run = fwddat.get(entry_at..entry_at + n).unwrap_or_default();
-                let mut counts: Vec<(TermId, u32)> = Vec::with_capacity(run.len());
-                for e in run {
-                    let (t, f, c) = unpack_entry(*e);
-                    if f as u32 != segfld[s] {
-                        return Err(bad(
-                            &self.snap,
-                            format!(
-                                "doc {d}: forward entry field {f} disagrees with segment field {}",
-                                segfld[s]
-                            ),
-                        ));
-                    }
-                    counts.push((t, c));
-                }
-                entry_at += n;
-                fields.push(LocalField {
-                    field: segfld[s] as crate::FieldId,
-                    counts,
-                });
-            }
-            if entry_at != fwdoff[d + 1] as usize {
-                return Err(bad(
-                    &self.snap,
-                    format!(
-                        "doc {d}: segments cover {entry_at} entries, offsets say {}",
-                        fwdoff[d + 1]
-                    ),
-                ));
-            }
-            docs.push(LocalDoc {
+        // Every document with its fields in segment order, still empty.
+        let mut docs: Vec<LocalDoc> = (lo..hi)
+            .map(|d| LocalDoc {
                 doc_id: d as DocId,
-                fields,
+                fields: (segoff[d] as usize..segoff[d + 1] as usize)
+                    .map(|s| LocalField {
+                        field: segfld[s] as crate::FieldId,
+                        counts: Vec::with_capacity(seglen[s] as usize),
+                    })
+                    .collect(),
                 tokens: doctok[d],
-            });
-        }
-
-        // Rebuild the forward global arrays: each rank fills its own
-        // block from the (replicated) snapshot sections. No messages —
-        // the restore is embarrassingly local.
-        let total_docs = self.meta.total_docs as usize;
-        let fwd_offsets = GlobalArray::<i64>::create(ctx, total_docs + 1);
-        fwd_offsets.with_local_mut(ctx, |local| {
-            let r = fwd_offsets.distribution(ctx.rank());
-            local.copy_from_slice(&fwdoff[r]);
-        });
-        let fwd_data = GlobalArray::<u64>::create(ctx, fwddat.len());
-        fwd_data.with_local_mut(ctx, |local| {
-            let r = fwd_data.distribution(ctx.rank());
-            local.copy_from_slice(&fwddat[r]);
-        });
-        ctx.barrier();
-
+            })
+            .collect();
+        let forward = if FWDDAT.carried_at(self.meta.stage) {
+            self.docs_from_forward(&mut docs, lo)?;
+            Some(self.forward_index(ctx))
+        } else {
+            self.docs_from_postings(&mut docs, lo)?;
+            None
+        };
         // Per-rank scan statistics: exact under the original
         // partitioning; summed onto the single rank when serving.
         let rankio = self.get::<u64>(&RANKIO);
@@ -174,21 +134,124 @@ impl EngineSnapshot {
             }
         };
 
-        Ok(ScanOutput {
+        let scan = ScanOutput {
             docs,
             doc_base: lo as DocId,
             total_docs: self.meta.total_docs,
-            // The distributed hashmap's arrival-order ids are dead state
-            // after canonicalization; nothing downstream reads it.
-            vocab: DistHashMap::create(ctx),
             terms: Arc::new(terms),
-            fwd_offsets,
-            fwd_data,
             bytes_scanned: stat(0),
             tokens_scanned: stat(1),
             vocab_rpc_msgs: stat(2),
             vocab_rpc_scalar_equiv: stat(3),
-        })
+        };
+        Ok((scan, forward))
+    }
+
+    /// Fill `docs` (the documents from `lo`) from the forward index: each
+    /// segment is the next `seglen` entries, all of the segment's field.
+    fn docs_from_forward(&self, docs: &mut [LocalDoc], lo: usize) -> io::Result<()> {
+        let segoff = self.get::<u64>(&SEGOFF);
+        let segfld = self.get::<u32>(&SEGFLD);
+        let seglen = self.get::<u32>(&SEGLEN);
+        let fwdoff = self.get::<i64>(&FWDOFF);
+        let fwddat = self.get::<u64>(&FWDDAT);
+        for (doc, d) in docs.iter_mut().zip(lo..) {
+            let mut entry_at = fwdoff[d] as usize;
+            for (field, s) in doc.fields.iter_mut().zip(segoff[d] as usize..) {
+                let n = seglen[s] as usize;
+                // A run past `fwddat` reads as empty; the cover check
+                // below then refuses the document.
+                let run = fwddat.get(entry_at..entry_at + n).unwrap_or_default();
+                for e in run {
+                    let (t, f, c) = unpack_entry(*e);
+                    if f as u32 != segfld[s] {
+                        return Err(bad(
+                            &self.snap,
+                            format!(
+                                "doc {d}: forward entry field {f} disagrees with segment field {}",
+                                segfld[s]
+                            ),
+                        ));
+                    }
+                    field.counts.push((t, c));
+                }
+                entry_at += n;
+            }
+            if entry_at != fwdoff[d + 1] as usize {
+                return Err(bad(
+                    &self.snap,
+                    format!(
+                        "doc {d}: segments cover {entry_at} entries, offsets say {}",
+                        fwdoff[d + 1]
+                    ),
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Fill `docs` (the documents from `lo`) from the inverted file. Terms
+    /// are visited in id order, so each field's counts arrive sorted as
+    /// the scan sorts them; a posting lands in the document's segment of
+    /// its field. Postings and forward entries saturate `freq` at the same
+    /// 24 bits, so the documents equal those the forward index gives. A
+    /// document whose postings do not fill exactly its `seglen`s is
+    /// refused — so is one that repeats a field, whose second segment of
+    /// that field stays empty: postings cannot say which segment a term
+    /// came from.
+    fn docs_from_postings(&self, docs: &mut [LocalDoc], lo: usize) -> io::Result<()> {
+        let index = self.index.as_ref().expect("opened with the index");
+        let hi = lo + docs.len();
+        let mut posts: Vec<Posting> = Vec::new();
+        for t in 0..self.meta.vocab_size as TermId {
+            posts.clear();
+            index.postings_from(&self.snap, t, lo as DocId, &mut posts)?;
+            for p in posts.iter().take_while(|p| (p.doc as usize) < hi) {
+                let doc = &mut docs[p.doc as usize - lo];
+                let Some(field) = doc.fields.iter_mut().find(|f| f.field == p.field) else {
+                    let (d, f) = (p.doc, p.field);
+                    let msg =
+                        format!("doc {d}: term {t} is posted in field {f}, no segment's field");
+                    return Err(bad(&self.snap, msg));
+                };
+                field.counts.push((t, p.freq));
+            }
+        }
+        let (segoff, seglen) = (self.get::<u64>(&SEGOFF), self.get::<u32>(&SEGLEN));
+        for (doc, d) in docs.iter().zip(lo..) {
+            for (field, s) in doc.fields.iter().zip(segoff[d] as usize..) {
+                if field.counts.len() != seglen[s] as usize {
+                    return Err(bad(
+                        &self.snap,
+                        format!(
+                            "doc {d}: postings fill field {} with {} terms, `seglen` says {}",
+                            field.field,
+                            field.counts.len(),
+                            seglen[s]
+                        ),
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The forward index's global arrays, each rank filling its own block
+    /// from the (replicated) sections. No messages — the restore is
+    /// embarrassingly local.
+    fn forward_index(&self, ctx: &Ctx) -> ForwardIndex {
+        let fwdoff = self.get::<i64>(&FWDOFF);
+        let fwddat = self.get::<u64>(&FWDDAT);
+        let offsets = GlobalArray::<i64>::create(ctx, fwdoff.len());
+        offsets.with_local_mut(ctx, |local| {
+            local.copy_from_slice(&fwdoff[offsets.distribution(ctx.rank())]);
+        });
+        let data = GlobalArray::<u64>::create(ctx, fwddat.len());
+        data.with_local_mut(ctx, |local| {
+            local.copy_from_slice(&fwddat[data.distribution(ctx.rank())]);
+        });
+        ctx.barrier();
+        ForwardIndex { offsets, data }
     }
 
     /// Restore the inverted index and global term statistics. Collective.

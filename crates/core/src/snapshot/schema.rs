@@ -51,6 +51,8 @@ pub struct Row {
     pub kind: SectionKind,
     /// First stage whose snapshots carry the section.
     pub stage: Stage,
+    /// Last stage whose snapshots carry the section.
+    pub last: Stage,
     pub len: Len,
     pub values: Values,
 }
@@ -60,6 +62,7 @@ const fn row(name: &'static str, kind: SectionKind, stage: Stage, len: Len) -> R
         name,
         kind,
         stage,
+        last: Final,
         len,
         values: Any,
     }
@@ -72,8 +75,17 @@ impl Row {
         w.add_section(self.name, self.kind, data)
     }
 
+    /// Whether a snapshot of `stage` carries the section.
+    pub fn carried_at(&self, stage: Stage) -> bool {
+        (self.stage..=self.last).contains(&stage)
+    }
+
     const fn values(self, values: Values) -> Row {
         Row { values, ..self }
+    }
+
+    const fn until(self, last: Stage) -> Row {
+        Row { last, ..self }
     }
 }
 
@@ -96,8 +108,12 @@ pub static DOCTOK: Row = row("doctok", U32, Scan, DOCS);
 pub static SEGOFF: Row = row("segoff", U64, Scan, DOCS_PLUS_1).values(Offsets);
 pub static SEGFLD: Row = row("segfld", U32, Scan, LastOf(&SEGOFF));
 pub static SEGLEN: Row = row("seglen", U32, Scan, LastOf(&SEGOFF));
-pub static FWDOFF: Row = row("fwdoff", I64, Scan, DOCS_PLUS_1).values(Offsets);
-pub static FWDDAT: Row = row("fwddat", U64, Scan, LastOf(&FWDOFF));
+// The forward index feeds the Index stage and nothing after it; from
+// then on the inverted file holds the same (term, doc, field, freq) facts.
+pub static FWDOFF: Row = row("fwdoff", I64, Scan, DOCS_PLUS_1)
+    .values(Offsets)
+    .until(Scan);
+pub static FWDDAT: Row = row("fwddat", U64, Scan, LastOf(&FWDOFF)).until(Scan);
 pub static RANKIO: Row = row("rankio", U64, Scan, PER_RANK_4);
 // The inverted file: the five index sections (`core::postings`), which
 // [`SEGMENT`] shares, and the load-balance telemetry.
@@ -286,7 +302,7 @@ impl EngineMeta {
 /// The rows a snapshot of this shape carries, in file order.
 pub fn engine_rows(meta: &EngineMeta) -> Vec<&'static Row> {
     let ann = ANN.iter().filter(|_| meta.wants_ann());
-    let staged = ENGINE.iter().filter(|r| r.stage <= meta.stage);
+    let staged = ENGINE.iter().filter(|r| r.carried_at(meta.stage));
     staged.chain(ann).copied().collect()
 }
 
@@ -450,8 +466,8 @@ mod tests {
             _ if is(&TOMB) => "the segment deletes documents",
             _ => "—",
         };
-        let (name, kind, stage) = (row.name, row.kind, row.stage);
-        format!("| `{name}` | {kind} | {stage:?} | {rule} | {when} |")
+        let (name, kind, stage, last) = (row.name, row.kind, row.stage, row.last);
+        format!("| `{name}` | {kind} | {stage:?} | {last:?} | {rule} | {when} |")
     }
 
     /// DESIGN.md §8 documents the tables row for row; this is what keeps

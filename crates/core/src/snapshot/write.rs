@@ -8,7 +8,7 @@ use crate::assoc::AssociationMatrix;
 use crate::cluster::Clustering;
 use crate::index::InvertedIndex;
 use crate::postings::{encode_index_sections, write_index_sections};
-use crate::scan::ScanOutput;
+use crate::scan::{ForwardIndex, ScanOutput};
 use crate::signature::Signatures;
 use crate::topicality::TopicSelection;
 use inspire_store::{publish, SnapshotWriter};
@@ -51,6 +51,9 @@ pub struct SnapshotInput<'a> {
     pub config_fp: u64,
     pub corpus_fp: u64,
     pub scan: &'a ScanOutput,
+    /// The forward index, which only a Scan-stage snapshot carries
+    /// ([`FWDOFF`]'s and [`FWDDAT`]'s last stage).
+    pub forward: Option<&'a ForwardIndex>,
     pub index: Option<&'a InvertedIndex>,
     pub topics: Option<&'a TopicSelection>,
     pub am: Option<&'a AssociationMatrix>,
@@ -61,6 +64,34 @@ pub struct SnapshotInput<'a> {
     pub projection_dims: usize,
     pub variance_explained: f64,
     pub labels: Option<&'a [Vec<String>]>,
+}
+
+impl<'a> SnapshotInput<'a> {
+    /// The input of a Scan-stage snapshot: no later stage's products.
+    pub fn scanned(
+        config_fp: u64,
+        corpus_fp: u64,
+        scan: &'a ScanOutput,
+        forward: Option<&'a ForwardIndex>,
+    ) -> Self {
+        SnapshotInput {
+            stage: Stage::Scan,
+            config_fp,
+            corpus_fp,
+            scan,
+            forward,
+            index: None,
+            topics: None,
+            am: None,
+            sigs: None,
+            expansions: 0,
+            clustering: None,
+            coords_nd: None,
+            projection_dims: 0,
+            variance_explained: 0.0,
+            labels: None,
+        }
+    }
 }
 
 /// Write an engine snapshot. Collective: all ranks participate in the
@@ -107,8 +138,15 @@ pub fn write_engine_snapshot(
     let rankio = ctx.gather_data(0, my_rankio, 32);
 
     // ---- Gather the global arrays on the writing rank (collective) ----
-    let fwdoff = scan.fwd_offsets.gather_to(ctx, 0);
-    let fwddat = scan.fwd_data.gather_to(ctx, 0);
+    let forward = FWDDAT.carried_at(inp.stage).then(|| {
+        let forward = inp
+            .forward
+            .expect("a Scan snapshot is given its forward index");
+        (
+            forward.offsets.gather_to(ctx, 0),
+            forward.data.gather_to(ctx, 0),
+        )
+    });
     let postdat = inp.index.and_then(|idx| idx.postings.gather_to(ctx, 0));
     let sigdat = inp.sigs.and_then(|s| s.global.gather_to(ctx, 0));
 
@@ -168,12 +206,10 @@ pub fn write_engine_snapshot(
             SEGOFF.put(&mut w, &segoff)?;
             SEGFLD.put(&mut w, &segfld)?;
             SEGLEN.put(&mut w, &seglen)?;
-            FWDOFF.put(&mut w, fwdoff.as_ref().unwrap())?;
-            FWDDAT.put(&mut w, fwddat.as_ref().unwrap())?;
-            // Each gathered copy is returned as soon as it is written, so
-            // the sections that follow reuse its pages instead of raising
-            // the writer's peak.
-            drop(fwddat);
+            if let Some((fwdoff, fwddat)) = forward {
+                FWDOFF.put(&mut w, fwdoff.as_ref().unwrap())?;
+                FWDDAT.put(&mut w, fwddat.as_ref().unwrap())?;
+            }
             RANKIO.put(&mut w, &rankio)?;
 
             if let Some(idx) = inp.index {

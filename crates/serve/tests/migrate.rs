@@ -5,7 +5,8 @@
 //! Two checked-in fixtures stand for the two retired layouts:
 //! `legacy_v1.isnap` (format v1, fixed-width index sections, Index
 //! stage) and `pre_ann_final.isnap` (Final stage written before the IVF
-//! and quantized-signature sections existed).
+//! and quantized-signature sections existed). Both were written while
+//! every stage kept the forward index, which migrating drops.
 
 use corpus::CorpusSpec;
 use inspire_core::ann;
@@ -73,7 +74,10 @@ fn assert_needs_migrate(path: &Path) {
 fn assert_migrate_is_identity(current: &Path) {
     let out = current.with_extension("again.isnap");
     let report = migrate(current, &out).expect("migrate a current snapshot");
-    assert!(!report.reencoded_index && !report.added_ann, "{report:?}");
+    assert!(
+        !report.reencoded_index && !report.added_ann && !report.stripped_forward,
+        "{report:?}"
+    );
     assert_eq!(
         std::fs::read(current).unwrap(),
         std::fs::read(&out).unwrap(),
@@ -89,9 +93,14 @@ fn legacy_v1_fixture_migrates_to_a_fresh_builds_answers() {
     let migrated_path = tmp("legacy.isnap");
     let report = migrate(&old, &migrated_path).expect("migrate the v1 fixture");
     assert_eq!(
-        (report.reencoded_index, report.added_ann),
-        (true, false),
-        "an Index-stage v1 file needs its index re-encoded and nothing else"
+        (
+            report.reencoded_index,
+            report.added_ann,
+            report.stripped_forward
+        ),
+        (true, false, true),
+        "an Index-stage v1 file needs its index re-encoded and its forward \
+         index dropped, and nothing else"
     );
     let migrated_snap = EngineSnapshot::open(&migrated_path).expect("migrated fixture opens");
     assert_eq!(migrated_snap.meta().stage, Stage::Index);
@@ -166,6 +175,7 @@ fn pre_ann_fixture_migrates_and_gains_similarity_search() {
         MigrateReport {
             reencoded_index: false,
             added_ann: true,
+            stripped_forward: true,
             bytes: std::fs::metadata(&migrated_path).unwrap().len(),
         }
     );
@@ -175,10 +185,16 @@ fn pre_ann_fixture_migrates_and_gains_similarity_search() {
 
     // The six appended sections are exactly `build_ivf` over the
     // fixture's own signatures, assignments and centroid count; every
-    // section the fixture had is carried over untouched.
+    // section the fixture had is carried over untouched, except the
+    // forward index, which a Final snapshot no longer carries.
     let before = inspire_store::Snapshot::open(&old).expect("fixture container opens");
     let after = migrated_snap.store();
-    for (name, kind, _) in before.sections() {
+    const FORWARD: [&str; 2] = ["fwdoff", "fwddat"];
+    for name in FORWARD {
+        assert!(before.has(name), "the fixture carries `{name}`");
+        assert!(!after.has(name), "`{name}` survived the migration");
+    }
+    for (name, kind, _) in before.sections().filter(|(n, ..)| !FORWARD.contains(n)) {
         let now = after.require(name).expect("section carried over");
         assert_eq!(now.kind(), kind, "kind of `{name}`");
         assert_eq!(
@@ -218,7 +234,7 @@ fn pre_ann_fixture_migrates_and_gains_similarity_search() {
         after.require("ivfoff").unwrap().as_u64s().unwrap(),
         ivf.ivfoff
     );
-    assert_eq!(after.sections().count(), before.sections().count() + 6);
+    assert_eq!(after.sections().count(), before.sections().count() + 6 - 2);
     let migrated = ServeState::from_snapshot(migrated_snap).expect("migrated fixture loads");
 
     // Rebuild the corpus the fixture was generated from (`vaengine

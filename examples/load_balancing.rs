@@ -42,8 +42,8 @@ fn main() {
         let model = Arc::new(CostModel::pnnl_2007_scaled(nominal, sources.total_bytes()));
         let rt = Runtime::new(model).with_threads_per_rank(config.threads_per_rank);
         let res = rt.run(p, |ctx| {
-            let s = scan(ctx, &sources, &config);
-            let idx = invert(ctx, &s, &config);
+            let (s, fwd) = scan(ctx, &sources, &config);
+            let idx = invert(ctx, &s, fwd, &config);
             idx.load
         });
         let load = &res.results[0];

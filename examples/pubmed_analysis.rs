@@ -65,8 +65,8 @@ fn main() {
     // index as a standalone product.
     let rt = Runtime::new(Arc::new(CostModel::pnnl_2007()));
     let res = rt.run(4, |ctx| {
-        let s = scan(ctx, &sources, &config);
-        let idx = invert(ctx, &s, &config);
+        let (s, fwd) = scan(ctx, &sources, &config);
+        let idx = invert(ctx, &s, fwd, &config);
         let topics = select_topics(ctx, &idx, &config, config.n_major, config.m_dims());
         // Query: the two strongest topics.
         let query: Vec<String> = topics

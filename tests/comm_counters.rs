@@ -33,8 +33,8 @@ fn comm_profile(
     let rt = Runtime::new(Arc::new(CostModel::zero())).with_threads_per_rank(threads);
     let cfg = EngineConfig::for_testing();
     rt.run(procs, |ctx| {
-        let s = ctx.component(Component::Scan, || scan(ctx, src, &cfg));
-        let idx = ctx.component(Component::Index, || invert(ctx, &s, &cfg));
+        let (s, fwd) = ctx.component(Component::Scan, || scan(ctx, src, &cfg));
+        let idx = ctx.component(Component::Index, || invert(ctx, &s, fwd, &cfg));
         assert!(idx.total_docs > 0);
         (
             ctx.stats.snapshot(),

@@ -14,7 +14,7 @@
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 use visual_analytics::engine::query::{self, Query};
-use visual_analytics::engine::snapshot::{schema, EngineSnapshot};
+use visual_analytics::engine::snapshot::{checkpoint_path, schema, EngineSnapshot};
 use visual_analytics::engine::{index::invert, scan::scan};
 use visual_analytics::prelude::*;
 
@@ -158,17 +158,37 @@ fn projection_width_outside_2_and_3_is_rejected_at_open() {
 /// table is checked to be one: each section in turn one element short,
 /// one element long, and (offsets tables) with two interior entries
 /// swapped must be refused at open by an error naming the section —
-/// never accepted, never a panic in a reader later.
+/// never accepted, never a panic in a reader later. Each section is
+/// lied about in a file that carries it: the Final snapshot, or the
+/// Scan checkpoint for the forward index.
 #[test]
 fn every_lying_section_is_refused_at_open_by_name() {
     // Four ranks, so that `docbase` has interior entries to swap.
-    let bytes = build_snapshot(4, "lying");
-    let good = inspire_store::Snapshot::from_bytes(&bytes, "pristine").unwrap();
+    let dir = snapshot_path("lying-ckpt");
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = EngineConfig {
+        checkpoint_dir: Some(dir.clone()),
+        ..EngineConfig::for_testing()
+    };
+    run_engine(4, Arc::new(CostModel::zero()), &corpus(), &cfg);
+    let open = |stage: Stage| {
+        let bytes = std::fs::read(checkpoint_path(&dir, stage)).expect("checkpoint written");
+        inspire_store::Snapshot::from_bytes(&bytes, "pristine").unwrap()
+    };
+    let (at_scan, at_final) = (open(Stage::Scan), open(Stage::Final));
+    let _ = std::fs::remove_dir_all(&dir);
+    let carrier = |row: &schema::Row| {
+        if row.carried_at(Stage::Final) {
+            &at_final
+        } else {
+            &at_scan
+        }
+    };
     let accepted = std::cell::RefCell::new(Vec::new());
     let refused = |row: &schema::Row, how: &str, lie: &dyn Fn(&[u8]) -> Vec<u8>| {
         let tag = format!("lying-{}-{how}", row.name);
         let edit = |name: &str, payload: &[u8]| (name == row.name).then(|| lie(payload));
-        match open_rewritten(&good, &tag, edit) {
+        match open_rewritten(carrier(row), &tag, edit) {
             Ok(_) => accepted.borrow_mut().push(format!("`{}` {how}", row.name)),
             Err(e) => assert!(
                 e.to_string().contains(&format!("`{}`", row.name)),
@@ -181,7 +201,7 @@ fn every_lying_section_is_refused_at_open_by_name() {
     let mut tables = 0;
     for row in schema::ENGINE.iter().chain(&schema::ANN) {
         let width = row.kind.elem_size();
-        let payload = good.require(row.name).unwrap().bytes();
+        let payload = carrier(row).require(row.name).unwrap().bytes();
         if !matches!(row.len, schema::Len::Parser) {
             assert!(payload.len() >= width, "`{}` is empty", row.name);
             refused(row, "one short", &|p| p[..p.len() - width].to_vec());
@@ -283,8 +303,8 @@ fn snapshot_served_queries_match_in_memory_pipeline() {
         let src = src.clone();
         let cfg = cfg.clone();
         let mut res = Runtime::new(zero.clone()).run(1, move |ctx| {
-            let s = scan(ctx, &src, &cfg);
-            let idx = invert(ctx, &s, &cfg);
+            let (s, fwd) = scan(ctx, &src, &cfg);
+            let idx = invert(ctx, &s, fwd, &cfg);
             let mut picks = (0..s.vocab_size())
                 .filter(|&t| idx.df[t] >= 4)
                 .map(|t| s.terms[t].to_string());
@@ -301,8 +321,8 @@ fn snapshot_served_queries_match_in_memory_pipeline() {
             let (src, cfg, free_text, boolean) =
                 (src.clone(), cfg.clone(), free_text.clone(), boolean.clone());
             let mut res = Runtime::new(zero.clone()).run(p, move |ctx| {
-                let s = scan(ctx, &src, &cfg);
-                let idx = invert(ctx, &s, &cfg);
+                let (s, fwd) = scan(ctx, &src, &cfg);
+                let idx = invert(ctx, &s, fwd, &cfg);
                 answer_queries(ctx, &s, &idx, &free_text, &boolean)
             });
             res.results.remove(0)
@@ -321,7 +341,7 @@ fn snapshot_served_queries_match_in_memory_pipeline() {
         let served: ServedAnswers = {
             let (free_text, boolean) = (free_text.clone(), boolean.clone());
             let mut res = Runtime::new(zero.clone()).run(1, move |ctx| {
-                let s = snap.restore_scan(ctx).expect("scan restores");
+                let (s, _) = snap.restore_scan(ctx).expect("scan restores");
                 let idx = snap.restore_index(ctx).expect("index restores");
                 answer_queries(ctx, &s, &idx, &free_text, &boolean)
             });
