@@ -365,6 +365,22 @@ impl PostingsReader {
             codec::decode_from(bytes, n, &skips[self.dir.skip_range(term)], min_doc, pairs)
         })
     }
+
+    /// Append only postings with a document in `docs`, seeking to the
+    /// first block that can hold one and stopping after the block that
+    /// passes `docs.end`.
+    pub fn postings_in(
+        &self,
+        snap: &Snapshot,
+        term: TermId,
+        docs: Range<DocId>,
+        out: &mut Vec<Posting>,
+    ) -> io::Result<()> {
+        self.decode(snap, term, out, |bytes, n, pairs| {
+            let skips = snap.require(POSTSKP.name)?.as_skips()?;
+            codec::decode_range(bytes, n, &skips[self.dir.skip_range(term)], docs, pairs)
+        })
+    }
 }
 
 /// Sorted union of component vocabularies — merge-on-read serving and

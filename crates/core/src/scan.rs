@@ -228,6 +228,12 @@ struct TokenizedChunk {
 /// per-field counting uses the reusable id-indexed
 /// `counts_scratch`/`touched` scratch pair. Nothing is sorted here —
 /// term order is established once, by canonical id, in [`scan`]'s remap.
+///
+/// A field the record repeats is one field whose counts sum over every
+/// occurrence, in the place of its first — MEDLINE gives each MeSH
+/// heading its own `MH` line. A document thus holds each field once, and
+/// each (term, document, field) is one posting, from which a post-Scan
+/// restore rebuilds the document.
 fn tokenize_record(
     source: &Source,
     range: Range<usize>,
@@ -240,24 +246,30 @@ fn tokenize_record(
     let raw = source.parse_record(range);
     let mut fields: Vec<TokenizedField> = Vec::new();
     let mut tokens = 0u32;
-    for (name, text) in &raw.fields {
-        let Some(fid) = crate::field_id(name) else {
+    let mut started = 0u32; // one bit per field id
+    for (first, &(name, _)) in raw.fields.iter().enumerate() {
+        let Some(fid) = crate::field_id(name).filter(|fid| indexed.contains(fid)) else {
             continue;
         };
-        if !indexed.contains(&fid) {
+        // A repeated field was tokenized whole at its first occurrence.
+        if started & (1 << fid) != 0 {
             continue;
         }
-        let candidates = tokenizer.tokenize_intern_into(text, terms, |id, _is_new| {
-            let at = id as usize;
-            if at >= counts_scratch.len() {
-                counts_scratch.resize(at + 1, 0);
-            }
-            if counts_scratch[at] == 0 {
-                touched.push(id);
-            }
-            counts_scratch[at] += 1;
-            tokens += 1;
-        });
+        started |= 1 << fid;
+        let mut candidates = 0u64;
+        for &(_, text) in raw.fields[first..].iter().filter(|(n, _)| *n == name) {
+            candidates += tokenizer.tokenize_intern_into(text, terms, |id, _is_new| {
+                let at = id as usize;
+                if at >= counts_scratch.len() {
+                    counts_scratch.resize(at + 1, 0);
+                }
+                if counts_scratch[at] == 0 {
+                    touched.push(id);
+                }
+                counts_scratch[at] += 1;
+                tokens += 1;
+            });
+        }
         if candidates == 0 {
             continue;
         }
@@ -761,6 +773,43 @@ mod tests {
                 assert_eq!(entries, expect, "doc {}", d.doc_id);
             }
         });
+    }
+
+    /// A record that repeats a field scans as one field holding the
+    /// summed counts of every occurrence, placed where the first was:
+    /// MeSH headings on one `MH` line or on several give one document.
+    #[test]
+    fn repeated_field_scans_as_one_field() {
+        let medline = |text: &str| SourceSet {
+            sources: vec![corpus::Source {
+                name: "m.txt".into(),
+                data: text.as_bytes().to_vec(),
+                format: corpus::FormatKind::Medline,
+            }],
+        };
+        let one_line =
+            medline("PMID- 1\nTI  - alpha beta\nMH  - gamma; gamma; delta\nAB  - epsilon\n\n");
+        let split = medline(
+            "PMID- 1\nTI  - alpha beta\nMH  - gamma\nAB  - epsilon\nMH  - gamma; delta\n\n",
+        );
+        let rt = Runtime::for_testing();
+        let docs = |src: &SourceSet| {
+            rt.run(1, |ctx| scan(ctx, src, &EngineConfig::for_testing()).0)
+                .results
+                .remove(0)
+        };
+        let (want, got) = (docs(&one_line), docs(&split));
+        assert_eq!(got.docs, want.docs);
+        let names: Vec<&str> = got.docs[0]
+            .fields
+            .iter()
+            .map(|f| crate::FIELD_NAMES[f.field as usize])
+            .collect();
+        assert_eq!(names, ["title", "mesh", "abstract"]);
+        let gamma = got.term_id("gamma").unwrap();
+        let mesh = &got.docs[0].fields[1].counts;
+        assert_eq!(mesh.iter().find(|&&(t, _)| t == gamma), Some(&(gamma, 2)));
+        assert_eq!(mesh.len(), 2);
     }
 
     #[test]

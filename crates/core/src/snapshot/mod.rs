@@ -212,7 +212,7 @@ mod tests {
     use crate::pipeline::{run_engine, Engine, EngineRun};
     use corpus::CorpusSpec;
     use perfmodel::CostModel;
-    use spmd::Runtime;
+    use spmd::{Component, Runtime};
     use std::sync::Arc;
 
     fn corpus() -> SourceSet {
@@ -351,6 +351,140 @@ mod tests {
                 let _ = std::fs::remove_dir_all(&dir);
             }
         }
+    }
+
+    /// A MEDLINE export with each MeSH heading on its own `MH` line: the
+    /// generated records with every `MH` line split at its `; `.
+    fn mesh_per_line(src: SourceSet) -> corpus::Source {
+        let source = src.sources.into_iter().next().expect("one source");
+        let text = String::from_utf8(source.data).expect("generated text is UTF-8");
+        let data = text
+            .lines()
+            .map(|line| match line.strip_prefix("MH  - ") {
+                Some(headings) => format!("MH  - {}\n", headings.replace("; ", "\nMH  - ")),
+                None => format!("{line}\n"),
+            })
+            .collect::<String>()
+            .into_bytes();
+        corpus::Source { data, ..source }
+    }
+
+    /// Records that repeat a field resume from an Index checkpoint: rank 0
+    /// scans a MEDLINE export with several `MH` lines per record, rank 1
+    /// web pages, at P=2. The resume neither hangs nor falls back to a
+    /// scan, and ends where an uninterrupted run ends.
+    #[test]
+    fn repeated_fields_resume_from_an_index_checkpoint() {
+        let medline = mesh_per_line(
+            CorpusSpec {
+                source_bytes: 96 * 1024,
+                ..CorpusSpec::pubmed(96 * 1024, 41)
+            }
+            .generate(),
+        );
+        let trec = CorpusSpec {
+            source_bytes: 96 * 1024,
+            ..CorpusSpec::trec(96 * 1024, 43)
+        }
+        .generate()
+        .sources
+        .remove(0);
+        let text = String::from_utf8_lossy(&medline.data);
+        assert!(text.contains("\nMH  - ") && !text.contains("; "));
+        let src = SourceSet {
+            sources: vec![medline, trec],
+        };
+        let parts = corpus::partition_contiguous(&src.sizes(), 2);
+        assert_eq!(parts, [0..1, 1..2], "one source per rank");
+
+        let zero = Arc::new(CostModel::zero());
+        let dir = tmp("repeated-fields");
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = EngineConfig {
+            checkpoint_dir: Some(dir.clone()),
+            ..EngineConfig::for_testing()
+        };
+        let baseline = run_engine(2, zero.clone(), &src, &cfg);
+        std::fs::remove_file(checkpoint_path(&dir, Stage::Sig)).unwrap();
+        std::fs::remove_file(checkpoint_path(&dir, Stage::Final)).unwrap();
+
+        // A rank that scans while the other restores would wait forever
+        // in mismatched collectives: run the resume where a hang is seen.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let resume_cfg = EngineConfig {
+            resume: true,
+            ..cfg
+        };
+        let resume_src = src.clone();
+        std::thread::spawn(move || {
+            let _ = tx.send(run_engine(2, zero, &resume_src, &resume_cfg));
+        });
+        let resumed = rx
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("the resume finishes");
+        assert_eq!(coord_bits(&resumed), coord_bits(&baseline));
+        // A scan and an inversion send far more than a restore's
+        // collectives: neither stage ran again.
+        for stage in [Component::Scan, Component::Index] {
+            for (rank, (was, now)) in baseline
+                .run
+                .stats
+                .iter()
+                .zip(&resumed.run.stats)
+                .enumerate()
+            {
+                let (was, now) = (was.stage_msgs_for(stage), now.stage_msgs_for(stage));
+                assert!(
+                    now < was,
+                    "rank {rank} {stage:?}: {now} messages resumed, {was} fresh"
+                );
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Each rank checks only its own documents, yet the ranks decide
+    /// together: when rank 0's documents do not rebuild from the postings
+    /// (here a file whose document repeats a field, as scans once wrote
+    /// them), rank 1's restore fails too.
+    #[test]
+    fn ranks_refuse_a_scan_restore_together() {
+        let zero = Arc::new(CostModel::zero());
+        let src = corpus();
+        let cfg = EngineConfig::for_testing();
+        let path = tmp("split-field.isnap");
+        Runtime::new(zero.clone()).run(2, |ctx| {
+            let (mut scanned, forward) = crate::scan::scan(ctx, &src, &cfg);
+            let index = crate::index::invert(ctx, &scanned, forward, &cfg);
+            if ctx.rank() == 0 {
+                let fields = &mut scanned.docs[0].fields;
+                let tail = fields[0].counts.split_off(1);
+                let field = fields[0].field;
+                fields.insert(
+                    1,
+                    crate::scan::LocalField {
+                        field,
+                        counts: tail,
+                    },
+                );
+            }
+            let inp = SnapshotInput {
+                stage: Stage::Index,
+                index: Some(&index),
+                ..SnapshotInput::scanned(0, 0, &scanned, None)
+            };
+            write_engine_snapshot(ctx, &path, &inp).unwrap();
+        });
+        let snap = EngineSnapshot::open(&path).unwrap();
+        let errors = Runtime::new(zero)
+            .run(2, |ctx| snap.restore_scan(ctx).err().map(|e| e.to_string()))
+            .results;
+        let _ = std::fs::remove_file(&path);
+        assert!(errors[0].as_ref().unwrap().contains("doc 0:"), "{errors:?}");
+        assert!(
+            errors[1].as_ref().unwrap().contains("1 other rank"),
+            "{errors:?}"
+        );
     }
 
     /// The writer conforms to the schema: every checkpoint, and a Final

@@ -16,7 +16,7 @@ use crate::topicality::TopicSelection;
 use crate::{DocId, TermId};
 use ga::GlobalArray;
 use intern::TermTable;
-use spmd::Ctx;
+use spmd::{Ctx, ReduceOp};
 use std::io;
 use std::sync::Arc;
 
@@ -95,7 +95,10 @@ impl EngineSnapshot {
     /// from the forward index in a Scan-stage snapshot, which also hands
     /// back the forward index itself for the Index stage to consume; in a
     /// later snapshot they come from the inverted file, and there is no
-    /// forward index to hand back.
+    /// forward index to hand back. Each rank checks only its own
+    /// documents, so the ranks agree before going on: all restore, or all
+    /// fail and recompute — a rank that scans while another restores
+    /// would run mismatched collectives.
     pub fn restore_scan(&self, ctx: &Ctx) -> io::Result<(ScanOutput, Option<ForwardIndex>)> {
         let (lo, hi) = self.doc_range(ctx)?;
         let terms = self.terms()?;
@@ -116,13 +119,19 @@ impl EngineSnapshot {
                 tokens: doctok[d],
             })
             .collect();
-        let forward = if FWDDAT.carried_at(self.meta.stage) {
-            self.docs_from_forward(&mut docs, lo)?;
-            Some(self.forward_index(ctx))
+        let forwarded = FWDDAT.carried_at(self.meta.stage);
+        let filled = if forwarded {
+            self.docs_from_forward(&mut docs, lo)
         } else {
-            self.docs_from_postings(&mut docs, lo)?;
-            None
+            self.docs_from_postings(&mut docs, lo)
         };
+        let failed = ctx.allreduce(vec![u64::from(filled.is_err())], ReduceOp::Sum)[0];
+        filled?;
+        if failed > 0 {
+            let msg = format!("documents of {failed} other rank(s) failed to restore");
+            return Err(bad(&self.snap, msg));
+        }
+        let forward = forwarded.then(|| self.forward_index(ctx));
         // Per-rank scan statistics: exact under the original
         // partitioning; summed onto the single rank when serving.
         let rankio = self.get::<u64>(&RANKIO);
@@ -190,23 +199,23 @@ impl EngineSnapshot {
         Ok(())
     }
 
-    /// Fill `docs` (the documents from `lo`) from the inverted file. Terms
-    /// are visited in id order, so each field's counts arrive sorted as
-    /// the scan sorts them; a posting lands in the document's segment of
-    /// its field. Postings and forward entries saturate `freq` at the same
-    /// 24 bits, so the documents equal those the forward index gives. A
-    /// document whose postings do not fill exactly its `seglen`s is
-    /// refused — so is one that repeats a field, whose second segment of
-    /// that field stays empty: postings cannot say which segment a term
-    /// came from.
+    /// Fill `docs` (the documents from `lo`) from the inverted file,
+    /// decoding each term's list only over `lo..hi`. Terms are visited in
+    /// id order, so each field's counts arrive sorted as the scan sorts
+    /// them. The scan gives a document each field once, so a posting
+    /// lands in the one segment of its field. Postings and forward entries
+    /// saturate `freq` at the same 24 bits, so the documents equal those
+    /// the forward index gives. A document whose postings do not fill
+    /// exactly its `seglen`s is refused — so is one that repeats a field,
+    /// whose second segment of that field stays empty.
     fn docs_from_postings(&self, docs: &mut [LocalDoc], lo: usize) -> io::Result<()> {
         let index = self.index.as_ref().expect("opened with the index");
-        let hi = lo + docs.len();
+        let range = lo as DocId..(lo + docs.len()) as DocId;
         let mut posts: Vec<Posting> = Vec::new();
         for t in 0..self.meta.vocab_size as TermId {
             posts.clear();
-            index.postings_from(&self.snap, t, lo as DocId, &mut posts)?;
-            for p in posts.iter().take_while(|p| (p.doc as usize) < hi) {
+            index.postings_in(&self.snap, t, range.clone(), &mut posts)?;
+            for p in &posts {
                 let doc = &mut docs[p.doc as usize - lo];
                 let Some(field) = doc.fields.iter_mut().find(|f| f.field == p.field) else {
                     let (d, f) = (p.doc, p.field);

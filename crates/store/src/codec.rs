@@ -23,6 +23,7 @@
 //! without per-byte branching.
 
 use std::io;
+use std::ops::Range;
 
 /// Pairs per block; also the skip-pointer granularity.
 pub const BLOCK_LEN: usize = 128;
@@ -276,35 +277,64 @@ pub fn decode_from(
     min_key: u32,
     out: &mut Vec<(u32, u32)>,
 ) -> io::Result<()> {
+    decode_bounded(bytes, n, skips, min_key, None, out)
+}
+
+/// Decode only the pairs with `keys.start ≤ key < keys.end`: the
+/// [`decode_from`] of `keys.start` that stops after the first block
+/// reaching `keys.end`, so the result is exactly that slice of the list.
+pub fn decode_range(
+    bytes: &[u8],
+    n: usize,
+    skips: &[u64],
+    keys: Range<u32>,
+    out: &mut Vec<(u32, u32)>,
+) -> io::Result<()> {
+    decode_bounded(bytes, n, skips, keys.start, Some(keys.end), out)
+}
+
+/// [`decode_from`] and [`decode_range`]: the pairs from `min_key`, up to
+/// `end_key` (exclusive) when one is given.
+fn decode_bounded(
+    bytes: &[u8],
+    n: usize,
+    skips: &[u64],
+    min_key: u32,
+    end_key: Option<u32>,
+    out: &mut Vec<(u32, u32)>,
+) -> io::Result<()> {
+    let from = out.len();
     if skips.is_empty() {
         // Single block (or the caller stored no skips): decode and trim.
-        let from = out.len();
         decode_list(bytes, n, out)?;
-        retain_from(out, from, min_key);
-        return Ok(());
-    }
-    debug_assert_eq!(skips.len(), n.div_ceil(BLOCK_LEN));
-    let first = seek_block(skips, min_key);
-    if first >= skips.len() {
-        return Ok(());
-    }
-    let mut at = if first == 0 {
-        0
     } else {
-        skip_end_off(skips[first - 1]) as usize
-    };
-    let mut prev = if first == 0 {
-        0
-    } else {
-        skip_last_key(skips[first - 1])
-    };
-    let from = out.len();
-    for (b, &entry) in skips.iter().enumerate().skip(first) {
-        let count = (n - b * BLOCK_LEN).min(BLOCK_LEN);
-        decode_block(bytes, &mut at, count, prev, out)?;
-        prev = skip_last_key(entry);
+        debug_assert_eq!(skips.len(), n.div_ceil(BLOCK_LEN));
+        let first = seek_block(skips, min_key);
+        let mut at = if first == 0 {
+            0
+        } else {
+            skip_end_off(skips[first - 1]) as usize
+        };
+        let mut prev = if first == 0 {
+            0
+        } else {
+            skip_last_key(skips[first - 1])
+        };
+        for (b, &entry) in skips.iter().enumerate().skip(first) {
+            let count = (n - b * BLOCK_LEN).min(BLOCK_LEN);
+            decode_block(bytes, &mut at, count, prev, out)?;
+            prev = skip_last_key(entry);
+            // Later blocks hold only keys above this block's last.
+            if end_key.is_some_and(|end| prev >= end) {
+                break;
+            }
+        }
     }
     retain_from(out, from, min_key);
+    if let Some(end) = end_key {
+        let keep = out[from..].partition_point(|&(k, _)| k < end);
+        out.truncate(from + keep);
+    }
     Ok(())
 }
 

@@ -9,8 +9,8 @@
 //! section is still rejected by the store CRCs before a decoder sees it.
 
 use inspire_store::codec::{
-    decode_from, decode_list, encode_list, read_varints_u32, read_varints_u32_scalar, seek_block,
-    skip_last_key, write_u32, BLOCK_LEN,
+    decode_from, decode_list, decode_range, encode_list, read_varints_u32, read_varints_u32_scalar,
+    seek_block, skip_last_key, write_u32, BLOCK_LEN,
 };
 use inspire_store::{SectionKind, Snapshot, SnapshotWriter};
 use proptest::prelude::*;
@@ -126,6 +126,28 @@ proptest! {
         decode_from(&bytes, pairs.len(), &skips, probe, &mut tail).expect("decode_from");
         let want: Vec<(u32, u32)> = pairs.iter().copied().filter(|&(k, _)| k >= probe).collect();
         prop_assert_eq!(tail, want);
+    }
+
+    /// A bounded decode equals the full list filtered to the key range,
+    /// whatever blocks the range starts and ends in.
+    #[test]
+    fn range_decode_matches_filter(
+        gaps in prop::collection::vec(0u32..300, 1..900),
+        start in 0u32..200_000,
+        len in 0u32..200_000,
+    ) {
+        let keys = keys_from_gaps(0, &gaps);
+        let pairs: Vec<(u32, u32)> = keys.iter().map(|&k| (k, k ^ 0x5A)).collect();
+        let mut bytes = Vec::new();
+        let mut skips = Vec::new();
+        encode_list(&pairs, &mut bytes, &mut skips);
+        let keys = start..start + len;
+        let mut got = vec![(7, 7)];
+        decode_range(&bytes, pairs.len(), &skips, keys.clone(), &mut got).expect("decode_range");
+        let want: Vec<(u32, u32)> = std::iter::once((7, 7))
+            .chain(pairs.iter().copied().filter(|(k, _)| keys.contains(k)))
+            .collect();
+        prop_assert_eq!(got, want);
     }
 
     /// Any single bit flip anywhere in a container holding compressed
