@@ -15,10 +15,13 @@
 //!
 //! Durability contract: [`IngestDir::append`] returns only after the
 //! WAL record is fsynced — the seal that follows is a cached
-//! convenience. On any later [`IngestDir::open`], the WAL is replayed:
-//! a torn tail (crash mid-append) is truncated, and any durable record
-//! the manifest's `wal_sealed_bytes` watermark does not cover is sealed
-//! again, deterministically producing the same segment bytes.
+//! convenience, made from the record the commit holds in memory, so a
+//! commit never reads the log back. On any later [`IngestDir::open`],
+//! the WAL is replayed from the manifest's `wal_sealed_bytes` watermark
+//! on: a torn tail (crash mid-append) is truncated, and every durable
+//! record past the watermark is sealed, deterministically producing the
+//! same segment bytes. One [`IngestDir`] handle writes a directory at a
+//! time.
 
 pub mod compact;
 pub mod manifest;
@@ -85,11 +88,14 @@ pub(crate) fn bad(path: &Path, msg: String) -> io::Error {
 }
 
 /// WAL backlog for `dir` without opening an [`IngestDir`]: bytes and
-/// complete records past the manifest's sealed watermark. This is what
-/// a serving-tier metrics scrape calls — read-only, no replay.
+/// CRC-valid records past the manifest's sealed watermark. This is what
+/// a serving-tier metrics scrape calls — read-only, nothing is sealed
+/// or truncated.
 pub fn wal_backlog(dir: &Path) -> io::Result<(u64, u64)> {
-    let m = Manifest::require(dir)?;
-    Wal::new(dir.join(WAL_FILE)).tail_after(m.wal_sealed_bytes)
+    let watermark = Manifest::require(dir)?.wal_sealed_bytes;
+    let tail = Wal::new(dir.join(WAL_FILE)).replay_after(watermark)?;
+    let bytes = tail.durable_bytes + tail.torn_bytes - watermark;
+    Ok((bytes, tail.records.len() as u64))
 }
 
 /// A live ingest directory: WAL + manifest + segments (+ a base engine
@@ -135,8 +141,8 @@ impl IngestDir {
 
     /// Open an existing ingest directory and make it consistent: remove
     /// stray files, truncate any torn WAL tail, and seal every durable
-    /// WAL record the manifest watermark does not cover. After this
-    /// returns, the directory serves exactly the durable prefix.
+    /// WAL record past the manifest watermark. After this returns, the
+    /// directory serves exactly the durable prefix.
     pub fn open(dir: &Path) -> io::Result<IngestDir> {
         let manifest = Manifest::require(dir)?;
         let mut me = IngestDir {
@@ -147,14 +153,12 @@ impl IngestDir {
             recovery: RecoveryReport::default(),
         };
         me.recovery.removed_strays = clean_strays(dir, &me.manifest)?.len();
-        let replay = me.wal.replay()?;
+        let replay = me.wal.replay_after(me.manifest.wal_sealed_bytes)?;
         me.recovery.torn_bytes = replay.torn_bytes;
         me.wal.truncate_to(replay.durable_bytes)?;
         for (end, rec) in &replay.records {
-            if *end > me.manifest.wal_sealed_bytes {
-                me.seal_record(rec, *end)?;
-                me.recovery.sealed_records += 1;
-            }
+            me.seal_record(rec, *end)?;
+            me.recovery.sealed_records += 1;
         }
         if me.recovery.sealed_records > 0 {
             me.metrics.store().ok(); // observational, like every sidecar write
@@ -190,18 +194,6 @@ impl IngestDir {
     /// durability and visibility.
     pub fn append_wal(&mut self, rec: &WalRecord) -> io::Result<u64> {
         self.wal.append(rec)
-    }
-
-    /// Seal every durable WAL record past the manifest watermark.
-    fn seal_pending(&mut self) -> io::Result<Vec<AppendStats>> {
-        let replay = self.wal.replay()?;
-        let mut out = Vec::new();
-        for (end, rec) in &replay.records {
-            if *end > self.manifest.wal_sealed_bytes {
-                out.push(self.seal_record(rec, *end)?);
-            }
-        }
-        Ok(out)
     }
 
     /// Fold one durable record into a segment and flip the manifest. The
@@ -262,27 +254,26 @@ impl IngestDir {
 
     /// Make `rec` durable, seal it, and record its durability-to-
     /// visibility latency: the seal's and this latency reach the metrics
-    /// sidecar in one write.
+    /// sidecar in one write. The seal is made from `rec` itself, so the
+    /// log must end at the watermark first: a durable record before it
+    /// would otherwise fall below the new watermark, never to be sealed.
     fn commit(&mut self, rec: WalRecord) -> io::Result<AppendStats> {
+        let (len, sealed) = (self.wal.len()?, self.manifest.wal_sealed_bytes);
+        if len != sealed {
+            return Err(bad(
+                self.wal.path(),
+                format!("{len} bytes, {sealed} sealed; reopen the directory to recover the rest"),
+            ));
+        }
         let t0 = Instant::now();
-        self.append_wal(&rec)?;
+        let end = self.append_wal(&rec)?;
         let wal_s = t0.elapsed().as_secs_f64();
-        let mut stats = self
-            .seal_pending()?
-            .pop()
-            .ok_or_else(|| bad(&self.dir, "the committed record did not seal".into()))?;
+        let mut stats = self.seal_record(&rec, end)?;
         stats.wal_s = wal_s;
         self.metrics
             .observe_seconds("time_to_visibility_seconds", stats.wal_s + stats.seal_s);
         self.metrics.store().ok(); // observational: a failed write never fails a seal
         Ok(stats)
-    }
-
-    /// Size and record count of the WAL tail not yet covered by the
-    /// manifest watermark — the `wal_backlog_bytes` /
-    /// `wal_unsealed_records` gauges a metrics scrape reports.
-    pub fn wal_backlog(&self) -> io::Result<(u64, u64)> {
-        self.wal.tail_after(self.manifest.wal_sealed_bytes)
     }
 
     /// Fold all segments into one (see [`compact`]). Reloads the
@@ -328,6 +319,10 @@ mod tests {
         // Crash window: durable but unsealed. A reopen must seal it.
         let rec = WalRecord::AddBatch(medline("b", "TI  - delta beta\n\n"));
         ing.append_wal(&rec).unwrap();
+        // A commit seals only its own record, so it refuses to land
+        // behind an unsealed one.
+        let refused = ing.append(medline("c", "TI  - epsilon\n\n")).unwrap_err();
+        assert!(refused.to_string().contains(WAL_FILE), "{refused}");
         drop(ing);
         let ing = IngestDir::open(&dir).unwrap();
         assert_eq!(ing.recovery.sealed_records, 1);
@@ -360,7 +355,6 @@ mod tests {
         assert_eq!(seals.count(), 3, "initial append + recovery seal + delete");
         assert!(reg.histogram("time_to_visibility_seconds").is_some());
         assert!(reg.histogram("compaction_duration_seconds").is_some());
-        assert_eq!(ing.wal_backlog().unwrap(), (0, 0));
         assert_eq!(wal_backlog(&dir).unwrap(), (0, 0));
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -2,12 +2,18 @@
 //!
 //! Every mutation (a document batch, a set of deletes) is appended to
 //! `wal.log` as one length-prefixed, CRC-covered record and fsynced
-//! before the caller proceeds. Replay walks the file from byte 0 and
-//! stops at the first sign of a torn tail — a header that does not fit,
-//! a length that runs past EOF, or a payload whose CRC32 disagrees —
-//! so a crash mid-write loses at most the record being written, never
-//! an acknowledged one. Everything before the torn point is the
-//! *durable prefix* and is recovered exactly.
+//! before the caller proceeds; an append that fails is cut back off the
+//! file, so a failed write leaves no partial frame for later records to
+//! land behind. One process writes a directory's log at a time.
+//!
+//! Replay starts at a watermark — the manifest's `wal_sealed_bytes`, the
+//! end of the last record sealed into a segment — because every record
+//! below it lives on in a CRC-checked segment and is never read again.
+//! From there it stops at the first sign of a torn tail — a header that
+//! does not fit, a length that runs past EOF, or a payload whose CRC32
+//! disagrees — so a crash mid-write loses at most the record being
+//! written, never an acknowledged one. Everything before the torn point
+//! is the *durable prefix* and is recovered exactly.
 //!
 //! Record frame (all little-endian):
 //!
@@ -25,8 +31,8 @@
 use crate::bad;
 use corpus::{FormatKind, Source};
 use inspire_store::crc32;
-use std::fs::OpenOptions;
-use std::io::{self, Write};
+use std::fs::{File, OpenOptions};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// WAL file name inside an ingest directory.
@@ -132,13 +138,14 @@ fn decode_payload(path: &Path, payload: &[u8]) -> io::Result<WalRecord> {
     }
 }
 
-/// A replayed log: the decoded durable prefix plus how much of the file
-/// (if anything) was a torn tail.
+/// A replayed log tail: the durable records past a watermark plus how
+/// much of the file (if anything) was a torn tail.
 #[derive(Debug)]
 pub struct WalReplay {
-    /// `(end_offset, record)` for each durable record, in append order.
-    /// `end_offset` is the file offset one past the record's last byte —
-    /// the manifest's `wal_sealed_bytes` watermark compares against it.
+    /// `(end_offset, record)` for each durable record past the
+    /// watermark, in append order. `end_offset` is the file offset one
+    /// past the record's last byte — the manifest's `wal_sealed_bytes`
+    /// watermark compares against it.
     pub records: Vec<(u64, WalRecord)>,
     /// File length of the durable prefix.
     pub durable_bytes: u64,
@@ -178,7 +185,9 @@ impl Wal {
     }
 
     /// Append one record and fsync. Returns the file length after the
-    /// append — the record's durable end offset.
+    /// append — the record's durable end offset. On failure the file is
+    /// cut back to its length before the append (best-effort) and the
+    /// original error returned.
     pub fn append(&self, rec: &WalRecord) -> io::Result<u64> {
         let payload = encode_payload(rec);
         let mut frame = Vec::with_capacity(8 + payload.len());
@@ -189,80 +198,70 @@ impl Wal {
             .create(true)
             .append(true)
             .open(&self.path)?;
-        f.write_all(&frame)?;
-        f.sync_all()?;
-        Ok(f.metadata()?.len())
+        let before = f.metadata()?.len();
+        let mut appended = f.write_all(&frame).and_then(|()| f.sync_all());
+        if appended.is_ok() && before == 0 {
+            // This append may have created the log: its directory entry
+            // must be as durable as the record.
+            let dir = self.path.parent().filter(|p| !p.as_os_str().is_empty());
+            appended = File::open(dir.unwrap_or(Path::new("."))).and_then(|d| d.sync_all());
+        }
+        if let Err(e) = appended {
+            let _ = f.set_len(before).and_then(|()| f.sync_all());
+            return Err(e);
+        }
+        Ok(before + frame.len() as u64)
     }
 
-    /// Decode the durable prefix and classify any torn tail. A missing
-    /// file replays as empty.
-    pub fn replay(&self) -> io::Result<WalReplay> {
-        let bytes = match std::fs::read(&self.path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => Err(e)?,
-        };
+    /// Decode the durable records past `watermark` (a record end offset,
+    /// the manifest's `wal_sealed_bytes`) and classify any torn tail.
+    /// Offsets in the result are absolute. A log shorter than the
+    /// watermark has lost sealed bytes and is refused; a missing log is
+    /// empty, which only watermark 0 accepts.
+    pub fn replay_after(&self, watermark: u64) -> io::Result<WalReplay> {
+        let len = self.len()?;
+        if len < watermark {
+            return Err(bad(
+                &self.path,
+                format!("{len} bytes, shorter than the {watermark} bytes already sealed"),
+            ));
+        }
+        let mut tail = Vec::new();
+        if len > watermark {
+            let mut f = File::open(&self.path)?;
+            f.seek(SeekFrom::Start(watermark))?;
+            f.read_to_end(&mut tail)?;
+        }
         let mut records = Vec::new();
         let mut at = 0usize;
         loop {
-            if bytes.len() - at < 8 {
+            if tail.len() - at < 8 {
                 break; // header torn off (or clean EOF when at == len)
             }
-            let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
-            let crc = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().unwrap());
+            let len = u32::from_le_bytes(tail[at..at + 4].try_into().unwrap()) as usize;
+            let crc = u32::from_le_bytes(tail[at + 4..at + 8].try_into().unwrap());
             let Some(end) = at.checked_add(8).and_then(|v| v.checked_add(len)) else {
                 break;
             };
-            if end > bytes.len() {
+            if end > tail.len() {
                 break; // payload torn off
             }
-            let payload = &bytes[at + 8..end];
+            let payload = &tail[at + 8..end];
             if crc32(payload) != crc {
                 break; // payload half-written when the header landed
             }
-            records.push((end as u64, decode_payload(&self.path, payload)?));
+            records.push((watermark + end as u64, decode_payload(&self.path, payload)?));
             at = end;
         }
         Ok(WalReplay {
             records,
-            durable_bytes: at as u64,
-            torn_bytes: (bytes.len() - at) as u64,
+            durable_bytes: watermark + at as u64,
+            torn_bytes: (tail.len() - at) as u64,
         })
     }
 
-    /// Size and record count of the log tail past `watermark` (a record
-    /// end offset, e.g. the manifest's `wal_sealed_bytes`). Walks frame
-    /// headers only — no payload reads, no CRC checks — so a metrics
-    /// scrape can measure backlog without replaying the log. Bytes
-    /// include any torn tail; the record count covers complete frames.
-    pub fn tail_after(&self, watermark: u64) -> io::Result<(u64, u64)> {
-        use std::io::{Read, Seek, SeekFrom};
-        let len = self.len()?;
-        if len <= watermark {
-            return Ok((0, 0));
-        }
-        let mut f = std::fs::File::open(&self.path)?;
-        let mut at = watermark;
-        let mut records = 0u64;
-        let mut hdr = [0u8; 8];
-        while len - at >= 8 {
-            f.seek(SeekFrom::Start(at))?;
-            f.read_exact(&mut hdr)?;
-            let frame_len = u32::from_le_bytes(hdr[..4].try_into().unwrap()) as u64;
-            let Some(end) = at.checked_add(8).and_then(|v| v.checked_add(frame_len)) else {
-                break;
-            };
-            if end > len {
-                break; // torn tail
-            }
-            records += 1;
-            at = end;
-        }
-        Ok((len - watermark, records))
-    }
-
     /// Discard everything past `durable_bytes` (the torn tail found by
-    /// [`Wal::replay`]). No-op when the file is already that short.
+    /// [`Wal::replay_after`]). No-op when the file is already that short.
     pub fn truncate_to(&self, durable_bytes: u64) -> io::Result<()> {
         if self.len()? <= durable_bytes {
             return Ok(());
@@ -301,7 +300,7 @@ mod tests {
             ends.push(wal.append(r).unwrap());
         }
         let full = std::fs::read(wal.path()).unwrap();
-        let replay = wal.replay().unwrap();
+        let replay = wal.replay_after(0).unwrap();
         assert_eq!(replay.durable_bytes, full.len() as u64);
         assert_eq!(replay.torn_bytes, 0);
         assert_eq!(replay.records.len(), 3);
@@ -315,7 +314,7 @@ mod tests {
         let torn = Wal::new(dir.join("torn.log"));
         for cut in 0..=full.len() {
             std::fs::write(torn.path(), &full[..cut]).unwrap();
-            let r = torn.replay().unwrap();
+            let r = torn.replay_after(0).unwrap();
             let durable = ends.iter().filter(|&&e| e <= cut as u64).count();
             assert_eq!(r.records.len(), durable, "cut at {cut}");
             let expect_durable = if durable == 0 { 0 } else { ends[durable - 1] };
@@ -325,18 +324,21 @@ mod tests {
             assert_eq!(torn.len().unwrap(), r.durable_bytes);
         }
 
-        // Backlog tail walk: counts frames past a watermark without
-        // decoding payloads, tolerating a torn tail.
-        assert_eq!(wal.tail_after(0).unwrap(), (full.len() as u64, 3));
-        assert_eq!(
-            wal.tail_after(ends[0]).unwrap(),
-            (full.len() as u64 - ends[0], 2)
-        );
-        assert_eq!(wal.tail_after(ends[2]).unwrap(), (0, 0));
+        // From every record boundary, replay reads only the records past
+        // it, at their absolute end offsets, tolerating a torn tail.
+        for (k, &watermark) in [0].iter().chain(&ends).enumerate() {
+            let r = wal.replay_after(watermark).unwrap();
+            assert_eq!(r.records.len(), 3 - k, "watermark {watermark}");
+            for ((end, rec), i) in r.records.iter().zip(k..) {
+                assert_eq!((*end, rec), (ends[i], &recs[i]));
+            }
+            assert_eq!((r.durable_bytes, r.torn_bytes), (full.len() as u64, 0));
+        }
         std::fs::write(torn.path(), &full[..full.len() - 3]).unwrap();
-        let (tail_bytes, tail_recs) = torn.tail_after(ends[1]).unwrap();
-        assert_eq!(tail_bytes, full.len() as u64 - 3 - ends[1]);
-        assert_eq!(tail_recs, 0, "last frame is torn");
+        let r = torn.replay_after(ends[1]).unwrap();
+        assert_eq!(r.records.len(), 0, "last frame is torn");
+        assert_eq!(r.durable_bytes, ends[1]);
+        assert_eq!(r.torn_bytes, full.len() as u64 - 3 - ends[1]);
 
         // A flipped payload byte is a torn tail (CRC catches it), and
         // everything before the flip survives.
@@ -344,9 +346,30 @@ mod tests {
         let in_last = ends[1] as usize + 9;
         flipped[in_last] ^= 0x40;
         std::fs::write(torn.path(), &flipped).unwrap();
-        let r = torn.replay().unwrap();
+        let r = torn.replay_after(0).unwrap();
         assert_eq!(r.records.len(), 2);
         assert_eq!(r.durable_bytes, ends[1]);
+
+        // Below the watermark nothing is read: a flip inside a sealed
+        // record cannot cost the records past it.
+        let mut flipped = full.clone();
+        flipped[9] ^= 0x40;
+        std::fs::write(torn.path(), &flipped).unwrap();
+        let r = torn.replay_after(ends[0]).unwrap();
+        assert_eq!(r.records.len(), 2);
+        assert_eq!((r.durable_bytes, r.torn_bytes), (full.len() as u64, 0));
+
+        // A log shorter than the watermark is refused by name; a missing
+        // one is empty only at watermark 0.
+        let err = torn.replay_after(full.len() as u64 + 1).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        let lengths = [full.len(), full.len() + 1].map(|n| format!(" {n} bytes"));
+        assert!(msg.contains("torn.log"), "{msg}");
+        assert!(lengths.iter().all(|l| msg.contains(l.as_str())), "{msg}");
+        let missing = Wal::new(dir.join("missing.log"));
+        assert_eq!(missing.replay_after(0).unwrap().durable_bytes, 0);
+        assert!(missing.replay_after(ends[0]).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -4,10 +4,11 @@
 //! The contracts under test, end to end:
 //!
 //! 1. **Durable prefix, exactly** — for a WAL truncated at every record
-//!    boundary and at every byte of its final record, replay recovers
-//!    precisely the records whose frames survive intact and truncates
-//!    the rest; no crash point loses a durable record or resurrects a
-//!    torn one.
+//!    boundary and at every byte of its final record above the sealed
+//!    watermark, replay recovers precisely the records whose frames
+//!    survive intact and truncates the rest; no crash point loses a
+//!    durable record or resurrects a torn one. Replay never reads below
+//!    the watermark, and a log that ends below it is refused.
 //! 2. **Kill-mid-ingest ≡ clean run** — after a crash between WAL
 //!    durability and sealing (and a second crash tearing the WAL tail),
 //!    reopening the directory seals the durable prefix, and the merged
@@ -115,60 +116,164 @@ fn medline(name: &str, text: &str) -> corpus::Source {
 
 /// Contract 1: sweep every crash point of a multi-record WAL — each
 /// record boundary, plus every byte inside the final record — and check
-/// that reopening recovers exactly the durable prefix.
+/// that reopening recovers exactly the durable prefix. The sweep runs
+/// once per watermark: the first `sealed` records are committed (and so
+/// sealed), the rest only made durable, and every crash point at or
+/// above the watermark is tried.
 #[test]
 fn replay_recovers_exact_durable_prefix_at_every_crash_point() {
-    let template = tmp_dir("sweep-template");
-    let mut ing = IngestDir::create(&template, None).expect("create");
     let batches = [
         medline("a", "TI  - alpha beta gamma\nAB  - alpha words here\n\n"),
         medline("b", "TI  - delta beta\nAB  - more delta text\n\n"),
         medline("c", "TI  - epsilon gamma\nAB  - epsilon body\n\n"),
         medline("d", "TI  - zeta alpha\nAB  - zeta tail record\n\n"),
     ];
-    let mut ends: Vec<u64> = Vec::new();
-    for src in &batches {
-        ends.push(
-            ing.append_wal(&WalRecord::AddBatch(src.clone()))
-                .expect("wal append"),
-        );
-    }
-    drop(ing);
-    let wal_bytes = std::fs::read(template.join(WAL_FILE)).expect("read wal");
-    let manifest_bytes =
-        std::fs::read(template.join(inspire_ingest::MANIFEST_FILE)).expect("read manifest");
-
-    // Crash points: every record boundary (including 0 and EOF), plus
-    // every byte offset inside the last record's frame.
-    let mut cuts: Vec<u64> = vec![0];
-    cuts.extend_from_slice(&ends);
-    cuts.extend(ends[2] + 1..ends[3]);
+    let template = tmp_dir("sweep-template");
     let trial = tmp_dir("sweep-trial");
-    for cut in cuts {
-        let _ = std::fs::remove_dir_all(&trial);
-        std::fs::create_dir_all(&trial).unwrap();
-        std::fs::write(trial.join(inspire_ingest::MANIFEST_FILE), &manifest_bytes).unwrap();
-        std::fs::write(trial.join(WAL_FILE), &wal_bytes[..cut as usize]).unwrap();
-
-        let durable = ends.iter().filter(|&&e| e <= cut).count();
-        let ing = IngestDir::open(&trial).expect("recovery open");
-        assert_eq!(
-            ing.recovery.sealed_records, durable,
-            "crash at byte {cut}: wrong durable prefix"
-        );
-        assert_eq!(ing.total_docs(), durable as u32);
-        assert_eq!(ing.manifest().segments.len(), durable);
-        // The torn tail is gone: the WAL now ends at the last durable
-        // record, and a second open has nothing left to repair.
-        let expect_len = ends.get(durable.wrapping_sub(1)).copied().unwrap_or(0);
-        assert_eq!(Wal::new(trial.join(WAL_FILE)).len().unwrap(), expect_len);
+    for sealed in 0..batches.len() {
+        let _ = std::fs::remove_dir_all(&template);
+        let mut ing = IngestDir::create(&template, None).expect("create");
+        let mut ends: Vec<u64> = Vec::new();
+        for (i, src) in batches.iter().enumerate() {
+            if i < sealed {
+                ing.append(src.clone()).expect("sealed append");
+                ends.push(ing.manifest().wal_sealed_bytes);
+                continue;
+            }
+            ends.push(
+                ing.append_wal(&WalRecord::AddBatch(src.clone()))
+                    .expect("wal append"),
+            );
+        }
+        let watermark = ing.manifest().wal_sealed_bytes;
         drop(ing);
-        let again = IngestDir::open(&trial).expect("idempotent reopen");
-        assert_eq!(again.recovery.sealed_records, 0);
-        assert_eq!(again.recovery.torn_bytes, 0);
+        let wal_bytes = std::fs::read(template.join(WAL_FILE)).expect("read wal");
+        // Everything else the directory holds: manifest, segments and
+        // the metrics sidecar.
+        let sealed_files: Vec<(PathBuf, Vec<u8>)> = std::fs::read_dir(&template)
+            .expect("list template")
+            .map(|e| e.expect("entry").file_name())
+            .filter(|name| name != WAL_FILE)
+            .map(|name| {
+                let bytes = std::fs::read(template.join(&name)).expect("read");
+                (PathBuf::from(name), bytes)
+            })
+            .collect();
+
+        // Crash points: every record boundary (including 0 and EOF), plus
+        // every byte offset inside the last record's frame, at or above
+        // the watermark.
+        let mut cuts: Vec<u64> = vec![0];
+        cuts.extend_from_slice(&ends);
+        cuts.extend(ends[2] + 1..ends[3]);
+        cuts.retain(|&cut| cut >= watermark);
+        for cut in cuts {
+            let _ = std::fs::remove_dir_all(&trial);
+            std::fs::create_dir_all(&trial).unwrap();
+            for (name, bytes) in &sealed_files {
+                std::fs::write(trial.join(name), bytes).unwrap();
+            }
+            std::fs::write(trial.join(WAL_FILE), &wal_bytes[..cut as usize]).unwrap();
+
+            let durable = ends.iter().filter(|&&e| e <= cut).count();
+            let ing = IngestDir::open(&trial).expect("recovery open");
+            assert_eq!(
+                ing.recovery.sealed_records,
+                durable - sealed,
+                "crash at byte {cut} past {sealed} sealed: wrong durable prefix"
+            );
+            assert_eq!(ing.total_docs(), durable as u32);
+            assert_eq!(ing.manifest().segments.len(), durable);
+            // The torn tail is gone: the WAL now ends at the last durable
+            // record, and a second open has nothing left to repair.
+            let expect_len = ends.get(durable.wrapping_sub(1)).copied().unwrap_or(0);
+            assert_eq!(Wal::new(trial.join(WAL_FILE)).len().unwrap(), expect_len);
+            drop(ing);
+            let again = IngestDir::open(&trial).expect("idempotent reopen");
+            assert_eq!(again.recovery.sealed_records, 0);
+            assert_eq!(again.recovery.torn_bytes, 0);
+        }
     }
     let _ = std::fs::remove_dir_all(&template);
     let _ = std::fs::remove_dir_all(&trial);
+}
+
+/// Contract 1 below the watermark: replay never reads a sealed record
+/// again, so a flipped byte inside one costs nothing — neither the
+/// durable record after it nor the next commit.
+#[test]
+fn a_damaged_sealed_record_is_never_replayed() {
+    let dir = tmp_dir("sealed-flip");
+    let base_set = SourceSet {
+        sources: vec![
+            medline(
+                "base0",
+                "TI  - shared topic alpha\nAB  - alpha base words\n\n",
+            ),
+            medline(
+                "base1",
+                "TI  - shared topic beta\nAB  - beta base words\n\n",
+            ),
+        ],
+    };
+    let base_path = dir.join("base.isnap");
+    build_snapshot(&base_set, &base_path, 1);
+    let live = dir.join("live");
+    let mut ing = IngestDir::create(&live, Some(&base_path)).expect("create");
+    ing.append(medline("inc0", "TI  - shared gamma\nAB  - gamma words\n\n"))
+        .expect("sealed append");
+    let first_end = ing.manifest().wal_sealed_bytes;
+    ing.append_wal(&WalRecord::AddBatch(medline(
+        "inc1",
+        "TI  - shared delta\nAB  - delta words\n\n",
+    )))
+    .expect("durable append");
+    drop(ing);
+
+    let wal_path = live.join(WAL_FILE);
+    let mut wal = std::fs::read(&wal_path).unwrap();
+    wal[(8 + first_end as usize) / 2] ^= 0x40; // inside the first payload
+    std::fs::write(&wal_path, &wal).unwrap();
+
+    let mut ing = IngestDir::open(&live).expect("reopen");
+    assert_eq!(ing.recovery.sealed_records, 1);
+    assert_eq!(ing.recovery.torn_bytes, 0);
+    assert_eq!(ing.total_docs(), 4);
+    let state = load_live_state(&live).expect("view");
+    for (term, doc) in [("gamma", 2), ("delta", 3)] {
+        let id = state.term_id(term).expect("term indexed");
+        let mut docs: Vec<u32> = state.postings_of(id).iter().map(|p| p.doc).collect();
+        docs.dedup(); // one posting per field
+        assert_eq!(docs, [doc], "{term}");
+    }
+    ing.append(medline("inc2", "TI  - shared omega\nAB  - omega words\n\n"))
+        .expect("the next commit seals");
+    assert_eq!(ing.total_docs(), 5);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Contract 1's other edge: a WAL shorter than the watermark has lost
+/// bytes the manifest says are sealed, and the open refuses it by name.
+#[test]
+fn a_wal_shorter_than_the_watermark_is_refused() {
+    let dir = tmp_dir("short-wal");
+    let mut ing = IngestDir::create(&dir, None).expect("create");
+    ing.append(medline("a", "TI  - alpha beta\nAB  - alpha words\n\n"))
+        .expect("append");
+    ing.append(medline("b", "TI  - gamma beta\nAB  - gamma words\n\n"))
+        .expect("append");
+    let watermark = ing.manifest().wal_sealed_bytes;
+    drop(ing);
+    let wal_path = dir.join(WAL_FILE);
+    let wal = std::fs::read(&wal_path).unwrap();
+    std::fs::write(&wal_path, &wal[..watermark as usize - 1]).unwrap();
+
+    let err = IngestDir::open(&dir)
+        .err()
+        .expect("a WAL below the watermark must not open");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert!(err.to_string().contains(WAL_FILE), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Contracts 2 and 3: the flagship kill-mid-ingest scenario, then
