@@ -152,8 +152,7 @@ pub fn encode_posting_sections(
 }
 
 /// Append the five index sections to `w`: the one place the batch
-/// pipeline, `vaengine migrate`, the ingest sealer and the compactor
-/// write them.
+/// pipeline, the ingest sealer and the compactor write them.
 pub fn write_index_sections(w: &mut SnapshotWriter, enc: &EncodedIndex) -> io::Result<()> {
     POSTDIR.put(w, &enc.dir)?;
     POSTBLK.put(w, &enc.blk)?;

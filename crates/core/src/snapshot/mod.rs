@@ -31,7 +31,7 @@ pub mod schema;
 mod write;
 
 pub use schema::EngineMeta;
-pub(crate) use write::{copy_snapshot, write_ann_sections};
+pub(crate) use write::copy_snapshot;
 pub use write::{write_engine_snapshot, SnapshotInput, SnapshotReport};
 
 /// Pipeline stage a snapshot was taken after.

@@ -3,8 +3,8 @@
 //! An engine snapshot and an ingest segment are `inspire-store`
 //! containers of named sections. Each section is one [`Row`]: writers
 //! and readers take names and kinds from the rows, [`check`] holds a
-//! file to its table at open, `core::migrate` re-encodes the
-//! [`RETIRED_INDEX`] rows, and a test holds DESIGN.md §8's tables to
+//! file to its table at open, `core::migrate` drops the rows a file's
+//! stage no longer carries, and a test holds DESIGN.md §8's tables to
 //! them. Adding a section is one row, its [`Row::put`] and its consumer.
 
 use super::Stage;
@@ -91,7 +91,6 @@ impl Row {
 
 // The counts several rows share.
 const PER_RANK_4: Len = Fixed(|m| m.nprocs * 4);
-const VOCAB: Len = Fixed(|m| m.vocab_size);
 const VOCAB_PLUS_1: Len = Fixed(|m| m.vocab_size + 1);
 const DOCS: Len = Fixed(|m| m.docs());
 const DOCS_PLUS_1: Len = Fixed(|m| m.docs() + 1);
@@ -172,14 +171,6 @@ pub static TOMB: Row = row("tomb", U32, Index, Parser);
 pub static SEGMENT: [&Row; 9] = [
     &SMETA, &TERMS, &SEG_TOFF, &POSTDIR, &POSTBLK, &POSTSKP, &DFV, &TFV, &TOMB,
 ];
-
-// The fixed-width index of format-v1 files, in the order they wrote it:
-// read by `vaengine migrate` only, which re-encodes it.
-pub static POSTOFF: Row = row("postoff", I64, Index, VOCAB_PLUS_1).values(Offsets);
-pub static POSTDAT: Row = row("postdat", U64, Index, LastOf(&POSTOFF));
-pub static DF: Row = row("df", U32, Index, VOCAB);
-pub static TF: Row = row("tf", U64, Index, VOCAB);
-pub static RETIRED_INDEX: [&Row; 4] = [&POSTOFF, &POSTDAT, &DF, &TF];
 
 /// Slots of the `meta` section.
 pub const META_SLOTS: usize = 18;
@@ -306,9 +297,6 @@ pub fn engine_rows(meta: &EngineMeta) -> Vec<&'static Row> {
     staged.chain(ann).copied().collect()
 }
 
-const MIGRATE: &str = ": this layout is no longer read — convert the file once with \
-                       `vaengine migrate --in <old.isnap> --out <new.isnap>`";
-
 /// An integer section's entries, widened from their little-endian
 /// bytes. A negative `i64` lands above every valid offset, where the
 /// offsets check refuses it.
@@ -337,9 +325,7 @@ pub fn check(snap: &Snapshot, rows: &[&'static Row], meta: &EngineMeta) -> io::R
     for row in rows {
         let refuse = |what: String| Err(bad(snap, format!("section `{}` {what}", row.name)));
         let Some(view) = snap.section(row.name) else {
-            // A file an earlier release wrote lacks exactly these.
-            let retired = [POSTDIR.name, QSIG.name].contains(&row.name);
-            return refuse(format!("is missing{}", if retired { MIGRATE } else { "" }));
+            return refuse("is missing".into());
         };
         let want = match row.len {
             Parser => continue,
@@ -476,11 +462,7 @@ mod tests {
     fn design_md_section_tables_are_the_schema() {
         let design = include_str!("../../../../DESIGN.md");
         let engine = [&ENGINE[..], &ANN[..]].concat();
-        let tables: [(&str, &[&Row]); 3] = [
-            ("engine", &engine),
-            ("segment", &SEGMENT),
-            ("retired", &RETIRED_INDEX),
-        ];
+        let tables: [(&str, &[&Row]); 2] = [("engine", &engine), ("segment", &SEGMENT)];
         for (table, rows) in tables {
             let open = format!("<!-- schema:{table} -->\n");
             let (_, rest) = design.split_once(&open).expect("table marker in DESIGN.md");

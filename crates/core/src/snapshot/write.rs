@@ -290,7 +290,7 @@ pub fn write_engine_snapshot(
 /// f64 norm table, grouped into per-centroid lists. Not written for
 /// degenerate corpora with no signature dimensions or no documents —
 /// similarity queries are meaningless there.
-pub(crate) fn write_ann_sections(
+fn write_ann_sections(
     w: &mut SnapshotWriter,
     sigs: &[f64],
     m_dims: usize,

@@ -174,6 +174,12 @@ impl Manifest {
                 v.and_then(|s| s.parse().ok())
                     .ok_or_else(|| bad(path, format!("malformed line `{line}`")))
             };
+            // Document counts and ids are u32: refuse, never truncate.
+            let parse_u32 = |v: Option<&str>| -> io::Result<u32> {
+                let v = parse_u64(v)?;
+                u32::try_from(v)
+                    .map_err(|_| bad(path, format!("line `{line}` records {v}, beyond u32")))
+            };
             match key {
                 "generation" => {
                     m.generation = parse_u64(it.next())?;
@@ -185,7 +191,7 @@ impl Manifest {
                         .ok_or_else(|| bad(path, format!("malformed line `{line}`")))?;
                     m.base = (v != "-").then(|| PathBuf::from(v));
                 }
-                "base_docs" => m.base_docs = parse_u64(it.next())? as u32,
+                "base_docs" => m.base_docs = parse_u32(it.next())?,
                 "wal_sealed_bytes" => m.wal_sealed_bytes = parse_u64(it.next())?,
                 "last_seal_unix" => m.last_seal_unix = parse_u64(it.next())?,
                 "next_seq" => m.next_seq = parse_u64(it.next())?,
@@ -194,8 +200,8 @@ impl Manifest {
                         .next()
                         .ok_or_else(|| bad(path, format!("malformed line `{line}`")))?
                         .to_string();
-                    let doc_base = parse_u64(it.next())? as u32;
-                    let doc_count = parse_u64(it.next())? as u32;
+                    let doc_base = parse_u32(it.next())?;
+                    let doc_count = parse_u32(it.next())?;
                     m.segments.push(SegmentRef {
                         file,
                         doc_base,
@@ -228,7 +234,13 @@ impl Manifest {
                     ),
                 ));
             }
-            next += s.doc_count;
+            next = next.checked_add(s.doc_count).ok_or_else(|| {
+                let msg = format!(
+                    "segment {} adds {} documents to {next}, beyond u32",
+                    s.file, s.doc_count
+                );
+                bad(path, msg)
+            })?;
         }
         Ok(())
     }
@@ -317,6 +329,31 @@ mod tests {
         assert_eq!(std::fs::read(&path).unwrap(), good);
         std::fs::write(&path, m.render()).unwrap();
         assert!(Manifest::load(&dir).is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Counts past u32 are refused by name, never truncated, and a
+    /// tiling whose end leaves u32 is refused instead of overflowing.
+    #[test]
+    fn counts_beyond_u32_are_refused() {
+        let dir = std::env::temp_dir().join(format!("manifest_u32_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let max = u32::MAX as u64;
+        let cases = [
+            format!("base_docs {}\n", max + 1),
+            format!("base_docs 0\nsegment seg-000001.iseg 0 {}\n", max + 3),
+            format!("base_docs {}\nsegment seg-000001.iseg {0} 20\n", max - 10),
+        ];
+        for lines in cases {
+            let body = format!("{MAGIC}\ngeneration 1\nbase -\n{lines}");
+            let text = format!(
+                "{body}crc 0x{:08x}\n",
+                inspire_store::crc32(body.as_bytes())
+            );
+            std::fs::write(Manifest::path_in(&dir), text).unwrap();
+            let err = Manifest::load(&dir).unwrap_err().to_string();
+            assert!(err.contains("beyond u32"), "{lines}: {err}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -176,6 +176,16 @@ impl Segment {
         if version != SEG_VERSION {
             return Err(bad(src, format!("segment version {version} unsupported")));
         }
+        // Global doc ids are u32: a range that leaves them is refused,
+        // not truncated into one that seems to fit.
+        let range = u32::try_from(doc_base)
+            .ok()
+            .zip(u32::try_from(doc_count).ok());
+        let Some((doc_base, doc_count)) = range.filter(|&(b, c)| b.checked_add(c).is_some()) else {
+            let msg =
+                format!("section `smeta` records documents {doc_base}+{doc_count}, beyond u32");
+            return Err(bad(src, msg));
+        };
         let terms = read_terms(&snap)?;
         let index = PostingsReader::open(&snap, terms.len())?;
         let tombstones = match snap.section(TOMB.name) {
@@ -187,8 +197,8 @@ impl Segment {
         }
         Ok(Segment {
             snap,
-            doc_base: doc_base as u32,
-            doc_count: doc_count as u32,
+            doc_base,
+            doc_count,
             tokens,
             terms,
             index,
@@ -273,6 +283,37 @@ mod tests {
                 .map(|r| (r.name, r.kind))
                 .collect();
             assert_eq!(wrote, rows);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// An `smeta` range outside the u32 doc ids is refused by name, not
+    /// truncated: `doc_count = 2^32 + 2` once opened as 2 documents.
+    #[test]
+    fn smeta_ranges_beyond_u32_are_refused() {
+        let dir = std::env::temp_dir().join(format!("seg_u32_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let b = build_from_batch(&medline("b.txt", "PMID- 1\nTI  - alpha\n\n"), 0);
+        write_segment(&dir, "seg.iseg", &b).unwrap();
+        let good = Snapshot::open(&dir.join("seg.iseg")).unwrap();
+        let past = 1u64 << 32;
+        let path = dir.join("big.iseg");
+        for (base, count) in [(0, past + 2), (past + 5, 1), (u32::MAX as u64, 2)] {
+            let mut w = SnapshotWriter::create(&path).unwrap();
+            for (name, kind, _) in good.sections() {
+                if name == SMETA.name {
+                    SMETA.put(&mut w, &[SEG_VERSION, base, count, 0]).unwrap();
+                } else {
+                    let bytes = good.require(name).unwrap().bytes();
+                    w.add_section(name, kind, bytes).unwrap();
+                }
+            }
+            w.finish().unwrap();
+            let err = Segment::open(&path).err().expect("opened").to_string();
+            assert!(
+                err.contains("`smeta`") && err.contains("beyond u32"),
+                "{err}"
+            );
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -40,12 +40,9 @@
 //!   of an existing section **bumps** `FORMAT_VERSION`; readers reject
 //!   versions they don't understand rather than guessing.
 //! * Version 2 added the [`SectionKind::Packed`] and [`SectionKind::Skip`]
-//!   element kinds (block-compressed lists, see [`codec`]). A version-1
-//!   reader rejects a version-2 file twice over — by the version number
-//!   and by the unknown kinds — while this reader accepts any version in
-//!   `MIN_FORMAT_VERSION..=FORMAT_VERSION`: the engine no longer reads
-//!   the fixed-width index sections of version-1 files, but `vaengine
-//!   migrate` has to open them to convert them.
+//!   element kinds (block-compressed lists, see [`codec`]). This reader
+//!   accepts version 2 only and refuses every other version by number,
+//!   version 1 included.
 //!
 //! ## Zero-copy typed views
 //!
@@ -65,10 +62,6 @@ pub const MAGIC: &[u8; 8] = b"INSPSNP1";
 
 /// Current container format version (see the version-bump rules above).
 pub const FORMAT_VERSION: u32 = 2;
-
-/// Oldest format version this reader still accepts (for `vaengine
-/// migrate`; see the version-bump rules above).
-pub const MIN_FORMAT_VERSION: u32 = 1;
 
 /// Section alignment: payloads start 8 bytes past these boundaries.
 pub const ALIGN: u64 = 64;
@@ -187,15 +180,15 @@ pub enum SectionKind {
     F64 = 5,
     /// Block-compressed varint stream (see [`codec`]); opaque bytes to
     /// the container, but tagged so readers know a raw-bytes view is
-    /// *encoded* data, not a plain blob. Format version ≥ 2.
+    /// *encoded* data, not a plain blob.
     Packed = 7,
     /// Skip-pointer entries (`u64`, [`codec::skip_entry`] layout) for a
-    /// `Packed` section. Format version ≥ 2.
+    /// `Packed` section.
     Skip = 8,
     /// Scalar-quantized vector codes: fixed-width records of `u8`
     /// components, one record per vector. The record width is engine
     /// metadata, not container metadata, so readers validate it with
-    /// [`SectionView::as_records`]. Format version ≥ 2.
+    /// [`SectionView::as_records`].
     Quant = 9,
 }
 
@@ -220,14 +213,6 @@ impl SectionKind {
             SectionKind::Bytes | SectionKind::Packed | SectionKind::Quant => 1,
             SectionKind::U32 => 4,
             SectionKind::U64 | SectionKind::I64 | SectionKind::F64 | SectionKind::Skip => 8,
-        }
-    }
-
-    /// Smallest format version whose readers understand this kind.
-    pub fn min_version(self) -> u32 {
-        match self {
-            SectionKind::Packed | SectionKind::Skip | SectionKind::Quant => 2,
-            _ => 1,
         }
     }
 }
@@ -484,7 +469,6 @@ pub struct Snapshot {
     /// File length in bytes (the buffer may be padded past it).
     len: usize,
     entries: Vec<Entry>,
-    version: u32,
     source: String,
 }
 
@@ -519,10 +503,9 @@ impl Snapshot {
             return Err(e("not a snapshot container (bad magic)".into()));
         }
         let version = u32::from_le_bytes(whole[8..12].try_into().unwrap());
-        if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
+        if version != FORMAT_VERSION {
             return Err(e(format!(
-                "unsupported format version {version} \
-                 (reader understands {MIN_FORMAT_VERSION}..={FORMAT_VERSION})"
+                "unsupported format version {version} (reader understands {FORMAT_VERSION})"
             )));
         }
         let stored_hcrc = u32::from_le_bytes(whole[32..36].try_into().unwrap());
@@ -583,12 +566,6 @@ impl Snapshot {
             let kind =
                 SectionKind::from_u32(u32::from_le_bytes(row[24..28].try_into().unwrap()))
                     .ok_or_else(|| e(format!("section {i} (`{label}`): unknown element kind")))?;
-            if kind.min_version() > version {
-                return Err(e(format!(
-                    "section {i} (`{label}`): {kind} elements need format version {}, file says {version}",
-                    kind.min_version()
-                )));
-            }
             let crc = u32::from_le_bytes(row[28..32].try_into().unwrap());
             if offset != expect_offset {
                 return Err(e(format!(
@@ -641,14 +618,8 @@ impl Snapshot {
             buf,
             len,
             entries,
-            version,
             source,
         })
-    }
-
-    /// The container format version.
-    pub fn version(&self) -> u32 {
-        self.version
     }
 
     /// Path or label the snapshot was loaded from.
@@ -751,11 +722,6 @@ impl<'a> SectionView<'a> {
     /// The payload as little-endian `u64` elements.
     pub fn as_u64s(&self) -> io::Result<&'a [u64]> {
         self.expect_kind(SectionKind::U64)?;
-        self.as_slice()
-    }
-
-    /// The payload as little-endian `i64` elements.
-    pub fn as_i64s(&self) -> io::Result<&'a [i64]> {
         self.as_slice()
     }
 
@@ -874,7 +840,6 @@ mod tests {
         let stats = sample(&path);
         assert_eq!(stats.sections.len(), 6);
         let s = Snapshot::open(&path).unwrap();
-        assert_eq!(s.version(), FORMAT_VERSION);
         assert_eq!(
             s.require("ids").unwrap().as_u32s().unwrap(),
             &[1, 2, 3, 0xFFFF_FFFF]
@@ -885,7 +850,7 @@ mod tests {
         );
         assert_eq!(s.require("big").unwrap().as_u64s().unwrap(), &[u64::MAX, 7]);
         assert_eq!(
-            s.require("off").unwrap().as_i64s().unwrap(),
+            s.require("off").unwrap().as_slice::<i64>().unwrap(),
             &[-1, 0, i64::MAX]
         );
         assert_eq!(s.require("blob").unwrap().bytes(), b"arbitrary \x00 bytes");
@@ -1053,7 +1018,6 @@ mod tests {
         w.finish().unwrap();
 
         let s = Snapshot::open(&path).unwrap();
-        assert_eq!(s.version(), FORMAT_VERSION);
         let view = s.require("plist").unwrap();
         assert_eq!(view.kind(), SectionKind::Packed);
         assert_eq!(view.as_packed().unwrap(), &blob[..]);
@@ -1080,31 +1044,18 @@ mod tests {
     #[test]
     fn version_range_is_enforced() {
         let path = tmp("versions.snap");
-        sample(&path); // legacy kinds only — valid under either version
-        let v1 = with_version(&path, 1);
-        let s = Snapshot::from_bytes(&v1, "v1").unwrap();
-        assert_eq!(s.version(), 1);
-        assert_eq!(
-            s.require("ids").unwrap().as_u32s().unwrap(),
-            &[1, 2, 3, 0xFFFF_FFFF]
-        );
+        sample(&path); // no kind newer than version 1
+                       // The version-1 layout is no longer read, whatever its kinds.
+        let err = Snapshot::from_bytes(&with_version(&path, 1), "v1")
+            .err()
+            .expect("a version-1 file must be refused")
+            .to_string();
+        assert!(err.contains("format version 1"), "{err}");
         assert!(Snapshot::from_bytes(&with_version(&path, 0), "v0").is_err());
         assert!(
             Snapshot::from_bytes(&with_version(&path, FORMAT_VERSION + 1), "vN").is_err(),
             "future versions must be rejected, not guessed at"
         );
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn v1_file_with_v2_kinds_is_rejected() {
-        let path = tmp("v1kinds.snap");
-        let mut w = SnapshotWriter::create(&path).unwrap();
-        w.add_section("plist", SectionKind::Packed, &[0u8, 1, 2])
-            .unwrap();
-        w.finish().unwrap();
-        // Claiming version 1 while carrying a Packed section is malformed.
-        assert!(Snapshot::from_bytes(&with_version(&path, 1), "v1bad").is_err());
         std::fs::remove_file(&path).ok();
     }
 
@@ -1136,16 +1087,6 @@ mod tests {
         let err = view.as_records(8).unwrap_err().to_string();
         assert!(err.contains("qsig") && err.contains("8-byte"), "{err}");
         assert!(view.as_records(0).is_err());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn v1_file_with_quant_kind_is_rejected() {
-        let path = tmp("v1quant.snap");
-        let mut w = SnapshotWriter::create(&path).unwrap();
-        w.add_quant("qsig", &[1, 2, 3, 4], 2, 2).unwrap();
-        w.finish().unwrap();
-        assert!(Snapshot::from_bytes(&with_version(&path, 1), "v1q").is_err());
         std::fs::remove_file(&path).ok();
     }
 

@@ -174,18 +174,20 @@ impl ReqTrace {
     }
 
     /// Open stage `name`, closing the currently open stage first —
-    /// stages are contiguous by construction.
+    /// stages are contiguous by construction: the new stage starts at
+    /// the very instant the previous one ended.
     pub fn begin(&mut self, name: &'static str) {
-        self.end();
-        self.open = Some((name, self.mark()));
+        let now = self.end().unwrap_or_else(|| self.mark());
+        self.open = Some((name, now));
     }
 
-    /// Close the currently open stage, if any.
-    pub fn end(&mut self) {
-        if let Some((name, start)) = self.open.take() {
-            let now = self.mark();
-            self.push_span(name, start, now.saturating_sub(start));
-        }
+    /// Close the currently open stage, if any, and return the instant it
+    /// closed at.
+    pub fn end(&mut self) -> Option<u64> {
+        let (name, start) = self.open.take()?;
+        let now = self.mark();
+        self.push_span(name, start, now.saturating_sub(start));
+        Some(now)
     }
 
     /// Record a stage measured externally (e.g. decode time attributed
@@ -201,8 +203,7 @@ impl ReqTrace {
 
     /// Close any open stage and return `(spans, total_us)`.
     pub fn finish(mut self) -> (Vec<Span>, u64) {
-        self.end();
-        let total = self.mark();
+        let total = self.end().unwrap_or_else(|| self.mark());
         (self.spans, total)
     }
 }

@@ -18,9 +18,9 @@
 //! into one checksummed snapshot file, which `query` then serves —
 //! boolean and ranked retrieval plus cluster/rectangle drill-downs —
 //! without re-running any pipeline stage. `migrate` rewrites a snapshot
-//! an earlier release wrote (fixed-width index sections, a Final stage
-//! without similarity-search sections, or a forward index kept past the
-//! Scan stage) into the one layout `query` and `serve` read. `themeview` re-renders a saved coordinate file as
+//! in the previous layout (a forward index kept past the Scan stage)
+//! into the one layout `query` and `serve` read; older layouts are
+//! refused at open. `themeview` re-renders a saved coordinate file as
 //! terrain.
 //!
 //! Observability: `--trace-out` records per-rank stage/collective spans
@@ -785,15 +785,8 @@ fn migrate_cmd(args: &Args) {
     };
     match visual_analytics::engine::migrate::migrate(Path::new(input), Path::new(out)) {
         Ok(r) => println!(
-            "migrated {input} to {out}: {} bytes, index {}, similarity sections {}, \
-             forward index {}",
+            "migrated {input} to {out}: {} bytes, forward index {}",
             r.bytes,
-            if r.reencoded_index {
-                "re-encoded"
-            } else {
-                "already current"
-            },
-            if r.added_ann { "added" } else { "unchanged" },
             if r.stripped_forward {
                 "dropped"
             } else {
