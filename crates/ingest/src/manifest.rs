@@ -9,11 +9,10 @@
 //! flip" the serving tier polls.
 //!
 //! ```text
-//! inspire-ingest-manifest v1
+//! inspire-ingest-manifest v2
 //! generation 7
 //! base /abs/path/base.isnap     (or `-` when there is no base yet)
 //! base_docs 1280
-//! wal_sealed_bytes 18231
 //! last_seal_unix 1765432100
 //! next_seq 4
 //! segment seg-000001.iseg 1280 64
@@ -25,6 +24,11 @@
 //! crashed sealer or compactor can never collide with a live file; any
 //! `seg-*.iseg` on disk that the manifest does not list is a stray from
 //! a crash window and is deleted on the next open.
+//!
+//! The previous layout (`inspire-ingest-manifest v1`) put a write-ahead
+//! log in front of every segment and recorded how much of it was sealed
+//! (`wal_sealed_bytes`). Such a manifest is refused at load, naming
+//! `vaengine migrate --dir`, which converts it with [`migrate_dir`].
 
 use crate::bad;
 use std::io;
@@ -32,7 +36,13 @@ use std::path::{Path, PathBuf};
 
 /// Manifest file name inside an ingest directory.
 pub const MANIFEST_FILE: &str = "MANIFEST";
-const MAGIC: &str = "inspire-ingest-manifest v1";
+const MAGIC: &str = "inspire-ingest-manifest v2";
+/// First line of the previous layout's manifest.
+const MAGIC_V1: &str = "inspire-ingest-manifest v1";
+/// The write-ahead log of the previous layout, which [`migrate_dir`]
+/// removes. Nothing writes it any more; the name stays public because
+/// the benchmark still counts its (absent) bytes.
+pub const WAL_FILE: &str = "wal.log";
 
 /// One live segment, in document order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,9 +66,6 @@ pub struct Manifest {
     pub base: Option<PathBuf>,
     /// Documents in the base snapshot.
     pub base_docs: u32,
-    /// WAL prefix already folded into segments; replay seals only
-    /// records whose end offset lies past this watermark.
-    pub wal_sealed_bytes: u64,
     /// Wall-clock seconds of the most recent seal (0 before the first).
     pub last_seal_unix: u64,
     /// Live segments in ascending `doc_base` order.
@@ -73,7 +80,6 @@ impl Manifest {
             next_seq: 1,
             base,
             base_docs,
-            wal_sealed_bytes: 0,
             last_seal_unix: 0,
             segments: Vec::new(),
         }
@@ -104,7 +110,6 @@ impl Manifest {
             None => out.push_str("base -\n"),
         }
         out.push_str(&format!("base_docs {}\n", self.base_docs));
-        out.push_str(&format!("wal_sealed_bytes {}\n", self.wal_sealed_bytes));
         out.push_str(&format!("last_seal_unix {}\n", self.last_seal_unix));
         out.push_str(&format!("next_seq {}\n", self.next_seq));
         for s in &self.segments {
@@ -132,7 +137,7 @@ impl Manifest {
 
     /// Load the manifest under `dir`, which must be an ingest directory.
     pub fn require(dir: &Path) -> io::Result<Manifest> {
-        Self::load(dir)?.ok_or_else(|| bad(dir, "not an ingest directory (no manifest)".into()))
+        Self::load(dir)?.ok_or_else(|| not_ingest(dir))
     }
 
     /// Load the manifest under `dir`; `Ok(None)` when none exists yet.
@@ -143,27 +148,26 @@ impl Manifest {
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e),
         };
-        Self::parse(&path, &text).map(Some)
+        Self::parse(&path, checked_body(&path, &text)?).map(Some)
     }
 
-    fn parse(path: &Path, text: &str) -> io::Result<Manifest> {
-        let crc_at = text
-            .rfind("crc 0x")
-            .ok_or_else(|| bad(path, "missing crc line".into()))?;
-        let crc_line = text[crc_at..].trim_end();
-        let stored = u32::from_str_radix(crc_line.trim_start_matches("crc 0x"), 16)
-            .map_err(|_| bad(path, format!("malformed crc line `{crc_line}`")))?;
-        let covered = &text[..crc_at];
-        let actual = inspire_store::crc32(covered.as_bytes());
-        if actual != stored {
-            return Err(bad(
-                path,
-                format!("checksum mismatch: stored 0x{stored:08x}, computed 0x{actual:08x}"),
-            ));
-        }
+    /// Parse the CRC-checked lines above the `crc` line.
+    fn parse(path: &Path, covered: &str) -> io::Result<Manifest> {
         let mut lines = covered.lines();
-        if lines.next() != Some(MAGIC) {
-            return Err(bad(path, format!("not a manifest (expected `{MAGIC}`)")));
+        match lines.next() {
+            Some(MAGIC) => {}
+            Some(MAGIC_V1) => {
+                let dir = path.parent().unwrap_or(Path::new("."));
+                return Err(bad(
+                    path,
+                    format!(
+                        "previous ingest layout (`{MAGIC_V1}`); convert it once with \
+                         `vaengine migrate --dir {}`",
+                        dir.display()
+                    ),
+                ));
+            }
+            _ => return Err(bad(path, format!("not a manifest (expected `{MAGIC}`)"))),
         }
         let mut m = Manifest::new(None, 0);
         let mut seen_generation = false;
@@ -192,7 +196,6 @@ impl Manifest {
                     m.base = (v != "-").then(|| PathBuf::from(v));
                 }
                 "base_docs" => m.base_docs = parse_u32(it.next())?,
-                "wal_sealed_bytes" => m.wal_sealed_bytes = parse_u64(it.next())?,
                 "last_seal_unix" => m.last_seal_unix = parse_u64(it.next())?,
                 "next_seq" => m.next_seq = parse_u64(it.next())?,
                 "segment" => {
@@ -246,14 +249,91 @@ impl Manifest {
     }
 }
 
+fn not_ingest(dir: &Path) -> io::Error {
+    bad(dir, "not an ingest directory (no manifest)".into())
+}
+
+/// The text above the manifest's `crc` line, once the CRC32 it records
+/// matches.
+fn checked_body<'a>(path: &Path, text: &'a str) -> io::Result<&'a str> {
+    let crc_at = text
+        .rfind("crc 0x")
+        .ok_or_else(|| bad(path, "missing crc line".into()))?;
+    let crc_line = text[crc_at..].trim_end();
+    let stored = u32::from_str_radix(crc_line.trim_start_matches("crc 0x"), 16)
+        .map_err(|_| bad(path, format!("malformed crc line `{crc_line}`")))?;
+    let covered = &text[..crc_at];
+    let actual = inspire_store::crc32(covered.as_bytes());
+    if actual != stored {
+        return Err(bad(
+            path,
+            format!("checksum mismatch: stored 0x{stored:08x}, computed 0x{actual:08x}"),
+        ));
+    }
+    Ok(covered)
+}
+
+/// Convert an ingest directory in the previous layout to the current
+/// one: `Ok(true)` once converted, `Ok(false)` when it already is.
+///
+/// The previous layout acknowledged a batch once its log record was
+/// durable, so a log that runs past the manifest's `wal_sealed_bytes`
+/// holds acknowledged batches no segment has: that directory is refused,
+/// naming both lengths, and left as it is — the build that wrote it
+/// seals them on its next open. Otherwise every batch lives in a
+/// segment; the current manifest is published with the same generation
+/// and segments, then the log is removed as a stray (as the next open
+/// would, after a crash between the two).
+pub fn migrate_dir(dir: &Path) -> io::Result<bool> {
+    let path = Manifest::path_in(dir);
+    let text = std::fs::read_to_string(&path).map_err(|e| match e.kind() {
+        io::ErrorKind::NotFound => not_ingest(dir),
+        _ => e,
+    })?;
+    let covered = checked_body(&path, &text)?;
+    let Some(rest) = covered.strip_prefix(MAGIC_V1) else {
+        Manifest::parse(&path, covered)?;
+        return Ok(false);
+    };
+    let (mut current, mut sealed) = (String::from(MAGIC), None);
+    for line in rest.lines() {
+        match line.strip_prefix("wal_sealed_bytes ") {
+            Some(v) => sealed = v.parse::<u64>().ok(),
+            None => current.push_str(line),
+        }
+        current.push('\n');
+    }
+    let sealed = sealed.ok_or_else(|| bad(&path, "no valid `wal_sealed_bytes` line".into()))?;
+    let m = Manifest::parse(&path, &current)?;
+    let wal = dir.join(WAL_FILE);
+    let len = match std::fs::metadata(&wal) {
+        Ok(meta) => meta.len(),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => 0,
+        Err(e) => return Err(e),
+    };
+    if len != sealed {
+        return Err(bad(
+            &wal,
+            format!(
+                "{len} bytes, but the manifest seals {sealed}: open the directory with \
+                 the build that wrote it to seal the rest, then migrate"
+            ),
+        ));
+    }
+    m.store(dir)?;
+    clean_strays(dir, &m)?;
+    Ok(true)
+}
+
 /// Read just the generation counter, cheaply enough to poll. Errors
 /// (including a mid-flip read) surface as `None` so the poller retries.
 pub fn peek_generation(dir: &Path) -> Option<u64> {
     Manifest::load(dir).ok().flatten().map(|m| m.generation)
 }
 
-/// Remove crash leftovers: `*.tmp` files and `seg-*.iseg` files the
-/// manifest does not list. Both crash windows of the sealer/compactor
+/// Remove crash leftovers: `*.tmp` files, `seg-*.iseg` files the
+/// manifest does not list, and a previous-layout log an interrupted
+/// [`migrate_dir`] left. Both crash windows of a commit or a compaction
 /// (file written but manifest not flipped; manifest flipped but old
 /// files not yet unlinked) land here. The metrics sidecar
 /// (`ingest_metrics.json`, see [`crate::metrics`]) survives — only its
@@ -264,11 +344,11 @@ pub fn clean_strays(dir: &Path, m: &Manifest) -> io::Result<Vec<PathBuf>> {
         let entry = entry?;
         let name = entry.file_name();
         let name = name.to_string_lossy().into_owned();
-        let is_tmp = name.ends_with(".tmp");
+        let is_leftover = name.ends_with(".tmp") || name == WAL_FILE;
         let is_orphan_seg = name.starts_with("seg-")
             && name.ends_with(".iseg")
             && !m.segments.iter().any(|s| s.file == name);
-        if is_tmp || is_orphan_seg {
+        if is_leftover || is_orphan_seg {
             std::fs::remove_file(entry.path())?;
             removed.push(entry.path());
         }
@@ -287,7 +367,6 @@ mod tests {
         let mut m = Manifest::new(Some(PathBuf::from("/x/base.isnap")), 100);
         m.generation = 3;
         m.next_seq = 3;
-        m.wal_sealed_bytes = 4096;
         m.last_seal_unix = 1_700_000_000;
         m.segments.push(SegmentRef {
             file: "seg-000001.iseg".into(),

@@ -1,11 +1,11 @@
 //! Cumulative ingest metrics, persisted as a sidecar file.
 //!
-//! The ingest tier's interesting latencies — how long a seal takes, how
-//! long a document is durable-but-invisible, how long compaction runs —
-//! happen in short-lived CLI processes, while the consumer (the serving
-//! tier's `/metrics?format=prom` exposition) is a different, long-lived
-//! process. The bridge is `ingest_metrics.json`: a
-//! [`Registry`] persisted at full bucket fidelity
+//! The ingest tier's interesting latencies — how long a commit takes to
+//! seal its batch and publish the generation that shows it, how long
+//! compaction runs — happen in short-lived CLI processes, while the
+//! consumer (the serving tier's `/metrics?format=prom` exposition) is a
+//! different, long-lived process. The bridge is `ingest_metrics.json`:
+//! a [`Registry`] persisted at full bucket fidelity
 //! ([`Registry::to_persist_json`]) next to the manifest, reloaded on
 //! every open so histograms keep accumulating across processes, and
 //! rewritten atomically (through `inspire_store::publish`) so readers
@@ -13,13 +13,13 @@
 //!
 //! The sidecar holds only the histograms ingest alone can measure:
 //!
-//! * `seal_latency_seconds` — WAL record folded into a live segment.
-//! * `time_to_visibility_seconds` — fsync start to segment visible.
+//! * `seal_latency_seconds` — a batch sealed into a segment and the
+//!   manifest naming it on disk, i.e. the commit until it is visible.
 //! * `compaction_duration_seconds` — one full compaction pass.
 //!
-//! Point-in-time gauges (`wal_backlog_bytes`, `wal_unsealed_records`,
-//! `snapshot_generation`, `segments_open`) are *not* persisted — the
-//! exposition computes them live from the WAL and manifest.
+//! Point-in-time gauges (`snapshot_generation`, `segments_open`) are
+//! *not* persisted — the exposition computes them live from the
+//! manifest.
 //!
 //! A missing or corrupt sidecar degrades to an empty registry: metrics
 //! are an observation, never a reason to fail ingestion.

@@ -1,5 +1,5 @@
 //! Immutable index segments: one small `inspire-store` container per
-//! sealed WAL batch.
+//! committed batch.
 //!
 //! A segment is a self-contained inverted index over a contiguous run
 //! of global document ids (`doc_base .. doc_base + doc_count`), encoded
@@ -49,7 +49,7 @@ pub struct SegmentBuild {
     pub tombstones: Vec<u32>,
 }
 
-/// Tokenize one WAL batch into a segment, with the engine's one
+/// Tokenize one document batch into a segment, with the engine's one
 /// tokenizer. Per-record tokenization is context-free (the scan
 /// pipeline's own invariant), so the postings, df, and tf produced here
 /// match what a full rebuild over a corpus ending with these records

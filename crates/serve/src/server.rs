@@ -666,15 +666,11 @@ fn metrics_json(shared: &Shared) -> String {
     s
 }
 
-fn prom_gauge(out: &mut String, name: &str, v: f64) {
-    out.push_str(&format!("# TYPE {name} gauge\n{name} {}\n", num(v)));
-}
-
 /// Build the Prometheus text exposition (`/metrics?format=prom`): the
 /// [`COUNTERS`] rows, the per-kind latency summaries from the trace
-/// registry, and — when serving an ingest directory — the live WAL
-/// backlog gauges plus the sealer/compactor histograms accumulated in
-/// the ingest metrics sidecar.
+/// registry, and — when serving an ingest directory — the
+/// commit/compaction histograms accumulated in the ingest metrics
+/// sidecar.
 fn metrics_prom(shared: &Shared) -> String {
     let scrape = Scrape::take(shared);
     let mut out = String::with_capacity(4096);
@@ -685,17 +681,10 @@ fn metrics_prom(shared: &Shared) -> String {
     out.push_str(&shared.registry.lock().unwrap().to_prometheus());
     if let Some(dir) = &scrape.state.ingest_dir {
         // Always emit the full ingest family set: a fresh directory
-        // (no sidecar yet, no backlog) scrapes the same names as a
-        // busy one, so dashboards and validators can rely on them.
-        let (bytes, records) = inspire_ingest::wal_backlog(dir).unwrap_or((0, 0));
-        prom_gauge(&mut out, "wal_backlog_bytes", bytes as f64);
-        prom_gauge(&mut out, "wal_unsealed_records", records as f64);
+        // (no sidecar yet) scrapes the same names as a busy one, so
+        // dashboards and validators can rely on them.
         let mut reg = inspire_ingest::load_ingest_metrics(dir).unwrap_or_default();
-        for name in [
-            "seal_latency_seconds",
-            "time_to_visibility_seconds",
-            "compaction_duration_seconds",
-        ] {
+        for name in ["seal_latency_seconds", "compaction_duration_seconds"] {
             reg.ensure(name);
         }
         out.push_str(&reg.to_prometheus());

@@ -116,8 +116,8 @@ pub struct ServeState {
     /// `last_seal_unix` of the manifest (0 for plain snapshots).
     pub last_seal_unix: u64,
     /// The ingest directory this state was built from, when live
-    /// serving ([`load_live_state`]); lets `/metrics`
-    /// compute WAL backlog gauges and read the ingest metrics sidecar.
+    /// serving ([`load_live_state`]); lets `/metrics` read the ingest
+    /// metrics sidecar.
     pub ingest_dir: Option<PathBuf>,
 }
 

@@ -244,25 +244,26 @@ fn bad(msg: String) -> io::Error {
 /// Publish a file at `path` durably and atomically — every file the
 /// system publishes goes through here. `write` fills `<path>.tmp`; that
 /// file is fsynced and renamed over `path`, then the parent directory is
-/// fsynced so the rename survives a crash (best-effort: not every file
-/// system can sync a directory). On any error the tmp file is removed
-/// and `path` is left as it was.
+/// fsynced so the rename survives a crash. On an error before the rename
+/// the tmp file is removed and `path` is left as it was; an error from
+/// the directory fsync is returned too, with the new file in place and
+/// its durability unknown.
 pub fn publish<T>(path: &Path, write: impl FnOnce(&Path) -> io::Result<T>) -> io::Result<T> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
-    let published = write(&tmp).and_then(|value| {
-        std::fs::File::open(&tmp)?.sync_all()?;
-        std::fs::rename(&tmp, path)?;
-        Ok(value)
-    });
-    if published.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    } else {
-        let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
-        let _ = std::fs::File::open(dir.unwrap_or(Path::new("."))).and_then(|d| d.sync_all());
-    }
-    published
+    let value = write(&tmp)
+        .and_then(|value| {
+            std::fs::File::open(&tmp)?.sync_all()?;
+            std::fs::rename(&tmp, path)?;
+            Ok(value)
+        })
+        .inspect_err(|_| {
+            let _ = std::fs::remove_file(&tmp);
+        })?;
+    let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
+    std::fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
+    Ok(value)
 }
 
 /// Padded on-disk extent of a payload of `len` bytes (length prefix +

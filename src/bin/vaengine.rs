@@ -6,6 +6,7 @@
 //! vaengine snapshot --input ./corpus --procs 8 --out engine.isnap
 //! vaengine query    --snapshot engine.isnap --search "heart attack"
 //! vaengine migrate  --in old.isnap --out engine.isnap
+//! vaengine migrate  --dir ./live
 //! vaengine themeview --coords coords.csv --width 80 --height 30
 //! ```
 //!
@@ -20,8 +21,9 @@
 //! without re-running any pipeline stage. `migrate` rewrites a snapshot
 //! in the previous layout (a forward index kept past the Scan stage)
 //! into the one layout `query` and `serve` read; older layouts are
-//! refused at open. `themeview` re-renders a saved coordinate file as
-//! terrain.
+//! refused at open. `migrate --dir` does the same for an ingest
+//! directory in the previous layout (the one with a write-ahead log).
+//! `themeview` re-renders a saved coordinate file as terrain.
 //!
 //! Observability: `--trace-out` records per-rank stage/collective spans
 //! and writes a Chrome trace-event file (open in `chrome://tracing` or
@@ -30,9 +32,9 @@
 //! repeats each requested query kind and reports p50/p95/p99 serving
 //! latency. `INSPIRE_LOG=error|warn|info|debug` sets the log level.
 //!
-//! Live ingestion: `ingest` appends document batches to a write-ahead
-//! log and seals them into immutable index segments over a base
-//! snapshot; `compact` folds the segments back into one; `query` and
+//! Live ingestion: `ingest` seals each document batch into an immutable
+//! index segment over a base snapshot and commits it with one manifest
+//! flip; `compact` folds the segments back into one; `query` and
 //! `serve` accept `--ingest-dir` to answer from the merged
 //! (base + segments) view, and the server hot-swaps its state whenever
 //! the manifest generation advances — no restart, no dropped requests.
@@ -53,7 +55,7 @@ use visual_analytics::prelude::*;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  vaengine generate --flavour <pubmed|trec|newswire> --size <bytes[K|M]> [--seed N] --out <dir>\n  vaengine analyze|run --input <dir> [--procs N] [--clusters K] [--out coords.csv]\n                   [--checkpoint-dir <dir>] [--resume] [--snapshot-out <file.isnap>]\n                   [--trace-out <trace.json>] [--report-out <report.json>]\n  vaengine snapshot --input <dir> --out <file.isnap> [--procs N] [--clusters K]\n                    [--checkpoint-dir <dir>] [--resume]\n                    [--trace-out <trace.json>] [--report-out <report.json>]\n  vaengine ingest --dir <ingest-dir> [--base <file.isnap>] [--input <file|dir>]\n                  [--delete id,id,...] [--crash-after-wal]\n  vaengine compact --dir <ingest-dir>\n  vaengine query --snapshot <file.isnap> | --ingest-dir <dir>\n                 [--search \"free text\"] [--query \"a AND NOT title:b\"]\n                 [--term <term>] [--top N] [--cluster C] [--rect x0,y0,x1,y1]\n                 [--similar <doc> | --similar-text \"free text\"] [--nprobe N]\n                 [--json] [--repeat N] [--report-out <report.json>]\n  vaengine serve --snapshot <file.isnap> | --ingest-dir <dir>\n                 [--addr 127.0.0.1:7878] [--workers N] [--cache N] [--queue N]\n                 [--access-log <file>] [--slow-log-n N] [--slow-threshold-ms N]\n  vaengine migrate --in <old.isnap> --out <new.isnap>\n  vaengine themeview --coords <coords.csv> [--width N] [--height N]"
+        "usage:\n  vaengine generate --flavour <pubmed|trec|newswire> --size <bytes[K|M]> [--seed N] --out <dir>\n  vaengine analyze|run --input <dir> [--procs N] [--clusters K] [--out coords.csv]\n                   [--checkpoint-dir <dir>] [--resume] [--snapshot-out <file.isnap>]\n                   [--trace-out <trace.json>] [--report-out <report.json>]\n  vaengine snapshot --input <dir> --out <file.isnap> [--procs N] [--clusters K]\n                    [--checkpoint-dir <dir>] [--resume]\n                    [--trace-out <trace.json>] [--report-out <report.json>]\n  vaengine ingest --dir <ingest-dir> [--base <file.isnap>] [--input <file|dir>]\n                  [--delete id,id,...]\n  vaengine compact --dir <ingest-dir>\n  vaengine query --snapshot <file.isnap> | --ingest-dir <dir>\n                 [--search \"free text\"] [--query \"a AND NOT title:b\"]\n                 [--term <term>] [--top N] [--cluster C] [--rect x0,y0,x1,y1]\n                 [--similar <doc> | --similar-text \"free text\"] [--nprobe N]\n                 [--json] [--repeat N] [--report-out <report.json>]\n  vaengine serve --snapshot <file.isnap> | --ingest-dir <dir>\n                 [--addr 127.0.0.1:7878] [--workers N] [--cache N] [--queue N]\n                 [--access-log <file>] [--slow-log-n N] [--slow-threshold-ms N]\n  vaengine migrate --in <old.isnap> --out <new.isnap> | --dir <ingest-dir>\n  vaengine themeview --coords <coords.csv> [--width N] [--height N]"
     );
     exit(2);
 }
@@ -354,42 +356,19 @@ fn ingest_cmd(args: &Args) {
             eprintln!("cannot open ingest dir {dir}: {e}");
             exit(1);
         });
-    let rec = &ing.recovery;
-    if rec.sealed_records > 0 || rec.torn_bytes > 0 || rec.removed_strays > 0 {
-        println!(
-            "recovered: {} unsealed WAL records sealed, {} torn bytes truncated, {} strays removed",
-            rec.sealed_records, rec.torn_bytes, rec.removed_strays
-        );
+    if ing.recovery.removed_strays > 0 {
+        println!("recovered: {} strays removed", ing.recovery.removed_strays);
     }
     if let Some(input) = args.value("--input") {
-        let sources = load_ingest_sources(input);
-        if args.has("--crash-after-wal") {
-            // Crash-test hook: stop in the window where the records are
-            // durable (WAL fsynced) but not yet visible (unsealed). The
-            // next open replays and seals them.
-            for src in sources {
-                let name = src.name.clone();
-                let bytes = ing
-                    .append_wal(&inspire_ingest::WalRecord::AddBatch(src))
-                    .unwrap_or_else(|e| {
-                        eprintln!("WAL append failed: {e}");
-                        exit(1);
-                    });
-                println!("wal: {name} durable at byte {bytes} (unsealed)");
-            }
-            println!("exiting before seal (--crash-after-wal)");
-            exit(0);
-        }
-        for src in sources {
+        for src in load_ingest_sources(input) {
             let name = src.name.clone();
             let stats = ing.append(src).unwrap_or_else(|e| {
                 eprintln!("ingest of {name} failed: {e}");
                 exit(1);
             });
             println!(
-                "sealed {name}: {} docs, wal {:.1} ms, seal {:.1} ms, {} ({} bytes), generation {}",
+                "sealed {name}: {} docs, seal {:.1} ms, {} ({} bytes), generation {}",
                 stats.docs,
-                stats.wal_s * 1e3,
                 stats.seal_s * 1e3,
                 stats.segment_file,
                 stats.segment_bytes,
@@ -780,6 +759,17 @@ fn serve_cmd(args: &Args) {
 }
 
 fn migrate_cmd(args: &Args) {
+    if let Some(dir) = args.value("--dir") {
+        match inspire_ingest::migrate_dir(Path::new(dir)) {
+            Ok(true) => println!("migrated {dir} to the current ingest layout"),
+            Ok(false) => println!("{dir} is already current"),
+            Err(e) => {
+                eprintln!("cannot migrate {dir}: {e}");
+                exit(1);
+            }
+        }
+        return;
+    }
     let (Some(input), Some(out)) = (args.value("--in"), args.value("--out")) else {
         usage()
     };

@@ -19,8 +19,8 @@
 //!   topicality, association matrix, knowledge signatures, distributed
 //!   k-means, PCA projection.
 //! * [`themeview`] — terrain visualization of the projected documents.
-//! * [`ingest`] (inspire-ingest) — live ingestion: write-ahead log,
-//!   immutable index segments, crash-safe manifest, compaction.
+//! * [`ingest`] (inspire-ingest) — live ingestion: immutable index
+//!   segments, a crash-safe manifest whose flip commits, compaction.
 //! * [`serve`] (inspire-serve) — the concurrent serving tier, including
 //!   merge-on-read over base snapshot + ingest segments.
 //!

@@ -3,17 +3,19 @@
 //!
 //! The contracts under test, end to end:
 //!
-//! 1. **Durable prefix, exactly** — for a WAL truncated at every record
-//!    boundary and at every byte of its final record above the sealed
-//!    watermark, replay recovers precisely the records whose frames
-//!    survive intact and truncates the rest; no crash point loses a
-//!    durable record or resurrects a torn one. Replay never reads below
-//!    the watermark, and a log that ends below it is refused.
-//! 2. **Kill-mid-ingest ≡ clean run** — after a crash between WAL
-//!    durability and sealing (and a second crash tearing the WAL tail),
-//!    reopening the directory seals the durable prefix, and the merged
-//!    view serves bodies byte-identical to a from-scratch rebuild of
-//!    that prefix — with the rebuild run at P=1 **and** P=4.
+//! 1. **One side of the commit, exactly** — a commit publishes the
+//!    batch's segment, then the manifest that names it. For every crash
+//!    state of that sequence — each prefix of the segment's tmp file,
+//!    the segment complete under the old manifest, that plus each prefix
+//!    of the manifest's tmp file, and the new manifest in place — the
+//!    next open serves the pre-commit bodies with no stray left (and a
+//!    re-append writes the same segment bytes), or the post-commit ones.
+//!    A directory in the previous layout is refused until migrated.
+//! 2. **Kill-mid-ingest ≡ clean run** — after a commit killed
+//!    part-way, reopening the directory removes its leftovers, and the
+//!    merged view serves bodies byte-identical to a from-scratch rebuild
+//!    of the acknowledged batches — with the rebuild run at P=1 **and**
+//!    P=4.
 //! 3. **Compaction is invisible** — folding all segments into one
 //!    changes no served byte, and stray files from a simulated
 //!    compaction crash are removed on the next open.
@@ -37,7 +39,7 @@ use visual_analytics::engine::snapshot::schema::{ASSOC, MAJOR};
 use visual_analytics::engine::tokenize::Tokenizer;
 use visual_analytics::engine::{EngineConfig, EngineSnapshot};
 use visual_analytics::ingest::{
-    compact_dir, IngestDir, Manifest, Wal, WalRecord, MANIFEST_FILE, WAL_FILE,
+    compact_dir, migrate_dir, IngestDir, Manifest, MANIFEST_FILE, WAL_FILE,
 };
 use visual_analytics::perfmodel::CostModel;
 use visual_analytics::prelude::{CorpusSpec, SourceSet};
@@ -114,165 +116,276 @@ fn medline(name: &str, text: &str) -> corpus::Source {
     }
 }
 
-/// Contract 1: sweep every crash point of a multi-record WAL — each
-/// record boundary, plus every byte inside the final record — and check
-/// that reopening recovers exactly the durable prefix. The sweep runs
-/// once per watermark: the first `sealed` records are committed (and so
-/// sealed), the rest only made durable, and every crash point at or
-/// above the watermark is tried.
-#[test]
-fn replay_recovers_exact_durable_prefix_at_every_crash_point() {
-    let batches = [
-        medline("a", "TI  - alpha beta gamma\nAB  - alpha words here\n\n"),
-        medline("b", "TI  - delta beta\nAB  - more delta text\n\n"),
-        medline("c", "TI  - epsilon gamma\nAB  - epsilon body\n\n"),
-        medline("d", "TI  - zeta alpha\nAB  - zeta tail record\n\n"),
-    ];
-    let template = tmp_dir("sweep-template");
-    let trial = tmp_dir("sweep-trial");
-    for sealed in 0..batches.len() {
-        let _ = std::fs::remove_dir_all(&template);
-        let mut ing = IngestDir::create(&template, None).expect("create");
-        let mut ends: Vec<u64> = Vec::new();
-        for (i, src) in batches.iter().enumerate() {
-            if i < sealed {
-                ing.append(src.clone()).expect("sealed append");
-                ends.push(ing.manifest().wal_sealed_bytes);
-                continue;
-            }
-            ends.push(
-                ing.append_wal(&WalRecord::AddBatch(src.clone()))
-                    .expect("wal append"),
-            );
-        }
-        let watermark = ing.manifest().wal_sealed_bytes;
-        drop(ing);
-        let wal_bytes = std::fs::read(template.join(WAL_FILE)).expect("read wal");
-        // Everything else the directory holds: manifest, segments and
-        // the metrics sidecar.
-        let sealed_files: Vec<(PathBuf, Vec<u8>)> = std::fs::read_dir(&template)
-            .expect("list template")
-            .map(|e| e.expect("entry").file_name())
-            .filter(|name| name != WAL_FILE)
-            .map(|name| {
-                let bytes = std::fs::read(template.join(&name)).expect("read");
-                (PathBuf::from(name), bytes)
-            })
-            .collect();
-
-        // Crash points: every record boundary (including 0 and EOF), plus
-        // every byte offset inside the last record's frame, at or above
-        // the watermark.
-        let mut cuts: Vec<u64> = vec![0];
-        cuts.extend_from_slice(&ends);
-        cuts.extend(ends[2] + 1..ends[3]);
-        cuts.retain(|&cut| cut >= watermark);
-        for cut in cuts {
-            let _ = std::fs::remove_dir_all(&trial);
-            std::fs::create_dir_all(&trial).unwrap();
-            for (name, bytes) in &sealed_files {
-                std::fs::write(trial.join(name), bytes).unwrap();
-            }
-            std::fs::write(trial.join(WAL_FILE), &wal_bytes[..cut as usize]).unwrap();
-
-            let durable = ends.iter().filter(|&&e| e <= cut).count();
-            let ing = IngestDir::open(&trial).expect("recovery open");
-            assert_eq!(
-                ing.recovery.sealed_records,
-                durable - sealed,
-                "crash at byte {cut} past {sealed} sealed: wrong durable prefix"
-            );
-            assert_eq!(ing.total_docs(), durable as u32);
-            assert_eq!(ing.manifest().segments.len(), durable);
-            // The torn tail is gone: the WAL now ends at the last durable
-            // record, and a second open has nothing left to repair.
-            let expect_len = ends.get(durable.wrapping_sub(1)).copied().unwrap_or(0);
-            assert_eq!(Wal::new(trial.join(WAL_FILE)).len().unwrap(), expect_len);
-            drop(ing);
-            let again = IngestDir::open(&trial).expect("idempotent reopen");
-            assert_eq!(again.recovery.sealed_records, 0);
-            assert_eq!(again.recovery.torn_bytes, 0);
-        }
-    }
-    let _ = std::fs::remove_dir_all(&template);
-    let _ = std::fs::remove_dir_all(&trial);
+/// Every file in `dir` with its bytes, by name.
+fn files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut out: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .expect("list dir")
+        .map(|e| {
+            let e = e.expect("entry");
+            let bytes = std::fs::read(e.path()).expect("read");
+            (e.file_name().to_string_lossy().into_owned(), bytes)
+        })
+        .collect();
+    out.sort();
+    out
 }
 
-/// Contract 1 below the watermark: replay never reads a sealed record
-/// again, so a flipped byte inside one costs nothing — neither the
-/// durable record after it nor the next commit.
+/// Replace `to` with a copy of `from`'s files.
+fn copy_dir(from: &Path, to: &Path) {
+    let _ = std::fs::remove_dir_all(to);
+    std::fs::create_dir_all(to).expect("create copy");
+    for (name, bytes) in files(from) {
+        std::fs::write(to.join(name), bytes).expect("write copy");
+    }
+}
+
+/// The two files one commit publishes, in order: its segment, then the
+/// manifest that names it.
+struct Commit {
+    segment: String,
+    segment_bytes: Vec<u8>,
+    manifest: Vec<u8>,
+}
+
+impl Commit {
+    /// Commit `src` on a copy of `dir` and keep what it published;
+    /// `dir` itself is untouched.
+    fn of(dir: &Path, src: &corpus::Source) -> Commit {
+        let copy = dir.with_extension("commit");
+        copy_dir(dir, &copy);
+        let mut ing = IngestDir::open(&copy).expect("open the copy");
+        let segment = ing
+            .append(src.clone())
+            .expect("commit on the copy")
+            .segment_file;
+        let commit = Commit {
+            segment_bytes: std::fs::read(copy.join(&segment)).expect("segment"),
+            segment,
+            manifest: std::fs::read(copy.join(MANIFEST_FILE)).expect("manifest"),
+        };
+        let _ = std::fs::remove_dir_all(&copy);
+        commit
+    }
+
+    /// Leave in `dir` what this commit leaves when the process dies at
+    /// `stage`: 0, the segment's tmp file cut at `cut` bytes; 1, the
+    /// whole segment; 2, the whole segment and the manifest's tmp file
+    /// cut at `cut` bytes; 3, the new manifest in place too (the commit
+    /// landed). Returns how many strays the next open must remove.
+    fn plant(&self, dir: &Path, stage: usize, cut: usize) -> usize {
+        let seg = dir.join(&self.segment);
+        if stage == 0 {
+            let tmp = dir.join(format!("{}.tmp", self.segment));
+            std::fs::write(tmp, &self.segment_bytes[..cut]).unwrap();
+            return 1;
+        }
+        std::fs::write(seg, &self.segment_bytes).unwrap();
+        match stage {
+            1 => 1,
+            2 => {
+                let tmp = dir.join(format!("{MANIFEST_FILE}.tmp"));
+                std::fs::write(tmp, &self.manifest[..cut]).unwrap();
+                2
+            }
+            _ => {
+                std::fs::write(dir.join(MANIFEST_FILE), &self.manifest).unwrap();
+                0
+            }
+        }
+    }
+}
+
+/// Contract 1: sweep every crash state of one commit and check that
+/// the next open lands on exactly one side of it.
 #[test]
-fn a_damaged_sealed_record_is_never_replayed() {
-    let dir = tmp_dir("sealed-flip");
+fn every_crash_state_of_a_commit_opens_to_one_side_of_it() {
+    let dir = tmp_dir("sweep");
     let base_set = SourceSet {
         sources: vec![
             medline(
                 "base0",
-                "TI  - shared topic alpha\nAB  - alpha base words\n\n",
+                "TI  - alpha beta gamma\nAB  - alpha words here\n\n",
             ),
-            medline(
-                "base1",
-                "TI  - shared topic beta\nAB  - beta base words\n\n",
-            ),
+            medline("base1", "TI  - delta beta\nAB  - more delta text\n\n"),
         ],
     };
     let base_path = dir.join("base.isnap");
     build_snapshot(&base_set, &base_path, 1);
-    let live = dir.join("live");
-    let mut ing = IngestDir::create(&live, Some(&base_path)).expect("create");
-    ing.append(medline("inc0", "TI  - shared gamma\nAB  - gamma words\n\n"))
-        .expect("sealed append");
-    let first_end = ing.manifest().wal_sealed_bytes;
-    ing.append_wal(&WalRecord::AddBatch(medline(
-        "inc1",
-        "TI  - shared delta\nAB  - delta words\n\n",
-    )))
-    .expect("durable append");
+    let template = dir.join("template");
+    let mut ing = IngestDir::create(&template, Some(&base_path)).expect("create");
+    ing.append(medline("a", "TI  - epsilon gamma\nAB  - epsilon body\n\n"))
+        .expect("append");
+    ing.delete(vec![0]).expect("delete");
     drop(ing);
+    let batch = medline("b", "TI  - zeta alpha\nAB  - zeta tail record\n\n");
+    let commit = Commit::of(&template, &batch);
+    let before = files(&template);
 
-    let wal_path = live.join(WAL_FILE);
-    let mut wal = std::fs::read(&wal_path).unwrap();
-    wal[(8 + first_end as usize) / 2] ^= 0x40; // inside the first payload
-    std::fs::write(&wal_path, &wal).unwrap();
+    let trial = dir.join("trial");
+    copy_dir(&template, &trial);
+    commit.plant(&trial, 3, 0);
+    let post_state = load_live_state(&trial).expect("post-commit view");
+    let requests = build_requests(&post_state);
+    let post = answers(&post_state, &requests);
+    let pre = answers(&load_live_state(&template).expect("view"), &requests);
+    assert_ne!(pre, post, "the batch must change some answer");
 
-    let mut ing = IngestDir::open(&live).expect("reopen");
-    assert_eq!(ing.recovery.sealed_records, 1);
-    assert_eq!(ing.recovery.torn_bytes, 0);
-    assert_eq!(ing.total_docs(), 4);
-    let state = load_live_state(&live).expect("view");
-    for (term, doc) in [("gamma", 2), ("delta", 3)] {
-        let id = state.term_id(term).expect("term indexed");
-        let mut docs: Vec<u32> = state.postings_of(id).iter().map(|p| p.doc).collect();
-        docs.dedup(); // one posting per field
-        assert_eq!(docs, [doc], "{term}");
+    let mut states: Vec<(usize, usize)> = (0..=commit.segment_bytes.len())
+        .map(|cut| (0, cut))
+        .collect();
+    states.push((1, 0));
+    states.extend((0..=commit.manifest.len()).map(|cut| (2, cut)));
+    for (stage, cut) in states {
+        let at = format!("crash at stage {stage}, cut {cut}");
+        copy_dir(&template, &trial);
+        let strays = commit.plant(&trial, stage, cut);
+        let mut ing = IngestDir::open(&trial).expect(&at);
+        assert_eq!(ing.recovery.removed_strays, strays, "{at}");
+        let after = files(&trial);
+        let names = |f: &[(String, Vec<u8>)]| f.iter().map(|e| e.0.clone()).collect::<Vec<_>>();
+        assert!(
+            after == before,
+            "{at}: open must leave the old generation, left {:?}",
+            names(&after)
+        );
+        let state = load_live_state(&trial).expect(&at);
+        assert_eq!(answers(&state, &requests), pre, "{at}");
+        let again = ing.append(batch.clone()).expect(&at);
+        assert_eq!(again.segment_file, commit.segment, "{at}");
+        let segment = std::fs::read(trial.join(&commit.segment)).unwrap();
+        assert!(
+            segment == commit.segment_bytes,
+            "{at}: re-append wrote other bytes"
+        );
     }
-    ing.append(medline("inc2", "TI  - shared omega\nAB  - omega words\n\n"))
-        .expect("the next commit seals");
-    assert_eq!(ing.total_docs(), 5);
+    copy_dir(&template, &trial);
+    commit.plant(&trial, 3, 0);
+    let ing = IngestDir::open(&trial).expect("open the landed commit");
+    assert_eq!(ing.recovery.removed_strays, 0);
+    assert_eq!(ing.total_docs(), post_state.total_docs());
+    let state = load_live_state(&trial).expect("view");
+    assert_eq!(answers(&state, &requests), post);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Contract 1's other edge: a WAL shorter than the watermark has lost
-/// bytes the manifest says are sealed, and the open refuses it by name.
+/// Contract 1's previous layout: a directory whose manifest is
+/// `inspire-ingest-manifest v1` (which recorded how much of a
+/// write-ahead log was sealed) is refused at open by name, pointing at
+/// `vaengine migrate --dir`. `migrate_dir` refuses it while the log
+/// does not end at the sealed length, naming both, and otherwise
+/// publishes the current manifest and removes the log; served bodies
+/// are unchanged.
 #[test]
-fn a_wal_shorter_than_the_watermark_is_refused() {
-    let dir = tmp_dir("short-wal");
-    let mut ing = IngestDir::create(&dir, None).expect("create");
+fn a_previous_layout_directory_is_refused_until_migrated() {
+    let dir = tmp_dir("migrate");
+    let set = CorpusSpec::pubmed(64 * 1024, 13).generate();
+    let half = set.sources.len() / 2;
+    let base_path = dir.join("base.isnap");
+    build_snapshot(
+        &SourceSet {
+            sources: set.sources[..half].to_vec(),
+        },
+        &base_path,
+        1,
+    );
+    let live = dir.join("live");
+    let mut ing = IngestDir::create(&live, Some(&base_path)).expect("create");
+    for src in &set.sources[half..] {
+        ing.append(src.clone()).expect("append");
+    }
+    ing.delete(vec![1, 3]).expect("delete");
+    drop(ing);
+    let state = load_live_state(&live).expect("view");
+    let requests = interleaving_requests(&state, &[1, 3]);
+    let want = answers(&state, &requests);
+
+    // The previous layout, from the current manifest: the old magic, a
+    // watermark line after `base_docs`, and a CRC over both.
+    let current = std::fs::read_to_string(live.join(MANIFEST_FILE)).unwrap();
+    let sealed = 4242usize;
+    let body = current[..current.rfind("crc 0x").unwrap()]
+        .replacen("manifest v2\n", "manifest v1\n", 1)
+        .replacen(
+            "\nlast_seal_unix",
+            &format!("\nwal_sealed_bytes {sealed}\nlast_seal_unix"),
+            1,
+        );
+    let v1 = format!(
+        "{body}crc 0x{:08x}\n",
+        inspire_store::crc32(body.as_bytes())
+    );
+    std::fs::write(live.join(MANIFEST_FILE), &v1).unwrap();
+
+    let refusals = [
+        IngestDir::open(&live)
+            .err()
+            .expect("a v1 manifest must not open"),
+        load_live_state(&live).err().expect("nor serve"),
+    ];
+    for err in refusals {
+        let msg = err.to_string();
+        assert!(msg.contains("inspire-ingest-manifest v1"), "{msg}");
+        assert!(msg.contains("vaengine migrate --dir"), "{msg}");
+    }
+    // A log that runs past the watermark holds acknowledged batches no
+    // segment has; one that ends before it has lost sealed bytes.
+    for len in [sealed + 9, sealed - 1] {
+        std::fs::write(live.join(WAL_FILE), vec![7u8; len]).unwrap();
+        let msg = migrate_dir(&live).expect_err("refused").to_string();
+        assert!(msg.contains(WAL_FILE), "{msg}");
+        assert!(msg.contains(&format!("{len} bytes")), "{msg}");
+        assert!(msg.contains(&format!("seals {sealed}")), "{msg}");
+        assert_eq!(
+            std::fs::read_to_string(live.join(MANIFEST_FILE)).unwrap(),
+            v1
+        );
+    }
+
+    std::fs::write(live.join(WAL_FILE), vec![7u8; sealed]).unwrap();
+    assert!(migrate_dir(&live).expect("converts"));
+    assert!(!live.join(WAL_FILE).exists());
+    let converted = std::fs::read_to_string(live.join(MANIFEST_FILE)).unwrap();
+    assert_eq!(converted, current);
+    assert_eq!(
+        answers(&load_live_state(&live).expect("view"), &requests),
+        want
+    );
+    assert!(!migrate_dir(&live).expect("already current"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Contract 1 at the CLI: `vaengine ingest` on a directory holding a
+/// killed commit's leftovers reports the strays it removed, and
+/// `vaengine migrate --dir` calls a current directory current and exits
+/// 1, naming the reason, on a directory that is not an ingest one.
+#[test]
+fn cli_reports_removed_strays_and_current_layouts() {
+    let dir = tmp_dir("cli");
+    let live = dir.join("live");
+    let mut ing = IngestDir::create(&live, None).expect("create");
     ing.append(medline("a", "TI  - alpha beta\nAB  - alpha words\n\n"))
         .expect("append");
-    ing.append(medline("b", "TI  - gamma beta\nAB  - gamma words\n\n"))
-        .expect("append");
-    let watermark = ing.manifest().wal_sealed_bytes;
     drop(ing);
-    let wal_path = dir.join(WAL_FILE);
-    let wal = std::fs::read(&wal_path).unwrap();
-    std::fs::write(&wal_path, &wal[..watermark as usize - 1]).unwrap();
-
-    let err = IngestDir::open(&dir)
-        .err()
-        .expect("a WAL below the watermark must not open");
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
-    assert!(err.to_string().contains(WAL_FILE), "{err}");
+    let killed = Commit::of(&live, &medline("b", "TI  - gamma delta\n\n"));
+    assert_eq!(killed.plant(&live, 2, 7), 2);
+    let run = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_vaengine"))
+            .args(args)
+            .output()
+            .expect("run vaengine");
+        let text = |b: Vec<u8>| String::from_utf8_lossy(&b).into_owned();
+        (out.status.code(), text(out.stdout), text(out.stderr))
+    };
+    let live = live.to_str().expect("UTF-8 path");
+    let (code, out, err) = run(&["ingest", "--dir", live]);
+    assert_eq!(code, Some(0), "{err}");
+    assert!(out.contains("recovered: 2 strays removed"), "{out}");
+    let (code, out, err) = run(&["migrate", "--dir", live]);
+    assert_eq!(code, Some(0), "{err}");
+    assert!(out.contains("already current"), "{out}");
+    let (code, _, err) = run(&["migrate", "--dir", dir.to_str().unwrap()]);
+    assert_eq!(code, Some(1));
+    assert!(err.contains("not an ingest directory"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -291,46 +404,24 @@ fn killed_ingest_replays_to_clean_rebuild_bodies() {
     let base_path = dir.join("base.isnap");
     build_snapshot(&base_set, &base_path, 1);
 
-    // Batch 1 ingests cleanly; batch 2 crashes after WAL durability
-    // (records never sealed); batch 3 lands, then the tail of its last
-    // record is torn off mid-frame.
-    let rest = &set.sources[base_half..];
-    let third = rest.len().div_ceil(3);
-    let (b1, b23) = rest.split_at(third);
-    let (b2, b3) = b23.split_at(third.min(b23.len()));
+    // Every batch but the last commits; the last one's commit is killed
+    // after its segment landed, half-way through the manifest's tmp file.
     let live = dir.join("live");
     let mut ing = IngestDir::create(&live, Some(&base_path)).expect("create");
-    for src in b1 {
-        ing.append(src.clone()).expect("sealed append");
+    for src in &set.sources[base_half..n - 1] {
+        ing.append(src.clone()).expect("append");
     }
-    for src in b2 {
-        ing.append_wal(&WalRecord::AddBatch(src.clone()))
-            .expect("durable append");
-    }
-    let mut last_end = 0;
-    for src in b3 {
-        last_end = ing
-            .append_wal(&WalRecord::AddBatch(src.clone()))
-            .expect("durable append");
-    }
-    drop(ing); // crash: b2 + b3 durable but unsealed
-    let wal_path = live.join(WAL_FILE);
-    let wal = std::fs::read(&wal_path).unwrap();
-    assert_eq!(wal.len() as u64, last_end);
-    std::fs::write(&wal_path, &wal[..wal.len() - 7]).unwrap(); // torn tail
+    drop(ing);
+    let killed = Commit::of(&live, &set.sources[n - 1]);
+    assert_eq!(killed.plant(&live, 2, killed.manifest.len() / 2), 2);
 
     let ing = IngestDir::open(&live).expect("recovery");
-    assert_eq!(
-        ing.recovery.sealed_records,
-        b2.len() + b3.len() - 1,
-        "replay must seal every durable record and only those"
-    );
-    assert!(ing.recovery.torn_bytes > 0);
+    assert_eq!(ing.recovery.removed_strays, 2, "the killed commit's files");
     drop(ing);
 
-    // The logical corpus after recovery: everything except the torn
-    // final record. A clean rebuild of it — at P=1 and at P=4 — must
-    // serve the same bytes the merged view serves.
+    // The logical corpus after recovery: every acknowledged batch. A
+    // clean rebuild of it — at P=1 and at P=4 — must serve the same
+    // bytes the merged view serves.
     let survived = SourceSet {
         sources: set.sources[..n - 1].to_vec(),
     };
@@ -670,9 +761,9 @@ fn regression_seeds() -> Vec<u64> {
 /// Contract 7: compaction and crash recovery are invisible under
 /// *arbitrary* interleavings. Each seed drives two ingest directories
 /// over one base through 40 random steps: the subject takes appends,
-/// deletes, compactions and crash-reopens (half of them with a durable,
-/// unsealed WAL record to recover); its twin takes only the appends and
-/// deletes, cleanly. After every step both must answer the whole request
+/// deletes, compactions and crash-reopens (half of them with the
+/// leftovers of a killed commit to remove); its twin takes only the
+/// appends and deletes, cleanly. After every step both must answer the whole request
 /// set — `/similar` included — with the same bytes, and, until the first
 /// delete, the term/boolean/search bodies must equal a full rebuild's.
 #[test]
@@ -740,23 +831,23 @@ fn random_interleavings_serve_identical_bodies() {
                     deleted.extend(ids);
                 }
                 ("reopen", next) => {
-                    // Crash: with a batch durable in the WAL but not
-                    // sealed (when the pool still has one), or idle.
-                    let pending = next.filter(|_| rng.below(2) == 0);
-                    if let Some(src) = pending {
-                        ing.append_wal(&WalRecord::AddBatch(src.clone()))
-                            .expect("durable append");
-                        clean.append(src.clone()).expect("twin append");
-                        corpus.push(src.clone());
-                        rebuilt = true;
-                    }
+                    // Crash: part-way through committing the next pool
+                    // batch (when the pool still has one), or idle. The
+                    // killed commit was never acknowledged, so the batch
+                    // is lost and the twin never sees it.
                     drop(ing);
+                    let mut strays = 0;
+                    if let Some(src) = next.filter(|_| rng.below(2) == 0) {
+                        let killed = Commit::of(&subject, src);
+                        let stage = rng.below(3);
+                        let len = match stage {
+                            0 => killed.segment_bytes.len(),
+                            _ => killed.manifest.len(),
+                        };
+                        strays = killed.plant(&subject, stage, rng.below(len + 1));
+                    }
                     ing = IngestDir::open(&subject).expect("recovery open");
-                    assert_eq!(
-                        ing.recovery.sealed_records,
-                        usize::from(pending.is_some()),
-                        "{at}"
-                    );
+                    assert_eq!(ing.recovery.removed_strays, strays, "{at}");
                 }
                 // "compact", and "append" once the pool is spent.
                 _ => {

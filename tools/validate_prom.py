@@ -4,7 +4,7 @@
 Every sample family must carry a `# TYPE` line, summary quantiles must
 be monotone, the `_sum`/`_count` pairs must be consistent, and the
 serve-side metric names the dashboards key on must be present
-(`--require-ingest` adds the WAL/seal/compaction names a live
+(`--require-ingest` adds the seal/compaction names a live
 ingest-backed server exposes).
 
 Usage:
@@ -40,14 +40,11 @@ PROM_REQUIRED_SERVE = (
     "snapshot_generation",
 )
 
-# Families only an ingest-dir-backed server exposes (WAL gauges are
-# computed live; the histograms come from the ingest metrics sidecar).
+# Families only an ingest-dir-backed server exposes (the histograms
+# come from the ingest metrics sidecar).
 PROM_REQUIRED_INGEST = (
-    "wal_backlog_bytes",
-    "wal_unsealed_records",
     "seal_latency_seconds",
     "compaction_duration_seconds",
-    "time_to_visibility_seconds",
     "snapshot_generation",
 )
 
@@ -133,7 +130,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("path", help="Prometheus text scrape to validate")
     ap.add_argument("--require-ingest", action="store_true",
-                    help="also require the WAL/seal/compaction families")
+                    help="also require the seal/compaction families")
     args = ap.parse_args()
 
     try:
