@@ -20,12 +20,13 @@
 //!   therefore identical to an exhaustive `f64` scan of those lists, so
 //!   `nprobe = k` reproduces [`exhaustive`] exactly.
 //!
-//! Everything here is deterministic: ties break toward the lower doc id
-//! (and lower centroid index), and no accumulation order depends on the
-//! processor count.
+//! Everything here is deterministic: every order is
+//! [`rank_cmp`](crate::query::rank_cmp), so ties break toward the lower
+//! doc id (and lower centroid index), and no accumulation order depends
+//! on the processor count.
 
 use crate::linalg::dot;
-use crate::query::Hit;
+use crate::query::{rank_cmp, Hit, TopK};
 use crate::DocId;
 
 /// Largest quantization code (codes span `0..=255`).
@@ -285,38 +286,32 @@ pub struct SearchStats {
     pub reranked: usize,
 }
 
-/// Cosine similarity between `query` and the exact signature of `doc`,
-/// with the stored norm; 0 when either vector is null.
-fn exact_cos(view: &AnnIndexView, query: &[f64], qnorm: f64, doc: u32, doc_norm: f64) -> f64 {
-    if qnorm == 0.0 || doc_norm == 0.0 {
+/// Cosine similarity of `query` and `row` given their L2 norms; 0 when
+/// either is null. The re-rank's exact score.
+pub fn cosine(query: &[f64], qnorm: f64, row: &[f64], norm: f64) -> f64 {
+    if qnorm == 0.0 || norm == 0.0 {
         return 0.0;
     }
-    let m = view.m;
-    let row = &view.exact[doc as usize * m..(doc as usize + 1) * m];
-    dot(query, row) / (qnorm * doc_norm)
+    dot(query, row) / (qnorm * norm)
 }
 
 /// IVF similarity search: rank centroids by cosine, scan the top
-/// `nprobe` lists with the quantized kernel, then exactly re-rank in
-/// `f64` until the error bound proves no remaining candidate can enter
-/// the top `top`. Results are sorted by exact score descending, doc id
-/// ascending.
+/// `nprobe` lists with the quantized kernel, then exactly re-rank into
+/// `best`, passing over the `deleted` documents (sorted ids), until the
+/// error bound proves no remaining candidate can enter it. A null or
+/// mis-sized query offers nothing and counts nothing.
 pub fn search(
     view: &AnnIndexView,
     query: &[f64],
-    top: usize,
     nprobe: usize,
+    deleted: &[DocId],
+    best: &mut TopK,
     out_stats: &mut SearchStats,
-) -> Vec<Hit> {
+) {
     *out_stats = SearchStats::default();
-    let m = view.m;
-    let docs = view.docs();
-    if docs == 0 || m == 0 || top == 0 || query.len() != m {
-        return Vec::new();
-    }
-    let qnorm = l2_norm(query);
-    if qnorm == 0.0 {
-        return Vec::new();
+    let (m, qnorm) = (view.m, l2_norm(query));
+    if view.docs() == 0 || m == 0 || query.len() != m || qnorm == 0.0 {
+        return;
     }
     let ql1: f64 = query.iter().map(|x| x.abs()).sum();
     let mut qcodes = vec![0u8; m];
@@ -327,16 +322,10 @@ pub fn search(
     let mut order: Vec<(f64, usize)> = (0..view.k)
         .map(|c| {
             let row = &view.centroids[c * m..(c + 1) * m];
-            let cn = l2_norm(row);
-            let cos = if cn == 0.0 {
-                0.0
-            } else {
-                dot(query, row) / (qnorm * cn)
-            };
-            (cos, c)
+            (cosine(query, qnorm, row, l2_norm(row)), c)
         })
         .collect();
-    order.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1)));
+    order.sort_by(|&a, &b| rank_cmp(a, b));
     let nprobe = nprobe.clamp(1, view.k);
 
     // ---- Scan the probed lists with the quantized kernel. ----
@@ -366,48 +355,32 @@ pub fn search(
         }
     }
     out_stats.candidates = cand.len();
-    cand.sort_by(|a, b| {
-        b.0.partial_cmp(&a.0)
-            .unwrap()
-            .then(view.ivfdoc[a.2 as usize].cmp(&view.ivfdoc[b.2 as usize]))
-    });
+    let doc_of = |&(approx, _, pos): &(f64, f64, u32)| (approx, view.ivfdoc[pos as usize]);
+    cand.sort_by(|a, b| rank_cmp(doc_of(a), doc_of(b)));
 
     // ---- Bounded exact re-rank. ----
-    // `best` holds exact-scored hits sorted (score desc, doc asc); once
-    // it has `top` entries, a candidate whose optimistic score
-    // (approx + bound) cannot beat the current k-th best is provably
-    // outside the top-k, and the candidates after it are ranked lower
-    // still — but their bounds differ, so each is checked individually.
-    let mut best: Vec<Hit> = Vec::with_capacity(top + 1);
+    // Once `best` is full, a candidate whose optimistic score (approx +
+    // bound) falls below its k-th best is provably outside it, and the
+    // candidates after it are ranked lower still — but their bounds
+    // differ, so each is checked individually.
     for &(approx, bound, pos) in &cand {
-        if best.len() == top {
-            let kth = best[top - 1].score;
-            if approx + bound < kth {
-                continue;
-            }
+        if best.kth().is_some_and(|kth| approx + bound < kth) {
+            continue;
         }
         let doc = view.ivfdoc[pos as usize];
-        let score = exact_cos(view, query, qnorm, doc, view.norm[pos as usize]);
-        out_stats.reranked += 1;
-        let hit = Hit { doc, score };
-        let at = best
-            .binary_search_by(|h| {
-                hit.score
-                    .partial_cmp(&h.score)
-                    .unwrap()
-                    .then(h.doc.cmp(&hit.doc))
-            })
-            .unwrap_or_else(|i| i);
-        best.insert(at, hit);
-        if best.len() > top {
-            best.pop();
+        if deleted.binary_search(&doc).is_ok() {
+            continue;
         }
+        let row = &view.exact[doc as usize * m..(doc as usize + 1) * m];
+        let score = cosine(query, qnorm, row, view.norm[pos as usize]);
+        out_stats.reranked += 1;
+        best.offer(Hit { doc, score });
     }
-    best
 }
 
 /// Exhaustive-scan oracle: exact `f64` cosine against every document,
-/// same ordering rules as [`search`].
+/// scored and fully sorted on its own, so that it shares no top-k with
+/// the [`search`] it checks.
 pub fn exhaustive(sigs: &[f64], m: usize, query: &[f64], top: usize) -> Vec<Hit> {
     if m == 0 || sigs.is_empty() || top == 0 || query.len() != m {
         return Vec::new();
@@ -432,12 +405,7 @@ pub fn exhaustive(sigs: &[f64], m: usize, query: &[f64], top: usize) -> Vec<Hit>
             }
         })
         .collect();
-    hits.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .unwrap()
-            .then(a.doc.cmp(&b.doc))
-    });
+    hits.sort_by(Hit::rank_cmp);
     hits.truncate(top);
     hits
 }
@@ -503,6 +471,19 @@ mod tests {
             }
         }
         (sigs, assignments, centroids)
+    }
+
+    /// [`search`] into a fresh top-`top`, nothing deleted.
+    fn top_hits(
+        view: &AnnIndexView,
+        query: &[f64],
+        top: usize,
+        nprobe: usize,
+        stats: &mut SearchStats,
+    ) -> Vec<Hit> {
+        let mut best = TopK::new(top);
+        search(view, query, nprobe, &[], &mut best, stats);
+        best.into_sorted()
     }
 
     #[test]
@@ -619,7 +600,7 @@ mod tests {
                 continue;
             }
             for top in [1, 10, 100] {
-                let got = search(&view, &query, top, k, &mut stats);
+                let got = top_hits(&view, &query, top, k, &mut stats);
                 let want = exhaustive(&sigs, m, &query, top);
                 assert_eq!(got.len(), want.len());
                 for (g, w) in got.iter().zip(&want) {
@@ -634,6 +615,30 @@ mod tests {
         }
     }
 
+    /// Deleted documents are passed over at re-rank, yet still counted
+    /// as candidates: the full probe equals the exhaustive scan with
+    /// them filtered out.
+    #[test]
+    fn deleted_docs_are_skipped_not_uncounted() {
+        let (m, k) = (24, 7);
+        let (sigs, assignments, centroids) = synth(101, m, k, 13);
+        let ivf = build_ivf(&sigs, m, &assignments, k);
+        let sums = code_sums(&ivf.codes, m);
+        let view = AnnIndexView::of(&ivf, &centroids, &sums, &sigs);
+        let query = sigs[3 * m..4 * m].to_vec();
+        let want: Vec<Hit> = exhaustive(&sigs, m, &query, 101)
+            .into_iter()
+            .filter(|h| h.doc % 3 != 0)
+            .take(10)
+            .collect();
+        let deleted: Vec<DocId> = (0..101).step_by(3).collect();
+        let mut best = TopK::new(10);
+        let mut stats = SearchStats::default();
+        search(&view, &query, k, &deleted, &mut best, &mut stats);
+        assert_eq!(best.into_sorted(), want);
+        assert_eq!(stats.candidates, 101);
+    }
+
     #[test]
     fn rerank_is_bounded_not_exhaustive() {
         let m = 32;
@@ -644,7 +649,7 @@ mod tests {
         let view = AnnIndexView::of(&ivf, &centroids, &sums, &sigs);
         let query = sigs[8 * m..9 * m].to_vec();
         let mut stats = SearchStats::default();
-        let got = search(&view, &query, 10, k, &mut stats);
+        let got = top_hits(&view, &query, 10, k, &mut stats);
         assert_eq!(got.len(), 10);
         assert_eq!(stats.candidates, 400);
         assert!(
@@ -666,8 +671,8 @@ mod tests {
         let query = sigs[..m].to_vec();
         let mut s1 = SearchStats::default();
         let mut s8 = SearchStats::default();
-        search(&view, &query, 5, 1, &mut s1);
-        search(&view, &query, 5, k, &mut s8);
+        top_hits(&view, &query, 5, 1, &mut s1);
+        top_hits(&view, &query, 5, k, &mut s8);
         assert_eq!(s1.probed, 1);
         assert_eq!(s8.probed, k);
         assert!(s1.candidates < s8.candidates);
@@ -681,16 +686,16 @@ mod tests {
         let sums = code_sums(&ivf.codes, m);
         let view = AnnIndexView::of(&ivf, &centroids, &sums, &sigs);
         let mut stats = SearchStats::default();
-        assert!(search(&view, &vec![0.0; m], 5, 2, &mut stats).is_empty());
+        assert!(top_hits(&view, &vec![0.0; m], 5, 2, &mut stats).is_empty());
         assert!(
-            search(&view, &[1.0], 5, 2, &mut stats).is_empty(),
+            top_hits(&view, &[1.0], 5, 2, &mut stats).is_empty(),
             "wrong dims"
         );
         assert!(exhaustive(&sigs, m, &[0.0; 8], 5).is_empty());
         let empty = build_ivf(&[], m, &[], 2);
         let esums = code_sums(&empty.codes, m);
         let eview = AnnIndexView::of(&empty, &centroids, &esums, &[]);
-        assert!(search(&eview, &sigs[..m], 5, 2, &mut stats).is_empty());
+        assert!(top_hits(&eview, &sigs[..m], 5, 2, &mut stats).is_empty());
     }
 
     #[test]

@@ -83,7 +83,7 @@ pub fn jacobi_eigen(a: &[f64], n: usize, max_sweeps: usize) -> Eigen {
         }
     }
 
-    // Extract eigenpairs and sort by descending eigenvalue.
+    // Extract eigenpairs and sort (stably) by descending eigenvalue.
     let mut pairs: Vec<(f64, Vec<f64>)> = (0..n)
         .map(|j| {
             let val = m[j * n + j];
@@ -101,7 +101,7 @@ pub fn jacobi_eigen(a: &[f64], n: usize, max_sweeps: usize) -> Eigen {
             (val, vec)
         })
         .collect();
-    pairs.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
+    pairs.sort_by(|a, b| crate::query::rank_cmp((a.0, ()), (b.0, ())));
 
     Eigen {
         values: pairs.iter().map(|(v, _)| *v).collect(),

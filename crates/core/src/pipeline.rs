@@ -380,7 +380,7 @@ fn label_clusters(
         .map(|c| {
             let cen = clustering.centroid(c);
             let mut dims: Vec<usize> = (0..clustering.m).collect();
-            dims.sort_by(|&a, &b| cen[b].partial_cmp(&cen[a]).unwrap().then(a.cmp(&b)));
+            dims.sort_by(|&a, &b| crate::query::rank_cmp((cen[a], a), (cen[b], b)));
             dims.iter()
                 .take(LABELS_PER_CLUSTER)
                 .filter(|&&d| cen[d] > 0.0)

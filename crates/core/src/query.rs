@@ -10,7 +10,6 @@ use crate::scan::ScanOutput;
 use crate::{DocId, FieldId, TermId};
 use spmd::Ctx;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// Read-only view of the term statistics and postings a query needs.
 ///
@@ -322,6 +321,76 @@ pub struct Hit {
     pub score: f64,
 }
 
+/// The one ranking order of every scored answer: the higher score first,
+/// ties to the lower id. Scores compare by [`f64::total_cmp`] after
+/// adding `0.0`, which turns `-0.0` into `+0.0`: on every pair without a
+/// NaN this is the IEEE `<` order, and no pair can make it panic.
+pub fn rank_cmp<I: Ord>((a, ia): (f64, I), (b, ib): (f64, I)) -> Ordering {
+    (b + 0.0).total_cmp(&(a + 0.0)).then(ia.cmp(&ib))
+}
+
+impl Hit {
+    /// [`rank_cmp`] on (score, doc): `Less` ranks earlier.
+    pub fn rank_cmp(&self, other: &Hit) -> Ordering {
+        rank_cmp((self.score, self.doc), (other.score, other.doc))
+    }
+}
+
+/// The best `k` hits offered, under [`Hit::rank_cmp`], whatever order
+/// they come in: a binary heap whose root is the worst hit held, so an
+/// offer that cannot enter costs one comparison.
+#[derive(Debug, Clone)]
+pub struct TopK {
+    k: usize,
+    /// Every parent ranks at or after its children.
+    heap: Vec<Hit>,
+}
+
+impl TopK {
+    /// An empty top-`k`.
+    pub fn new(k: usize) -> TopK {
+        TopK { k, heap: vec![] }
+    }
+
+    /// Offer `hit`: it is kept while fewer than `k` are held, or when it
+    /// ranks before the worst one held, which it then replaces.
+    pub fn offer(&mut self, hit: Hit) {
+        let heap = &mut self.heap;
+        if heap.len() < self.k {
+            heap.push(hit);
+            let mut i = heap.len() - 1;
+            while i > 0 && heap[(i - 1) / 2].rank_cmp(&heap[i]).is_lt() {
+                heap.swap(i, (i - 1) / 2);
+                i = (i - 1) / 2;
+            }
+        } else if heap.first().is_some_and(|w| hit.rank_cmp(w).is_lt()) {
+            heap[0] = hit;
+            let mut i = 0;
+            while let Some(c) = (2 * i + 1..heap.len())
+                .take(2)
+                .max_by(|&a, &b| heap[a].rank_cmp(&heap[b]))
+                .filter(|&c| heap[c].rank_cmp(&heap[i]).is_gt())
+            {
+                heap.swap(i, c);
+                i = c;
+            }
+        }
+    }
+
+    /// The `k`-th best score once `k` hits are held: a hit scoring below
+    /// it cannot enter.
+    pub fn kth(&self) -> Option<f64> {
+        let full = self.heap.len() == self.k;
+        self.heap.first().filter(|_| full).map(|h| h.score)
+    }
+
+    /// The hits held, best first.
+    pub fn into_sorted(mut self) -> Vec<Hit> {
+        self.heap.sort_unstable_by(Hit::rank_cmp);
+        self.heap
+    }
+}
+
 /// Evaluate a boolean [`Query`] against the inverted index, returning the
 /// matching documents in ascending id order. Classic postings-merge
 /// evaluation: term postings are fetched once, deduplicated to document
@@ -495,33 +564,6 @@ pub fn search(
     search_in(&LiveIndex { ctx, scan, index }, query, top)
 }
 
-/// A [`Hit`] ordered by rank: `Less` ranks earlier — the higher score,
-/// then the lower doc id.
-struct Ranked(Hit);
-
-impl Ord for Ranked {
-    fn cmp(&self, other: &Self) -> Ordering {
-        let by_score = other.0.score.partial_cmp(&self.0.score);
-        by_score
-            .expect("tf-idf scores are never NaN")
-            .then(self.0.doc.cmp(&other.0.doc))
-    }
-}
-
-impl PartialOrd for Ranked {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for Ranked {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for Ranked {}
-
 /// [`search`] against any [`SearchIndex`] backend.
 ///
 /// Document at a time. Each token's list arrives (doc, field)-sorted, so
@@ -531,9 +573,7 @@ impl Eq for Ranked {}
 /// takes its contributions in token order (a repeated token contributes
 /// once per occurrence) — the order in which a per-document accumulator
 /// would have met them, so every sum has the same bits. Only the best
-/// `top` are kept, in a heap whose root is the worst of them; documents
-/// arrive in ascending id, so one that merely ties the root ranks after
-/// it and is dropped.
+/// `top` are kept, in a [`TopK`].
 pub fn search_in(ix: &impl SearchIndex, query: &str, top: usize) -> Vec<Hit> {
     let tokenizer = crate::tokenize::Tokenizer::default();
     let mut terms = Vec::new();
@@ -576,7 +616,7 @@ pub fn search_in(ix: &impl SearchIndex, query: &str, top: usize) -> Vec<Hit> {
         cursors.push(own);
         rest = later;
     }
-    let mut best: BinaryHeap<Ranked> = BinaryHeap::new();
+    let mut best = TopK::new(top);
     while let Some(doc) = cursors.iter().map(|c| c[0].0).min() {
         let mut score = 0.0;
         let mut spent = false;
@@ -590,16 +630,9 @@ pub fn search_in(ix: &impl SearchIndex, query: &str, top: usize) -> Vec<Hit> {
         if spent {
             cursors.retain(|c| !c.is_empty());
         }
-        let hit = Ranked(Hit { doc, score });
-        if best.len() < top {
-            best.push(hit);
-        } else if let Some(mut worst) = best.peek_mut() {
-            if hit < *worst {
-                *worst = hit;
-            }
-        }
+        best.offer(Hit { doc, score });
     }
-    best.into_sorted_vec().into_iter().map(|r| r.0).collect()
+    best.into_sorted()
 }
 
 /// The ranked-retrieval reference the tests hold [`search_in`] to, rank
@@ -1114,5 +1147,49 @@ mod tests {
         assert_eq!(docs("term1 term0 term2 term1", 4).len(), 4);
         assert_eq!(docs("term2 term3 term9", 10).len(), 1);
         assert!(docs("term3", 10).is_empty());
+    }
+
+    /// On every pair without a NaN, the ranking order is the IEEE one
+    /// (`-0.0` ties `+0.0`), then the id.
+    #[test]
+    fn rank_order_is_the_ieee_order_without_nans() {
+        let vals = [-1.5, -0.0, 0.0, 1e-300, 0.25, 1.0, f64::INFINITY];
+        for a in vals {
+            for b in vals {
+                let ieee = b.partial_cmp(&a).unwrap().then(1.cmp(&2));
+                assert_eq!(rank_cmp((a, 1), (b, 2)), ieee, "{a} vs {b}");
+            }
+        }
+    }
+
+    /// A [`TopK`] holds what a full sort would keep, whatever order the
+    /// hits are offered in, and reports the k-th score once full; no
+    /// score, a NaN included, makes it panic.
+    #[test]
+    fn top_k_keeps_what_a_full_sort_keeps() {
+        let scores = [0.5, -0.0, 0.0, 0.5, 1.0, f64::NAN, 0.25, 1.0, -1.0, 0.0];
+        let hits: Vec<Hit> = (scores.iter().enumerate())
+            .map(|(d, &score)| Hit {
+                doc: d as DocId,
+                score,
+            })
+            .collect();
+        let mut sorted = hits.clone();
+        sorted.sort_by(Hit::rank_cmp);
+        let key = |h: &Hit| (h.doc, h.score.to_bits());
+        let n = hits.len();
+        for k in 0..=n + 1 {
+            for first in 0..n {
+                let mut top = TopK::new(k);
+                for h in hits.iter().cycle().skip(first).take(n) {
+                    top.offer(h.clone());
+                }
+                let kth = (1..=n).contains(&k).then(|| sorted[k - 1].score.to_bits());
+                assert_eq!(top.kth().map(f64::to_bits), kth, "k={k}");
+                let got: Vec<_> = top.into_sorted().iter().map(key).collect();
+                let want: Vec<_> = sorted.iter().take(k).map(key).collect();
+                assert_eq!(got, want, "k={k}, first offer {first}");
+            }
+        }
     }
 }

@@ -311,8 +311,9 @@ fn entries<'a>(
 
 /// Hold `snap` to `rows`: every one present, and — unless its parser is
 /// the judge — of the declared kind and length, a well-formed offsets
-/// table where the row says so, its ids distinct and in range. The only
-/// passes over payload bytes are those last two, all O(documents).
+/// table where the row says so, its ids distinct and in range, and its
+/// entries finite if it is an `f64` section. The only passes over
+/// payload bytes are those last three, all O(documents).
 pub fn check(snap: &Snapshot, rows: &[&'static Row], meta: &EngineMeta) -> io::Result<()> {
     // A length rule cites another section's contents; taking the cited
     // rows first makes the section that lies the one the error names.
@@ -364,6 +365,13 @@ pub fn check(snap: &Snapshot, rows: &[&'static Row], meta: &EngineMeta) -> io::R
             });
             if let Some(id) = stray {
                 return refuse(format!("is not a set of ids below {}: {id}", seen.len()));
+            }
+        }
+        // Every `f64` section feeds a score or a coordinate.
+        if row.kind == F64 {
+            let xs = view.as_f64s()?;
+            if let Some(i) = xs.iter().position(|x| !x.is_finite()) {
+                return refuse(format!("holds {} at entry {i}", xs[i]));
             }
         }
     }

@@ -124,7 +124,7 @@ pub fn select_topics(
         .filter(|(_, s)| s.is_finite())
         .map(|(t, s)| (s, t as TermId))
         .collect();
-    all.sort_unstable_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1)));
+    all.sort_unstable_by(|&a, &b| crate::query::rank_cmp(a, b));
     all.truncate(n_major);
 
     let major: Vec<TermId> = all.iter().map(|&(_, t)| t).collect();

@@ -24,7 +24,7 @@
 //! - [`http`] — hand-rolled request parsing (total, never panics, hard
 //!   head limits), response writing, and a tiny blocking client.
 //! - [`server`] — accept thread, bounded queue with 429 backpressure,
-//!   an [`spmd::IntraPool`] worker pool, graceful drain on shutdown,
+//!   a fixed set of worker threads, graceful drain on shutdown,
 //!   and hot state swaps ([`server::Server::swap_state`]) for ingest
 //!   generation flips.
 

@@ -4,14 +4,13 @@
 //! One accept thread owns the listener and pushes connections into a
 //! bounded queue; when the queue is full it answers `429` with
 //! `Retry-After` on the accept thread itself so overload is rejected in
-//! microseconds instead of queued into timeout. A fixed-width
-//! [`spmd::IntraPool`] — the same pool the engine uses for intra-rank
-//! data parallelism — runs the workers: each worker blocks on the queue,
-//! speaks one request per connection, and consults the shared LRU cache
-//! before executing. Shutdown flips one flag and wakes the accept
-//! thread out of its blocking `accept`: it stops accepting at once,
-//! workers drain everything already queued, and [`Server::shutdown`]
-//! joins all threads before returning the final counters.
+//! microseconds instead of queued into timeout. A fixed number of worker
+//! threads answers: each blocks on the queue, speaks one request per
+//! connection, and consults the shared LRU cache before executing.
+//! Shutdown flips one flag and wakes the accept thread out of its
+//! blocking `accept`: it stops accepting at once, workers drain
+//! everything already queued, and [`Server::shutdown`] joins all
+//! threads before returning the final counters.
 
 use crate::http::{self, HttpError};
 use crate::lru::{CacheStats, LruCache};
@@ -20,7 +19,6 @@ use crate::state::ServeState;
 use inspire_trace::json::num;
 use inspire_trace::log;
 use inspire_trace::{Registry, ReqTimeline, ReqTrace, SlowLog};
-use spmd::IntraPool;
 use std::collections::VecDeque;
 use std::fs::File;
 use std::io;
@@ -120,7 +118,7 @@ pub struct Server {
     local_addr: SocketAddr,
     shared: Arc<Shared>,
     accept_thread: Option<JoinHandle<()>>,
-    pool_thread: Option<JoinHandle<()>>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
@@ -166,23 +164,20 @@ impl Server {
             .name("serve-accept".to_string())
             .spawn(move || accept_loop(listener, &accept_shared))?;
 
-        // The worker pool is the engine's own IntraPool: `workers` chunks
-        // of one item each, so every chunk becomes one long-lived worker
-        // loop on its own pool thread. `map_chunks` blocks until all
-        // workers return, so it runs on a dedicated host thread.
-        let pool_shared = Arc::clone(&shared);
-        let pool_thread = std::thread::Builder::new()
-            .name("serve-pool".to_string())
-            .spawn(move || {
-                let pool = IntraPool::new(workers);
-                pool.map_chunks(workers, 1, |_range| worker_loop(&pool_shared));
-            })?;
+        let workers = (0..workers)
+            .map(|i| {
+                let worker_shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("serve-worker-{i}"))
+                    .spawn(move || worker_loop(&worker_shared))
+            })
+            .collect::<io::Result<_>>()?;
 
         Ok(Server {
             local_addr,
             shared,
             accept_thread: Some(accept_thread),
-            pool_thread: Some(pool_thread),
+            workers,
         })
     }
 
@@ -225,7 +220,7 @@ impl Server {
             let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
             let _ = t.join();
         }
-        if let Some(t) = self.pool_thread.take() {
+        for t in self.workers.drain(..) {
             let _ = t.join();
         }
         ServeSummary {

@@ -16,7 +16,7 @@
 
 use inspire_core::ann::{self, SearchStats};
 use inspire_core::index::Posting;
-use inspire_core::query::{Hit, SearchIndex};
+use inspire_core::query::{Hit, SearchIndex, TopK};
 use inspire_core::signature::record_signature;
 use inspire_core::snapshot::schema::{ASSIGN, ASSOC, COORDND, CSIZE, MAJOR, QSIG, SIGS};
 use inspire_core::snapshot::EngineMeta;
@@ -234,42 +234,32 @@ impl ServeState {
         Some(sig)
     }
 
-    /// IVF similarity search over the base snapshot, merged with a
-    /// brute-force scan of the live-segment signatures and filtered for
-    /// tombstones. Returns the top hits (exact `f64` cosine, score
-    /// descending then doc ascending) plus the probe/candidate
-    /// counters. Empty when the snapshot has no ANN sections.
+    /// IVF similarity search over the base snapshot and an exact scan of
+    /// the live-segment signatures, into one top-`top` that tombstoned
+    /// documents never enter. Returns the hits (exact `f64` cosine, in
+    /// [`Hit::rank_cmp`] order) plus the probe/candidate counters, which
+    /// count tombstoned documents too and every live document as a
+    /// candidate. A null query is similar to nothing and counts nothing.
+    /// Empty when the snapshot has no ANN sections.
     pub fn similar(&self, query: &[f64], top: usize, nprobe: usize) -> (Vec<Hit>, SearchStats) {
         let mut stats = SearchStats::default();
-        let Some(ann) = &self.ann else {
+        let qnorm = ann::l2_norm(query);
+        let Some(ann) = self.ann.as_ref().filter(|_| qnorm != 0.0) else {
             return (Vec::new(), stats);
         };
         let tombs = self.merged.tombstones();
-        // Over-fetch by the tombstone count: deletions can knock at most
-        // that many hits out of any top list.
-        let fetch = top + tombs.len();
+        let mut best = TopK::new(top);
         let view = self.snapshot().ann_view(&ann.sums);
-        let mut hits = ann::search(&view, query, fetch, nprobe, &mut stats);
-        if !ann.live_sigs.is_empty() {
-            let m = self.meta.m_dims;
-            stats.candidates += ann.live_sigs.len() / m;
-            let live_hits = ann::exhaustive(&ann.live_sigs, m, query, fetch);
-            hits.extend(live_hits.into_iter().map(|h| Hit {
-                doc: self.meta.total_docs + h.doc,
-                score: h.score,
-            }));
+        ann::search(&view, query, nprobe, tombs, &mut best, &mut stats);
+        let m = self.meta.m_dims;
+        stats.candidates += ann.live_sigs.len() / m;
+        for (doc, row) in (self.meta.total_docs..).zip(ann.live_sigs.chunks_exact(m)) {
+            if tombs.binary_search(&doc).is_err() {
+                let score = ann::cosine(query, qnorm, row, ann::l2_norm(row));
+                best.offer(Hit { doc, score });
+            }
         }
-        if !tombs.is_empty() {
-            hits.retain(|h| tombs.binary_search(&h.doc).is_err());
-        }
-        hits.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap()
-                .then(a.doc.cmp(&b.doc))
-        });
-        hits.truncate(top);
-        (hits, stats)
+        (best.into_sorted(), stats)
     }
 }
 

@@ -6,6 +6,7 @@
 
 use std::sync::Arc;
 use visual_analytics::engine::ann;
+use visual_analytics::engine::query::TopK;
 use visual_analytics::engine::snapshot::schema;
 use visual_analytics::engine::EngineSnapshot;
 use visual_analytics::prelude::*;
@@ -44,7 +45,9 @@ fn assert_full_probe_is_exhaustive(snap: &EngineSnapshot) -> Vec<(u32, u64)> {
         queried += 1;
         for top in [10usize, docs] {
             let mut stats = ann::SearchStats::default();
-            let got = ann::search(&view, query, top, k, &mut stats);
+            let mut best = TopK::new(top);
+            ann::search(&view, query, k, &[], &mut best, &mut stats);
+            let got = best.into_sorted();
             let want = ann::exhaustive(sigs, m, query, top);
             assert_eq!(stats.probed, k, "q={q} top={top}");
             assert_eq!(got.len(), want.len(), "q={q} top={top}");

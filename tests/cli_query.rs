@@ -1,11 +1,16 @@
 //! `vaengine query` has one executor: human output and `--json` both
 //! come from `inspire_serve::execute`, so a request the server refuses
-//! is refused by both CLI modes, with the server's message.
+//! is refused by both CLI modes, with the server's message, and a
+//! request it answers gets the served body byte for byte.
 
 use std::path::PathBuf;
 use std::process::Command;
 use std::sync::Arc;
+use std::time::Duration;
+use visual_analytics::corpus::{FormatKind, Source};
+use visual_analytics::ingest::IngestDir;
 use visual_analytics::prelude::*;
+use visual_analytics::serve::{http, load_live_state, ServeConfig, Server};
 
 fn build_snapshot() -> PathBuf {
     let path = std::env::temp_dir().join(format!("va-cli-query-{}.isnap", std::process::id()));
@@ -97,4 +102,77 @@ fn refused_queries_fail_alike_in_both_output_modes() {
         );
     }
     let _ = std::fs::remove_file(&snapshot);
+}
+
+/// A record of words no generated corpus holds: none of them can be a
+/// major term, so its document's signature is null.
+fn offbeat(name: &str, words: &str) -> Source {
+    Source {
+        name: name.into(),
+        data: format!("TI  - {words}\nAB  - {words}\n\n").into_bytes(),
+        format: FormatKind::Medline,
+    }
+}
+
+/// ROADMAP 5(c)'s null-signature case end to end, on an ingest
+/// directory: `/similar?doc=` on a base document and on a live document
+/// whose signatures are null is answered 200, similar to nothing, with
+/// no candidate counted, and the CLI prints the served body.
+#[test]
+fn null_signature_documents_are_similar_to_nothing() {
+    let dir = std::env::temp_dir().join(format!("va-cli-null-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut set = CorpusSpec::pubmed(128 * 1024, 37).generate();
+    set.sources.push(offbeat("offbeat-base", "qqxv zzwk jjqy"));
+    let base = dir.join("base.isnap");
+    let cfg = EngineConfig {
+        snapshot_out: Some(base.clone()),
+        ..EngineConfig::for_testing()
+    };
+    run_engine(2, Arc::new(CostModel::zero()), &set, &cfg);
+    let live = dir.join("live");
+    let mut ing = IngestDir::create(&live, Some(&base)).unwrap();
+    ing.append(offbeat("offbeat-live", "vvqk xxjz")).unwrap();
+    drop(ing);
+
+    let state = Arc::new(load_live_state(&live).unwrap());
+    let null = |doc: u32| state.doc_signature(doc).unwrap().iter().all(|&x| x == 0.0);
+    let base_docs = state.meta.total_docs;
+    let base_doc = (0..base_docs)
+        .find(|&d| null(d))
+        .expect("a null base signature");
+    let live_doc = base_docs;
+    assert!(null(live_doc), "the live document's signature is not null");
+
+    let cfg = ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        ..ServeConfig::default()
+    };
+    let server = Server::start(Arc::clone(&state), &cfg).unwrap();
+    for doc in [base_doc, live_doc] {
+        let target = format!("/similar?doc={doc}");
+        let served = http::get(server.local_addr(), &target, Duration::from_secs(10)).unwrap();
+        assert_eq!(served.status, 200, "{target}: {}", served.body);
+        assert!(
+            served.body.ends_with("\"candidates\":0,\"hits\":[]}\n"),
+            "{target}: {}",
+            served.body
+        );
+        let cli = Command::new(env!("CARGO_BIN_EXE_vaengine"))
+            .args(["query", "--ingest-dir"])
+            .arg(&live)
+            .args(["--similar", &doc.to_string(), "--json"])
+            .output()
+            .expect("run vaengine");
+        assert!(cli.status.success(), "{target}: the CLI failed");
+        assert_eq!(
+            String::from_utf8_lossy(&cli.stdout),
+            served.body,
+            "{target}"
+        );
+    }
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -7,6 +7,7 @@ use visual_analytics::engine::ann::{
     quantize_into, search, AnnIndexView, SearchStats,
 };
 use visual_analytics::engine::linalg::{dist2, dot, jacobi_eigen};
+use visual_analytics::engine::query::TopK;
 use visual_analytics::engine::scan::{pack_entry, unpack_entry};
 use visual_analytics::engine::tokenize::Tokenizer;
 use visual_analytics::engine::topicality::bookstein_score;
@@ -316,7 +317,9 @@ proptest! {
         }
         for top in [1usize, 5, docs] {
             let mut stats = SearchStats::default();
-            let got = search(&view, &query, top, k, &mut stats);
+            let mut best = TopK::new(top);
+            search(&view, &query, k, &[], &mut best, &mut stats);
+            let got = best.into_sorted();
             let want = exhaustive(&sigs, m, &query, top);
             prop_assert_eq!(stats.probed, k);
             prop_assert_eq!(got.len(), want.len());

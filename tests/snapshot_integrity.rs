@@ -241,6 +241,20 @@ fn every_lying_section_is_refused_at_open_by_name() {
             [&[0xFF; 4], &p[4..]].concat()
         });
     }
+    // Every `f64` section feeds a score or a coordinate: a NaN (such as
+    // one in `sigs`, which `/similar` would rank) or an infinity in any
+    // of them is refused.
+    let floats = (schema::ENGINE.iter().chain(&schema::ANN))
+        .filter(|r| r.kind == inspire_store::SectionKind::F64);
+    assert_eq!(floats.clone().count(), 8, "f64 sections");
+    for row in floats {
+        for (how, x) in [
+            ("with a NaN", f64::NAN),
+            ("with an infinity", f64::INFINITY),
+        ] {
+            refused(row, how, &|p| [&x.to_le_bytes(), &p[8..]].concat());
+        }
+    }
     let accepted = accepted.into_inner();
     assert!(accepted.is_empty(), "accepted at open: {accepted:?}");
 }
