@@ -30,6 +30,13 @@
 //! only builds each chunk's local → arrival id table, and the remap after
 //! canonicalization sorts every field by canonical id — ids are distinct
 //! within a field, so nothing upstream of that sort can influence it.
+//!
+//! [`scan_source`] is the same tokenize → canonical-document path for one
+//! source on one rank, with no SPMD context and no distributed
+//! vocabulary: the sorted terms of that source are its canonical ids. It
+//! yields what [`scan`] yields at P = 1 for a corpus of that one source,
+//! and the live-ingestion sealer builds each segment from it, so batch and
+//! live indexing share one document model ([`LocalDoc`]).
 
 use crate::config::EngineConfig;
 use crate::tokenize::Tokenizer;
@@ -227,7 +234,7 @@ struct TokenizedChunk {
 /// per token: terms land in the chunk arena (distinct terms only), and
 /// per-field counting uses the reusable id-indexed
 /// `counts_scratch`/`touched` scratch pair. Nothing is sorted here —
-/// term order is established once, by canonical id, in [`scan`]'s remap.
+/// term order is established once, by canonical id, in [`canonical_doc`].
 ///
 /// A field the record repeats is one field whose counts sum over every
 /// occurrence, in the place of its first — MEDLINE gives each MeSH
@@ -286,76 +293,82 @@ fn tokenize_record(
     TokenizedDoc { fields, tokens }
 }
 
-/// One indexed field of a record tokenized by [`tokenize_batch`]: term
-/// counts keyed by the caller's interner ids, sorted by term **bytes**
-/// (the order the segment-local canonical ids will have).
-#[derive(Debug, Clone)]
-pub struct BatchField {
-    pub field: FieldId,
-    /// `(interner term id, count)`, sorted by term bytes.
-    pub counts: Vec<(u32, u32)>,
-}
-
-/// One record tokenized by [`tokenize_batch`]. Fields with no accepted
-/// terms are dropped, exactly as the scan stage drops them from
-/// [`LocalDoc`]; a record may therefore have zero fields but still
-/// occupies one document id.
-#[derive(Debug, Clone)]
-pub struct BatchDoc {
-    pub fields: Vec<BatchField>,
-    /// Accepted tokens across all indexed fields.
-    pub tokens: u32,
-}
-
-/// Tokenize every record of `source` through the exact record framing,
-/// indexed-field filter, and tokenizer path the batch scan uses, interning
-/// terms into the shared `terms`. Record tokenization is context-free, so
-/// the emitted per-field counts are bit-identical to what a full-corpus
-/// scan produces for the same records — this is the incremental-ingestion
-/// sealer's guarantee that a segment built from one batch matches a
-/// from-scratch rebuild posting for posting.
-pub fn tokenize_batch(
-    source: &Source,
-    tokenizer: &Tokenizer,
-    terms: &mut TermInterner,
-) -> Vec<BatchDoc> {
-    let indexed: Vec<FieldId> = INDEXED_FIELDS
+/// The indexed field ids, in [`INDEXED_FIELDS`] order.
+fn indexed_fields() -> Vec<FieldId> {
+    INDEXED_FIELDS
         .iter()
         .map(|n| crate::field_id(n).expect("indexed field registered"))
-        .collect();
-    let mut counts_scratch: Vec<u32> = Vec::new();
-    let mut touched: Vec<u32> = Vec::new();
-    source
-        .record_ranges()
-        .into_iter()
+        .collect()
+}
+
+/// A tokenized record as the engine's document: chunk-local ids become
+/// canonical ids through `to_canonical`, and each field sorts by
+/// canonical id — the one place term order is established (ids are
+/// distinct within a field, so the order the counts arrive in cannot
+/// matter). Fields with no accepted terms drop; a record may thus hold
+/// no field and still occupy one document id, which the caller assigns.
+fn canonical_doc(tdoc: &TokenizedDoc, to_canonical: &[TermId]) -> LocalDoc {
+    LocalDoc {
+        doc_id: 0,
+        fields: tdoc
+            .fields
+            .iter()
+            .filter(|f| !f.counts.is_empty())
+            .map(|f| {
+                let mut counts: Vec<(TermId, u32)> = f
+                    .counts
+                    .iter()
+                    .map(|&(local, n)| (to_canonical[local as usize], n))
+                    .collect();
+                counts.sort_unstable_by_key(|&(t, _)| t);
+                LocalField {
+                    field: f.field,
+                    counts,
+                }
+            })
+            .collect(),
+        tokens: tdoc.tokens,
+    }
+}
+
+/// Scan & Map of one source on one rank, with no SPMD context: its
+/// records as documents numbered from 0, over a vocabulary of the terms
+/// they hold, sorted. Record tokenization is context-free, so this is
+/// exactly what [`scan`] yields at P = 1 for a corpus of that one source
+/// — and what the live-ingestion sealer builds a segment from, so a
+/// segment's postings and df/tf come from the engine's own documents.
+pub fn scan_source(source: &Source) -> (TermTable, Vec<LocalDoc>) {
+    let (tokenizer, indexed) = (Tokenizer::default(), indexed_fields());
+    let mut terms = TermInterner::new();
+    let (mut counts_scratch, mut touched) = (Vec::new(), Vec::new());
+    let tdocs: Vec<TokenizedDoc> = (source.record_ranges().into_iter())
         .map(|range| {
-            let tdoc = tokenize_record(
+            tokenize_record(
                 source,
                 range,
-                tokenizer,
+                &tokenizer,
                 &indexed,
-                terms,
+                &mut terms,
                 &mut counts_scratch,
                 &mut touched,
-            );
-            BatchDoc {
-                fields: tdoc
-                    .fields
-                    .into_iter()
-                    .filter(|f| !f.counts.is_empty())
-                    .map(|mut f| {
-                        f.counts
-                            .sort_unstable_by(|a, b| terms.bytes(a.0).cmp(terms.bytes(b.0)));
-                        BatchField {
-                            field: f.field,
-                            counts: f.counts,
-                        }
-                    })
-                    .collect(),
-                tokens: tdoc.tokens,
-            }
+            )
         })
-        .collect()
+        .collect();
+    // Canonical ids are lexicographic, as the collective remap's.
+    let mut order: Vec<u32> = (0..terms.len() as u32).collect();
+    order.sort_unstable_by(|&a, &b| terms.bytes(a).cmp(terms.bytes(b)));
+    let mut to_canonical = vec![0; order.len()];
+    for (canonical, &local) in order.iter().enumerate() {
+        to_canonical[local as usize] = canonical as TermId;
+    }
+    let vocab = TermTable::from_sorted(order.iter().map(|&local| terms.get(local)));
+    let docs = (tdocs.iter().enumerate())
+        .map(|(i, tdoc)| LocalDoc {
+            doc_id: i as DocId,
+            ..canonical_doc(tdoc, &to_canonical)
+        })
+        .collect();
+    (vocab, docs)
 }
 
 /// Run Scan & Map. Collective: every rank calls with the same arguments.
@@ -363,11 +376,7 @@ pub fn tokenize_batch(
 /// (the tokenizer is fixed, so live ingestion and queries tokenize alike).
 pub fn scan(ctx: &Ctx, sources: &SourceSet, _cfg: &EngineConfig) -> (ScanOutput, ForwardIndex) {
     let p = ctx.nprocs();
-    let tokenizer = Tokenizer::default();
-    let indexed: Vec<FieldId> = INDEXED_FIELDS
-        .iter()
-        .map(|n| crate::field_id(n).expect("indexed field registered"))
-        .collect();
+    let (tokenizer, indexed) = (Tokenizer::default(), indexed_fields());
 
     // Static byte-balanced partitioning of sources (§3.2).
     let parts = partition_contiguous(&sources.sizes(), p);
@@ -519,11 +528,9 @@ pub fn scan(ctx: &Ctx, sources: &SourceSet, _cfg: &EngineConfig) -> (ScanOutput,
     // The arrival-order ids are dead once `old_to_new` holds them.
     drop(vocab);
     drop(sorted_terms);
-    // Remap chunk-local → arrival → canonical id and sort each field by
-    // canonical id: the one place term order is established (ids are
-    // distinct within a field, so the order the counts arrive in cannot
-    // matter). Pure per-chunk work, so it fans out over the pool, one
-    // task per record chunk; chunks return their documents in corpus order.
+    // Remap chunk-local → arrival → canonical id (`canonical_doc`).
+    // Pure per-chunk work, so it fans out over the pool, one task per
+    // record chunk; chunks return their documents in corpus order.
     let mut docs: Vec<LocalDoc> = ctx
         .pool()
         .map_chunks(resolved.len(), 1, |chunk| {
@@ -532,29 +539,8 @@ pub fn scan(ctx: &Ctx, sources: &SourceSet, _cfg: &EngineConfig) -> (ScanOutput,
                 .iter()
                 .map(|&old| old_to_new[old as usize])
                 .collect();
-            tdocs
-                .iter()
-                .map(|tdoc| LocalDoc {
-                    doc_id: 0, // assigned below
-                    fields: tdoc
-                        .fields
-                        .iter()
-                        .filter(|f| !f.counts.is_empty())
-                        .map(|f| {
-                            let mut counts: Vec<(TermId, u32)> = f
-                                .counts
-                                .iter()
-                                .map(|&(local, n)| (to_canonical[local as usize], n))
-                                .collect();
-                            counts.sort_unstable_by_key(|&(t, _)| t);
-                            LocalField {
-                                field: f.field,
-                                counts,
-                            }
-                        })
-                        .collect(),
-                    tokens: tdoc.tokens,
-                })
+            (tdocs.iter())
+                .map(|tdoc| canonical_doc(tdoc, &to_canonical))
                 .collect::<Vec<_>>()
         })
         .into_iter()
@@ -665,25 +651,44 @@ mod tests {
         .generate()
     }
 
-    /// The ingest sealer relies on `tokenize_batch`'s documented order.
-    #[test]
-    fn tokenize_batch_fields_strictly_ascending_by_term_bytes() {
-        let corpus = tiny_corpus();
-        let tokenizer = Tokenizer::default();
-        let mut terms = TermInterner::new();
-        let mut fields = 0;
-        for source in &corpus.sources {
-            for doc in tokenize_batch(source, &tokenizer, &mut terms) {
-                for f in &doc.fields {
-                    fields += 1;
-                    assert!(!f.counts.is_empty());
-                    for w in f.counts.windows(2) {
-                        assert!(terms.bytes(w[0].0) < terms.bytes(w[1].0));
-                    }
-                }
-            }
+    /// One source of a small generated corpus of `flavour`.
+    fn one_source(flavour: usize, seed: u64, pick: usize) -> Source {
+        let spec = match flavour {
+            0 => CorpusSpec::pubmed(24 * 1024, seed),
+            1 => CorpusSpec::trec(24 * 1024, seed),
+            _ => CorpusSpec::newswire(24 * 1024, seed),
+        };
+        let mut set = CorpusSpec {
+            source_bytes: 6 * 1024,
+            ..spec
         }
-        assert!(fields > 0);
+        .generate();
+        set.sources.swap_remove(pick % set.sources.len())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The one-rank scan is the scan: `scan_source` yields the
+        /// vocabulary and documents `scan` does at P = 1 over a corpus
+        /// of that one source.
+        #[test]
+        fn scan_source_is_the_scan_at_p1(
+            flavour in 0usize..3,
+            seed in 0u64..1_000,
+            pick in 0usize..8,
+        ) {
+            let source = one_source(flavour, seed, pick);
+            let set = SourceSet { sources: vec![source.clone()] };
+            let want = Runtime::for_testing()
+                .run(1, |ctx| scan(ctx, &set, &EngineConfig::for_testing()).0)
+                .results
+                .remove(0);
+            let (terms, docs) = scan_source(&source);
+            prop_assert!(!docs.is_empty());
+            prop_assert_eq!(&terms, want.terms.as_ref());
+            prop_assert_eq!(docs, want.docs);
+        }
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! of component lists, already doc-sorted: the list, df sums and
 //! total_docs a from-scratch rebuild of the same corpus would hold, and
 //! therefore the same scores and bytes. Postings stay block-compressed;
-//! a read decodes only the blocks it touches.
+//! a read decodes only the blocks it touches. Every component holds an
+//! inverted index: a base snapshot that predates the Index stage is
+//! refused when the view is built, by its stage.
 //!
 //! Deletes are tombstones: their postings are filtered out of every
 //! merged list, while df/tf and total_docs keep counting them (LSM
@@ -38,7 +40,8 @@ const ABSENT: u32 = u32::MAX;
 /// Holds the merged vocabulary, a per-component term map and the union
 /// of tombstones; per-term stats are summed over components on read.
 pub struct Merged {
-    /// Component 0 when it holds an index: the validated base snapshot.
+    /// Component 0, when the view has one: the validated base snapshot,
+    /// of the Index stage or later.
     base: Option<EngineSnapshot>,
     /// The remaining components: segments in manifest (= doc) order.
     segments: Vec<Segment>,
@@ -48,8 +51,8 @@ pub struct Merged {
     /// [`ABSENT`]. Term-major — term `t`'s entries are
     /// `maps[t * width..][..width]` — so a read touches one run of them.
     maps: Vec<u32>,
-    /// Components holding an index: the base's (when it has one) and
-    /// every segment. 0 when the base predates the Index stage.
+    /// Components: the base (when the view has one), then every
+    /// segment. Each holds an index.
     width: usize,
     /// Documents across all components (tombstoned ones still counted).
     total_docs: u32,
@@ -64,21 +67,12 @@ impl Merged {
     }
 
     /// The live view of an ingest directory: the manifest's base
-    /// snapshot — required, with an inverted index, holding the number
-    /// of documents the manifest records — and every segment it lists.
+    /// snapshot — required, holding the number of documents the
+    /// manifest records — and every segment it lists.
     pub fn live(dir: &Path, manifest: &Manifest) -> io::Result<Merged> {
         let base_path = (manifest.base.as_ref())
             .ok_or_else(|| bad(dir, "live serving requires a base snapshot".into()))?;
         let base = EngineSnapshot::open(base_path)?;
-        if base.index().is_none() {
-            return Err(bad(
-                dir,
-                format!(
-                    "base snapshot {} predates the Index stage; cannot merge postings",
-                    base_path.display()
-                ),
-            ));
-        }
         if base.meta().total_docs != manifest.base_docs {
             return Err(bad(
                 dir,
@@ -98,28 +92,29 @@ impl Merged {
         Self::over(None, open_segments(dir, manifest)?)
     }
 
+    /// Every component holds an index: a base that predates the Index
+    /// stage has no postings to merge and is refused, naming its stage.
     fn over(base: Option<EngineSnapshot>, segments: Vec<Segment>) -> io::Result<Merged> {
+        if let Some(b) = base.as_ref().filter(|b| b.index().is_none()) {
+            let (src, stage) = (Path::new(b.store().source()), b.meta().stage);
+            let msg = format!("stage {stage:?} snapshot predates the Index stage: no postings");
+            return Err(bad(src, msg));
+        }
         let base_terms = base.as_ref().map(EngineSnapshot::terms).transpose()?;
-        let (terms, maps, width) = match (base_terms, base.as_ref().map(EngineSnapshot::index)) {
-            // No index to merge: only the vocabulary is served.
-            (Some(terms), Some(None)) => (terms, Vec::new(), 0),
-            (base_terms, _) => {
-                let mut vocabs: Vec<&TermTable> = base_terms.iter().collect();
-                vocabs.extend(segments.iter().map(Segment::terms));
-                let width = vocabs.len();
-                let mut maps = Vec::new();
-                let mut vocab: Vec<&str> = Vec::new();
-                union_vocabularies(&vocabs, |term, members| {
-                    vocab.push(term);
-                    let at = maps.len();
-                    maps.resize(at + width, ABSENT);
-                    for &(c, local) in members {
-                        maps[at + c] = local;
-                    }
-                });
-                (TermTable::from_sorted(vocab), maps, width)
+        let mut vocabs: Vec<&TermTable> = base_terms.iter().collect();
+        vocabs.extend(segments.iter().map(Segment::terms));
+        let width = vocabs.len();
+        let mut maps = Vec::new();
+        let mut vocab: Vec<&str> = Vec::new();
+        union_vocabularies(&vocabs, |term, members| {
+            vocab.push(term);
+            let at = maps.len();
+            maps.resize(at + width, ABSENT);
+            for &(c, local) in members {
+                maps[at + c] = local;
             }
-        };
+        });
+        let terms = Arc::new(TermTable::from_sorted(vocab));
         let mut tombstones: Vec<u32> = segments
             .iter()
             .flat_map(|s| s.tombstones().iter().copied())
@@ -131,7 +126,7 @@ impl Merged {
         Ok(Merged {
             base,
             segments,
-            terms: Arc::new(terms),
+            terms,
             maps,
             width,
             total_docs,
@@ -152,11 +147,6 @@ impl Merged {
     /// The merged vocabulary: term id `t` is its `t`-th term.
     pub fn terms(&self) -> &Arc<TermTable> {
         &self.terms
-    }
-
-    /// Does the view hold an inverted index (postings to merge)?
-    pub fn has_index(&self) -> bool {
-        self.width > 0
     }
 
     /// Component `c`'s local id of merged term `term`, if it holds it.
@@ -232,15 +222,15 @@ impl Merged {
     /// Component `c`'s index reader, the container its posting bytes
     /// live in, and the document range it covers.
     fn component(&self, c: usize) -> (&PostingsReader, &Snapshot, Range<u32>) {
-        let from_base = self.width - self.segments.len();
-        match (c.checked_sub(from_base), &self.base) {
-            (None, Some(base)) => (
-                base.index().expect("an indexed base is component 0"),
+        match (&self.base, c) {
+            (Some(base), 0) => (
+                base.index()
+                    .expect("`over` refuses a base without an index"),
                 base.store(),
                 0..base.meta().total_docs,
             ),
-            (s, _) => {
-                let seg = &self.segments[s.expect("component 0 is the base")];
+            (base, c) => {
+                let seg = &self.segments[c - usize::from(base.is_some())];
                 let (reader, store) = seg.index();
                 (reader, store, seg.doc_base()..seg.doc_end())
             }

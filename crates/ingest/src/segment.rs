@@ -11,6 +11,13 @@
 //! union of base + segment postings for a term is byte-for-byte the
 //! list a rebuild would have encoded.
 //!
+//! The sealer indexes the engine's own documents: [`build_from_batch`]
+//! takes the batch's [`LocalDoc`](inspire_core::scan::LocalDoc)s and
+//! segment-local vocabulary from [`scan_source`] (the scan's one-rank
+//! entry, which shares its tokenize and canonical-remap steps) and counts
+//! df/tf with `LocalDoc::distinct_terms`, as the Index stage does. No
+//! step of the batch pipeline has a second copy here.
+//!
 //! Sections ([`inspire_core::snapshot::schema::SEGMENT`]): `smeta` (u64 ×4: segment version,
 //! doc_base, doc_count, token total), a segment-local sorted vocabulary,
 //! the five index sections over **global** doc ids, and an optional
@@ -22,11 +29,10 @@ use inspire_core::index::Posting;
 use inspire_core::postings::{
     encode_posting_sections, read_terms, write_index_sections, PostingsReader,
 };
-use inspire_core::scan::tokenize_batch;
+use inspire_core::scan::scan_source;
 use inspire_core::snapshot::schema::{SEG_TOFF, SMETA, TERMS, TOMB};
-use inspire_core::tokenize::Tokenizer;
 use inspire_store::{publish, Snapshot, SnapshotWriter};
-use intern::{TermInterner, TermTable};
+use intern::TermTable;
 use std::io;
 use std::path::Path;
 
@@ -49,65 +55,39 @@ pub struct SegmentBuild {
     pub tombstones: Vec<u32>,
 }
 
-/// Tokenize one document batch into a segment, with the engine's one
-/// tokenizer. Per-record tokenization is context-free (the scan
-/// pipeline's own invariant), so the postings, df, and tf produced here
-/// match what a full rebuild over a corpus ending with these records
-/// would compute for them.
+/// Index one document batch as a segment: [`scan_source`] makes its
+/// records the engine's documents over a segment-local canonical
+/// vocabulary, and each document's postings land at `doc_base + i` in
+/// field order. df/tf come from
+/// [`LocalDoc::distinct_terms`](inspire_core::scan::LocalDoc::distinct_terms),
+/// the invert stage's own counting rule (a document counts once per
+/// term, raw frequencies sum). Record tokenization is context-free, so
+/// this is what a full rebuild over a corpus ending with these records
+/// holds for them.
 pub fn build_from_batch(source: &Source, doc_base: u32) -> SegmentBuild {
-    let mut interner = TermInterner::new();
-    let docs = tokenize_batch(source, &Tokenizer::default(), &mut interner);
-    let n_terms = interner.len();
-
-    // Segment-local canonical ids: lexicographic, like the global remap.
-    let mut order: Vec<u32> = (0..n_terms as u32).collect();
-    order.sort_unstable_by(|&a, &b| interner.bytes(a).cmp(interner.bytes(b)));
-    let terms = TermTable::from_sorted(order.iter().map(|&i| interner.get(i)));
-    let mut remap = vec![0u32; n_terms];
-    for (tid, &iid) in order.iter().enumerate() {
-        remap[iid as usize] = tid as u32;
-    }
-
-    let mut lists: Vec<Vec<Posting>> = vec![Vec::new(); n_terms];
-    let mut df = vec![0u32; n_terms];
-    let mut tf = vec![0u64; n_terms];
-    let mut tokens = 0u64;
-    let mut distinct: Vec<(u32, u32)> = Vec::new();
-    for (i, doc) in docs.iter().enumerate() {
-        let gdoc = doc_base + i as u32;
-        tokens += doc.tokens as u64;
-        distinct.clear();
+    let (terms, docs) = scan_source(source);
+    let mut lists: Vec<Vec<Posting>> = vec![Vec::new(); terms.len()];
+    let mut df = vec![0u32; terms.len()];
+    let mut tf = vec![0u64; terms.len()];
+    for doc in &docs {
         for f in &doc.fields {
-            for &(iid, cnt) in &f.counts {
-                let tid = remap[iid as usize];
-                lists[tid as usize].push(Posting {
-                    doc: gdoc,
+            for &(t, freq) in &f.counts {
+                lists[t as usize].push(Posting {
+                    doc: doc_base + doc.doc_id,
                     field: f.field,
-                    freq: cnt,
+                    freq,
                 });
-                distinct.push((tid, cnt));
             }
         }
-        // df counts each document once per term regardless of how many
-        // fields it appears in; tf sums the raw (unsaturated) freqs —
-        // both exactly as the counting pass of the invert stage does.
-        distinct.sort_unstable_by_key(|&(t, _)| t);
-        let mut j = 0;
-        while j < distinct.len() {
-            let t = distinct[j].0 as usize;
-            let mut sum = 0u64;
-            while j < distinct.len() && distinct[j].0 as usize == t {
-                sum += distinct[j].1 as u64;
-                j += 1;
-            }
-            df[t] += 1;
-            tf[t] += sum;
+        for (t, freq) in doc.distinct_terms() {
+            df[t as usize] += 1;
+            tf[t as usize] += freq as u64;
         }
     }
     SegmentBuild {
         doc_base,
         doc_count: docs.len() as u32,
-        tokens,
+        tokens: docs.iter().map(|d| d.tokens as u64).sum(),
         terms,
         lists,
         df,

@@ -300,8 +300,10 @@ impl ServeRequest {
 }
 
 /// Execute `req` against `state`, producing the JSON response body
-/// (newline-terminated). Errors are client errors: missing index
-/// sections for the requested kind, unknown cluster ids.
+/// (newline-terminated). Errors are client errors: missing layout or
+/// ANN sections for the requested kind, unknown cluster ids. `/cluster`
+/// and `/rect` list, and count, live documents only: a tombstoned one
+/// is in no answer.
 pub fn execute(state: &ServeState, req: &ServeRequest) -> Result<String, RequestError> {
     execute_timed(state, req).map(|(body, _)| body)
 }
@@ -337,7 +339,6 @@ pub fn execute_timed(
     use std::time::Instant;
     match req {
         ServeRequest::Term { term, top } => {
-            require_index(state)?;
             let t0 = Instant::now();
             let posts = query::lookup_in(state, term);
             let mut docs: Vec<u32> = posts.iter().map(|p| p.doc).collect();
@@ -362,7 +363,6 @@ pub fn execute_timed(
             Ok((body, split(t0, t1)))
         }
         ServeRequest::Boolean { expr, top } => {
-            require_index(state)?;
             let t0 = Instant::now();
             let docs = query::evaluate_in(state, expr);
             let t1 = Instant::now();
@@ -381,7 +381,6 @@ pub fn execute_timed(
             Ok((body, split(t0, t1)))
         }
         ServeRequest::Search { text, top } => {
-            require_index(state)?;
             let t0 = Instant::now();
             let hits = query::search_in(state, text, *top);
             let t1 = Instant::now();
@@ -407,7 +406,8 @@ pub fn execute_timed(
                 )));
             }
             let t0 = Instant::now();
-            let docs = select_cluster(assignments, *cluster);
+            let mut docs = select_cluster(assignments, *cluster);
+            docs.retain(|&d| !state.is_deleted(d));
             let t1 = Instant::now();
             let label = state
                 .cluster_labels
@@ -438,7 +438,8 @@ pub fn execute_timed(
         ServeRequest::Rect { min, max, top } => {
             let (coords, assignments) = require_layout(state)?;
             let t0 = Instant::now();
-            let docs = select_rect(coords, *min, *max);
+            let mut docs = select_rect(coords, *min, *max);
+            docs.retain(|&d| !state.is_deleted(d));
             let t1 = Instant::now();
             let mut body = format!(
                 "{{\"kind\":\"rect\",\"x0\":{},\"y0\":{},\"x1\":{},\"y1\":{},\"matches\":{},\"docs\":[",
@@ -519,20 +520,6 @@ fn require_ann(state: &ServeState) -> Result<(), RequestError> {
         Err(RequestError {
             status: 409,
             message: format!("stage {:?} snapshot has no ANN sections", state.meta.stage),
-        })
-    }
-}
-
-fn require_index(state: &ServeState) -> Result<(), RequestError> {
-    if state.has_index() {
-        Ok(())
-    } else {
-        Err(RequestError {
-            status: 409,
-            message: format!(
-                "stage {:?} snapshot has no inverted index",
-                state.meta.stage
-            ),
         })
     }
 }

@@ -86,6 +86,9 @@ struct AnnState {
     /// carry no signature sections. Brute-forced at query time until a
     /// rebuild folds them into the IVF lists.
     live_sigs: Vec<f64>,
+    /// [`ann::l2_norm`] of each `live_sigs` row, as `signrm` holds the
+    /// base documents'.
+    live_norms: Vec<f64>,
 }
 
 /// Immutable, shareable query-serving state: one base engine snapshot
@@ -125,7 +128,8 @@ impl ServeState {
     /// Open `path`, verify it (every checksum, via [`EngineSnapshot`]),
     /// and build the serving state. The snapshot may have been written
     /// at any processor count; queries read only partition-independent
-    /// state.
+    /// state. A snapshot that predates the Index stage is refused: it
+    /// holds no postings to serve.
     pub fn load(path: &Path) -> io::Result<ServeState> {
         Self::from_snapshot(EngineSnapshot::open(path)?)
     }
@@ -168,11 +172,6 @@ impl ServeState {
             last_seal_unix: 0,
             ingest_dir: None,
         })
-    }
-
-    /// Does this snapshot hold an inverted index (term/boolean/search)?
-    pub fn has_index(&self) -> bool {
-        self.merged.has_index()
     }
 
     /// Number of ingest segments merged into this view (0 for plain
@@ -239,7 +238,8 @@ impl ServeState {
     /// documents never enter. Returns the hits (exact `f64` cosine, in
     /// [`Hit::rank_cmp`] order) plus the probe/candidate counters, which
     /// count tombstoned documents too and every live document as a
-    /// candidate. A null query is similar to nothing and counts nothing.
+    /// candidate; `reranked` counts each live document scored exactly.
+    /// A null query is similar to nothing and counts nothing.
     /// Empty when the snapshot has no ANN sections.
     pub fn similar(&self, query: &[f64], top: usize, nprobe: usize) -> (Vec<Hit>, SearchStats) {
         let mut stats = SearchStats::default();
@@ -251,11 +251,12 @@ impl ServeState {
         let mut best = TopK::new(top);
         let view = self.snapshot().ann_view(&ann.sums);
         ann::search(&view, query, nprobe, tombs, &mut best, &mut stats);
-        let m = self.meta.m_dims;
-        stats.candidates += ann.live_sigs.len() / m;
-        for (doc, row) in (self.meta.total_docs..).zip(ann.live_sigs.chunks_exact(m)) {
+        let live = ann.live_sigs.chunks_exact(self.meta.m_dims);
+        stats.candidates += live.len();
+        for ((doc, row), &norm) in (self.meta.total_docs..).zip(live).zip(&ann.live_norms) {
             if tombs.binary_search(&doc).is_err() {
-                let score = ann::cosine(query, qnorm, row, ann::l2_norm(row));
+                stats.reranked += 1;
+                let score = ann::cosine(query, qnorm, row, norm);
                 best.offer(Hit { doc, score });
             }
         }
@@ -310,12 +311,14 @@ fn build_ann(merged: &Merged) -> AnnState {
         let rows = doc.iter().map(|&(r, f)| (&assoc[r * m..(r + 1) * m], f));
         record_signature(rows, sig);
     }
+    let live_norms = live_sigs.chunks_exact(m).map(ann::l2_norm).collect();
     AnnState {
         sums: ann::code_sums(snap.get::<u8>(&QSIG), m),
         rows: (majors.iter())
             .map(|&(t, row)| (terms.get(t as usize).to_string(), row))
             .collect(),
         live_sigs,
+        live_norms,
     }
 }
 
@@ -347,5 +350,65 @@ impl SearchIndex for ServeState {
 
     fn total_docs(&self) -> u32 {
         self.merged.total_docs()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use corpus::{CorpusSpec, SourceSet};
+    use inspire_core::pipeline::run_engine;
+    use inspire_core::EngineConfig;
+    use inspire_ingest::IngestDir;
+    use perfmodel::CostModel;
+
+    /// Every live document `similar` scores exactly counts as re-ranked,
+    /// as every live document counts as a candidate; a tombstoned one is
+    /// a candidate, not scored. The IVF part is the base's own search.
+    #[test]
+    fn live_documents_scored_exactly_count_as_reranked() {
+        let dir = std::env::temp_dir().join(format!("va-serve-rerank-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let set = CorpusSpec {
+            source_bytes: 8 * 1024,
+            ..CorpusSpec::pubmed(128 * 1024, 29)
+        }
+        .generate();
+        let (base_sources, batches) = set.sources.split_at(set.sources.len() - 3);
+        let base = dir.join("base.isnap");
+        let cfg = EngineConfig {
+            snapshot_out: Some(base.clone()),
+            ..EngineConfig::for_testing()
+        };
+        let base_set = SourceSet {
+            sources: base_sources.to_vec(),
+        };
+        run_engine(1, Arc::new(CostModel::zero()), &base_set, &cfg);
+        let live = dir.join("live");
+        let mut ing = IngestDir::create(&live, Some(&base)).unwrap();
+        for src in batches {
+            ing.append(src.clone()).unwrap();
+        }
+        let base_docs = ing.manifest().base_docs;
+        let live_docs = (ing.total_docs() - base_docs) as usize;
+        ing.delete(vec![base_docs]).unwrap();
+
+        let state = load_live_state(&live).unwrap();
+        let plain = ServeState::load(&base).unwrap();
+        let query = (0..base_docs)
+            .filter_map(|d| state.doc_signature(d))
+            .find(|s| s.iter().any(|&x| x != 0.0))
+            .expect("a non-null base signature")
+            .to_vec();
+        for nprobe in [1, 4] {
+            let (_, ivf) = plain.similar(&query, 10, nprobe);
+            let (hits, stats) = state.similar(&query, 10, nprobe);
+            assert!(!hits.is_empty());
+            assert_eq!(stats.probed, ivf.probed);
+            assert_eq!(stats.candidates, ivf.candidates + live_docs);
+            assert_eq!(stats.reranked, ivf.reranked + live_docs - 1);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

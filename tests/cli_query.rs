@@ -10,7 +10,10 @@ use std::time::Duration;
 use visual_analytics::corpus::{FormatKind, Source};
 use visual_analytics::ingest::IngestDir;
 use visual_analytics::prelude::*;
-use visual_analytics::serve::{http, load_live_state, ServeConfig, Server};
+use visual_analytics::serve::request::split_target;
+use visual_analytics::serve::{
+    execute, http, load_live_state, ServeConfig, ServeRequest, ServeState, Server,
+};
 
 fn build_snapshot() -> PathBuf {
     let path = std::env::temp_dir().join(format!("va-cli-query-{}.isnap", std::process::id()));
@@ -164,6 +167,97 @@ fn null_signature_documents_are_similar_to_nothing() {
             .args(["query", "--ingest-dir"])
             .arg(&live)
             .args(["--similar", &doc.to_string(), "--json"])
+            .output()
+            .expect("run vaengine");
+        assert!(cli.status.success(), "{target}: the CLI failed");
+        assert_eq!(
+            String::from_utf8_lossy(&cli.stdout),
+            served.body,
+            "{target}"
+        );
+    }
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every number that follows `"key":` in a JSON body, in order.
+fn numbers(body: &str, key: &str) -> Vec<u64> {
+    let tag = format!("\"{key}\":");
+    (body.split(tag.as_str()).skip(1))
+        .map(|rest| {
+            let digits = rest.bytes().take_while(u8::is_ascii_digit).count();
+            rest[..digits].parse().unwrap()
+        })
+        .collect()
+}
+
+/// `/cluster` and `/rect` on an ingest directory list and count live
+/// documents only: after base document 0 and a live document are
+/// deleted, neither is in the answer, `size` and `matches` count what
+/// is listed, and the CLI prints the served body.
+#[test]
+fn cluster_and_rect_leave_out_deleted_documents() {
+    let dir = std::env::temp_dir().join(format!("va-cli-tomb-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut set = CorpusSpec::pubmed(128 * 1024, 37).generate();
+    let batch = set.sources.pop().unwrap();
+    let base = dir.join("base.isnap");
+    let cfg = EngineConfig {
+        snapshot_out: Some(base.clone()),
+        ..EngineConfig::for_testing()
+    };
+    run_engine(2, Arc::new(CostModel::zero()), &set, &cfg);
+    let live = dir.join("live");
+    let mut ing = IngestDir::create(&live, Some(&base)).unwrap();
+    ing.append(batch).unwrap();
+    let deleted = [0, ing.manifest().base_docs];
+    ing.delete(deleted.to_vec()).unwrap();
+    drop(ing);
+
+    let state = Arc::new(load_live_state(&live).unwrap());
+    let before = ServeState::load(&base).unwrap();
+    let cluster = state.assignments.as_ref().unwrap()[0].to_string();
+    let cfg = ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        ..ServeConfig::default()
+    };
+    let server = Server::start(Arc::clone(&state), &cfg).unwrap();
+    let whole = "-1e300,-1e300,1e300,1e300";
+    let cases = [
+        (
+            format!("/cluster?c={cluster}&top=10000"),
+            "size",
+            "--cluster",
+            cluster.as_str(),
+        ),
+        (
+            "/rect?x0=-1e300&y0=-1e300&x1=1e300&y1=1e300&top=10000".to_string(),
+            "matches",
+            "--rect",
+            whole,
+        ),
+    ];
+    for (target, count, flag, value) in cases {
+        let served = http::get(server.local_addr(), &target, Duration::from_secs(10)).unwrap();
+        assert_eq!(served.status, 200, "{target}: {}", served.body);
+
+        // The base's answer, less the deleted documents.
+        let (route, params) = split_target(&target);
+        let old = execute(&before, &ServeRequest::parse(route, &params).unwrap()).unwrap();
+        assert_eq!(numbers(&old, "doc")[0], 0, "{target}: {old}");
+        let want: Vec<u64> = (numbers(&old, "doc").into_iter())
+            .filter(|&d| !deleted.contains(&(d as u32)))
+            .collect();
+        assert_eq!(numbers(&served.body, "doc"), want, "{target}");
+        assert_eq!(numbers(&served.body, count), [want.len() as u64]);
+
+        let cli = Command::new(env!("CARGO_BIN_EXE_vaengine"))
+            .args(["query", "--ingest-dir"])
+            .arg(&live)
+            .args([flag, value])
+            .args(["--top", "10000", "--json"])
             .output()
             .expect("run vaengine");
         assert!(cli.status.success(), "{target}: the CLI failed");

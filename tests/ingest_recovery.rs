@@ -33,10 +33,9 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use visual_analytics::engine::pipeline::run_engine;
 use visual_analytics::engine::query::{Query, SearchIndex};
-use visual_analytics::engine::scan::tokenize_batch;
+use visual_analytics::engine::scan::scan_source;
 use visual_analytics::engine::signature::record_signature;
 use visual_analytics::engine::snapshot::schema::{ASSOC, MAJOR};
-use visual_analytics::engine::tokenize::Tokenizer;
 use visual_analytics::engine::{EngineConfig, EngineSnapshot};
 use visual_analytics::ingest::{
     compact_dir, migrate_dir, IngestDir, Manifest, MANIFEST_FILE, WAL_FILE,
@@ -564,8 +563,9 @@ fn tombstones_hide_deleted_docs_across_compaction() {
 }
 
 /// The signature stage's rule applied to `sources` record by record:
-/// each record's `tokenize_batch` doc-total frequencies, in term order,
-/// over `snap`'s major-term association rows.
+/// each record's doc-total frequencies, summed here over its
+/// `scan_source` fields in term order, over `snap`'s major-term
+/// association rows.
 fn rule_signatures(sources: &[corpus::Source], snap: &EngineSnapshot) -> Vec<Vec<f64>> {
     let terms = snap.terms().expect("base vocabulary");
     let (m, assoc) = (snap.meta().m_dims, snap.get::<f64>(&ASSOC));
@@ -574,11 +574,11 @@ fn rule_signatures(sources: &[corpus::Source], snap: &EngineSnapshot) -> Vec<Vec
         .collect();
     let mut out = Vec::new();
     for src in sources {
-        let mut interner = intern::TermInterner::new();
-        for doc in tokenize_batch(src, &Tokenizer::default(), &mut interner) {
+        let (vocab, docs) = scan_source(src);
+        for doc in docs {
             let mut freqs: BTreeMap<&str, u32> = BTreeMap::new();
             for &(id, n) in doc.fields.iter().flat_map(|f| &f.counts) {
-                *freqs.entry(interner.get(id)).or_default() += n;
+                *freqs.entry(vocab.get(id as usize)).or_default() += n;
             }
             let pairs =
                 (freqs.into_iter()).filter_map(|(t, f)| Some((&assoc[rows.get(t)? * m..][..m], f)));
