@@ -17,7 +17,9 @@
 //! The reader owns the parsed tables (directory, df, tf) and borrows the
 //! posting bytes, per call, from the [`Snapshot`] its caller keeps — an
 //! [`crate::EngineSnapshot`], an ingest segment, or the serving state
-//! that merges both.
+//! that merges both. It reads postings one way,
+//! [`PostingsReader::postings_in`], bounded by a document range: a
+//! whole list, a seek and a slice are ranges open at different ends.
 
 use crate::index::{unpack_posting, Posting};
 use crate::snapshot::schema::{DFV, POSTBLK, POSTDIR, POSTSKP, TERMOFF, TERMS, TFV};
@@ -314,60 +316,14 @@ impl PostingsReader {
         &self.tf
     }
 
-    /// Decode part of `term`'s list out of `snap` — the container this
-    /// reader was opened on — through the per-thread pair scratch. The
+    /// Append the postings of `term` whose document is in `docs`, in
+    /// (doc, field) order: the one posting read. A whole list is
+    /// `0..DocId::MAX`, a seek from `min` is `min..DocId::MAX`. `snap` is
+    /// the container this reader was opened on; the codec seeks through
+    /// the term's skip entries and stops after the block that passes
+    /// `docs.end`. Pairs decode through the per-thread scratch. The
     /// store's CRCs cover the bytes, so an error here means the file was
     /// written wrong, not that the disk flipped a bit.
-    fn decode(
-        &self,
-        snap: &Snapshot,
-        term: TermId,
-        out: &mut Vec<Posting>,
-        run: impl FnOnce(&[u8], usize, &mut Vec<(u32, u32)>) -> io::Result<()>,
-    ) -> io::Result<()> {
-        let n = self.dir.count(term) as usize;
-        if n == 0 {
-            return Ok(());
-        }
-        let blk = snap.require(POSTBLK.name)?.bytes();
-        PAIR_SCRATCH.with(|s| {
-            let mut pairs = s.borrow_mut();
-            pairs.clear();
-            run(&blk[self.dir.byte_range(term)], n, &mut pairs)
-                .map_err(|e| bad(snap, format!("postings of term {term}: {e}")))?;
-            out.extend(pairs.iter().map(|&(k, v)| pair_to_posting(k, v)));
-            Ok(())
-        })
-    }
-
-    /// Append `term`'s full posting list, in (doc, field) order.
-    pub fn postings_into(
-        &self,
-        snap: &Snapshot,
-        term: TermId,
-        out: &mut Vec<Posting>,
-    ) -> io::Result<()> {
-        self.decode(snap, term, out, codec::decode_list)
-    }
-
-    /// Append only postings with `doc ≥ min_doc`, seeking through the
-    /// skip entries of multi-block lists.
-    pub fn postings_from(
-        &self,
-        snap: &Snapshot,
-        term: TermId,
-        min_doc: u32,
-        out: &mut Vec<Posting>,
-    ) -> io::Result<()> {
-        self.decode(snap, term, out, |bytes, n, pairs| {
-            let skips = snap.require(POSTSKP.name)?.as_skips()?;
-            codec::decode_from(bytes, n, &skips[self.dir.skip_range(term)], min_doc, pairs)
-        })
-    }
-
-    /// Append only postings with a document in `docs`, seeking to the
-    /// first block that can hold one and stopping after the block that
-    /// passes `docs.end`.
     pub fn postings_in(
         &self,
         snap: &Snapshot,
@@ -375,9 +331,25 @@ impl PostingsReader {
         docs: Range<DocId>,
         out: &mut Vec<Posting>,
     ) -> io::Result<()> {
-        self.decode(snap, term, out, |bytes, n, pairs| {
-            let skips = snap.require(POSTSKP.name)?.as_skips()?;
-            codec::decode_range(bytes, n, &skips[self.dir.skip_range(term)], docs, pairs)
+        let n = self.dir.count(term) as usize;
+        if n == 0 || docs.is_empty() {
+            return Ok(());
+        }
+        let blk = snap.require(POSTBLK.name)?.bytes();
+        // Lists of one block store no entries: skip the section lookup.
+        let skip_range = self.dir.skip_range(term);
+        let skips = if skip_range.is_empty() {
+            &[][..]
+        } else {
+            &snap.require(POSTSKP.name)?.as_skips()?[skip_range]
+        };
+        PAIR_SCRATCH.with(|s| {
+            let mut pairs = s.borrow_mut();
+            pairs.clear();
+            codec::decode_range(&blk[self.dir.byte_range(term)], n, skips, docs, &mut pairs)
+                .map_err(|e| bad(snap, format!("postings of term {term}: {e}")))?;
+            out.extend(pairs.iter().map(|&(k, v)| pair_to_posting(k, v)));
+            Ok(())
         })
     }
 }

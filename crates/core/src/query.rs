@@ -10,6 +10,7 @@ use crate::scan::ScanOutput;
 use crate::{DocId, FieldId, TermId};
 use spmd::Ctx;
 use std::cmp::Ordering;
+use std::ops::Range;
 
 /// Read-only view of the term statistics and postings a query needs.
 ///
@@ -25,27 +26,25 @@ pub trait SearchIndex {
     fn term_id(&self, term: &str) -> Option<TermId>;
     /// A term's postings, sorted by (doc, field) for determinism.
     fn postings_of(&self, term: TermId) -> Vec<Posting>;
-    /// Append a term's postings (same order as [`postings_of`]) to a
-    /// caller-owned buffer. Backends that decode postings on demand
-    /// override this to fill `out` directly instead of materializing an
-    /// intermediate vector.
+    /// Append the postings of `term` whose document is in `docs`, in
+    /// the order of [`postings_of`]: the one posting read. Backends
+    /// that decode block-compressed lists override this to seek past
+    /// whole blocks below `docs.start` and stop after the block that
+    /// passes `docs.end`; the default filters the full list, so both
+    /// yield exactly that slice of it.
     ///
     /// [`postings_of`]: SearchIndex::postings_of
-    fn postings_into(&self, term: TermId, out: &mut Vec<Posting>) {
-        out.extend(self.postings_of(term));
+    fn postings_in(&self, term: TermId, docs: Range<DocId>, out: &mut Vec<Posting>) {
+        let posts = self.postings_of(term).into_iter();
+        out.extend(posts.filter(|p| docs.contains(&p.doc)));
     }
-    /// Append only the postings with `doc >= min_doc`, preserving order.
-    /// Backends with block-aligned skip pointers override this to seek
-    /// past whole blocks; the default filters the full list, so both
-    /// yield exactly the tail of [`postings_of`].
-    ///
-    /// [`postings_of`]: SearchIndex::postings_of
+    /// Append a term's whole list to a caller-owned buffer.
+    fn postings_into(&self, term: TermId, out: &mut Vec<Posting>) {
+        self.postings_in(term, 0..DocId::MAX, out)
+    }
+    /// Append only the postings with `doc >= min_doc`.
     fn postings_from(&self, term: TermId, min_doc: DocId, out: &mut Vec<Posting>) {
-        out.extend(
-            self.postings_of(term)
-                .into_iter()
-                .filter(|p| p.doc >= min_doc),
-        );
+        self.postings_in(term, min_doc..DocId::MAX, out)
     }
     /// Document frequency of `term`.
     fn df(&self, term: TermId) -> u32;
@@ -409,10 +408,10 @@ pub fn evaluate_in(ix: &impl SearchIndex, query: &Query) -> Vec<DocId> {
         }
         Query::And(parts) => {
             // Split the conjunction into term atoms — whose postings can
-            // be decoded from a lower bound via `postings_from` (the
-            // block-compressed backend seeks over whole blocks below the
-            // first surviving candidate) — and complex sub-queries, which
-            // evaluate fully.
+            // be decoded over the surviving candidates' span only (the
+            // block-compressed backend seeks past whole blocks below the
+            // first and stops after the block that passes the last) —
+            // and complex sub-queries, which evaluate fully.
             let mut atoms: Vec<(TermId, Option<FieldId>)> = Vec::new();
             let mut complex: Vec<Vec<DocId>> = Vec::new();
             for p in parts {
@@ -454,7 +453,7 @@ pub fn evaluate_in(ix: &impl SearchIndex, query: &Query) -> Vec<DocId> {
                     break;
                 }
                 scratch.clear();
-                ix.postings_from(t, acc[0], &mut scratch);
+                ix.postings_in(t, acc[0]..acc[acc.len() - 1] + 1, &mut scratch);
                 acc = intersect(&acc, &docs_from_postings(&scratch, f));
             }
             acc

@@ -276,7 +276,7 @@ impl EngineSnapshot {
         for t in 0..vocab {
             postoff.push(postdat.len() as i64);
             posts.clear();
-            index.postings_into(&self.snap, t as TermId, &mut posts)?;
+            index.postings_in(&self.snap, t as TermId, 0..DocId::MAX, &mut posts)?;
             postdat.extend(posts.iter().map(|&p| pack_posting(p)));
         }
         postoff.push(postdat.len() as i64);

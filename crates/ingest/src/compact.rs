@@ -23,7 +23,7 @@
 use crate::manifest::{Manifest, SegmentRef};
 use crate::merged::Merged;
 use crate::segment::{write_segment, Segment, SegmentBuild};
-use inspire_core::TermId;
+use inspire_core::{DocId, TermId};
 use intern::TermTable;
 use std::io;
 use std::path::Path;
@@ -54,7 +54,7 @@ pub fn compact(dir: &Path) -> io::Result<Option<CompactReport>> {
     let lists: Vec<_> = (0..terms.len() as TermId)
         .map(|t| {
             let mut list = Vec::new();
-            merged.postings_into(t, &mut list);
+            merged.postings_in(t, 0..DocId::MAX, &mut list);
             list
         })
         .collect();

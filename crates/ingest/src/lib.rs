@@ -104,20 +104,23 @@ pub struct IngestDir {
 
 impl IngestDir {
     /// Initialize `dir` over `base` (an engine snapshot of at least the
-    /// Index stage). Errors if `dir` already holds a manifest.
+    /// Index stage). Errors if `dir` already holds a manifest; a `base`
+    /// that predates the Index stage is refused before anything is
+    /// created.
     pub fn create(dir: &Path, base: Option<&Path>) -> io::Result<IngestDir> {
-        std::fs::create_dir_all(dir)?;
-        if Manifest::load(dir)?.is_some() {
-            return Err(bad(dir, "already an ingest directory".into()));
-        }
         let (base_abs, base_docs) = match base {
             Some(p) => {
                 let abs = std::fs::canonicalize(p)?;
                 let snap = EngineSnapshot::open(&abs)?;
+                merged::require_index(&snap)?;
                 (Some(abs), snap.meta().total_docs)
             }
             None => (None, 0),
         };
+        std::fs::create_dir_all(dir)?;
+        if Manifest::load(dir)?.is_some() {
+            return Err(bad(dir, "already an ingest directory".into()));
+        }
         let manifest = Manifest::new(base_abs, base_docs);
         manifest.store(dir)?;
         Ok(IngestDir {

@@ -7,10 +7,13 @@
 //! manifest order), so a merged posting list is the plain concatenation
 //! of component lists, already doc-sorted: the list, df sums and
 //! total_docs a from-scratch rebuild of the same corpus would hold, and
-//! therefore the same scores and bytes. Postings stay block-compressed;
-//! a read decodes only the blocks it touches. Every component holds an
-//! inverted index: a base snapshot that predates the Index stage is
-//! refused when the view is built, by its stage.
+//! therefore the same scores and bytes. Postings stay block-compressed
+//! and are read one way, [`Merged::postings_in`], over a document range:
+//! it skips the components outside the range and decodes, in the others,
+//! only the blocks the range touches. Every component holds an inverted
+//! index: a base snapshot that predates the Index stage is refused when
+//! the view is built, by its stage, and so is an ingest directory's base
+//! when the directory is created.
 //!
 //! Deletes are tombstones: their postings are filtered out of every
 //! merged list, while df/tf and total_docs keep counting them (LSM
@@ -24,7 +27,7 @@ use crate::manifest::Manifest;
 use crate::segment::Segment;
 use inspire_core::index::Posting;
 use inspire_core::postings::{union_vocabularies, PostingsReader};
-use inspire_core::{EngineSnapshot, TermId};
+use inspire_core::{DocId, EngineSnapshot, TermId};
 use inspire_store::Snapshot;
 use intern::TermTable;
 use std::io;
@@ -93,13 +96,9 @@ impl Merged {
     }
 
     /// Every component holds an index: a base that predates the Index
-    /// stage has no postings to merge and is refused, naming its stage.
+    /// stage is refused (see [`require_index`]).
     fn over(base: Option<EngineSnapshot>, segments: Vec<Segment>) -> io::Result<Merged> {
-        if let Some(b) = base.as_ref().filter(|b| b.index().is_none()) {
-            let (src, stage) = (Path::new(b.store().source()), b.meta().stage);
-            let msg = format!("stage {stage:?} snapshot predates the Index stage: no postings");
-            return Err(bad(src, msg));
-        }
+        base.as_ref().map(require_index).transpose()?;
         let base_terms = base.as_ref().map(EngineSnapshot::terms).transpose()?;
         let mut vocabs: Vec<&TermTable> = base_terms.iter().collect();
         vocabs.extend(segments.iter().map(Segment::terms));
@@ -190,31 +189,26 @@ impl Merged {
         self.maps.get(at..at + self.width).unwrap_or(&[])
     }
 
-    /// Merged full posting list: each component's list in component
-    /// order, tombstoned documents dropped.
-    pub fn postings_into(&self, term: TermId, out: &mut Vec<Posting>) {
-        self.postings_from(term, 0, out)
-    }
-
-    /// Merged lower-bounded read: components entirely below `min_doc`
-    /// are skipped without touching their bytes; the one the bound
-    /// lands in seeks through its skip pointers.
-    pub fn postings_from(&self, term: TermId, min_doc: u32, out: &mut Vec<Posting>) {
+    /// Merged posting read over `docs`: each component's list in
+    /// component order, tombstoned documents dropped — the one read.
+    /// Components that lie wholly outside `docs`, above or below it, are
+    /// skipped without touching their bytes; each other one decodes
+    /// `docs` clamped to its own range, so only a component the range
+    /// starts inside seeks through its skip entries.
+    pub fn postings_in(&self, term: TermId, docs: Range<DocId>, out: &mut Vec<Posting>) {
         let from = out.len();
         for (c, &local) in self.locals(term).iter().enumerate() {
             if local == ABSENT {
                 continue;
             }
-            let (reader, store, docs) = self.component(c);
-            if min_doc >= docs.end {
+            let (reader, store, span) = self.component(c);
+            let own = docs.start.max(span.start)..docs.end.min(span.end);
+            if own.is_empty() {
                 continue;
             }
-            if min_doc <= docs.start {
-                reader.postings_into(store, local, out)
-            } else {
-                reader.postings_from(store, local, min_doc, out)
-            }
-            .expect("CRC-verified postings decode");
+            reader
+                .postings_in(store, local, own, out)
+                .expect("CRC-verified postings decode");
         }
         self.filter_tombstones(out, from);
     }
@@ -238,14 +232,19 @@ impl Merged {
     }
 
     /// Drop tombstoned postings from `out[from..]`, preserving order.
-    /// Both lists ascend by doc, so one pass walks them together —
-    /// compaction keeps every tombstone, and a lookup per posting would
-    /// grow with all deletes ever made.
+    /// Both lists ascend by doc, so one pass walks them together from
+    /// the first tombstone that can match — compaction keeps every
+    /// tombstone, and a lookup per posting would grow with all deletes
+    /// ever made.
     fn filter_tombstones(&self, out: &mut Vec<Posting>, from: usize) {
-        if self.tombstones.is_empty() {
+        let Some(first) = out.get(from) else {
+            return;
+        };
+        let tombs = &self.tombstones[self.tombstones.partition_point(|&t| t < first.doc)..];
+        if tombs.is_empty() {
             return;
         }
-        let mut tombs = self.tombstones.iter().peekable();
+        let mut tombs = tombs.iter().peekable();
         let mut w = from;
         for r in from..out.len() {
             let doc = out[r].doc;
@@ -257,6 +256,18 @@ impl Merged {
         }
         out.truncate(w);
     }
+}
+
+/// Refuse a base snapshot that predates the Index stage: it has no
+/// postings to merge. The error names the file and its stage. Both an
+/// ingest directory's creation and every view over one check this.
+pub(crate) fn require_index(base: &EngineSnapshot) -> io::Result<()> {
+    if base.index().is_some() {
+        return Ok(());
+    }
+    let (src, stage) = (Path::new(base.store().source()), base.meta().stage);
+    let msg = format!("stage {stage:?} snapshot predates the Index stage: no postings");
+    Err(bad(src, msg))
 }
 
 /// Open every segment `manifest` lists under `dir`, refusing any whose

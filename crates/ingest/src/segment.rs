@@ -31,6 +31,7 @@ use inspire_core::postings::{
 };
 use inspire_core::scan::scan_source;
 use inspire_core::snapshot::schema::{SEG_TOFF, SMETA, TERMS, TOMB};
+use inspire_core::DocId;
 use inspire_store::{publish, Snapshot, SnapshotWriter};
 use intern::TermTable;
 use std::io;
@@ -224,7 +225,7 @@ impl Segment {
     /// Append term `local`'s full posting list (global doc ids).
     pub fn postings_into(&self, local: u32, out: &mut Vec<Posting>) {
         self.index
-            .postings_into(&self.snap, local, out)
+            .postings_in(&self.snap, local, 0..DocId::MAX, out)
             .expect("CRC-validated segment postings decode");
     }
 }
@@ -322,7 +323,9 @@ mod tests {
         assert!(posts.iter().all(|p| p.doc == 100));
         assert_eq!(posts.iter().map(|p| p.freq).sum::<u32>(), 3);
         let mut tail = Vec::new();
-        reader.postings_from(store, alpha, 101, &mut tail).unwrap();
+        reader
+            .postings_in(store, alpha, 101..DocId::MAX, &mut tail)
+            .unwrap();
         assert!(tail.is_empty());
 
         let t = build_tombstones(102, vec![7, 3, 7]);

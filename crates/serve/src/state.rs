@@ -21,12 +21,13 @@ use inspire_core::signature::record_signature;
 use inspire_core::snapshot::schema::{ASSIGN, ASSOC, COORDND, CSIZE, MAJOR, QSIG, SIGS};
 use inspire_core::snapshot::EngineMeta;
 use inspire_core::tokenize::Tokenizer;
-use inspire_core::{EngineSnapshot, Stage, TermId};
+use inspire_core::{DocId, EngineSnapshot, Stage, TermId};
 use inspire_ingest::{Manifest, Merged};
 use intern::TermTable;
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 use std::io;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -39,8 +40,9 @@ thread_local! {
 }
 
 /// Arm the per-thread postings-decode timer for the current request.
-/// Every [`SearchIndex::postings_into`]/[`SearchIndex::postings_from`]
-/// call on this thread accumulates its wall time until
+/// Every [`SearchIndex::postings_in`] call on this thread (the one
+/// read the trait's other posting methods go through) accumulates its
+/// wall time until
 /// [`decode_timer_take`] disarms it.
 pub fn decode_timer_begin() {
     DECODE_NS.with(|c| c.set(Some(0)));
@@ -300,7 +302,7 @@ fn build_ann(merged: &Merged) -> AnnState {
     let mut posts: Vec<Posting> = Vec::new();
     for &(term, row) in &majors {
         posts.clear();
-        merged.postings_from(term, base_docs, &mut posts);
+        merged.postings_in(term, base_docs..DocId::MAX, &mut posts);
         for run in posts.chunk_by(|a, b| a.doc == b.doc) {
             let freq = run.iter().map(|p| p.freq).sum();
             pairs[(run[0].doc - base_docs) as usize].push((row, freq));
@@ -333,15 +335,10 @@ impl SearchIndex for ServeState {
         out
     }
 
-    /// Merged full posting list (see [`Merged::postings_into`]).
-    fn postings_into(&self, term: TermId, out: &mut Vec<Posting>) {
-        self.postings_from(term, 0, out)
-    }
-
-    /// Merged lower-bounded read (see [`Merged::postings_from`]),
-    /// charged to the request's decode timer.
-    fn postings_from(&self, term: TermId, min_doc: u32, out: &mut Vec<Posting>) {
-        decode_timed(|| self.merged.postings_from(term, min_doc, out))
+    /// The merged read (see [`Merged::postings_in`]), charged to the
+    /// request's decode timer.
+    fn postings_in(&self, term: TermId, docs: Range<DocId>, out: &mut Vec<Posting>) {
+        decode_timed(|| self.merged.postings_in(term, docs, out))
     }
 
     fn df(&self, term: TermId) -> u32 {

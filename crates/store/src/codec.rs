@@ -17,10 +17,13 @@
 //! any block can be decoded independently — its starting byte offset
 //! and base key are the previous entry's `end_off` and `last_key`.
 //!
-//! Decoding batches through [`read_varints_u32`], whose fast path
-//! notices eight consecutive one-byte varints with a single `u64` load
-//! and mask — the common case for gap streams — and decodes them
-//! without per-byte branching.
+//! [`decode_range`] is the one list decoder: it reads the pairs whose
+//! keys fall in a range (a whole list is `0..u32::MAX`), seeking to the
+//! first block that can hold the range's start and stopping after the
+//! block that passes its end. Its varints go through the fast path of
+//! [`read_varints_u32`], which notices eight consecutive one-byte
+//! varints with a single `u64` load and mask — the common case for gap
+//! streams — and decodes them without per-byte branching.
 
 use std::io;
 use std::ops::Range;
@@ -103,11 +106,6 @@ pub fn read_u64(bytes: &[u8], at: &mut usize) -> io::Result<u64> {
 }
 
 /// Decode `n` `u32` varints into `out`, advancing `*at`.
-///
-/// Fast path: when at least eight values remain and the next eight
-/// bytes all have the continuation bit clear (one `u64` load + mask),
-/// they are eight complete varints — decoded branch-free. Gap streams
-/// of dense posting lists hit this almost every iteration.
 pub fn read_varints_u32(
     bytes: &[u8],
     at: &mut usize,
@@ -115,19 +113,36 @@ pub fn read_varints_u32(
     out: &mut Vec<u32>,
 ) -> io::Result<()> {
     out.reserve(n);
+    read_varints_with(bytes, at, n, |v| out.push(v))
+}
+
+/// Decode `n` `u32` varints, handing each to `put` in order, advancing
+/// `*at`.
+///
+/// Fast path: when at least eight values remain and the next eight
+/// bytes all have the continuation bit clear (one `u64` load + mask),
+/// they are eight complete varints — decoded branch-free. Gap streams
+/// of dense posting lists hit this almost every iteration.
+#[inline(always)]
+fn read_varints_with(
+    bytes: &[u8],
+    at: &mut usize,
+    n: usize,
+    mut put: impl FnMut(u32),
+) -> io::Result<()> {
     let mut i = 0;
     while i < n {
         if i + 8 <= n && *at + 8 <= bytes.len() {
             let w = u64::from_le_bytes(bytes[*at..*at + 8].try_into().unwrap());
             if w & 0x8080_8080_8080_8080 == 0 {
-                out.push((w & 0x7F) as u32);
-                out.push((w >> 8 & 0x7F) as u32);
-                out.push((w >> 16 & 0x7F) as u32);
-                out.push((w >> 24 & 0x7F) as u32);
-                out.push((w >> 32 & 0x7F) as u32);
-                out.push((w >> 40 & 0x7F) as u32);
-                out.push((w >> 48 & 0x7F) as u32);
-                out.push((w >> 56 & 0x7F) as u32);
+                put((w & 0x7F) as u32);
+                put((w >> 8 & 0x7F) as u32);
+                put((w >> 16 & 0x7F) as u32);
+                put((w >> 24 & 0x7F) as u32);
+                put((w >> 32 & 0x7F) as u32);
+                put((w >> 40 & 0x7F) as u32);
+                put((w >> 48 & 0x7F) as u32);
+                put((w >> 56 & 0x7F) as u32);
                 *at += 8;
                 i += 8;
                 continue;
@@ -136,12 +151,12 @@ pub fn read_varints_u32(
             // probing again, so a stream of multi-byte varints pays one
             // failed probe per eight values, not one per value.
             for _ in 0..8 {
-                out.push(read_u32(bytes, at)?);
+                put(read_u32(bytes, at)?);
             }
             i += 8;
             continue;
         }
-        out.push(read_u32(bytes, at)?);
+        put(read_u32(bytes, at)?);
         i += 1;
     }
     Ok(())
@@ -218,71 +233,46 @@ pub fn encode_list(pairs: &[(u32, u32)], out: &mut Vec<u8>, skips: &mut Vec<u64>
 }
 
 /// Decode one block of `count` pairs from `bytes[*at..]`, gaps based at
-/// `prev_key`, appending to `out`. Advances `*at`.
-pub fn decode_block(
+/// `prev_key`, appending to `out`: the gaps land as keys in fresh pairs,
+/// then the values fill those pairs in place. Advances `*at`.
+fn decode_block(
     bytes: &[u8],
     at: &mut usize,
     count: usize,
     prev_key: u32,
     out: &mut Vec<(u32, u32)>,
 ) -> io::Result<()> {
-    let mut gaps = Vec::with_capacity(count);
-    read_varints_u32(bytes, at, count, &mut gaps)?;
-    let mut vals = Vec::with_capacity(count);
-    read_varints_u32(bytes, at, count, &mut vals)?;
-    let mut key = prev_key;
-    for (g, v) in gaps.into_iter().zip(vals) {
-        key = key
-            .checked_add(g)
-            .ok_or_else(|| bad("key gap overflows u32".into()))?;
-        out.push((key, v));
+    let from = out.len();
+    out.reserve(count);
+    let (mut key, mut overflow) = (prev_key, false);
+    read_varints_with(bytes, at, count, |gap| {
+        let (k, o) = key.overflowing_add(gap);
+        (key, overflow) = (k, overflow | o);
+        out.push((k, 0));
+    })?;
+    if overflow {
+        return Err(bad("key gap overflows u32".into()));
     }
-    Ok(())
+    let mut block = out[from..].iter_mut();
+    read_varints_with(bytes, at, count, |v| {
+        if let Some(pair) = block.next() {
+            pair.1 = v;
+        }
+    })
 }
 
-/// Decode a whole list of `n` pairs from `bytes`, appending to `out`.
-/// Fails (without panicking) on truncated or malformed input; the store
-/// CRCs make that unreachable for sections that validated at open.
-pub fn decode_list(bytes: &[u8], n: usize, out: &mut Vec<(u32, u32)>) -> io::Result<()> {
-    let mut at = 0usize;
-    let mut prev = 0u32;
-    let mut done = 0usize;
-    out.reserve(n);
-    while done < n {
-        let count = (n - done).min(BLOCK_LEN);
-        let before = out.len();
-        decode_block(bytes, &mut at, count, prev, out)?;
-        prev = out.last().map(|&(k, _)| k).unwrap_or(prev);
-        debug_assert_eq!(out.len() - before, count);
-        done += count;
-    }
-    if at != bytes.len() {
-        return Err(bad(format!(
-            "list has {} trailing bytes after {n} pairs",
-            bytes.len() - at
-        )));
-    }
-    Ok(())
-}
-
-/// Decode only the pairs with `key ≥ min_key`, using `skips` to jump
-/// over whole blocks (`skips` must be the entries [`encode_list`]
-/// produced for this list, or empty for a single-block list). Appends
-/// to `out`; pairs from the first decoded block with smaller keys are
-/// filtered out, so the result is exactly the tail of the full list.
-pub fn decode_from(
-    bytes: &[u8],
-    n: usize,
-    skips: &[u64],
-    min_key: u32,
-    out: &mut Vec<(u32, u32)>,
-) -> io::Result<()> {
-    decode_bounded(bytes, n, skips, min_key, None, out)
-}
-
-/// Decode only the pairs with `keys.start ≤ key < keys.end`: the
-/// [`decode_from`] of `keys.start` that stops after the first block
-/// reaching `keys.end`, so the result is exactly that slice of the list.
+/// Decode the pairs with `keys.start ≤ key < keys.end` from a list of
+/// `n` pairs, appending them to `out` — the one list decoder. A whole
+/// list is `0..u32::MAX`, a seek from `min` is `min..u32::MAX`.
+///
+/// `skips` must be the entries [`encode_list`] produced for this list,
+/// or empty (a single-block list, or a caller that stored none). With
+/// entries, the decode starts at the first block that can hold
+/// `keys.start`; either way it stops after the first block whose last
+/// key reaches `keys.end`. A decode that reaches the list's last block
+/// also checks the list's length against `n`: short input and trailing
+/// bytes fail, without panicking. The store CRCs make such input
+/// unreachable for sections that validated at open.
 pub fn decode_range(
     bytes: &[u8],
     n: usize,
@@ -290,66 +280,48 @@ pub fn decode_range(
     keys: Range<u32>,
     out: &mut Vec<(u32, u32)>,
 ) -> io::Result<()> {
-    decode_bounded(bytes, n, skips, keys.start, Some(keys.end), out)
-}
-
-/// [`decode_from`] and [`decode_range`]: the pairs from `min_key`, up to
-/// `end_key` (exclusive) when one is given.
-fn decode_bounded(
-    bytes: &[u8],
-    n: usize,
-    skips: &[u64],
-    min_key: u32,
-    end_key: Option<u32>,
-    out: &mut Vec<(u32, u32)>,
-) -> io::Result<()> {
+    debug_assert!(skips.is_empty() || skips.len() == n.div_ceil(BLOCK_LEN));
+    if keys.is_empty() {
+        return Ok(());
+    }
     let from = out.len();
-    if skips.is_empty() {
-        // Single block (or the caller stored no skips): decode and trim.
-        decode_list(bytes, n, out)?;
-    } else {
-        debug_assert_eq!(skips.len(), n.div_ceil(BLOCK_LEN));
-        let first = seek_block(skips, min_key);
-        let mut at = if first == 0 {
-            0
-        } else {
-            skip_end_off(skips[first - 1]) as usize
-        };
-        let mut prev = if first == 0 {
-            0
-        } else {
-            skip_last_key(skips[first - 1])
-        };
-        for (b, &entry) in skips.iter().enumerate().skip(first) {
-            let count = (n - b * BLOCK_LEN).min(BLOCK_LEN);
-            decode_block(bytes, &mut at, count, prev, out)?;
-            prev = skip_last_key(entry);
-            // Later blocks hold only keys above this block's last.
-            if end_key.is_some_and(|end| prev >= end) {
-                break;
-            }
+    let first = seek_block(skips, keys.start);
+    let (mut at, mut prev) = match first.checked_sub(1) {
+        Some(b) => (skip_end_off(skips[b]) as usize, skip_last_key(skips[b])),
+        None => (0, 0),
+    };
+    let mut done = (first * BLOCK_LEN).min(n);
+    while done < n {
+        let count = (n - done).min(BLOCK_LEN);
+        decode_block(bytes, &mut at, count, prev, out)?;
+        done += count;
+        prev = out[out.len() - 1].0;
+        // Later blocks hold only keys at or above this block's last.
+        if prev >= keys.end {
+            break;
         }
     }
-    retain_from(out, from, min_key);
-    if let Some(end) = end_key {
-        let keep = out[from..].partition_point(|&(k, _)| k < end);
-        out.truncate(from + keep);
+    if done == n && at != bytes.len() {
+        return Err(bad(format!(
+            "list has {} trailing bytes after {n} pairs",
+            bytes.len().abs_diff(at)
+        )));
     }
+    // Only the first decoded block can start below the range, and only
+    // the last can pass its end.
+    let below = out[from..].partition_point(|&(k, _)| k < keys.start);
+    out.drain(from..from + below);
+    let keep = out[from..].partition_point(|&(k, _)| k < keys.end);
+    out.truncate(from + keep);
     Ok(())
-}
-
-/// Drop pairs with `key < min_key` from `v[from..]` — they can only be
-/// a prefix of that range because keys are sorted.
-fn retain_from(v: &mut Vec<(u32, u32)>, from: usize, min_key: u32) {
-    let skip = v[from..].partition_point(|&(k, _)| k < min_key);
-    if skip > 0 {
-        v.drain(from..from + skip);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every key a list can hold below `u32::MAX`: the whole list.
+    const ALL: Range<u32> = 0..u32::MAX;
 
     fn pairs(n: usize, gap_stride: u32) -> Vec<(u32, u32)> {
         let mut key = 0u32;
@@ -429,9 +401,11 @@ mod tests {
             let len = encode_list(&want, &mut buf, &mut skips);
             assert_eq!(len, buf.len());
             assert_eq!(skips.len(), n.div_ceil(BLOCK_LEN));
-            let mut got = Vec::new();
-            decode_list(&buf, n, &mut got).unwrap();
-            assert_eq!(got, want);
+            for table in [&skips[..], &[]] {
+                let mut got = Vec::new();
+                decode_range(&buf, n, table, ALL, &mut got).unwrap();
+                assert_eq!(got, want);
+            }
             if let Some(&last) = skips.last() {
                 assert_eq!(skip_last_key(last), want.last().unwrap().0);
                 assert_eq!(skip_end_off(last) as usize, buf.len());
@@ -447,7 +421,7 @@ mod tests {
         let mut skips = Vec::new();
         encode_list(&want, &mut buf, &mut skips);
         let mut got = Vec::new();
-        decode_list(&buf, want.len(), &mut got).unwrap();
+        decode_range(&buf, want.len(), &skips, ALL, &mut got).unwrap();
         assert_eq!(got, want);
     }
 
@@ -457,9 +431,18 @@ mod tests {
         let mut buf = Vec::new();
         let mut skips = Vec::new();
         encode_list(&want, &mut buf, &mut skips);
-        for min in [0, 1, 17, 500, want[499].0, want[999].0, u32::MAX] {
+        for min in [
+            0,
+            1,
+            17,
+            500,
+            want[499].0,
+            want[999].0,
+            want[999].0 + 1,
+            u32::MAX,
+        ] {
             let mut got = Vec::new();
-            decode_from(&buf, want.len(), &skips, min, &mut got).unwrap();
+            decode_range(&buf, want.len(), &skips, min..u32::MAX, &mut got).unwrap();
             let linear: Vec<_> = want.iter().copied().filter(|&(k, _)| k >= min).collect();
             assert_eq!(got, linear, "min_key {min}");
         }
@@ -471,18 +454,19 @@ mod tests {
         let mut buf = Vec::new();
         let mut skips = Vec::new();
         encode_list(&want, &mut buf, &mut skips);
-        let mut out = Vec::new();
-        // Truncated.
-        assert!(decode_list(&buf[..buf.len() - 1], 300, &mut out).is_err());
-        // Trailing bytes.
-        let mut extended = buf.clone();
-        extended.push(0);
-        out.clear();
-        assert!(decode_list(&extended, 300, &mut out).is_err());
-        // Wrong count: either truncation or trailing bytes.
-        out.clear();
-        assert!(decode_list(&buf, 301, &mut out).is_err());
-        out.clear();
-        assert!(decode_list(&buf, 299, &mut out).is_err());
+        // With and without the skip table: both decode the whole list.
+        for table in [&skips[..], &[]] {
+            let decode =
+                |bytes: &[u8], n: usize| decode_range(bytes, n, table, ALL, &mut Vec::new());
+            // Truncated.
+            assert!(decode(&buf[..buf.len() - 1], 300).is_err());
+            // Trailing bytes.
+            let mut extended = buf.clone();
+            extended.push(0);
+            assert!(decode(&extended, 300).is_err());
+            // Wrong count: either truncation or trailing bytes.
+            assert!(decode(&buf, 301).is_err());
+            assert!(decode(&buf, 299).is_err());
+        }
     }
 }

@@ -1027,7 +1027,8 @@ mod tests {
         assert_eq!(sv.as_skips().unwrap(), &skips[..]);
         assert!(sv.as_u64s().is_err(), "skip is not a plain u64 view");
         let mut got = Vec::new();
-        codec::decode_list(view.as_packed().unwrap(), pairs.len(), &mut got).unwrap();
+        let (bytes, table) = (view.as_packed().unwrap(), sv.as_skips().unwrap());
+        codec::decode_range(bytes, pairs.len(), table, 0..u32::MAX, &mut got).unwrap();
         assert_eq!(got, pairs);
         std::fs::remove_file(&path).ok();
     }

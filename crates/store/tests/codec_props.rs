@@ -9,8 +9,8 @@
 //! section is still rejected by the store CRCs before a decoder sees it.
 
 use inspire_store::codec::{
-    decode_from, decode_list, decode_range, encode_list, read_varints_u32, read_varints_u32_scalar,
-    seek_block, skip_last_key, write_u32, BLOCK_LEN,
+    decode_range, encode_list, read_varints_u32, read_varints_u32_scalar, seek_block,
+    skip_last_key, write_u32, BLOCK_LEN,
 };
 use inspire_store::{SectionKind, Snapshot, SnapshotWriter};
 use proptest::prelude::*;
@@ -31,6 +31,10 @@ fn keys_from_gaps(base: u32, gaps: &[u32]) -> Vec<u32> {
 /// field id. Values are folded toward it so every run crosses the
 /// boundary region, not just the low varint bytes.
 const VAL_CEIL: u32 = (0xFF_FFFF << 3) | 0x7;
+
+/// The whole list: every key below `u32::MAX`, which no generated list
+/// reaches.
+const ALL: std::ops::Range<u32> = 0..u32::MAX;
 
 proptest! {
     /// Round-trip: decode(encode(pairs)) == pairs, bit for bit, for any
@@ -53,9 +57,11 @@ proptest! {
         let len = encode_list(&pairs, &mut bytes, &mut skips);
         prop_assert_eq!(len, bytes.len());
         prop_assert_eq!(skips.len(), pairs.len().div_ceil(BLOCK_LEN));
-        let mut back = Vec::new();
-        decode_list(&bytes, pairs.len(), &mut back).expect("decode");
-        prop_assert_eq!(back, pairs);
+        for table in [&skips[..], &[]] {
+            let mut back = Vec::new();
+            decode_range(&bytes, pairs.len(), table, ALL, &mut back).expect("decode");
+            prop_assert_eq!(&back, &pairs);
+        }
     }
 
     /// The saturation boundary exactly: values pinned to the top of the
@@ -73,9 +79,11 @@ proptest! {
         let mut bytes = Vec::new();
         let mut skips = Vec::new();
         encode_list(&pairs, &mut bytes, &mut skips);
-        let mut back = Vec::new();
-        decode_list(&bytes, pairs.len(), &mut back).expect("decode");
-        prop_assert_eq!(back, pairs);
+        for table in [&skips[..], &[]] {
+            let mut back = Vec::new();
+            decode_range(&bytes, pairs.len(), table, ALL, &mut back).expect("decode");
+            prop_assert_eq!(&back, &pairs);
+        }
     }
 
     /// The unrolled 8-wide varint decoder reads exactly what the scalar
@@ -123,31 +131,43 @@ proptest! {
 
         // Decoded tail: seeked decode vs. full decode + filter.
         let mut tail = Vec::new();
-        decode_from(&bytes, pairs.len(), &skips, probe, &mut tail).expect("decode_from");
+        decode_range(&bytes, pairs.len(), &skips, probe..u32::MAX, &mut tail).expect("decode");
         let want: Vec<(u32, u32)> = pairs.iter().copied().filter(|&(k, _)| k >= probe).collect();
         prop_assert_eq!(tail, want);
     }
 
     /// A bounded decode equals the full list filtered to the key range,
-    /// whatever blocks the range starts and ends in.
+    /// whatever blocks the range starts and ends in: a range drawn at
+    /// large, and ranges drawn inside the list's key span, where the
+    /// decode must start mid-list and stop after the block that passes
+    /// the range's end — not one block sooner or later. Pairs already in
+    /// the output stay.
     #[test]
     fn range_decode_matches_filter(
         gaps in prop::collection::vec(0u32..300, 1..900),
         start in 0u32..200_000,
         len in 0u32..200_000,
+        at in 0usize..1_000_000,
+        span in 0usize..1_000_000,
     ) {
         let keys = keys_from_gaps(0, &gaps);
         let pairs: Vec<(u32, u32)> = keys.iter().map(|&k| (k, k ^ 0x5A)).collect();
         let mut bytes = Vec::new();
         let mut skips = Vec::new();
         encode_list(&pairs, &mut bytes, &mut skips);
-        let keys = start..start + len;
-        let mut got = vec![(7, 7)];
-        decode_range(&bytes, pairs.len(), &skips, keys.clone(), &mut got).expect("decode_range");
-        let want: Vec<(u32, u32)> = std::iter::once((7, 7))
-            .chain(pairs.iter().copied().filter(|(k, _)| keys.contains(k)))
-            .collect();
-        prop_assert_eq!(got, want);
+        let first = at % pairs.len();
+        let last = first + span % (pairs.len() - first);
+        let ranges = [start..start + len, keys[first]..keys[last], keys[first]..keys[last] + 1];
+        for keys in ranges {
+            for table in [&skips[..], &[]] {
+                let mut got = vec![(7, 7)];
+                decode_range(&bytes, pairs.len(), table, keys.clone(), &mut got).expect("decode");
+                let want: Vec<(u32, u32)> = std::iter::once((7, 7))
+                    .chain(pairs.iter().copied().filter(|(k, _)| keys.contains(k)))
+                    .collect();
+                prop_assert_eq!(got, want);
+            }
+        }
     }
 
     /// Any single bit flip anywhere in a container holding compressed

@@ -8,6 +8,7 @@ use std::process::Command;
 use std::sync::Arc;
 use std::time::Duration;
 use visual_analytics::corpus::{FormatKind, Source};
+use visual_analytics::engine::query::SearchIndex;
 use visual_analytics::ingest::IngestDir;
 use visual_analytics::prelude::*;
 use visual_analytics::serve::request::split_target;
@@ -268,5 +269,136 @@ fn cluster_and_rect_leave_out_deleted_documents() {
         );
     }
     server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// ROADMAP 5(c)'s fully deleted term end to end, on an ingest
+/// directory: once every base and live document holding a term is
+/// deleted, `/term` counts no posting and no document, `/query`
+/// matches nothing, `/search` finds nothing although df still counts
+/// the deleted documents (LSM semantics), and an `OR` with a live term
+/// matches exactly the live term's documents. Every body is the same
+/// before and after compaction, and the CLI prints the served body.
+#[test]
+fn a_term_whose_every_document_is_deleted_matches_nothing() {
+    let dir = std::env::temp_dir().join(format!("va-cli-gone-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut set = CorpusSpec::pubmed(128 * 1024, 37).generate();
+    let batches = set.sources.split_off(set.sources.len() - 3);
+    let base = dir.join("base.isnap");
+    let cfg = EngineConfig {
+        snapshot_out: Some(base.clone()),
+        ..EngineConfig::for_testing()
+    };
+    run_engine(2, Arc::new(CostModel::zero()), &set, &cfg);
+    let live = dir.join("live");
+    let mut ing = IngestDir::create(&live, Some(&base)).unwrap();
+    for b in batches {
+        ing.append(b).unwrap();
+    }
+    let base_docs = ing.manifest().base_docs;
+
+    // A rare term held by base and live documents, and a term held by
+    // none of them, in base and live documents too.
+    let state = load_live_state(&live).unwrap();
+    let docs_of = |t: &str| -> Vec<u32> {
+        let id = state.term_id(t).unwrap();
+        let mut docs: Vec<u32> = state.postings_of(id).iter().map(|p| p.doc).collect();
+        docs.dedup();
+        docs
+    };
+    let words: Vec<&str> = (state.terms.iter())
+        .filter(|t| t.bytes().all(|b| b.is_ascii_lowercase()))
+        .filter(|t| !["and", "or", "not"].contains(t))
+        .collect();
+    let gone = (words.iter().copied())
+        .find(|&t| {
+            let docs = docs_of(t);
+            docs.len() <= 6 && docs[0] < base_docs && docs[docs.len() - 1] >= base_docs
+        })
+        .expect("a rare term in base and live documents")
+        .to_string();
+    let deleted = docs_of(&gone);
+    let kept = (words.iter().copied())
+        .find(|&t| {
+            let docs = docs_of(t);
+            docs[0] < base_docs
+                && docs[docs.len() - 1] >= base_docs
+                && docs.iter().all(|d| !deleted.contains(d))
+        })
+        .expect("a term of other base and live documents")
+        .to_string();
+    let df = state.df(state.term_id(&gone).unwrap());
+    assert_eq!(df as usize, deleted.len());
+    drop(state);
+    ing.delete(deleted.clone()).unwrap();
+    drop(ing);
+
+    let either = format!("{gone} OR {kept}");
+    let cases = [
+        ("/term", "t", "--term", gone.as_str()),
+        ("/query", "q", "--query", gone.as_str()),
+        ("/search", "q", "--search", gone.as_str()),
+        ("/query", "q", "--query", either.as_str()),
+        ("/query", "q", "--query", kept.as_str()),
+    ];
+    let mut passes: Vec<Vec<String>> = Vec::new();
+    for compacted in [false, true] {
+        if compacted {
+            IngestDir::open(&live).unwrap().compact().unwrap().unwrap();
+        }
+        let state = Arc::new(load_live_state(&live).unwrap());
+        assert_eq!(
+            state.df(state.term_id(&gone).unwrap()),
+            df,
+            "df counts the deleted"
+        );
+        let cfg = ServeConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 1,
+            ..ServeConfig::default()
+        };
+        let server = Server::start(Arc::clone(&state), &cfg).unwrap();
+        let mut bodies = Vec::new();
+        for (route, key, flag, value) in cases {
+            let params = [(key.to_string(), value.to_string())];
+            let req = ServeRequest::parse(route, &params).unwrap();
+            let served = execute(&state, &req).unwrap();
+            let target = format!("{route}?{key}={}", value.replace(' ', "%20"));
+            let got = http::get(server.local_addr(), &target, Duration::from_secs(10)).unwrap();
+            assert_eq!((got.status, got.body.as_str()), (200, served.as_str()));
+            let cli = Command::new(env!("CARGO_BIN_EXE_vaengine"))
+                .args(["query", "--ingest-dir"])
+                .arg(&live)
+                .args([flag, value, "--json"])
+                .output()
+                .expect("run vaengine");
+            assert!(cli.status.success(), "{target}: the CLI failed");
+            assert_eq!(String::from_utf8_lossy(&cli.stdout), served, "{target}");
+            bodies.push(served);
+        }
+        server.shutdown();
+        let tail = |body: &str| body.split_once("\"matches\":").unwrap().1.to_string();
+        assert!(
+            bodies[0].contains("\"postings\":0,\"documents\":0,\"hits\":[]"),
+            "{}",
+            bodies[0]
+        );
+        assert!(
+            bodies[1].ends_with("\"matches\":0,\"docs\":[]}\n"),
+            "{}",
+            bodies[1]
+        );
+        assert!(bodies[2].ends_with("\"hits\":[]}\n"), "{}", bodies[2]);
+        assert_eq!(
+            tail(&bodies[3]),
+            tail(&bodies[4]),
+            "the OR is the live term"
+        );
+        assert_ne!(numbers(&bodies[4], "matches"), [0]);
+        passes.push(bodies);
+    }
+    assert_eq!(passes[0], passes[1], "compaction changed a body");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -27,6 +27,12 @@
 //!    the way the engine's signature stage signs records.
 //! 6. **Compaction refuses a directory that disagrees with its
 //!    manifest** instead of rewriting it.
+//! 7. **Arbitrary interleavings** of appends, deletes, compactions and
+//!    crash-reopens serve what a twin directory that only appends and
+//!    deletes serves.
+//! 8. **A base holds an index** — a directory is not created over a
+//!    snapshot that predates the Index stage: the refusal names the
+//!    stage and leaves no manifest, nor the directory.
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
@@ -35,8 +41,9 @@ use visual_analytics::engine::pipeline::run_engine;
 use visual_analytics::engine::query::{Query, SearchIndex};
 use visual_analytics::engine::scan::scan_source;
 use visual_analytics::engine::signature::record_signature;
+use visual_analytics::engine::snapshot::checkpoint_path;
 use visual_analytics::engine::snapshot::schema::{ASSOC, MAJOR};
-use visual_analytics::engine::{EngineConfig, EngineSnapshot};
+use visual_analytics::engine::{EngineConfig, EngineSnapshot, Stage};
 use visual_analytics::ingest::{
     compact_dir, migrate_dir, IngestDir, Manifest, MANIFEST_FILE, WAL_FILE,
 };
@@ -559,6 +566,32 @@ fn tombstones_hide_deleted_docs_across_compaction() {
         assert_eq!(after.df(topic), df_before);
         assert_eq!(after.total_docs(), total_before);
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Contract 8: a Scan checkpoint holds no inverted index, so no
+/// directory is created over it — no manifest is written, and no
+/// directory either — with an error that names its stage. The Index
+/// checkpoint of the same run is a base.
+#[test]
+fn a_base_that_predates_the_index_stage_is_refused_at_create() {
+    let dir = tmp_dir("scan-base");
+    let ckpt = dir.join("ckpt");
+    let cfg = EngineConfig {
+        checkpoint_dir: Some(ckpt.clone()),
+        ..EngineConfig::for_testing()
+    };
+    let set = CorpusSpec::pubmed(64 * 1024, 5).generate();
+    run_engine(1, Arc::new(CostModel::zero()), &set, &cfg);
+    let live = dir.join("live");
+    let scan = checkpoint_path(&ckpt, Stage::Scan);
+    let err = (IngestDir::create(&live, Some(&scan)).err()).expect("a Scan base is refused");
+    assert!(err.to_string().contains("stage Scan"), "{err}");
+    assert!(!live.join(MANIFEST_FILE).exists(), "a manifest was written");
+    assert!(!live.exists(), "the directory was created");
+    let index = checkpoint_path(&ckpt, Stage::Index);
+    IngestDir::create(&live, Some(&index)).expect("an Index checkpoint is a base");
+    assert!(live.join(MANIFEST_FILE).exists());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
