@@ -7,6 +7,7 @@
 
 use crate::index::{InvertedIndex, Posting};
 use crate::scan::ScanOutput;
+use crate::tokenize::Tokenizer;
 use crate::{DocId, FieldId, TermId};
 use spmd::Ctx;
 use std::cmp::Ordering;
@@ -574,9 +575,8 @@ pub fn search(
 /// would have met them, so every sum has the same bits. Only the best
 /// `top` are kept, in a [`TopK`].
 pub fn search_in(ix: &impl SearchIndex, query: &str, top: usize) -> Vec<Hit> {
-    let tokenizer = crate::tokenize::Tokenizer::default();
     let mut terms = Vec::new();
-    tokenizer.tokenize_into(query, |t| terms.push(t.to_string()));
+    Tokenizer::default().tokenize_into(query, |t| terms.push(t.to_string()));
 
     let d = ix.total_docs() as f64;
     let mut posts: Vec<Posting> = Vec::new();
@@ -641,9 +641,8 @@ pub fn search_in(ix: &impl SearchIndex, query: &str, top: usize) -> Vec<Hit> {
 #[cfg(test)]
 fn search_oracle(ix: &impl SearchIndex, query: &str, top: usize) -> Vec<Hit> {
     use std::collections::HashMap;
-    let tokenizer = crate::tokenize::Tokenizer::default();
     let mut terms = Vec::new();
-    tokenizer.tokenize_into(query, |t| terms.push(t.to_string()));
+    Tokenizer::default().tokenize_into(query, |t| terms.push(t.to_string()));
 
     let d = ix.total_docs() as f64;
     let mut scores: HashMap<DocId, f64> = HashMap::new();

@@ -244,8 +244,6 @@ struct TokenizedChunk {
 fn tokenize_record(
     source: &Source,
     range: Range<usize>,
-    tokenizer: &Tokenizer,
-    indexed: &[FieldId],
     terms: &mut TermInterner,
     counts_scratch: &mut Vec<u32>,
     touched: &mut Vec<u32>,
@@ -255,9 +253,10 @@ fn tokenize_record(
     let mut tokens = 0u32;
     let mut started = 0u32; // one bit per field id
     for (first, &(name, _)) in raw.fields.iter().enumerate() {
-        let Some(fid) = crate::field_id(name).filter(|fid| indexed.contains(fid)) else {
+        if !INDEXED_FIELDS.contains(&name) {
             continue;
-        };
+        }
+        let fid = crate::field_id(name).expect("indexed field registered");
         // A repeated field was tokenized whole at its first occurrence.
         if started & (1 << fid) != 0 {
             continue;
@@ -265,7 +264,7 @@ fn tokenize_record(
         started |= 1 << fid;
         let mut candidates = 0u64;
         for &(_, text) in raw.fields[first..].iter().filter(|(n, _)| *n == name) {
-            candidates += tokenizer.tokenize_intern_into(text, terms, |id, _is_new| {
+            candidates += Tokenizer::default().tokenize_intern_into(text, terms, |id, _is_new| {
                 let at = id as usize;
                 if at >= counts_scratch.len() {
                     counts_scratch.resize(at + 1, 0);
@@ -291,14 +290,6 @@ fn tokenize_record(
         });
     }
     TokenizedDoc { fields, tokens }
-}
-
-/// The indexed field ids, in [`INDEXED_FIELDS`] order.
-fn indexed_fields() -> Vec<FieldId> {
-    INDEXED_FIELDS
-        .iter()
-        .map(|n| crate::field_id(n).expect("indexed field registered"))
-        .collect()
 }
 
 /// A tokenized record as the engine's document: chunk-local ids become
@@ -338,21 +329,10 @@ fn canonical_doc(tdoc: &TokenizedDoc, to_canonical: &[TermId]) -> LocalDoc {
 /// — and what the live-ingestion sealer builds a segment from, so a
 /// segment's postings and df/tf come from the engine's own documents.
 pub fn scan_source(source: &Source) -> (TermTable, Vec<LocalDoc>) {
-    let (tokenizer, indexed) = (Tokenizer::default(), indexed_fields());
     let mut terms = TermInterner::new();
     let (mut counts_scratch, mut touched) = (Vec::new(), Vec::new());
     let tdocs: Vec<TokenizedDoc> = (source.record_ranges().into_iter())
-        .map(|range| {
-            tokenize_record(
-                source,
-                range,
-                &tokenizer,
-                &indexed,
-                &mut terms,
-                &mut counts_scratch,
-                &mut touched,
-            )
-        })
+        .map(|range| tokenize_record(source, range, &mut terms, &mut counts_scratch, &mut touched))
         .collect();
     // Canonical ids are lexicographic, as the collective remap's.
     let mut order: Vec<u32> = (0..terms.len() as u32).collect();
@@ -376,7 +356,6 @@ pub fn scan_source(source: &Source) -> (TermTable, Vec<LocalDoc>) {
 /// (the tokenizer is fixed, so live ingestion and queries tokenize alike).
 pub fn scan(ctx: &Ctx, sources: &SourceSet, _cfg: &EngineConfig) -> (ScanOutput, ForwardIndex) {
     let p = ctx.nprocs();
-    let (tokenizer, indexed) = (Tokenizer::default(), indexed_fields());
 
     // Static byte-balanced partitioning of sources (§3.2).
     let parts = partition_contiguous(&sources.sizes(), p);
@@ -430,8 +409,6 @@ pub fn scan(ctx: &Ctx, sources: &SourceSet, _cfg: &EngineConfig) -> (ScanOutput,
                         tokenize_record(
                             &sources.sources[*si],
                             range.clone(),
-                            &tokenizer,
-                            &indexed,
                             &mut terms,
                             &mut counts_scratch,
                             &mut touched,

@@ -71,7 +71,7 @@ pub fn checkpoint_path(dir: &Path, stage: Stage) -> PathBuf {
 /// it computes).
 pub fn config_fingerprint(cfg: &EngineConfig) -> u64 {
     let s = format!(
-        "{}|{}|{}|{:?}|{}|{}|{}|{}|{:?}|{}|{}|{}|{}|{}|{:?}|{}",
+        "{}|{}|{}|{:?}|{}|{}|{}|{}|{:?}|{}|{}|{}|{}|{}|{}|{}",
         cfg.n_major,
         cfg.topic_ratio,
         cfg.n_clusters,
@@ -86,9 +86,10 @@ pub fn config_fingerprint(cfg: &EngineConfig) -> u64 {
         cfg.weak_sig_threshold,
         cfg.min_df,
         cfg.max_df_frac,
-        // The tokenizer is fixed; its settings keep their slot so
-        // existing fingerprints (and checkpoints) stay valid.
-        crate::tokenize::TokenizerConfig::default(),
+        // The tokenizer is fixed (`tokenize.rs`). Its slot keeps the text
+        // it has always rendered, so existing fingerprints (and the
+        // checkpoints that carry them) stay valid.
+        "TokenizerConfig { min_len: 3, max_len: 40, require_alpha: true, filter_stopwords: true }",
         cfg.seed,
     );
     intern::fxhash(s.as_bytes())
@@ -625,6 +626,21 @@ mod tests {
         };
         assert_ne!(config_fingerprint(&different), config_fp);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The fingerprints of the two stock configurations, as every
+    /// earlier build computed them: a change here would stop checkpoints
+    /// those builds wrote from resuming.
+    #[test]
+    fn config_fingerprints_are_pinned() {
+        assert_eq!(
+            config_fingerprint(&EngineConfig::default()),
+            0x7a56bc94638865fc
+        );
+        assert_eq!(
+            config_fingerprint(&EngineConfig::for_testing()),
+            0x7645e8f627a8b81d
+        );
     }
 
     /// A final-stage snapshot restores the complete output — including on

@@ -1,13 +1,20 @@
 //! Tokenization: field text → terms.
 //!
 //! §3.2: *"terms are separated by whitespaces (or any delimiters specified
-//! during configuration)"*. The tokenizer splits on everything that is
-//! not an ASCII letter or digit, case-folds, and filters by length and a
-//! stopword list (the list includes HTML structural words so GOV2-style
-//! markup does not pollute the vocabulary). It works on bytes: a token is
-//! pure ASCII, and every byte of a non-ASCII character is a separator.
+//! during configuration)"*. The delimiters are fixed here, and so is the
+//! rest of the tokenizer: the build, the live sealer and every query
+//! tokenize alike. It splits on everything that is not an ASCII letter
+//! or digit, case-folds, keeps tokens of 3 to 40 bytes that hold a
+//! letter, and drops stopwords (the list includes HTML structural words
+//! so GOV2-style markup does not pollute the vocabulary). It works on
+//! bytes: a token is pure ASCII, and every byte of a non-ASCII character
+//! is a separator.
+//!
+//! [`Tokenizer`] is a zero-size handle; the stopword set it probes is
+//! built at most once per process, on first use.
 
 use intern::{fxhash, TermInterner};
+use std::sync::LazyLock;
 
 /// English function words plus markup noise. Short (the engine's
 /// statistics reject high-df terms anyway); this list mainly keeps the
@@ -22,29 +29,32 @@ const STOPWORDS: &[&str] = &[
     "docno", "dochdr",
 ];
 
-/// Tokenizer settings.
-#[derive(Debug, Clone)]
-pub struct TokenizerConfig {
-    /// Minimum term length in bytes.
-    pub min_len: usize,
-    /// Maximum term length in bytes (longer tokens are dropped as junk).
-    pub max_len: usize,
-    /// Drop terms that contain no alphabetic character (bare numbers).
-    pub require_alpha: bool,
-    /// Apply the stopword list.
-    pub filter_stopwords: bool,
-}
+/// Minimum term length in bytes.
+const MIN_LEN: usize = 3;
+/// Maximum term length in bytes (longer tokens are dropped as junk).
+const MAX_LEN: usize = 40;
 
-impl Default for TokenizerConfig {
-    fn default() -> Self {
-        TokenizerConfig {
-            min_len: 3,
-            max_len: 40,
-            require_alpha: true,
-            filter_stopwords: true,
+/// Longest stopword in bytes: longer tokens skip the stopword probe.
+const MAX_STOPWORD_LEN: usize = {
+    let (mut longest, mut i) = (0, 0);
+    while i < STOPWORDS.len() {
+        if STOPWORDS[i].len() > longest {
+            longest = STOPWORDS[i].len();
         }
+        i += 1;
     }
-}
+    longest
+};
+
+/// The stopword set as an interner, so membership tests share the scan
+/// hot path's single-hash-pass, allocation-free lookup.
+static STOPWORD_SET: LazyLock<TermInterner> = LazyLock::new(|| {
+    let mut set = TermInterner::new();
+    for w in STOPWORDS {
+        set.intern(w);
+    }
+    set
+});
 
 /// Byte classes of the scanner: everything that is not an ASCII letter
 /// or digit separates tokens. Bytes ≥ 0x80 only occur inside multi-byte
@@ -67,43 +77,23 @@ const CLASS: [u8; 256] = {
     t
 };
 
-/// A configured tokenizer. Construct once per scan; holds the stopword
-/// set as an interner so membership tests share the scan hot path's
-/// single-hash-pass, allocation-free lookup.
-#[derive(Debug, Clone)]
-pub struct Tokenizer {
-    config: TokenizerConfig,
-    stopwords: TermInterner,
-    /// Longest stopword in bytes (0 with the filter off): longer tokens
-    /// skip the stopword probe.
-    max_stopword_len: usize,
-}
+/// The tokenizer: a zero-size handle over the fixed rules above, so
+/// making one costs nothing. Braced rather than a unit struct, so that
+/// callers writing `Tokenizer::default()` stay clean under clippy's
+/// `default_constructed_unit_structs`.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Tokenizer {}
 
 impl Tokenizer {
-    pub fn new(config: TokenizerConfig) -> Self {
-        let mut stopwords = TermInterner::new();
-        if config.filter_stopwords {
-            for w in STOPWORDS {
-                stopwords.intern(w);
-            }
-        }
-        let max_stopword_len = stopwords.iter().map(str::len).max().unwrap_or(0);
-        Tokenizer {
-            config,
-            stopwords,
-            max_stopword_len,
-        }
-    }
-
     /// The one scanner behind every tokenize entry point: walk `text`
     /// byte-wise and call `emit` with each accepted token's lower-cased
     /// bytes and their fxhash (computed once, shared with the stopword
     /// probe). Returns the number of raw token candidates examined.
     #[inline(always)]
     fn scan_tokens(&self, text: &[u8], mut emit: impl FnMut(&[u8], u64)) -> u64 {
-        let (min_len, max_len) = (self.config.min_len, self.config.max_len);
+        let stopwords: &TermInterner = &STOPWORD_SET;
         let mut candidates = 0u64;
-        let mut buf: Vec<u8> = Vec::with_capacity(max_len.min(64));
+        let mut buf = [0u8; MAX_LEN];
         let mut at = 0usize;
         while at < text.len() {
             if CLASS[text[at] as usize] == SEP {
@@ -118,24 +108,22 @@ impl Tokenizer {
             }
             candidates += 1;
             let raw = &text[start..at];
-            if raw.len() < min_len || raw.len() > max_len {
-                continue;
-            }
-            if self.config.require_alpha && classes & ALPHA == 0 {
+            if raw.len() < MIN_LEN || raw.len() > MAX_LEN || classes & ALPHA == 0 {
                 continue;
             }
             // `| 0x20` lowercases letters and leaves digits (0x30..=0x39,
             // bit 5 already set) unchanged.
-            buf.clear();
-            buf.extend(raw.iter().map(|&b| b | 0x20));
-            debug_assert!(buf.is_ascii());
-            let hash = fxhash(&buf);
-            if buf.len() <= self.max_stopword_len
-                && self.stopwords.lookup_bytes_hashed(&buf, hash).is_some()
+            let term = &mut buf[..raw.len()];
+            for (lower, &b) in term.iter_mut().zip(raw) {
+                *lower = b | 0x20;
+            }
+            debug_assert!(term.is_ascii());
+            let hash = fxhash(term);
+            if term.len() <= MAX_STOPWORD_LEN && stopwords.lookup_bytes_hashed(term, hash).is_some()
             {
                 continue;
             }
-            emit(&buf, hash);
+            emit(term, hash);
         }
         candidates
     }
@@ -172,12 +160,6 @@ impl Tokenizer {
             let (id, is_new) = terms.intern_ascii_hashed(term, hash);
             emit(id, is_new);
         })
-    }
-}
-
-impl Default for Tokenizer {
-    fn default() -> Self {
-        Tokenizer::new(TokenizerConfig::default())
     }
 }
 
@@ -223,15 +205,6 @@ mod tests {
     }
 
     #[test]
-    fn respects_disabled_stopwords() {
-        let t = Tokenizer::new(TokenizerConfig {
-            filter_stopwords: false,
-            ..Default::default()
-        });
-        assert!(t.tokenize("the cat").contains(&"the".to_string()));
-    }
-
-    #[test]
     fn overlong_tokens_dropped() {
         let t = Tokenizer::default();
         let long = "x".repeat(50);
@@ -256,8 +229,8 @@ mod tests {
 
     /// The `char`-split loop the byte-wise scanner replaced, kept as the
     /// oracle: split on non-ASCII-alphanumeric `char`s, filter, lowercase
-    /// through `String::push`, probe the stopword set for every token.
-    fn tokenize_into_oracle(t: &Tokenizer, text: &str, mut emit: impl FnMut(&str)) -> u64 {
+    /// through `String::push`, search the stopword list for every token.
+    fn tokenize_into_oracle(text: &str, mut emit: impl FnMut(&str)) -> u64 {
         let mut candidates = 0u64;
         let mut buf = String::new();
         for raw in text.split(|c: char| !c.is_ascii_alphanumeric()) {
@@ -265,17 +238,17 @@ mod tests {
                 continue;
             }
             candidates += 1;
-            if raw.len() < t.config.min_len || raw.len() > t.config.max_len {
+            if raw.len() < MIN_LEN || raw.len() > MAX_LEN {
                 continue;
             }
-            if t.config.require_alpha && !raw.bytes().any(|b| b.is_ascii_alphabetic()) {
+            if !raw.bytes().any(|b| b.is_ascii_alphabetic()) {
                 continue;
             }
             buf.clear();
             for b in raw.bytes() {
                 buf.push(b.to_ascii_lowercase() as char);
             }
-            if t.config.filter_stopwords && t.stopwords.lookup(buf.as_str()).is_some() {
+            if STOPWORDS.contains(&buf.as_str()) {
                 continue;
             }
             emit(&buf);
@@ -283,26 +256,13 @@ mod tests {
         candidates
     }
 
-    fn configs() -> [TokenizerConfig; 3] {
-        [
-            TokenizerConfig::default(),
-            TokenizerConfig {
-                filter_stopwords: false,
-                ..Default::default()
-            },
-            TokenizerConfig {
-                require_alpha: false,
-                ..Default::default()
-            },
-        ]
-    }
-
     /// Both entry points against the oracle + `intern`: same candidate
     /// count, same emitted ids and `is_new` flags, same interner contents.
-    fn assert_matches_oracle(t: &Tokenizer, text: &str) {
+    fn assert_matches_oracle(text: &str) {
+        let t = Tokenizer::default();
         let mut want_terms = Vec::new();
         let mut want_interner = TermInterner::new();
-        let want_candidates = tokenize_into_oracle(t, text, |term| {
+        let want_candidates = tokenize_into_oracle(text, |term| {
             want_terms.push(want_interner.intern(term));
         });
 
@@ -347,11 +307,8 @@ mod tests {
             "٣٣٣ abc٣def ١٢٣abc",
             "dochdr dochdrs DOCHDR theres",
         ];
-        for config in configs() {
-            let t = Tokenizer::new(config);
-            for text in texts {
-                assert_matches_oracle(&t, text);
-            }
+        for text in texts {
+            assert_matches_oracle(text);
         }
     }
 
@@ -383,16 +340,12 @@ mod tests {
             for (kind, len) in picks {
                 piece(kind, len, &mut text);
             }
-            for config in configs() {
-                assert_matches_oracle(&Tokenizer::new(config), &text);
-            }
+            assert_matches_oracle(&text);
         }
 
         #[test]
         fn scanner_matches_oracle_on_arbitrary_utf8(text in "\\PC{0,200}") {
-            for config in configs() {
-                assert_matches_oracle(&Tokenizer::new(config), &text);
-            }
+            assert_matches_oracle(&text);
         }
     }
 }

@@ -220,16 +220,6 @@ impl<T: Copy + Default + Send + Sync + 'static> GlobalArray<T> {
         f(&mut block)
     }
 
-    /// Read-only access to this rank's own block.
-    pub fn with_local<R>(&self, ctx: &Ctx, f: impl FnOnce(&[T]) -> R) -> R {
-        let r = ctx.rank();
-        let bytes = ((self.storage.starts[r + 1] - self.storage.starts[r])
-            * std::mem::size_of::<T>()) as u64;
-        ctx.charge_one_sided(bytes, r);
-        let block = self.storage.blocks[r].read();
-        f(&block)
-    }
-
     /// Collective: gather the full array contents on every rank (an
     /// Allgather of the local blocks).
     pub fn to_vec_collective(&self, ctx: &Ctx) -> Vec<T> {

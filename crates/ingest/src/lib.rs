@@ -20,8 +20,11 @@
 //! point: a crash before it leaves the previous generation plus strays
 //! (a `.tmp` file, an unlisted segment), which [`IngestDir::open`]
 //! removes; a crash after it leaves the new generation. The handle
-//! adopts a new manifest only once it is on disk. One [`IngestDir`]
-//! handle writes a directory at a time.
+//! adopts a new manifest only once it is on disk. After the commit
+//! point, a third `publish` rewrites the latency sidecar
+//! ([`metrics`]); its failure is ignored, so it never fails or undoes a
+//! commit ([`IngestDir::compact`] does the same after its flip). One
+//! [`IngestDir`] handle writes a directory at a time.
 
 pub mod compact;
 pub mod manifest;

@@ -16,7 +16,7 @@
 //!   directory's merged base + segments ([`state::load_live_state`]),
 //!   implementing the core [`inspire_core::query::SearchIndex`] trait so
 //!   served answers run the exact algorithms the CLI runs.
-//! - [`request`] — typed routes, normalized cache keys, and the shared
+//! - [`request`] — typed routes, cache keys, and the shared
 //!   [`request::execute`] renderer both front ends use, which is what
 //!   makes served bodies byte-identical to `vaengine query --json`.
 //! - [`lru`] — the fixed-capacity result cache with hit/miss/eviction

@@ -1,4 +1,4 @@
-//! Query requests: route parsing, normalized cache keys, and execution.
+//! Query requests: route parsing, cache keys, and execution.
 //!
 //! A [`ServeRequest`] is the typed form of one query URL. The same
 //! request type backs both front ends — the HTTP server routes
@@ -251,22 +251,18 @@ impl ServeRequest {
         }
     }
 
-    /// Normalized cache key: two requests that must produce the same
-    /// body map to the same key (boolean expressions are canonicalized
-    /// through [`Query::normalized`], search text through the indexing
-    /// tokenizer).
+    /// Cache key: two requests share a key only if they produce the
+    /// same body, so each kind keys on exactly the fields its body
+    /// renders. A boolean expression keys on [`Query::normalized`],
+    /// which is what its body echoes; search and similarity text key on
+    /// the raw text, which their bodies echo too.
     pub fn cache_key(&self) -> String {
         match self {
             ServeRequest::Term { term, top } => format!("term\u{1}{term}\u{1}{top}"),
             ServeRequest::Boolean { expr, top } => {
                 format!("query\u{1}{}\u{1}{top}", expr.normalized())
             }
-            ServeRequest::Search { text, top } => {
-                let tokenizer = inspire_core::tokenize::Tokenizer::default();
-                let mut terms = Vec::new();
-                tokenizer.tokenize_into(text, |t| terms.push(t.to_string()));
-                format!("search\u{1}{}\u{1}{top}", terms.join(" "))
-            }
+            ServeRequest::Search { text, top } => format!("search\u{1}{text}\u{1}{top}"),
             ServeRequest::Cluster { cluster, top } => format!("cluster\u{1}{cluster}\u{1}{top}"),
             ServeRequest::Rect { min, max, top } => format!(
                 "rect\u{1}{},{},{},{}\u{1}{top}",
@@ -281,16 +277,9 @@ impl ServeRequest {
                 top,
                 nprobe,
             } => {
-                // Doc queries key on the id; text queries normalize
-                // through the indexing tokenizer like `/search`.
                 let target = match (doc, text) {
                     (Some(d), _) => format!("d{d}"),
-                    (None, Some(t)) => {
-                        let tokenizer = inspire_core::tokenize::Tokenizer::default();
-                        let mut terms = Vec::new();
-                        tokenizer.tokenize_into(t, |t| terms.push(t.to_string()));
-                        format!("t{}", terms.join(" "))
-                    }
+                    (None, Some(t)) => format!("t{t}"),
                     (None, None) => String::new(),
                 };
                 format!("similar\u{1}{target}\u{1}{top}\u{1}{nprobe}")
@@ -635,13 +624,14 @@ mod tests {
         assert_eq!(key("/query?q=a+OR+b"), key("/query?q=(a)+or+(b)"));
         assert_ne!(key("/query?q=a+AND+b"), key("/query?q=a+OR+b"));
         assert_ne!(key("/query?q=a&top=5"), key("/query?q=a&top=6"));
-        // Search normalizes through the tokenizer (case, punctuation).
-        assert_eq!(key("/search?q=Heart+Attack"), key("/search?q=heart,attack"));
-        // Similar text queries normalize the same way; nprobe is keyed.
-        assert_eq!(
+        // Search and similarity bodies echo the raw text, so text that
+        // tokenizes alike but reads differently keys apart.
+        assert_ne!(key("/search?q=Heart+Attack"), key("/search?q=heart,attack"));
+        assert_ne!(
             key("/similar?text=Heart+Attack"),
             key("/similar?text=heart,attack")
         );
+        // nprobe is keyed.
         assert_ne!(
             key("/similar?doc=1&nprobe=2"),
             key("/similar?doc=1&nprobe=3")

@@ -188,16 +188,21 @@ fn second_identical_query_is_served_from_cache() {
     let second = http::get(addr, &target, TIMEOUT).unwrap();
     assert_eq!(second.status, 200);
     assert_eq!(second.body, first.body, "cached body diverged");
-    // An equivalent spelling must normalize onto the same cache entry.
-    let spelled = format!("/search?q={}", term.to_ascii_uppercase());
+    // Another spelling of the same tokens is another body (the text is
+    // echoed): it misses the cache and gets its own answer.
+    let upper = term.to_ascii_uppercase();
+    let spelled = format!("/search?q={upper}");
     let third = http::get(addr, &spelled, TIMEOUT).unwrap();
-    assert_eq!(third.body, first.body, "normalized spelling diverged");
+    let params = [("q".to_string(), upper)];
+    let own = execute(&state, &ServeRequest::parse("/search", &params).unwrap()).unwrap();
+    assert_eq!(third.body, own, "another spelling was served a cached body");
+    assert_ne!(third.body, first.body);
 
     let m2 = http::get(addr, "/metrics", TIMEOUT).unwrap();
     let v2 = inspire_trace::json::parse(&m2.body).expect("metrics parse");
     let cache = v2.get("cache").unwrap();
     let hits_after = cache.get("hits").and_then(|h| h.as_f64()).unwrap();
-    assert_eq!(hits_after, hits_before + 2.0);
+    assert_eq!(hits_after, hits_before + 1.0);
     assert!(cache.get("hit_rate").and_then(|h| h.as_f64()).unwrap() > 0.0);
     // Per-kind latency histograms cover the three /search requests.
     let hists = v2.get("histograms").and_then(|h| h.as_arr()).unwrap();
@@ -213,7 +218,7 @@ fn second_identical_query_is_served_from_cache() {
     );
 
     let summary = server.shutdown();
-    assert_eq!(summary.cache.hits, hits_before as u64 + 2);
+    assert_eq!(summary.cache.hits, hits_before as u64 + 1);
     let _ = std::fs::remove_file(&path);
 }
 

@@ -643,7 +643,7 @@ impl Snapshot {
         let e = self.entries.iter().find(|e| e.name_str() == name)?;
         let start = e.offset as usize + 8;
         Some(SectionView {
-            name: e.name_str().to_string(),
+            name: e.name_str(),
             kind: e.kind,
             bytes: &as_bytes(&self.buf)[start..start + e.len as usize],
             source: &self.source,
@@ -664,15 +664,15 @@ impl Snapshot {
 
 /// A zero-copy view of one section's payload.
 pub struct SectionView<'a> {
-    name: String,
+    name: &'a str,
     kind: SectionKind,
     bytes: &'a [u8],
     source: &'a str,
 }
 
 impl<'a> SectionView<'a> {
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn name(&self) -> &'a str {
+        self.name
     }
 
     pub fn kind(&self) -> SectionKind {

@@ -16,8 +16,8 @@ use visual_analytics::serve::{
     execute, http, load_live_state, ServeConfig, ServeRequest, ServeState, Server,
 };
 
-fn build_snapshot() -> PathBuf {
-    let path = std::env::temp_dir().join(format!("va-cli-query-{}.isnap", std::process::id()));
+fn build_snapshot(name: &str) -> PathBuf {
+    let path = std::env::temp_dir().join(format!("va-cli-{name}-{}.isnap", std::process::id()));
     let src = CorpusSpec::pubmed(128 * 1024, 37).generate();
     let cfg = EngineConfig {
         snapshot_out: Some(path.clone()),
@@ -54,7 +54,7 @@ fn parse_refusal(route: &str, params: &[(&str, &str)]) -> String {
 
 #[test]
 fn refused_queries_fail_alike_in_both_output_modes() {
-    let snapshot = build_snapshot();
+    let snapshot = build_snapshot("query");
     let refused_at_execute = [
         (
             &["--cluster", "999"][..],
@@ -401,4 +401,60 @@ fn a_term_whose_every_document_is_deleted_matches_nothing() {
     }
     assert_eq!(passes[0], passes[1], "compaction changed a body");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Text that tokenizes alike but reads differently is a different
+/// request: `/search` and `/similar?text=` bodies echo the raw text, so
+/// the result cache must not answer one spelling with the other's body.
+/// Each upper-case spelling is served (and cached) first; then the
+/// lower-case, comma-separated spelling's served body must equal
+/// `execute` and the CLI's `--json` body.
+#[test]
+fn text_that_tokenizes_alike_is_not_served_from_its_twin() {
+    let snapshot = build_snapshot("twins");
+    let state = Arc::new(ServeState::load(&snapshot).unwrap());
+    // A cluster label is made of major terms, so its words find
+    // documents by search and land in signature space.
+    let label = &state.cluster_labels[0];
+    let (a, b) = (label[0].as_str(), label[1].as_str());
+    let (upper, lower) = (
+        format!("{} {b}", a.to_ascii_uppercase()),
+        format!("{a},{b}"),
+    );
+    let cfg = ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        ..ServeConfig::default()
+    };
+    let server = Server::start(Arc::clone(&state), &cfg).unwrap();
+    for (route, key, flag) in [
+        ("/search", "q", "--search"),
+        ("/similar", "text", "--similar-text"),
+    ] {
+        for text in [&upper, &lower] {
+            let params = [(key.to_string(), text.clone())];
+            let want = execute(&state, &ServeRequest::parse(route, &params).unwrap()).unwrap();
+            assert!(
+                want.contains("\"hits\":[{\"doc\":"),
+                "{route} {text:?}: {want}"
+            );
+            let target = format!("{route}?{key}={}", text.replace(' ', "+"));
+            let got = http::get(server.local_addr(), &target, Duration::from_secs(10)).unwrap();
+            assert_eq!(
+                (got.status, got.body.as_str()),
+                (200, want.as_str()),
+                "{target}"
+            );
+            let cli = Command::new(env!("CARGO_BIN_EXE_vaengine"))
+                .args(["query", "--snapshot"])
+                .arg(&snapshot)
+                .args([flag, text, "--json"])
+                .output()
+                .expect("run vaengine");
+            assert!(cli.status.success(), "{target}: the CLI failed");
+            assert_eq!(String::from_utf8_lossy(&cli.stdout), want, "{target}");
+        }
+    }
+    server.shutdown();
+    let _ = std::fs::remove_file(&snapshot);
 }
