@@ -369,7 +369,10 @@ pub fn union_vocabularies<'a>(
             keyed.push((term, c, local as u32));
         }
     }
-    keyed.sort_unstable_by(|a, b| a.0.as_bytes().cmp(b.0.as_bytes()).then(a.1.cmp(&b.1)));
+    // Each table is sorted and `keyed` holds them component by
+    // component, so a stable sort on the term alone keeps components
+    // ascending within a term and merges the runs it finds.
+    keyed.sort_by(|a, b| a.0.as_bytes().cmp(b.0.as_bytes()));
     let mut members: Vec<(usize, u32)> = Vec::new();
     let mut at = 0usize;
     while at < keyed.len() {
@@ -380,5 +383,57 @@ pub fn union_vocabularies<'a>(
             at += 1;
         }
         visit(term, &members);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// `(component, local term id)` of every component holding a term.
+    type Members = Vec<(usize, u32)>;
+
+    /// Term `i` spelled over a small alphabet with multi-byte letters,
+    /// so byte order differs from both numeric and `char` order.
+    fn word(mut i: u32) -> String {
+        const LETTERS: [&str; 4] = ["a", "z", "\u{e9}", "\u{1f600}"];
+        let mut w = String::from(LETTERS[(i % 4) as usize]);
+        while i >= 4 {
+            i /= 4;
+            w.push_str(LETTERS[(i % 4) as usize]);
+        }
+        w
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn union_matches_an_ordered_map_union(
+            vocabs in prop::collection::vec(prop::collection::vec(0u32..200, 0..60), 0..8),
+        ) {
+            let tables: Vec<TermTable> = vocabs
+                .iter()
+                .map(|ids| {
+                    let mut words: Vec<String> = ids.iter().map(|&i| word(i)).collect();
+                    words.sort_unstable_by(|a, b| a.as_bytes().cmp(b.as_bytes()));
+                    words.dedup();
+                    TermTable::from_sorted(words.iter().map(|w| w.as_str()))
+                })
+                .collect();
+            let mut oracle: BTreeMap<Vec<u8>, Members> = BTreeMap::new();
+            for (c, t) in tables.iter().enumerate() {
+                for (local, term) in t.iter().enumerate() {
+                    oracle.entry(term.as_bytes().to_vec()).or_default().push((c, local as u32));
+                }
+            }
+            let mut got: Vec<(Vec<u8>, Members)> = Vec::new();
+            let refs: Vec<&TermTable> = tables.iter().collect();
+            union_vocabularies(&refs, |term, members| {
+                got.push((term.as_bytes().to_vec(), members.to_vec()));
+            });
+            prop_assert_eq!(got, oracle.into_iter().collect::<Vec<_>>());
+        }
     }
 }

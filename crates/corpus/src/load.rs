@@ -8,7 +8,7 @@
 
 use crate::record::{FormatKind, Source, SourceSet};
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Detect the record format of a file from its leading bytes.
 ///
@@ -61,19 +61,23 @@ pub fn load_file(path: &Path) -> io::Result<Option<Source>> {
 
 /// Load every recognizable file under `dir` (non-recursive sort for
 /// stable document numbering; subdirectories are descended into, also in
-/// sorted order).
+/// sorted order). Each source is named by its path relative to `dir`, so
+/// a name — and the corpus fingerprint that hashes it — does not depend
+/// on how `dir` is spelled or where it lives.
 pub fn load_dir(dir: &Path) -> io::Result<SourceSet> {
     let mut sources = Vec::new();
-    let mut stack = vec![dir.to_path_buf()];
-    while let Some(d) = stack.pop() {
-        let mut entries: Vec<std::path::PathBuf> = std::fs::read_dir(&d)?
-            .filter_map(|e| e.ok().map(|e| e.path()))
+    let mut stack = vec![PathBuf::new()];
+    while let Some(rel_dir) = stack.pop() {
+        let mut entries: Vec<PathBuf> = std::fs::read_dir(dir.join(&rel_dir))?
+            .filter_map(|e| e.ok().map(|e| rel_dir.join(e.file_name())))
             .collect();
         entries.sort();
-        for path in entries {
+        for rel in entries {
+            let path = dir.join(&rel);
             if path.is_dir() {
-                stack.push(path);
-            } else if let Some(src) = load_file(&path)? {
+                stack.push(rel);
+            } else if let Some(mut src) = load_file(&path)? {
+                src.name = rel.display().to_string();
                 sources.push(src);
             }
         }
@@ -89,7 +93,8 @@ pub fn load_dir(dir: &Path) -> io::Result<SourceSet> {
 pub fn write_dir(set: &SourceSet, dir: &Path) -> io::Result<()> {
     std::fs::create_dir_all(dir)?;
     for src in &set.sources {
-        // Keep only the basename; sources loaded from disk carry paths.
+        // Keep only the basename; sources loaded from a nested directory
+        // carry their relative path.
         let base = Path::new(&src.name)
             .file_name()
             .map(|s| s.to_string_lossy().to_string())

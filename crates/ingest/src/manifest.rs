@@ -143,11 +143,15 @@ impl Manifest {
     /// Load the manifest under `dir`; `Ok(None)` when none exists yet.
     pub fn load(dir: &Path) -> io::Result<Option<Manifest>> {
         let path = Self::path_in(dir);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
+        let bytes = match std::fs::read(&path) {
+            Ok(b) => b,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e),
         };
+        // A flipped byte can leave the text invalid UTF-8: that is
+        // corruption of this file, and the refusal names it.
+        let text = String::from_utf8(bytes)
+            .map_err(|e| bad(&path, format!("corrupt: not UTF-8 text ({e})")))?;
         Self::parse(&path, checked_body(&path, &text)?).map(Some)
     }
 

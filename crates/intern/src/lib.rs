@@ -336,9 +336,12 @@ impl TermTable {
                 return Err(format!("term {i} is not valid UTF-8"));
             }
         }
+        // Every span is UTF-8 by now, and byte order is `str` order: the
+        // order check compares bytes and decodes only for its message.
         let t = TermTable { arena, offsets };
+        let span = |i: usize| &t.arena[t.offsets[i] as usize..t.offsets[i + 1] as usize];
         for i in 1..t.len() {
-            if t.get(i - 1) >= t.get(i) {
+            if span(i - 1) >= span(i) {
                 return Err(format!(
                     "terms not strictly ascending at {i}: `{}` >= `{}`",
                     t.get(i - 1),

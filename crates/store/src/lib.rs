@@ -52,6 +52,9 @@
 //! parsing on load.
 
 pub mod codec;
+mod crc;
+
+pub use crc::{crc32, Crc32};
 
 use std::fmt;
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -74,90 +77,6 @@ const MAX_NAME: usize = 8;
 // host would need byte-swapping copies this crate does not implement.
 #[cfg(target_endian = "big")]
 compile_error!("inspire-store's zero-copy views require a little-endian host");
-
-// ---------------------------------------------------------------------------
-// CRC32 (IEEE 802.3, polynomial 0xEDB88320)
-// ---------------------------------------------------------------------------
-
-// Slicing-by-8 tables: table 0 is the classic Sarwate byte table, table
-// j extends it by one byte of zero-padding, so eight lookups advance the
-// register over eight input bytes at once.
-const CRC_TABLES: [[u32; 256]; 8] = {
-    let mut t = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        t[0][i] = c;
-        i += 1;
-    }
-    let mut j = 1;
-    while j < 8 {
-        let mut i = 0;
-        while i < 256 {
-            t[j][i] = t[0][(t[j - 1][i] & 0xFF) as usize] ^ (t[j - 1][i] >> 8);
-            i += 1;
-        }
-        j += 1;
-    }
-    t
-};
-
-/// Streaming CRC32 accumulator.
-#[derive(Debug, Clone, Copy)]
-pub struct Crc32(u32);
-
-impl Crc32 {
-    pub fn new() -> Self {
-        Crc32(0xFFFF_FFFF)
-    }
-
-    pub fn update(&mut self, bytes: &[u8]) {
-        let mut c = self.0;
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            let lo = u32::from_le_bytes(chunk[0..4].try_into().unwrap()) ^ c;
-            let hi = u32::from_le_bytes(chunk[4..8].try_into().unwrap());
-            c = CRC_TABLES[7][(lo & 0xFF) as usize]
-                ^ CRC_TABLES[6][((lo >> 8) & 0xFF) as usize]
-                ^ CRC_TABLES[5][((lo >> 16) & 0xFF) as usize]
-                ^ CRC_TABLES[4][(lo >> 24) as usize]
-                ^ CRC_TABLES[3][(hi & 0xFF) as usize]
-                ^ CRC_TABLES[2][((hi >> 8) & 0xFF) as usize]
-                ^ CRC_TABLES[1][((hi >> 16) & 0xFF) as usize]
-                ^ CRC_TABLES[0][(hi >> 24) as usize];
-        }
-        for &b in chunks.remainder() {
-            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-        }
-        self.0 = c;
-    }
-
-    pub fn finish(self) -> u32 {
-        self.0 ^ 0xFFFF_FFFF
-    }
-}
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// CRC32 of a whole byte slice.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = Crc32::new();
-    c.update(bytes);
-    c.finish()
-}
 
 // ---------------------------------------------------------------------------
 // Section kinds
@@ -1090,37 +1009,6 @@ mod tests {
         assert!(err.contains("qsig") && err.contains("8-byte"), "{err}");
         assert!(view.as_records(0).is_err());
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn crc32_known_vector() {
-        // The canonical IEEE CRC-32 check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn crc32_sliced_path_matches_bytewise_reference() {
-        // Exercise the 8-byte fast path against a one-byte-at-a-time
-        // reference, across lengths that hit every remainder size and
-        // streaming splits that land mid-chunk.
-        let data: Vec<u8> = (0..1021u32)
-            .map(|i| (i.wrapping_mul(131) >> 3) as u8)
-            .collect();
-        for len in [0, 1, 7, 8, 9, 63, 64, 65, 1021] {
-            let slice = &data[..len];
-            let mut reference = 0xFFFF_FFFFu32;
-            for &b in slice {
-                reference =
-                    CRC_TABLES[0][((reference ^ b as u32) & 0xFF) as usize] ^ (reference >> 8);
-            }
-            assert_eq!(crc32(slice), reference ^ 0xFFFF_FFFF, "len {len}");
-            let mut streamed = Crc32::new();
-            let split = len / 3;
-            streamed.update(&slice[..split]);
-            streamed.update(&slice[split..]);
-            assert_eq!(streamed.finish(), crc32(slice), "split at {split} of {len}");
-        }
     }
 
     /// A fresh directory per test: tests run in parallel, and the

@@ -33,6 +33,9 @@
 //! 8. **A base holds an index** — a directory is not created over a
 //!    snapshot that predates the Index stage: the refusal names the
 //!    stage and leaves no manifest, nor the directory.
+//! 9. **A corrupt live file is refused on every flip** — one flipped
+//!    byte in the base, a segment or the manifest makes the load fail
+//!    naming the file, without a panic; restored, it serves as before.
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
@@ -592,6 +595,95 @@ fn a_base_that_predates_the_index_stage_is_refused_at_create() {
     let index = checkpoint_path(&ckpt, Stage::Index);
     IngestDir::create(&live, Some(&index)).expect("an Index checkpoint is a base");
     assert!(live.join(MANIFEST_FILE).exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `(offset, padded extent)` of every section in a snapshot container's
+/// bytes, read from its header and section table, and the table's own
+/// `(offset, length)`.
+fn section_extents(bytes: &[u8]) -> (Vec<(usize, usize)>, (usize, usize)) {
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+    let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+    let table = word(16);
+    let sections = (0..count)
+        .map(|i| {
+            let entry = table + 32 * i;
+            (word(entry + 8), (8 + word(entry + 16)).next_multiple_of(64))
+        })
+        .collect();
+    (sections, (table, 32 * count))
+}
+
+#[test]
+fn a_corrupt_live_file_is_refused_on_every_load_and_never_served() {
+    let dir = tmp_dir("corrupt-live");
+    let set = CorpusSpec {
+        source_bytes: 8 * 1024,
+        ..CorpusSpec::pubmed(128 * 1024, 29)
+    }
+    .generate();
+    let (base_sources, batches) = set.sources.split_at(set.sources.len() - 3);
+    let base = dir.join("base.isnap");
+    build_snapshot(
+        &SourceSet {
+            sources: base_sources.to_vec(),
+        },
+        &base,
+        1,
+    );
+    let live = dir.join("live");
+    let mut ing = IngestDir::create(&live, Some(&base)).expect("create");
+    for src in batches {
+        ing.append(src.clone()).expect("append");
+    }
+    let segment = live.join(&ing.manifest().segments[1].file);
+    drop(ing);
+    let state = load_live_state(&live).expect("pristine load");
+    let requests = build_requests(&state);
+    let want = bodies(&state, &requests);
+
+    let base_bytes = std::fs::read(&base).expect("read base");
+    let (sections, (table, table_len)) = section_extents(&base_bytes);
+    let &(largest, extent) = sections.iter().max_by_key(|s| s.1).expect("a section");
+    assert!(extent >= 4096, "the largest section is the kernel's bulk");
+    let seg_bytes = std::fs::read(&segment).expect("read segment");
+    let (seg_sections, _) = section_extents(&seg_bytes);
+    let &(seg_largest, seg_extent) = seg_sections.iter().max_by_key(|s| s.1).unwrap();
+    assert!(seg_extent >= 128, "the segment's largest section folds");
+    let manifest = live.join(MANIFEST_FILE);
+    let manifest_len = std::fs::metadata(&manifest).unwrap().len() as usize;
+    // The last byte of a section's padded extent sits in the kernel's
+    // final 64-byte block, and only the section's CRC covers it.
+    let flips: [(&str, &Path, usize); 7] = [
+        ("base header", &base, 16),
+        ("base largest section, middle", &base, largest + extent / 2),
+        ("base largest section, end", &base, largest + extent - 1),
+        ("base section table", &base, table + table_len / 2),
+        ("segment, middle", &segment, seg_bytes.len() / 2),
+        (
+            "segment largest section, end",
+            &segment,
+            seg_largest + seg_extent - 1,
+        ),
+        ("manifest", &manifest, manifest_len / 2),
+    ];
+    for (what, path, at) in flips {
+        let pristine = std::fs::read(path).expect("read");
+        let mut bad = pristine.clone();
+        bad[at] ^= 0xFF;
+        std::fs::write(path, &bad).expect("write corrupt copy");
+        let load = std::panic::catch_unwind(|| load_live_state(&live).err());
+        let err = match load {
+            Ok(Some(err)) => err.to_string(),
+            Ok(None) => panic!("{what}: byte {at} flipped, yet the directory loaded"),
+            Err(_) => panic!("{what}: byte {at} flipped, and the load panicked"),
+        };
+        let name = path.file_name().unwrap().to_string_lossy();
+        assert!(err.contains(&*name), "{what}: `{err}` does not name {name}");
+        std::fs::write(path, &pristine).expect("restore");
+        let state = load_live_state(&live).expect("restored load");
+        assert_eq!(bodies(&state, &requests), want, "{what}: restored bodies");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -5,6 +5,7 @@ use std::sync::Arc;
 use visual_analytics::engine::index::invert;
 use visual_analytics::engine::query;
 use visual_analytics::engine::scan::scan;
+use visual_analytics::engine::snapshot::corpus_fingerprint;
 use visual_analytics::prelude::*;
 
 fn run(sources: &SourceSet, p: usize) -> EngineRun {
@@ -200,4 +201,42 @@ fn newswire_parallel_matches_sequential() {
     for ((x1, y1), (x2, y2)) in cp.iter().zip(cs) {
         assert!((x1 - x2).abs() < 1e-6 && (y1 - y2).abs() < 1e-6);
     }
+}
+
+/// A checkpoint is reused only for the corpus fingerprint it was written
+/// for, and that fingerprint hashes each source's name: a name must not
+/// change with how the input directory is spelled or where it lives, or
+/// `--resume` under `./c` rebuilds every stage `c` checkpointed.
+#[test]
+fn source_names_and_fingerprint_ignore_how_the_input_path_is_spelled() {
+    let root = std::env::temp_dir().join(format!("va-spelling-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let dir = root.join("c");
+    let set = CorpusSpec {
+        source_bytes: 8 * 1024,
+        ..CorpusSpec::pubmed(32 * 1024, 5)
+    }
+    .generate();
+    let moved = root.join("elsewhere/copy");
+    for d in [&dir, &moved] {
+        corpus::load::write_dir(&set, d).unwrap();
+        std::fs::create_dir_all(d.join("nested")).unwrap();
+        std::fs::write(d.join("nested/part.txt"), &set.sources[0].data).unwrap();
+    }
+
+    let names = |s: &SourceSet| s.sources.iter().map(|s| s.name.clone()).collect::<Vec<_>>();
+    let plain = corpus::load::load_dir(&dir).unwrap();
+    assert_eq!(plain.sources.len(), set.sources.len() + 1);
+    assert!(names(&plain).contains(&"nested/part.txt".to_string()));
+    for spelling in [dir.join("."), dir.join("nested/.."), moved] {
+        let other = corpus::load::load_dir(&spelling).unwrap();
+        assert_eq!(names(&other), names(&plain), "{}", spelling.display());
+        assert_eq!(
+            corpus_fingerprint(&other),
+            corpus_fingerprint(&plain),
+            "{}",
+            spelling.display()
+        );
+    }
+    let _ = std::fs::remove_dir_all(&root);
 }
