@@ -43,10 +43,6 @@ pub trait SearchIndex {
     fn postings_into(&self, term: TermId, out: &mut Vec<Posting>) {
         self.postings_in(term, 0..DocId::MAX, out)
     }
-    /// Append only the postings with `doc >= min_doc`.
-    fn postings_from(&self, term: TermId, min_doc: DocId, out: &mut Vec<Posting>) {
-        self.postings_in(term, min_doc..DocId::MAX, out)
-    }
     /// Document frequency of `term`.
     fn df(&self, term: TermId) -> u32;
     /// Total documents in the collection.

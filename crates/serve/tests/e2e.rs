@@ -303,7 +303,7 @@ fn prometheus_exposition_negotiates_by_format_param() {
         200
     );
 
-    // Default stays JSON — the smoke tests byte-compare this shape.
+    // Default stays JSON — the CLI ≡ HTTP tests byte-compare this shape.
     let json = http::get(addr, "/metrics", TIMEOUT).unwrap();
     assert_eq!(json.header("content-type"), Some("application/json"));
     inspire_trace::json::parse(&json.body).expect("JSON metrics parse");
@@ -314,34 +314,20 @@ fn prometheus_exposition_negotiates_by_format_param() {
         prom.header("content-type"),
         Some("text/plain; version=0.0.4")
     );
-    for required in [
-        "serve_requests_total",
-        "serve_errors_total",
-        "serve_cache_hits_total",
-        "serve_cache_misses_total",
-        "serve_uptime_seconds",
-        "snapshot_generation",
-        "serve_search_seconds_count",
-        "serve_request_seconds_sum",
-    ] {
-        assert!(
-            prom.body.lines().any(|l| l.starts_with(required)),
-            "missing {required} in prom exposition:\n{}",
-            prom.body
-        );
-    }
-    // Every sample family carries a TYPE line.
-    for line in prom.body.lines().filter(|l| !l.starts_with('#')) {
-        let metric = line.split(['{', ' ']).next().unwrap();
-        let family = metric
-            .strip_suffix("_sum")
-            .or_else(|| metric.strip_suffix("_count"))
-            .unwrap_or(metric);
-        assert!(
-            prom.body.contains(&format!("# TYPE {family} ")),
-            "no TYPE for {metric}"
-        );
-    }
+    inspire_trace::metrics::validate_prometheus(
+        &prom.body,
+        &[
+            "serve_requests_total",
+            "serve_errors_total",
+            "serve_cache_hits_total",
+            "serve_cache_misses_total",
+            "serve_uptime_seconds",
+            "snapshot_generation",
+            "serve_search_seconds",
+            "serve_request_seconds",
+        ],
+    )
+    .unwrap_or_else(|e| panic!("{e} in prom exposition:\n{}", prom.body));
 
     server.shutdown();
     let _ = std::fs::remove_file(&path);

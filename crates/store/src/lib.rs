@@ -393,13 +393,15 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Open and fully validate a snapshot file.
+    /// Open and fully validate a snapshot file. Every error names
+    /// `path`; a failed read keeps its [`io::ErrorKind`].
     pub fn open(path: &Path) -> io::Result<Snapshot> {
-        let mut f = std::fs::File::open(path)?;
-        let file_len = f.metadata()?.len() as usize;
+        let named = |e: io::Error| io::Error::new(e.kind(), format!("{}: {e}", path.display()));
+        let mut f = std::fs::File::open(path).map_err(named)?;
+        let file_len = f.metadata().map_err(named)?.len() as usize;
         let mut buf = vec![0u64; file_len.div_ceil(8)];
-        f.read_exact(&mut as_bytes_mut(&mut buf)[..file_len])?;
-        if f.read(&mut [0u8; 1])? != 0 {
+        (f.read_exact(&mut as_bytes_mut(&mut buf)[..file_len])).map_err(named)?;
+        if f.read(&mut [0u8; 1]).map_err(named)? != 0 {
             return Err(bad(format!("{}: file grew while reading", path.display())));
         }
         Self::validate(buf, file_len, path.display().to_string())

@@ -403,6 +403,104 @@ impl Registry {
     }
 }
 
+/// What [`validate_prometheus`] learned about a well-formed scrape.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct PromSummary {
+    /// Families declared by a `# TYPE` line.
+    pub families: usize,
+    /// Sample lines.
+    pub samples: usize,
+}
+
+/// One summary family's samples: `(quantile, value)` lines, `_sum`, `_count`.
+type SummarySamples = (Vec<(f64, f64)>, Option<f64>, Option<f64>);
+
+/// Parse `text` as a Prometheus text exposition (format 0.0.4) and check
+/// what [`Registry::to_prometheus`] and the server's counters promise:
+/// every sample line is `name value` with a numeric value and belongs to
+/// a family declared by an earlier `# TYPE` line (`_sum`/`_count` belong
+/// to the family they extend); every `summary` has monotone quantiles
+/// and a `_sum`/`_count` pair whose sum is 0 exactly when its count is;
+/// and every family named in `required` has samples.
+pub fn validate_prometheus(text: &str, required: &[&str]) -> Result<PromSummary, String> {
+    let mut types: BTreeMap<&str, &str> = BTreeMap::new();
+    let mut sampled: std::collections::BTreeSet<&str> = Default::default();
+    let mut summaries: BTreeMap<&str, SummarySamples> = BTreeMap::new();
+    let mut samples = 0;
+    for (i, line) in text.lines().enumerate().map(|(i, l)| (i + 1, l.trim())) {
+        if line.is_empty() {
+            continue;
+        }
+        if let Some(comment) = line.strip_prefix('#') {
+            if let ["TYPE", family, kind, ..] = comment.split_whitespace().collect::<Vec<_>>()[..] {
+                types.insert(family, kind);
+            }
+            continue;
+        }
+        let [metric, raw] = line.split_whitespace().collect::<Vec<_>>()[..] else {
+            return Err(format!("line {i}: expected `name value`, got {line:?}"));
+        };
+        let value: f64 =
+            (raw.parse()).map_err(|_| format!("line {i}: bad sample value {raw:?}"))?;
+        let (name, labels) = match metric.split_once('{') {
+            Some((name, labels)) => (name, labels.strip_suffix('}').unwrap_or(labels)),
+            None => (metric, ""),
+        };
+        let quantile = (labels.split(','))
+            .find_map(|l| l.strip_prefix("quantile="))
+            .map(|q| q.trim_matches('"'));
+        let (family, suffix) = ["_sum", "_count"]
+            .iter()
+            .find_map(|s| Some((name.strip_suffix(s)?, *s)))
+            .filter(|(base, _)| types.contains_key(base))
+            .unwrap_or((name, ""));
+        let Some(&kind) = types.get(family) else {
+            return Err(format!("line {i}: family {family} has no # TYPE line"));
+        };
+        samples += 1;
+        sampled.insert(family);
+        if kind != "summary" {
+            continue;
+        }
+        let entry = summaries.entry(family).or_default();
+        match (suffix, quantile) {
+            ("_sum", _) => entry.1 = Some(value),
+            ("_count", _) => entry.2 = Some(value),
+            (_, Some(q)) => {
+                let q = (q.parse()).map_err(|_| format!("line {i}: bad quantile {q:?}"))?;
+                entry.0.push((q, value));
+            }
+            _ => {}
+        }
+    }
+    if samples == 0 {
+        return Err("no samples in the scrape".into());
+    }
+    for family in required {
+        if !sampled.contains(family) {
+            return Err(format!("required family {family} is missing"));
+        }
+    }
+    for (family, (mut quantiles, sum, count)) in summaries {
+        quantiles.sort_by(|a, b| a.0.total_cmp(&b.0));
+        if quantiles.windows(2).any(|w| w[1].1 < w[0].1) {
+            return Err(format!(
+                "family {family}: quantiles not monotone: {quantiles:?}"
+            ));
+        }
+        let (Some(sum), Some(count)) = (sum, count) else {
+            return Err(format!("family {family}: missing {family}_sum or _count"));
+        };
+        if (count == 0.0) != (sum == 0.0) || sum < 0.0 {
+            return Err(format!("family {family}: count {count} but sum {sum}"));
+        }
+    }
+    Ok(PromSummary {
+        families: types.len(),
+        samples,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -547,18 +645,79 @@ mod tests {
             .unwrap();
         let v: f64 = sum_line.split_whitespace().nth(1).unwrap().parse().unwrap();
         assert!((v - 0.00505).abs() < 1e-9, "sum {v}");
-        // Every sample line's metric family has a TYPE header.
-        for line in text.lines().filter(|l| !l.starts_with('#')) {
-            let metric = line.split(['{', ' ']).next().unwrap();
-            let family = metric
-                .strip_suffix("_sum")
-                .or_else(|| metric.strip_suffix("_count"))
-                .unwrap_or(metric);
-            assert!(
-                text.contains(&format!("# TYPE {family} ")),
-                "no TYPE for {metric}"
-            );
+        let summary = validate_prometheus(&text, &["serve_term_seconds"]).unwrap();
+        assert_eq!(
+            summary,
+            PromSummary {
+                families: 1,
+                samples: 5
+            }
+        );
+    }
+
+    /// A scrape that passes, and each way of breaking it by hand: the
+    /// validator names what is wrong.
+    #[test]
+    fn prometheus_validator_refuses_hand_broken_scrapes() {
+        let mut r = Registry::new();
+        r.observe("seal_latency_seconds", std::time::Duration::from_millis(3));
+        r.observe("seal_latency_seconds", std::time::Duration::from_millis(9));
+        r.ensure("compaction_duration_seconds");
+        let good = format!(
+            "# TYPE serve_requests_total counter\nserve_requests_total 7\n{}",
+            r.to_prometheus()
+        );
+        let required = ["serve_requests_total", "seal_latency_seconds"];
+        assert_eq!(
+            validate_prometheus(&good, &required),
+            Ok(PromSummary {
+                families: 3,
+                samples: 11
+            })
+        );
+        let p99 = good
+            .lines()
+            .find(|l| l.starts_with("seal_latency_seconds{quantile=\"0.99\"}"))
+            .unwrap();
+        let broken = [
+            (
+                good.replace("# TYPE seal_latency_seconds summary\n", ""),
+                "family seal_latency_seconds has no # TYPE line",
+            ),
+            (
+                good.replace(p99, "seal_latency_seconds{quantile=\"0.99\"} 0.000001"),
+                "quantiles not monotone",
+            ),
+            (
+                good.replace("seal_latency_seconds_count 2\n", ""),
+                "missing seal_latency_seconds_sum or _count",
+            ),
+            (
+                good.replace(
+                    "compaction_duration_seconds_count 0",
+                    "compaction_duration_seconds_count 1",
+                ),
+                "count 1 but sum 0",
+            ),
+            (
+                good.replace("serve_requests_total 7", "serve_requests_total seven"),
+                "bad sample value \"seven\"",
+            ),
+            (
+                good.replace(
+                    "serve_requests_total 7",
+                    "serve_requests_total 7 1700000000",
+                ),
+                "expected `name value`",
+            ),
+            (String::new(), "no samples"),
+        ];
+        for (text, want) in &broken {
+            let err = validate_prometheus(text, &[]).expect_err(want);
+            assert!(err.contains(want), "{want:?}: {err}");
         }
+        let err = validate_prometheus(&good, &["snapshot_generation"]).unwrap_err();
+        assert!(err.contains("required family snapshot_generation"), "{err}");
     }
 
     #[test]

@@ -3,8 +3,6 @@
 //! is refused by both CLI modes, with the server's message, and a
 //! request it answers gets the served body byte for byte.
 
-use std::path::PathBuf;
-use std::process::Command;
 use std::sync::Arc;
 use std::time::Duration;
 use visual_analytics::corpus::{FormatKind, Source};
@@ -16,29 +14,23 @@ use visual_analytics::serve::{
     execute, http, load_live_state, ServeConfig, ServeRequest, ServeState, Server,
 };
 
-fn build_snapshot(name: &str) -> PathBuf {
-    let path = std::env::temp_dir().join(format!("va-cli-{name}-{}.isnap", std::process::id()));
+mod common;
+use common::{build_snapshot, query_json, refusal, Scratch};
+
+/// `engine.isnap` in `dir`: a 128 KiB PubMed corpus built at P=2.
+fn engine_snapshot(dir: &Scratch) {
     let src = CorpusSpec::pubmed(128 * 1024, 37).generate();
-    let cfg = EngineConfig {
-        snapshot_out: Some(path.clone()),
-        ..EngineConfig::for_testing()
-    };
-    run_engine(2, Arc::new(CostModel::zero()), &src, &cfg);
-    path
+    build_snapshot(&src, &dir.join("engine.isnap"), 2);
 }
 
-/// Exit status and the `query failed:` line of one CLI query.
-fn query(snapshot: &PathBuf, args: &[&str]) -> (Option<i32>, String) {
-    let out = Command::new(env!("CARGO_BIN_EXE_vaengine"))
-        .arg("query")
-        .arg("--snapshot")
-        .arg(snapshot)
-        .args(args)
-        .output()
-        .expect("run vaengine");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    let failed = stderr.lines().filter(|l| l.starts_with("query failed"));
-    (out.status.code(), failed.collect::<Vec<_>>().join("\n"))
+/// A one-worker server over `state` on an ephemeral port.
+fn start(state: &Arc<ServeState>) -> Server {
+    let cfg = ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        ..ServeConfig::default()
+    };
+    Server::start(Arc::clone(state), &cfg).unwrap()
 }
 
 /// The message `ServeRequest::parse` refuses `route?params` with.
@@ -54,7 +46,8 @@ fn parse_refusal(route: &str, params: &[(&str, &str)]) -> String {
 
 #[test]
 fn refused_queries_fail_alike_in_both_output_modes() {
-    let snapshot = build_snapshot("query");
+    let dir = Scratch::new("cli-query");
+    engine_snapshot(&dir);
     let refused_at_execute = [
         (
             &["--cluster", "999"][..],
@@ -85,27 +78,17 @@ fn refused_queries_fail_alike_in_both_output_modes() {
         ),
         (&["--search", ""], parse_refusal("/search", &[("q", "")])),
     ];
-    // The `query failed:` line both modes print, once they agree on it
-    // and on the exit status.
-    let fails_alike = |args: &[&str]| {
-        let human = query(&snapshot, args);
-        let json = query(&snapshot, &[args, &["--json"]].concat());
-        assert_eq!(human, json, "{args:?}: the two modes disagree");
-        assert_eq!(human.0, Some(1), "{args:?} must fail");
-        human.1
-    };
     for (args, message) in refused_at_execute {
-        let failed = fails_alike(args);
+        let failed = refusal(&dir, args);
         assert!(failed.contains(&message), "{args:?}: {failed:?}");
     }
     for (args, message) in refused_at_parse {
         assert_eq!(
-            fails_alike(args),
+            refusal(&dir, args),
             format!("query failed: {message}"),
             "{args:?}"
         );
     }
-    let _ = std::fs::remove_file(&snapshot);
 }
 
 /// A record of words no generated corpus holds: none of them can be a
@@ -124,17 +107,11 @@ fn offbeat(name: &str, words: &str) -> Source {
 /// no candidate counted, and the CLI prints the served body.
 #[test]
 fn null_signature_documents_are_similar_to_nothing() {
-    let dir = std::env::temp_dir().join(format!("va-cli-null-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = Scratch::new("cli-null");
     let mut set = CorpusSpec::pubmed(128 * 1024, 37).generate();
     set.sources.push(offbeat("offbeat-base", "qqxv zzwk jjqy"));
     let base = dir.join("base.isnap");
-    let cfg = EngineConfig {
-        snapshot_out: Some(base.clone()),
-        ..EngineConfig::for_testing()
-    };
-    run_engine(2, Arc::new(CostModel::zero()), &set, &cfg);
+    build_snapshot(&set, &base, 2);
     let live = dir.join("live");
     let mut ing = IngestDir::create(&live, Some(&base)).unwrap();
     ing.append(offbeat("offbeat-live", "vvqk xxjz")).unwrap();
@@ -149,12 +126,7 @@ fn null_signature_documents_are_similar_to_nothing() {
     let live_doc = base_docs;
     assert!(null(live_doc), "the live document's signature is not null");
 
-    let cfg = ServeConfig {
-        addr: "127.0.0.1:0".to_string(),
-        workers: 1,
-        ..ServeConfig::default()
-    };
-    let server = Server::start(Arc::clone(&state), &cfg).unwrap();
+    let server = start(&state);
     for doc in [base_doc, live_doc] {
         let target = format!("/similar?doc={doc}");
         let served = http::get(server.local_addr(), &target, Duration::from_secs(10)).unwrap();
@@ -164,21 +136,13 @@ fn null_signature_documents_are_similar_to_nothing() {
             "{target}: {}",
             served.body
         );
-        let cli = Command::new(env!("CARGO_BIN_EXE_vaengine"))
-            .args(["query", "--ingest-dir"])
-            .arg(&live)
-            .args(["--similar", &doc.to_string(), "--json"])
-            .output()
-            .expect("run vaengine");
-        assert!(cli.status.success(), "{target}: the CLI failed");
-        assert_eq!(
-            String::from_utf8_lossy(&cli.stdout),
-            served.body,
-            "{target}"
+        let cli = query_json(
+            &dir,
+            &["--ingest-dir", "live", "--similar", &doc.to_string()],
         );
+        assert_eq!(cli, served.body, "{target}");
     }
     server.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Every number that follows `"key":` in a JSON body, in order.
@@ -198,17 +162,11 @@ fn numbers(body: &str, key: &str) -> Vec<u64> {
 /// is listed, and the CLI prints the served body.
 #[test]
 fn cluster_and_rect_leave_out_deleted_documents() {
-    let dir = std::env::temp_dir().join(format!("va-cli-tomb-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = Scratch::new("cli-tomb");
     let mut set = CorpusSpec::pubmed(128 * 1024, 37).generate();
     let batch = set.sources.pop().unwrap();
     let base = dir.join("base.isnap");
-    let cfg = EngineConfig {
-        snapshot_out: Some(base.clone()),
-        ..EngineConfig::for_testing()
-    };
-    run_engine(2, Arc::new(CostModel::zero()), &set, &cfg);
+    build_snapshot(&set, &base, 2);
     let live = dir.join("live");
     let mut ing = IngestDir::create(&live, Some(&base)).unwrap();
     ing.append(batch).unwrap();
@@ -219,12 +177,7 @@ fn cluster_and_rect_leave_out_deleted_documents() {
     let state = Arc::new(load_live_state(&live).unwrap());
     let before = ServeState::load(&base).unwrap();
     let cluster = state.assignments.as_ref().unwrap()[0].to_string();
-    let cfg = ServeConfig {
-        addr: "127.0.0.1:0".to_string(),
-        workers: 1,
-        ..ServeConfig::default()
-    };
-    let server = Server::start(Arc::clone(&state), &cfg).unwrap();
+    let server = start(&state);
     let whole = "-1e300,-1e300,1e300,1e300";
     let cases = [
         (
@@ -254,22 +207,13 @@ fn cluster_and_rect_leave_out_deleted_documents() {
         assert_eq!(numbers(&served.body, "doc"), want, "{target}");
         assert_eq!(numbers(&served.body, count), [want.len() as u64]);
 
-        let cli = Command::new(env!("CARGO_BIN_EXE_vaengine"))
-            .args(["query", "--ingest-dir"])
-            .arg(&live)
-            .args([flag, value])
-            .args(["--top", "10000", "--json"])
-            .output()
-            .expect("run vaengine");
-        assert!(cli.status.success(), "{target}: the CLI failed");
-        assert_eq!(
-            String::from_utf8_lossy(&cli.stdout),
-            served.body,
-            "{target}"
+        let cli = query_json(
+            &dir,
+            &["--ingest-dir", "live", flag, value, "--top", "10000"],
         );
+        assert_eq!(cli, served.body, "{target}");
     }
     server.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// ROADMAP 5(c)'s fully deleted term end to end, on an ingest
@@ -281,17 +225,11 @@ fn cluster_and_rect_leave_out_deleted_documents() {
 /// before and after compaction, and the CLI prints the served body.
 #[test]
 fn a_term_whose_every_document_is_deleted_matches_nothing() {
-    let dir = std::env::temp_dir().join(format!("va-cli-gone-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = Scratch::new("cli-gone");
     let mut set = CorpusSpec::pubmed(128 * 1024, 37).generate();
     let batches = set.sources.split_off(set.sources.len() - 3);
     let base = dir.join("base.isnap");
-    let cfg = EngineConfig {
-        snapshot_out: Some(base.clone()),
-        ..EngineConfig::for_testing()
-    };
-    run_engine(2, Arc::new(CostModel::zero()), &set, &cfg);
+    build_snapshot(&set, &base, 2);
     let live = dir.join("live");
     let mut ing = IngestDir::create(&live, Some(&base)).unwrap();
     for b in batches {
@@ -354,12 +292,7 @@ fn a_term_whose_every_document_is_deleted_matches_nothing() {
             df,
             "df counts the deleted"
         );
-        let cfg = ServeConfig {
-            addr: "127.0.0.1:0".to_string(),
-            workers: 1,
-            ..ServeConfig::default()
-        };
-        let server = Server::start(Arc::clone(&state), &cfg).unwrap();
+        let server = start(&state);
         let mut bodies = Vec::new();
         for (route, key, flag, value) in cases {
             let params = [(key.to_string(), value.to_string())];
@@ -368,14 +301,8 @@ fn a_term_whose_every_document_is_deleted_matches_nothing() {
             let target = format!("{route}?{key}={}", value.replace(' ', "%20"));
             let got = http::get(server.local_addr(), &target, Duration::from_secs(10)).unwrap();
             assert_eq!((got.status, got.body.as_str()), (200, served.as_str()));
-            let cli = Command::new(env!("CARGO_BIN_EXE_vaengine"))
-                .args(["query", "--ingest-dir"])
-                .arg(&live)
-                .args([flag, value, "--json"])
-                .output()
-                .expect("run vaengine");
-            assert!(cli.status.success(), "{target}: the CLI failed");
-            assert_eq!(String::from_utf8_lossy(&cli.stdout), served, "{target}");
+            let cli = query_json(&dir, &["--ingest-dir", "live", flag, value]);
+            assert_eq!(cli, served, "{target}");
             bodies.push(served);
         }
         server.shutdown();
@@ -400,7 +327,6 @@ fn a_term_whose_every_document_is_deleted_matches_nothing() {
         passes.push(bodies);
     }
     assert_eq!(passes[0], passes[1], "compaction changed a body");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Text that tokenizes alike but reads differently is a different
@@ -411,8 +337,9 @@ fn a_term_whose_every_document_is_deleted_matches_nothing() {
 /// `execute` and the CLI's `--json` body.
 #[test]
 fn text_that_tokenizes_alike_is_not_served_from_its_twin() {
-    let snapshot = build_snapshot("twins");
-    let state = Arc::new(ServeState::load(&snapshot).unwrap());
+    let dir = Scratch::new("cli-twins");
+    engine_snapshot(&dir);
+    let state = Arc::new(ServeState::load(&dir.join("engine.isnap")).unwrap());
     // A cluster label is made of major terms, so its words find
     // documents by search and land in signature space.
     let label = &state.cluster_labels[0];
@@ -421,12 +348,7 @@ fn text_that_tokenizes_alike_is_not_served_from_its_twin() {
         format!("{} {b}", a.to_ascii_uppercase()),
         format!("{a},{b}"),
     );
-    let cfg = ServeConfig {
-        addr: "127.0.0.1:0".to_string(),
-        workers: 1,
-        ..ServeConfig::default()
-    };
-    let server = Server::start(Arc::clone(&state), &cfg).unwrap();
+    let server = start(&state);
     for (route, key, flag) in [
         ("/search", "q", "--search"),
         ("/similar", "text", "--similar-text"),
@@ -445,16 +367,9 @@ fn text_that_tokenizes_alike_is_not_served_from_its_twin() {
                 (200, want.as_str()),
                 "{target}"
             );
-            let cli = Command::new(env!("CARGO_BIN_EXE_vaengine"))
-                .args(["query", "--snapshot"])
-                .arg(&snapshot)
-                .args([flag, text, "--json"])
-                .output()
-                .expect("run vaengine");
-            assert!(cli.status.success(), "{target}: the CLI failed");
-            assert_eq!(String::from_utf8_lossy(&cli.stdout), want, "{target}");
+            let cli = query_json(&dir, &["--snapshot", "engine.isnap", flag, text]);
+            assert_eq!(cli, want, "{target}");
         }
     }
     server.shutdown();
-    let _ = std::fs::remove_file(&snapshot);
 }

@@ -54,25 +54,8 @@ use visual_analytics::perfmodel::CostModel;
 use visual_analytics::prelude::{CorpusSpec, SourceSet};
 use visual_analytics::serve::{execute, load_live_state, ServeRequest, ServeState};
 
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("va-ingest-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create test dir");
-    dir
-}
-
-/// Full pipeline at processor count `procs` with `snapshot_out` set.
-fn build_snapshot(set: &SourceSet, out: &Path, procs: usize) {
-    let cfg = EngineConfig {
-        snapshot_out: Some(out.to_path_buf()),
-        ..EngineConfig::for_testing()
-    };
-    let run = run_engine(procs, Arc::new(CostModel::zero()), set, &cfg);
-    assert!(
-        run.master().snapshot_report.is_some(),
-        "snapshot write failed"
-    );
-}
+mod common;
+use common::{build_snapshot, copy_dir, Scratch};
 
 /// Mixed term/boolean/search requests over the state's vocabulary.
 fn build_requests(state: &ServeState) -> Vec<ServeRequest> {
@@ -139,15 +122,6 @@ fn files(dir: &Path) -> Vec<(String, Vec<u8>)> {
     out
 }
 
-/// Replace `to` with a copy of `from`'s files.
-fn copy_dir(from: &Path, to: &Path) {
-    let _ = std::fs::remove_dir_all(to);
-    std::fs::create_dir_all(to).expect("create copy");
-    for (name, bytes) in files(from) {
-        std::fs::write(to.join(name), bytes).expect("write copy");
-    }
-}
-
 /// The two files one commit publishes, in order: its segment, then the
 /// manifest that names it.
 struct Commit {
@@ -208,7 +182,7 @@ impl Commit {
 /// the next open lands on exactly one side of it.
 #[test]
 fn every_crash_state_of_a_commit_opens_to_one_side_of_it() {
-    let dir = tmp_dir("sweep");
+    let dir = Scratch::new("sweep");
     let base_set = SourceSet {
         sources: vec![
             medline(
@@ -274,7 +248,6 @@ fn every_crash_state_of_a_commit_opens_to_one_side_of_it() {
     assert_eq!(ing.total_docs(), post_state.total_docs());
     let state = load_live_state(&trial).expect("view");
     assert_eq!(answers(&state, &requests), post);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Contract 1's previous layout: a directory whose manifest is
@@ -286,7 +259,7 @@ fn every_crash_state_of_a_commit_opens_to_one_side_of_it() {
 /// are unchanged.
 #[test]
 fn a_previous_layout_directory_is_refused_until_migrated() {
-    let dir = tmp_dir("migrate");
+    let dir = Scratch::new("migrate");
     let set = CorpusSpec::pubmed(64 * 1024, 13).generate();
     let half = set.sources.len() / 2;
     let base_path = dir.join("base.isnap");
@@ -360,7 +333,6 @@ fn a_previous_layout_directory_is_refused_until_migrated() {
         want
     );
     assert!(!migrate_dir(&live).expect("already current"));
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Contract 1 at the CLI: `vaengine ingest` on a directory holding a
@@ -369,7 +341,7 @@ fn a_previous_layout_directory_is_refused_until_migrated() {
 /// 1, naming the reason, on a directory that is not an ingest one.
 #[test]
 fn cli_reports_removed_strays_and_current_layouts() {
-    let dir = tmp_dir("cli");
+    let dir = Scratch::new("cli");
     let live = dir.join("live");
     let mut ing = IngestDir::create(&live, None).expect("create");
     ing.append(medline("a", "TI  - alpha beta\nAB  - alpha words\n\n"))
@@ -377,32 +349,24 @@ fn cli_reports_removed_strays_and_current_layouts() {
     drop(ing);
     let killed = Commit::of(&live, &medline("b", "TI  - gamma delta\n\n"));
     assert_eq!(killed.plant(&live, 2, 7), 2);
-    let run = |args: &[&str]| {
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_vaengine"))
-            .args(args)
-            .output()
-            .expect("run vaengine");
-        let text = |b: Vec<u8>| String::from_utf8_lossy(&b).into_owned();
-        (out.status.code(), text(out.stdout), text(out.stderr))
-    };
-    let live = live.to_str().expect("UTF-8 path");
-    let (code, out, err) = run(&["ingest", "--dir", live]);
-    assert_eq!(code, Some(0), "{err}");
+    let out = dir.vaengine(&["ingest", "--dir", "live"]).ok().stdout;
     assert!(out.contains("recovered: 2 strays removed"), "{out}");
-    let (code, out, err) = run(&["migrate", "--dir", live]);
-    assert_eq!(code, Some(0), "{err}");
+    let out = dir.vaengine(&["migrate", "--dir", "live"]).ok().stdout;
     assert!(out.contains("already current"), "{out}");
-    let (code, _, err) = run(&["migrate", "--dir", dir.to_str().unwrap()]);
-    assert_eq!(code, Some(1));
-    assert!(err.contains("not an ingest directory"), "{err}");
-    let _ = std::fs::remove_dir_all(&dir);
+    let refused = dir.vaengine(&["migrate", "--dir", "."]);
+    assert_eq!(refused.code, Some(1));
+    assert!(
+        refused.stderr.contains("not an ingest directory"),
+        "{}",
+        refused.stderr
+    );
 }
 
 /// Contracts 2 and 3: the flagship kill-mid-ingest scenario, then
 /// compaction on top of it.
 #[test]
 fn killed_ingest_replays_to_clean_rebuild_bodies() {
-    let dir = tmp_dir("kill");
+    let dir = Scratch::new("kill");
     let set = CorpusSpec::pubmed(96 * 1024, 11).generate();
     let n = set.sources.len();
     assert!(n >= 8, "need at least 8 sources, got {n}");
@@ -476,14 +440,13 @@ fn killed_ingest_replays_to_clean_rebuild_bodies() {
     let ing = IngestDir::open(&live).expect("stray cleanup open");
     assert_eq!(ing.recovery.removed_strays, 2);
     assert!(!live.join("seg-999999.iseg").exists());
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Contract 2 without any crash: plain incremental ingestion equals the
 /// full rebuild, at P=1 and P=4.
 #[test]
 fn merge_on_read_matches_full_rebuild() {
-    let dir = tmp_dir("merge");
+    let dir = Scratch::new("merge");
     let set = CorpusSpec::pubmed(96 * 1024, 23).generate();
     let half = set.sources.len() / 2;
     let base_set = SourceSet {
@@ -511,14 +474,13 @@ fn merge_on_read_matches_full_rebuild() {
             "merged view diverged from the P={procs} rebuild"
         );
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Contract 4: tombstoned documents disappear from enumeration while
 /// stats keep LSM semantics, before and after compaction.
 #[test]
 fn tombstones_hide_deleted_docs_across_compaction() {
-    let dir = tmp_dir("tomb");
+    let dir = Scratch::new("tomb");
     let base_set = SourceSet {
         sources: vec![
             medline(
@@ -569,7 +531,6 @@ fn tombstones_hide_deleted_docs_across_compaction() {
         assert_eq!(after.df(topic), df_before);
         assert_eq!(after.total_docs(), total_before);
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Contract 8: a Scan checkpoint holds no inverted index, so no
@@ -578,7 +539,7 @@ fn tombstones_hide_deleted_docs_across_compaction() {
 /// checkpoint of the same run is a base.
 #[test]
 fn a_base_that_predates_the_index_stage_is_refused_at_create() {
-    let dir = tmp_dir("scan-base");
+    let dir = Scratch::new("scan-base");
     let ckpt = dir.join("ckpt");
     let cfg = EngineConfig {
         checkpoint_dir: Some(ckpt.clone()),
@@ -595,7 +556,6 @@ fn a_base_that_predates_the_index_stage_is_refused_at_create() {
     let index = checkpoint_path(&ckpt, Stage::Index);
     IngestDir::create(&live, Some(&index)).expect("an Index checkpoint is a base");
     assert!(live.join(MANIFEST_FILE).exists());
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `(offset, padded extent)` of every section in a snapshot container's
@@ -616,7 +576,7 @@ fn section_extents(bytes: &[u8]) -> (Vec<(usize, usize)>, (usize, usize)) {
 
 #[test]
 fn a_corrupt_live_file_is_refused_on_every_load_and_never_served() {
-    let dir = tmp_dir("corrupt-live");
+    let dir = Scratch::new("corrupt-live");
     let set = CorpusSpec {
         source_bytes: 8 * 1024,
         ..CorpusSpec::pubmed(128 * 1024, 29)
@@ -684,7 +644,6 @@ fn a_corrupt_live_file_is_refused_on_every_load_and_never_served() {
         let state = load_live_state(&live).expect("restored load");
         assert_eq!(bodies(&state, &requests), want, "{what}: restored bodies");
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The signature stage's rule applied to `sources` record by record:
@@ -721,7 +680,7 @@ fn rule_signatures(sources: &[corpus::Source], snap: &EngineSnapshot) -> Vec<Vec
 /// after compaction.
 #[test]
 fn live_signatures_follow_the_signature_stage_rule() {
-    let dir = tmp_dir("livesig");
+    let dir = Scratch::new("livesig");
     let set = CorpusSpec {
         source_bytes: 8 * 1024,
         ..CorpusSpec::pubmed(256 * 1024, 31)
@@ -761,7 +720,6 @@ fn live_signatures_follow_the_signature_stage_rule() {
             );
         }
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Contract 6: segment files swapped on disk disagree with the
@@ -769,7 +727,7 @@ fn live_signatures_follow_the_signature_stage_rule() {
 /// segment, and leave every input and the manifest as it found them.
 #[test]
 fn compaction_refuses_segments_that_disagree_with_the_manifest() {
-    let dir = tmp_dir("swap");
+    let dir = Scratch::new("swap");
     let mut ing = IngestDir::create(&dir, None).expect("create");
     for (name, text) in [
         ("a", "TI  - alpha beta\nAB  - gamma words\n\n"),
@@ -799,7 +757,6 @@ fn compaction_refuses_segments_that_disagree_with_the_manifest() {
     assert_eq!(std::fs::read(dir.join(MANIFEST_FILE)).unwrap(), manifest);
     let m = Manifest::load(&dir).expect("the manifest still loads");
     assert_eq!(m.expect("present").segments.len(), 3);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// SplitMix64: the interleaving test's only source of randomness, so a
@@ -894,7 +851,7 @@ fn regression_seeds() -> Vec<u64> {
 #[test]
 fn random_interleavings_serve_identical_bodies() {
     const STEPS: usize = 40;
-    let root = tmp_dir("interleave");
+    let root = Scratch::new("interleave");
     let set = CorpusSpec {
         source_bytes: 2 * 1024,
         ..CorpusSpec::pubmed(96 * 1024, 31)
@@ -1017,5 +974,4 @@ fn random_interleavings_serve_identical_bodies() {
         std::fs::remove_dir_all(&subject).ok();
         std::fs::remove_dir_all(&twin).ok();
     }
-    let _ = std::fs::remove_dir_all(&root);
 }

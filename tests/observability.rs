@@ -7,6 +7,9 @@ use std::sync::Arc;
 use visual_analytics::engine::build_run_report;
 use visual_analytics::prelude::*;
 
+mod common;
+use common::check_run_report;
+
 fn run_traced(src: &SourceSet, nprocs: usize, trace: bool) -> EngineRun {
     let cfg = EngineConfig {
         trace,
@@ -75,41 +78,5 @@ fn run_report_json_has_required_keys() {
     let src = CorpusSpec::pubmed(192 * 1024, 33).generate();
     let run = run_traced(&src, 4, false);
     let report = build_run_report("observability-test", &run.run, 0.25);
-    let doc = inspire_trace::json::parse(&report.to_json()).expect("report JSON parses");
-    for key in [
-        "title",
-        "meta",
-        "virtual_time_s",
-        "wall_time_s",
-        "critical_path_s",
-        "critical_path_stage",
-        "max_imbalance_pct",
-        "stages",
-        "comm",
-        "queries",
-    ] {
-        assert!(doc.get(key).is_some(), "report missing {key}");
-    }
-    let stages = doc.get("stages").unwrap().as_arr().unwrap();
-    assert_eq!(stages.len(), Component::ALL.len());
-    for row in stages {
-        for key in [
-            "name",
-            "virt_max_s",
-            "busy_max_s",
-            "wall_max_s",
-            "wait_max_s",
-            "imbalance_pct",
-            "wait_share_pct",
-            "critical_share_pct",
-        ] {
-            assert!(row.get(key).is_some(), "stage row missing {key}");
-        }
-    }
-    // Virtual stage times are deterministic model quantities, so they
-    // must match the run's own component accounting exactly.
-    assert!(doc.get("virtual_time_s").unwrap().as_f64().unwrap() > 0.0);
-    let comm = doc.get("comm").unwrap();
-    assert!(comm.get("messages").unwrap().as_f64().unwrap() > 0.0);
-    assert!(comm.get("bytes").unwrap().as_f64().unwrap() > 0.0);
+    check_run_report(&inspire_trace::json::parse(&report.to_json()).expect("report JSON parses"));
 }
