@@ -13,7 +13,8 @@
 //! repro all         # everything above
 //! ```
 //!
-//! Add `--quick` for a reduced sweep (smaller corpora, P ≤ 8).
+//! Add `--quick` for a reduced sweep (smaller corpora, P ≤ 8); any
+//! other argument, or a second figure, exits 2.
 //! CSV files land in `./results/`.
 
 use inspire_bench::*;
@@ -23,14 +24,37 @@ use perfmodel::CostModel;
 use spmd::Component;
 use std::sync::Arc;
 
+/// Every figure `repro` can regenerate; `all` runs each of the others.
+const FIGURES: [&str; 12] = [
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "fig9",
+    "ablate-balancing",
+    "ablate-chunk",
+    "ablate-dims",
+    "ablate-network",
+    "ablate-io",
+    "ablate-clustering",
+    "all",
+];
+
+/// `repro [--quick] <figure>`: any other argument, a second figure or
+/// none exits 2.
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let cmd = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .map(|s| s.as_str())
-        .unwrap_or("all");
+    let (mut quick, mut figure) = (false, None);
+    for arg in &args {
+        match arg.as_str() {
+            "--quick" if !quick => quick = true,
+            name if figure.is_none() && FIGURES.contains(&name) => figure = Some(name),
+            other => usage(&format!("unexpected argument {other:?}")),
+        }
+    }
+    let Some(cmd) = figure else {
+        usage("name one figure")
+    };
 
     // Figures 5-8 are views over one sweep; compute it once and share.
     // `fig5.csv` holds it; figures 6-8 print their tables from it.
@@ -65,12 +89,13 @@ fn main() {
             ablate_io(quick);
             ablate_clustering(quick);
         }
-        other => {
-            eprintln!("unknown figure: {other}");
-            eprintln!("figures: fig5 fig6 fig7 fig8 fig9 ablate-balancing ablate-chunk ablate-dims ablate-network ablate-io ablate-clustering all");
-            std::process::exit(2);
-        }
+        other => unreachable!("{other} is listed in FIGURES but not run"),
     }
+}
+
+fn usage(msg: &str) -> ! {
+    eprintln!("{msg}\nusage: repro [--quick] <{}>", FIGURES.join("|"));
+    std::process::exit(2);
 }
 
 /// Sweep both corpora once; figures 5–8 are views of the same records.

@@ -33,9 +33,7 @@ pub mod metrics;
 pub mod segment;
 
 pub use compact::{compact as compact_dir, CompactReport};
-pub use manifest::{
-    clean_strays, migrate_dir, peek_generation, Manifest, SegmentRef, MANIFEST_FILE, WAL_FILE,
-};
+pub use manifest::{clean_strays, migrate_dir, Manifest, SegmentRef, MANIFEST_FILE, WAL_FILE};
 pub use merged::Merged;
 pub use metrics::{load_registry as load_ingest_metrics, IngestMetrics, METRICS_FILE};
 pub use segment::{Segment, SegmentBuild, SEG_VERSION};
@@ -113,7 +111,9 @@ impl IngestDir {
     pub fn create(dir: &Path, base: Option<&Path>) -> io::Result<IngestDir> {
         let (base_abs, base_docs) = match base {
             Some(p) => {
-                let abs = std::fs::canonicalize(p)?;
+                let named =
+                    |e: io::Error| io::Error::new(e.kind(), format!("{}: {e}", p.display()));
+                let abs = std::fs::canonicalize(p).map_err(named)?;
                 let snap = EngineSnapshot::open(&abs)?;
                 merged::require_index(&snap)?;
                 (Some(abs), snap.meta().total_docs)

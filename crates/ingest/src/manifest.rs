@@ -329,12 +329,6 @@ pub fn migrate_dir(dir: &Path) -> io::Result<bool> {
     Ok(true)
 }
 
-/// Read just the generation counter, cheaply enough to poll. Errors
-/// (including a mid-flip read) surface as `None` so the poller retries.
-pub fn peek_generation(dir: &Path) -> Option<u64> {
-    Manifest::load(dir).ok().flatten().map(|m| m.generation)
-}
-
 /// Remove crash leftovers: `*.tmp` files, `seg-*.iseg` files the
 /// manifest does not list, and a previous-layout log an interrupted
 /// [`migrate_dir`] left. Both crash windows of a commit or a compaction
@@ -385,7 +379,6 @@ mod tests {
         m.store(&dir).unwrap();
         assert_eq!(Manifest::load(&dir).unwrap().unwrap(), m);
         assert_eq!(m.next_doc_base(), 140);
-        assert_eq!(peek_generation(&dir), Some(3));
 
         // Any flipped byte in the covered region is rejected.
         let path = Manifest::path_in(&dir);

@@ -1,15 +1,5 @@
 //! `vaengine` — command-line front end for the text processing engine.
 //!
-//! ```text
-//! vaengine generate --flavour pubmed --size 4M --seed 7 --out ./corpus
-//! vaengine analyze  --input ./corpus --procs 8 --out coords.csv
-//! vaengine snapshot --input ./corpus --procs 8 --out engine.isnap
-//! vaengine query    --snapshot engine.isnap --search "heart attack"
-//! vaengine migrate  --in old.isnap --out engine.isnap
-//! vaengine migrate  --dir ./live
-//! vaengine themeview --coords coords.csv --width 80 --height 30
-//! ```
-//!
 //! `analyze` ingests a directory of MEDLINE or TREC-format files (format
 //! sniffed per file), runs the full parallel pipeline on the requested
 //! number of simulated processors, writes the master's coordinate file,
@@ -24,6 +14,14 @@
 //! refused at open. `migrate --dir` does the same for an ingest
 //! directory in the previous layout (the one with a write-ahead log).
 //! `themeview` re-renders a saved coordinate file as terrain.
+//!
+//! Flags: each subcommand's usage line in [`COMMANDS`] (printed when
+//! `vaengine` runs with no arguments) is the only declaration of its
+//! flags, and the command line is checked against it before any work
+//! starts. An undeclared flag, the `--flag=value` spelling, a repeated
+//! flag, a stray positional argument, a missing or malformed value, or a
+//! choice other than exactly one of `--snapshot | --ingest-dir` (`query`,
+//! `serve`) or `--in/--out | --dir` (`migrate`) exits 2 naming the word.
 //!
 //! Observability: `--trace-out` records per-rank stage/collective spans
 //! and writes a Chrome trace-event file (open in `chrome://tracing` or
@@ -53,30 +51,141 @@ use visual_analytics::engine::io::{read_coords_csv, write_coords_csv};
 use visual_analytics::engine::report::build_run_report;
 use visual_analytics::prelude::*;
 
+/// Every subcommand's usage line, the one declaration of its flags. The
+/// first word names the subcommand (`|` separates aliases); each word
+/// that starts with `--` or `[--` names a flag. A flag written `[--flag]`
+/// is a switch; every other flag takes the next argument as its value.
+const COMMANDS: &[&str] = &[
+    "generate [--flavour <pubmed|trec|newswire>] [--size <bytes[K|M|G]>] [--seed N] --out <dir>",
+    "analyze|run --input <dir> [--procs N] [--clusters K] [--out coords.csv]\n\
+     [--checkpoint-dir <dir>] [--resume] [--snapshot-out <file.isnap>]\n\
+     [--trace-out <trace.json>] [--report-out <report.json>]",
+    "snapshot --input <dir> --out <file.isnap> [--procs N] [--clusters K]\n\
+     [--checkpoint-dir <dir>] [--resume] [--trace-out <trace.json>] [--report-out <report.json>]",
+    "ingest --dir <ingest-dir> [--base <file.isnap>] [--input <file|dir>] [--delete id,id,...]",
+    "compact --dir <ingest-dir>",
+    "query --snapshot <file.isnap> | --ingest-dir <dir>\n\
+     [--search \"free text\"] [--query \"a AND NOT title:b\"]\n\
+     [--term <term>] [--top N] [--cluster C] [--rect x0,y0,x1,y1]\n\
+     [--similar <doc>] [--similar-text \"free text\"] [--nprobe N]\n\
+     [--json] [--repeat N] [--report-out <report.json>]",
+    "serve --snapshot <file.isnap> | --ingest-dir <dir>\n\
+     [--addr 127.0.0.1:7878] [--workers N] [--cache N] [--queue N]\n\
+     [--access-log <file>] [--slow-log-n N] [--slow-threshold-ms N]",
+    "migrate --in <old.isnap> --out <new.isnap> | --dir <ingest-dir>",
+    "themeview --coords <coords.csv> [--width N] [--height N]",
+];
+
+/// The flags usage line `line` declares, each with whether it takes a
+/// value.
+fn declared(line: &'static str) -> impl Iterator<Item = (&'static str, bool)> {
+    line.split_whitespace().filter_map(|word| {
+        let flag = word.strip_prefix('[').unwrap_or(word);
+        let name = flag.strip_suffix(']').unwrap_or(flag);
+        name.starts_with("--")
+            .then_some((name, name.len() == flag.len()))
+    })
+}
+
+/// The usage line of subcommand `name`.
+fn usage_line(name: &str) -> Option<&'static str> {
+    COMMANDS.iter().copied().find(|line| {
+        let (names, _) = line.split_once(' ').unwrap_or_default();
+        names.split('|').any(|n| n == name)
+    })
+}
+
+/// `line` as printed: its wrapped lines indented under its first flag.
+fn usage_of(line: &str) -> String {
+    let (names, flags) = line.split_once(' ').unwrap_or_default();
+    let head = format!("  vaengine {names} ");
+    let indent = format!("\n{:1$}", "", head.len());
+    format!("{head}{}", flags.replace('\n', &indent))
+}
+
 fn usage() -> ! {
-    eprintln!(
-        "usage:\n  vaengine generate --flavour <pubmed|trec|newswire> --size <bytes[K|M]> [--seed N] --out <dir>\n  vaengine analyze|run --input <dir> [--procs N] [--clusters K] [--out coords.csv]\n                   [--checkpoint-dir <dir>] [--resume] [--snapshot-out <file.isnap>]\n                   [--trace-out <trace.json>] [--report-out <report.json>]\n  vaengine snapshot --input <dir> --out <file.isnap> [--procs N] [--clusters K]\n                    [--checkpoint-dir <dir>] [--resume]\n                    [--trace-out <trace.json>] [--report-out <report.json>]\n  vaengine ingest --dir <ingest-dir> [--base <file.isnap>] [--input <file|dir>]\n                  [--delete id,id,...]\n  vaengine compact --dir <ingest-dir>\n  vaengine query --snapshot <file.isnap> | --ingest-dir <dir>\n                 [--search \"free text\"] [--query \"a AND NOT title:b\"]\n                 [--term <term>] [--top N] [--cluster C] [--rect x0,y0,x1,y1]\n                 [--similar <doc> | --similar-text \"free text\"] [--nprobe N]\n                 [--json] [--repeat N] [--report-out <report.json>]\n  vaengine serve --snapshot <file.isnap> | --ingest-dir <dir>\n                 [--addr 127.0.0.1:7878] [--workers N] [--cache N] [--queue N]\n                 [--access-log <file>] [--slow-log-n N] [--slow-threshold-ms N]\n  vaengine migrate --in <old.isnap> --out <new.isnap> | --dir <ingest-dir>\n  vaengine themeview --coords <coords.csv> [--width N] [--height N]"
-    );
+    let lines: Vec<String> = COMMANDS.iter().map(|line| usage_of(line)).collect();
+    eprintln!("usage:\n{}", lines.join("\n"));
     exit(2);
 }
 
-struct Args(Vec<String>);
+/// Exit 2 with `msg` and usage line `line`.
+fn refuse(line: &str, msg: impl Display) -> ! {
+    eprintln!("{msg}\nusage:\n{}", usage_of(line));
+    exit(2);
+}
+
+/// Exit 1 on an error, with a message that leads with what failed.
+trait OrExit<T> {
+    fn or_exit(self, what: impl Display) -> T;
+}
+
+impl<T, E: Display> OrExit<T> for Result<T, E> {
+    fn or_exit(self, what: impl Display) -> T {
+        self.unwrap_or_else(|e| {
+            eprintln!("{what}: {e}");
+            exit(1)
+        })
+    }
+}
+
+/// One subcommand's command line, checked against its usage line.
+struct Args {
+    line: &'static str,
+    /// Each flag given, with its value (`None` for a switch).
+    given: Vec<(&'static str, Option<String>)>,
+}
 
 impl Args {
-    fn value(&self, flag: &str) -> Option<&str> {
-        self.0
-            .iter()
-            .position(|a| a == flag)
-            .and_then(|i| self.0.get(i + 1))
-            .map(|s| s.as_str())
+    /// Check `words`, the arguments after the subcommand, against usage
+    /// line `line`. The refusal names the first word that breaks it.
+    fn parse(line: &'static str, words: &[String]) -> Result<Args, String> {
+        let mut given: Vec<(&'static str, Option<String>)> = Vec::new();
+        let mut words = words.iter();
+        while let Some(word) = words.next() {
+            let Some((flag, takes_value)) = declared(line).find(|(f, _)| f == word) else {
+                return Err(match word {
+                    w if w.starts_with("--") && w.contains('=') => {
+                        format!("unknown flag {w:?}: give the value as the next argument")
+                    }
+                    w if w.starts_with("--") => format!("unknown flag {w:?}"),
+                    w => format!("unexpected argument {w:?}"),
+                });
+            };
+            if given.iter().any(|(f, _)| *f == flag) {
+                return Err(format!("{flag} is given twice"));
+            }
+            let value = match takes_value.then(|| words.next()) {
+                None => None,
+                Some(Some(v)) if !v.starts_with("--") => Some(v.clone()),
+                Some(_) => return Err(format!("{flag} needs a value")),
+            };
+            given.push((flag, value));
+        }
+        Ok(Args { line, given })
     }
 
-    fn value_or<'a>(&'a self, flag: &str, default: &'a str) -> &'a str {
-        self.value(flag).unwrap_or(default)
+    fn refuse(&self, msg: impl Display) -> ! {
+        refuse(self.line, msg)
+    }
+
+    /// The entry of `flag`, which the usage line must declare.
+    fn get(&self, flag: &str) -> Option<&Option<String>> {
+        let declares = declared(self.line).any(|(f, _)| f == flag);
+        assert!(declares, "reads undeclared {flag}: `{}`", self.line);
+        self.given.iter().find(|(f, _)| *f == flag).map(|(_, v)| v)
     }
 
     fn has(&self, flag: &str) -> bool {
-        self.0.iter().any(|a| a == flag)
+        self.get(flag).is_some()
+    }
+
+    fn value(&self, flag: &str) -> Option<&str> {
+        self.get(flag)?.as_deref()
+    }
+
+    fn required(&self, flag: &str) -> &str {
+        (self.value(flag)).unwrap_or_else(|| self.refuse(format!("{flag} is required")))
     }
 
     /// The numeric value of `flag`, `default` when the flag is absent.
@@ -84,21 +193,25 @@ impl Args {
     /// that does not parse, or is below `min`, exits 2 naming the flag.
     fn num<T: FromStr + PartialOrd + Display>(&self, flag: &str, default: T, min: T) -> T {
         let Some(v) = self.value(flag) else {
-            if self.has(flag) {
-                eprintln!("{flag} needs a value");
-                exit(2);
-            }
             return default;
         };
         match v.parse::<T>() {
             Ok(n) if n >= min => n,
-            Ok(_) => {
-                eprintln!("{flag} must be at least {min}, got {v:?}");
-                exit(2)
-            }
-            Err(_) => {
-                eprintln!("{flag} expects a number, got {v:?}");
-                exit(2)
+            Ok(_) => self.refuse(format!("{flag} must be at least {min}, got {v:?}")),
+            Err(_) => self.refuse(format!("{flag} expects a number, got {v:?}")),
+        }
+    }
+
+    /// Whether the command line chose `b` over `a`, two exclusive sets of
+    /// flags: it must give all of one and none of the other, or exit 2.
+    fn either(&self, a: &[&str], b: &[&str]) -> bool {
+        let given = |set: &[&str]| set.iter().filter(|f| self.has(f)).count();
+        match (given(a), given(b)) {
+            (n, 0) if n == a.len() => false,
+            (0, n) if n == b.len() => true,
+            _ => {
+                let (a, b) = (a.join(" "), b.join(" "));
+                self.refuse(format!("give exactly one of {a} | {b}"))
             }
         }
     }
@@ -119,45 +232,36 @@ fn parse_size(s: &str) -> u64 {
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = argv.first().cloned() else {
-        usage()
-    };
-    let args = Args(argv[1..].to_vec());
-    match cmd.as_str() {
+    let cmd = argv.first().map_or("", String::as_str);
+    let Some(line) = usage_line(cmd) else { usage() };
+    let args = Args::parse(line, &argv[1..]).unwrap_or_else(|e| refuse(line, e));
+    match cmd {
         "generate" => generate(&args),
-        "analyze" | "run" => analyze(&args),
-        "snapshot" => snapshot_cmd(&args),
+        "analyze" | "run" => build(&args, false),
+        "snapshot" => build(&args, true),
         "ingest" => ingest_cmd(&args),
         "compact" => compact_cmd(&args),
         "query" => query_cmd(&args),
         "serve" => serve_cmd(&args),
         "migrate" => migrate_cmd(&args),
         "themeview" => themeview_cmd(&args),
-        _ => usage(),
+        other => unreachable!("{other} is declared but not dispatched"),
     }
 }
 
 fn generate(args: &Args) {
-    let flavour = args.value_or("--flavour", "pubmed");
-    let size = parse_size(args.value_or("--size", "2M"));
+    let flavour = args.value("--flavour").unwrap_or("pubmed");
+    let size = parse_size(args.value("--size").unwrap_or("2M"));
     let seed: u64 = args.num("--seed", 42, 0);
-    let Some(out) = args.value("--out") else {
-        usage()
-    };
+    let out = args.required("--out");
     let spec = match flavour {
         "pubmed" => CorpusSpec::pubmed(size, seed),
         "trec" => CorpusSpec::trec(size, seed),
         "newswire" => CorpusSpec::newswire(size, seed),
-        other => {
-            eprintln!("unknown flavour {other} (pubmed|trec|newswire)");
-            exit(2);
-        }
+        other => args.refuse(format!("unknown flavour {other} (pubmed|trec|newswire)")),
     };
     let set = spec.generate();
-    corpus::load::write_dir(&set, Path::new(out)).unwrap_or_else(|e| {
-        eprintln!("write failed: {e}");
-        exit(1);
-    });
+    corpus::load::write_dir(&set, Path::new(out)).or_exit("write failed");
     println!(
         "wrote {} sources, {:.1} MB, {} records to {out}",
         set.sources.len(),
@@ -167,63 +271,13 @@ fn generate(args: &Args) {
 }
 
 fn load_sources(input: &str) -> SourceSet {
-    let sources = corpus::load::load_dir(Path::new(input)).unwrap_or_else(|e| {
-        eprintln!("cannot load {input}: {e}");
-        exit(1);
-    });
+    let sources =
+        corpus::load::load_dir(Path::new(input)).or_exit(format_args!("cannot load {input}"));
     if sources.sources.is_empty() {
         eprintln!("no MEDLINE, TREC, or mbox format files found under {input}");
         exit(1);
     }
     sources
-}
-
-/// Engine configuration from the shared `analyze`/`snapshot` flags.
-fn engine_config(args: &Args) -> EngineConfig {
-    let checkpoint_dir = args.value("--checkpoint-dir").map(PathBuf::from);
-    if args.has("--resume") && checkpoint_dir.is_none() {
-        eprintln!("--resume needs --checkpoint-dir");
-        exit(2);
-    }
-    EngineConfig {
-        n_clusters: args.num("--clusters", 12, 1),
-        checkpoint_dir,
-        resume: args.has("--resume"),
-        snapshot_out: args.value("--snapshot-out").map(PathBuf::from),
-        trace: args.value("--trace-out").is_some(),
-        ..EngineConfig::default()
-    }
-}
-
-/// Shared `--trace-out` / `--report-out` handling for `analyze` and
-/// `snapshot`: export the Chrome trace, print the run-report table on
-/// stderr, and persist the report JSON.
-fn emit_observability(args: &Args, title: &str, run: &EngineRun, wall_s: f64) {
-    if let Some(path) = args.value("--trace-out") {
-        let trace = inspire_trace::chrome::to_chrome_json(&run.run.traces);
-        std::fs::write(path, trace).unwrap_or_else(|e| {
-            eprintln!("cannot write trace {path}: {e}");
-            exit(1);
-        });
-        println!("chrome trace written to {path}");
-    }
-    let mut report = build_run_report(title, &run.run, wall_s);
-    let master = run.master();
-    report.meta.push((
-        "documents".to_string(),
-        master.summary.total_docs.to_string(),
-    ));
-    report
-        .meta
-        .push(("vocab".to_string(), master.summary.vocab_size.to_string()));
-    eprint!("{}", report.render_table());
-    if let Some(path) = args.value("--report-out") {
-        report.write_json(Path::new(path)).unwrap_or_else(|e| {
-            eprintln!("cannot write report {path}: {e}");
-            exit(1);
-        });
-        println!("run report written to {path}");
-    }
 }
 
 fn print_themes(master: &EngineOutput) {
@@ -248,26 +302,39 @@ fn print_themes(master: &EngineOutput) {
     }
 }
 
-fn print_snapshot_report(report: &SnapshotReport) {
-    println!(
-        "snapshot: {} bytes written in {:.3}s",
-        report.total_bytes, report.write_seconds
-    );
-    for (name, bytes) in &report.sections {
-        println!("  {name:<8} {bytes:>12} bytes");
-    }
-}
-
-fn analyze(args: &Args) {
-    let Some(input) = args.value("--input") else {
-        usage()
+/// `analyze` (alias `run`) and `snapshot`: the full pipeline over
+/// `--input`. `analyze` writes the master's coordinates to `--out`, and
+/// a snapshot too with `--snapshot-out`; `snapshot` writes its snapshot
+/// to `--out`. Either fails if it cannot write the snapshot it was asked for.
+fn build(args: &Args, snapshot: bool) {
+    let input = args.required("--input");
+    let (out, snapshot_out) = match snapshot {
+        true => (args.required("--out"), args.value("--out")),
+        false => (
+            args.value("--out").unwrap_or("coords.csv"),
+            args.value("--snapshot-out"),
+        ),
     };
     let procs: usize = args.num("--procs", 8, 1);
-    let config = engine_config(args);
-    let out = PathBuf::from(args.value_or("--out", "coords.csv"));
+    let checkpoint_dir = args.value("--checkpoint-dir").map(PathBuf::from);
+    if args.has("--resume") && checkpoint_dir.is_none() {
+        args.refuse("--resume needs --checkpoint-dir");
+    }
+    let config = EngineConfig {
+        n_clusters: args.num("--clusters", 12, 1),
+        checkpoint_dir,
+        resume: args.has("--resume"),
+        snapshot_out: snapshot_out.map(PathBuf::from),
+        trace: args.value("--trace-out").is_some(),
+        ..EngineConfig::default()
+    };
     let sources = load_sources(input);
+    let doing = match snapshot {
+        true => "building snapshot",
+        false => "analyzing",
+    };
     println!(
-        "loaded {} sources ({:.1} MB); analyzing on {procs} simulated processors…",
+        "loaded {} sources ({:.1} MB); {doing} on {procs} simulated processors…",
         sources.sources.len(),
         sources.total_bytes() as f64 / 1e6
     );
@@ -275,54 +342,52 @@ fn analyze(args: &Args) {
     let run = run_engine(procs, Arc::new(CostModel::pnnl_2007()), &sources, &config);
     let wall_s = started.elapsed().as_secs_f64();
     let master = run.master();
-    let coords = master.coords.as_ref().expect("master coordinates");
-    write_coords_csv(&out, coords, master.all_assignments.as_deref()).unwrap_or_else(|e| {
-        eprintln!("cannot write {}: {e}", out.display());
-        exit(1);
-    });
-
+    if !snapshot {
+        let coords = master.coords.as_ref().expect("master coordinates");
+        let assignments = master.all_assignments.as_deref();
+        write_coords_csv(Path::new(out), coords, assignments)
+            .or_exit(format_args!("cannot write {out}"));
+    }
     print_themes(master);
     if let Some(report) = &master.snapshot_report {
-        print_snapshot_report(report);
-    }
-    println!(
-        "\nvirtual time: {:.1}s on {procs} procs of the modeled 2007 cluster",
-        run.virtual_time
-    );
-    println!("coordinates written to {}", out.display());
-    emit_observability(args, "analyze", &run, wall_s);
-}
-
-fn snapshot_cmd(args: &Args) {
-    let Some(input) = args.value("--input") else {
-        usage()
-    };
-    let Some(out) = args.value("--out") else {
-        usage()
-    };
-    let procs: usize = args.num("--procs", 8, 1);
-    let config = EngineConfig {
-        snapshot_out: Some(PathBuf::from(out)),
-        ..engine_config(args)
-    };
-    let sources = load_sources(input);
-    println!(
-        "loaded {} sources ({:.1} MB); building snapshot on {procs} simulated processors…",
-        sources.sources.len(),
-        sources.total_bytes() as f64 / 1e6
-    );
-    let started = std::time::Instant::now();
-    let run = run_engine(procs, Arc::new(CostModel::pnnl_2007()), &sources, &config);
-    let wall_s = started.elapsed().as_secs_f64();
-    let master = run.master();
-    print_themes(master);
-    let Some(report) = &master.snapshot_report else {
+        println!(
+            "snapshot: {} bytes written in {:.3}s",
+            report.total_bytes, report.write_seconds
+        );
+        for (name, bytes) in &report.sections {
+            println!("  {name:<8} {bytes:>12} bytes");
+        }
+    } else if config.snapshot_out.is_some() {
         eprintln!("snapshot write failed; see warnings above");
         exit(1);
-    };
-    print_snapshot_report(report);
-    println!("snapshot written to {out}");
-    emit_observability(args, "snapshot", &run, wall_s);
+    }
+    if snapshot {
+        println!("snapshot written to {out}");
+    } else {
+        println!(
+            "\nvirtual time: {:.1}s on {procs} procs of the modeled 2007 cluster",
+            run.virtual_time
+        );
+        println!("coordinates written to {out}");
+    }
+    if let Some(path) = args.value("--trace-out") {
+        let trace = inspire_trace::chrome::to_chrome_json(&run.run.traces);
+        std::fs::write(path, trace).or_exit(format_args!("cannot write trace {path}"));
+        println!("chrome trace written to {path}");
+    }
+    let title = if snapshot { "snapshot" } else { "analyze" };
+    let mut report = build_run_report(title, &run.run, wall_s);
+    report
+        .meta
+        .push(("documents".into(), master.summary.total_docs.to_string()));
+    report
+        .meta
+        .push(("vocab".into(), master.summary.vocab_size.to_string()));
+    eprint!("{}", report.render_table());
+    if let Some(path) = args.value("--report-out") {
+        (report.write_json(Path::new(path))).or_exit(format_args!("cannot write report {path}"));
+        println!("run report written to {path}");
+    }
 }
 
 /// Sources to ingest from `--input`: one file, or a directory walked in
@@ -333,64 +398,50 @@ fn load_ingest_sources(input: &str) -> Vec<corpus::Source> {
     if path.is_dir() {
         return load_sources(input).sources;
     }
-    match corpus::load::load_file(path) {
-        Ok(Some(src)) => vec![src],
-        Ok(None) => {
+    match corpus::load::load_file(path).or_exit(format_args!("cannot load {input}")) {
+        Some(src) => vec![src],
+        None => {
             eprintln!("{input} is not a recognized MEDLINE, TREC, or mbox file");
-            exit(1);
-        }
-        Err(e) => {
-            eprintln!("cannot load {input}: {e}");
             exit(1);
         }
     }
 }
 
 fn ingest_cmd(args: &Args) {
-    let Some(dir) = args.value("--dir") else {
-        usage()
-    };
-    let base = args.value("--base").map(PathBuf::from);
-    let mut ing = inspire_ingest::IngestDir::open_or_create(Path::new(dir), base.as_deref())
-        .unwrap_or_else(|e| {
-            eprintln!("cannot open ingest dir {dir}: {e}");
-            exit(1);
-        });
+    let dir = args.required("--dir");
+    // Every input is read and checked before the directory is opened,
+    // so a refusal leaves it as it was.
+    let delete: Option<Vec<u32>> = args.value("--delete").map(|list| {
+        let id = |v: &str| v.trim().parse().ok();
+        let bad = |v: &str| args.refuse(format!("bad --delete id {v:?}"));
+        list.split(',')
+            .map(|v| id(v).unwrap_or_else(|| bad(v)))
+            .collect()
+    });
+    let sources = args.value("--input").map(load_ingest_sources);
+    let base = args.value("--base").map(Path::new);
+    let mut ing = inspire_ingest::IngestDir::open_or_create(Path::new(dir), base)
+        .or_exit(format_args!("cannot open ingest dir {dir}"));
     if ing.recovery.removed_strays > 0 {
         println!("recovered: {} strays removed", ing.recovery.removed_strays);
     }
-    if let Some(input) = args.value("--input") {
-        for src in load_ingest_sources(input) {
-            let name = src.name.clone();
-            let stats = ing.append(src).unwrap_or_else(|e| {
-                eprintln!("ingest of {name} failed: {e}");
-                exit(1);
-            });
-            println!(
-                "sealed {name}: {} docs, seal {:.1} ms, {} ({} bytes), generation {}",
-                stats.docs,
-                stats.seal_s * 1e3,
-                stats.segment_file,
-                stats.segment_bytes,
-                stats.generation
-            );
-        }
+    for src in sources.into_iter().flatten() {
+        let name = src.name.clone();
+        let stats = ing
+            .append(src)
+            .or_exit(format_args!("ingest of {name} failed"));
+        println!(
+            "sealed {name}: {} docs, seal {:.1} ms, {} ({} bytes), generation {}",
+            stats.docs,
+            stats.seal_s * 1e3,
+            stats.segment_file,
+            stats.segment_bytes,
+            stats.generation
+        );
     }
-    if let Some(list) = args.value("--delete") {
-        let ids: Vec<u32> = list
-            .split(',')
-            .map(|v| {
-                v.trim().parse().unwrap_or_else(|_| {
-                    eprintln!("bad --delete id {v:?}");
-                    exit(2);
-                })
-            })
-            .collect();
+    if let Some(ids) = delete {
         let n = ids.len();
-        let stats = ing.delete(ids).unwrap_or_else(|e| {
-            eprintln!("delete failed: {e}");
-            exit(1);
-        });
+        let stats = ing.delete(ids).or_exit("delete failed");
         println!(
             "tombstoned {n} documents in {} , generation {}",
             stats.segment_file, stats.generation
@@ -406,104 +457,69 @@ fn ingest_cmd(args: &Args) {
 }
 
 fn compact_cmd(args: &Args) {
-    let Some(dir) = args.value("--dir") else {
-        usage()
-    };
-    match inspire_ingest::compact_dir(Path::new(dir)) {
-        Ok(Some(r)) => println!(
+    let dir = args.required("--dir");
+    match inspire_ingest::compact_dir(Path::new(dir)).or_exit("compaction failed") {
+        Some(r) => println!(
             "compacted {} segments into 1 ({} docs, {} bytes, {} tombstoned postings dropped), generation {}",
             r.segments_before, r.docs, r.bytes_written, r.postings_dropped, r.generation
         ),
-        Ok(None) => println!("nothing to compact (fewer than two segments)"),
-        Err(e) => {
-            eprintln!("compaction failed: {e}");
-            exit(1);
+        None => println!("nothing to compact (fewer than two segments)"),
+    }
+}
+
+/// Serving state from exactly one of `--snapshot` and `--ingest-dir`,
+/// with the path it names and whether that is an ingest directory.
+/// Prints the load banner: on stderr in `--json` mode, so that stdout
+/// carries only the query bodies.
+fn load_state(args: &Args, json: bool) -> (&str, bool, ServeState) {
+    let live = args.either(&["--snapshot"], &["--ingest-dir"]);
+    let path = args.required(if live { "--ingest-dir" } else { "--snapshot" });
+    let started = std::time::Instant::now();
+    let (state, banner) = if live {
+        let state = inspire_serve::load_live_state(Path::new(path))
+            .or_exit(format_args!("cannot load ingest dir {path}"));
+        let banner = format!(
+            "ingest dir {path}: generation {}, {} segments over base of {} docs, {} docs total",
+            state.generation,
+            state.segments_open(),
+            state.meta.total_docs,
+            inspire_core::query::SearchIndex::total_docs(&state),
+        );
+        (state, banner)
+    } else {
+        // Every snapshot error names its file.
+        let snap = EngineSnapshot::open(Path::new(path)).or_exit("cannot load snapshot");
+        let meta = snap.meta();
+        let banner = format!(
+            "snapshot {path}: stage {:?}, {} docs, vocabulary {}, {} bytes, written at P={}",
+            meta.stage,
+            meta.total_docs,
+            meta.vocab_size,
+            snap.store().total_bytes(),
+            meta.nprocs,
+        );
+        let state = ServeState::from_snapshot(snap).or_exit("cannot load snapshot");
+        (state, banner)
+    };
+    let loaded = format!("loaded in {:.1} ms", started.elapsed().as_secs_f64() * 1e3);
+    for line in [banner, loaded] {
+        match json {
+            true => eprintln!("{line}"),
+            false => println!("{line}"),
         }
     }
-}
-
-/// Load a snapshot into serving state, printing the standard banner.
-/// `--json` mode moves the banner to stderr so stdout carries only the
-/// query bodies.
-fn load_serve_state(path: &str, json: bool) -> ServeState {
-    let started = std::time::Instant::now();
-    let snap = EngineSnapshot::open(Path::new(path)).unwrap_or_else(|e| {
-        eprintln!("cannot load snapshot {path}: {e}");
-        exit(1);
-    });
-    let meta = snap.meta().clone();
-    let banner = format!(
-        "snapshot {path}: stage {:?}, {} docs, vocabulary {}, {} bytes, written at P={}",
-        meta.stage,
-        meta.total_docs,
-        meta.vocab_size,
-        snap.store().total_bytes(),
-        meta.nprocs,
-    );
-    let state = ServeState::from_snapshot(snap).unwrap_or_else(|e| {
-        eprintln!("cannot restore snapshot {path}: {e}");
-        exit(1);
-    });
-    let loaded = format!("loaded in {:.1} ms", started.elapsed().as_secs_f64() * 1e3);
-    if json {
-        eprintln!("{banner}");
-        eprintln!("{loaded}");
-    } else {
-        println!("{banner}");
-        println!("{loaded}");
-    }
-    state
-}
-
-/// Load the merged (base + segments) serving view of an ingest
-/// directory, printing a banner in the same style as snapshot loads.
-fn load_live_serve_state(dir: &str, json: bool) -> ServeState {
-    let started = std::time::Instant::now();
-    let state = inspire_serve::load_live_state(Path::new(dir)).unwrap_or_else(|e| {
-        eprintln!("cannot load ingest dir {dir}: {e}");
-        exit(1);
-    });
-    let banner = format!(
-        "ingest dir {dir}: generation {}, {} segments over base of {} docs, {} docs total",
-        state.generation,
-        state.segments_open(),
-        state.meta.total_docs,
-        inspire_core::query::SearchIndex::total_docs(&state),
-    );
-    let loaded = format!("loaded in {:.1} ms", started.elapsed().as_secs_f64() * 1e3);
-    if json {
-        eprintln!("{banner}");
-        eprintln!("{loaded}");
-    } else {
-        println!("{banner}");
-        println!("{loaded}");
-    }
-    state
+    (path, live, state)
 }
 
 fn query_cmd(args: &Args) {
-    let ingest_dir = args.value("--ingest-dir");
-    let snapshot = args.value("--snapshot");
-    let path = match (snapshot, ingest_dir) {
-        (Some(p), None) => p,
-        (None, Some(d)) => d,
-        _ => usage(),
-    };
     let repeat: usize = args.num("--repeat", 1, 1);
     let json = args.has("--json");
     let started = std::time::Instant::now();
-    let state = match ingest_dir {
-        Some(d) => load_live_serve_state(d, json),
-        None => load_serve_state(path, json),
-    };
+    let (path, _, state) = load_state(args, json);
     let mut metrics = Registry::new();
     metrics.observe("snapshot_load_seconds", started.elapsed());
-    let fail = |e: String| -> ! {
-        eprintln!("query failed: {e}");
-        exit(1);
-    };
 
-    // The typed request list, in CLI flag order. Each flag becomes the
+    // The typed request list, in this table's order. Each flag becomes the
     // route and params the server would see (`--top` and `--nprobe` only
     // when given) and goes through the server's own validator, so the CLI
     // refuses exactly what the server refuses, with its message. Both
@@ -533,8 +549,8 @@ fn query_cmd(args: &Args) {
             .map(|(k, v)| (k.to_string(), v.to_string()))
             .collect();
         params.extend(shared.iter().cloned());
-        let req = ServeRequest::parse(route, &params).unwrap_or_else(|e| fail(e.message));
-        requests.push(req);
+        let req = ServeRequest::parse(route, &params).map_err(|e| e.message);
+        requests.push(req.or_exit("query failed"));
     }
 
     // Each requested query kind runs `repeat` times against the serving
@@ -543,9 +559,8 @@ fn query_cmd(args: &Args) {
     for pass in 0..repeat {
         for req in &requests {
             let name = format!("query_{}_seconds", req.kind());
-            let body = metrics
-                .time(&name, || inspire_serve::execute(&state, req))
-                .unwrap_or_else(|e| fail(e.message));
+            let body = metrics.time(&name, || inspire_serve::execute(&state, req));
+            let body = body.map_err(|e| e.message).or_exit("query failed");
             match (pass, json) {
                 (0, true) => print!("{body}"),
                 (0, false) => print_human(req, &body),
@@ -568,10 +583,7 @@ fn query_cmd(args: &Args) {
             queries: summaries,
             ..RunReport::default()
         };
-        report.write_json(Path::new(out)).unwrap_or_else(|e| {
-            eprintln!("cannot write report {out}: {e}");
-            exit(1);
-        });
+        (report.write_json(Path::new(out))).or_exit(format_args!("cannot write report {out}"));
         println!("serving report written to {out}");
     }
 }
@@ -684,9 +696,8 @@ fn install_shutdown_handler() {
 fn install_shutdown_handler() {}
 
 fn serve_cmd(args: &Args) {
-    let ingest_dir = args.value("--ingest-dir").map(PathBuf::from);
     let cfg = ServeConfig {
-        addr: args.value_or("--addr", "127.0.0.1:7878").to_string(),
+        addr: args.value("--addr").unwrap_or("127.0.0.1:7878").to_string(),
         workers: args.num("--workers", 8, 1),
         cache_capacity: args.num("--cache", 1024, 0),
         queue_depth: args.num("--queue", 256, 1),
@@ -695,19 +706,9 @@ fn serve_cmd(args: &Args) {
         slow_threshold_ms: args.num("--slow-threshold-ms", 0, 0),
         ..ServeConfig::default()
     };
-    let state = Arc::new(match &ingest_dir {
-        Some(dir) => load_live_serve_state(&dir.display().to_string(), false),
-        None => {
-            let Some(path) = args.value("--snapshot") else {
-                usage()
-            };
-            load_serve_state(path, false)
-        }
-    });
-    let server = Server::start(Arc::clone(&state), &cfg).unwrap_or_else(|e| {
-        eprintln!("cannot bind {}: {e}", cfg.addr);
-        exit(1);
-    });
+    let (path, live, state) = load_state(args, false);
+    let server =
+        Server::start(Arc::new(state), &cfg).or_exit(format_args!("cannot bind {}", cfg.addr));
     println!(
         "serving on http://{} ({} workers, cache {}, queue {})",
         server.local_addr(),
@@ -716,35 +717,23 @@ fn serve_cmd(args: &Args) {
         cfg.queue_depth
     );
     println!(
-        "endpoints: /term /query /search /cluster /rect /similar /metrics /healthz /debug/slow"
-    );
-    println!(
-        "formats: /metrics?format=prom (Prometheus), /debug/slow?format=chrome (trace viewer)"
+        "endpoints: /term /query /search /cluster /rect /similar /metrics /healthz /debug/slow\n\
+         formats: /metrics?format=prom (Prometheus), /debug/slow?format=chrome (trace viewer)"
     );
     install_shutdown_handler();
-    // 50 ms shutdown poll; every 10th tick (~500 ms) also polls the
-    // ingest manifest and hot-swaps the serving state when a seal or
-    // compaction advanced the generation. In-flight requests keep the
-    // Arc they started with, so a flip never drops or errors a request.
-    let mut ticks = 0u64;
+    // 50 ms shutdown poll; every 10th tick (~500 ms) also follows the
+    // ingest directory. A refusal is logged when it differs from the
+    // previous poll's, not on every poll.
+    let (mut ticks, mut refused) = (0u64, None);
     while !SHUTDOWN.load(Ordering::SeqCst) {
         std::thread::sleep(std::time::Duration::from_millis(50));
         ticks += 1;
-        if let Some(dir) = &ingest_dir {
-            if ticks.is_multiple_of(10) {
-                if let Some(generation) = inspire_ingest::peek_generation(dir) {
-                    if generation != server.generation() {
-                        match inspire_serve::load_live_state(dir) {
-                            Ok(next) => {
-                                let seg = next.segments_open();
-                                server.swap_state(Arc::new(next));
-                                println!("generation {generation} live ({seg} segments)");
-                            }
-                            Err(e) => eprintln!("generation {generation} reload failed: {e}"),
-                        }
-                    }
-                }
+        if live && ticks.is_multiple_of(10) {
+            let failed = follow(Path::new(path), &server).err();
+            if let Some(msg) = failed.as_ref().filter(|&m| refused.as_ref() != Some(m)) {
+                eprintln!("{msg}");
             }
+            refused = failed;
         }
     }
     println!("shutdown signal received, draining…");
@@ -758,51 +747,127 @@ fn serve_cmd(args: &Args) {
     );
 }
 
+/// Hot-swap `server` onto ingest directory `dir`'s generation when a
+/// seal or compaction advanced it; in-flight requests keep the `Arc`
+/// they started with. On a refusal, which names its file, nothing moves.
+fn follow(dir: &Path, server: &Server) -> Result<(), String> {
+    let manifest = inspire_ingest::Manifest::require(dir)
+        .map_err(|e| format!("cannot follow ingest dir {}: {e}", dir.display()))?;
+    let generation = manifest.generation;
+    if generation != server.generation() {
+        let next = inspire_serve::load_live_state(dir)
+            .map_err(|e| format!("generation {generation} reload failed: {e}"))?;
+        let seg = next.segments_open();
+        server.swap_state(Arc::new(next));
+        println!("generation {generation} live ({seg} segments)");
+    }
+    Ok(())
+}
+
 fn migrate_cmd(args: &Args) {
-    if let Some(dir) = args.value("--dir") {
-        match inspire_ingest::migrate_dir(Path::new(dir)) {
-            Ok(true) => println!("migrated {dir} to the current ingest layout"),
-            Ok(false) => println!("{dir} is already current"),
-            Err(e) => {
-                eprintln!("cannot migrate {dir}: {e}");
-                exit(1);
-            }
+    if args.either(&["--in", "--out"], &["--dir"]) {
+        let dir = args.required("--dir");
+        match inspire_ingest::migrate_dir(Path::new(dir))
+            .or_exit(format_args!("cannot migrate {dir}"))
+        {
+            true => println!("migrated {dir} to the current ingest layout"),
+            false => println!("{dir} is already current"),
         }
         return;
     }
-    let (Some(input), Some(out)) = (args.value("--in"), args.value("--out")) else {
-        usage()
+    let (input, out) = (args.required("--in"), args.required("--out"));
+    let r = visual_analytics::engine::migrate::migrate(Path::new(input), Path::new(out))
+        .or_exit(format_args!("cannot migrate {input}"));
+    let forward = if r.stripped_forward {
+        "dropped"
+    } else {
+        "unchanged"
     };
-    match visual_analytics::engine::migrate::migrate(Path::new(input), Path::new(out)) {
-        Ok(r) => println!(
-            "migrated {input} to {out}: {} bytes, forward index {}",
-            r.bytes,
-            if r.stripped_forward {
-                "dropped"
-            } else {
-                "unchanged"
-            },
-        ),
-        Err(e) => {
-            eprintln!("cannot migrate {input}: {e}");
-            exit(1);
-        }
-    }
+    println!(
+        "migrated {input} to {out}: {} bytes, forward index {forward}",
+        r.bytes
+    );
 }
 
 fn themeview_cmd(args: &Args) {
-    let Some(path) = args.value("--coords") else {
-        usage()
-    };
+    let path = args.required("--coords");
     let width: usize = args.num("--width", 80, 1);
     let height: usize = args.num("--height", 30, 1);
-    let rows = read_coords_csv(Path::new(path)).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        exit(1);
-    });
+    let rows = read_coords_csv(Path::new(path)).or_exit(format_args!("cannot read {path}"));
     let coords: Vec<(f64, f64)> = rows.iter().map(|&(_, x, y, _)| (x, y)).collect();
     let terrain = Terrain::build(&coords, width, height, None);
     let peaks = terrain.peaks(9, 0.2, (width / 12).max(2));
     print!("{}", render_ascii(&terrain, &peaks));
     println!("{} documents, {} peaks", coords.len(), peaks.len());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{declared, usage_line, Args, COMMANDS};
+
+    fn words(s: &str) -> Vec<String> {
+        s.split_whitespace().map(String::from).collect()
+    }
+
+    /// Every `vaengine` command line in README.md, continuation lines
+    /// joined, passes only flags its subcommand declares; and every
+    /// subcommand appears, so the scan cannot pass by finding nothing.
+    #[test]
+    fn readme_command_lines_use_only_declared_flags() {
+        let readme = include_str!("../../README.md").replace("\\\n", " ");
+        let mut seen = Vec::new();
+        for (at, _) in readme.match_indices("vaengine ") {
+            let invocation = readme[at..].lines().next().unwrap_or_default();
+            let invocation = invocation.split(['`', '#']).next().unwrap_or_default();
+            let mut words = invocation.split_whitespace().skip(1).filter(|w| *w != "--");
+            let Some((command, usage)) = words.next().and_then(|c| Some((c, usage_line(c)?)))
+            else {
+                continue;
+            };
+            for flag in words.filter(|w| w.starts_with("--")) {
+                assert!(
+                    declared(usage).any(|(f, _)| f == flag),
+                    "README runs `vaengine {command} … {flag}`, which `{usage}` does not declare"
+                );
+            }
+            seen.push(usage);
+        }
+        for usage in COMMANDS {
+            assert!(seen.contains(usage), "README never runs `{usage}`");
+        }
+    }
+
+    #[test]
+    fn the_usage_line_decides_every_word() {
+        let switches: Vec<&str> = (COMMANDS.iter())
+            .flat_map(|l| declared(l).filter(|(_, takes_value)| !takes_value))
+            .map(|(f, _)| f)
+            .collect();
+        assert_eq!(switches, ["--resume", "--resume", "--json"]);
+        let query = usage_line("query").unwrap();
+        let args = Args::parse(query, &words("--snapshot s --rect -1,-1,1,1 --json")).unwrap();
+        assert_eq!(args.value("--rect"), Some("-1,-1,1,1"));
+        assert!(args.has("--json") && !args.has("--term"));
+        for (given, refusal) in [
+            ("--snapshot s --bogus 3", "unknown flag \"--bogus\""),
+            (
+                "--snapshot s --rect=-1,-1,1,1",
+                "unknown flag \"--rect=-1,-1,1,1\"",
+            ),
+            ("--snapshot s --top 1 --top 2", "--top is given twice"),
+            ("--snapshot s protein", "unexpected argument \"protein\""),
+            ("--snapshot s --term", "--term needs a value"),
+            ("--snapshot s --term --json", "--term needs a value"),
+        ] {
+            let err = Args::parse(query, &words(given)).err().expect(given);
+            assert!(err.starts_with(refusal), "{given}: {err}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "reads undeclared --procs")]
+    fn reading_an_undeclared_flag_panics() {
+        let query = usage_line("query").unwrap();
+        Args::parse(query, &[]).unwrap().value("--procs");
+    }
 }

@@ -9,6 +9,7 @@
 //! every server binds port 0 behind the harness's kill-on-drop guard.
 
 use inspire_trace::json::{self, Value};
+use std::io::Write;
 use std::time::{Duration, Instant};
 use visual_analytics::serve::ServeState;
 
@@ -202,8 +203,9 @@ fn segments(live: &std::path::Path) -> Vec<String> {
 /// segment, a previous-layout directory and swapped segment files are
 /// refused by name; compaction changes no answer; and a server over the
 /// directory exposes the ingest gauges and families, follows a live
-/// delete to the next generation without a restart, and leaves the
-/// deleted base document out of `/cluster` and `/rect`.
+/// delete to the next generation without a restart, leaves the deleted
+/// base document out of `/cluster` and `/rect`, and logs a manifest
+/// corrupted under it once, by name, while it keeps serving.
 #[test]
 fn an_ingest_directory_is_served_across_recovery_compaction_and_a_live_flip() {
     let dir = Scratch::new("cli-ingest");
@@ -421,6 +423,31 @@ fn an_ingest_directory_is_served_across_recovery_compaction_and_a_live_flip() {
         );
         assert_eq!(served, printed, "{target}");
     }
+
+    // A garbage line appended to the manifest under the running server:
+    // the watch logs the refusal once, naming the file, and the server
+    // keeps answering from the generation it has.
+    let target = format!("/search?q={}+{}", t[0], t[1]);
+    let kept = server.body(&target);
+    let mut manifest = (std::fs::OpenOptions::new().append(true))
+        .open(live.join("MANIFEST"))
+        .unwrap();
+    manifest.write_all(b"garbage\n").unwrap();
+    let started = Instant::now();
+    while !server.log().contains("MANIFEST") {
+        let waited = started.elapsed();
+        assert!(
+            waited < Duration::from_secs(10),
+            "corrupt manifest never logged:\n{}",
+            server.log()
+        );
+        std::thread::sleep(Duration::from_millis(100));
+    }
+    // Three more polls of the same corrupt file log nothing more.
+    std::thread::sleep(Duration::from_millis(1600));
+    let log = server.log();
+    assert_eq!(log.matches("MANIFEST").count(), 1, "{log}");
+    assert_eq!(server.body(&target), kept);
     let (exit, log) = server.terminate(Duration::from_secs(2));
     assert!(exit.is_some(), "still running 2 s after SIGTERM:\n{log}");
 }

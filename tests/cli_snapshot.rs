@@ -224,7 +224,22 @@ fn a_missing_file_is_refused_naming_it() {
         "--term",
         "protein",
     ];
-    dir.vaengine(&args).refused("/nonexistent.isnap");
+    let run = dir.vaengine(&args).refused("/nonexistent.isnap");
+    let named = run.stderr.matches("/nonexistent.isnap").count();
+    assert_eq!(named, 1, "the path is named once: {}", run.stderr);
+
+    // A base snapshot that does not exist is named, and no ingest
+    // directory is created over it.
+    let args = ["ingest", "--dir", "dd", "--base", "/nope.isnap"];
+    let run = dir.vaengine(&args).refused("/nope.isnap");
+    assert_eq!(run.code, Some(1), "{}", run.stderr);
+    assert!(!dir.join("dd").join("MANIFEST").exists());
+
+    // A snapshot `analyze` cannot write fails the run, naming its path.
+    dir.vaengine(&words("generate --size 32K --seed 7 --out corpus"))
+        .ok();
+    let line = "analyze --input corpus --procs 1 --snapshot-out /nonexistent/x.isnap";
+    dir.vaengine(&words(line)).refused("/nonexistent/x.isnap");
 
     let mut set = CorpusSpec::pubmed(64 * 1024, 7).generate();
     let batches = set.sources.split_off(set.sources.len() - 2);
