@@ -258,14 +258,22 @@ fn not_ingest(dir: &Path) -> io::Error {
 }
 
 /// The text above the manifest's `crc` line, once the CRC32 it records
-/// matches.
+/// matches and nothing follows that line. A refusal quotes at most the
+/// head of the `crc` line and counts what follows it, so bytes appended
+/// to the file never reach the message.
 fn checked_body<'a>(path: &Path, text: &'a str) -> io::Result<&'a str> {
     let crc_at = text
         .rfind("crc 0x")
         .ok_or_else(|| bad(path, "missing crc line".into()))?;
-    let crc_line = text[crc_at..].trim_end();
-    let stored = u32::from_str_radix(crc_line.trim_start_matches("crc 0x"), 16)
-        .map_err(|_| bad(path, format!("malformed crc line `{crc_line}`")))?;
+    let (crc_line, after) = text[crc_at..]
+        .split_once('\n')
+        .unwrap_or((&text[crc_at..], ""));
+    if !after.is_empty() {
+        let msg = format!("{} bytes follow the crc line", after.len());
+        return Err(bad(path, msg));
+    }
+    let stored = u32::from_str_radix(&crc_line["crc 0x".len()..], 16)
+        .map_err(|_| bad(path, format!("malformed crc line `{crc_line:.32}`")))?;
     let covered = &text[..crc_at];
     let actual = inspire_store::crc32(covered.as_bytes());
     if actual != stored {
@@ -405,6 +413,25 @@ mod tests {
         assert_eq!(std::fs::read(&path).unwrap(), good);
         std::fs::write(&path, m.render()).unwrap();
         assert!(Manifest::load(&dir).is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Bytes appended after the `crc` line are refused by their count in
+    /// one short line naming the file, never quoted.
+    #[test]
+    fn appended_bytes_are_counted_not_quoted() {
+        let dir = std::env::temp_dir().join(format!("manifest_tail_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = Manifest::path_in(&dir);
+        let good = Manifest::new(None, 0).render();
+        let huge = "garbage line\n".repeat((1 << 20) / 13 + 1).into_bytes();
+        for (tail, count) in [(&b"garbage line\n"[..], 13), (&huge[..1 << 20], 1 << 20)] {
+            std::fs::write(&path, [good.as_bytes(), tail].concat()).unwrap();
+            let err = Manifest::load(&dir).unwrap_err().to_string();
+            let want = format!("{}: {count} bytes follow the crc line", path.display());
+            assert_eq!(err, want);
+            assert!(err.len() < 200 && !err.contains('\n'), "{err}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -16,7 +16,7 @@
 
 use crate::state::ServeState;
 use inspire_core::interact::{select_cluster, select_rect};
-use inspire_core::query::{self, Query, SearchIndex};
+use inspire_core::query::{self, Hit, Query, SearchIndex};
 use inspire_trace::json::{escape, num};
 
 /// One typed query, any of the six kinds the engine serves.
@@ -204,32 +204,24 @@ impl ServeRequest {
                         .filter(|n| *n >= 1)
                         .ok_or_else(|| RequestError::bad(format!("bad nprobe={v:?} (>= 1)")))?,
                 };
-                match (param(params, "doc"), param(params, "text")) {
-                    (Some(_), Some(_)) => Err(RequestError::bad("give doc= or text=, not both")),
-                    (None, None) => Err(RequestError::bad("missing doc= or text=")),
-                    (Some(d), None) => {
-                        let doc = d
-                            .parse::<u32>()
-                            .map_err(|_| RequestError::bad(format!("bad doc={d:?}")))?;
-                        Ok(ServeRequest::Similar {
-                            doc: Some(doc),
-                            text: None,
-                            top,
-                            nprobe,
-                        })
+                let (doc, text) = match (param(params, "doc"), param(params, "text")) {
+                    (Some(_), Some(_)) => {
+                        return Err(RequestError::bad("give doc= or text=, not both"))
                     }
-                    (None, Some(t)) => {
-                        if t.is_empty() {
-                            return Err(RequestError::bad("empty text="));
-                        }
-                        Ok(ServeRequest::Similar {
-                            doc: None,
-                            text: Some(t.to_string()),
-                            top,
-                            nprobe,
-                        })
-                    }
-                }
+                    (None, None) => return Err(RequestError::bad("missing doc= or text=")),
+                    (None, Some("")) => return Err(RequestError::bad("empty text=")),
+                    (Some(d), None) => match d.parse::<u32>() {
+                        Ok(doc) => (Some(doc), None),
+                        Err(_) => return Err(RequestError::bad(format!("bad doc={d:?}"))),
+                    },
+                    (None, Some(t)) => (None, Some(t.to_string())),
+                };
+                Ok(ServeRequest::Similar {
+                    doc,
+                    text,
+                    top,
+                    nprobe,
+                })
             }
             other => Err(RequestError {
                 status: 404,
@@ -333,58 +325,41 @@ pub fn execute_timed(
             let mut docs: Vec<u32> = posts.iter().map(|p| p.doc).collect();
             docs.dedup();
             let t1 = Instant::now();
-            let mut body = format!(
+            let head = format!(
                 "{{\"kind\":\"term\",\"term\":\"{}\",\"postings\":{},\"documents\":{},\"hits\":[",
                 escape(term),
                 posts.len(),
                 docs.len()
             );
-            for (i, p) in posts.iter().take(*top).enumerate() {
-                if i > 0 {
-                    body.push(',');
-                }
-                body.push_str(&format!(
+            let body = close_list(head, posts.iter().take(*top), |p| {
+                format!(
                     "{{\"doc\":{},\"field\":{},\"freq\":{}}}",
                     p.doc, p.field, p.freq
-                ));
-            }
-            body.push_str("]}\n");
+                )
+            });
             Ok((body, split(t0, t1)))
         }
         ServeRequest::Boolean { expr, top } => {
             let t0 = Instant::now();
             let docs = query::evaluate_in(state, expr);
             let t1 = Instant::now();
-            let mut body = format!(
+            let head = format!(
                 "{{\"kind\":\"query\",\"query\":\"{}\",\"matches\":{},\"docs\":[",
                 escape(&expr.normalized()),
                 docs.len()
             );
-            for (i, d) in docs.iter().take(*top).enumerate() {
-                if i > 0 {
-                    body.push(',');
-                }
-                body.push_str(&d.to_string());
-            }
-            body.push_str("]}\n");
+            let body = close_list(head, docs.iter().take(*top), u32::to_string);
             Ok((body, split(t0, t1)))
         }
         ServeRequest::Search { text, top } => {
             let t0 = Instant::now();
             let hits = query::search_in(state, text, *top);
             let t1 = Instant::now();
-            let mut body = format!(
+            let head = format!(
                 "{{\"kind\":\"search\",\"text\":\"{}\",\"hits\":[",
                 escape(text)
             );
-            for (i, h) in hits.iter().enumerate() {
-                if i > 0 {
-                    body.push(',');
-                }
-                body.push_str(&format!("{{\"doc\":{},\"score\":{}}}", h.doc, num(h.score)));
-            }
-            body.push_str("]}\n");
-            Ok((body, split(t0, t1)))
+            Ok((close_list(head, &hits, hit), split(t0, t1)))
         }
         ServeRequest::Cluster { cluster, top } => {
             let (coords, assignments) = require_layout(state)?;
@@ -403,25 +378,16 @@ pub fn execute_timed(
                 .get(*cluster as usize)
                 .map(|l| l.join(", "))
                 .unwrap_or_default();
-            let mut body = format!(
+            let head = format!(
                 "{{\"kind\":\"cluster\",\"cluster\":{},\"label\":\"{}\",\"size\":{},\"docs\":[",
                 cluster,
                 escape(&label),
                 docs.len()
             );
-            for (i, d) in docs.iter().take(*top).enumerate() {
-                if i > 0 {
-                    body.push(',');
-                }
-                let (x, y) = coords[*d as usize];
-                body.push_str(&format!(
-                    "{{\"doc\":{},\"x\":{},\"y\":{}}}",
-                    d,
-                    num(x),
-                    num(y)
-                ));
-            }
-            body.push_str("]}\n");
+            let body = close_list(head, docs.iter().take(*top), |&d| {
+                let (x, y) = coords[d as usize];
+                format!("{{\"doc\":{d},\"x\":{},\"y\":{}}}", num(x), num(y))
+            });
             Ok((body, split(t0, t1)))
         }
         ServeRequest::Rect { min, max, top } => {
@@ -430,7 +396,7 @@ pub fn execute_timed(
             let mut docs = select_rect(coords, *min, *max);
             docs.retain(|&d| !state.is_deleted(d));
             let t1 = Instant::now();
-            let mut body = format!(
+            let head = format!(
                 "{{\"kind\":\"rect\",\"x0\":{},\"y0\":{},\"x1\":{},\"y1\":{},\"matches\":{},\"docs\":[",
                 num(min.0),
                 num(min.1),
@@ -438,16 +404,9 @@ pub fn execute_timed(
                 num(max.1),
                 docs.len()
             );
-            for (i, d) in docs.iter().take(*top).enumerate() {
-                if i > 0 {
-                    body.push(',');
-                }
-                body.push_str(&format!(
-                    "{{\"doc\":{},\"cluster\":{}}}",
-                    d, assignments[*d as usize]
-                ));
-            }
-            body.push_str("]}\n");
+            let body = close_list(head, docs.iter().take(*top), |&d| {
+                format!("{{\"doc\":{d},\"cluster\":{}}}", assignments[d as usize])
+            });
             Ok((body, split(t0, t1)))
         }
         ServeRequest::Similar {
@@ -490,16 +449,31 @@ pub fn execute_timed(
                 "\"nprobe\":{},\"probed\":{},\"candidates\":{},\"hits\":[",
                 nprobe, stats.probed, stats.candidates
             ));
-            for (i, h) in hits.iter().enumerate() {
-                if i > 0 {
-                    body.push(',');
-                }
-                body.push_str(&format!("{{\"doc\":{},\"score\":{}}}", h.doc, num(h.score)));
-            }
-            body.push_str("]}\n");
-            Ok((body, split(t0, t1)))
+            Ok((close_list(body, &hits, hit), split(t0, t1)))
         }
     }
+}
+
+/// `head`, which opens a JSON array, then `items` rendered by `item`
+/// and comma-separated, then the close of the array and of the body.
+pub(crate) fn close_list<T>(
+    mut head: String,
+    items: impl IntoIterator<Item = T>,
+    item: impl Fn(T) -> String,
+) -> String {
+    for (i, x) in items.into_iter().enumerate() {
+        if i > 0 {
+            head.push(',');
+        }
+        head.push_str(&item(x));
+    }
+    head.push_str("]}\n");
+    head
+}
+
+/// One ranked hit of a `/search` or `/similar` body.
+fn hit(h: &Hit) -> String {
+    format!("{{\"doc\":{},\"score\":{}}}", h.doc, num(h.score))
 }
 
 fn require_ann(state: &ServeState) -> Result<(), RequestError> {

@@ -11,19 +11,22 @@
 //! blocking `accept`: it stops accepting at once, workers drain
 //! everything already queued, and [`Server::shutdown`] joins all
 //! threads before returning the final counters.
+//!
+//! A server started on a state loaded from an ingest directory also
+//! runs a watcher thread, which swaps to each new generation there.
 
 use crate::http::{self, HttpError};
 use crate::lru::{CacheStats, LruCache};
 use crate::request::{self, ServeRequest};
-use crate::state::ServeState;
+use crate::state::{load_live_state, ServeState};
 use inspire_trace::json::num;
-use inspire_trace::log;
+use inspire_trace::{log, log_info, log_warn};
 use inspire_trace::{Registry, ReqTimeline, ReqTrace, SlowLog};
 use std::collections::VecDeque;
 use std::fs::File;
 use std::io;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
@@ -100,6 +103,8 @@ struct Shared {
     served: AtomicU64,
     errors: AtomicU64,
     rejected_429: AtomicU64,
+    /// Distinct refusals the ingest watcher logged.
+    reload_failures: AtomicU64,
     in_flight: AtomicUsize,
     max_in_flight: AtomicUsize,
     started: Instant,
@@ -119,11 +124,16 @@ pub struct Server {
     shared: Arc<Shared>,
     accept_thread: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
+    /// Follows the ingest directory the initial state was loaded from.
+    watcher: Option<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Bind, spin up the worker pool, and start accepting.
+    /// Bind, spin up the worker pool, and start accepting. When `state`
+    /// was loaded from an ingest directory, also start the watcher that
+    /// follows it; a state swapped in later is never followed.
     pub fn start(state: Arc<ServeState>, cfg: &ServeConfig) -> io::Result<Server> {
+        let ingest_dir = state.ingest_dir.clone();
         let listener = TcpListener::bind(&cfg.addr)?;
         let local_addr = listener.local_addr()?;
         let workers = cfg.workers.max(1);
@@ -151,6 +161,7 @@ impl Server {
             served: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             rejected_429: AtomicU64::new(0),
+            reload_failures: AtomicU64::new(0),
             in_flight: AtomicUsize::new(0),
             max_in_flight: AtomicUsize::new(0),
             started: Instant::now(),
@@ -173,11 +184,20 @@ impl Server {
             })
             .collect::<io::Result<_>>()?;
 
+        let watcher = ingest_dir
+            .map(|dir| {
+                let watch_shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name("serve-watch".to_string())
+                    .spawn(move || watch_loop(&dir, &watch_shared))
+            })
+            .transpose()?;
         Ok(Server {
             local_addr,
             shared,
             accept_thread: Some(accept_thread),
             workers,
+            watcher,
         })
     }
 
@@ -196,8 +216,7 @@ impl Server {
     /// requests see `next`. The cache epoch is bumped so pre-flip
     /// bodies can no longer be served or inserted.
     pub fn swap_state(&self, next: Arc<ServeState>) {
-        *self.shared.state.write().unwrap() = next;
-        self.shared.epoch.fetch_add(1, Ordering::SeqCst);
+        self.shared.swap(next);
     }
 
     /// Generation of the state currently being served.
@@ -223,6 +242,10 @@ impl Server {
         for t in self.workers.drain(..) {
             let _ = t.join();
         }
+        if let Some(t) = self.watcher.take() {
+            t.thread().unpark();
+            let _ = t.join();
+        }
         ServeSummary {
             served: self.shared.served.load(Ordering::Relaxed),
             errors: self.shared.errors.load(Ordering::Relaxed),
@@ -231,6 +254,53 @@ impl Server {
             cache: self.shared.cache.lock().unwrap().stats(),
         }
     }
+}
+
+impl Shared {
+    fn swap(&self, next: Arc<ServeState>) {
+        *self.state.write().unwrap() = next;
+        self.epoch.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+/// How often the watcher reads the manifest of the ingest directory it
+/// follows: a read, CRC and parse of a few KiB (DESIGN.md §11).
+const WATCH_POLL: Duration = Duration::from_millis(10);
+
+/// Follow ingest directory `dir` until shutdown. After each poll the
+/// watcher waits [`WATCH_POLL`], or as long as the poll took if that is
+/// longer, so reloads during a commit burst or a persistent refusal take
+/// at most half a core. A refusal is logged, and counted, when it
+/// differs from the previous poll's.
+fn watch_loop(dir: &Path, shared: &Shared) {
+    let mut refused = None;
+    while !shared.shutdown.load(Ordering::SeqCst) {
+        let polled = Instant::now();
+        let failed = follow(dir, shared).err();
+        if let Some(msg) = failed.as_ref().filter(|&m| refused.as_ref() != Some(m)) {
+            log_warn!(None, "{msg}");
+            shared.reload_failures.fetch_add(1, Ordering::Relaxed);
+        }
+        refused = failed;
+        // `shutdown` unparks this thread, so it never waits out a wait.
+        std::thread::park_timeout(polled.elapsed().max(WATCH_POLL));
+    }
+}
+
+/// Swap onto `dir`'s generation when a seal or compaction advanced it;
+/// in-flight requests keep the `Arc` they started with. On a refusal,
+/// which names its file, nothing moves.
+fn follow(dir: &Path, shared: &Shared) -> Result<(), String> {
+    let generation = (inspire_ingest::Manifest::require(dir).map(|m| m.generation))
+        .map_err(|e| format!("cannot follow ingest dir {}: {e}", dir.display()))?;
+    if generation != shared.state.read().unwrap().generation {
+        let next = load_live_state(dir)
+            .map_err(|e| format!("generation {generation} reload failed: {e}"))?;
+        let (generation, seg) = (next.generation, next.segments_open());
+        shared.swap(Arc::new(next));
+        log_info!(None, "generation {generation} live ({seg} segments)");
+    }
+    Ok(())
 }
 
 /// Where a connection from this host reaches a listener bound to
@@ -332,6 +402,7 @@ fn worker_loop(shared: &Shared) {
 /// through routing and execution: the span timeline that feeds the
 /// slow-query ring and the access log. Observational only — it never
 /// changes a served byte.
+#[derive(Default)]
 struct ReqCtx {
     tr: ReqTrace,
     /// Full request target (`/query?q=…`), once the head parsed.
@@ -344,19 +415,6 @@ struct ReqCtx {
     epoch: u64,
 }
 
-impl ReqCtx {
-    fn new() -> ReqCtx {
-        ReqCtx {
-            tr: ReqTrace::start(),
-            detail: String::new(),
-            cache_hit: false,
-            is_query: false,
-            generation: 0,
-            epoch: 0,
-        }
-    }
-}
-
 /// Speak one request/response exchange on `stream`.
 ///
 /// The timeline covers first byte through response ready (`parse` opens
@@ -366,7 +424,7 @@ impl ReqCtx {
 fn handle_connection(shared: &Shared, stream: &mut TcpStream) {
     let _ = stream.set_read_timeout(Some(shared.read_timeout));
     let _ = stream.set_write_timeout(Some(shared.read_timeout));
-    let mut ctx = ReqCtx::new();
+    let mut ctx = ReqCtx::default();
     let id = shared.next_req_id.fetch_add(1, Ordering::Relaxed) + 1;
     ctx.tr.begin("parse");
     let outcome = http::read_head(stream)
@@ -380,19 +438,19 @@ fn handle_connection(shared: &Shared, stream: &mut TcpStream) {
         Err(err) => (err.status, http::error_body(&err), "application/json"),
     };
     record_request(shared, ctx, id, status, &body);
-    if status == 200 {
-        shared.served.fetch_add(1, Ordering::Relaxed);
-        let _ = http::write_response(stream, 200, content_type, &body, &[]);
+    let counter = if status == 200 {
+        &shared.served
     } else {
-        shared.errors.fetch_add(1, Ordering::Relaxed);
-        let _ = http::write_response(stream, status, content_type, &body, &[]);
-        if status == 413 {
-            // The client sent more than we read. Closing now would
-            // RST the connection and discard the response we just
-            // wrote; drain (bounded) so close sends a clean FIN.
-            let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
-            drain(stream);
-        }
+        &shared.errors
+    };
+    counter.fetch_add(1, Ordering::Relaxed);
+    let _ = http::write_response(stream, status, content_type, &body, &[]);
+    if status == 413 {
+        // The client sent more than we read. Closing now would RST the
+        // connection and discard the response we just wrote; drain
+        // (bounded) so close sends a clean FIN.
+        let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
+        drain(stream);
     }
 }
 
@@ -600,7 +658,7 @@ fn n(counter: &AtomicU64) -> f64 {
 /// (consecutive rows of a group form its object), Prometheus lines too.
 /// DESIGN.md §12 documents this table row for row.
 #[rustfmt::skip]
-const COUNTERS: [Counter; 18] = [
+const COUNTERS: [Counter; 19] = [
     ("", "uptime_s", "serve_uptime_seconds", "gauge", |s| s.shared.started.elapsed().as_secs_f64()),
     ("requests", "served", "serve_requests_total", "counter", |s| n(&s.shared.served)),
     ("requests", "errors", "serve_errors_total", "counter", |s| n(&s.shared.errors)),
@@ -618,6 +676,7 @@ const COUNTERS: [Counter; 18] = [
     ("ingest", "segments_open", "segments_open", "gauge", |s| s.state.segments_open() as f64),
     ("ingest", "snapshot_generation", "snapshot_generation", "gauge", |s| s.state.generation as f64),
     ("ingest", "last_seal_unix", "last_seal_unix", "gauge", |s| s.state.last_seal_unix as f64),
+    ("ingest", "reload_failures", "serve_reload_failures_total", "counter", |s| n(&s.shared.reload_failures)),
     ("", "", "slow_log_retained", "gauge", |s| s.shared.slow.len() as f64),
 ];
 
@@ -651,14 +710,7 @@ fn metrics_json(shared: &Shared) -> String {
     }
     s.push_str(",\"histograms\":[");
     let summaries = shared.registry.lock().unwrap().summaries();
-    for (i, sum) in summaries.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&sum.to_json());
-    }
-    s.push_str("]}\n");
-    s
+    request::close_list(s, &summaries, |sum| sum.to_json())
 }
 
 /// Build the Prometheus text exposition (`/metrics?format=prom`): the

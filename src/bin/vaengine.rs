@@ -34,8 +34,11 @@
 //! index segment over a base snapshot and commits it with one manifest
 //! flip; `compact` folds the segments back into one; `query` and
 //! `serve` accept `--ingest-dir` to answer from the merged
-//! (base + segments) view, and the server hot-swaps its state whenever
-//! the manifest generation advances — no restart, no dropped requests.
+//! (base + segments) view. `serve --ingest-dir` follows the directory
+//! in the server itself (`inspire_serve::Server`): it reads the manifest
+//! every 10 ms and hot-swaps its state when the generation advances — no
+//! restart, no dropped requests — logging `generation N live` at info
+//! and a refused reload once per distinct error at warn.
 
 use inspire_serve::{ServeConfig, ServeRequest, ServeState, Server};
 use inspire_trace::json::Value;
@@ -377,12 +380,10 @@ fn build(args: &Args, snapshot: bool) {
     }
     let title = if snapshot { "snapshot" } else { "analyze" };
     let mut report = build_run_report(title, &run.run, wall_s);
-    report
-        .meta
-        .push(("documents".into(), master.summary.total_docs.to_string()));
-    report
-        .meta
-        .push(("vocab".into(), master.summary.vocab_size.to_string()));
+    report.meta.extend([
+        ("documents".into(), master.summary.total_docs.to_string()),
+        ("vocab".into(), master.summary.vocab_size.to_string()),
+    ]);
     eprint!("{}", report.render_table());
     if let Some(path) = args.value("--report-out") {
         (report.write_json(Path::new(path))).or_exit(format_args!("cannot write report {path}"));
@@ -468,10 +469,10 @@ fn compact_cmd(args: &Args) {
 }
 
 /// Serving state from exactly one of `--snapshot` and `--ingest-dir`,
-/// with the path it names and whether that is an ingest directory.
+/// with the path it names.
 /// Prints the load banner: on stderr in `--json` mode, so that stdout
 /// carries only the query bodies.
-fn load_state(args: &Args, json: bool) -> (&str, bool, ServeState) {
+fn load_state(args: &Args, json: bool) -> (&str, ServeState) {
     let live = args.either(&["--snapshot"], &["--ingest-dir"]);
     let path = args.required(if live { "--ingest-dir" } else { "--snapshot" });
     let started = std::time::Instant::now();
@@ -508,14 +509,14 @@ fn load_state(args: &Args, json: bool) -> (&str, bool, ServeState) {
             false => println!("{line}"),
         }
     }
-    (path, live, state)
+    (path, state)
 }
 
 fn query_cmd(args: &Args) {
     let repeat: usize = args.num("--repeat", 1, 1);
     let json = args.has("--json");
     let started = std::time::Instant::now();
-    let (path, _, state) = load_state(args, json);
+    let (path, state) = load_state(args, json);
     let mut metrics = Registry::new();
     metrics.observe("snapshot_load_seconds", started.elapsed());
 
@@ -706,7 +707,7 @@ fn serve_cmd(args: &Args) {
         slow_threshold_ms: args.num("--slow-threshold-ms", 0, 0),
         ..ServeConfig::default()
     };
-    let (path, live, state) = load_state(args, false);
+    let (_, state) = load_state(args, false);
     let server =
         Server::start(Arc::new(state), &cfg).or_exit(format_args!("cannot bind {}", cfg.addr));
     println!(
@@ -721,20 +722,10 @@ fn serve_cmd(args: &Args) {
          formats: /metrics?format=prom (Prometheus), /debug/slow?format=chrome (trace viewer)"
     );
     install_shutdown_handler();
-    // 50 ms shutdown poll; every 10th tick (~500 ms) also follows the
-    // ingest directory. A refusal is logged when it differs from the
-    // previous poll's, not on every poll.
-    let (mut ticks, mut refused) = (0u64, None);
+    // The server follows an ingest directory itself; this loop only
+    // waits for the signal.
     while !SHUTDOWN.load(Ordering::SeqCst) {
         std::thread::sleep(std::time::Duration::from_millis(50));
-        ticks += 1;
-        if live && ticks.is_multiple_of(10) {
-            let failed = follow(Path::new(path), &server).err();
-            if let Some(msg) = failed.as_ref().filter(|&m| refused.as_ref() != Some(m)) {
-                eprintln!("{msg}");
-            }
-            refused = failed;
-        }
     }
     println!("shutdown signal received, draining…");
     let summary = server.shutdown();
@@ -745,23 +736,6 @@ fn serve_cmd(args: &Args) {
         summary.rejected_429,
         summary.cache.hit_rate() * 100.0
     );
-}
-
-/// Hot-swap `server` onto ingest directory `dir`'s generation when a
-/// seal or compaction advanced it; in-flight requests keep the `Arc`
-/// they started with. On a refusal, which names its file, nothing moves.
-fn follow(dir: &Path, server: &Server) -> Result<(), String> {
-    let manifest = inspire_ingest::Manifest::require(dir)
-        .map_err(|e| format!("cannot follow ingest dir {}: {e}", dir.display()))?;
-    let generation = manifest.generation;
-    if generation != server.generation() {
-        let next = inspire_serve::load_live_state(dir)
-            .map_err(|e| format!("generation {generation} reload failed: {e}"))?;
-        let seg = next.segments_open();
-        server.swap_state(Arc::new(next));
-        println!("generation {generation} live ({seg} segments)");
-    }
-    Ok(())
 }
 
 fn migrate_cmd(args: &Args) {

@@ -205,7 +205,8 @@ fn segments(live: &std::path::Path) -> Vec<String> {
 /// directory exposes the ingest gauges and families, follows a live
 /// delete to the next generation without a restart, leaves the deleted
 /// base document out of `/cluster` and `/rect`, and logs a manifest
-/// corrupted under it once, by name, while it keeps serving.
+/// corrupted under it once, by name, and counts it, while it keeps
+/// serving.
 #[test]
 fn an_ingest_directory_is_served_across_recovery_compaction_and_a_live_flip() {
     let dir = Scratch::new("cli-ingest");
@@ -380,11 +381,11 @@ fn an_ingest_directory_is_served_across_recovery_compaction_and_a_live_flip() {
     while ingest("snapshot_generation") <= was {
         let waited = started.elapsed();
         assert!(
-            waited < Duration::from_secs(10),
+            waited < Duration::from_secs(2),
             "generation stuck at {was}:\n{}",
             server.log()
         );
-        std::thread::sleep(Duration::from_millis(250));
+        std::thread::sleep(Duration::from_millis(20));
     }
 
     // Base document 0, deleted above, leaves its base cluster and the
@@ -425,8 +426,9 @@ fn an_ingest_directory_is_served_across_recovery_compaction_and_a_live_flip() {
     }
 
     // A garbage line appended to the manifest under the running server:
-    // the watch logs the refusal once, naming the file, and the server
-    // keeps answering from the generation it has.
+    // the watch logs the refusal once, on one line naming the file and
+    // not quoting the garbage, counts it, and keeps answering from the
+    // generation it has.
     let target = format!("/search?q={}+{}", t[0], t[1]);
     let kept = server.body(&target);
     let mut manifest = (std::fs::OpenOptions::new().append(true))
@@ -437,16 +439,20 @@ fn an_ingest_directory_is_served_across_recovery_compaction_and_a_live_flip() {
     while !server.log().contains("MANIFEST") {
         let waited = started.elapsed();
         assert!(
-            waited < Duration::from_secs(10),
+            waited < Duration::from_secs(2),
             "corrupt manifest never logged:\n{}",
             server.log()
         );
-        std::thread::sleep(Duration::from_millis(100));
+        std::thread::sleep(Duration::from_millis(10));
     }
-    // Three more polls of the same corrupt file log nothing more.
-    std::thread::sleep(Duration::from_millis(1600));
+    // Twenty more polls of the same corrupt file log nothing more.
+    std::thread::sleep(Duration::from_millis(200));
     let log = server.log();
     assert_eq!(log.matches("MANIFEST").count(), 1, "{log}");
+    let refusal = log.lines().find(|l| l.contains("MANIFEST")).unwrap();
+    assert!(refusal.ends_with("bytes follow the crc line"), "{refusal}");
+    assert!(!log.contains("garbage"), "{log}");
+    assert_eq!(ingest("reload_failures"), 1.0);
     assert_eq!(server.body(&target), kept);
     let (exit, log) = server.terminate(Duration::from_secs(2));
     assert!(exit.is_some(), "still running 2 s after SIGTERM:\n{log}");
