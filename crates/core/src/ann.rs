@@ -11,14 +11,15 @@
 //!   lists and re-encodes each signature with **per-signature scalar
 //!   quantization** — `u8` codes plus an `f64` scale/offset pair — and
 //!   records the exact `f64` L2 norm for re-ranking.
-//! * At query time [`search`] ranks centroids by cosine, scans only the
-//!   top-`nprobe` lists with the unrolled `u8` dot-product kernel
-//!   [`dot_u8`], and **exactly re-ranks** the leading candidates in `f64`
-//!   using the quantization error bound [`dot_error_bound`]: re-ranking
-//!   stops once no remaining candidate's upper bound can displace the
-//!   current k-th best exact score. Within the probed lists the result is
-//!   therefore identical to an exhaustive `f64` scan of those lists, so
-//!   `nprobe = k` reproduces [`exhaustive`] exactly.
+//! * At query time [`search`] ranks centroids by cosine, scans the
+//!   top-`nprobe` lists with the widening `u8` dot-product kernel
+//!   [`dot_u8`], drops every candidate whose upper bound (from the
+//!   quantization error bound [`dot_error_bound`]) lies below the
+//!   top-k-th best lower bound, and **exactly re-ranks** the survivors
+//!   in `f64`, skipping each one whose upper bound cannot displace the
+//!   current k-th best exact score. Within the probed lists the result
+//!   is therefore identical to an exhaustive `f64` scan of those lists,
+//!   so `nprobe = k` reproduces [`exhaustive`] exactly.
 //!
 //! Everything here is deterministic: every order is
 //! [`rank_cmp`](crate::query::rank_cmp), so ties break toward the lower
@@ -28,6 +29,7 @@
 use crate::linalg::dot;
 use crate::query::{rank_cmp, Hit, TopK};
 use crate::DocId;
+use std::cmp::Ordering;
 
 /// Largest quantization code (codes span `0..=255`).
 pub const QMAX: f64 = 255.0;
@@ -72,29 +74,22 @@ pub fn dequantize(code: u8, p: QuantParams) -> f64 {
     p.offset + code as f64 * p.scale
 }
 
-/// Unrolled `u8·u8` dot product: four independent `u32` accumulators so
-/// the compiler can keep vector lanes busy, folded into `u64` per block
-/// of 16384 components (the largest block whose partial sums cannot
-/// overflow `u32`).
+/// Components per `u32` partial sum in [`dot_u8`]: 16384 products of
+/// at most 255² sum to under 2³⁰, far from `u32::MAX` (which 66,052
+/// saturated products would pass).
+const DOT_BLOCK: usize = 16384;
+
+/// `u8·u8` dot product: a plain widening `u8 → u32` multiply-sum per
+/// block of [`DOT_BLOCK`] components, which the compiler vectorises,
+/// folded into `u64` per block so that no length can overflow.
 pub fn dot_u8(a: &[u8], b: &[u8]) -> u64 {
     debug_assert_eq!(a.len(), b.len());
-    let mut total = 0u64;
-    for (ca, cb) in a.chunks(16384).zip(b.chunks(16384)) {
-        let (mut s0, mut s1, mut s2, mut s3) = (0u32, 0u32, 0u32, 0u32);
-        let mut ia = ca.chunks_exact(4);
-        let mut ib = cb.chunks_exact(4);
-        for (xa, xb) in (&mut ia).zip(&mut ib) {
-            s0 += xa[0] as u32 * xb[0] as u32;
-            s1 += xa[1] as u32 * xb[1] as u32;
-            s2 += xa[2] as u32 * xb[2] as u32;
-            s3 += xa[3] as u32 * xb[3] as u32;
-        }
-        for (&x, &y) in ia.remainder().iter().zip(ib.remainder()) {
-            s0 += x as u32 * y as u32;
-        }
-        total += s0 as u64 + s1 as u64 + s2 as u64 + s3 as u64;
-    }
-    total
+    (a.chunks(DOT_BLOCK).zip(b.chunks(DOT_BLOCK)))
+        .map(|(ca, cb)| {
+            let block: u32 = ca.iter().zip(cb).map(|(&x, &y)| x as u32 * y as u32).sum();
+            block as u64
+        })
+        .sum()
 }
 
 /// Scalar reference for [`dot_u8`] (the oracle the kernel is tested
@@ -231,6 +226,15 @@ pub fn code_sums(codes: &[u8], m: usize) -> Vec<u32> {
         .collect()
 }
 
+/// [`l2_norm`] of each `m`-wide row of `rows`: the centroid norms
+/// [`search`] ranks probes by, precomputed once at state load.
+pub fn row_norms(rows: &[f64], m: usize) -> Vec<f64> {
+    if m == 0 {
+        return Vec::new();
+    }
+    rows.chunks_exact(m).map(l2_norm).collect()
+}
+
 /// Borrowed view over a (possibly snapshot-backed) IVF index plus the
 /// exact `f64` signatures used for re-ranking.
 #[derive(Debug, Clone, Copy)]
@@ -239,6 +243,8 @@ pub struct AnnIndexView<'a> {
     pub m: usize,
     /// Row-major `k × m` k-means centroids.
     pub centroids: &'a [f64],
+    /// Precomputed [`row_norms`] of `centroids`.
+    pub centroid_norms: &'a [f64],
     pub ivfoff: &'a [u64],
     pub ivfdoc: &'a [u32],
     pub codes: &'a [u8],
@@ -254,11 +260,18 @@ pub struct AnnIndexView<'a> {
 
 impl<'a> AnnIndexView<'a> {
     /// Borrow a freshly built [`IvfData`] (testing and benches).
-    pub fn of(data: &'a IvfData, centroids: &'a [f64], sums: &'a [u32], exact: &'a [f64]) -> Self {
+    pub fn of(
+        data: &'a IvfData,
+        centroids: &'a [f64],
+        centroid_norms: &'a [f64],
+        sums: &'a [u32],
+        exact: &'a [f64],
+    ) -> Self {
         AnnIndexView {
             k: data.k,
             m: data.m,
             centroids,
+            centroid_norms,
             ivfoff: &data.ivfoff,
             ivfdoc: &data.ivfdoc,
             codes: &data.codes,
@@ -282,7 +295,9 @@ pub struct SearchStats {
     pub probed: usize,
     /// Quantized candidates scanned with the `u8` kernel.
     pub candidates: usize,
-    /// Candidates exactly re-ranked in `f64`.
+    /// Candidates exactly re-ranked in `f64`: those that pass both the
+    /// threshold [`search`] sets before sorting and the running k-th
+    /// best check, never a tombstoned one.
     pub reranked: usize,
 }
 
@@ -295,11 +310,48 @@ pub fn cosine(query: &[f64], qnorm: f64, row: &[f64], norm: f64) -> f64 {
     dot(query, row) / (qnorm * norm)
 }
 
+/// One scanned list member: its approximate cosine, that cosine's error
+/// bound, its list position and its document.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    approx: f64,
+    bound: f64,
+    pos: u32,
+    doc: DocId,
+}
+
+impl Candidate {
+    /// The re-rank order: by approximate cosine, ties to the lower doc.
+    fn rank_cmp(&self, other: &Candidate) -> Ordering {
+        rank_cmp((self.approx, self.doc), (other.approx, other.doc))
+    }
+
+    /// The least exact cosine the bound allows, with a non-finite one
+    /// read as `-∞` so that it can vouch for nothing.
+    fn floor(&self) -> f64 {
+        let low = self.approx - self.bound;
+        if low.is_finite() {
+            low
+        } else {
+            f64::NEG_INFINITY
+        }
+    }
+}
+
 /// IVF similarity search: rank centroids by cosine, scan the top
 /// `nprobe` lists with the quantized kernel, then exactly re-rank into
 /// `best`, passing over the `deleted` documents (sorted ids), until the
 /// error bound proves no remaining candidate can enter it. A null or
 /// mis-sized query offers nothing and counts nothing.
+///
+/// Only the candidates that could still reach `best` are sorted: with
+/// `T` the `best.capacity()`-th largest lower bound (`approx − bound`)
+/// among the live candidates, at least that many live candidates score
+/// `≥ T` exactly, so `best`'s k-th score ends `≥ T` whatever is offered
+/// to it later, and a candidate whose upper bound (`approx + bound`)
+/// lies below `T` can never enter. The answer is the one re-ranking
+/// every candidate would give; only [`SearchStats::reranked`] may be
+/// lower.
 pub fn search(
     view: &AnnIndexView,
     query: &[f64],
@@ -309,33 +361,59 @@ pub fn search(
     out_stats: &mut SearchStats,
 ) {
     *out_stats = SearchStats::default();
+    let Some((qnorm, mut cand)) = scan(view, query, nprobe, out_stats) else {
+        return;
+    };
+    // ---- Keep the live candidates that can reach the top. ----
+    cand.retain(|c| deleted.binary_search(&c.doc).is_err());
+    let threshold = match best.capacity().checked_sub(1) {
+        Some(i) if i < cand.len() => {
+            let (_, nth, _) =
+                cand.select_nth_unstable_by(i, |a, b| b.floor().total_cmp(&a.floor()));
+            nth.floor()
+        }
+        _ => f64::NEG_INFINITY,
+    };
+    // A NaN upper bound is not below the threshold: it survives.
+    cand.retain(|c| (c.approx + c.bound).partial_cmp(&threshold) != Some(Ordering::Less));
+    cand.sort_unstable_by(Candidate::rank_cmp);
+    rerank(view, query, qnorm, &cand, best, out_stats);
+}
+
+/// Rank the centroids by cosine (ties toward the lower index) and scan
+/// the top `nprobe` lists with the quantized kernel, counting both in
+/// `stats`. `None`, counting nothing, for a null or mis-sized query or
+/// an empty index; else the query's L2 norm and every list member.
+fn scan(
+    view: &AnnIndexView,
+    query: &[f64],
+    nprobe: usize,
+    stats: &mut SearchStats,
+) -> Option<(f64, Vec<Candidate>)> {
     let (m, qnorm) = (view.m, l2_norm(query));
     if view.docs() == 0 || m == 0 || query.len() != m || qnorm == 0.0 {
-        return;
+        return None;
     }
     let ql1: f64 = query.iter().map(|x| x.abs()).sum();
     let mut qcodes = vec![0u8; m];
     let qp = quantize_into(query, &mut qcodes);
     let qsum: u32 = qcodes.iter().map(|&c| c as u32).sum();
 
-    // ---- Rank centroids by cosine (ties toward the lower index). ----
     let mut order: Vec<(f64, usize)> = (0..view.k)
         .map(|c| {
             let row = &view.centroids[c * m..(c + 1) * m];
-            (cosine(query, qnorm, row, l2_norm(row)), c)
+            (cosine(query, qnorm, row, view.centroid_norms[c]), c)
         })
         .collect();
     order.sort_by(|&a, &b| rank_cmp(a, b));
-    let nprobe = nprobe.clamp(1, view.k);
+    let probed = &order[..nprobe.clamp(1, view.k)];
+    let list = |c: usize| view.ivfoff[c] as usize..view.ivfoff[c + 1] as usize;
 
-    // ---- Scan the probed lists with the quantized kernel. ----
-    // Candidate = (approx cosine, cosine error bound, list position).
-    let mut cand: Vec<(f64, f64, u32)> = Vec::new();
-    for &(_, c) in order.iter().take(nprobe) {
-        out_stats.probed += 1;
-        let lo = view.ivfoff[c] as usize;
-        let hi = view.ivfoff[c + 1] as usize;
-        for pos in lo..hi {
+    let mut cand = Vec::with_capacity(probed.iter().map(|&(_, c)| list(c).len()).sum());
+    for &(_, c) in probed {
+        let span = list(c);
+        let rows = view.codes[span.start * m..span.end * m].chunks_exact(m);
+        for (pos, row) in span.zip(rows) {
             let dn = view.norm[pos];
             let dp = QuantParams {
                 scale: view.scale[pos],
@@ -344,37 +422,47 @@ pub fn search(
             let (approx, bound) = if dn == 0.0 {
                 (0.0, 0.0)
             } else {
-                let cd = dot_u8(&qcodes, &view.codes[pos * m..(pos + 1) * m]);
-                let ad = approx_dot(m, qp, qsum, dp, view.sums[pos], cd);
+                let ad = approx_dot(m, qp, qsum, dp, view.sums[pos], dot_u8(&qcodes, row));
                 // Document signatures are L1-normalized, so a non-null
                 // signature has ‖s‖₁ = 1 exactly.
                 let eb = dot_error_bound(qp, dp, ql1, 1.0, m);
                 (ad / (qnorm * dn), eb / (qnorm * dn))
             };
-            cand.push((approx, bound, pos as u32));
+            cand.push(Candidate {
+                approx,
+                bound,
+                pos: pos as u32,
+                doc: view.ivfdoc[pos],
+            });
         }
     }
-    out_stats.candidates = cand.len();
-    let doc_of = |&(approx, _, pos): &(f64, f64, u32)| (approx, view.ivfdoc[pos as usize]);
-    cand.sort_by(|a, b| rank_cmp(doc_of(a), doc_of(b)));
+    stats.probed = probed.len();
+    stats.candidates = cand.len();
+    Some((qnorm, cand))
+}
 
-    // ---- Bounded exact re-rank. ----
-    // Once `best` is full, a candidate whose optimistic score (approx +
-    // bound) falls below its k-th best is provably outside it, and the
-    // candidates after it are ranked lower still — but their bounds
-    // differ, so each is checked individually.
-    for &(approx, bound, pos) in &cand {
-        if best.kth().is_some_and(|kth| approx + bound < kth) {
+/// Bounded exact re-rank of `cand`, in [`Candidate::rank_cmp`] order,
+/// into `best`. Once `best` is full, a candidate whose optimistic score
+/// (approx + bound) falls below its k-th best is provably outside it,
+/// and the candidates after it are ranked lower still — but their
+/// bounds differ, so each is checked individually.
+fn rerank(
+    view: &AnnIndexView,
+    query: &[f64],
+    qnorm: f64,
+    cand: &[Candidate],
+    best: &mut TopK,
+    stats: &mut SearchStats,
+) {
+    let m = view.m;
+    for c in cand {
+        if best.kth().is_some_and(|kth| c.approx + c.bound < kth) {
             continue;
         }
-        let doc = view.ivfdoc[pos as usize];
-        if deleted.binary_search(&doc).is_ok() {
-            continue;
-        }
-        let row = &view.exact[doc as usize * m..(doc as usize + 1) * m];
-        let score = cosine(query, qnorm, row, view.norm[pos as usize]);
-        out_stats.reranked += 1;
-        best.offer(Hit { doc, score });
+        let row = &view.exact[c.doc as usize * m..(c.doc as usize + 1) * m];
+        let score = cosine(query, qnorm, row, view.norm[c.pos as usize]);
+        stats.reranked += 1;
+        best.offer(Hit { doc: c.doc, score });
     }
 }
 
@@ -413,6 +501,7 @@ pub fn exhaustive(sigs: &[f64], m: usize, query: &[f64], top: usize) -> Vec<Hit>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Deterministic xorshift for synthetic signatures.
     struct Rng(u64);
@@ -471,6 +560,74 @@ mod tests {
             }
         }
         (sigs, assignments, centroids)
+    }
+
+    /// The search before the threshold, kept as the oracle of [`search`]:
+    /// every live candidate sorted and offered to the bounded re-rank.
+    fn search_sorting_all(
+        view: &AnnIndexView,
+        query: &[f64],
+        nprobe: usize,
+        deleted: &[DocId],
+        best: &mut TopK,
+        out_stats: &mut SearchStats,
+    ) {
+        *out_stats = SearchStats::default();
+        let Some((qnorm, mut cand)) = scan(view, query, nprobe, out_stats) else {
+            return;
+        };
+        cand.retain(|c| deleted.binary_search(&c.doc).is_err());
+        cand.sort_by(Candidate::rank_cmp);
+        rerank(view, query, qnorm, &cand, best, out_stats);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The threshold changes which candidates are re-ranked, never
+        /// the answer: at every `nprobe` and top size, over random
+        /// signatures (null rows among them) and tombstones, [`search`]
+        /// returns the oracle's hits bit for bit and counts the same
+        /// probes and candidates, re-ranking no more than it.
+        #[test]
+        fn threshold_search_equals_sorting_every_candidate(
+            docs in 1usize..300,
+            m in 1usize..40,
+            k in 1usize..12,
+            seed in any::<u64>(),
+            tomb_seed in any::<u64>(),
+            qpick in any::<usize>(),
+        ) {
+            let (sigs, assignments, centroids) = synth(docs, m, k, seed);
+            let ivf = build_ivf(&sigs, m, &assignments, k);
+            let sums = code_sums(&ivf.codes, m);
+            let cnorms = row_norms(&centroids, m);
+            let view = AnnIndexView::of(&ivf, &centroids, &cnorms, &sums, &sigs);
+            let mut rng = Rng(tomb_seed | 1);
+            let density = rng.next() % 4;
+            let deleted: Vec<DocId> =
+                (0..docs as DocId).filter(|_| rng.next() % 8 < density).collect();
+            let q = qpick % docs;
+            let query = &sigs[q * m..(q + 1) * m];
+            for nprobe in 1..=k {
+                for top in [0, 1, 10, 50, docs + 1] {
+                    let (mut got, mut want) = (TopK::new(top), TopK::new(top));
+                    let (mut gs, mut ws) = (SearchStats::default(), SearchStats::default());
+                    search(&view, query, nprobe, &deleted, &mut got, &mut gs);
+                    search_sorting_all(&view, query, nprobe, &deleted, &mut want, &mut ws);
+                    let bits = |hits: Vec<Hit>| -> Vec<(DocId, u64)> {
+                        hits.iter().map(|h| (h.doc, h.score.to_bits())).collect()
+                    };
+                    prop_assert_eq!(
+                        bits(got.into_sorted()),
+                        bits(want.into_sorted()),
+                        "q={} nprobe={} top={}", q, nprobe, top
+                    );
+                    prop_assert_eq!((gs.probed, gs.candidates), (ws.probed, ws.candidates));
+                    prop_assert!(gs.reranked <= ws.reranked);
+                }
+            }
+        }
     }
 
     /// [`search`] into a fresh top-`top`, nothing deleted.
@@ -532,9 +689,13 @@ mod tests {
             let b: Vec<u8> = (0..len).map(|_| rng.next() as u8).collect();
             assert_eq!(dot_u8(&a, &b), dot_u8_ref(&a, &b), "len {len}");
         }
-        // Saturated: worst-case magnitudes must not overflow.
-        let a = vec![255u8; 20000];
-        assert_eq!(dot_u8(&a, &a), 20000 * 255 * 255);
+        // Saturated: worst-case magnitudes must not overflow, on either
+        // side of a block edge and past one `u32`'s worth of 255²
+        // products (66,052 of them exceed `u32::MAX`).
+        for len in [16383u64, 16384, 16385, 20000, 66052] {
+            let a = vec![255u8; len as usize];
+            assert_eq!(dot_u8(&a, &a), len * 255 * 255, "len {len}");
+        }
     }
 
     #[test]
@@ -592,7 +753,8 @@ mod tests {
         let (sigs, assignments, centroids) = synth(101, m, k, 13);
         let ivf = build_ivf(&sigs, m, &assignments, k);
         let sums = code_sums(&ivf.codes, m);
-        let view = AnnIndexView::of(&ivf, &centroids, &sums, &sigs);
+        let cnorms = row_norms(&centroids, m);
+        let view = AnnIndexView::of(&ivf, &centroids, &cnorms, &sums, &sigs);
         let mut stats = SearchStats::default();
         for q in [0usize, 3, 9, 42, 100] {
             let query = sigs[q * m..(q + 1) * m].to_vec();
@@ -624,7 +786,8 @@ mod tests {
         let (sigs, assignments, centroids) = synth(101, m, k, 13);
         let ivf = build_ivf(&sigs, m, &assignments, k);
         let sums = code_sums(&ivf.codes, m);
-        let view = AnnIndexView::of(&ivf, &centroids, &sums, &sigs);
+        let cnorms = row_norms(&centroids, m);
+        let view = AnnIndexView::of(&ivf, &centroids, &cnorms, &sums, &sigs);
         let query = sigs[3 * m..4 * m].to_vec();
         let want: Vec<Hit> = exhaustive(&sigs, m, &query, 101)
             .into_iter()
@@ -646,7 +809,8 @@ mod tests {
         let (sigs, assignments, centroids) = synth(400, m, k, 99);
         let ivf = build_ivf(&sigs, m, &assignments, k);
         let sums = code_sums(&ivf.codes, m);
-        let view = AnnIndexView::of(&ivf, &centroids, &sums, &sigs);
+        let cnorms = row_norms(&centroids, m);
+        let view = AnnIndexView::of(&ivf, &centroids, &cnorms, &sums, &sigs);
         let query = sigs[8 * m..9 * m].to_vec();
         let mut stats = SearchStats::default();
         let got = top_hits(&view, &query, 10, k, &mut stats);
@@ -667,7 +831,8 @@ mod tests {
         let (sigs, assignments, centroids) = synth(200, m, k, 3);
         let ivf = build_ivf(&sigs, m, &assignments, k);
         let sums = code_sums(&ivf.codes, m);
-        let view = AnnIndexView::of(&ivf, &centroids, &sums, &sigs);
+        let cnorms = row_norms(&centroids, m);
+        let view = AnnIndexView::of(&ivf, &centroids, &cnorms, &sums, &sigs);
         let query = sigs[..m].to_vec();
         let mut s1 = SearchStats::default();
         let mut s8 = SearchStats::default();
@@ -684,7 +849,8 @@ mod tests {
         let (sigs, assignments, centroids) = synth(20, m, 2, 1);
         let ivf = build_ivf(&sigs, m, &assignments, 2);
         let sums = code_sums(&ivf.codes, m);
-        let view = AnnIndexView::of(&ivf, &centroids, &sums, &sigs);
+        let cnorms = row_norms(&centroids, m);
+        let view = AnnIndexView::of(&ivf, &centroids, &cnorms, &sums, &sigs);
         let mut stats = SearchStats::default();
         assert!(top_hits(&view, &vec![0.0; m], 5, 2, &mut stats).is_empty());
         assert!(
@@ -694,7 +860,7 @@ mod tests {
         assert!(exhaustive(&sigs, m, &[0.0; 8], 5).is_empty());
         let empty = build_ivf(&[], m, &[], 2);
         let esums = code_sums(&empty.codes, m);
-        let eview = AnnIndexView::of(&empty, &centroids, &esums, &[]);
+        let eview = AnnIndexView::of(&empty, &centroids, &cnorms, &esums, &[]);
         assert!(top_hits(&eview, &sigs[..m], 5, 2, &mut stats).is_empty());
     }
 

@@ -373,6 +373,11 @@ impl TopK {
         }
     }
 
+    /// The most hits this top-`k` holds: its `k`.
+    pub fn capacity(&self) -> usize {
+        self.k
+    }
+
     /// The `k`-th best score once `k` hits are held: a hit scoring below
     /// it cannot enter.
     pub fn kth(&self) -> Option<f64> {

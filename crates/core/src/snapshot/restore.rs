@@ -52,12 +52,14 @@ impl EngineSnapshot {
     }
 
     /// The IVF index over this snapshot's sections (`has_ann`
-    /// snapshots), with the caller's precomputed [`crate::ann::code_sums`].
-    pub fn ann_view<'a>(&'a self, sums: &'a [u32]) -> AnnIndexView<'a> {
+    /// snapshots), with the caller's precomputed
+    /// [`crate::ann::code_sums`] and centroid [`crate::ann::row_norms`].
+    pub fn ann_view<'a>(&'a self, sums: &'a [u32], centroid_norms: &'a [f64]) -> AnnIndexView<'a> {
         AnnIndexView {
             k: self.meta.k,
             m: self.meta.m_dims,
             centroids: self.get(&CENTROID),
+            centroid_norms,
             ivfoff: self.get(&IVFOFF),
             ivfdoc: self.get(&IVFDOC),
             codes: self.get(&QSIG),

@@ -5,7 +5,7 @@
 //! allocation per distinct term (the owned key), a SipHash pass per
 //! probe, and pointer-chasing per string. This crate removes all three:
 //!
-//! * [`TermInterner`] — terms live contiguously in one byte **arena**;
+//! * [`TermInterner`] — terms live contiguously in one string **arena**;
 //!   the map is a span-keyed open-addressing table hashed with a
 //!   hand-rolled FxHash-style multiply-xor hasher. Interning an
 //!   already-seen term is one hash pass and zero allocations; a new term
@@ -14,6 +14,10 @@
 //! * [`TermTable`] — an immutable, lexicographically sorted term list in
 //!   one arena with `O(log n)` string→id search and `O(1)` id→string
 //!   access. This replaces `Vec<String>` vocabulary tables.
+//!
+//! Both arenas are `String`s: UTF-8 is checked once, when a term enters
+//! (or a serialized table is rebuilt), and reading a term back is a
+//! slice with no re-validation.
 //!
 //! Both structures are deterministic: no random hash seeds, iteration in
 //! insertion (respectively sorted) order.
@@ -61,7 +65,7 @@ struct Span {
 /// term bytes in a single arena, lookups via span-keyed open addressing.
 #[derive(Debug, Clone, Default)]
 pub struct TermInterner {
-    arena: Vec<u8>,
+    arena: String,
     spans: Vec<Span>,
     /// Open-addressing table of `id + 1` (0 = empty). Power-of-two size.
     table: Vec<u32>,
@@ -75,7 +79,7 @@ impl TermInterner {
     /// Pre-size for about `terms` distinct terms of `avg_len` bytes.
     pub fn with_capacity(terms: usize, avg_len: usize) -> Self {
         let mut s = TermInterner {
-            arena: Vec::with_capacity(terms * avg_len),
+            arena: String::with_capacity(terms * avg_len),
             spans: Vec::with_capacity(terms),
             table: Vec::new(),
         };
@@ -95,15 +99,15 @@ impl TermInterner {
     /// The bytes of term `id`.
     #[inline]
     pub fn bytes(&self, id: u32) -> &[u8] {
-        let s = self.spans[id as usize];
-        &self.arena[s.start as usize..(s.start + s.len) as usize]
+        self.get(id).as_bytes()
     }
 
-    /// The term `id` as `&str` (every entry point takes UTF-8, so the
-    /// arena holds valid UTF-8; this checks it on each call).
+    /// The term `id`: a slice of the arena, checked as UTF-8 when it
+    /// was interned.
     #[inline]
     pub fn get(&self, id: u32) -> &str {
-        std::str::from_utf8(self.bytes(id)).expect("interner arena holds UTF-8")
+        let s = self.spans[id as usize];
+        &self.arena[s.start as usize..(s.start + s.len) as usize]
     }
 
     /// Terms in insertion (id) order.
@@ -123,7 +127,7 @@ impl TermInterner {
         self.table = vec![0u32; cap];
         let mask = cap - 1;
         for (i, s) in self.spans.iter().enumerate() {
-            let bytes = &self.arena[s.start as usize..(s.start + s.len) as usize];
+            let bytes = &self.arena.as_bytes()[s.start as usize..(s.start + s.len) as usize];
             let mut at = (fxhash(bytes) as usize) & mask;
             while self.table[at] != 0 {
                 at = (at + 1) & mask;
@@ -138,10 +142,8 @@ impl TermInterner {
         self.intern_raw(term.as_bytes(), fxhash(term.as_bytes()))
     }
 
-    /// Intern term `id` of `other`. The bytes come out of an interner
-    /// arena, so nothing is re-validated on the way — the path for moving
-    /// terms between interners ([`TermInterner::get`] checks UTF-8 on
-    /// every call).
+    /// Intern term `id` of `other`: the path for moving terms between
+    /// interners.
     pub fn intern_from(&mut self, other: &TermInterner, id: u32) -> (u32, bool) {
         let bytes = other.bytes(id);
         self.intern_raw(bytes, fxhash(bytes))
@@ -154,9 +156,8 @@ impl TermInterner {
     /// stopword set and the vocabulary).
     ///
     /// # Panics
-    /// If `bytes` is not ASCII: the arena must stay valid UTF-8 for
-    /// [`TermInterner::get`], and ASCII is the check that costs a word
-    /// compare per eight bytes.
+    /// If `bytes` is not ASCII: the arena must stay valid UTF-8, and
+    /// ASCII is the check that costs a word compare per eight bytes.
     #[inline]
     pub fn intern_ascii_hashed(&mut self, bytes: &[u8], hash: u64) -> (u32, bool) {
         assert!(bytes.is_ascii(), "byte-keyed terms are ASCII");
@@ -164,7 +165,8 @@ impl TermInterner {
     }
 
     /// The one insert path. `bytes` is valid UTF-8 and `hash` its
-    /// `fxhash`; every public entry point establishes both.
+    /// `fxhash`; every public entry point establishes both. Only a new
+    /// term's bytes are checked again, as they enter the arena.
     #[inline]
     fn intern_raw(&mut self, bytes: &[u8], hash: u64) -> (u32, bool) {
         debug_assert_eq!(hash, fxhash(bytes), "caller-supplied hash");
@@ -186,7 +188,8 @@ impl TermInterner {
         }
         let id = self.spans.len() as u32;
         let start = self.arena.len() as u32;
-        self.arena.extend_from_slice(bytes);
+        self.arena
+            .push_str(std::str::from_utf8(bytes).expect("interned terms are UTF-8"));
         self.spans.push(Span {
             start,
             len: bytes.len() as u32,
@@ -236,7 +239,7 @@ impl TermInterner {
 /// [`TermTable::position`] finds a term's id by binary search.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TermTable {
-    arena: Vec<u8>,
+    arena: String,
     /// `offsets[i]..offsets[i+1]` spans term `i`; length `len + 1`.
     offsets: Vec<u32>,
 }
@@ -245,10 +248,10 @@ impl TermTable {
     /// Build from terms already in ascending order (callers sort; the
     /// engine's canonical vocabulary is sorted collectively).
     pub fn from_sorted<'a>(terms: impl IntoIterator<Item = &'a str>) -> Self {
-        let mut arena = Vec::new();
+        let mut arena = String::new();
         let mut offsets = vec![0u32];
         for t in terms {
-            arena.extend_from_slice(t.as_bytes());
+            arena.push_str(t);
             offsets.push(arena.len() as u32);
         }
         debug_assert!(
@@ -270,12 +273,11 @@ impl TermTable {
         self.len() == 0
     }
 
-    /// The term with canonical id `i`.
+    /// The term with canonical id `i`: a slice of the arena, checked as
+    /// UTF-8 when the table was built.
     #[inline]
     pub fn get(&self, i: usize) -> &str {
-        let lo = self.offsets[i] as usize;
-        let hi = self.offsets[i + 1] as usize;
-        std::str::from_utf8(&self.arena[lo..hi]).expect("term table arena holds UTF-8")
+        &self.arena[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
     /// Canonical id of `term`, if present (binary search).
@@ -301,7 +303,7 @@ impl TermTable {
     /// The raw term arena, for serialization. Together with
     /// [`TermTable::offsets`] this is the table's entire state.
     pub fn arena_bytes(&self) -> &[u8] {
-        &self.arena
+        self.arena.as_bytes()
     }
 
     /// The offset table (`len + 1` entries, `offsets[i]..offsets[i+1]`
@@ -332,14 +334,25 @@ impl TermTable {
             if w[0] > w[1] {
                 return Err(format!("offsets decrease at term {i}: {} > {}", w[0], w[1]));
             }
-            if std::str::from_utf8(&arena[w[0] as usize..w[1] as usize]).is_err() {
-                return Err(format!("term {i} is not valid UTF-8"));
-            }
         }
-        // Every span is UTF-8 by now, and byte order is `str` order: the
-        // order check compares bytes and decodes only for its message.
+        // Every span is UTF-8 exactly when the whole arena is and no
+        // offset splits a character; the term named is the first one
+        // that holds (or ends inside) the bad bytes.
+        let not_utf8 = |at: usize| {
+            let i = offsets.partition_point(|&o| o as usize <= at) - 1;
+            format!("term {i} is not valid UTF-8")
+        };
+        let arena = String::from_utf8(arena).map_err(|e| not_utf8(e.utf8_error().valid_up_to()))?;
+        if let Some(&o) = offsets
+            .iter()
+            .find(|&&o| !arena.is_char_boundary(o as usize))
+        {
+            return Err(not_utf8(o as usize - 1));
+        }
+        // Byte order is `str` order: the order check compares bytes and
+        // reads terms only for its message.
         let t = TermTable { arena, offsets };
-        let span = |i: usize| &t.arena[t.offsets[i] as usize..t.offsets[i + 1] as usize];
+        let span = |i: usize| &t.arena.as_bytes()[t.offsets[i] as usize..t.offsets[i + 1] as usize];
         for i in 1..t.len() {
             if span(i - 1) >= span(i) {
                 return Err(format!(
@@ -513,8 +526,17 @@ mod tests {
         assert!(TermTable::from_parts(b"ab".to_vec(), vec![0, 1]).is_err());
         // Decreasing offsets.
         assert!(TermTable::from_parts(b"ab".to_vec(), vec![0, 2, 1, 2]).is_err());
-        // Invalid UTF-8 span.
+        // Invalid UTF-8 span, named by its term.
         assert!(TermTable::from_parts(vec![0xFF, 0xFE], vec![0, 2]).is_err());
+        assert_eq!(
+            TermTable::from_parts(vec![b'a', 0xFF, b'b'], vec![0, 1, 2, 3]),
+            Err("term 1 is not valid UTF-8".to_string())
+        );
+        // A valid arena cut inside a character ("é" is two bytes).
+        assert_eq!(
+            TermTable::from_parts("é".into(), vec![0, 1, 2]),
+            Err("term 0 is not valid UTF-8".to_string())
+        );
         // Unsorted terms.
         assert!(TermTable::from_parts(b"ba".to_vec(), vec![0, 1, 2]).is_err());
         // Duplicate terms (must be strictly ascending).

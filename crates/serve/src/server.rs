@@ -263,28 +263,66 @@ impl Shared {
     }
 }
 
-/// How often the watcher reads the manifest of the ingest directory it
-/// follows: a read, CRC and parse of a few KiB (DESIGN.md §11).
+/// How often the watcher checks the manifest of the ingest directory it
+/// follows: a `stat`, and when that changed, a read, CRC and parse of a
+/// few KiB (DESIGN.md §11).
 const WATCH_POLL: Duration = Duration::from_millis(10);
 
-/// Follow ingest directory `dir` until shutdown. After each poll the
-/// watcher waits [`WATCH_POLL`], or as long as the poll took if that is
-/// longer, so reloads during a commit burst or a persistent refusal take
-/// at most half a core. A refusal is logged, and counted, when it
-/// differs from the previous poll's.
+/// Follow ingest directory `dir` until shutdown. A poll reads the
+/// manifest only when its [`manifest_stamp`] differs from that of the
+/// last manifest followed without a refusal, so an idle watcher costs
+/// one `stat` per poll, and a refused reload is retried on every poll
+/// until one succeeds. After each poll the watcher waits
+/// [`WATCH_POLL`], or as long as the poll took if that is longer, so
+/// reloads during a commit burst or a persistent refusal take at most
+/// half a core. A refusal is logged, and counted, when it differs from
+/// the previous poll's.
 fn watch_loop(dir: &Path, shared: &Shared) {
-    let mut refused = None;
+    let manifest = inspire_ingest::Manifest::path_in(dir);
+    let (mut refused, mut followed) = (None, None);
     while !shared.shutdown.load(Ordering::SeqCst) {
         let polled = Instant::now();
-        let failed = follow(dir, shared).err();
-        if let Some(msg) = failed.as_ref().filter(|&m| refused.as_ref() != Some(m)) {
-            log_warn!(None, "{msg}");
-            shared.reload_failures.fetch_add(1, Ordering::Relaxed);
+        // Stamped before the read, so what is read is at least as new.
+        let stamp = manifest_stamp(&manifest);
+        if stamp.is_none() || stamp != followed {
+            let failed = follow(dir, shared).err();
+            if let Some(msg) = failed.as_ref().filter(|&m| refused.as_ref() != Some(m)) {
+                log_warn!(None, "{msg}");
+                shared.reload_failures.fetch_add(1, Ordering::Relaxed);
+            }
+            followed = stamp.filter(|_| failed.is_none());
+            refused = failed;
         }
-        refused = failed;
         // `shutdown` unparks this thread, so it never waits out a wait.
         std::thread::park_timeout(polled.elapsed().max(WATCH_POLL));
     }
+}
+
+/// What tells one manifest file from another without reading it: its
+/// device and inode, length, and modification and status-change times.
+/// A commit publishes its manifest by renaming a new file over the old
+/// one, which changes the inode and the change time; an append in place
+/// changes the length. `None` when the file cannot be stat'ed, or off
+/// Unix, where every poll then reads the manifest.
+#[cfg(unix)]
+fn manifest_stamp(path: &Path) -> Option<[i64; 7]> {
+    use std::os::unix::fs::MetadataExt;
+    let m = std::fs::metadata(path).ok()?;
+    let (dev, ino, len) = (m.dev() as i64, m.ino() as i64, m.len() as i64);
+    Some([
+        dev,
+        ino,
+        len,
+        m.mtime(),
+        m.mtime_nsec(),
+        m.ctime(),
+        m.ctime_nsec(),
+    ])
+}
+
+#[cfg(not(unix))]
+fn manifest_stamp(_path: &Path) -> Option<[i64; 7]> {
+    None
 }
 
 /// Swap onto `dir`'s generation when a seal or compaction advanced it;

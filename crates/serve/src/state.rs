@@ -18,7 +18,7 @@ use inspire_core::ann::{self, SearchStats};
 use inspire_core::index::Posting;
 use inspire_core::query::{Hit, SearchIndex, TopK};
 use inspire_core::signature::record_signature;
-use inspire_core::snapshot::schema::{ASSIGN, ASSOC, COORDND, CSIZE, MAJOR, QSIG, SIGS};
+use inspire_core::snapshot::schema::{ASSIGN, ASSOC, CENTROID, COORDND, CSIZE, MAJOR, QSIG, SIGS};
 use inspire_core::snapshot::EngineMeta;
 use inspire_core::tokenize::Tokenizer;
 use inspire_core::{DocId, EngineSnapshot, Stage, TermId};
@@ -71,13 +71,15 @@ fn decode_timed<R>(f: impl FnOnce() -> R) -> R {
 
 /// ANN serving state derived from the snapshot's IVF sections at load:
 /// the per-list-position code sums the affine kernel expansion needs,
-/// the major-term rows that embed free text into signature space, and
-/// the signatures of live-segment documents, which are not in the IVF
-/// lists.
+/// the centroid norms the probe order needs, the major-term rows that
+/// embed free text into signature space, and the signatures of
+/// live-segment documents, which are not in the IVF lists.
 struct AnnState {
     /// Precomputed [`ann::code_sums`] over the `qsig` section, list
     /// order.
     sums: Vec<u32>,
+    /// [`ann::row_norms`] of the snapshot's centroids.
+    centroid_norms: Vec<f64>,
     /// Major-term string → association-matrix row index. Keyed by
     /// string (not term id) so free-text embedding needs no vocabulary
     /// lookup.
@@ -251,7 +253,7 @@ impl ServeState {
         };
         let tombs = self.merged.tombstones();
         let mut best = TopK::new(top);
-        let view = self.snapshot().ann_view(&ann.sums);
+        let view = self.snapshot().ann_view(&ann.sums, &ann.centroid_norms);
         ann::search(&view, query, nprobe, tombs, &mut best, &mut stats);
         let live = ann.live_sigs.chunks_exact(self.meta.m_dims);
         stats.candidates += live.len();
@@ -313,14 +315,14 @@ fn build_ann(merged: &Merged) -> AnnState {
         let rows = doc.iter().map(|&(r, f)| (&assoc[r * m..(r + 1) * m], f));
         record_signature(rows, sig);
     }
-    let live_norms = live_sigs.chunks_exact(m).map(ann::l2_norm).collect();
     AnnState {
         sums: ann::code_sums(snap.get::<u8>(&QSIG), m),
+        centroid_norms: ann::row_norms(snap.get::<f64>(&CENTROID), m),
         rows: (majors.iter())
             .map(|&(t, row)| (terms.get(t as usize).to_string(), row))
             .collect(),
+        live_norms: ann::row_norms(&live_sigs, m),
         live_sigs,
-        live_norms,
     }
 }
 

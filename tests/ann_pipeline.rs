@@ -1,15 +1,18 @@
 //! Pipeline-level IVF ANN properties: snapshots built at P = 1 and
 //! P = 4 carry bit-identical ANN sections, searching every cluster
 //! (`nprobe = k`) reproduces the exhaustive f64 oracle bit-for-bit,
-//! and the quantized signature store is at least 4x smaller than the
-//! fixed-width `f64` signature section it accelerates.
+//! the quantized signature store is at least 4x smaller than the
+//! fixed-width `f64` signature section it accelerates, and lists that
+//! k-means left empty are probed, counted and answered exactly.
 
 use std::sync::Arc;
+use visual_analytics::corpus::{FormatKind, Source};
 use visual_analytics::engine::ann;
-use visual_analytics::engine::query::TopK;
+use visual_analytics::engine::query::{rank_cmp, Hit, TopK};
 use visual_analytics::engine::snapshot::schema;
 use visual_analytics::engine::EngineSnapshot;
 use visual_analytics::prelude::*;
+use visual_analytics::serve::{execute, ServeRequest, ServeState};
 
 const ANN_SECTIONS: [&str; 6] = ["qsig", "qscale", "qoff", "signrm", "ivfdoc", "ivfoff"];
 
@@ -30,7 +33,8 @@ fn assert_full_probe_is_exhaustive(snap: &EngineSnapshot) -> Vec<(u32, u64)> {
     let (k, m) = (meta.k, meta.m_dims);
     let sigs = snap.get::<f64>(&schema::SIGS);
     let sums = ann::code_sums(snap.get::<u8>(&schema::QSIG), m);
-    let view = snap.ann_view(&sums);
+    let cnorms = ann::row_norms(snap.get::<f64>(&schema::CENTROID), m);
+    let view = snap.ann_view(&sums, &cnorms);
     let docs = view.docs();
     assert_eq!(docs, meta.total_docs as usize);
     assert!(docs > 0, "empty snapshot");
@@ -123,5 +127,115 @@ fn quantized_sections_shrink_signature_storage_4x() {
         "quantized store {quant} B is less than 4x smaller than exact sigs {exact} B"
     );
 
+    let _ = std::fs::remove_file(&out);
+}
+
+/// ROADMAP 5(c)'s empty IVF lists end to end. Documents with equal
+/// signatures always share a nearest centroid, so a corpus of ten
+/// distinct records, each repeated four times, leaves at least two of
+/// k = 12 lists empty. At every `nprobe` a `/similar` answer counts
+/// every list it probed, empty ones included, and its hits are the
+/// exhaustive `f64` oracle's over the probed lists' documents, bit for
+/// bit; at `nprobe = k` that is `ann::exhaustive` itself.
+#[test]
+fn empty_ivf_lists_are_probed_and_answered_exactly() {
+    // Three words of its own per record, and one shared with each ring
+    // neighbour, so that records of different texts are similar too.
+    let names = [
+        "alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel", "india", "juliet",
+    ];
+    let texts: Vec<String> = (0..names.len())
+        .map(|i| {
+            let (own, next) = (names[i], names[(i + 1) % names.len()]);
+            format!("{own}x {own}y {own}z ring{own} ring{next}")
+        })
+        .collect();
+    let records: String = texts
+        .iter()
+        .map(|t| format!("TI  - {t}\nAB  - {t} {t}\n\n"))
+        .collect();
+    let sources = (0..4)
+        .map(|i| Source {
+            name: format!("dup-{i}"),
+            data: records.clone().into_bytes(),
+            format: FormatKind::Medline,
+        })
+        .collect();
+    let out = std::env::temp_dir().join(format!("va-ann-empty-{}.isnap", std::process::id()));
+    let _ = std::fs::remove_file(&out);
+    let cfg = EngineConfig {
+        snapshot_out: Some(out.clone()),
+        n_clusters: 12,
+        ..EngineConfig::for_testing()
+    };
+    run_engine(2, Arc::new(CostModel::zero()), &SourceSet { sources }, &cfg);
+    let snap = EngineSnapshot::open(&out).unwrap();
+    assert!(snap.has_ann(), "{:?}", snap.meta());
+    let (k, m) = (snap.meta().k, snap.meta().m_dims);
+    let docs = snap.meta().total_docs as usize;
+    let ivfoff = snap.get::<u64>(&schema::IVFOFF);
+    let list_len = |c: usize| (ivfoff[c + 1] - ivfoff[c]) as usize;
+    assert!(
+        (0..k).any(|c| list_len(c) == 0),
+        "no empty list among {k}: {ivfoff:?}"
+    );
+    let (sigs, assign) = (
+        snap.get::<f64>(&schema::SIGS),
+        snap.get::<u32>(&schema::ASSIGN),
+    );
+    let centroids = snap.get::<f64>(&schema::CENTROID);
+    let state = ServeState::load(&out).unwrap();
+
+    let text = "alphax bravoy ringcharlie";
+    let mut queries: Vec<(Option<u32>, Option<String>, Vec<f64>)> = (0..texts.len() as u32)
+        .map(|d| (Some(d), None, state.doc_signature(d).unwrap().to_vec()))
+        .collect();
+    queries.push((None, Some(text.into()), state.embed_text(text).unwrap()));
+    let bits = |hits: Vec<Hit>| -> Vec<(u32, u64)> {
+        hits.iter().map(|h| (h.doc, h.score.to_bits())).collect()
+    };
+    let mut empty_probed_early = false;
+    for (doc, text, query) in &queries {
+        let qnorm = ann::l2_norm(query);
+        assert!(qnorm > 0.0, "{doc:?} {text:?}: null query");
+        let mut order: Vec<(f64, usize)> = (0..k)
+            .map(|c| {
+                let row = &centroids[c * m..(c + 1) * m];
+                (ann::cosine(query, qnorm, row, ann::l2_norm(row)), c)
+            })
+            .collect();
+        order.sort_by(|&a, &b| rank_cmp(a, b));
+        for nprobe in 1..=k {
+            let probed: Vec<usize> = order[..nprobe].iter().map(|&(_, c)| c).collect();
+            empty_probed_early |= nprobe < k && probed.iter().any(|&c| list_len(c) == 0);
+            let listed: usize = probed.iter().map(|&c| list_len(c)).sum();
+            let at = format!("{doc:?} {text:?} nprobe={nprobe}");
+            for top in [1, 10, docs] {
+                let (hits, stats) = state.similar(query, top, nprobe);
+                assert_eq!((stats.probed, stats.candidates), (nprobe, listed), "{at}");
+                let in_probed = |h: &Hit| probed.contains(&(assign[h.doc as usize] as usize));
+                let mut want = ann::exhaustive(sigs, m, query, docs);
+                want.retain(in_probed);
+                want.truncate(top);
+                if nprobe == k {
+                    assert_eq!(want, ann::exhaustive(sigs, m, query, top), "{at}");
+                }
+                assert_eq!(bits(hits), bits(want), "{at} top={top}");
+                let req = ServeRequest::Similar {
+                    doc: *doc,
+                    text: text.clone(),
+                    top,
+                    nprobe,
+                };
+                let body = execute(&state, &req).unwrap();
+                let counted = format!("\"probed\":{nprobe},\"candidates\":{listed},");
+                assert!(body.contains(&counted), "{at}: {body}");
+            }
+        }
+    }
+    assert!(
+        empty_probed_early,
+        "no query probes an empty list before the last probe"
+    );
     let _ = std::fs::remove_file(&out);
 }

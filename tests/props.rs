@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use visual_analytics::engine::ann::{
     approx_dot, build_ivf, code_sums, dot_error_bound, dot_u8, dot_u8_ref, exhaustive, l2_norm,
-    quantize_into, search, AnnIndexView, SearchStats,
+    quantize_into, row_norms, search, AnnIndexView, SearchStats,
 };
 use visual_analytics::engine::linalg::{dist2, dot, jacobi_eigen};
 use visual_analytics::engine::query::TopK;
@@ -309,7 +309,8 @@ proptest! {
         }
         let ivf = build_ivf(&sigs, m, &assignments, k);
         let sums = code_sums(&ivf.codes, m);
-        let view = AnnIndexView::of(&ivf, &centroids, &sums, &sigs);
+        let cnorms = row_norms(&centroids, m);
+        let view = AnnIndexView::of(&ivf, &centroids, &cnorms, &sums, &sigs);
         let q = qpick % docs;
         let query = sigs[q * m..(q + 1) * m].to_vec();
         if l2_norm(&query) == 0.0 {
