@@ -31,10 +31,10 @@
 //! canonicalization sorts every field by canonical id — ids are distinct
 //! within a field, so nothing upstream of that sort can influence it.
 //!
-//! [`scan_source`] is the same tokenize → canonical-document path for one
-//! source on one rank, with no SPMD context and no distributed
-//! vocabulary: the sorted terms of that source are its canonical ids. It
-//! yields what [`scan`] yields at P = 1 for a corpus of that one source,
+//! [`scan_sources`] is the same tokenize → canonical-document path for a
+//! list of sources on one rank, with no SPMD context and no distributed
+//! vocabulary: the sorted terms of those sources are their canonical ids.
+//! It yields what [`scan`] yields at P = 1 for a corpus of those sources,
 //! and the live-ingestion sealer builds each segment from it, so batch and
 //! live indexing share one document model ([`LocalDoc`]).
 
@@ -322,17 +322,21 @@ fn canonical_doc(tdoc: &TokenizedDoc, to_canonical: &[TermId]) -> LocalDoc {
     }
 }
 
-/// Scan & Map of one source on one rank, with no SPMD context: its
-/// records as documents numbered from 0, over a vocabulary of the terms
-/// they hold, sorted. Record tokenization is context-free, so this is
-/// exactly what [`scan`] yields at P = 1 for a corpus of that one source
-/// — and what the live-ingestion sealer builds a segment from, so a
-/// segment's postings and df/tf come from the engine's own documents.
-pub fn scan_source(source: &Source) -> (TermTable, Vec<LocalDoc>) {
+/// Scan & Map of `sources` on one rank, with no SPMD context: their
+/// records, source after source, as documents numbered from 0, over a
+/// vocabulary of the terms they hold, sorted. Record tokenization is
+/// context-free, so this is exactly what [`scan`] yields at P = 1 for a
+/// corpus of those sources — and what the live-ingestion sealer builds a
+/// segment from, so a segment's postings and df/tf come from the
+/// engine's own documents.
+pub fn scan_sources(sources: &[Source]) -> (TermTable, Vec<LocalDoc>) {
     let mut terms = TermInterner::new();
     let (mut counts_scratch, mut touched) = (Vec::new(), Vec::new());
-    let tdocs: Vec<TokenizedDoc> = (source.record_ranges().into_iter())
-        .map(|range| tokenize_record(source, range, &mut terms, &mut counts_scratch, &mut touched))
+    let tdocs: Vec<TokenizedDoc> = (sources.iter())
+        .flat_map(|source| source.record_ranges().into_iter().map(move |r| (source, r)))
+        .map(|(source, range)| {
+            tokenize_record(source, range, &mut terms, &mut counts_scratch, &mut touched)
+        })
         .collect();
     // Canonical ids are lexicographic, as the collective remap's.
     let mut order: Vec<u32> = (0..terms.len() as u32).collect();
@@ -646,22 +650,22 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// The one-rank scan is the scan: `scan_source` yields the
+        /// The one-rank scan is the scan: `scan_sources` yields the
         /// vocabulary and documents `scan` does at P = 1 over a corpus
-        /// of that one source.
+        /// of those sources, one or several, of mixed formats.
         #[test]
-        fn scan_source_is_the_scan_at_p1(
-            flavour in 0usize..3,
-            seed in 0u64..1_000,
-            pick in 0usize..8,
+        fn scan_sources_is_the_scan_at_p1(
+            picks in proptest::collection::vec((0usize..3, 0u64..1_000, 0usize..8), 1..4),
         ) {
-            let source = one_source(flavour, seed, pick);
-            let set = SourceSet { sources: vec![source.clone()] };
+            let sources: Vec<Source> = (picks.iter())
+                .map(|&(flavour, seed, pick)| one_source(flavour, seed, pick))
+                .collect();
+            let set = SourceSet { sources: sources.clone() };
             let want = Runtime::for_testing()
                 .run(1, |ctx| scan(ctx, &set, &EngineConfig::for_testing()).0)
                 .results
                 .remove(0);
-            let (terms, docs) = scan_source(&source);
+            let (terms, docs) = scan_sources(&sources);
             prop_assert!(!docs.is_empty());
             prop_assert_eq!(&terms, want.terms.as_ref());
             prop_assert_eq!(docs, want.docs);

@@ -2,29 +2,32 @@
 //!
 //! The batch pipeline (scan → invert → signatures) rebuilds the world
 //! on every corpus change. This crate makes the index *live*: each
-//! committed batch (a document batch, a set of deletes) becomes one
-//! small immutable index segment ([`segment`]) that reuses the engine's
-//! block-compressed posting codec, tracked by a crash-safe generation
-//! manifest ([`manifest`]), and folded back together by a compactor
-//! ([`compact`]). Base snapshot + segments are read as one index
+//! commit (a batch of sources and the deletes that ride with it) becomes
+//! one small immutable index segment ([`segment`]) that reuses the
+//! engine's block-compressed posting codec, tracked by a crash-safe
+//! generation manifest ([`manifest`]), and folded back together by a
+//! compactor ([`compact`]). Base snapshot + segments are read as one index
 //! through [`Merged`] (merge-on-read), by the serving tier and the
 //! compactor alike; because segments are encoded with the batch
 //! pipeline's own rules and cover disjoint ascending document ranges,
 //! served answers are bit-identical to a from-scratch rebuild of the
 //! same logical corpus.
 //!
-//! Durability contract: a commit ([`IngestDir::append`],
-//! [`IngestDir::delete`]) is two `inspire_store::publish` calls — the
-//! batch's segment, then the manifest that names it — and returns only
-//! once the manifest is on disk. The manifest rename is the commit
-//! point: a crash before it leaves the previous generation plus strays
-//! (a `.tmp` file, an unlisted segment), which [`IngestDir::open`]
-//! removes; a crash after it leaves the new generation. The handle
-//! adopts a new manifest only once it is on disk. After the commit
-//! point, a third `publish` rewrites the latency sidecar
-//! ([`metrics`]); its failure is ignored, so it never fails or undoes a
-//! commit ([`IngestDir::compact`] does the same after its flip). One
-//! [`IngestDir`] handle writes a directory at a time.
+//! Durability contract: every change to a directory — a commit
+//! ([`IngestDir::commit`], and its one-source and tombstone-only forms
+//! [`IngestDir::append`] and [`IngestDir::delete`]) or a compaction
+//! ([`IngestDir::compact`]) — goes through one flip: two
+//! `inspire_store::publish` calls, the new segment and then the manifest
+//! in which it replaces the segments it folds (none, for a commit), and
+//! returns only once the manifest is on disk. The manifest rename is the
+//! commit point: a crash before it leaves the previous generation plus
+//! strays (a `.tmp` file, an unlisted segment), which [`IngestDir::open`]
+//! removes; a crash after it leaves the new generation, and any file it
+//! replaced as a stray. The handle adopts a new manifest only once it is
+//! on disk. After the commit point, a third `publish` rewrites the
+//! latency sidecar ([`metrics`]); its failure is ignored, so it never
+//! fails or undoes a flip. One [`IngestDir`] handle writes a directory at
+//! a time.
 
 pub mod compact;
 pub mod manifest;
@@ -32,7 +35,7 @@ pub mod merged;
 pub mod metrics;
 pub mod segment;
 
-pub use compact::{compact as compact_dir, CompactReport};
+pub use compact::CompactReport;
 pub use manifest::{clean_strays, migrate_dir, Manifest, SegmentRef, MANIFEST_FILE, WAL_FILE};
 pub use merged::Merged;
 pub use metrics::{load_registry as load_ingest_metrics, IngestMetrics, METRICS_FILE};
@@ -44,10 +47,10 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
-/// One committed mutation, with the numbers the ingest bench reports.
+/// One committed batch, with the numbers the ingest bench reports.
 #[derive(Debug, Clone)]
 pub struct AppendStats {
-    /// Documents the batch added (0 for deletes).
+    /// Documents the batch added (0 for a tombstone-only batch).
     pub docs: u32,
     /// Size of the sealed segment file.
     pub segment_bytes: u64,
@@ -173,32 +176,55 @@ impl IngestDir {
         self.manifest.next_doc_base()
     }
 
-    /// Append one document batch: sealed into a segment and visible once
-    /// this returns.
-    pub fn append(&mut self, source: Source) -> io::Result<AppendStats> {
-        self.commit(|doc_base| segment::build_from_batch(&source, doc_base))
-    }
-
-    /// Tombstone existing documents by global id.
-    pub fn delete(&mut self, ids: Vec<u32>) -> io::Result<AppendStats> {
-        let limit = self.total_docs();
-        if let Some(&out_of_range) = ids.iter().find(|&&d| d >= limit) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("cannot delete doc {out_of_range}: only {limit} documents exist"),
+    /// Commit one batch: the records of `sources`, in order, at the next
+    /// document ids, and tombstones for `delete`, sealed into one segment
+    /// and visible together once this returns. `delete` may name any
+    /// document up to the batch's own last one. A batch that adds no
+    /// document and deletes none, or that names a document past its own,
+    /// is refused before anything is written.
+    pub fn commit(&mut self, sources: &[Source], delete: Vec<u32>) -> io::Result<AppendStats> {
+        let started = Instant::now();
+        let build = segment::seal(sources, delete, self.total_docs());
+        let limit = build.doc_base + build.doc_count;
+        let refuse = |msg: String| Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
+        if let Some(&d) = build.tombstones.last().filter(|&&d| d >= limit) {
+            return refuse(format!(
+                "cannot delete doc {d}: only {limit} documents exist"
             ));
         }
-        self.commit(|doc_base| segment::build_tombstones(doc_base, ids))
+        if build.doc_count == 0 && build.tombstones.is_empty() {
+            return refuse("the batch adds no document and deletes none".into());
+        }
+        self.flip(self.manifest.segments.len(), &build, started)
     }
 
-    /// Seal the segment `build` makes at the next document id, then
-    /// publish the manifest that lists it — the commit point. The seal
-    /// latency reaches the metrics sidecar after the commit.
-    fn commit(&mut self, build: impl FnOnce(u32) -> SegmentBuild) -> io::Result<AppendStats> {
-        let started = Instant::now();
-        let build = build(self.total_docs());
+    /// Append one document batch: [`IngestDir::commit`] of one source.
+    pub fn append(&mut self, source: Source) -> io::Result<AppendStats> {
+        self.commit(std::slice::from_ref(&source), Vec::new())
+    }
+
+    /// Tombstone existing documents by global id: [`IngestDir::commit`]
+    /// of no source.
+    pub fn delete(&mut self, ids: Vec<u32>) -> io::Result<AppendStats> {
+        self.commit(&[], ids)
+    }
+
+    /// The one way a directory changes. Publish `build` as a new segment,
+    /// then the manifest in which it replaces `segments[from..]` — the
+    /// commit point — and adopt that manifest; then unlink the files it
+    /// replaced and record the seconds since `started` in the sidecar. A
+    /// commit replaces nothing (`from` is the segment count) and stamps
+    /// `last_seal_unix`; compaction replaces every segment (`from` 0).
+    fn flip(
+        &mut self,
+        from: usize,
+        build: &SegmentBuild,
+        started: Instant,
+    ) -> io::Result<AppendStats> {
+        let commit = from == self.manifest.segments.len();
         let mut next = self.manifest.clone();
         let file = next.next_segment_file();
+        let replaced = next.segments.split_off(from);
         next.segments.push(SegmentRef {
             file: file.clone(),
             doc_base: build.doc_base,
@@ -206,48 +232,40 @@ impl IngestDir {
         });
         next.next_seq += 1;
         next.generation += 1;
-        next.last_seal_unix = now_unix();
-        let segment_bytes = self.mutate(|dir| {
-            let bytes = segment::write_segment(dir, &file, &build)?;
-            next.store(dir)?;
-            Ok(bytes)
-        })?;
+        if commit {
+            next.last_seal_unix = now_unix();
+        }
+        let segment_bytes = segment::write_segment(&self.dir, &file, build)
+            .and_then(|bytes| next.store(&self.dir).map(|()| bytes))
+            .inspect_err(|_| {
+                // A publish whose directory fsync failed has still
+                // renamed its file into place: a handle that kept the
+                // old manifest would reuse its segment sequence number.
+                if let Ok(m) = Manifest::require(&self.dir) {
+                    self.manifest = m;
+                }
+            })?;
         self.manifest = next;
-        let seal_s = started.elapsed().as_secs_f64();
-        self.metrics.observe_seconds("seal_latency_seconds", seal_s);
-        self.metrics.store().ok(); // observational: a failed write never fails a commit
+        for r in &replaced {
+            // One left behind is a stray, which the next open removes.
+            std::fs::remove_file(self.dir.join(&r.file)).ok();
+        }
+        let seconds = started.elapsed().as_secs_f64();
+        let histogram = if commit {
+            "seal_latency_seconds"
+        } else {
+            "compaction_duration_seconds"
+        };
+        self.metrics.observe_seconds(histogram, seconds);
+        self.metrics.store().ok(); // observational: a failed write never fails a flip
         Ok(AppendStats {
             docs: build.doc_count,
             segment_bytes,
             wal_s: 0.0,
-            seal_s,
+            seal_s: seconds,
             generation: self.manifest.generation,
             segment_file: file,
         })
-    }
-
-    /// Run a mutation of the directory. On failure the handle re-reads
-    /// the manifest: a publish whose directory fsync failed has still
-    /// renamed its file into place, and a handle that kept the old
-    /// manifest would reuse its segment sequence number.
-    fn mutate<T>(&mut self, f: impl FnOnce(&Path) -> io::Result<T>) -> io::Result<T> {
-        f(&self.dir).inspect_err(|_| {
-            if let Ok(m) = Manifest::require(&self.dir) {
-                self.manifest = m;
-            }
-        })
-    }
-
-    /// Fold all segments into one (see [`compact`]). Reloads the
-    /// manifest (and the metrics sidecar the compactor appended to) so
-    /// this handle sees the new generation.
-    pub fn compact(&mut self) -> io::Result<Option<CompactReport>> {
-        let report = self.mutate(compact::compact)?;
-        if report.is_some() {
-            self.manifest = Manifest::require(&self.dir)?;
-            self.metrics = IngestMetrics::load(&self.dir);
-        }
-        Ok(report)
     }
 }
 
@@ -299,6 +317,36 @@ mod tests {
         let seals = reg.histogram("seal_latency_seconds").expect("seal hist");
         assert_eq!(seals.count(), 3, "two appends + delete");
         assert!(reg.histogram("compaction_duration_seconds").is_some());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A batch that adds no document and deletes none would publish an
+    /// empty segment and a generation every follower reloads for
+    /// nothing: it is refused before any write.
+    #[test]
+    fn a_commit_that_changes_nothing_is_refused() {
+        let dir = std::env::temp_dir().join(format!("ingest_noop_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut ing = IngestDir::create(&dir, None).unwrap();
+        ing.append(medline("a", "TI  - alpha beta\n\n")).unwrap();
+        let listing = || {
+            let mut names: Vec<_> = (std::fs::read_dir(&dir).unwrap())
+                .map(|e| e.unwrap().file_name())
+                .collect();
+            names.sort();
+            names
+        };
+        let before = listing();
+        for err in [
+            ing.delete(vec![]).unwrap_err(),
+            ing.append(medline("empty", "")).unwrap_err(),
+        ] {
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        }
+        assert_eq!(ing.manifest().generation, 1);
+        assert_eq!(listing(), before, "a refused commit wrote a file");
+        drop(ing);
+        assert_eq!(IngestDir::open(&dir).unwrap().manifest().generation, 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -11,12 +11,13 @@
 //! union of base + segment postings for a term is byte-for-byte the
 //! list a rebuild would have encoded.
 //!
-//! The sealer indexes the engine's own documents: [`build_from_batch`]
-//! takes the batch's [`LocalDoc`](inspire_core::scan::LocalDoc)s and
-//! segment-local vocabulary from [`scan_source`] (the scan's one-rank
-//! entry, which shares its tokenize and canonical-remap steps) and counts
-//! df/tf with `LocalDoc::distinct_terms`, as the Index stage does. No
-//! step of the batch pipeline has a second copy here.
+//! The sealer, [`seal`], indexes the engine's own documents: it takes a
+//! commit's [`LocalDoc`](inspire_core::scan::LocalDoc)s and
+//! segment-local vocabulary from [`scan_sources`] (the scan's one-rank
+//! entry, which shares its tokenize and canonical-remap steps) over all
+//! of the commit's sources at once, and counts df/tf with
+//! `LocalDoc::distinct_terms`, as the Index stage does. No step of the
+//! batch pipeline has a second copy here.
 //!
 //! Sections ([`inspire_core::snapshot::schema::SEGMENT`]): `smeta` (u64 ×4: segment version,
 //! doc_base, doc_count, token total), a segment-local sorted vocabulary,
@@ -29,7 +30,7 @@ use inspire_core::index::Posting;
 use inspire_core::postings::{
     encode_posting_sections, read_terms, write_index_sections, PostingsReader,
 };
-use inspire_core::scan::scan_source;
+use inspire_core::scan::scan_sources;
 use inspire_core::snapshot::schema::{SEG_TOFF, SMETA, TERMS, TOMB};
 use inspire_core::DocId;
 use inspire_store::{publish, Snapshot, SnapshotWriter};
@@ -56,17 +57,18 @@ pub struct SegmentBuild {
     pub tombstones: Vec<u32>,
 }
 
-/// Index one document batch as a segment: [`scan_source`] makes its
-/// records the engine's documents over a segment-local canonical
-/// vocabulary, and each document's postings land at `doc_base + i` in
-/// field order. df/tf come from
+/// Seal one commit as a segment: the records of `sources`, in order, at
+/// `doc_base..`, and the sorted, deduplicated `tombstones`.
+/// [`scan_sources`] makes the records the engine's documents over a
+/// segment-local canonical vocabulary, and each document's postings land
+/// at `doc_base + i` in field order. df/tf come from
 /// [`LocalDoc::distinct_terms`](inspire_core::scan::LocalDoc::distinct_terms),
 /// the invert stage's own counting rule (a document counts once per
 /// term, raw frequencies sum). Record tokenization is context-free, so
 /// this is what a full rebuild over a corpus ending with these records
 /// holds for them.
-pub fn build_from_batch(source: &Source, doc_base: u32) -> SegmentBuild {
-    let (terms, docs) = scan_source(source);
+pub fn seal(sources: &[Source], mut tombstones: Vec<u32>, doc_base: u32) -> SegmentBuild {
+    let (terms, docs) = scan_sources(sources);
     let mut lists: Vec<Vec<Posting>> = vec![Vec::new(); terms.len()];
     let mut df = vec![0u32; terms.len()];
     let mut tf = vec![0u64; terms.len()];
@@ -85,6 +87,8 @@ pub fn build_from_batch(source: &Source, doc_base: u32) -> SegmentBuild {
             tf[t as usize] += freq as u64;
         }
     }
+    tombstones.sort_unstable();
+    tombstones.dedup();
     SegmentBuild {
         doc_base,
         doc_count: docs.len() as u32,
@@ -93,23 +97,7 @@ pub fn build_from_batch(source: &Source, doc_base: u32) -> SegmentBuild {
         lists,
         df,
         tf,
-        tombstones: Vec::new(),
-    }
-}
-
-/// A tombstone-only segment: adds no documents, deletes `ids`.
-pub fn build_tombstones(doc_base: u32, mut ids: Vec<u32>) -> SegmentBuild {
-    ids.sort_unstable();
-    ids.dedup();
-    SegmentBuild {
-        doc_base,
-        doc_count: 0,
-        tokens: 0,
-        terms: TermTable::from_sorted(std::iter::empty()),
-        lists: Vec::new(),
-        df: Vec::new(),
-        tf: Vec::new(),
-        tombstones: ids,
+        tombstones,
     }
 }
 
@@ -252,7 +240,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("seg_rows_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let src = medline("b.txt", "PMID- 1\nTI  - alpha beta\n\n");
-        let mut b = build_from_batch(&src, 0);
+        let mut b = seal(&[src], vec![], 0);
         for tombstones in [vec![], vec![0]] {
             b.tombstones = tombstones;
             write_segment(&dir, "seg.iseg", &b).unwrap();
@@ -274,7 +262,7 @@ mod tests {
     fn smeta_ranges_beyond_u32_are_refused() {
         let dir = std::env::temp_dir().join(format!("seg_u32_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let b = build_from_batch(&medline("b.txt", "PMID- 1\nTI  - alpha\n\n"), 0);
+        let b = seal(&[medline("b.txt", "PMID- 1\nTI  - alpha\n\n")], vec![], 0);
         write_segment(&dir, "seg.iseg", &b).unwrap();
         let good = Snapshot::open(&dir.join("seg.iseg")).unwrap();
         let past = 1u64 << 32;
@@ -307,7 +295,7 @@ mod tests {
             "b.txt",
             "PMID- 1\nTI  - alpha beta alpha\nAB  - gamma alpha\n\nPMID- 2\nTI  - beta delta\n\n",
         );
-        let b = build_from_batch(&src, 100);
+        let b = seal(&[src], vec![], 100);
         assert_eq!(b.doc_count, 2);
         write_segment(&dir, "seg-000001.iseg", &b).unwrap();
         let seg = Segment::open(&dir.join("seg-000001.iseg")).unwrap();
@@ -328,7 +316,7 @@ mod tests {
             .unwrap();
         assert!(tail.is_empty());
 
-        let t = build_tombstones(102, vec![7, 3, 7]);
+        let t = seal(&[], vec![7, 3, 7], 102);
         write_segment(&dir, "seg-000002.iseg", &t).unwrap();
         let tseg = Segment::open(&dir.join("seg-000002.iseg")).unwrap();
         assert_eq!(tseg.doc_count(), 0);

@@ -30,9 +30,9 @@
 //! repeats each requested query kind and reports p50/p95/p99 serving
 //! latency. `INSPIRE_LOG=error|warn|info|debug` sets the log level.
 //!
-//! Live ingestion: `ingest` seals each document batch into an immutable
-//! index segment over a base snapshot and commits it with one manifest
-//! flip; `compact` folds the segments back into one; `query` and
+//! Live ingestion: `ingest` seals a run's files and deletes into one
+//! immutable index segment over a base snapshot and commits it with one
+//! manifest flip; `compact` folds the segments back into one; `query` and
 //! `serve` accept `--ingest-dir` to answer from the merged
 //! (base + segments) view. `serve --ingest-dir` follows the directory
 //! in the server itself (`inspire_serve::Server`): it reads the manifest
@@ -412,40 +412,33 @@ fn ingest_cmd(args: &Args) {
     let dir = args.required("--dir");
     // Every input is read and checked before the directory is opened,
     // so a refusal leaves it as it was.
-    let delete: Option<Vec<u32>> = args.value("--delete").map(|list| {
+    let delete: Vec<u32> = args.value("--delete").map_or(Vec::new(), |list| {
         let id = |v: &str| v.trim().parse().ok();
         let bad = |v: &str| args.refuse(format!("bad --delete id {v:?}"));
         list.split(',')
             .map(|v| id(v).unwrap_or_else(|| bad(v)))
             .collect()
     });
-    let sources = args.value("--input").map(load_ingest_sources);
+    let sources = args
+        .value("--input")
+        .map_or(Vec::new(), load_ingest_sources);
     let base = args.value("--base").map(Path::new);
     let mut ing = inspire_ingest::IngestDir::open_or_create(Path::new(dir), base)
         .or_exit(format_args!("cannot open ingest dir {dir}"));
-    if ing.recovery.removed_strays > 0 {
-        println!("recovered: {} strays removed", ing.recovery.removed_strays);
-    }
-    for src in sources.into_iter().flatten() {
-        let name = src.name.clone();
-        let stats = ing
-            .append(src)
-            .or_exit(format_args!("ingest of {name} failed"));
+    report_recovery(&ing);
+    // The whole run is one commit: every file and every delete become
+    // visible together, or none of them.
+    if !sources.is_empty() || !delete.is_empty() {
+        let deletes = delete.len();
+        let stats = ing.commit(&sources, delete).or_exit("ingest failed");
         println!(
-            "sealed {name}: {} docs, seal {:.1} ms, {} ({} bytes), generation {}",
+            "sealed {} files, {} docs, {deletes} deletes: seal {:.1} ms, {} ({} bytes), generation {}",
+            sources.len(),
             stats.docs,
             stats.seal_s * 1e3,
             stats.segment_file,
             stats.segment_bytes,
             stats.generation
-        );
-    }
-    if let Some(ids) = delete {
-        let n = ids.len();
-        let stats = ing.delete(ids).or_exit("delete failed");
-        println!(
-            "tombstoned {n} documents in {} , generation {}",
-            stats.segment_file, stats.generation
         );
     }
     let m = ing.manifest();
@@ -459,12 +452,22 @@ fn ingest_cmd(args: &Args) {
 
 fn compact_cmd(args: &Args) {
     let dir = args.required("--dir");
-    match inspire_ingest::compact_dir(Path::new(dir)).or_exit("compaction failed") {
+    let mut ing = inspire_ingest::IngestDir::open(Path::new(dir))
+        .or_exit(format_args!("cannot open ingest dir {dir}"));
+    report_recovery(&ing);
+    match ing.compact().or_exit("compaction failed") {
         Some(r) => println!(
             "compacted {} segments into 1 ({} docs, {} bytes, {} tombstoned postings dropped), generation {}",
             r.segments_before, r.docs, r.bytes_written, r.postings_dropped, r.generation
         ),
         None => println!("nothing to compact (fewer than two segments)"),
+    }
+}
+
+/// Name the crash leftovers opening the directory removed.
+fn report_recovery(ing: &inspire_ingest::IngestDir) {
+    if ing.recovery.removed_strays > 0 {
+        println!("recovered: {} strays removed", ing.recovery.removed_strays);
     }
 }
 

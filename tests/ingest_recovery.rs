@@ -3,14 +3,17 @@
 //!
 //! The contracts under test, end to end:
 //!
-//! 1. **One side of the commit, exactly** — a commit publishes the
-//!    batch's segment, then the manifest that names it. For every crash
-//!    state of that sequence — each prefix of the segment's tmp file,
-//!    the segment complete under the old manifest, that plus each prefix
-//!    of the manifest's tmp file, and the new manifest in place — the
-//!    next open serves the pre-commit bodies with no stray left (and a
-//!    re-append writes the same segment bytes), or the post-commit ones.
-//!    A directory in the previous layout is refused until migrated.
+//! 1. **One side of the commit, exactly** — a commit (a whole `ingest`
+//!    run: several files and deletes) publishes one segment, then the
+//!    manifest that names it. For every crash state of that sequence —
+//!    each prefix of the segment's tmp file, the segment complete under
+//!    the old manifest, that plus each prefix of the manifest's tmp
+//!    file, and the new manifest in place — the next open serves the
+//!    pre-commit bodies with no stray left and none of the batch visible
+//!    (and committing again writes the same segment bytes), or the
+//!    post-commit ones. A batch commit seals the segment compaction folds
+//!    out of the same inputs committed one by one. A directory in the
+//!    previous layout is refused until migrated.
 //! 2. **Kill-mid-ingest ≡ clean run** — after a commit killed
 //!    part-way, reopening the directory removes its leftovers, and the
 //!    merged view serves bodies byte-identical to a from-scratch rebuild
@@ -42,20 +45,20 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use visual_analytics::engine::pipeline::run_engine;
 use visual_analytics::engine::query::{Query, SearchIndex};
-use visual_analytics::engine::scan::scan_source;
+use visual_analytics::engine::scan::scan_sources;
 use visual_analytics::engine::signature::record_signature;
 use visual_analytics::engine::snapshot::checkpoint_path;
 use visual_analytics::engine::snapshot::schema::{ASSOC, MAJOR};
 use visual_analytics::engine::{EngineConfig, EngineSnapshot, Stage};
-use visual_analytics::ingest::{
-    compact_dir, migrate_dir, IngestDir, Manifest, MANIFEST_FILE, WAL_FILE,
-};
+use visual_analytics::ingest::{migrate_dir, IngestDir, Manifest, MANIFEST_FILE, WAL_FILE};
 use visual_analytics::perfmodel::CostModel;
 use visual_analytics::prelude::{CorpusSpec, SourceSet};
 use visual_analytics::serve::{execute, load_live_state, ServeRequest, ServeState};
 
 mod common;
-use common::{build_snapshot, copy_dir, Scratch};
+use common::{
+    build_snapshot, copy_dir, frequent_terms, generate_pubmed, query_json, words, Scratch,
+};
 
 /// Mixed term/boolean/search requests over the state's vocabulary.
 fn build_requests(state: &ServeState) -> Vec<ServeRequest> {
@@ -131,14 +134,14 @@ struct Commit {
 }
 
 impl Commit {
-    /// Commit `src` on a copy of `dir` and keep what it published;
-    /// `dir` itself is untouched.
-    fn of(dir: &Path, src: &corpus::Source) -> Commit {
+    /// Commit `sources` and `delete` on a copy of `dir` and keep what it
+    /// published; `dir` itself is untouched.
+    fn of(dir: &Path, sources: &[corpus::Source], delete: &[u32]) -> Commit {
         let copy = dir.with_extension("commit");
         copy_dir(dir, &copy);
         let mut ing = IngestDir::open(&copy).expect("open the copy");
         let segment = ing
-            .append(src.clone())
+            .commit(sources, delete.to_vec())
             .expect("commit on the copy")
             .segment_file;
         let commit = Commit {
@@ -200,8 +203,15 @@ fn every_crash_state_of_a_commit_opens_to_one_side_of_it() {
         .expect("append");
     ing.delete(vec![0]).expect("delete");
     drop(ing);
-    let batch = medline("b", "TI  - zeta alpha\nAB  - zeta tail record\n\n");
-    let commit = Commit::of(&template, &batch);
+    // Three files, one document each (docs 3, 4 and 5), and deletes of
+    // base document 1 and of the batch's own document 4.
+    let batch = [
+        medline("b", "TI  - zeta alpha\nAB  - zeta tail record\n\n"),
+        medline("c", "TI  - eta beta\nAB  - eta middle record\n\n"),
+        medline("d", "TI  - theta gamma\nAB  - theta last record\n\n"),
+    ];
+    let (deletes, own) = ([1, 4], ["zeta", "eta", "theta"]);
+    let commit = Commit::of(&template, &batch, &deletes);
     let before = files(&template);
 
     let trial = dir.join("trial");
@@ -210,7 +220,8 @@ fn every_crash_state_of_a_commit_opens_to_one_side_of_it() {
     let post_state = load_live_state(&trial).expect("post-commit view");
     let requests = build_requests(&post_state);
     let post = answers(&post_state, &requests);
-    let pre = answers(&load_live_state(&template).expect("view"), &requests);
+    let pre_state = load_live_state(&template).expect("view");
+    let pre = answers(&pre_state, &requests);
     assert_ne!(pre, post, "the batch must change some answer");
 
     let mut states: Vec<(usize, usize)> = (0..=commit.segment_bytes.len())
@@ -233,21 +244,27 @@ fn every_crash_state_of_a_commit_opens_to_one_side_of_it() {
         );
         let state = load_live_state(&trial).expect(&at);
         assert_eq!(answers(&state, &requests), pre, "{at}");
-        let again = ing.append(batch.clone()).expect(&at);
+        assert_eq!(state.total_docs(), pre_state.total_docs(), "{at}");
+        assert!(own.iter().all(|t| state.term_id(t).is_none()), "{at}");
+        let again = ing.commit(&batch, deletes.to_vec()).expect(&at);
         assert_eq!(again.segment_file, commit.segment, "{at}");
         let segment = std::fs::read(trial.join(&commit.segment)).unwrap();
         assert!(
             segment == commit.segment_bytes,
-            "{at}: re-append wrote other bytes"
+            "{at}: committing again wrote other bytes"
         );
     }
     copy_dir(&template, &trial);
     commit.plant(&trial, 3, 0);
     let ing = IngestDir::open(&trial).expect("open the landed commit");
     assert_eq!(ing.recovery.removed_strays, 0);
-    assert_eq!(ing.total_docs(), post_state.total_docs());
+    assert_eq!(ing.total_docs(), pre_state.total_docs() + 3);
+    let was = Manifest::require(&template).unwrap().generation;
+    assert_eq!(ing.manifest().generation, was + 1);
     let state = load_live_state(&trial).expect("view");
     assert_eq!(answers(&state, &requests), post);
+    assert!(own.iter().all(|t| state.term_id(t).is_some()));
+    assert!(deletes.iter().all(|&d| state.is_deleted(d)));
 }
 
 /// Contract 1's previous layout: a directory whose manifest is
@@ -347,7 +364,7 @@ fn cli_reports_removed_strays_and_current_layouts() {
     ing.append(medline("a", "TI  - alpha beta\nAB  - alpha words\n\n"))
         .expect("append");
     drop(ing);
-    let killed = Commit::of(&live, &medline("b", "TI  - gamma delta\n\n"));
+    let killed = Commit::of(&live, &[medline("b", "TI  - gamma delta\n\n")], &[]);
     assert_eq!(killed.plant(&live, 2, 7), 2);
     let out = dir.vaengine(&["ingest", "--dir", "live"]).ok().stdout;
     assert!(out.contains("recovered: 2 strays removed"), "{out}");
@@ -360,6 +377,72 @@ fn cli_reports_removed_strays_and_current_layouts() {
         "{}",
         refused.stderr
     );
+}
+
+/// Contract 1 at the CLI: one `vaengine ingest` run of four files and
+/// two deletes — a base document and one the run adds — adds one
+/// segment and one generation, and every `query --json` body over it
+/// equals the body over a twin directory built by per-file appends and
+/// one delete.
+#[test]
+fn one_ingest_run_is_one_segment_and_one_generation() {
+    let dir = Scratch::new("cli-run");
+    generate_pubmed(&dir, "9");
+    let mut names: Vec<String> = (std::fs::read_dir(dir.join("corpus")).unwrap())
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    let (base_files, run_files) = names.split_at(names.len() - 4);
+    for (part, files) in [("base", base_files), ("run", run_files)] {
+        std::fs::create_dir_all(dir.join(part)).unwrap();
+        for name in files {
+            std::fs::copy(dir.join("corpus").join(name), dir.join(part).join(name)).unwrap();
+        }
+    }
+    dir.vaengine(&words("snapshot --input base --procs 1 --out base.isnap"))
+        .ok();
+    dir.vaengine(&words("ingest --dir live --base base.isnap"))
+        .ok();
+    let created = Manifest::require(&dir.join("live")).unwrap();
+    let own = created.base_docs + 1;
+    let line = format!("ingest --dir live --input run --delete 3,{own}");
+    let run = dir.vaengine(&words(&line)).ok().stdout;
+    assert_eq!(run.matches("sealed").count(), 1, "{run}");
+    let m = Manifest::require(&dir.join("live")).unwrap();
+    assert_eq!(m.generation, created.generation + 1, "{run}");
+    assert_eq!(m.segments.len(), 1, "{run}");
+
+    let sources = corpus::load::load_dir(&dir.join("run")).unwrap().sources;
+    assert_eq!(sources.len(), 4);
+    let mut twin = IngestDir::create(&dir.join("twin"), Some(&dir.join("base.isnap"))).unwrap();
+    for src in sources {
+        twin.append(src).unwrap();
+    }
+    twin.delete(vec![3, own]).unwrap();
+    assert_eq!(twin.total_docs(), m.next_doc_base());
+
+    let state = load_live_state(&dir.join("live")).unwrap();
+    let t = frequent_terms(&state, 2);
+    let (both, pair) = (format!("{} AND {}", t[0], t[1]), t.join(" "));
+    let newest = (m.next_doc_base() - 1).to_string();
+    let whole = "-1e300,-1e300,1e300,1e300";
+    let mut asked: Vec<Vec<&str>> = vec![
+        vec!["--term", &t[0], "--top", "10000"],
+        vec!["--query", &both],
+        vec!["--search", &pair],
+        vec!["--cluster", "0"],
+        vec!["--rect", whole, "--top", "10000"],
+    ];
+    for nprobe in ["1", "4", "16"] {
+        for doc in ["0", &newest] {
+            asked.push(vec!["--similar", doc, "--nprobe", nprobe]);
+        }
+        asked.push(vec!["--similar-text", &pair, "--nprobe", nprobe]);
+    }
+    for args in asked {
+        let body = |live: &str| query_json(&dir, &[&["--ingest-dir", live][..], &args].concat());
+        assert_eq!(body("live"), body("twin"), "{args:?}");
+    }
 }
 
 /// Contracts 2 and 3: the flagship kill-mid-ingest scenario, then
@@ -385,7 +468,7 @@ fn killed_ingest_replays_to_clean_rebuild_bodies() {
         ing.append(src.clone()).expect("append");
     }
     drop(ing);
-    let killed = Commit::of(&live, &set.sources[n - 1]);
+    let killed = Commit::of(&live, &set.sources[n - 1..], &[]);
     assert_eq!(killed.plant(&live, 2, killed.manifest.len() / 2), 2);
 
     let ing = IngestDir::open(&live).expect("recovery");
@@ -648,7 +731,7 @@ fn a_corrupt_live_file_is_refused_on_every_load_and_never_served() {
 
 /// The signature stage's rule applied to `sources` record by record:
 /// each record's doc-total frequencies, summed here over its
-/// `scan_source` fields in term order, over `snap`'s major-term
+/// `scan_sources` fields in term order, over `snap`'s major-term
 /// association rows.
 fn rule_signatures(sources: &[corpus::Source], snap: &EngineSnapshot) -> Vec<Vec<f64>> {
     let terms = snap.terms().expect("base vocabulary");
@@ -656,10 +739,9 @@ fn rule_signatures(sources: &[corpus::Source], snap: &EngineSnapshot) -> Vec<Vec
     let rows: HashMap<&str, usize> = (snap.get::<u32>(&MAJOR).iter().enumerate())
         .map(|(row, &t)| (terms.get(t as usize), row))
         .collect();
-    let mut out = Vec::new();
-    for src in sources {
-        let (vocab, docs) = scan_source(src);
-        for doc in docs {
+    let (vocab, docs) = scan_sources(sources);
+    (docs.iter())
+        .map(|doc| {
             let mut freqs: BTreeMap<&str, u32> = BTreeMap::new();
             for &(id, n) in doc.fields.iter().flat_map(|f| &f.counts) {
                 *freqs.entry(vocab.get(id as usize)).or_default() += n;
@@ -668,10 +750,9 @@ fn rule_signatures(sources: &[corpus::Source], snap: &EngineSnapshot) -> Vec<Vec
                 (freqs.into_iter()).filter_map(|(t, f)| Some((&assoc[rows.get(t)? * m..][..m], f)));
             let mut sig = vec![0.0; m];
             record_signature(pairs, &mut sig);
-            out.push(sig);
-        }
-    }
-    out
+            sig
+        })
+        .collect()
 }
 
 /// Contract 5: every document of a live directory — base documents from
@@ -748,7 +829,8 @@ fn compaction_refuses_segments_that_disagree_with_the_manifest() {
     std::fs::write(&files[1], &first).unwrap();
     let manifest = std::fs::read(dir.join(MANIFEST_FILE)).unwrap();
 
-    let err = compact_dir(&dir).expect_err("compaction over swapped segments must fail");
+    let err = (IngestDir::open(&dir).and_then(|mut ing| ing.compact()))
+        .expect_err("compaction over swapped segments must fail");
     assert!(err.to_string().contains("seg-000001.iseg"), "{err}");
     for f in &files {
         assert!(f.exists(), "{} was removed", f.display());
@@ -757,6 +839,49 @@ fn compaction_refuses_segments_that_disagree_with_the_manifest() {
     assert_eq!(std::fs::read(dir.join(MANIFEST_FILE)).unwrap(), manifest);
     let m = Manifest::load(&dir).expect("the manifest still loads");
     assert_eq!(m.expect("present").segments.len(), 3);
+}
+
+/// One commit of k sources plus deletes of base documents writes, byte
+/// for byte, the segment that compaction folds out of k appends and one
+/// delete of the same inputs: the sealer and the compactor agree on
+/// what a batch is.
+#[test]
+fn a_batch_commit_seals_what_compaction_folds() {
+    let dir = Scratch::new("seal-fold");
+    let set = CorpusSpec {
+        source_bytes: 8 * 1024,
+        ..CorpusSpec::pubmed(64 * 1024, 17)
+    }
+    .generate();
+    let (base_sources, batch) = set.sources.split_at(set.sources.len() - 3);
+    let base_path = dir.join("base.isnap");
+    build_snapshot(
+        &SourceSet {
+            sources: base_sources.to_vec(),
+        },
+        &base_path,
+        1,
+    );
+    let deletes = vec![5, 0, 2, 5];
+    for k in [1, 3] {
+        let sealed = dir.join(format!("sealed-{k}"));
+        let mut ing = IngestDir::create(&sealed, Some(&base_path)).expect("create");
+        let file = ing
+            .commit(&batch[..k], deletes.clone())
+            .expect("commit")
+            .segment_file;
+        let one = std::fs::read(sealed.join(file)).unwrap();
+
+        let folded = dir.join(format!("folded-{k}"));
+        let mut ing = IngestDir::create(&folded, Some(&base_path)).expect("create");
+        for src in &batch[..k] {
+            ing.append(src.clone()).expect("append");
+        }
+        ing.delete(deletes.clone()).expect("delete");
+        ing.compact().expect("compact").expect("folds");
+        let file = &ing.manifest().segments[0].file;
+        assert!(one == std::fs::read(folded.join(file)).unwrap(), "k = {k}");
+    }
 }
 
 /// SplitMix64: the interleaving test's only source of randomness, so a
@@ -920,7 +1045,7 @@ fn random_interleavings_serve_identical_bodies() {
                     drop(ing);
                     let mut strays = 0;
                     if let Some(src) = next.filter(|_| rng.below(2) == 0) {
-                        let killed = Commit::of(&subject, src);
+                        let killed = Commit::of(&subject, std::slice::from_ref(src), &[]);
                         let stage = rng.below(3);
                         let len = match stage {
                             0 => killed.segment_bytes.len(),
