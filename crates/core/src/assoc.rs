@@ -174,7 +174,7 @@ mod tests {
         let rt = Runtime::for_testing();
         let mut res = rt.run(p, |ctx| {
             let cfg = EngineConfig::for_testing();
-            let (s, fwd) = scan(ctx, &src, &cfg);
+            let (s, fwd) = scan(ctx, &src);
             let idx = invert(ctx, &s, fwd, &cfg);
             let topics = select_topics(ctx, &idx, &cfg, cfg.n_major, cfg.m_dims());
             let am = build(ctx, &s, &idx, &topics);
@@ -215,12 +215,13 @@ mod tests {
         let rt = Runtime::for_testing();
         rt.run(2, |ctx| {
             let cfg = EngineConfig::for_testing();
-            let (s, fwd) = scan(ctx, &src, &cfg);
+            let (s, fwd) = scan(ctx, &src);
             let idx = invert(ctx, &s, fwd, &cfg);
             let topics = select_topics(ctx, &idx, &cfg, cfg.n_major, cfg.m_dims());
             let am = build(ctx, &s, &idx, &topics);
             for (j, &tj) in topics.topics.iter().enumerate().take(5) {
-                let i = topics.major_rank(tj).expect("topic is a major term");
+                let i = topics.major.iter().position(|&t| t == tj);
+                let i = i.expect("topic is a major term");
                 let self_assoc = am.values[i * am.m + j];
                 let expected = 1.0 - idx.df[tj as usize] as f64 / idx.total_docs as f64;
                 assert!(
@@ -241,7 +242,7 @@ mod tests {
         let rt = Runtime::for_testing();
         rt.run(2, |ctx| {
             let cfg = EngineConfig::for_testing();
-            let (s, fwd) = scan(ctx, &src, &cfg);
+            let (s, fwd) = scan(ctx, &src);
             let idx = invert(ctx, &s, fwd, &cfg);
             let topics = select_topics(ctx, &idx, &cfg, cfg.n_major, cfg.m_dims());
             let am = build(ctx, &s, &idx, &topics);
@@ -264,7 +265,7 @@ mod tests {
         let rt = Runtime::for_testing();
         rt.run(2, |ctx| {
             let cfg = EngineConfig::for_testing();
-            let (s, fwd) = scan(ctx, &src, &cfg);
+            let (s, fwd) = scan(ctx, &src);
             let idx = invert(ctx, &s, fwd, &cfg);
             let topics = select_topics(ctx, &idx, &cfg, cfg.n_major, cfg.m_dims());
             let am = build(ctx, &s, &idx, &topics);

@@ -394,7 +394,7 @@ mod tests {
         let rt = Runtime::for_testing();
         let res = rt.run(p, |ctx| {
             let cfg = EngineConfig::for_testing();
-            let (s, fwd) = scan(ctx, &src, &cfg);
+            let (s, fwd) = scan(ctx, &src);
             let idx = invert(ctx, &s, fwd, &cfg);
             let topics = select_topics(ctx, &idx, &cfg, cfg.n_major, cfg.m_dims());
             let am = assoc::build(ctx, &s, &idx, &topics);
@@ -446,7 +446,7 @@ mod tests {
         let rt = Runtime::for_testing();
         rt.run(2, |ctx| {
             let cfg = EngineConfig::for_testing();
-            let (s, fwd) = scan(ctx, &src, &cfg);
+            let (s, fwd) = scan(ctx, &src);
             let idx = invert(ctx, &s, fwd, &cfg);
             let topics = select_topics(ctx, &idx, &cfg, cfg.n_major, cfg.m_dims());
             let am = assoc::build(ctx, &s, &idx, &topics);
@@ -474,7 +474,7 @@ mod tests {
             let rt = Runtime::for_testing();
             let res = rt.run(2, |ctx| {
                 let cfg = EngineConfig::for_testing();
-                let (s, fwd) = scan(ctx, &src, &cfg);
+                let (s, fwd) = scan(ctx, &src);
                 let idx = invert(ctx, &s, fwd, &cfg);
                 let topics = select_topics(ctx, &idx, &cfg, cfg.n_major, cfg.m_dims());
                 let am = assoc::build(ctx, &s, &idx, &topics);
@@ -501,7 +501,7 @@ mod tests {
         let rt = Runtime::for_testing();
         rt.run(2, |ctx| {
             let cfg = EngineConfig::for_testing();
-            let (s, fwd) = scan(ctx, &src, &cfg);
+            let (s, fwd) = scan(ctx, &src);
             let idx = invert(ctx, &s, fwd, &cfg);
             let topics = select_topics(ctx, &idx, &cfg, cfg.n_major, cfg.m_dims());
             let am = assoc::build(ctx, &s, &idx, &topics);

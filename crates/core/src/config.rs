@@ -40,14 +40,15 @@ pub enum ClusterMethod {
 
 /// Full engine configuration. `Default` is tuned for the megabyte-scale
 /// corpora used in tests and examples; the benchmark harness scales the
-/// dimensionality up for paper-sized runs.
+/// dimensionality up for paper-sized runs. The paper's fixed ratios are
+/// constants beside the code that reads them ([`TOPIC_RATIO`],
+/// [`crate::pipeline::WEAK_SIG_THRESHOLD`],
+/// [`crate::topicality::MAX_DF_FRAC`]), and k-means seeds from evenly
+/// spaced document ids, so no setting seeds it.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// N: number of major terms selected by topicality.
     pub n_major: usize,
-    /// M = `max(2, n_major * topic_ratio)`: anchoring topic dimensions
-    /// ("typically 10 % of the top N", §3.4).
-    pub topic_ratio: f64,
     /// k for the distributed k-means clustering.
     pub n_clusters: usize,
     /// How documents are clustered.
@@ -68,15 +69,8 @@ pub struct EngineConfig {
     pub adaptive_dims: bool,
     /// Maximum number of dimensionality expansions.
     pub max_dim_expansions: usize,
-    /// Fraction of null-or-weak signatures that triggers an expansion.
-    pub weak_sig_threshold: f64,
     /// Terms must appear in at least this many documents to be topical.
     pub min_df: u32,
-    /// Terms in more than this fraction of documents are too common to
-    /// discriminate.
-    pub max_df_frac: f64,
-    /// Seed for the engine's deterministic choices (k-means init).
-    pub seed: u64,
     /// Intra-rank worker threads for the hot pipeline stages (tokenize,
     /// inversion counting, association accumulation, signature
     /// generation). Host wall-clock parallelism only: results and virtual
@@ -102,7 +96,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             n_major: 600,
-            topic_ratio: 0.1,
             n_clusters: 12,
             cluster_method: ClusterMethod::KMeans,
             projection_dims: 2,
@@ -112,10 +105,7 @@ impl Default for EngineConfig {
             balancing: Balancing::Dynamic,
             adaptive_dims: true,
             max_dim_expansions: 2,
-            weak_sig_threshold: 0.05,
             min_df: 3,
-            max_df_frac: 0.2,
-            seed: 0x1f5b,
             threads_per_rank: 1,
             checkpoint_dir: None,
             resume: false,
@@ -125,10 +115,15 @@ impl Default for EngineConfig {
     }
 }
 
+/// M as a fraction of N: the anchoring topic dimensions are "typically
+/// 10 % of the top N" (§3.4).
+pub const TOPIC_RATIO: f64 = 0.1;
+
 impl EngineConfig {
-    /// M: the number of anchoring topic dimensions.
+    /// M = `max(2, n_major * TOPIC_RATIO)`: the number of anchoring topic
+    /// dimensions.
     pub fn m_dims(&self) -> usize {
-        ((self.n_major as f64 * self.topic_ratio).round() as usize).max(2)
+        ((self.n_major as f64 * TOPIC_RATIO).round() as usize).max(2)
     }
 
     /// A configuration sized for small unit-test corpora.
@@ -158,7 +153,6 @@ mod tests {
     fn m_has_floor() {
         let c = EngineConfig {
             n_major: 5,
-            topic_ratio: 0.1,
             ..Default::default()
         };
         assert_eq!(c.m_dims(), 2);

@@ -448,7 +448,7 @@ mod tests {
                 chunk_docs: 8,
                 ..EngineConfig::for_testing()
             };
-            let (s, fwd) = scan(ctx, &src, &cfg);
+            let (s, fwd) = scan(ctx, &src);
             let idx = invert(ctx, &s, fwd, &cfg);
             ctx.barrier();
             // Fetch postings for a sample of terms for cross-P comparison.
@@ -482,7 +482,7 @@ mod tests {
         let rt = Runtime::for_testing();
         rt.run(3, |ctx| {
             let cfg = EngineConfig::for_testing();
-            let (s, fwd) = scan(ctx, &src, &cfg);
+            let (s, fwd) = scan(ctx, &src);
             let idx = invert(ctx, &s, fwd, &cfg);
             ctx.barrier();
             // Every local document's forward entries must appear in the
@@ -512,7 +512,7 @@ mod tests {
         let rt = Runtime::for_testing();
         rt.run(2, |ctx| {
             let cfg = EngineConfig::for_testing();
-            let (s, fwd) = scan(ctx, &src, &cfg);
+            let (s, fwd) = scan(ctx, &src);
             let idx = invert(ctx, &s, fwd, &cfg);
             ctx.barrier();
             for t in (0..s.vocab_size()).step_by(53) {
@@ -530,7 +530,7 @@ mod tests {
         let rt = Runtime::for_testing();
         rt.run(2, |ctx| {
             let cfg = EngineConfig::for_testing();
-            let (s, fwd) = scan(ctx, &src, &cfg);
+            let (s, fwd) = scan(ctx, &src);
             let idx = invert(ctx, &s, fwd, &cfg);
             ctx.barrier();
             for t in (0..s.vocab_size()).step_by(41) {
@@ -550,7 +550,7 @@ mod tests {
                 chunk_docs: 4,
                 ..EngineConfig::for_testing()
             };
-            let (s, fwd) = scan(ctx, &src, &cfg);
+            let (s, fwd) = scan(ctx, &src);
             let idx = invert(ctx, &s, fwd, &cfg);
             let expected_loads: usize = {
                 let counts: Vec<u32> = ctx.allgather(s.docs.len() as u32, 4);
@@ -573,7 +573,7 @@ mod tests {
                 balancing: Balancing::Static,
                 ..EngineConfig::for_testing()
             };
-            let (s, fwd) = scan(ctx, &src, &cfg);
+            let (s, fwd) = scan(ctx, &src);
             let idx = invert(ctx, &s, fwd, &cfg);
             idx.load.iter().map(|l| l.stolen_tasks).sum::<u32>()
         });
@@ -586,7 +586,7 @@ mod tests {
         let rt = Runtime::for_testing();
         let res = rt.run(3, |ctx| {
             let cfg = EngineConfig::for_testing();
-            let (s, fwd) = scan(ctx, &src, &cfg);
+            let (s, fwd) = scan(ctx, &src);
             invert(ctx, &s, fwd, &cfg).total_tokens
         });
         assert!(res.results.iter().all(|&t| t == res.results[0] && t > 0));

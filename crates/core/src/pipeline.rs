@@ -3,7 +3,7 @@
 
 use crate::assoc;
 use crate::cluster::{cluster_documents, Clustering};
-use crate::config::EngineConfig;
+use crate::config::{EngineConfig, TOPIC_RATIO};
 use crate::index::{invert, RankLoad};
 use crate::project::project_nd;
 use crate::scan::scan;
@@ -19,6 +19,10 @@ use spmd::{Component, Ctx, RunResult, Runtime};
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
+
+/// Fraction of null-or-weak signatures above which the adaptive loop
+/// expands N and M (§4.2).
+pub const WEAK_SIG_THRESHOLD: f64 = 0.05;
 
 /// Summary of one engine execution (identical on every rank).
 #[derive(Debug, Clone)]
@@ -193,7 +197,7 @@ impl Engine {
             Stage::Scan,
             |s| ctx.component(Component::Scan, || s.restore_scan(ctx)),
             || {
-                let (scanned, forward) = ctx.component(Component::Scan, || scan(ctx, sources, cfg));
+                let (scanned, forward) = ctx.component(Component::Scan, || scan(ctx, sources));
                 (scanned, Some(forward))
             },
         );
@@ -215,7 +219,7 @@ impl Engine {
             || {
                 let forward = forward.take().unwrap_or_else(|| {
                     let (rescanned, forward) =
-                        ctx.component(Component::Scan, || scan(ctx, sources, cfg));
+                        ctx.component(Component::Scan, || scan(ctx, sources));
                     scanned = rescanned;
                     forward
                 });
@@ -253,14 +257,14 @@ impl Engine {
                     let sigs = ctx.component(Component::DocVec, || generate(ctx, &scanned, &am));
                     let expand = cfg.adaptive_dims
                         && expansions < cfg.max_dim_expansions
-                        && sigs.stats.weak_fraction() > cfg.weak_sig_threshold
+                        && sigs.stats.weak_fraction() > WEAK_SIG_THRESHOLD
                         && topics.major.len() == n_major; // no more terms to add otherwise
                     if !expand {
                         break (topics, am, sigs, expansions);
                     }
                     expansions += 1;
                     n_major = (n_major * 3) / 2;
-                    m_dims = ((n_major as f64 * cfg.topic_ratio).round() as usize).max(m_dims + 1);
+                    m_dims = ((n_major as f64 * TOPIC_RATIO).round() as usize).max(m_dims + 1);
                 }
             },
         );
@@ -571,7 +575,6 @@ mod tests {
             n_major: 10,
             adaptive_dims: true,
             max_dim_expansions: 3,
-            weak_sig_threshold: 0.01,
             ..EngineConfig::for_testing()
         };
         let run = run_engine(2, Arc::new(CostModel::zero()), &src, &cfg);

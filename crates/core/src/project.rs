@@ -173,7 +173,7 @@ mod tests {
         let rt = Runtime::for_testing();
         let res = rt.run(p, |ctx| {
             let cfg = EngineConfig::for_testing();
-            let (s, fwd) = scan(ctx, &src, &cfg);
+            let (s, fwd) = scan(ctx, &src);
             let idx = invert(ctx, &s, fwd, &cfg);
             let topics = select_topics(ctx, &idx, &cfg, cfg.n_major, cfg.m_dims());
             let am = assoc::build(ctx, &s, &idx, &topics);

@@ -705,7 +705,7 @@ mod tests {
         let rt = Runtime::for_testing();
         rt.run(2, |ctx| {
             let cfg = EngineConfig::for_testing();
-            let (s, fwd) = scan(ctx, &src, &cfg);
+            let (s, fwd) = scan(ctx, &src);
             let idx = invert(ctx, &s, fwd, &cfg);
             assert!(lookup(ctx, &s, &idx, "qqqqq").is_empty());
         });
@@ -717,7 +717,7 @@ mod tests {
         let rt = Runtime::for_testing();
         rt.run(2, |ctx| {
             let cfg = EngineConfig::for_testing();
-            let (s, fwd) = scan(ctx, &src, &cfg);
+            let (s, fwd) = scan(ctx, &src);
             let idx = invert(ctx, &s, fwd, &cfg);
             // Pick a mid-frequency term from the vocabulary.
             let t = (0..s.vocab_size())
@@ -737,7 +737,7 @@ mod tests {
         let rt = Runtime::for_testing();
         rt.run(2, |ctx| {
             let cfg = EngineConfig::for_testing();
-            let (s, fwd) = scan(ctx, &src, &cfg);
+            let (s, fwd) = scan(ctx, &src);
             let idx = invert(ctx, &s, fwd, &cfg);
             let t = (0..s.vocab_size()).max_by_key(|&t| idx.df[t]).unwrap();
             let term = s.terms[t].to_string();
@@ -766,7 +766,7 @@ mod tests {
         let rt = Runtime::for_testing();
         rt.run(2, |ctx| {
             let cfg = EngineConfig::for_testing();
-            let (s, fwd) = scan(ctx, &src, &cfg);
+            let (s, fwd) = scan(ctx, &src);
             let idx = invert(ctx, &s, fwd, &cfg);
             // Two mid-frequency terms.
             let mut picks = (0..s.vocab_size())
@@ -822,7 +822,7 @@ mod tests {
         let rt = Runtime::for_testing();
         rt.run(2, |ctx| {
             let cfg = EngineConfig::for_testing();
-            let (s, fwd) = scan(ctx, &src, &cfg);
+            let (s, fwd) = scan(ctx, &src);
             let idx = invert(ctx, &s, fwd, &cfg);
             // A frequent term appears in abstracts far more than titles.
             let t = (0..s.vocab_size()).max_by_key(|&t| idx.df[t]).unwrap();
@@ -856,7 +856,7 @@ mod tests {
         let rt = Runtime::for_testing();
         rt.run(1, |ctx| {
             let cfg = EngineConfig::for_testing();
-            let (s, fwd) = scan(ctx, &src, &cfg);
+            let (s, fwd) = scan(ctx, &src);
             let idx = invert(ctx, &s, fwd, &cfg);
             assert!(evaluate(ctx, &s, &idx, &Query::And(vec![])).is_empty());
             assert!(evaluate(ctx, &s, &idx, &Query::Or(vec![])).is_empty());
@@ -952,7 +952,7 @@ mod tests {
         let rt = Runtime::for_testing();
         rt.run(2, |ctx| {
             let cfg = EngineConfig::for_testing();
-            let (s, fwd) = scan(ctx, &src, &cfg);
+            let (s, fwd) = scan(ctx, &src);
             let idx = invert(ctx, &s, fwd, &cfg);
             let mut picks = (0..s.vocab_size())
                 .filter(|&t| idx.df[t] >= 4)
@@ -981,7 +981,7 @@ mod tests {
         let rt = Runtime::for_testing();
         rt.run(1, |ctx| {
             let cfg = EngineConfig::for_testing();
-            let (s, fwd) = scan(ctx, &src, &cfg);
+            let (s, fwd) = scan(ctx, &src);
             let idx = invert(ctx, &s, fwd, &cfg);
             assert!(search(ctx, &s, &idx, "", 5).is_empty());
             assert!(search(ctx, &s, &idx, "the and of", 5).is_empty());
@@ -1029,7 +1029,7 @@ mod tests {
         for procs in [1, 2] {
             rt.run(procs, |ctx| {
                 let cfg = EngineConfig::for_testing();
-                let (s, fwd) = scan(ctx, &src, &cfg);
+                let (s, fwd) = scan(ctx, &src);
                 let idx = invert(ctx, &s, fwd, &cfg);
                 let ix = LiveIndex {
                     ctx,

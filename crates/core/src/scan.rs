@@ -38,7 +38,6 @@
 //! and the live-ingestion sealer builds each segment from it, so batch and
 //! live indexing share one document model ([`LocalDoc`]).
 
-use crate::config::EngineConfig;
 use crate::tokenize::Tokenizer;
 use crate::{DocId, FieldId, TermId};
 use corpus::{partition_contiguous, Source, SourceSet};
@@ -105,13 +104,6 @@ pub struct LocalDoc {
 }
 
 impl LocalDoc {
-    /// Iterate `(term, freq)` aggregated over fields. Entries are emitted
-    /// in ascending term order per field; the same term may appear for
-    /// multiple fields.
-    pub fn term_freqs(&self) -> impl Iterator<Item = (TermId, u32)> + '_ {
-        self.fields.iter().flat_map(|f| f.counts.iter().copied())
-    }
-
     /// Distinct terms of the document (sorted, deduplicated across
     /// fields), with total frequency. Each field's list is already
     /// sorted by term id with no repeats, so the lists merge pairwise —
@@ -356,9 +348,9 @@ pub fn scan_sources(sources: &[Source]) -> (TermTable, Vec<LocalDoc>) {
 }
 
 /// Run Scan & Map. Collective: every rank calls with the same arguments.
-/// Takes the configuration like every stage; no setting changes the scan
-/// (the tokenizer is fixed, so live ingestion and queries tokenize alike).
-pub fn scan(ctx: &Ctx, sources: &SourceSet, _cfg: &EngineConfig) -> (ScanOutput, ForwardIndex) {
+/// No setting changes the scan (the tokenizer is fixed, so live ingestion
+/// and queries tokenize alike).
+pub fn scan(ctx: &Ctx, sources: &SourceSet) -> (ScanOutput, ForwardIndex) {
     let p = ctx.nprocs();
 
     // Static byte-balanced partitioning of sources (§3.2).
@@ -591,7 +583,7 @@ mod tests {
     /// oracle.
     fn distinct_terms_oracle(doc: &LocalDoc) -> Vec<(TermId, u32)> {
         let mut m: HashMap<TermId, u32> = HashMap::new();
-        for (t, f) in doc.term_freqs() {
+        for &(t, f) in doc.fields.iter().flat_map(|f| &f.counts) {
             *m.entry(t).or_insert(0) += f;
         }
         let mut v: Vec<(TermId, u32)> = m.into_iter().collect();
@@ -662,7 +654,7 @@ mod tests {
                 .collect();
             let set = SourceSet { sources: sources.clone() };
             let want = Runtime::for_testing()
-                .run(1, |ctx| scan(ctx, &set, &EngineConfig::for_testing()).0)
+                .run(1, |ctx| scan(ctx, &set).0)
                 .results
                 .remove(0);
             let (terms, docs) = scan_sources(&sources);
@@ -694,7 +686,7 @@ mod tests {
         let corpus = tiny_corpus();
         let rt = Runtime::for_testing();
         let res = rt.run(4, |ctx| {
-            let (out, _) = scan(ctx, &corpus, &EngineConfig::for_testing());
+            let (out, _) = scan(ctx, &corpus);
             (out.doc_base, out.docs.len() as u32, out.total_docs)
         });
         let total = res.results[0].2;
@@ -712,24 +704,12 @@ mod tests {
         let corpus = tiny_corpus();
         let rt = Runtime::for_testing();
         let t1 = rt
-            .run(1, |ctx| {
-                scan(ctx, &corpus, &EngineConfig::for_testing())
-                    .0
-                    .terms
-                    .as_ref()
-                    .clone()
-            })
+            .run(1, |ctx| scan(ctx, &corpus).0.terms.as_ref().clone())
             .results
             .remove(0);
         for p in [2, 3, 5] {
             let tp = rt
-                .run(p, |ctx| {
-                    scan(ctx, &corpus, &EngineConfig::for_testing())
-                        .0
-                        .terms
-                        .as_ref()
-                        .clone()
-                })
+                .run(p, |ctx| scan(ctx, &corpus).0.terms.as_ref().clone())
                 .results
                 .remove(0);
             assert_eq!(t1, tp, "vocabulary differs at P={p}");
@@ -741,7 +721,7 @@ mod tests {
         let corpus = tiny_corpus();
         let rt = Runtime::for_testing();
         rt.run(3, |ctx| {
-            let (out, forward) = scan(ctx, &corpus, &EngineConfig::for_testing());
+            let (out, forward) = scan(ctx, &corpus);
             ctx.barrier();
             // Read every rank's docs back through the global arrays and
             // compare with the local structures via an allgather.
@@ -779,11 +759,7 @@ mod tests {
             "PMID- 1\nTI  - alpha beta\nMH  - gamma\nAB  - epsilon\nMH  - gamma; delta\n\n",
         );
         let rt = Runtime::for_testing();
-        let docs = |src: &SourceSet| {
-            rt.run(1, |ctx| scan(ctx, src, &EngineConfig::for_testing()).0)
-                .results
-                .remove(0)
-        };
+        let docs = |src: &SourceSet| rt.run(1, |ctx| scan(ctx, src).0).results.remove(0);
         let (want, got) = (docs(&one_line), docs(&split));
         assert_eq!(got.docs, want.docs);
         let names: Vec<&str> = got.docs[0]
@@ -803,7 +779,7 @@ mod tests {
         let corpus = tiny_corpus();
         let rt = Runtime::for_testing();
         rt.run(2, |ctx| {
-            let (out, _) = scan(ctx, &corpus, &EngineConfig::for_testing());
+            let (out, _) = scan(ctx, &corpus);
             // Every canonical id maps back to its term.
             for (i, t) in out.terms.iter().enumerate().step_by(50) {
                 assert_eq!(out.term_id(t), Some(i as TermId));
@@ -817,7 +793,7 @@ mod tests {
         let corpus = tiny_corpus();
         let rt = Runtime::for_testing();
         rt.run(2, |ctx| {
-            let (out, _) = scan(ctx, &corpus, &EngineConfig::for_testing());
+            let (out, _) = scan(ctx, &corpus);
             let terms: Vec<&str> = out.terms.iter().collect();
             for w in terms.windows(2) {
                 assert!(w[0] < w[1], "terms must be strictly sorted");
@@ -830,7 +806,7 @@ mod tests {
         let corpus = tiny_corpus();
         let rt = Runtime::for_testing();
         rt.run(2, |ctx| {
-            let (out, _) = scan(ctx, &corpus, &EngineConfig::for_testing());
+            let (out, _) = scan(ctx, &corpus);
             assert_eq!(out.term_id("the"), None);
             assert_eq!(out.term_id("html"), None);
         });
@@ -841,7 +817,7 @@ mod tests {
         let corpus = tiny_corpus();
         let rt = Runtime::for_testing();
         let res = rt.run(2, |ctx| {
-            let (out, _) = scan(ctx, &corpus, &EngineConfig::for_testing());
+            let (out, _) = scan(ctx, &corpus);
             let local_sum: u64 = out.docs.iter().map(|d| d.tokens as u64).sum();
             assert_eq!(local_sum, out.tokens_scanned);
             out.tokens_scanned

@@ -19,8 +19,10 @@
 //! read only the vocabulary, postings, and global statistics, which are
 //! partition-independent.
 
-use crate::config::EngineConfig;
+use crate::config::{EngineConfig, TOPIC_RATIO};
+use crate::pipeline::WEAK_SIG_THRESHOLD;
 use crate::postings::{PostingsDir, PostingsReader};
+use crate::topicality::MAX_DF_FRAC;
 use corpus::SourceSet;
 use inspire_store::{Scalar, Snapshot};
 use std::io;
@@ -73,7 +75,7 @@ pub fn config_fingerprint(cfg: &EngineConfig) -> u64 {
     let s = format!(
         "{}|{}|{}|{:?}|{}|{}|{}|{}|{:?}|{}|{}|{}|{}|{}|{}|{}",
         cfg.n_major,
-        cfg.topic_ratio,
+        TOPIC_RATIO,
         cfg.n_clusters,
         cfg.cluster_method,
         cfg.projection_dims,
@@ -83,14 +85,15 @@ pub fn config_fingerprint(cfg: &EngineConfig) -> u64 {
         cfg.balancing,
         cfg.adaptive_dims,
         cfg.max_dim_expansions,
-        cfg.weak_sig_threshold,
+        WEAK_SIG_THRESHOLD,
         cfg.min_df,
-        cfg.max_df_frac,
-        // The tokenizer is fixed (`tokenize.rs`). Its slot keeps the text
-        // it has always rendered, so existing fingerprints (and the
-        // checkpoints that carry them) stay valid.
+        MAX_DF_FRAC,
+        // The tokenizer is fixed (`tokenize.rs`), and the k-means seeds
+        // from document ids. Their slots keep the text they have always
+        // rendered, so existing fingerprints (and the checkpoints that
+        // carry them) stay valid.
         "TokenizerConfig { min_len: 3, max_len: 40, require_alpha: true, filter_stopwords: true }",
-        cfg.seed,
+        8027,
     );
     intern::fxhash(s.as_bytes())
 }
@@ -342,7 +345,7 @@ mod tests {
                     let snap = EngineSnapshot::open(&checkpoint_path(&dir, stage)).unwrap();
                     Runtime::new(zero.clone()).run(p, |ctx| {
                         let (restored, forward) = snap.restore_scan(ctx).unwrap();
-                        let (fresh, _) = crate::scan::scan(ctx, &src, &cfg);
+                        let (fresh, _) = crate::scan::scan(ctx, &src);
                         let at = format!("{flavour} P={p} {stage:?} rank {}", ctx.rank());
                         assert_eq!(forward.is_some(), stage == Stage::Scan, "{at}");
                         assert_eq!(restored.doc_base, fresh.doc_base, "{at}");
@@ -455,7 +458,7 @@ mod tests {
         let cfg = EngineConfig::for_testing();
         let path = tmp("split-field.isnap");
         Runtime::new(zero.clone()).run(2, |ctx| {
-            let (mut scanned, forward) = crate::scan::scan(ctx, &src, &cfg);
+            let (mut scanned, forward) = crate::scan::scan(ctx, &src);
             let index = crate::index::invert(ctx, &scanned, forward, &cfg);
             if ctx.rank() == 0 {
                 let fields = &mut scanned.docs[0].fields;
@@ -628,7 +631,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The fingerprints of the two stock configurations, as every
+    /// The fingerprints of the two stock configurations and of `repro`'s
+    /// two shapes (its `bench_config` and the ablate-dims row), as every
     /// earlier build computed them: a change here would stop checkpoints
     /// those builds wrote from resuming.
     #[test]
@@ -641,6 +645,18 @@ mod tests {
             config_fingerprint(&EngineConfig::for_testing()),
             0x7645e8f627a8b81d
         );
+        let bench = EngineConfig {
+            chunk_docs: 4,
+            ..Default::default()
+        };
+        assert_eq!(config_fingerprint(&bench), 0x240fc799a96f4270);
+        let ablate_dims = EngineConfig {
+            n_major: 30,
+            adaptive_dims: true,
+            max_dim_expansions: 4,
+            ..bench
+        };
+        assert_eq!(config_fingerprint(&ablate_dims), 0x4506009d8d3d371e);
     }
 
     /// A final-stage snapshot restores the complete output — including on

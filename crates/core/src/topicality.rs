@@ -27,6 +27,10 @@ use crate::TermId;
 use perfmodel::WorkKind;
 use spmd::{Ctx, ReduceOp};
 
+/// Terms in more than this fraction of documents are too common to
+/// discriminate.
+pub const MAX_DF_FRAC: f64 = 0.2;
+
 /// Bookstein condensation score. Returns `None` for terms failing the
 /// document-frequency filters (too rare to trust, or too common to
 /// discriminate).
@@ -70,11 +74,6 @@ impl TopicSelection {
     pub fn m_dims(&self) -> usize {
         self.topics.len()
     }
-
-    /// Position of `term` within `major`, if selected.
-    pub fn major_rank(&self, term: TermId) -> Option<usize> {
-        self.major.iter().position(|&t| t == term)
-    }
 }
 
 /// Select major terms and topics with `n_major` overriding the config's N
@@ -102,7 +101,7 @@ pub fn select_topics(
             index.tf[t],
             index.total_docs,
             cfg.min_df,
-            cfg.max_df_frac,
+            MAX_DF_FRAC,
         ) {
             *slot = s;
         }

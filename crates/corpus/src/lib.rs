@@ -42,7 +42,7 @@ pub mod vocab;
 pub mod zipf;
 
 pub use load::{load_dir, load_file, sniff_format};
-pub use partition::{partition_contiguous, partition_lpt};
+pub use partition::partition_contiguous;
 pub use record::{FormatKind, RawDocument, Source, SourceSet};
 pub use stats::CorpusStats;
 pub use themes::ThemeModel;
@@ -61,63 +61,54 @@ pub struct CorpusSpec {
     pub flavour: Flavour,
     /// RNG seed; identical specs generate identical corpora.
     pub seed: u64,
-    /// Distinct words in the closed vocabulary.
-    pub vocab_size: usize,
-    /// Number of latent themes.
-    pub n_themes: usize,
     /// Approximate bytes per source "file".
     pub source_bytes: u64,
 }
 
+/// Distinct words in each flavour's closed vocabulary, and its number of
+/// latent themes.
+const fn lexicon(flavour: Flavour) -> (usize, usize) {
+    match flavour {
+        Flavour::Medical => (24_000, 24),
+        Flavour::Web => (32_000, 16),
+        Flavour::Newswire => (20_000, 20),
+    }
+}
+
 impl CorpusSpec {
-    /// Default source-file size: many files per corpus so the byte-based
-    /// static partitioner has granularity at every processor count (a
-    /// miniature corpus must still look like a directory of files, not
-    /// one blob).
-    fn default_source_bytes(target_bytes: u64) -> u64 {
-        (target_bytes / 256).clamp(4 * 1024, 256 * 1024)
+    /// A corpus of `flavour` of roughly `target_bytes`, framed into many
+    /// sources so the byte-based static partitioner has granularity at
+    /// every processor count (a miniature corpus must still look like a
+    /// directory of files, not one blob).
+    fn new(flavour: Flavour, target_bytes: u64, seed: u64) -> Self {
+        CorpusSpec {
+            target_bytes,
+            flavour,
+            seed,
+            source_bytes: (target_bytes / 256).clamp(4 * 1024, 256 * 1024),
+        }
     }
 
     /// A PubMed-flavoured corpus of roughly `target_bytes`.
     pub fn pubmed(target_bytes: u64, seed: u64) -> Self {
-        CorpusSpec {
-            target_bytes,
-            flavour: Flavour::Medical,
-            seed,
-            vocab_size: 24_000,
-            n_themes: 24,
-            source_bytes: Self::default_source_bytes(target_bytes),
-        }
+        Self::new(Flavour::Medical, target_bytes, seed)
     }
 
     /// A TREC GOV2-flavoured corpus of roughly `target_bytes`.
     pub fn trec(target_bytes: u64, seed: u64) -> Self {
-        CorpusSpec {
-            target_bytes,
-            flavour: Flavour::Web,
-            seed,
-            vocab_size: 32_000,
-            n_themes: 16,
-            source_bytes: Self::default_source_bytes(target_bytes),
-        }
+        Self::new(Flavour::Web, target_bytes, seed)
     }
 
     /// A newswire / message-traffic corpus of roughly `target_bytes`.
     pub fn newswire(target_bytes: u64, seed: u64) -> Self {
-        CorpusSpec {
-            target_bytes,
-            flavour: Flavour::Newswire,
-            seed,
-            vocab_size: 20_000,
-            n_themes: 20,
-            source_bytes: Self::default_source_bytes(target_bytes),
-        }
+        Self::new(Flavour::Newswire, target_bytes, seed)
     }
 
     /// Generate the corpus.
     pub fn generate(&self) -> SourceSet {
-        let vocab = Vocabulary::synthesize(self.flavour, self.vocab_size, self.seed ^ 0x5eed);
-        let themes = ThemeModel::build(&vocab, self.n_themes, self.seed ^ 0x7e0e);
+        let (vocab_size, n_themes) = lexicon(self.flavour);
+        let vocab = Vocabulary::synthesize(self.flavour, vocab_size, self.seed ^ 0x5eed);
+        let themes = ThemeModel::build(&vocab, n_themes, self.seed ^ 0x7e0e);
         match self.flavour {
             Flavour::Medical => pubmed::generate(self, &vocab, &themes),
             Flavour::Web => trec::generate(self, &vocab, &themes),
@@ -181,6 +172,35 @@ mod tests {
                 (0.7..1.4).contains(&ratio),
                 "total {total} vs target {target}"
             );
+        }
+    }
+
+    /// The generated bytes, source names included, as every earlier build
+    /// produced them: the flavours' lexicon sizes, theme counts and
+    /// framing all feed these sums.
+    #[test]
+    fn generated_bytes_are_pinned() {
+        let pinned = [
+            (
+                CorpusSpec::pubmed as fn(u64, u64) -> CorpusSpec,
+                5,
+                0x54b9e260,
+            ),
+            (CorpusSpec::trec, 5, 0x2d23d5b2),
+            (CorpusSpec::newswire, 5, 0xa819f0c7),
+            (CorpusSpec::pubmed, 11, 0xd0936147),
+            (CorpusSpec::trec, 11, 0x4fdc2c08),
+            (CorpusSpec::newswire, 11, 0x26821a27),
+        ];
+        for (spec, seed, want) in pinned {
+            let spec = spec(64 * 1024, seed);
+            let mut crc = inspire_store::Crc32::new();
+            for s in &spec.generate().sources {
+                crc.update(s.name.as_bytes());
+                crc.update(&s.data);
+            }
+            let got = crc.finish();
+            assert_eq!(got, want, "{:?} seed {seed}: {got:#010x}", spec.flavour);
         }
     }
 

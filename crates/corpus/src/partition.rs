@@ -5,13 +5,9 @@
 //! of sources is based on the size of individual documents/records (bytes)
 //! and ensures load balance when distributed."*
 //!
-//! Two strategies:
-//!
-//! * [`partition_contiguous`] — contiguous ranges of sources whose byte
-//!   boundaries approximate equal shares (what a file-list split does, and
-//!   the engine's default).
-//! * [`partition_lpt`] — greedy longest-processing-time bin packing, a
-//!   tighter balance used for comparison in ablation benchmarks.
+//! [`partition_contiguous`] splits the sources into contiguous ranges whose
+//! byte boundaries approximate equal shares (what a file-list split does);
+//! the scan uses it on every rank.
 
 use std::ops::Range;
 
@@ -57,37 +53,6 @@ pub fn partition_contiguous(sizes: &[u64], p: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// Greedy LPT: assign each item (largest first) to the currently lightest
-/// bin. Returns, per bin, the item indices it received.
-pub fn partition_lpt(sizes: &[u64], p: usize) -> Vec<Vec<usize>> {
-    assert!(p > 0);
-    let mut order: Vec<usize> = (0..sizes.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(sizes[i]));
-    let mut bins: Vec<Vec<usize>> = vec![Vec::new(); p];
-    let mut loads = vec![0u64; p];
-    for i in order {
-        let lightest = (0..p).min_by_key(|&b| loads[b]).unwrap();
-        loads[lightest] += sizes[i];
-        bins[lightest].push(i);
-    }
-    bins
-}
-
-/// Max/mean byte imbalance of a contiguous partition (1.0 = perfect).
-pub fn imbalance(sizes: &[u64], parts: &[Range<usize>]) -> f64 {
-    let loads: Vec<u64> = parts
-        .iter()
-        .map(|r| sizes[r.clone()].iter().sum::<u64>())
-        .collect();
-    let max = *loads.iter().max().unwrap_or(&0) as f64;
-    let mean = loads.iter().sum::<u64>() as f64 / loads.len() as f64;
-    if mean == 0.0 {
-        1.0
-    } else {
-        max / mean
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,7 +78,6 @@ mod tests {
         for r in &parts {
             assert_eq!(r.len(), 25);
         }
-        assert!((imbalance(&sizes, &parts) - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -126,39 +90,9 @@ mod tests {
     }
 
     #[test]
-    fn lpt_assigns_each_item_once() {
-        let sizes = vec![9u64, 8, 7, 1, 1, 1, 1, 1, 1];
-        let bins = partition_lpt(&sizes, 3);
-        let mut all: Vec<usize> = bins.iter().flatten().copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..9).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn lpt_beats_or_matches_contiguous_on_skewed_sizes() {
-        let sizes: Vec<u64> = (0..64).map(|i| if i % 13 == 0 { 100 } else { 3 }).collect();
-        let p = 8;
-        let cont = partition_contiguous(&sizes, p);
-        let cont_imb = imbalance(&sizes, &cont);
-        let bins = partition_lpt(&sizes, p);
-        let loads: Vec<u64> = bins
-            .iter()
-            .map(|b| b.iter().map(|&i| sizes[i]).sum())
-            .collect();
-        let lpt_imb =
-            *loads.iter().max().unwrap() as f64 / (loads.iter().sum::<u64>() as f64 / p as f64);
-        assert!(
-            lpt_imb <= cont_imb + 1e-9,
-            "lpt {lpt_imb} vs cont {cont_imb}"
-        );
-    }
-
-    #[test]
     fn empty_input() {
         let parts = partition_contiguous(&[], 3);
         assert_eq!(parts.len(), 3);
         assert!(parts.iter().all(|r| r.is_empty()));
-        let bins = partition_lpt(&[], 3);
-        assert!(bins.iter().all(|b| b.is_empty()));
     }
 }

@@ -73,8 +73,6 @@ pub enum StorageModel {
 pub struct ClusterSpec {
     /// Human-readable name, recorded in experiment output.
     pub name: String,
-    /// Number of nodes.
-    pub nodes: usize,
     /// Processors (cores/CPUs) per node.
     pub procs_per_node: usize,
     /// CPU clock in GHz (informational; throughput lives in the rate card).
@@ -102,7 +100,6 @@ impl ClusterSpec {
     pub fn pnnl_itanium_2007() -> Self {
         ClusterSpec {
             name: "PNNL Itanium-2/InfiniBand (24 nodes x 2 procs)".to_string(),
-            nodes: 24,
             procs_per_node: 2,
             cpu_ghz: 1.5,
             memory_per_node: 8 << 30,
@@ -114,35 +111,12 @@ impl ClusterSpec {
         }
     }
 
-    /// Total processor count.
-    pub fn total_procs(&self) -> usize {
-        self.nodes * self.procs_per_node
-    }
-
-    /// Memory available to one processor when a node is fully populated.
-    pub fn memory_per_proc(&self) -> u64 {
-        self.memory_per_node / self.procs_per_node as u64
-    }
-
     /// Memory available to each *active* processor when only `p` ranks
     /// run: with block placement, a run smaller than a node leaves the
     /// rest of the node's memory to the ranks it does host.
     pub fn memory_per_active_proc(&self, p: usize) -> u64 {
         let per_node = self.procs_per_node.min(p.max(1));
         self.memory_per_node / per_node as u64
-    }
-
-    /// Which node hosts `rank`, under the usual block placement (ranks
-    /// 0..procs_per_node on node 0, and so on).
-    pub fn node_of(&self, rank: usize) -> usize {
-        rank / self.procs_per_node
-    }
-
-    /// Whether two ranks share a node (intra-node one-sided traffic could
-    /// in principle be cheaper; the Global Arrays model exposes this as
-    /// locality information).
-    pub fn same_node(&self, a: usize, b: usize) -> bool {
-        self.node_of(a) == self.node_of(b)
     }
 }
 
@@ -151,25 +125,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pnnl_has_48_procs() {
+    fn memory_split_between_active_procs() {
         let c = ClusterSpec::pnnl_itanium_2007();
-        assert_eq!(c.total_procs(), 48);
-    }
-
-    #[test]
-    fn node_placement_is_blocked() {
-        let c = ClusterSpec::pnnl_itanium_2007();
-        assert_eq!(c.node_of(0), 0);
-        assert_eq!(c.node_of(1), 0);
-        assert_eq!(c.node_of(2), 1);
-        assert!(c.same_node(4, 5));
-        assert!(!c.same_node(1, 2));
-    }
-
-    #[test]
-    fn memory_split_between_procs() {
-        let c = ClusterSpec::pnnl_itanium_2007();
-        assert_eq!(c.memory_per_proc(), 4 << 30);
+        assert_eq!(c.memory_per_active_proc(48), 4 << 30);
+        assert_eq!(c.memory_per_active_proc(1), 8 << 30);
     }
 
     #[test]

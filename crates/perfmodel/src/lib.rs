@@ -13,7 +13,7 @@
 //!
 //! The model is deliberately simple and fully documented:
 //!
-//! * [`ClusterSpec`] — the machine: nodes, processors per node, memory and
+//! * [`ClusterSpec`] — the machine: processors per node, memory and
 //!   disk per node, and the interconnect ([`Network`]).
 //! * [`RateCard`] — how fast one 2007-era processor performs each
 //!   [`WorkKind`] (calibrated against the paper's absolute minutes).
@@ -100,16 +100,6 @@ impl CostModel {
     /// [`WorkKind`] in the pipeline is linear in corpus size.
     pub fn compute(&self, kind: WorkKind, units: u64) -> f64 {
         self.rates.seconds(kind, units) * self.scale.data_scale()
-    }
-
-    /// Compute charge additionally multiplied by the memory-pressure factor
-    /// for a per-processor working set of `working_set_bytes` (expressed at
-    /// nominal scale).
-    pub fn compute_pressured(&self, kind: WorkKind, units: u64, working_set_bytes: u64) -> f64 {
-        let factor = self
-            .memory
-            .thrash_factor(working_set_bytes, self.cluster.memory_per_proc());
-        self.compute(kind, units) * factor
     }
 
     /// One-sided remote access of `bytes` (get/put/accumulate). Charged to
@@ -220,10 +210,6 @@ mod tests {
     fn zero_model_charges_nothing() {
         let m = CostModel::zero();
         assert_eq!(m.compute(WorkKind::ScanBytes, 1 << 30), 0.0);
-        assert_eq!(
-            m.compute_pressured(WorkKind::ScanBytes, 1 << 30, u64::MAX),
-            0.0
-        );
     }
 
     #[test]
@@ -312,13 +298,5 @@ mod tests {
         let t = m.scan_io(1 << 20, 32);
         let expect = (1u64 << 20) as f64 / (400e6 / 32.0);
         assert!((t - expect).abs() / expect < 1e-9);
-    }
-
-    #[test]
-    fn pressured_compute_exceeds_unpressured_when_oversubscribed() {
-        let m = CostModel::pnnl_2007();
-        let fit = m.compute_pressured(WorkKind::ScanBytes, 1000, 1 << 20);
-        let thrash = m.compute_pressured(WorkKind::ScanBytes, 1000, 1 << 40);
-        assert!(thrash > fit);
     }
 }

@@ -32,7 +32,8 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Server tunables. Defaults match the CLI defaults.
+/// Server tunables. `vaengine serve` takes its flag defaults from
+/// `Default`.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address; port 0 picks an ephemeral port (see
@@ -233,6 +234,11 @@ impl Server {
     /// dropped unanswered and moves no counter.
     pub fn shutdown(mut self) -> ServeSummary {
         self.shared.shutdown.store(true, Ordering::SeqCst);
+        // A worker checks the flag and starts to wait under the queue
+        // lock. Taking that lock here puts the store before a worker's
+        // check or after its wait began, so the notify below reaches
+        // every worker that did not see the flag.
+        drop(self.shared.queue.lock().expect("queue lock poisoned"));
         self.shared.available.notify_all();
         if let Some(t) = self.accept_thread.take() {
             let wake = wake_addr(self.local_addr);
@@ -419,11 +425,7 @@ fn worker_loop(shared: &Shared) {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     break None;
                 }
-                let (guard, _timed_out) = shared
-                    .available
-                    .wait_timeout(q, Duration::from_millis(50))
-                    .unwrap();
-                q = guard;
+                q = shared.available.wait(q).expect("queue lock poisoned");
             }
         };
         let Some(mut stream) = stream else { return };

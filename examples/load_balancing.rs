@@ -42,7 +42,7 @@ fn main() {
         let model = Arc::new(CostModel::pnnl_2007_scaled(nominal, sources.total_bytes()));
         let rt = Runtime::new(model).with_threads_per_rank(config.threads_per_rank);
         let res = rt.run(p, |ctx| {
-            let (s, fwd) = scan(ctx, &sources, &config);
+            let (s, fwd) = scan(ctx, &sources);
             let idx = invert(ctx, &s, fwd, &config);
             idx.load
         });

@@ -65,7 +65,7 @@ fn main() {
     // index as a standalone product.
     let rt = Runtime::new(Arc::new(CostModel::pnnl_2007()));
     let res = rt.run(4, |ctx| {
-        let (s, fwd) = scan(ctx, &sources, &config);
+        let (s, fwd) = scan(ctx, &sources);
         let idx = invert(ctx, &s, fwd, &config);
         let topics = select_topics(ctx, &idx, &config, config.n_major, config.m_dims());
         // Query: the two strongest topics.

@@ -323,13 +323,14 @@ fn build(args: &Args, snapshot: bool) {
     if args.has("--resume") && checkpoint_dir.is_none() {
         args.refuse("--resume needs --checkpoint-dir");
     }
+    let defaults = EngineConfig::default();
     let config = EngineConfig {
-        n_clusters: args.num("--clusters", 12, 1),
+        n_clusters: args.num("--clusters", defaults.n_clusters, 1),
         checkpoint_dir,
         resume: args.has("--resume"),
         snapshot_out: snapshot_out.map(PathBuf::from),
         trace: args.value("--trace-out").is_some(),
-        ..EngineConfig::default()
+        ..defaults
     };
     let sources = load_sources(input);
     let doing = match snapshot {
@@ -700,15 +701,16 @@ fn install_shutdown_handler() {
 fn install_shutdown_handler() {}
 
 fn serve_cmd(args: &Args) {
+    let defaults = ServeConfig::default();
     let cfg = ServeConfig {
-        addr: args.value("--addr").unwrap_or("127.0.0.1:7878").to_string(),
-        workers: args.num("--workers", 8, 1),
-        cache_capacity: args.num("--cache", 1024, 0),
-        queue_depth: args.num("--queue", 256, 1),
+        addr: args.value("--addr").map_or(defaults.addr, str::to_string),
+        workers: args.num("--workers", defaults.workers, 1),
+        cache_capacity: args.num("--cache", defaults.cache_capacity, 0),
+        queue_depth: args.num("--queue", defaults.queue_depth, 1),
         access_log: args.value("--access-log").map(PathBuf::from),
-        slow_log_n: args.num("--slow-log-n", 32, 0),
-        slow_threshold_ms: args.num("--slow-threshold-ms", 0, 0),
-        ..ServeConfig::default()
+        slow_log_n: args.num("--slow-log-n", defaults.slow_log_n, 0),
+        slow_threshold_ms: args.num("--slow-threshold-ms", defaults.slow_threshold_ms, 0),
+        ..defaults
     };
     let (_, state) = load_state(args, false);
     let server =

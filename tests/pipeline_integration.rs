@@ -81,7 +81,7 @@ fn query_path_integrates_with_engine_structures() {
     let rt = Runtime::new(Arc::new(CostModel::pnnl_2007()));
     let cfg = EngineConfig::for_testing();
     rt.run(3, |ctx| {
-        let (s, fwd) = scan(ctx, &src, &cfg);
+        let (s, fwd) = scan(ctx, &src);
         let idx = invert(ctx, &s, fwd, &cfg);
         // Query by the most frequent term that is not ubiquitous (a term
         // in every document has zero idf and therefore zero score).

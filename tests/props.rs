@@ -30,35 +30,6 @@ proptest! {
     }
 
     #[test]
-    fn partition_lpt_assigns_exactly_once(
-        sizes in prop::collection::vec(1u64..10_000, 0..60),
-        p in 1usize..12,
-    ) {
-        let bins = corpus::partition_lpt(&sizes, p);
-        let mut all: Vec<usize> = bins.iter().flatten().copied().collect();
-        all.sort_unstable();
-        let expect: Vec<usize> = (0..sizes.len()).collect();
-        prop_assert_eq!(all, expect);
-    }
-
-    #[test]
-    fn lpt_is_balanced_within_largest_item(
-        sizes in prop::collection::vec(1u64..1_000, 1..60),
-        p in 1usize..8,
-    ) {
-        let bins = corpus::partition_lpt(&sizes, p);
-        let loads: Vec<u64> = bins
-            .iter()
-            .map(|b| b.iter().map(|&i| sizes[i]).sum())
-            .collect();
-        let max = *loads.iter().max().unwrap();
-        let min = *loads.iter().min().unwrap();
-        let biggest = *sizes.iter().max().unwrap();
-        // Classic LPT guarantee: spread bounded by the largest item.
-        prop_assert!(max - min <= biggest);
-    }
-
-    #[test]
     fn tokenizer_output_is_normalized(text in ".{0,300}") {
         let t = Tokenizer::default();
         for term in t.tokenize(&text) {

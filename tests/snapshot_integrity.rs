@@ -317,7 +317,7 @@ fn snapshot_served_queries_match_in_memory_pipeline() {
         let src = src.clone();
         let cfg = cfg.clone();
         let mut res = Runtime::new(zero.clone()).run(1, move |ctx| {
-            let (s, fwd) = scan(ctx, &src, &cfg);
+            let (s, fwd) = scan(ctx, &src);
             let idx = invert(ctx, &s, fwd, &cfg);
             let mut picks = (0..s.vocab_size())
                 .filter(|&t| idx.df[t] >= 4)
@@ -335,7 +335,7 @@ fn snapshot_served_queries_match_in_memory_pipeline() {
             let (src, cfg, free_text, boolean) =
                 (src.clone(), cfg.clone(), free_text.clone(), boolean.clone());
             let mut res = Runtime::new(zero.clone()).run(p, move |ctx| {
-                let (s, fwd) = scan(ctx, &src, &cfg);
+                let (s, fwd) = scan(ctx, &src);
                 let idx = invert(ctx, &s, fwd, &cfg);
                 answer_queries(ctx, &s, &idx, &free_text, &boolean)
             });
